@@ -15,22 +15,38 @@
 type t = {
   pages : (int, int array) Hashtbl.t;
   mutable allocated_pages : int;
+  (* the page the last access touched; pages are never freed, so the
+     entry cannot go stale *)
+  mutable last_pno : int;
+  mutable last_page : int array;
 }
 
 let page_bytes = 8192
 let page_longs = page_bytes / 4
 
-let create () = { pages = Hashtbl.create 1024; allocated_pages = 0 }
+let create () =
+  { pages = Hashtbl.create 1024; allocated_pages = 0; last_pno = min_int;
+    last_page = [||] }
 
+(* The page holding [addr], materialized on first touch.  Allocates only
+   when it materializes a page. *)
 let page t addr =
   let pno = addr / page_bytes in
-  match Hashtbl.find_opt t.pages pno with
-  | Some p -> p
-  | None ->
-    let p = Array.make page_longs 0 in
-    Hashtbl.add t.pages pno p;
-    t.allocated_pages <- t.allocated_pages + 1;
+  if pno = t.last_pno then t.last_page
+  else begin
+    let p =
+      match Hashtbl.find t.pages pno with
+      | p -> p
+      | exception Not_found ->
+        let p = Array.make page_longs 0 in
+        Hashtbl.add t.pages pno p;
+        t.allocated_pages <- t.allocated_pages + 1;
+        p
+    in
+    t.last_pno <- pno;
+    t.last_page <- p;
     p
+  end
 
 let allocated_bytes t = t.allocated_pages * page_bytes
 
@@ -74,14 +90,15 @@ let write_quad t addr v =
   write_long_u t addr (v land 0xFFFFFFFF);
   write_long_u t (addr + 4) ((v asr 32) land 0xFFFFFFFF)
 
-(* Exact 64-bit pattern access, used for floating-point data. *)
-let read_quad_bits t addr =
+(* Exact 64-bit pattern access, used for floating-point data.  Inlined
+   so the float accessors below keep the pattern unboxed. *)
+let[@inline] read_quad_bits t addr =
   check_align addr 8 "quadword";
   let lo = Int64.of_int (read_long_u t addr) in
   let hi = Int64.of_int (read_long_u t (addr + 4)) in
   Int64.logor (Int64.shift_left hi 32) lo
 
-let write_quad_bits t addr bits =
+let[@inline] write_quad_bits t addr bits =
   check_align addr 8 "quadword";
   write_long_u t addr Int64.(to_int (logand bits 0xFFFFFFFFL));
   write_long_u t (addr + 4)

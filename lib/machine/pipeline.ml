@@ -47,6 +47,15 @@ type branch_info =
   | B_taken of { backward : bool }
   | B_not_taken of { backward : bool }
 
+(* The four outcomes with a direction, preallocated so the interpreter's
+   branch path allocates nothing. *)
+let taken ~backward =
+  if backward then B_taken { backward = true } else B_taken { backward = false }
+
+let not_taken ~backward =
+  if backward then B_not_taken { backward = true }
+  else B_not_taken { backward = false }
+
 type t = {
   config : config;
   caches : Cache.hierarchy option; (* None = ideal memory, used by Table 1 *)
@@ -108,8 +117,69 @@ let mispredicted info =
   | B_taken { backward } -> not backward
   | B_not_taken { backward } -> backward
 
+(* Operand readiness and result recording match the instruction
+   directly: the same registers as [Insn.uses]/[fuses] and
+   [Insn.def]/[fdef], without building lists or options on the
+   per-instruction path.  Register 31 (integer and FP) reads as zero
+   and never waits. *)
+let iready t r acc =
+  if r < 31 && t.ireg_ready.(r) > acc then t.ireg_ready.(r) else acc
+
+let fready t f acc =
+  if f < 31 && t.freg_ready.(f) > acc then t.freg_ready.(f) else acc
+
+let rec ranges_ready t acc = function
+  | [] -> acc
+  | (r : Insn.range) :: rest -> ranges_ready t (iready t r.rbase acc) rest
+
+(* Cycle at which every source operand of [i] is available. *)
+let operands_ready t (i : Insn.t) =
+  let now = t.cycle in
+  match i with
+  | Lab _ | Br _ | Ret | Poll | Batch_end -> now
+  | Opf (_, _, fa, fb) -> fready t fa (fready t fb now)
+  | Cvttq (f, _) | Fmov (_, f) | Fbeq (f, _) | Fbne (f, _) -> fready t f now
+  | Lda (_, _, b) | Ldl (_, _, b) | Ldq (_, _, b) | Ldq_u (_, _, b)
+  | Ldt (_, _, b) | Cvtqt (b, _) | Bc (_, b, _)
+  | Call_load_miss { base = b; _ } | Call_store_miss { base = b; _ } ->
+    iready t b now
+  | Opi (_, _, Reg ra, rb) | Extbl (_, ra, rb) | Stl (ra, _, rb)
+  | Stq (ra, _, rb) ->
+    iready t ra (iready t rb now)
+  | Opi (_, _, Imm _, rb) -> iready t rb now
+  | Stt (f, _, b) -> fready t f (iready t b now)
+  | Jsr _ ->
+    (* conservatively: the argument registers *)
+    iready t 16 (iready t 17 (iready t 18 (iready t 19 (iready t 20
+      (iready t 21 now)))))
+  | Call_batch_miss { ranges } -> ranges_ready t now ranges
+  | Rt_call rt ->
+    (match rt with
+     | Malloc { size; bsize; _ } -> iready t size (iready t bsize now)
+     | Malloc_priv { size; _ } -> iready t size now
+     | Lock r | Unlock r | Flag_set r | Flag_wait r | Print_int r ->
+       iready t r now
+     | Print_float f -> fready t f now
+     | Barrier | Rdcycle _ | Exit_thread -> now)
+
+(* Record when the register [i] writes becomes available. *)
+let set_result_ready t (i : Insn.t) at =
+  match i with
+  | Lda (d, _, _) | Opi (_, d, _, _) | Ldl (d, _, _) | Ldq (d, _, _)
+  | Ldq_u (d, _, _) | Extbl (d, _, _) | Cvttq (_, d)
+  | Call_load_miss { refill = Rint (d, _); _ }
+  | Rt_call (Malloc { dest = d; _ } | Malloc_priv { dest = d; _ } | Rdcycle d)
+    ->
+    if d < 31 then t.ireg_ready.(d) <- at
+  | Jsr _ -> t.ireg_ready.(Reg.rv) <- at
+  | Opf (_, d, _, _) | Ldt (d, _, _) | Cvtqt (_, d) | Fmov (d, _)
+  | Call_load_miss { refill = Rflt d; _ } ->
+    if d < 31 then t.freg_ready.(d) <- at
+  | _ -> ()
+
 (* Issue one instruction.  [iaddr] is its text address (for the I-cache),
-   [maddr] the data address of a memory access (for the D-cache). *)
+   [maddr] the data address of a memory access (for the D-cache; ignored
+   for every other instruction). *)
 let issue t (i : Insn.t) ~iaddr ~maddr ~branch =
   let c = t.config in
   t.insns <- t.insns + 1;
@@ -120,39 +190,29 @@ let issue t (i : Insn.t) ~iaddr ~maddr ~branch =
      if extra > 0 then stall t extra
    | None -> ());
   (* wait for source operands *)
-  let ready = ref t.cycle in
-  List.iter (fun r -> if r < 31 then ready := max !ready t.ireg_ready.(r))
-    (Insn.uses i);
-  List.iter (fun f -> if f < 31 then ready := max !ready t.freg_ready.(f))
-    (Insn.fuses i);
-  advance_to t !ready;
+  advance_to t (operands_ready t i);
   (* structural constraints: issue width, single memory port *)
   if t.slots_used >= c.issue_width then begin
     t.cycle <- t.cycle + 1;
     t.slots_used <- 0;
     t.mem_used <- false
   end;
-  if Insn.is_mem i && t.mem_used then begin
+  let mem = Insn.is_mem i in
+  if mem && t.mem_used then begin
     t.cycle <- t.cycle + 1;
     t.slots_used <- 0;
     t.mem_used <- false
   end;
   t.slots_used <- t.slots_used + 1;
-  if Insn.is_mem i then t.mem_used <- true;
+  if mem then t.mem_used <- true;
   (* data cache *)
   let dextra =
-    match (maddr, t.caches) with
-    | Some a, Some h -> Cache.daccess h a
+    match t.caches with
+    | Some h when mem -> Cache.daccess h maddr
     | _ -> 0
   in
   (* record result availability *)
-  let lat = result_latency c i + dextra in
-  (match Insn.def i with
-   | Some d when d < 31 -> t.ireg_ready.(d) <- t.cycle + lat
-   | _ -> ());
-  (match Insn.fdef i with
-   | Some d when d < 31 -> t.freg_ready.(d) <- t.cycle + lat
-   | _ -> ());
+  set_result_ready t i (t.cycle + result_latency c i + dextra);
   (* stores that miss stall the single memory port *)
   if Insn.is_store i && dextra > 0 then stall t dextra;
   (* control flow *)

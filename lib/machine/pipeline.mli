@@ -33,6 +33,10 @@ type branch_info =
   | B_taken of { backward : bool }
   | B_not_taken of { backward : bool }
 
+val taken : backward:bool -> branch_info
+val not_taken : backward:bool -> branch_info
+(** Preallocated branch outcomes: no allocation per branch. *)
+
 type t
 
 val create : ?caches:Cache.hierarchy -> config -> t
@@ -52,9 +56,11 @@ val issue :
   t ->
   Shasta_isa.Insn.t ->
   iaddr:int ->
-  maddr:int option ->
+  maddr:int ->
   branch:branch_info ->
   unit
 (** Issue one instruction: waits for source operands (scoreboard),
     respects issue width and the single memory port, charges I/D cache
-    misses, records result latency, and applies branch costs. *)
+    misses, records result latency, and applies branch costs.  [maddr]
+    is the data address of a load or store; other instructions ignore
+    it.  Allocates nothing. *)

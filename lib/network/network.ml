@@ -332,6 +332,10 @@ type 'a t = {
   nprocs : int;
   (* chan.(src * nprocs + dst) *)
   chans : 'a queued Queue.t array;
+  pending : int array;
+      (* per destination: frames queued on all its incoming channels.
+         The scheduler's idle test — a node with 0 here is skipped
+         without looking at its P channels. *)
   mutable last_deliver : int array; (* per channel, for FIFO ordering *)
   mutable seq : int;
   mutable sent : int;
@@ -373,6 +377,7 @@ let create ?faults ~nprocs profile =
   let seed = match faults with Some f -> f.fseed | None -> 0 in
   { profile; nprocs;
     chans = Array.init nchan (fun _ -> Queue.create ());
+    pending = Array.make nprocs 0;
     last_deliver = Array.make nchan 0;
     seq = 0; sent = 0; payload_longs = 0;
     faults;
@@ -393,6 +398,10 @@ let set_taps t ~on_send ~on_recv =
 let set_fault_tap t ~on_fault = t.on_fault <- on_fault
 
 let chan t ~src ~dst = (src * t.nprocs) + dst
+
+let enqueue t ~dst c frame =
+  Queue.push frame t.chans.(c);
+  t.pending.(dst) <- t.pending.(dst) + 1
 
 let effective_rto t =
   match t.faults with
@@ -430,7 +439,7 @@ let send t ~src ~dst ~now ~payload_longs msg =
        let deliver = max (now + p.send_overhead + flight) t.last_deliver.(c) in
        t.last_deliver.(c) <- deliver;
        t.seq <- t.seq + 1;
-       Queue.push { deliver; seq = t.seq; msg } t.chans.(c)
+       enqueue t ~dst c { deliver; seq = t.seq; msg }
      | Some f ->
        (* unreliable wire under the reliable sublayer: plan the frame's
           transmission (drops retransmitted with backoff, optional extra
@@ -468,7 +477,7 @@ let send t ~src ~dst ~now ~payload_longs msg =
            | [ (deliver, ()) ] ->
              t.last_deliver.(c) <- deliver;
              t.seq <- t.seq + 1;
-             Queue.push { deliver; seq = t.seq; msg } t.chans.(c)
+             enqueue t ~dst c { deliver; seq = t.seq; msg }
            | _ -> assert false));
        (* duplicated copies reach the receiver and are discarded there *)
        let dups = match dup_arrival with Some _ -> 1 | None -> 0 in
@@ -501,44 +510,65 @@ let multicast t ~src ~now ~payload_longs pairs =
       send t ~src ~dst ~now ~payload_longs:(payload_longs msg) msg)
     now pairs
 
-(* Earliest arrival time of any message destined for [dst], if any. *)
+(* Earliest arrival time of any message destined for [dst], if any.
+   An idle destination answers without scanning its channels. *)
 let next_arrival t ~dst =
-  let best = ref max_int in
-  for src = 0 to t.nprocs - 1 do
-    match Queue.peek_opt t.chans.(chan t ~src ~dst) with
-    | Some q -> if q.deliver < !best then best := q.deliver
-    | None -> ()
-  done;
-  if !best = max_int then None else Some !best
+  if t.pending.(dst) = 0 then None
+  else begin
+    let best = ref max_int in
+    for src = 0 to t.nprocs - 1 do
+      let q = t.chans.(chan t ~src ~dst) in
+      if not (Queue.is_empty q) then begin
+        let d = (Queue.peek q).deliver in
+        if d < !best then best := d
+      end
+    done;
+    Some !best
+  end
 
 (* Pop the earliest message for [dst] with arrival <= [now].  Ties are
    broken by global send order, keeping the simulation deterministic. *)
 let recv t ~dst ~now =
-  let best = ref None in
-  for src = 0 to t.nprocs - 1 do
-    match Queue.peek_opt t.chans.(chan t ~src ~dst) with
-    | Some q when q.deliver <= now ->
-      (match !best with
-       | Some (_, bq) when (bq.deliver, bq.seq) <= (q.deliver, q.seq) -> ()
-       | _ -> best := Some (src, q))
-    | _ -> ()
-  done;
-  match !best with
-  | Some (src, q) ->
-    ignore (Queue.pop t.chans.(chan t ~src ~dst));
-    t.on_recv ~src ~dst ~now:q.deliver q.msg;
-    Some (q.deliver, q.msg)
-  | None -> None
+  if t.pending.(dst) = 0 then None
+  else begin
+    let best = ref (-1) and best_deliver = ref 0 and best_seq = ref 0 in
+    for src = 0 to t.nprocs - 1 do
+      let q = t.chans.(chan t ~src ~dst) in
+      if not (Queue.is_empty q) then begin
+        let f = Queue.peek q in
+        if f.deliver <= now
+           && (!best < 0 || f.deliver < !best_deliver
+               || (f.deliver = !best_deliver && f.seq < !best_seq))
+        then begin
+          best := src;
+          best_deliver := f.deliver;
+          best_seq := f.seq
+        end
+      end
+    done;
+    if !best < 0 then None
+    else begin
+      let src = !best in
+      let q = Queue.pop t.chans.(chan t ~src ~dst) in
+      t.pending.(dst) <- t.pending.(dst) - 1;
+      t.on_recv ~src ~dst ~now:q.deliver q.msg;
+      Some (q.deliver, q.msg)
+    end
+  end
 
-let pending_for t ~dst =
-  let n = ref 0 in
-  for src = 0 to t.nprocs - 1 do
-    n := !n + Queue.length t.chans.(chan t ~src ~dst)
-  done;
-  !n
+let pending_for t ~dst = t.pending.(dst)
 
-let in_flight t =
-  Array.fold_left (fun a q -> a + Queue.length q) 0 t.chans
+let in_flight t = Array.fold_left ( + ) 0 t.pending
+
+let queued t =
+  let acc = ref [] in
+  Array.iteri
+    (fun c q ->
+      Queue.iter
+        (fun f -> acc := (c / t.nprocs, c mod t.nprocs, f.deliver, f.msg) :: !acc)
+        q)
+    t.chans;
+  List.rev !acc
 
 let stats t = (t.sent, t.payload_longs)
 
@@ -569,6 +599,7 @@ let mark_dead t ~node =
         Queue.iter
           (fun (q : _ queued) -> lost := (q.seq, src, dst, q.msg) :: !lost)
           t.chans.(c);
+        t.pending.(dst) <- t.pending.(dst) - Queue.length t.chans.(c);
         Queue.clear t.chans.(c);
         t.rxs.(c) <- Sublayer.rx_create ();
         t.wire_last.(c) <- 0;

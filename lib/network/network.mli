@@ -202,10 +202,20 @@ val multicast :
 
 val next_arrival : 'a t -> dst:int -> int option
 val recv : 'a t -> dst:int -> now:int -> (int * 'a) option
-(** Earliest already-arrived message for [dst], with its arrival time. *)
+(** Earliest already-arrived message for [dst], with its arrival time.
+    Both answer at once for a destination with nothing queued. *)
 
 val pending_for : 'a t -> dst:int -> int
+(** Frames queued for [dst]: a per-destination count kept at push, pop
+    and {!mark_dead}, read in O(1). *)
+
 val in_flight : 'a t -> int
+(** Frames queued anywhere, in O(P). *)
+
+val queued : 'a t -> (int * int * int * 'a) list
+(** Every queued frame as [(src, dst, arrival, msg)], channel by
+    channel.  A brute-force O(P²) scan, for checks. *)
+
 val stats : 'a t -> int * int
 (** (messages sent, payload longwords) since creation. *)
 

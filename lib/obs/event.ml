@@ -21,6 +21,15 @@ let miss_kind_name = function
    image maps (sproc, spc) back to a source label. *)
 type site = { sproc : int; spc : int; sstack : (int * int) list }
 
+(* What a stalled node waited for: a missing block, outstanding
+   acknowledgements at a release, or a synchronization signal. *)
+type stall_reason = Wait_miss | Wait_release | Wait_sync
+
+let stall_reason_name = function
+  | Wait_miss -> "miss"
+  | Wait_release -> "release"
+  | Wait_sync -> "sync"
+
 type t =
   | Msg_send of { dst : int; kind : string; block : int; longs : int }
       (* a message actually handed to the interconnect (local
@@ -32,7 +41,7 @@ type t =
       (* the inline check fired but the state lookup resolved it *)
   | Invalidated of { addr : int; requester : int }
   | Downgraded of { addr : int; requester : int }
-  | Stall of { reason : string; started : int; cycles : int }
+  | Stall of { reason : stall_reason; started : int; cycles : int }
       (* emitted at wake-up, when the duration is known *)
   | Lock_acquired of { id : int }
   | Barrier_passed
@@ -92,7 +101,8 @@ let describe = function
   | Downgraded { addr; requester } ->
     Printf.sprintf "downgrade @0x%x (for n%d)" addr requester
   | Stall { reason; started; cycles } ->
-    Printf.sprintf "stall %s %d cyc (since %d)" reason cycles started
+    Printf.sprintf "stall %s %d cyc (since %d)" (stall_reason_name reason)
+      cycles started
   | Lock_acquired { id } -> Printf.sprintf "lock %d" id
   | Barrier_passed -> "barrier"
   | Flag_raised { id } -> Printf.sprintf "flag-set %d" id
@@ -129,7 +139,7 @@ let chrome_name = function
   | False_miss _ -> "false-miss"
   | Invalidated _ -> "inval"
   | Downgraded _ -> "downgrade"
-  | Stall { reason; _ } -> "stall:" ^ reason
+  | Stall { reason; _ } -> "stall:" ^ stall_reason_name reason
   | Lock_acquired _ -> "lock"
   | Barrier_passed -> "barrier"
   | Flag_raised _ -> "flag-set"

@@ -85,13 +85,34 @@ let bucket_of bounds v =
   let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
   go 0
 
-let observe t ?bounds ~node name v =
-  let h = (hist_cells t ?bounds name).(node) in
+let record h v =
   let b = bucket_of h.bounds v in
   h.counts.(b) <- h.counts.(b) + 1;
   h.n <- h.n + 1;
   h.sum <- h.sum + v;
   if v > h.hmax then h.hmax <- v
+
+let observe t ?bounds ~node name v = record (hist_cells t ?bounds name).(node) v
+
+(* Handles resolved once, so a hot path bumps an array slot instead of
+   hashing a name.  The name registers at the handle's first bump, just
+   as a name-keyed bump would, so registration order and dumps are the
+   same either way.  The registry never drops a name, so a resolved
+   handle stays valid. *)
+type counter = { creg : t; cname : string; mutable cells : int array }
+
+type histogram = { hreg : t; hname : string; mutable hcells : hist array }
+
+let counter_handle t name = { creg = t; cname = name; cells = [||] }
+let hist_handle t name = { hreg = t; hname = name; hcells = [||] }
+
+let bump c ~node by =
+  if Array.length c.cells = 0 then c.cells <- counter_cells c.creg c.cname;
+  c.cells.(node) <- c.cells.(node) + by
+
+let observe_handle h ~node v =
+  if Array.length h.hcells = 0 then h.hcells <- hist_cells h.hreg h.hname;
+  record h.hcells.(node) v
 
 let hist t name node = (hist_cells t name).(node)
 

@@ -4,7 +4,8 @@
    metrics registry (always on — plain integer bumps) and fans it out
    to the attached sinks (none attached means no work beyond the
    registry update).  Hot paths that only need a counter and have no
-   event worth streaming use [incr]/[observe] directly. *)
+   event worth streaming use [incr]/[observe] directly, on cells
+   resolved once. *)
 
 module Event = Event
 module Metrics = Metrics
@@ -12,38 +13,6 @@ module Sink = Sink
 module Profile = Profile
 module Perf = Perf
 module Benchjson = Benchjson
-
-type t = {
-  metrics : Metrics.t;
-  mutable sinks : Sink.t list;
-  mutable profiler : Profile.t option;
-}
-
-let create ~nprocs () =
-  { metrics = Metrics.create ~nprocs; sinks = []; profiler = None }
-
-let metrics t = t.metrics
-
-let attach t sink = t.sinks <- t.sinks @ [ sink ]
-
-let attach_profiler t p = t.profiler <- Some p
-
-let profiler t = t.profiler
-
-let tracing t = t.sinks <> []
-
-let flush t =
-  (* drain the profiler's matched transactions into the sinks first, so
-     a Chrome trace gets its async span tracks before the array closes;
-     [Profile.drain_spans] is one-shot, so repeated flushes (which the
-     sinks themselves also tolerate) add nothing twice *)
-  (match t.profiler with
-   | Some p when t.sinks <> [] ->
-     List.iter
-       (fun r -> List.iter (fun (s : Sink.t) -> s.on_record r) t.sinks)
-       (Profile.drain_spans p)
-   | _ -> ());
-  List.iter Sink.flush t.sinks
 
 (* Counter names, fixed here so that every layer and every consumer
    (CLI tables, bench, tests) agrees on them. *)
@@ -106,46 +75,143 @@ let h_miss_latency = "miss.latency_cycles"
    organizations (broadcast/coarse modes fan wider than full-map). *)
 let h_fanout = "dir.fanout"
 
+(* Registry cells resolved once, at [create]: the per-event path bumps
+   an array slot instead of hashing a counter name. *)
+type cells = {
+  msg_sent : Metrics.counter;
+  msg_recv : Metrics.counter;
+  msg_local : Metrics.counter;
+  miss_read : Metrics.counter;
+  miss_write : Metrics.counter;
+  miss_upgrade : Metrics.counter;
+  miss_false : Metrics.counter;
+  miss_batch : Metrics.counter;
+  invals : Metrics.counter;
+  downgrades : Metrics.counter;
+  store_reissues : Metrics.counter;
+  stalls : Metrics.counter;
+  locks : Metrics.counter;
+  barriers : Metrics.counter;
+  flag_sets : Metrics.counter;
+  flag_wakes : Metrics.counter;
+  polls : Metrics.counter;
+  finished : Metrics.counter;
+  spans : Metrics.counter;
+  net_drop : Metrics.counter;
+  net_dup : Metrics.counter;
+  net_retx : Metrics.counter;
+  net_reorder : Metrics.counter;
+  net_backoff : Metrics.counter;
+  net_timeout : Metrics.counter;
+  node_crash : Metrics.counter;
+  node_recover : Metrics.counter;
+  lease_takeover : Metrics.counter;
+  dir_rebuild : Metrics.counter;
+  heartbeat : Metrics.counter;
+  home_migrate : Metrics.counter;
+  payload : Metrics.histogram;
+  stall : Metrics.histogram;
+  miss_latency : Metrics.histogram;
+  fanout : Metrics.histogram;
+}
+
+type t = {
+  metrics : Metrics.t;
+  cells : cells;
+  mutable sinks : Sink.t list;
+  mutable profiler : Profile.t option;
+}
+
+let create ~nprocs () =
+  let m = Metrics.create ~nprocs in
+  let c = Metrics.counter_handle m and h = Metrics.hist_handle m in
+  let cells =
+    { msg_sent = c c_msg_sent; msg_recv = c c_msg_recv;
+      msg_local = c c_msg_local; miss_read = c c_miss_read;
+      miss_write = c c_miss_write; miss_upgrade = c c_miss_upgrade;
+      miss_false = c c_miss_false; miss_batch = c c_miss_batch;
+      invals = c c_invals; downgrades = c c_downgrades;
+      store_reissues = c c_store_reissues; stalls = c c_stalls;
+      locks = c c_locks; barriers = c c_barriers; flag_sets = c c_flag_sets;
+      flag_wakes = c c_flag_wakes; polls = c c_polls;
+      finished = c c_finished; spans = c c_spans; net_drop = c c_net_drop;
+      net_dup = c c_net_dup; net_retx = c c_net_retx;
+      net_reorder = c c_net_reorder; net_backoff = c c_net_backoff;
+      net_timeout = c c_net_timeout; node_crash = c c_node_crash;
+      node_recover = c c_node_recover; lease_takeover = c c_lease_takeover;
+      dir_rebuild = c c_dir_rebuild; heartbeat = c c_heartbeat;
+      home_migrate = c c_home_migrate; payload = h h_payload;
+      stall = h h_stall; miss_latency = h h_miss_latency;
+      fanout = h h_fanout }
+  in
+  { metrics = m; cells; sinks = []; profiler = None }
+
+let metrics t = t.metrics
+
+let attach t sink = t.sinks <- t.sinks @ [ sink ]
+
+let attach_profiler t p = t.profiler <- Some p
+
+let profiler t = t.profiler
+
+let recording t = t.sinks <> [] || t.profiler <> None
+
+let flush t =
+  (* drain the profiler's matched transactions into the sinks first, so
+     a Chrome trace gets its async span tracks before the array closes;
+     [Profile.drain_spans] is one-shot, so repeated flushes (which the
+     sinks themselves also tolerate) add nothing twice *)
+  (match t.profiler with
+   | Some p when t.sinks <> [] ->
+     List.iter
+       (fun r -> List.iter (fun (s : Sink.t) -> s.on_record r) t.sinks)
+       (Profile.drain_spans p)
+   | _ -> ());
+  List.iter Sink.flush t.sinks
+
+let incr c ~node = Metrics.bump c ~node 1
+let observe h ~node v = Metrics.observe_handle h ~node v
+
 let count_event t ~node (ev : Event.t) =
-  let m = t.metrics in
+  let c = t.cells in
   match ev with
   | Msg_send { longs; _ } ->
-    Metrics.incr m ~node c_msg_sent;
-    Metrics.observe m ~node h_payload longs
-  | Msg_recv _ -> Metrics.incr m ~node c_msg_recv
-  | Miss { kind = Read; _ } -> Metrics.incr m ~node c_miss_read
-  | Miss { kind = Write; _ } -> Metrics.incr m ~node c_miss_write
-  | Miss { kind = Upgrade; _ } -> Metrics.incr m ~node c_miss_upgrade
-  | False_miss _ -> Metrics.incr m ~node c_miss_false
-  | Invalidated _ -> Metrics.incr m ~node c_invals
-  | Downgraded _ -> Metrics.incr m ~node c_downgrades
+    incr c.msg_sent ~node;
+    observe c.payload ~node longs
+  | Msg_recv _ -> incr c.msg_recv ~node
+  | Miss { kind = Read; _ } -> incr c.miss_read ~node
+  | Miss { kind = Write; _ } -> incr c.miss_write ~node
+  | Miss { kind = Upgrade; _ } -> incr c.miss_upgrade ~node
+  | False_miss _ -> incr c.miss_false ~node
+  | Invalidated _ -> incr c.invals ~node
+  | Downgraded _ -> incr c.downgrades ~node
   | Stall { reason; cycles; _ } ->
-    Metrics.incr m ~node c_stalls;
-    Metrics.observe m ~node h_stall cycles;
-    if reason = "miss" then Metrics.observe m ~node h_miss_latency cycles
-  | Lock_acquired _ -> Metrics.incr m ~node c_locks
-  | Barrier_passed -> Metrics.incr m ~node c_barriers
-  | Flag_raised _ -> Metrics.incr m ~node c_flag_sets
-  | Flag_woken _ -> Metrics.incr m ~node c_flag_wakes
-  | Batch_run _ -> Metrics.incr m ~node c_miss_batch
-  | Store_reissue _ -> Metrics.incr m ~node c_store_reissues
-  | Node_finished -> Metrics.incr m ~node c_finished
-  | Span _ -> Metrics.incr m ~node c_spans
+    incr c.stalls ~node;
+    observe c.stall ~node cycles;
+    if reason = Wait_miss then observe c.miss_latency ~node cycles
+  | Lock_acquired _ -> incr c.locks ~node
+  | Barrier_passed -> incr c.barriers ~node
+  | Flag_raised _ -> incr c.flag_sets ~node
+  | Flag_woken _ -> incr c.flag_wakes ~node
+  | Batch_run _ -> incr c.miss_batch ~node
+  | Store_reissue _ -> incr c.store_reissues ~node
+  | Node_finished -> incr c.finished ~node
+  | Span _ -> incr c.spans ~node
   | Net_fault { retx; backoff; duplicated; reordered; timed_out; _ } ->
     if retx > 0 then begin
-      Metrics.add m ~node c_net_drop retx;
-      Metrics.add m ~node c_net_retx retx;
-      Metrics.add m ~node c_net_backoff backoff
+      Metrics.bump c.net_drop ~node retx;
+      Metrics.bump c.net_retx ~node retx;
+      Metrics.bump c.net_backoff ~node backoff
     end;
-    if duplicated then Metrics.incr m ~node c_net_dup;
-    if reordered then Metrics.incr m ~node c_net_reorder;
-    if timed_out then Metrics.incr m ~node c_net_timeout
-  | Node_crash _ -> Metrics.incr m ~node c_node_crash
-  | Node_recover _ -> Metrics.incr m ~node c_node_recover
-  | Lease_takeover _ -> Metrics.incr m ~node c_lease_takeover
-  | Dir_rebuild _ -> Metrics.incr m ~node c_dir_rebuild
-  | Heartbeat _ -> Metrics.incr m ~node c_heartbeat
-  | Home_migrated _ -> Metrics.incr m ~node c_home_migrate
+    if duplicated then incr c.net_dup ~node;
+    if reordered then incr c.net_reorder ~node;
+    if timed_out then incr c.net_timeout ~node
+  | Node_crash _ -> incr c.node_crash ~node
+  | Node_recover _ -> incr c.node_recover ~node
+  | Lease_takeover _ -> incr c.lease_takeover ~node
+  | Dir_rebuild _ -> incr c.dir_rebuild ~node
+  | Heartbeat _ -> incr c.heartbeat ~node
+  | Home_migrated _ -> incr c.home_migrate ~node
 
 let emit t ?site ~node ~time ev =
   count_event t ~node ev;
@@ -156,5 +222,7 @@ let emit t ?site ~node ~time ev =
     (match profiler with Some p -> Profile.feed p r | None -> ());
     List.iter (fun (s : Sink.t) -> s.on_record r) sinks
 
-let incr t ~node name = Metrics.incr t.metrics ~node name
-let observe t ~node name v = Metrics.observe t.metrics ~node name v
+let counter t name = Metrics.counter_handle t.metrics name
+let polls t = t.cells.polls
+let msg_local t = t.cells.msg_local
+let fanout t = t.cells.fanout

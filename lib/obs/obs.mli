@@ -28,9 +28,10 @@ val attach_profiler : t -> Profile.t -> unit
 
 val profiler : t -> Profile.t option
 
-val tracing : t -> bool
-(** [true] when at least one sink is attached — lets emit sites skip
-    building expensive event payloads when nobody is listening. *)
+val recording : t -> bool
+(** [true] when a sink or a profiler is attached, i.e. when an emitted
+    record is seen by more than the registry.  Emit sites build the
+    {!Event.site} only then. *)
 
 val flush : t -> unit
 (** Drain the profiler's matched spans into the sinks, then finalize
@@ -41,11 +42,20 @@ val emit : t -> ?site:Event.site -> node:int -> time:int -> Event.t -> unit
     profiler and sinks (if any).  [site] attributes the event to the
     emitting node's current code location. *)
 
-val incr : t -> node:int -> string -> unit
-(** Bump a registry counter directly (hot paths with no event). *)
+val counter : t -> string -> Metrics.counter
+(** Resolve a registry counter once, for a hot path with no event. *)
 
-val observe : t -> node:int -> string -> int -> unit
-(** Observe into a registry histogram directly. *)
+val incr : Metrics.counter -> node:int -> unit
+(** Bump a resolved counter: an array update, no name lookup. *)
+
+val observe : Metrics.histogram -> node:int -> int -> unit
+(** Observe into a resolved histogram. *)
+
+val polls : t -> Metrics.counter
+val msg_local : t -> Metrics.counter
+val fanout : t -> Metrics.histogram
+(** The resolved cells of {!c_polls}, {!c_msg_local} and {!h_fanout},
+    which the engine bumps directly. *)
 
 (** Registry metric names used by the runtime's emit points. *)
 

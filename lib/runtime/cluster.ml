@@ -80,55 +80,42 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
      subsystem: every network send/delivery becomes a typed event,
      every hardware cache miss a registry bump. *)
   let obs = config.obs in
-  let msg_info (msg : Shasta_protocol.Message.t) =
-    ( Shasta_protocol.Message.kind_name msg,
-      msg.addr,
-      Shasta_protocol.Message.payload_longs msg )
-  in
+  let module M = Shasta_protocol.Message in
   Shasta_network.Network.set_taps state.net
-    ~on_send:(fun ~src ~dst ~now msg ->
-      let kind, block, longs = msg_info msg in
+    ~on_send:(fun ~src ~dst ~now (msg : M.t) ->
       (* stamp the send with the sender's current code site so the
          profiler's transaction spans open at the requesting access *)
-      let n = nodes.(src) in
-      let site =
-        { Ev.sproc = n.pc_proc;
-          spc = (if n.pc_idx > 0 then n.pc_idx - 1 else 0);
-          sstack = n.call_stack }
-      in
-      Obs.emit obs ~site ~node:src ~time:now
-        (Ev.Msg_send { dst; kind; block; longs }))
-    ~on_recv:(fun ~src ~dst ~now msg ->
-      let kind, block, longs = msg_info msg in
+      Engine.emit_at obs nodes.(src) ~time:now
+        (Ev.Msg_send
+           { dst; kind = M.kind_name msg; block = msg.addr;
+             longs = M.payload_longs msg }))
+    ~on_recv:(fun ~src ~dst ~now (msg : M.t) ->
       Obs.emit obs ~node:dst ~time:now
-        (Ev.Msg_recv { src; kind; block; longs }));
+        (Ev.Msg_recv
+           { src; kind = M.kind_name msg; block = msg.addr;
+             longs = M.payload_longs msg }));
   (* fault-layer perturbations attribute to the sender's site too, so
      the profiler charges retransmission stalls to the code that sent
      the frame; with faults off the tap never fires and the event
      stream is byte-identical to a reliable run *)
   Shasta_network.Network.set_fault_tap state.net
     ~on_fault:(fun ~src ~dst ~now (x : Shasta_network.Network.xmit) msg ->
-      let kind, _, _ = msg_info msg in
-      let n = nodes.(src) in
-      let site =
-        { Ev.sproc = n.pc_proc;
-          spc = (if n.pc_idx > 0 then n.pc_idx - 1 else 0);
-          sstack = n.call_stack }
-      in
-      Obs.emit obs ~site ~node:src ~time:now
+      Engine.emit_at obs nodes.(src) ~time:now
         (Ev.Net_fault
-           { dst; kind; retx = x.retx; backoff = x.backoff;
+           { dst; kind = M.kind_name msg; retx = x.retx; backoff = x.backoff;
              duplicated = x.duplicated; reordered = x.reordered;
              timed_out = x.timed_out }));
+  (* hardware cache misses bump counters resolved here, once *)
+  let l1i = Obs.counter obs "cache.l1i.misses"
+  and l1d = Obs.counter obs "cache.l1d.misses"
+  and l2 = Obs.counter obs "cache.l2.misses" in
   Array.iter
     (fun (n : Node.t) ->
-      n.caches.on_miss <-
-        (fun (c : Cache.t) ->
-          Obs.incr obs ~node:n.id
-            (match c.cname with
-             | "l1i" -> "cache.l1i.misses"
-             | "l1d" -> "cache.l1d.misses"
-             | _ -> "cache.l2.misses")))
+      let h = n.caches in
+      h.on_miss <-
+        (fun c ->
+          Obs.incr ~node:n.id
+            (if c == h.l1i then l1i else if c == h.l1d then l1d else l2)))
     nodes;
   Array.iter
     (fun (n : Node.t) ->
@@ -310,29 +297,30 @@ let heartbeat (state : State.t) next_hb ~now =
 
 (* Run the scheduler until every node has finished and the network has
    drained. *)
+let finished (state : State.t) =
+  Array.for_all
+    (fun (n : Node.t) ->
+      match n.status with
+      | Node.Finished | Node.Crashed -> true
+      | Node.Running | Node.Waiting _ -> false)
+    state.nodes
+  && Shasta_network.Network.in_flight state.net = 0
+
 let run_until_done ?(max_events = 2_000_000_000) (state : State.t) =
   let events = ref 0 in
   let next_hb = ref (-1) in
-  let finished () =
-    Array.for_all
-      (fun (n : Node.t) ->
-        n.status = Node.Finished || n.status = Node.Crashed)
-      state.nodes
-    && Shasta_network.Network.in_flight state.net = 0
-  in
-  while not (finished ()) do
+  while not (finished state) do
     incr events;
     if !events > max_events then raise (Deadlock "event budget exhausted");
     (* pick the node with the earliest next event *)
     let best = ref (-1) and best_t = ref max_int in
-    Array.iter
-      (fun (n : Node.t) ->
-        let t = next_event_time state n in
-        if t < !best_t then begin
-          best_t := t;
-          best := n.id
-        end)
-      state.nodes;
+    for i = 0 to Array.length state.nodes - 1 do
+      let t = next_event_time state state.nodes.(i) in
+      if t < !best_t then begin
+        best_t := t;
+        best := i
+      end
+    done;
     heartbeat state next_hb ~now:(min !best_t (next_fault_time state));
     (* a scheduled fault fires once simulated time reaches it — i.e. no
        node has an earlier event.  The [best < 0] arm matters: before a

@@ -39,15 +39,22 @@ let ls state = state.State.config.line_shift
    miss-check pseudo-instruction (or Batch_end / Rt_call) that caused
    the event; a blocked node's pc does not move, so the stall emitted at
    wake-up lands on the same site as its miss.  [call_stack] is an
-   immutable list — aliasing it costs nothing. *)
-let site_of (node : Node.t) =
-  { Ev.sproc = node.pc_proc;
-    spc = (if node.pc_idx > 0 then node.pc_idx - 1 else 0);
-    sstack = node.call_stack }
+   immutable list — aliasing it costs nothing.  The site is built only
+   when a sink or profiler will see the record; otherwise the event only
+   bumps the registry. *)
+let emit_at obs (node : Node.t) ~time ev =
+  let site =
+    if Obs.recording obs then
+      Some
+        { Ev.sproc = node.pc_proc;
+          spc = (if node.pc_idx > 0 then node.pc_idx - 1 else 0);
+          sstack = node.call_stack }
+    else None
+  in
+  Obs.emit obs ?site ~node:node.id ~time ev
 
 let emit state (node : Node.t) ev =
-  Obs.emit state.State.config.obs ~site:(site_of node) ~node:node.id
-    ~time:(Pipeline.cycle node.pipe) ev
+  emit_at state.State.config.obs node ~time:(Pipeline.cycle node.pipe) ev
 
 let block_of state addr = Granularity.block_base state.State.gran addr
 let block_len state block = Granularity.block_bytes_at state.State.gran block
@@ -139,9 +146,9 @@ let fill_data state (node : Node.t) (msg : Message.t) =
   | _ -> msg
 
 let stall_reason = function
-  | T.W_blocks _ -> "miss"
-  | T.W_release -> "release"
-  | T.W_sync -> "sync"
+  | T.W_blocks _ -> Ev.Wait_miss
+  | T.W_release -> Ev.Wait_release
+  | T.W_sync -> Ev.Wait_sync
 
 let rec step state (node : Node.t) (input : T.input) =
   if state.State.record_inputs then
@@ -179,7 +186,7 @@ and apply_all state (node : Node.t) acts =
         ~payload_longs:Message.payload_longs pairs
     in
     charge node (done_at - now);
-    Obs.observe state.State.config.obs ~node:node.id Obs.h_fanout
+    Obs.observe (Obs.fanout state.State.config.obs) ~node:node.id
       (List.length pairs);
     apply_all state node rest
   | a :: rest ->
@@ -206,7 +213,7 @@ and apply state (node : Node.t) (a : T.action) =
     (* local delivery: the core charged the handler cost and handled the
        message inline; it never reaches the network taps, so count it
        here *)
-    Obs.incr state.State.config.obs ~node:node.id Obs.c_msg_local
+    Obs.incr (Obs.msg_local state.State.config.obs) ~node:node.id
   | T.A_mem op -> apply_mem state node op
   | T.A_block w ->
     node.status <- Waiting w;
@@ -436,7 +443,7 @@ let batch_end state (node : Node.t) =
 let poll state (node : Node.t) =
   node.counters.polls <- node.counters.polls + 1;
   (* polls are far too frequent to stream as events; registry only *)
-  Obs.incr state.State.config.obs ~node:node.id Obs.c_polls;
+  Obs.incr (Obs.polls state.State.config.obs) ~node:node.id;
   charge node state.State.config.costs.poll_cycles;
   drain state node
 

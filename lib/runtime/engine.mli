@@ -8,6 +8,12 @@
    When [state.record_inputs] is set, every input is also logged for
    deterministic replay ([Replay]). *)
 
+val emit_at :
+  Shasta_obs.Obs.t -> Node.t -> time:int -> Shasta_obs.Event.t -> unit
+(** Report an event at [time], attributed to the node's current code
+    site.  The site record is built only when a sink or profiler is
+    attached. *)
+
 (* -- inline miss handlers (called from the interpreter pseudo-ops) -- *)
 
 val load_miss : State.t -> Node.t -> addr:int -> refill:(unit -> unit) -> unit

@@ -80,13 +80,8 @@ let operand_value (node : Node.t) = function
    report it, giving traces an end-of-track marker per node. *)
 let finish state (node : Node.t) =
   node.status <- Finished;
-  let site =
-    { Shasta_obs.Event.sproc = node.pc_proc;
-      spc = (if node.pc_idx > 0 then node.pc_idx - 1 else 0);
-      sstack = node.call_stack }
-  in
-  Shasta_obs.Obs.emit state.State.config.obs ~site ~node:node.id
-    ~time:(Node.time node) Shasta_obs.Event.Node_finished
+  Engine.emit_at state.State.config.obs node ~time:(Node.time node)
+    Shasta_obs.Event.Node_finished
 
 let set_ireg (node : Node.t) r v = if r <> Reg.zero then node.regs.(r) <- v
 let set_freg (node : Node.t) f v = if f <> Reg.fzero then node.fregs.(f) <- v
@@ -100,236 +95,260 @@ let refill_of state (node : Node.t) ~addr (r : Insn.refill) =
     fun () -> set_ireg node d (Memory.read_quad node.mem addr)
   | Insn.Rflt f -> fun () -> set_freg node f (Memory.read_float node.mem addr)
 
+(* Return to the caller of the current procedure, or finish the thread
+   when the call stack is empty. *)
+let return state (node : Node.t) =
+  match node.call_stack with
+  | [] -> finish state node
+  | (p, i) :: rest ->
+    node.call_stack <- rest;
+    node.pc_proc <- p;
+    node.pc_idx <- i
+
+(* The per-instruction helpers below are top-level functions, not
+   closures built per instruction: an ordinary instruction allocates
+   nothing. *)
+let issue (node : Node.t) ins ~iaddr =
+  Pipeline.issue node.pipe ins ~iaddr ~maddr:0 ~branch:Pipeline.B_none
+
+let issue_mem (node : Node.t) ins ~iaddr addr =
+  Pipeline.issue node.pipe ins ~iaddr ~maddr:addr ~branch:Pipeline.B_none
+
+let branch (node : Node.t) ins ~iaddr ~idx ~taken tgt =
+  let backward = tgt <= idx in
+  Pipeline.issue node.pipe ins ~iaddr ~maddr:0
+    ~branch:
+      (if taken then Pipeline.taken ~backward
+       else Pipeline.not_taken ~backward);
+  if taken then node.pc_idx <- tgt
+
+let count_load (node : Node.t) addr =
+  let c = node.counters in
+  c.dyn_loads <- c.dyn_loads + 1;
+  if addr >= Shasta.Layout.shared_base then
+    c.dyn_loads_shared <- c.dyn_loads_shared + 1
+
+let count_store (node : Node.t) addr =
+  let c = node.counters in
+  c.dyn_stores <- c.dyn_stores + 1;
+  if addr >= Shasta.Layout.shared_base then
+    c.dyn_stores_shared <- c.dyn_stores_shared + 1
+
+(* Execute one genuine instruction (not a runtime pseudo-instruction)
+   at index [idx] of [fp]; [pc_idx] already points past it. *)
+let exec_insn state (node : Node.t) (fp : Image.fproc) idx (ins : Insn.t)
+    ~iaddr =
+  match ins with
+  | Lab _ -> ()
+  | Lda (d, disp, b) ->
+    issue node ins ~iaddr;
+    set_ireg node d (node.regs.(b) + disp)
+  | Opi (op, d, operand, rb) ->
+    issue node ins ~iaddr;
+    set_ireg node d (eval_iop op node.regs.(rb) (operand_value node operand))
+  | Opf (op, fd, fa, fb) ->
+    issue node ins ~iaddr;
+    set_freg node fd (eval_fop op node.fregs.(fa) node.fregs.(fb))
+  | Ldl (d, disp, b) ->
+    let addr = node.regs.(b) + disp in
+    issue_mem node ins ~iaddr addr;
+    set_ireg node d (Memory.read_long node.mem addr)
+  | Ldq (d, disp, b) ->
+    let addr = node.regs.(b) + disp in
+    issue_mem node ins ~iaddr addr;
+    count_load node addr;
+    set_ireg node d (Memory.read_quad node.mem addr)
+  | Ldq_u (d, disp, b) ->
+    let addr = (node.regs.(b) + disp) land lnot 7 in
+    issue_mem node ins ~iaddr addr;
+    set_ireg node d (Memory.read_quad node.mem addr)
+  | Extbl (d, ra, rb) ->
+    issue node ins ~iaddr;
+    set_ireg node d
+      ((node.regs.(ra) asr (8 * (node.regs.(rb) land 7))) land 0xFF)
+  | Stl (r, disp, b) ->
+    let addr = node.regs.(b) + disp in
+    issue_mem node ins ~iaddr addr;
+    Memory.write_long_u node.mem addr (node.regs.(r) land 0xFFFFFFFF)
+  | Stq (r, disp, b) ->
+    let addr = node.regs.(b) + disp in
+    issue_mem node ins ~iaddr addr;
+    count_store node addr;
+    Memory.write_quad node.mem addr node.regs.(r)
+  | Ldt (f, disp, b) ->
+    let addr = node.regs.(b) + disp in
+    issue_mem node ins ~iaddr addr;
+    count_load node addr;
+    set_freg node f (Memory.read_float node.mem addr)
+  | Stt (f, disp, b) ->
+    let addr = node.regs.(b) + disp in
+    issue_mem node ins ~iaddr addr;
+    count_store node addr;
+    Memory.write_float node.mem addr node.fregs.(f)
+  | Cvtqt (r, fd) ->
+    issue node ins ~iaddr;
+    set_freg node fd (float_of_int node.regs.(r))
+  | Cvttq (f, rd) ->
+    issue node ins ~iaddr;
+    set_ireg node rd (int_of_float node.fregs.(f))
+  | Fmov (fd, fs) ->
+    issue node ins ~iaddr;
+    set_freg node fd node.fregs.(fs)
+  | Br _ -> branch node ins ~iaddr ~idx ~taken:true fp.target.(idx)
+  | Bc (c, r, _) ->
+    branch node ins ~iaddr ~idx ~taken:(eval_cond c node.regs.(r))
+      fp.target.(idx)
+  | Fbeq (f, _) ->
+    branch node ins ~iaddr ~idx ~taken:(node.fregs.(f) = 0.0) fp.target.(idx)
+  | Fbne (f, _) ->
+    branch node ins ~iaddr ~idx ~taken:(node.fregs.(f) <> 0.0)
+      fp.target.(idx)
+  | Jsr _ ->
+    issue node ins ~iaddr;
+    node.call_stack <- (node.pc_proc, idx + 1) :: node.call_stack;
+    node.pc_proc <- fp.callee.(idx);
+    node.pc_idx <- 0
+  | Ret ->
+    issue node ins ~iaddr;
+    return state node
+  | Poll | Call_load_miss _ | Call_store_miss _ | Call_batch_miss _
+  | Batch_end | Rt_call _ ->
+    assert false
+
+(* Execute a runtime pseudo-instruction.  Returns [true] when the node
+   entered the runtime and must yield to the scheduler. *)
+let enter_runtime state (node : Node.t) (fp : Image.fproc) (ins : Insn.t) =
+  match ins with
+  | Poll ->
+    Engine.poll state node;
+    true
+  | Call_load_miss { base; disp; refill } ->
+    let addr = node.regs.(base) + disp in
+    Engine.load_miss state node ~addr ~refill:(refill_of state node ~addr refill);
+    true
+  | Call_store_miss { base; disp; ssize; store_done } ->
+    let addr = node.regs.(base) + disp in
+    let bytes = match ssize with Insn.Long -> 4 | Insn.Quad -> 8 in
+    (* A non-scheduled store executes only after the handler
+       returns; capture its effect so the engine can make it
+       visible at wake time, before serving queued requests (on
+       a real processor the handler's return and the store are
+       back-to-back instructions nothing can interleave). *)
+    (if not store_done then
+       let rec find i =
+         if i >= Array.length fp.code then fun () -> ()
+         else
+           match fp.code.(i) with
+           | Lab _ -> find (i + 1)
+           | Stl (r, d, b) ->
+             fun () ->
+               Memory.write_long_u node.mem
+                 (node.regs.(b) + d)
+                 (node.regs.(r) land 0xFFFFFFFF)
+           | Stq (r, d, b) ->
+             fun () ->
+               Memory.write_quad node.mem (node.regs.(b) + d) node.regs.(r)
+           | Stt (f, d, b) ->
+             fun () ->
+               Memory.write_float node.mem (node.regs.(b) + d) node.fregs.(f)
+           | _ -> fun () -> ()
+       in
+       node.commit_store <- find node.pc_idx);
+    Engine.store_miss state node ~addr ~bytes ~store_done;
+    true
+  | Call_batch_miss { ranges } ->
+    let accesses =
+      List.concat_map
+        (fun (r : Insn.range) ->
+          let base_val = node.regs.(r.rbase) in
+          List.map
+            (fun (a : Insn.access) ->
+              ( base_val + a.disp,
+                (match a.asize with Insn.Long -> 4 | Insn.Quad -> 8),
+                a.is_store ))
+            r.accesses)
+        ranges
+    in
+    Engine.batch_miss state node ~nranges:(List.length ranges) ~accesses;
+    true
+  | Batch_end ->
+    if node.in_batch then begin
+      Engine.batch_end state node;
+      true
+    end
+    else false
+  | Rt_call rt ->
+    (match rt with
+     | Malloc { size; bsize; dest } ->
+       let ptr =
+         Alloc.g_malloc state node ~size:node.regs.(size)
+           ~bsize_req:node.regs.(bsize)
+       in
+       set_ireg node dest ptr
+     | Malloc_priv { size; dest } ->
+       let ptr = Alloc.p_malloc state node ~size:node.regs.(size) in
+       set_ireg node dest ptr
+     | Lock r -> Engine.rt_lock state node node.regs.(r)
+     | Unlock r -> Engine.rt_unlock state node node.regs.(r)
+     | Barrier -> Engine.rt_barrier state node
+     | Flag_set r -> Engine.rt_flag_set state node node.regs.(r)
+     | Flag_wait r -> Engine.rt_flag_wait state node node.regs.(r)
+     | Print_int r ->
+       Buffer.add_string state.State.output
+         (string_of_int node.regs.(r) ^ "\n")
+     | Print_float f ->
+       Buffer.add_string state.State.output
+         (Printf.sprintf "%.6g\n" node.fregs.(f))
+     | Rdcycle d -> set_ireg node d (Node.time node)
+     | Exit_thread -> finish state node);
+    true
+  | _ -> assert false
+
+(* Advance a running node by one instruction.  Returns [true] when it
+   must yield to the scheduler. *)
+let step state (node : Node.t) =
+  let fp = state.State.image.Image.fprocs.(node.pc_proc) in
+  let idx = node.pc_idx in
+  if idx >= Array.length fp.code then begin
+    (* fell off the end of a procedure: implicit return *)
+    return state node;
+    false
+  end
+  else begin
+    let ins = fp.code.(idx) in
+    node.pc_idx <- idx + 1;
+    if Insn.bytes ins > 0 then
+      node.counters.insns <- node.counters.insns + 1;
+    match ins with
+    | Poll | Call_load_miss _ | Call_store_miss _ | Call_batch_miss _
+    | Batch_end | Rt_call _ ->
+      enter_runtime state node fp ins
+    | _ ->
+      exec_insn state node fp idx ins ~iaddr:(fp.base + fp.offset.(idx));
+      false
+  end
+
 (* Execute [node] until it yields.  [fuel] bounds the instructions run
    before control returns to the scheduler even without interaction. *)
 let run state (node : Node.t) ~fuel =
-  let image = state.State.image in
-  let fuel = ref fuel in
-  let result = ref None in
-  let yield r = result := Some r in
+  let fuel = ref fuel and yielded = ref false in
   (try
-     while !result = None do
+     while not !yielded do
        match node.status with
-       | Node.Finished | Node.Crashed -> yield Y_done
-       | Node.Waiting _ -> yield Y_blocked
+       | Node.Finished | Node.Crashed | Node.Waiting _ -> yielded := true
        | Node.Running ->
-         let fp = image.Image.fprocs.(node.pc_proc) in
-         if node.pc_idx >= Array.length fp.code then begin
-           (* fell off the end of a procedure: implicit return *)
-           match node.call_stack with
-           | [] -> finish state node
-           | (p, i) :: rest ->
-             node.call_stack <- rest;
-             node.pc_proc <- p;
-             node.pc_idx <- i
-         end
-         else begin
-           let idx = node.pc_idx in
-           let ins = fp.code.(idx) in
-           let iaddr = fp.base + fp.offset.(idx) in
-           node.pc_idx <- idx + 1;
-           if Insn.bytes ins > 0 then
-             node.counters.insns <- node.counters.insns + 1;
-           let issue ?maddr ?(branch = Pipeline.B_none) () =
-             Pipeline.issue node.pipe ins ~iaddr ~maddr ~branch
-           in
-           let do_branch taken tgt =
-             let backward = tgt <= idx in
-             if taken then begin
-               issue ~branch:(Pipeline.B_taken { backward }) ();
-               node.pc_idx <- tgt
-             end
-             else issue ~branch:(Pipeline.B_not_taken { backward }) ()
-           in
-           match ins with
-           | Lab _ -> ()
-           | Lda (d, disp, b) ->
-             issue ();
-             set_ireg node d (node.regs.(b) + disp)
-           | Opi (op, d, operand, rb) ->
-             issue ();
-             set_ireg node d
-               (eval_iop op node.regs.(rb) (operand_value node operand))
-           | Opf (op, fd, fa, fb) ->
-             issue ();
-             set_freg node fd (eval_fop op node.fregs.(fa) node.fregs.(fb))
-           | Ldl (d, disp, b) ->
-             let addr = node.regs.(b) + disp in
-             issue ~maddr:addr ();
-             set_ireg node d (Memory.read_long node.mem addr)
-           | Ldq (d, disp, b) ->
-             let addr = node.regs.(b) + disp in
-             issue ~maddr:addr ();
-             node.counters.dyn_loads <- node.counters.dyn_loads + 1;
-             if addr >= Shasta.Layout.shared_base then
-               node.counters.dyn_loads_shared <-
-                 node.counters.dyn_loads_shared + 1;
-             set_ireg node d (Memory.read_quad node.mem addr)
-           | Ldq_u (d, disp, b) ->
-             let addr = (node.regs.(b) + disp) land lnot 7 in
-             issue ~maddr:addr ();
-             set_ireg node d (Memory.read_quad node.mem addr)
-           | Extbl (d, ra, rb) ->
-             issue ();
-             set_ireg node d
-               ((node.regs.(ra) asr (8 * (node.regs.(rb) land 7))) land 0xFF)
-           | Stl (r, disp, b) ->
-             let addr = node.regs.(b) + disp in
-             issue ~maddr:addr ();
-             Memory.write_long_u node.mem addr (node.regs.(r) land 0xFFFFFFFF)
-           | Stq (r, disp, b) ->
-             let addr = node.regs.(b) + disp in
-             issue ~maddr:addr ();
-             node.counters.dyn_stores <- node.counters.dyn_stores + 1;
-             if addr >= Shasta.Layout.shared_base then
-               node.counters.dyn_stores_shared <-
-                 node.counters.dyn_stores_shared + 1;
-             Memory.write_quad node.mem addr node.regs.(r)
-           | Ldt (f, disp, b) ->
-             let addr = node.regs.(b) + disp in
-             issue ~maddr:addr ();
-             node.counters.dyn_loads <- node.counters.dyn_loads + 1;
-             if addr >= Shasta.Layout.shared_base then
-               node.counters.dyn_loads_shared <-
-                 node.counters.dyn_loads_shared + 1;
-             set_freg node f (Memory.read_float node.mem addr)
-           | Stt (f, disp, b) ->
-             let addr = node.regs.(b) + disp in
-             issue ~maddr:addr ();
-             node.counters.dyn_stores <- node.counters.dyn_stores + 1;
-             if addr >= Shasta.Layout.shared_base then
-               node.counters.dyn_stores_shared <-
-                 node.counters.dyn_stores_shared + 1;
-             Memory.write_float node.mem addr node.fregs.(f)
-           | Cvtqt (r, fd) ->
-             issue ();
-             set_freg node fd (float_of_int node.regs.(r))
-           | Cvttq (f, rd) ->
-             issue ();
-             set_ireg node rd (int_of_float node.fregs.(f))
-           | Fmov (fd, fs) ->
-             issue ();
-             set_freg node fd node.fregs.(fs)
-           | Br _ -> do_branch true fp.target.(idx)
-           | Bc (c, r, _) ->
-             do_branch (eval_cond c node.regs.(r)) fp.target.(idx)
-           | Fbeq (f, _) -> do_branch (node.fregs.(f) = 0.0) fp.target.(idx)
-           | Fbne (f, _) -> do_branch (node.fregs.(f) <> 0.0) fp.target.(idx)
-           | Jsr _ ->
-             issue ();
-             node.call_stack <- (node.pc_proc, idx + 1) :: node.call_stack;
-             node.pc_proc <- fp.callee.(idx);
-             node.pc_idx <- 0
-           | Ret ->
-             issue ();
-             (match node.call_stack with
-              | [] -> finish state node
-              | (p, i) :: rest ->
-                node.call_stack <- rest;
-                node.pc_proc <- p;
-                node.pc_idx <- i)
-           | Poll ->
-             Engine.poll state node;
-             yield Y_running
-           | Call_load_miss { base; disp; refill } ->
-             let addr = node.regs.(base) + disp in
-             Engine.load_miss state node ~addr
-               ~refill:(refill_of state node ~addr refill);
-             yield Y_running
-           | Call_store_miss { base; disp; ssize; store_done } ->
-             let addr = node.regs.(base) + disp in
-             let bytes = match ssize with Insn.Long -> 4 | Insn.Quad -> 8 in
-             (* A non-scheduled store executes only after the handler
-                returns; capture its effect so the engine can make it
-                visible at wake time, before serving queued requests (on
-                a real processor the handler's return and the store are
-                back-to-back instructions nothing can interleave). *)
-             (if not store_done then
-                let rec find i =
-                  if i >= Array.length fp.code then fun () -> ()
-                  else
-                    match fp.code.(i) with
-                    | Lab _ -> find (i + 1)
-                    | Stl (r, d, b) ->
-                      fun () ->
-                        Memory.write_long_u node.mem
-                          (node.regs.(b) + d)
-                          (node.regs.(r) land 0xFFFFFFFF)
-                    | Stq (r, d, b) ->
-                      fun () ->
-                        Memory.write_quad node.mem
-                          (node.regs.(b) + d)
-                          node.regs.(r)
-                    | Stt (f, d, b) ->
-                      fun () ->
-                        Memory.write_float node.mem
-                          (node.regs.(b) + d)
-                          node.fregs.(f)
-                    | _ -> fun () -> ()
-                in
-                node.commit_store <- find node.pc_idx);
-             Engine.store_miss state node ~addr ~bytes ~store_done;
-             yield Y_running
-           | Call_batch_miss { ranges } ->
-             let accesses =
-               List.concat_map
-                 (fun (r : Insn.range) ->
-                   let base_val = node.regs.(r.rbase) in
-                   List.map
-                     (fun (a : Insn.access) ->
-                       ( base_val + a.disp,
-                         (match a.asize with Insn.Long -> 4 | Insn.Quad -> 8),
-                         a.is_store ))
-                     r.accesses)
-                 ranges
-             in
-             Engine.batch_miss state node ~nranges:(List.length ranges)
-               ~accesses;
-             yield Y_running
-           | Batch_end ->
-             if node.in_batch then begin
-               Engine.batch_end state node;
-               yield Y_running
-             end
-           | Rt_call rt ->
-             (match rt with
-              | Malloc { size; bsize; dest } ->
-                let ptr =
-                  Alloc.g_malloc state node ~size:node.regs.(size)
-                    ~bsize_req:node.regs.(bsize)
-                in
-                set_ireg node dest ptr
-              | Malloc_priv { size; dest } ->
-                let ptr = Alloc.p_malloc state node ~size:node.regs.(size) in
-                set_ireg node dest ptr
-              | Lock r -> Engine.rt_lock state node node.regs.(r)
-              | Unlock r -> Engine.rt_unlock state node node.regs.(r)
-              | Barrier -> Engine.rt_barrier state node
-              | Flag_set r -> Engine.rt_flag_set state node node.regs.(r)
-              | Flag_wait r -> Engine.rt_flag_wait state node node.regs.(r)
-              | Print_int r ->
-                Buffer.add_string state.State.output
-                  (string_of_int node.regs.(r) ^ "\n")
-              | Print_float f ->
-                Buffer.add_string state.State.output
-                  (Printf.sprintf "%.6g\n" node.fregs.(f))
-              | Rdcycle d -> set_ireg node d (Node.time node)
-              | Exit_thread -> finish state node);
-             yield Y_running
-         end;
+         yielded := step state node;
          decr fuel;
-         if !fuel <= 0 && !result = None then yield Y_running
+         if !fuel <= 0 then yielded := true
      done
    with
    | Invalid_argument m | Failure m ->
      raise
        (Sim_error
           (Printf.sprintf "node %d at %s+%d: %s" node.id
-             image.Image.fprocs.(node.pc_proc).fname node.pc_idx m)));
-  match !result with
-  | Some r ->
-    (match node.status with
-     | Node.Finished | Node.Crashed -> Y_done
-     | Node.Waiting _ -> Y_blocked
-     | Node.Running -> r)
-  | None -> assert false
+             state.State.image.Image.fprocs.(node.pc_proc).fname node.pc_idx
+             m)));
+  match node.status with
+  | Node.Finished | Node.Crashed -> Y_done
+  | Node.Waiting _ -> Y_blocked
+  | Node.Running -> Y_running

@@ -4,8 +4,8 @@
 open Shasta_isa
 open Shasta_runtime
 
-(* Build a one-node state around a raw procedure and run it. *)
-let run_raw body =
+(* Build a one-node state around a raw procedure, ready to run. *)
+let load_raw body =
   let compiled =
     Shasta_minic.Compile.compile
       (Shasta_minic.Builder.prog [ Shasta_minic.Builder.proc "work" [] ])
@@ -20,6 +20,10 @@ let run_raw body =
   let state = Cluster.create ~config ~compiled:{ compiled with program } () in
   let node = state.nodes.(0) in
   Cluster.reset_node_for state node ~proc:"work";
+  (state, node)
+
+let run_raw body =
+  let state, node = load_raw body in
   Cluster.run_until_done state;
   node
 
@@ -171,6 +175,43 @@ let t_div_by_zero_detected () =
     (fun () ->
       ignore (run_raw [ li 1 1; li 2 0; Opi (Divq, 3, Reg 2, 1); Ret ]))
 
+(* The per-instruction path allocates nothing: a loop of integer,
+   memory, floating-point and branch instructions, scheduler included,
+   stays under 2 minor words per executed instruction.  Guards against
+   per-instruction closures or boxed operands coming back. *)
+let t_no_allocation_per_insn () =
+  let sp = Reg.sp in
+  let iters = 20_000 in
+  let state, node =
+    load_raw
+      [ li 1 0; li 2 iters; li 3 1; Cvtqt (3, 1);
+        Lab "top";
+        Stq (1, -16, sp);
+        Ldq (4, -16, sp);
+        Ldl (5, -16, sp);
+        Cvtqt (4, 2);
+        Opf (Addt, 3, 3, 2);
+        Opf (Mult, 4, 3, 1);
+        Stt (4, -24, sp);
+        Ldt (5, -24, sp);
+        Fbeq (5, "skip");
+        Opi (Sll, 6, Imm 2, 1);
+        Lab "skip";
+        Opi (Addq, 1, Imm 1, 1);
+        Opi (Cmplt, 7, Reg 2, 1);
+        Bc (Ne, 7, "top");
+        Ret ]
+  in
+  let before = Gc.minor_words () in
+  Cluster.run_until_done state;
+  let words = Gc.minor_words () -. before in
+  let insns = node.counters.insns in
+  Alcotest.(check int) "loop ran" iters (reg node 1);
+  let per_insn = words /. float_of_int insns in
+  if per_insn >= 2.0 then
+    Alcotest.failf "%.2f minor words per instruction (%d insns)" per_insn
+      insns
+
 let () =
   Alcotest.run "exec"
     [ ( "semantics",
@@ -184,5 +225,8 @@ let () =
           Alcotest.test_case "fp branches" `Quick t_fp_branches;
           Alcotest.test_case "call/ret" `Quick t_call_ret;
           Alcotest.test_case "zero register" `Quick t_zero_register;
-          Alcotest.test_case "div by zero" `Quick t_div_by_zero_detected ] )
+          Alcotest.test_case "div by zero" `Quick t_div_by_zero_detected ] );
+      ( "hot path",
+        [ Alcotest.test_case "no allocation per instruction" `Quick
+            t_no_allocation_per_insn ] )
     ]

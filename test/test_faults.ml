@@ -264,6 +264,80 @@ let prop_tx_plan (seed, drop, dup, reorder, delay, now, flight, rto) =
       | None -> not x.Network.duplicated
       | Some d -> x.Network.duplicated && d > arrival)
 
+(* --- QCheck: the per-destination queue counts ------------------------- *)
+
+type net_op =
+  | Send of int * int * int (* src, dst, payload longwords *)
+  | Recv of int
+  | Dead of int
+  | Live of int
+
+let net_ops_gen =
+  let open QCheck2.Gen in
+  int_range 2 5 >>= fun nprocs ->
+  let node = int_bound (nprocs - 1) in
+  let op =
+    frequency
+      [ (6, map3 (fun s d p -> Send (s, d, p)) node node (int_bound 16));
+        (4, map (fun d -> Recv d) node);
+        (1, map (fun n -> Dead n) node);
+        (1, map (fun n -> Live n) node) ]
+  in
+  list_size (int_range 1 120) (pair op (int_bound 3000)) >>= fun ops ->
+  return (nprocs, ops)
+
+(* After every step, the counted answers equal a brute-force scan of
+   all channels ([Network.queued]); [recv] pops a frame with the
+   earliest arrival among those already arrived. *)
+let prop_pending_counts faults (nprocs, ops) =
+  let net = Network.create ?faults ~nprocs Network.memory_channel in
+  let now = ref 0 and id = ref 0 in
+  let consistent () =
+    let q = Network.queued net in
+    Network.in_flight net = List.length q
+    && List.for_all
+         (fun dst ->
+           let mine = List.filter (fun (_, d, _, _) -> d = dst) q in
+           let earliest =
+             List.fold_left
+               (fun a (_, _, t, _) -> match a with
+                  | Some b when b <= t -> a
+                  | _ -> Some t)
+               None mine
+           in
+           Network.pending_for net ~dst = List.length mine
+           && Network.next_arrival net ~dst = earliest)
+         (List.init nprocs Fun.id)
+  in
+  List.for_all
+    (fun (op, dt) ->
+      now := !now + dt;
+      let ok =
+        match op with
+        | Send (src, dst, payload_longs) ->
+          incr id;
+          ignore (Network.send net ~src ~dst ~now:!now ~payload_longs !id);
+          true
+        | Recv dst ->
+          let arrived =
+            List.filter_map
+              (fun (_, d, t, _) ->
+                if d = dst && t <= !now then Some t else None)
+              (Network.queued net)
+          in
+          (match Network.recv net ~dst ~now:!now with
+           | None -> arrived = []
+           | Some (t, _) -> t = List.fold_left min max_int arrived)
+        | Dead n ->
+          ignore (Network.mark_dead net ~node:n);
+          true
+        | Live n ->
+          Network.mark_live net ~node:n;
+          true
+      in
+      ok && consistent ())
+    ops
+
 let () =
   Alcotest.run "faults"
     [ ( "soak",
@@ -282,5 +356,15 @@ let () =
           Support.qtest "gaps hold delivery" ~count:300 arrivals_gen
             prop_gap_holds;
           Support.qtest "tx plan: deterministic, bounded, backoff arithmetic"
-            ~count:500 tx_gen prop_tx_plan ] )
+            ~count:500 tx_gen prop_tx_plan ] );
+      ( "queues",
+        [ Support.qtest "reliable wire: counts match a channel scan"
+            ~count:300 net_ops_gen (prop_pending_counts None);
+          Support.qtest "standard faults: counts match a channel scan"
+            ~count:300 net_ops_gen
+            (prop_pending_counts (Some Network.standard));
+          Support.qtest "bounded retransmission: counts match a channel scan"
+            ~count:300 net_ops_gen
+            (prop_pending_counts
+               (Some { Network.standard with drop = 0.3; max_retx = 1 })) ] )
     ]

@@ -47,12 +47,12 @@ let test_ring_partial () =
 
 let test_fanout () =
   let obs = Obs.create ~nprocs:2 () in
-  Alcotest.(check bool) "sinkless" false (Obs.tracing obs);
+  Alcotest.(check bool) "sinkless" false (Obs.recording obs);
   let lines = ref [] in
   let ring = Sink.ring ~capacity:16 in
   Obs.attach obs (Sink.text (fun l -> lines := l :: !lines));
   Obs.attach obs (Sink.ring_sink ring);
-  Alcotest.(check bool) "tracing on" true (Obs.tracing obs);
+  Alcotest.(check bool) "tracing on" true (Obs.recording obs);
   Obs.emit obs ~node:1 ~time:42
     (Event.Miss { kind = Event.Read; addr = 0x1000 });
   Alcotest.(check int) "text sink saw it" 1 (List.length !lines);
@@ -118,7 +118,7 @@ let test_chrome_sink () =
   sink.on_record (mk_rec 0 10 (Event.Msg_send
     { dst = 1; kind = "read_req"; block = 0x4000; longs = 4 }));
   sink.on_record (mk_rec 1 20 (Event.Stall
-    { reason = "miss"; started = 12; cycles = 8 }));
+    { reason = Event.Wait_miss; started = 12; cycles = 8 }));
   Sink.flush sink;
   (* flush is idempotent: a second flush (e.g. Obs.flush called twice,
      or an at_exit handler racing an explicit flush) must not emit a

@@ -8,7 +8,7 @@ open Shasta_machine
 let issue_seq ?(config = Pipeline.alpha_21064a) insns =
   let p = Pipeline.create config in
   List.iter
-    (fun i -> Pipeline.issue p i ~iaddr:0 ~maddr:None ~branch:Pipeline.B_none)
+    (fun i -> Pipeline.issue p i ~iaddr:0 ~maddr:0 ~branch:Pipeline.B_none)
     insns;
   Pipeline.cycle p
 
@@ -52,11 +52,11 @@ let t_single_memory_port () =
 
 let t_branch_prediction () =
   let p = Pipeline.create Pipeline.alpha_21064a in
-  Pipeline.issue p (Insn.Bc (Eq, 1, "x")) ~iaddr:0 ~maddr:None
+  Pipeline.issue p (Insn.Bc (Eq, 1, "x")) ~iaddr:0 ~maddr:0
     ~branch:(Pipeline.B_taken { backward = false });
   let mispredicted = Pipeline.cycle p in
   let p2 = Pipeline.create Pipeline.alpha_21064a in
-  Pipeline.issue p2 (Insn.Bc (Eq, 1, "x")) ~iaddr:0 ~maddr:None
+  Pipeline.issue p2 (Insn.Bc (Eq, 1, "x")) ~iaddr:0 ~maddr:0
     ~branch:(Pipeline.B_taken { backward = true });
   Alcotest.(check bool) "mispredict costs" true
     (mispredicted > Pipeline.cycle p2)
@@ -71,24 +71,225 @@ let t_fp_latency () =
 let t_caches_charge_misses () =
   let caches = Cache.alpha_hierarchy () in
   let p = Pipeline.create ~caches Pipeline.alpha_21064a in
-  Pipeline.issue p (Insn.Ldq (1, 0, 2)) ~iaddr:0 ~maddr:(Some 0x10000)
+  Pipeline.issue p (Insn.Ldq (1, 0, 2)) ~iaddr:0 ~maddr:0x10000
     ~branch:Pipeline.B_none;
-  Pipeline.issue p (add 3 1 4) ~iaddr:4 ~maddr:None ~branch:Pipeline.B_none;
+  Pipeline.issue p (add 3 1 4) ~iaddr:4 ~maddr:0 ~branch:Pipeline.B_none;
   let cold = Pipeline.cycle p in
   Alcotest.(check bool) "cold miss costs more than the hit latency" true
     (cold > Pipeline.alpha_21064a.load_latency)
 
 let t_stall_resets_group () =
   let p = Pipeline.create Pipeline.alpha_21064a in
-  Pipeline.issue p (add 1 2 3) ~iaddr:0 ~maddr:None ~branch:Pipeline.B_none;
+  Pipeline.issue p (add 1 2 3) ~iaddr:0 ~maddr:0 ~branch:Pipeline.B_none;
   Pipeline.stall p 10;
   Alcotest.(check int) "stall advances time" 10 (Pipeline.cycle p);
   Pipeline.advance_to p 5;
   Alcotest.(check int) "advance_to never goes backward" 10 (Pipeline.cycle p)
 
+(* --- reference model ---------------------------------------------------
+
+   A straightforward issue model built on the instruction's register
+   lists ([Insn.uses]/[fuses]/[def]/[fdef]), kept here as the oracle for
+   [Pipeline.issue], which matches on the instruction directly. *)
+module Ref = struct
+  type t = {
+    c : Pipeline.config;
+    caches : Cache.hierarchy option;
+    ireg : int array;
+    freg : int array;
+    mutable cycle : int;
+    mutable slots : int;
+    mutable mem_used : bool;
+  }
+
+  let create ?caches c =
+    { c; caches; ireg = Array.make 32 0; freg = Array.make 32 0; cycle = 0;
+      slots = 0; mem_used = false }
+
+  let new_group t =
+    t.slots <- 0;
+    t.mem_used <- false
+
+  let stall t n =
+    if n > 0 then begin
+      t.cycle <- t.cycle + n;
+      new_group t
+    end
+
+  let latency (c : Pipeline.config) (i : Insn.t) =
+    match i with
+    | Ldl _ | Ldq _ | Ldq_u _ | Ldt _ -> c.load_latency
+    | Opi ((Sll | Srl | Sra), _, _, _) -> c.shift_latency
+    | Opi ((Mulq | Mull), _, _, _) -> c.mul_latency
+    | Opi ((Divq | Remq), _, _, _) -> c.div_latency
+    | Opf ((Divt | Sqrtt), _, _, _) -> c.fp_div_latency
+    | Opf _ | Cvtqt _ | Cvttq _ | Fmov _ -> c.fp_latency
+    | _ -> c.int_latency
+
+  let issue t (i : Insn.t) ~iaddr ~maddr ~(branch : Pipeline.branch_info) =
+    (match t.caches with Some h -> stall t (Cache.iaccess h iaddr) | None -> ());
+    let ready =
+      List.fold_left
+        (fun a f -> if f < 31 then max a t.freg.(f) else a)
+        (List.fold_left
+           (fun a r -> if r < 31 then max a t.ireg.(r) else a)
+           t.cycle (Insn.uses i))
+        (Insn.fuses i)
+    in
+    if ready > t.cycle then begin
+      t.cycle <- ready;
+      new_group t
+    end;
+    if t.slots >= t.c.issue_width then begin
+      t.cycle <- t.cycle + 1;
+      new_group t
+    end;
+    if Insn.is_mem i && t.mem_used then begin
+      t.cycle <- t.cycle + 1;
+      new_group t
+    end;
+    t.slots <- t.slots + 1;
+    if Insn.is_mem i then t.mem_used <- true;
+    let dextra =
+      match (maddr, t.caches) with
+      | Some a, Some h -> Cache.daccess h a
+      | _ -> 0
+    in
+    let at = t.cycle + latency t.c i + dextra in
+    Option.iter (fun d -> if d < 31 then t.ireg.(d) <- at) (Insn.def i);
+    Option.iter (fun d -> if d < 31 then t.freg.(d) <- at) (Insn.fdef i);
+    if Insn.is_store i then stall t dextra;
+    (match i with
+     | Fbeq _ | Fbne _ -> stall t t.c.fp_branch_cost
+     | Jsr _ | Ret -> stall t t.c.call_cycles
+     | _ -> ());
+    match branch with
+    | B_taken { backward = false } | B_not_taken { backward = true } ->
+      stall t t.c.mispredict_cycles
+    | B_taken _ ->
+      t.cycle <- t.cycle + 1;
+      new_group t
+    | B_none | B_not_taken _ -> ()
+end
+
+let gen_insn : Insn.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  (* few registers, so dependences are frequent; 31 reads as zero *)
+  let r = frequency [ (8, int_range 0 7); (1, pure 31) ] in
+  let disp = int_range (-64) 64 in
+  let size = oneofl [ Insn.Long; Insn.Quad ] in
+  let iop =
+    oneofl
+      Insn.[ Addq; Subq; Mulq; Divq; Remq; Addl; Subl; Mull; And_; Or_; Xor_;
+             Sll; Srl; Sra; Cmpeq; Cmplt; Cmple; Cmpult; Cmpule ]
+  in
+  let fop =
+    oneofl Insn.[ Addt; Subt; Mult; Divt; Sqrtt; Cmpteq; Cmptlt; Cmptle ]
+  in
+  let operand =
+    oneof [ map (fun r -> Insn.Reg r) r; map (fun i -> Insn.Imm i) small_nat ]
+  in
+  let range =
+    map2 (fun rbase n ->
+        { Insn.rbase;
+          accesses =
+            List.init n (fun k ->
+              { Insn.disp = 8 * k; asize = Quad; is_store = k = 0 }) })
+      r (int_range 1 3)
+  in
+  let rt =
+    oneof
+      [ map3 (fun size bsize dest -> Insn.Malloc { size; bsize; dest }) r r r;
+        map2 (fun size dest -> Insn.Malloc_priv { size; dest }) r r;
+        map (fun r -> Insn.Lock r) r; map (fun r -> Insn.Unlock r) r;
+        pure Insn.Barrier; map (fun r -> Insn.Flag_set r) r;
+        map (fun r -> Insn.Flag_wait r) r; map (fun r -> Insn.Print_int r) r;
+        map (fun f -> Insn.Print_float f) r; map (fun r -> Insn.Rdcycle r) r;
+        pure Insn.Exit_thread ]
+  in
+  oneof
+    [ pure (Insn.Lab "l");
+      map3 (fun d n b -> Insn.Lda (d, n, b)) r disp r;
+      map3 (fun (op, d) a b -> Insn.Opi (op, d, a, b)) (pair iop r) operand r;
+      map3 (fun (op, d) a b -> Insn.Opf (op, d, a, b)) (pair fop r) r r;
+      map3 (fun d n b -> Insn.Ldl (d, n, b)) r disp r;
+      map3 (fun d n b -> Insn.Ldq (d, n, b)) r disp r;
+      map3 (fun d n b -> Insn.Ldq_u (d, n, b)) r disp r;
+      map3 (fun d a b -> Insn.Extbl (d, a, b)) r r r;
+      map3 (fun s n b -> Insn.Stl (s, n, b)) r disp r;
+      map3 (fun s n b -> Insn.Stq (s, n, b)) r disp r;
+      map3 (fun f n b -> Insn.Ldt (f, n, b)) r disp r;
+      map3 (fun f n b -> Insn.Stt (f, n, b)) r disp r;
+      map2 (fun a f -> Insn.Cvtqt (a, f)) r r;
+      map2 (fun f a -> Insn.Cvttq (f, a)) r r;
+      map2 (fun a b -> Insn.Fmov (a, b)) r r;
+      pure (Insn.Br "l");
+      map2 (fun c r -> Insn.Bc (c, r, "l"))
+        (oneofl Insn.[ Eq; Ne; Lt; Le; Gt; Ge; Lbs; Lbc ]) r;
+      map (fun f -> Insn.Fbeq (f, "l")) r;
+      map (fun f -> Insn.Fbne (f, "l")) r;
+      pure (Insn.Jsr "p"); pure Insn.Ret; pure Insn.Poll; pure Insn.Batch_end;
+      map3
+        (fun base disp refill -> Insn.Call_load_miss { base; disp; refill })
+        r disp
+        (oneof
+           [ map2 (fun d s -> Insn.Rint (d, s)) r size;
+             map (fun f -> Insn.Rflt f) r ]);
+      map3
+        (fun base disp (ssize, store_done) ->
+          Insn.Call_store_miss { base; disp; ssize; store_done })
+        r disp (pair size bool);
+      map (fun ranges -> Insn.Call_batch_miss { ranges })
+        (list_size (int_range 1 3) range);
+      map (fun rt -> Insn.Rt_call rt) rt ]
+
+let gen_branch : Pipeline.branch_info QCheck2.Gen.t =
+  QCheck2.Gen.oneofl
+    [ Pipeline.B_none; Pipeline.taken ~backward:true;
+      Pipeline.taken ~backward:false; Pipeline.not_taken ~backward:true;
+      Pipeline.not_taken ~backward:false ]
+
+(* Each step: instruction, branch outcome, data address.  Addresses
+   cover a few 32-byte lines over a span larger than the L1, so both
+   caches hit and miss. *)
+let gen_steps =
+  QCheck2.Gen.(
+    list_size (int_range 1 60)
+      (triple gen_insn gen_branch (map (fun k -> k * 24) (int_bound 2000))))
+
+let prop_issue_matches_reference ~config steps =
+  let caches = Cache.alpha_hierarchy () and ref_caches = Cache.alpha_hierarchy () in
+  let p = Pipeline.create ~caches config in
+  let r = Ref.create ~caches:ref_caches config in
+  (* a short loop of text: after the first pass, fetches hit and
+     operand waits decide the timing *)
+  List.for_all
+    (fun (k, (i, branch, a)) ->
+      let iaddr = 4 * (k mod 32) in
+      Pipeline.issue p i ~iaddr ~maddr:a ~branch;
+      Ref.issue r i ~iaddr
+        ~maddr:(if Insn.is_mem i then Some a else None)
+        ~branch;
+      Pipeline.cycle p = r.cycle)
+    (List.mapi (fun k step -> (k, step)) steps)
+
+let qtest name gen prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:300
+       ~print:(fun steps ->
+         String.concat "; "
+           (List.map (fun (i, _, a) -> Printf.sprintf "%s@%d" (Asm.to_string i) a)
+              steps))
+       gen prop)
+
 let () =
   Alcotest.run "pipeline"
-    [ ( "issue",
+    [ ( "reference",
+        [ qtest "21064A issue matches the list-based reference" gen_steps
+            (prop_issue_matches_reference ~config:Pipeline.alpha_21064a);
+          qtest "21164 issue matches the list-based reference" gen_steps
+            (prop_issue_matches_reference ~config:Pipeline.alpha_21164) ] );
+      ( "issue",
         [ Alcotest.test_case "dual issue" `Quick t_dual_issue;
           Alcotest.test_case "dependences" `Quick t_dependent_serializes;
           Alcotest.test_case "shift-use delay" `Quick t_shift_use_delay;
