@@ -872,13 +872,11 @@ let dir_modes = [ ("full", Ns.Full); ("limited4", Ns.Limited 4);
                   ("coarse4", Ns.Coarse 4) ]
 
 let run_scale ?(sync = false) ?(dmode = Ns.Full)
-    ?(policy = State.Round_robin) ?(migrate = false) ?(placement = []) ?obs
-    ~nprocs prog =
+    ?(policy = State.Round_robin) ?obs ~nprocs prog =
   let spec =
     { (Api.default_spec prog) with
       opts = Some Opts.full; nprocs; obs; progress = !progress;
-      dir_mode = dmode; home_policy = policy; placement;
-      scalable_sync = sync; migrate }
+      dir_mode = dmode; home_policy = policy; scalable_sync = sync }
   in
   let r, perf = Api.run_measured spec in
   (spec, r, perf)
@@ -1049,37 +1047,21 @@ let section_scaling () =
        if !quick then Shasta_apps.Ocean.program ~n:18 ~iters:2 ()
        else Shasta_apps.Ocean.program ~n:34 ~iters:4 ()) ];
   Table.print t;
-  (* 4. home policies at P=16: round-robin vs first-touch vs
-     profile-guided placement vs run-time migration *)
+  (* 4. home policies at P=16: round-robin vs first-touch vs run-time
+     migration *)
   let t =
     Table.create [ "lu @P=16"; "policy"; "cycles"; "msgs" ]
   in
   List.iter
-    (fun (pname, policy, migrate) ->
-      let placement =
-        if policy = State.Profiled then begin
-          let pobs = Obs.create ~nprocs:16 () in
-          let prof = Obs.Profile.create ~nprocs:16 () in
-          Obs.attach_profiler pobs prof;
-          ignore
-            (Api.run
-               { (Api.default_spec lu) with
-                 opts = Some Opts.full; nprocs = 16; obs = Some pobs });
-          Api.placement_of_profile prof ~nprocs:16
-        end
-        else []
-      in
-      let spec, r, perf =
-        run_scale ~policy ~migrate ~placement ~nprocs:16 lu
-      in
+    (fun (pname, policy) ->
+      let spec, r, perf = run_scale ~policy ~nprocs:16 lu in
       emit_bench
         (Api.bench_record ~workload:("lu-homes-" ^ pname) ~perf spec r);
       Table.addf t "%s\t%s\t%d\t%d" "lu" pname r.Api.phase.wall_cycles
         r.Api.phase.msgs_sent)
-    [ ("rr", State.Round_robin, false);
-      ("first-touch", State.First_touch, false);
-      ("profiled", State.Profiled, false);
-      ("migrate", State.Round_robin, true) ];
+    [ ("rr", State.Round_robin);
+      ("first-touch", State.First_touch);
+      ("migrate", State.Migrate) ];
   Table.print t;
   print_string
     "The full map stops at 61 nodes (its int-bitmask capacity); limited\n\

@@ -25,15 +25,8 @@ module Mcheck = Shasta_mcheck.Mcheck
    under an injection inverts: the checker must FIND the violation and
    print its counterexample trace. *)
 let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
-    fuzz_only scale refine dir_mode sync =
-  let injection =
-    match inject with
-    | None -> Mcheck.No_injection
-    | Some "drop-ack" -> Mcheck.Drop_first_inv_ack
-    | Some "no-dedup" -> Mcheck.Retransmit_no_dedup
-    | Some "reorder-release" -> Mcheck.Store_past_release
-    | Some s -> failwith ("unknown injection " ^ s)
-  in
+    fuzz_only scale refine dmode scalable_sync =
+  let injection = Option.value inject ~default:Mcheck.No_injection in
   (match (injection, lossy) with
    | Mcheck.Retransmit_no_dedup, None ->
      failwith "--inject no-dedup needs --lossy N (it is a sublayer bug)"
@@ -42,17 +35,6 @@ let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
     failwith "--crash needs the reliable wire (drop --lossy)";
   if recover > 0 && crash = 0 then
     failwith "--recover needs --crash N (nothing to restart otherwise)";
-  let dmode =
-    match Shasta_protocol.Nodeset.mode_of_string dir_mode with
-    | Ok m -> m
-    | Error e -> failwith e
-  in
-  let scalable_sync =
-    match sync with
-    | "central" -> false
-    | "scalable" -> true
-    | s -> failwith ("unknown sync kind " ^ s)
-  in
   (* exhaustive enumeration only stays tractable on tiny configs *)
   let np = max 2 (min nprocs 3) in
   if np <> nprocs then
@@ -211,60 +193,16 @@ let kv_workload size kvo =
   in
   (wl, Shasta_apps.Sht.default_cfg ~nkeys)
 
-let run app size nprocs net net_faults node_faults cpu line_bytes
+let home_policies =
+  [ ("rr", State.Round_robin); ("first-touch", State.First_touch);
+    ("migrate", State.Migrate) ]
+
+let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
     no_instrument no_sched no_flag no_excl no_batch poll no_range fixed_block
     threshold sc trace trace_out metrics metrics_csv profile profile_out
-    flame_out top show_asm replay progress dir_mode home_policy sync kvo =
+    flame_out top show_asm replay progress dmode home_policy scalable_sync
+    kvo =
   let entry = Shasta_apps.Apps.find app in
-  let dmode =
-    match Shasta_protocol.Nodeset.mode_of_string dir_mode with
-    | Ok m -> m
-    | Error e -> failwith e
-  in
-  let policy, migrate =
-    match home_policy with
-    | "rr" -> (State.Round_robin, false)
-    | "first-touch" -> (State.First_touch, false)
-    | "profiled" -> (State.Profiled, false)
-    | "migrate" -> (State.Round_robin, true)
-    | s -> failwith ("unknown home policy " ^ s)
-  in
-  let scalable_sync =
-    match sync with
-    | "central" -> false
-    | "scalable" -> true
-    | s -> failwith ("unknown sync kind " ^ s)
-  in
-  let faults =
-    match net_faults with
-    | None -> None
-    | Some s -> Shasta_network.Network.faults_of_string s
-  in
-  let nfaults =
-    match node_faults with
-    | None -> None
-    | Some s -> Nodefaults.of_string s
-  in
-  (* the spec's max-retx knob rides on the network's fault layer: give
-     it a fault-free wire to carry the bound when none was asked for
-     (Some no_faults is trace-identical to None) *)
-  let faults =
-    match (nfaults, faults) with
-    | Some nf, _ when nf.Nodefaults.max_retx = 0 -> faults
-    | Some nf, Some f -> Some { f with max_retx = nf.Nodefaults.max_retx }
-    | Some nf, None ->
-      Some
-        { Shasta_network.Network.no_faults with
-          max_retx = nf.Nodefaults.max_retx }
-    | None, _ -> faults
-  in
-  let size =
-    match size with
-    | "test" -> Shasta_apps.Apps.Test
-    | "small" -> Shasta_apps.Apps.Small
-    | "large" -> Shasta_apps.Apps.Large
-    | s -> failwith ("unknown size " ^ s)
-  in
   let kv_wl =
     if kvo.kv || kvo.bench_out <> None then begin
       if app <> "sht" then
@@ -282,22 +220,13 @@ let run app size nprocs net net_faults node_faults cpu line_bytes
     if no_instrument then None
     else
       Some
-        { Shasta.Opts.line_shift =
-            (match line_bytes with
-             | 64 -> 6
-             | 128 -> 7
-             | _ -> failwith "line size must be 64 or 128");
+        { Shasta.Opts.line_shift = (if line_bytes = 128 then 7 else 6);
           schedule = not no_sched;
           flag_loads = not no_flag;
           excl_table = not no_excl;
           batching = not no_batch;
           range_check = not no_range;
-          poll =
-            (match poll with
-             | "none" -> Shasta.Opts.Poll_none
-             | "fn" -> Shasta.Opts.Poll_fn_entry
-             | "loop" -> Shasta.Opts.Poll_loop
-             | s -> failwith ("unknown poll mode " ^ s)) }
+          poll }
   in
   (* Observability: attach the requested sinks before the run; the
      metrics registry is always on. *)
@@ -323,11 +252,9 @@ let run app size nprocs net net_faults node_faults cpu line_bytes
   in
   let prof =
     if want_profile then begin
-      let line =
-        match line_bytes with 128 -> 128 | _ -> 64
-      in
       let p =
-        Obs.Profile.create ~nprocs ~block_of:(fun a -> a land lnot (line - 1))
+        Obs.Profile.create ~nprocs
+          ~block_of:(fun a -> a land lnot (line_bytes - 1))
           ()
       in
       Obs.attach_profiler obs p;
@@ -339,12 +266,8 @@ let run app size nprocs net net_faults node_faults cpu line_bytes
     { (Api.default_spec prog) with
       opts;
       nprocs;
-      pipe =
-        (match cpu with
-         | "21064a" -> Shasta_machine.Pipeline.alpha_21064a
-         | "21164" -> Shasta_machine.Pipeline.alpha_21164
-         | s -> failwith ("unknown cpu " ^ s));
-      net = Shasta_network.Network.profile_of_string net;
+      pipe;
+      net;
       net_faults = faults;
       node_faults = nfaults;
       fixed_block;
@@ -353,30 +276,8 @@ let run app size nprocs net net_faults node_faults cpu line_bytes
       obs = Some obs;
       progress;
       dir_mode = dmode;
-      home_policy = policy;
-      scalable_sync;
-      migrate }
-  in
-  (* the Profiled policy is a two-pass protocol: a silent pilot run
-     with a private profiler discovers contention, and the measured run
-     below executes with the derived placement installed *)
-  let spec =
-    if policy = State.Profiled then begin
-      let pobs = Obs.create ~nprocs () in
-      let pprof = Obs.Profile.create ~nprocs () in
-      Obs.attach_profiler pobs pprof;
-      ignore
-        (Api.run
-           { spec with
-             Api.obs = Some pobs;
-             home_policy = State.Round_robin;
-             progress = None });
-      let placement = Api.placement_of_profile pprof ~nprocs in
-      Printf.eprintf "profiled placement: %d page override(s)\n%!"
-        (List.length placement);
-      { spec with Api.placement }
-    end
-    else spec
+      home_policy;
+      scalable_sync }
   in
   if replay then replay_run spec app
   else begin
@@ -385,7 +286,7 @@ let run app size nprocs net net_faults node_faults cpu line_bytes
   Option.iter close_out chrome_oc;
   if show_asm then print_string (Shasta_isa.Asm.program_to_string r.program);
   Printf.printf "== %s (%s), %d processor(s), %s network%s%s\n" app
-    entry.descr nprocs net
+    entry.descr nprocs net_name
     (match faults with
      | Some f ->
        " (faulty: " ^ Shasta_network.Network.describe_faults f ^ ")"
@@ -396,10 +297,10 @@ let run app size nprocs net net_faults node_faults cpu line_bytes
        ^ Nodefaults.describe (Nodefaults.resolve nf ~nprocs)
      | _ -> "");
   if dmode <> Shasta_protocol.Nodeset.Full || scalable_sync
-     || policy <> State.Round_robin || migrate then
+     || home_policy <> State.Round_robin then
     Printf.printf "scaling     : dir-mode %s, homes %s, sync %s\n"
       (Shasta_protocol.Nodeset.mode_name dmode)
-      home_policy
+      (fst (List.find (fun (_, p) -> p = home_policy) home_policies))
       (if scalable_sync then "scalable" else "central");
   (match kv_wl with
    | Some _ -> () (* the raw output block is the report's wire format *)
@@ -565,40 +466,75 @@ let list_apps () =
       Printf.printf "%-10s %s\n" e.name e.descr)
     Shasta_apps.Apps.all
 
+(* Each knob is parsed once, here, by a converter built from the
+   library's own parser (or by [Arg.enum]): a malformed value is
+   reported against the option's name, and [run] and [model_check]
+   only ever see typed values. *)
+let parsed ~docv parse print =
+  Arg.conv ~docv
+    ( (fun s -> try Ok (parse s) with Invalid_argument e -> Error (`Msg e)),
+      fun ppf v -> Format.pp_print_string ppf (print v) )
+
+let net_c =
+  parsed ~docv:"NET"
+    (fun s -> (s, Shasta_network.Network.profile_of_string s))
+    fst
+
+let net_faults_c =
+  parsed ~docv:"SPEC" Shasta_network.Network.faults_of_string (function
+    | None -> "none"
+    | Some f -> Shasta_network.Network.describe_faults f)
+
+let node_faults_c =
+  parsed ~docv:"SPEC" Nodefaults.of_string (function
+    | None -> "none"
+    | Some nf -> Nodefaults.describe nf)
+
+let dir_mode_c =
+  let module Ns = Shasta_protocol.Nodeset in
+  Arg.conv ~docv:"MODE"
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (Ns.mode_of_string s)),
+      fun ppf m -> Format.pp_print_string ppf (Ns.mode_name m) )
+
 let cmd =
   let app_t =
     Arg.(value & opt string "lu" & info [ "app"; "a" ] ~doc:"Workload name.")
   in
   let size_t =
-    Arg.(value & opt string "small"
+    Arg.(value
+         & opt
+             (enum
+                [ ("test", Shasta_apps.Apps.Test);
+                  ("small", Shasta_apps.Apps.Small);
+                  ("large", Shasta_apps.Apps.Large) ])
+             Shasta_apps.Apps.Small
          & info [ "size" ] ~doc:"Problem size: test, small or large.")
   in
   let procs_t =
     Arg.(value & opt int 4 & info [ "procs"; "p" ] ~doc:"Processor count.")
   in
   let net_t =
-    Arg.(value & opt string "mc"
+    Arg.(value & opt net_c ("mc", Shasta_network.Network.memory_channel)
          & info [ "net" ] ~doc:"Network profile: mc, atm or ideal.")
   in
   let net_faults_t =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt net_faults_c None
          & info [ "net-faults" ] ~docv:"SPEC"
              ~doc:"Make the wire unreliable beneath the reliable-delivery \
                    sublayer.  SPEC is 'none', 'standard' (drop 1%, dup \
                    1%, reorder 2%) or comma-separated key=value pairs \
                    among drop, dup, reorder, delay, delay-cycles, seed, \
-                   rto (e.g. 'drop=0.05,seed=3').  Deterministic per \
-                   seed.")
+                   rto and max-retx (bound per-channel retransmissions), \
+                   e.g. 'drop=0.05,seed=3'.  Deterministic per seed.")
   in
   let node_faults_t =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt node_faults_c None
          & info [ "node-faults" ] ~docv:"SPEC"
              ~doc:"Crash (and optionally restart) whole nodes mid-run.  \
                    SPEC is 'none' or comma-separated key=value pairs \
                    among crash=NODE@CYCLE (NODE may be '*' for a seeded \
                    victim), recover=NODE@CYCLE, lease=CYCLES (liveness \
-                   lease horizon driving detection), max-retx=N (bound \
-                   per-channel retransmissions) and seed=S.  The \
+                   lease horizon driving detection) and seed=S.  The \
                    surviving coordinator reconstructs the directory, \
                    takes over the victim's locks and re-serves its \
                    in-flight replies from salvaged memory; the run's \
@@ -606,11 +542,17 @@ let cmd =
                    Deterministic per seed.")
   in
   let cpu_t =
-    Arg.(value & opt string "21064a"
+    Arg.(value
+         & opt
+             (enum
+                [ ("21064a", Shasta_machine.Pipeline.alpha_21064a);
+                  ("21164", Shasta_machine.Pipeline.alpha_21164) ])
+             Shasta_machine.Pipeline.alpha_21064a
          & info [ "cpu" ] ~doc:"Pipeline model: 21064a or 21164.")
   in
   let line_t =
-    Arg.(value & opt int 64 & info [ "line" ] ~doc:"Line size (64 or 128).")
+    Arg.(value & opt (enum [ ("64", 64); ("128", 128) ]) 64
+         & info [ "line" ] ~doc:"Line size (64 or 128).")
   in
   let no_instrument_t =
     Arg.(value & flag
@@ -622,7 +564,13 @@ let cmd =
   let no_excl_t = Arg.(value & flag & info [ "no-excl" ] ~doc:"Disable the exclusive table.") in
   let no_batch_t = Arg.(value & flag & info [ "no-batch" ] ~doc:"Disable batching.") in
   let poll_t =
-    Arg.(value & opt string "loop"
+    Arg.(value
+         & opt
+             (enum
+                [ ("none", Shasta.Opts.Poll_none);
+                  ("fn", Shasta.Opts.Poll_fn_entry);
+                  ("loop", Shasta.Opts.Poll_loop) ])
+             Shasta.Opts.Poll_loop
          & info [ "poll" ] ~doc:"Polling: none, fn or loop.")
   in
   let no_range_t = Arg.(value & flag & info [ "no-range" ] ~doc:"Drop the range check.") in
@@ -702,7 +650,14 @@ let cmd =
                    oracles.  Exits non-zero on a violation.")
   in
   let inject_t =
-    Arg.(value & opt (some string) None
+    Arg.(value
+         & opt
+             (some
+                (enum
+                   [ ("drop-ack", Mcheck.Drop_first_inv_ack);
+                     ("no-dedup", Mcheck.Retransmit_no_dedup);
+                     ("reorder-release", Mcheck.Store_past_release) ]))
+             None
          & info [ "inject" ] ~docv:"FAULT"
              ~doc:"With --check: inject a bug (drop-ack drops the first \
                    invalidation acknowledgement; no-dedup removes the \
@@ -830,7 +785,7 @@ let cmd =
                    by default so runs stay byte-identical.")
   in
   let dir_mode_t =
-    Arg.(value & opt string "full"
+    Arg.(value & opt dir_mode_c Shasta_protocol.Nodeset.Full
          & info [ "dir-mode" ] ~docv:"MODE"
              ~doc:"Directory organization: full (one presence bit per \
                    node, up to 61 nodes), limited[:K] (K sharer pointers \
@@ -840,17 +795,15 @@ let cmd =
                    validated against the mode's capacity.")
   in
   let home_policy_t =
-    Arg.(value & opt string "rr"
+    Arg.(value & opt (enum home_policies) State.Round_robin
          & info [ "home-policy" ] ~docv:"POLICY"
              ~doc:"Home assignment: rr (pages round-robin across nodes, \
                    the default), first-touch (pages homed at the \
-                   allocating node), profiled (a silent pilot run's \
-                   contention tables place hot pages at their dominant \
-                   accessor) or migrate (a page's home follows sustained \
-                   remote access at run time).")
+                   allocating node) or migrate (a page's home follows \
+                   sustained remote access at run time).")
   in
   let sync_t =
-    Arg.(value & opt string "central"
+    Arg.(value & opt (enum [ ("central", false); ("scalable", true) ]) false
          & info [ "sync" ] ~docv:"KIND"
              ~doc:"Synchronization primitives: central (home-node lock \
                    grants and a flat barrier) or scalable (MCS-style \

@@ -260,8 +260,8 @@ type input =
   | I_flag_wait of int
   | I_alloc of { owner : int; blocks : int list }
   | I_set_home of { page : int; home : int }
-    (* home-placement policy (first-touch / profile-guided): subsequent
-       requests for the page's blocks are issued to [home] *)
+    (* home-placement policy (first-touch): subsequent requests for
+       the page's blocks are issued to [home] *)
   | I_continue of post list
   | I_node_crash of { victim : int; lost : (int * Message.t) list }
     (* [victim] was declared dead; [lost] are the frames purged off the
@@ -293,9 +293,9 @@ let upd c f = set_nv c (f (nv c))
 let home_of (cfg : cfg) block = block / cfg.page_bytes mod cfg.nprocs
 
 (* Effective home under placement policies: the homes override when one
-   was installed (first-touch, profile-guided, migration), else the
-   natural round-robin home.  Default runs carry an empty override map,
-   so routing — and traces — are unchanged. *)
+   was installed (first-touch, migration), else the natural round-robin
+   home.  Default runs carry an empty override map, so routing — and
+   traces — are unchanged. *)
 let eff_home (cfg : cfg) (v : view) block =
   if Imap.is_empty v.homes then home_of cfg block
   else

@@ -169,8 +169,8 @@ type input =
   | I_flag_wait of int
   | I_alloc of { owner : int; blocks : int list }
   | I_set_home of { page : int; home : int }
-    (* install a home-placement override for [page] (first-touch or
-       profile-guided policies) *)
+    (* install a home-placement override for [page] (first-touch
+       policy) *)
   | I_continue of post list
   | I_node_crash of { victim : int; lost : (int * Message.t) list }
     (* stepped at a surviving coordinator: marks [victim] dead,

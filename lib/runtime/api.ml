@@ -33,11 +33,7 @@ type spec = {
       (* directory organization for the protocol's node sets; nprocs is
          validated against its capacity at prepare time *)
   home_policy : State.home_policy;
-  placement : (int * int) list;
-      (* explicit (page, home) overrides — the Profiled policy's input
-         (see [run_profiled], which derives them from a pilot run) *)
   scalable_sync : bool; (* queue locks + combining-tree barrier *)
-  migrate : bool; (* hot-page directory-home migration *)
 }
 
 let default_spec prog =
@@ -47,8 +43,7 @@ let default_spec prog =
     node_faults = None; fixed_block = None;
     granularity_threshold = 1024; consistency = State.Release; obs = None;
     progress = None; dir_mode = Shasta_protocol.Nodeset.Full;
-    home_policy = State.Round_robin; placement = []; scalable_sync = false;
-    migrate = false }
+    home_policy = State.Round_robin; scalable_sync = false }
 
 type result = {
   phase : Cluster.phase_result;
@@ -81,8 +76,7 @@ let prepare spec =
       ~granularity_threshold:spec.granularity_threshold
       ?fixed_block:spec.fixed_block ?obs:spec.obs ?progress:spec.progress
       ~dir_mode:spec.dir_mode ~home_policy:spec.home_policy
-      ~placement:spec.placement ~scalable_sync:spec.scalable_sync
-      ~migrate:spec.migrate ()
+      ~scalable_sync:spec.scalable_sync ()
   in
   let state =
     Cluster.create ~config ~compiled:{ compiled with program } ()
@@ -93,60 +87,6 @@ let run ?(init_proc = "appinit") ?(work_proc = "work") spec =
   let state, inst_stats, program = prepare spec in
   let phase = Cluster.run_app ~init_proc ~work_proc state in
   { phase; inst_stats; program; state }
-
-(* Profile-guided placement: turn a pilot run's per-block contention
-   tables into (page, home) overrides.  Each contended block votes for
-   its writer nodes (readers when nobody wrote), weighted by its
-   invalidation traffic; a page whose dominant node differs from the
-   round-robin default gets an override. *)
-let placement_of_profile prof ~nprocs =
-  let page_bytes = 8192 in
-  let nbits = min nprocs Shasta_protocol.Nodeset.max_bits in
-  let tally = Hashtbl.create 64 in
-  List.iter
-    (fun (block, (bs : Shasta_obs.Profile.block_stats)) ->
-      let page = block / page_bytes in
-      let mask = if bs.writers <> 0 then bs.writers else bs.readers in
-      let weight = 1 + bs.invals + bs.pingpong in
-      for n = 0 to nbits - 1 do
-        if mask land (1 lsl n) <> 0 then begin
-          let votes =
-            match Hashtbl.find_opt tally page with
-            | Some a -> a
-            | None ->
-              let a = Array.make nprocs 0 in
-              Hashtbl.add tally page a;
-              a
-          in
-          votes.(n) <- votes.(n) + weight
-        end
-      done)
-    (Shasta_obs.Profile.contended_blocks prof);
-  Hashtbl.fold
-    (fun page votes acc ->
-      let best = ref 0 in
-      Array.iteri (fun n w -> if w > votes.(!best) then best := n) votes;
-      if votes.(!best) = 0 || !best = page mod nprocs then acc
-      else (page, !best) :: acc)
-    tally []
-  |> List.sort compare
-
-(* The Profiled home policy's two-pass driver: a pilot run with a
-   profiler attached to a private obs discovers contention under
-   round-robin homes, then the real run executes with the derived
-   placement installed.  Returns the real result plus the placement. *)
-let run_profiled ?(init_proc = "appinit") ?(work_proc = "work") spec =
-  let pobs = Shasta_obs.Obs.create ~nprocs:spec.nprocs () in
-  let prof = Shasta_obs.Profile.create ~nprocs:spec.nprocs () in
-  Shasta_obs.Obs.attach_profiler pobs prof;
-  let pilot =
-    { spec with obs = Some pobs; home_policy = State.Round_robin;
-      placement = []; migrate = false; progress = None }
-  in
-  ignore (run ~init_proc ~work_proc pilot);
-  let placement = placement_of_profile prof ~nprocs:spec.nprocs in
-  let real = { spec with home_policy = State.Profiled; placement } in
-  (run ~init_proc ~work_proc real, placement)
 
 (* [run] under host-side measurement: the whole pipeline inside one
    {!Shasta_obs.Perf} accumulator — "compile" covers MiniC compilation,

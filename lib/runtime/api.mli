@@ -37,16 +37,9 @@ type spec = {
           coarse-vector); [nprocs] is validated against its capacity
           when the cluster is built *)
   home_policy : State.home_policy;
-  placement : (int * int) list;
-      (** explicit (page, home) overrides, installed at cluster
-          creation — the input of the Profiled policy (see
-          {!run_profiled}) *)
   scalable_sync : bool;
       (** queue locks and combining-tree barriers instead of the
           centralized home-node lock/barrier protocol *)
-  migrate : bool;
-      (** migrate a page's directory home to a node that keeps missing
-          on it remotely *)
 }
 
 val default_spec : Ast.prog -> spec
@@ -75,22 +68,6 @@ val run : ?init_proc:string -> ?work_proc:string -> spec -> result
     copied to every node, the paper's CREATE-macro behaviour —
     [work_proc] (default "work") on all nodes, which is what gets
     timed. *)
-
-val placement_of_profile :
-  Shasta_obs.Profile.t -> nprocs:int -> (int * int) list
-(** Derive (page, home) overrides from a profiler's per-block
-    contention tables: each contended block votes for its writer nodes
-    (readers when nobody wrote) weighted by invalidation traffic, and
-    pages whose dominant node differs from the round-robin default get
-    an override.  Sorted by page. *)
-
-val run_profiled :
-  ?init_proc:string -> ?work_proc:string -> spec ->
-  result * (int * int) list
-(** The Profiled home policy's two-pass driver: a pilot run (round-robin
-    homes, private profiler) discovers contention, then the real run
-    executes with the derived placement installed.  Returns the real
-    run's result and the placement used. *)
 
 val run_measured :
   ?init_proc:string ->

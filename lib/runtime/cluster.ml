@@ -43,6 +43,14 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
     | Some a -> a
     | None -> -1
   in
+  let tcfg =
+    { Shasta_protocol.Transitions.nprocs = config.nprocs;
+      page_bytes = State.page_bytes;
+      sc = (config.consistency = State.Sequential);
+      dmode = config.dir_mode;
+      scalable_sync = config.scalable_sync;
+      migrate = (config.home_policy = State.Migrate) }
+  in
   let state =
     { State.config; image; nodes;
       net = Shasta_network.Network.create ?faults:config.net_faults
@@ -50,21 +58,8 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
       gran =
         Shasta_protocol.Granularity.create ~line_bytes:(1 lsl config.line_shift)
           ~threshold:config.granularity_threshold ();
-      tcfg =
-        { Shasta_protocol.Transitions.nprocs = config.nprocs;
-          page_bytes = State.page_bytes;
-          sc = (config.consistency = State.Sequential);
-          dmode = config.dir_mode;
-          scalable_sync = config.scalable_sync;
-          migrate = config.migrate };
-      proto =
-        Shasta_protocol.Transitions.init
-          { Shasta_protocol.Transitions.nprocs = config.nprocs;
-            page_bytes = State.page_bytes;
-            sc = (config.consistency = State.Sequential);
-            dmode = config.dir_mode;
-            scalable_sync = config.scalable_sync;
-            migrate = config.migrate };
+      tcfg;
+      proto = Shasta_protocol.Transitions.init tcfg;
       shared_next_page = State.shared_heap_start;
       pools = Hashtbl.create 8;
       output = Buffer.create 256;
@@ -133,17 +128,6 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
       Memory.write_quad n.mem pid_addr n.id;
       Memory.write_quad n.mem np_addr config.nprocs)
     nodes;
-  (* profile-guided placement: install the explicit page -> home
-     overrides before any program runs.  Empty under the default
-     config, so the protocol view stays byte-identical to the seed. *)
-  List.iter
-    (fun (page, home) ->
-      if home < 0 || home >= config.nprocs then
-        invalid_arg
-          (Printf.sprintf "Cluster.create: placement home %d out of range"
-             home);
-      Engine.set_home state ~page ~home)
-    config.placement;
   state
 
 let reset_node_for (state : State.t) (node : Node.t) ~proc =

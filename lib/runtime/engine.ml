@@ -481,8 +481,8 @@ let alloc_blocks state ~owner blocks =
   step state state.State.nodes.(owner) (T.I_alloc { owner; blocks })
 
 (* Install a home-placement override in the pure view (first-touch
-   allocation and profile-guided placement).  Fed through [step] like
-   every other input so --replay reproduces placement decisions. *)
+   allocation).  Fed through [step] like every other input so --replay
+   reproduces placement decisions. *)
 let set_home state ~page ~home =
   step state state.State.nodes.(0) (T.I_set_home { page; home })
 

@@ -50,8 +50,8 @@ val alloc_blocks : State.t -> owner:int -> int list -> unit
 
 val set_home : State.t -> page:int -> home:int -> unit
 (** Install a home-placement override for [page] in the pure view
-    (first-touch allocation, profile-guided placement).  Recorded like
-    every other input, so --replay reproduces placement. *)
+    (first-touch allocation).  Recorded like every other input, so
+    --replay reproduces placement. *)
 
 (* -- node fault injection (called by the cluster scheduler) -- *)
 

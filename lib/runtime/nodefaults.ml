@@ -15,10 +15,9 @@
                           NODE may be [*] — pick a victim from [seed])
      recover=NODE@CYCLE   rejoin NODE at CYCLE (protocol duties only)
      lease=CYCLES         liveness lease horizon (default 20000)
-     max-retx=N           bound the reliable sublayer's retransmissions
-                          (pass-through to the network faults knob)
      seed=S               victim selection seed for [crash=*@...]
 
+   Retransmission bounds belong to the wire: --net-faults max-retx=N.
    "none" parses to [None].  A spec with no crash/recover events is
    semantically OFF: the cluster must behave byte-identically to not
    passing --node-faults at all (goldens enforce this). *)
@@ -36,13 +35,12 @@ type event = { at : int; node : int; what : what }
 type t = {
   events : event list; (* sorted by [at], stable *)
   lease : int; (* liveness lease horizon in cycles *)
-  max_retx : int; (* 0 = leave the network's own setting alone *)
   seed : int;
 }
 
 let default_lease = 20_000
 
-let empty = { events = []; lease = default_lease; max_retx = 0; seed = 0 }
+let empty = { events = []; lease = default_lease; seed = 0 }
 
 let is_off t = t.events = []
 
@@ -60,6 +58,12 @@ let pick_victim ~seed ~index ~nprocs =
     1 + (abs !z mod (nprocs - 1))
   end
 
+(* [v] parsed as an int, or an error naming the whole entry [kv] *)
+let int_of kv v =
+  match int_of_string_opt v with
+  | Some n -> n
+  | None -> invalid_arg (Printf.sprintf "node-faults: bad number in %S" kv)
+
 let of_string s : t option =
   match String.lowercase_ascii (String.trim s) with
   | "" | "none" | "off" -> None
@@ -67,21 +71,21 @@ let of_string s : t option =
     let t = ref empty in
     let wild = ref [] in (* (at, what, index) for crash=*@T entries *)
     let widx = ref 0 in
-    let ev what v =
+    let ev what kv v =
       match String.index_opt v '@' with
       | None ->
         invalid_arg
           (Printf.sprintf "node-faults: expected NODE@CYCLE, got %S" v)
       | Some i ->
         let node_s = String.sub v 0 i in
-        let at = int_of_string (String.sub v (i + 1) (String.length v - i - 1)) in
+        let at = int_of kv (String.sub v (i + 1) (String.length v - i - 1)) in
         if at < 0 then invalid_arg "node-faults: negative cycle";
         if node_s = "*" then begin
           wild := (at, what, !widx) :: !wild;
           incr widx
         end
         else begin
-          let node = int_of_string node_s in
+          let node = int_of kv node_s in
           if node < 0 then invalid_arg "node-faults: negative node";
           t := { !t with events = { at; node; what } :: !t.events }
         end
@@ -94,15 +98,13 @@ let of_string s : t option =
         let k = String.trim (String.sub kv 0 i) in
         let v = String.trim (String.sub kv (i + 1) (String.length kv - i - 1)) in
         (match k with
-         | "crash" -> ev Crash v
-         | "recover" -> ev Recover v
+         | "crash" -> ev Crash kv v
+         | "recover" -> ev Recover kv v
          | "lease" ->
-           let l = int_of_string v in
+           let l = int_of kv v in
            if l <= 0 then invalid_arg "node-faults: lease must be positive";
            t := { !t with lease = l }
-         | "max-retx" | "max_retx" ->
-           t := { !t with max_retx = int_of_string v }
-         | "seed" -> t := { !t with seed = int_of_string v }
+         | "seed" -> t := { !t with seed = int_of kv v }
          | _ -> invalid_arg (Printf.sprintf "node-faults: unknown key %S" k)));
     (* wildcard victims resolve at [resolve] time (they need nprocs);
        park them as node = -(index+1) *)

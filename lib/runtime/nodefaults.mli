@@ -16,7 +16,6 @@ type event = { at : int; node : int; what : what }
 type t = {
   events : event list;  (** sorted by [at] *)
   lease : int;  (** liveness lease horizon in cycles *)
-  max_retx : int;  (** 0 = leave the network's own knob alone *)
   seed : int;
 }
 
@@ -29,10 +28,10 @@ val is_off : t -> bool
 
 val of_string : string -> t option
 (** ["none"] is [None]; otherwise a comma-separated spec with keys
-    [crash=NODE@CYCLE], [recover=NODE@CYCLE], [lease=CYCLES],
-    [max-retx=N], [seed=S].  [NODE] may be [*] (seeded victim pick,
-    resolved by {!resolve}).  Raises [Invalid_argument] on a malformed
-    spec. *)
+    [crash=NODE@CYCLE], [recover=NODE@CYCLE], [lease=CYCLES] and
+    [seed=S].  [NODE] may be [*] (seeded victim pick, resolved by
+    {!resolve}).  Raises [Invalid_argument] naming the offending entry
+    on a malformed spec. *)
 
 val resolve : t -> nprocs:int -> t
 (** Bind wildcard victims to concrete nodes (never node 0). *)

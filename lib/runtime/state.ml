@@ -11,12 +11,11 @@ open Shasta_protocol
 
 type consistency = Release | Sequential
 
-(* Home-assignment policy for freshly allocated shared pages.
-   Round_robin is the paper's default (Section 2.1); First_touch homes
-   each page at the allocating node; Profiled installs an explicit
-   page -> home placement (fed by a profiling pilot run's per-block
-   contention tables, see [Api.run_profiled_placement]). *)
-type home_policy = Round_robin | First_touch | Profiled
+(* Home-assignment policy for shared pages.  Round_robin is the
+   paper's default (Section 2.1); First_touch homes each page at the
+   allocating node; Migrate starts round-robin and moves a page's
+   directory home to a node that keeps missing on it remotely. *)
+type home_policy = Round_robin | First_touch | Migrate
 
 type config = {
   nprocs : int;
@@ -52,13 +51,9 @@ type config = {
       (* directory organization for every protocol node set (full-map
          default; limited-pointer/coarse-vector for nprocs > 61) *)
   home_policy : home_policy;
-  placement : (int * int) list;
-      (* explicit (page, home) overrides installed before the run —
-         the Profiled policy's input.  Empty under the default config *)
   scalable_sync : bool;
       (* MCS-style queue locks + combining-tree barrier instead of the
          centralized home-arbited objects *)
-  migrate : bool; (* hot-page directory-home migration *)
 }
 
 let default_config ?(nprocs = 1) ?(line_shift = 6)
@@ -66,8 +61,7 @@ let default_config ?(nprocs = 1) ?(line_shift = 6)
     ?(net_profile = Shasta_network.Network.memory_channel) ?net_faults
     ?node_faults ?(costs = Costs.default) ?(granularity_threshold = 1024)
     ?fixed_block ?obs ?progress ?(dir_mode = Nodeset.Full)
-    ?(home_policy = Round_robin) ?(placement = []) ?(scalable_sync = false)
-    ?(migrate = false) () =
+    ?(home_policy = Round_robin) ?(scalable_sync = false) () =
   (* fail loudly instead of silently wrapping masks past the int width:
      every nprocs must be representable by the active directory mode *)
   (match Nodeset.validate dir_mode ~nprocs with
@@ -78,7 +72,7 @@ let default_config ?(nprocs = 1) ?(line_shift = 6)
   in
   { nprocs; line_shift; consistency; pipe_config; net_profile; net_faults;
     node_faults; costs; granularity_threshold; fixed_block; obs; progress;
-    dir_mode; home_policy; placement; scalable_sync; migrate }
+    dir_mode; home_policy; scalable_sync }
 
 (* Home pages are assigned round-robin at this page size (Section 2.1). *)
 let page_bytes = 8192

@@ -11,10 +11,10 @@ open Shasta_protocol
 
 type consistency = Release | Sequential
 
-type home_policy = Round_robin | First_touch | Profiled
+type home_policy = Round_robin | First_touch | Migrate
 (** Home assignment for shared pages: the paper's round-robin default,
-    first-touch (home = allocating node), or explicit profile-guided
-    placement via [placement]. *)
+    first-touch (home = allocating node), or round-robin with hot-page
+    directory-home migration at run time. *)
 
 type config = {
   nprocs : int;
@@ -37,9 +37,7 @@ type config = {
   dir_mode : Nodeset.mode;
       (* directory organization for every protocol node set *)
   home_policy : home_policy;
-  placement : (int * int) list; (* explicit (page, home) overrides *)
   scalable_sync : bool; (* queue locks + combining-tree barrier *)
-  migrate : bool; (* hot-page directory-home migration *)
 }
 
 val default_config :
@@ -57,9 +55,7 @@ val default_config :
   ?progress:int ->
   ?dir_mode:Nodeset.mode ->
   ?home_policy:home_policy ->
-  ?placement:(int * int) list ->
   ?scalable_sync:bool ->
-  ?migrate:bool ->
   unit ->
   config
 (** Raises [Invalid_argument] when [nprocs] exceeds the directory

@@ -118,9 +118,11 @@ let t_spec_parse () =
            (match bad with
             | "crash=3" -> "node-faults: expected NODE@CYCLE, got \"3\""
             | "lease=0" -> "node-faults: lease must be positive"
+            | "lease=x" | "crash=1@abc" ->
+              Printf.sprintf "node-faults: bad number in %S" bad
             | _ -> "node-faults: unknown key \"frob\""))
         (fun () -> ignore (Nodefaults.of_string bad)))
-    [ "crash=3"; "lease=0"; "frob=1" ]
+    [ "crash=3"; "lease=0"; "frob=1"; "lease=x"; "crash=1@abc" ]
 
 (* ------------------------------------------------------------------ *)
 (* Zero-schedule identity                                              *)

@@ -291,6 +291,43 @@ let t_atm_slower_than_mc () =
   Alcotest.(check bool) "higher latency, longer run" true
     (ra.phase.wall_cycles > rm.phase.wall_cycles)
 
+(* Home policies change where pages are homed, never what a program
+   computes; the placement decisions are protocol inputs, so replaying
+   the recorded log through the pure core must rebuild the live final
+   view under every policy.  Radix at test size exercises both: first
+   touch moves its run time and migration fires. *)
+let t_home_policies () =
+  let prog = (Shasta_apps.Apps.find "radix").make Shasta_apps.Apps.Test in
+  let run home_policy =
+    let state, _, _ =
+      Api.prepare { (Api.default_spec prog) with nprocs = 4; home_policy }
+    in
+    state.State.record_inputs <- true;
+    let ph = Cluster.run_app state in
+    (state, ph)
+  in
+  let _, rr = run State.Round_robin in
+  let check_policy name policy =
+    let state, ph = run policy in
+    Alcotest.(check string) (name ^ ": output as round-robin")
+      rr.Cluster.output ph.Cluster.output;
+    let r = Replay.replay state in
+    Alcotest.(check bool) (name ^ ": replay reproduces the live view")
+      false r.Replay.mismatch;
+    Alcotest.(check bool) (name ^ ": replay ok") true (Replay.ok r);
+    (state, ph)
+  in
+  let _, ft = check_policy "first-touch" State.First_touch in
+  let mstate, _ = check_policy "migrate" State.Migrate in
+  (* neither policy is a no-op on this workload *)
+  Alcotest.(check bool) "first-touch moves the run time" true
+    (ft.Cluster.wall_cycles <> rr.Cluster.wall_cycles);
+  Alcotest.(check bool) "migrate moves some homes" true
+    (Shasta_obs.Metrics.counter_total
+       (Shasta_obs.Obs.metrics (State.obs mstate))
+       Shasta_obs.Obs.c_home_migrate
+     > 0)
+
 let () =
   Alcotest.run "runtime"
     [ ( "sharing",
@@ -315,5 +352,8 @@ let () =
             t_sequential_consistency_slower ] );
       ( "networks",
         [ Alcotest.test_case "atm correctness" `Quick t_atm_network_also_correct;
-          Alcotest.test_case "atm slower" `Quick t_atm_slower_than_mc ] )
+          Alcotest.test_case "atm slower" `Quick t_atm_slower_than_mc ] );
+      ( "home policies",
+        [ Alcotest.test_case "same output, replay reproduces" `Quick
+            t_home_policies ] )
     ]
