@@ -129,12 +129,16 @@ type chanst = {
    sync operations commit at the move that leaves the node running
    again; a barrier is two half-steps (arrive at issue, pass at
    wake). *)
+type verdict = Agrees | Excused | Diverges
+
 type refst = {
   rspec : Refine.spec;
   racer : Refine.racer;
   uops : op Imap.t; (* node -> issued op awaiting its commit *)
   racy : bool; (* the detector reported a race on this path *)
-  rcommits : string list; (* committed spec steps, newest first *)
+  rcommits : (Refine.sstep * verdict) list;
+      (* committed spec steps, newest first; rendered only for a
+         counterexample *)
 }
 
 type sys = {
@@ -513,8 +517,9 @@ let lossy_moves cfg ~inj (sys : sys) key (cs : chanst) =
   let delivers =
     match cs.wire with
     | f :: _ ->
-      [ ( Printf.sprintf "deliver %s: #%d %s" (chan_label key) f.fseq
-            (Message.describe f.fmsg),
+      [ ( (fun () ->
+            Printf.sprintf "deliver %s: #%d %s" (chan_label key) f.fseq
+              (Message.describe f.fmsg)),
           fun () -> lossy_deliver cfg ~inj sys key ) ]
     | [] -> []
   in
@@ -524,26 +529,30 @@ let lossy_moves cfg ~inj (sys : sys) key (cs : chanst) =
       let spend cs' = upd { cs' with budget = cs.budget - 1 } in
       (match cs.wire with
        | f :: rest ->
-         [ ( Printf.sprintf "fault %s: drop #%d %s" (chan_label key) f.fseq
-               (Message.describe f.fmsg),
+         [ ( (fun () ->
+               Printf.sprintf "fault %s: drop #%d %s" (chan_label key) f.fseq
+                 (Message.describe f.fmsg)),
              fun () -> spend { cs with wire = rest } );
-           ( Printf.sprintf "fault %s: dup #%d %s" (chan_label key) f.fseq
-               (Message.describe f.fmsg),
+           ( (fun () ->
+               Printf.sprintf "fault %s: dup #%d %s" (chan_label key) f.fseq
+                 (Message.describe f.fmsg)),
              fun () -> spend { cs with wire = (f :: rest) @ [ f ] } ) ]
        | [] -> [])
       @
       (match cs.wire with
        | f1 :: f2 :: rest when f1.fseq <> f2.fseq ->
-         [ ( Printf.sprintf "fault %s: reorder #%d behind #%d"
-               (chan_label key) f1.fseq f2.fseq,
+         [ ( (fun () ->
+               Printf.sprintf "fault %s: reorder #%d behind #%d"
+                 (chan_label key) f1.fseq f2.fseq),
              fun () -> spend { cs with wire = f2 :: f1 :: rest } ) ]
        | _ -> [])
   in
   let retransmits =
     match lost_frames cs with
     | f :: _ ->
-      [ ( Printf.sprintf "retransmit %s: #%d %s" (chan_label key) f.fseq
-            (Message.describe f.fmsg),
+      [ ( (fun () ->
+            Printf.sprintf "retransmit %s: #%d %s" (chan_label key) f.fseq
+              (Message.describe f.fmsg)),
           fun () -> upd { cs with wire = cs.wire @ [ f ] } ) ]
     | [] -> []
   in
@@ -601,7 +610,7 @@ let crash_moves cfg ~inj (sys : sys) =
       else
         List.map
           (fun v ->
-            ( Printf.sprintf "crash n%d" v,
+            ( (fun () -> Printf.sprintf "crash n%d" v),
               fun () -> crash_node cfg ~inj sys v ))
           live
   in
@@ -613,7 +622,7 @@ let crash_moves cfg ~inj (sys : sys) =
           if T.is_live sys.v ~node:v then None
           else
             Some
-              ( Printf.sprintf "recover n%d" v,
+              ( (fun () -> Printf.sprintf "recover n%d" v),
                 fun () ->
                   run_step cfg ~inj
                     { sys with recover_budget = sys.recover_budget - 1 }
@@ -631,8 +640,9 @@ let stash_moves cfg ~inj (sys : sys) =
   | Some (node, b, value)
     when T.is_live sys.v ~node && running sys ~node
          && T.locks_held_by sys.v ~node = [] ->
-    [ ( Printf.sprintf "n%d: deferred store 0x%x <- %d fires (injected)" node
-          b value,
+    [ ( (fun () ->
+          Printf.sprintf "n%d: deferred store 0x%x <- %d fires (injected)"
+            node b value),
         fun () ->
           let sys = { sys with stash = None } in
           let st = T.line_state sys.v ~node ~block:b in
@@ -649,13 +659,16 @@ let stash_moves cfg ~inj (sys : sys) =
                    stored = [ (b, value) ] }) ) ]
   | _ -> []
 
-let moves cfg ~inj (sys : sys) =
+(* Every enabled move as (label, successor).  Labels are thunks: the
+   search forces them only to print a counterexample, so no display
+   string is built per transition. *)
+let enabled cfg ~inj (sys : sys) =
   let issues =
     Imap.fold
       (fun node script acc ->
         match script with
         | op :: rest when running sys ~node ->
-          ( Printf.sprintf "n%d: %s" node (string_of_op op),
+          ( (fun () -> Printf.sprintf "n%d: %s" node (string_of_op op)),
             fun () -> issue cfg ~inj sys node op rest )
           :: acc
         | _ -> acc)
@@ -666,8 +679,9 @@ let moves cfg ~inj (sys : sys) =
       (fun key q acc ->
         match q with
         | msg :: _ when T.is_live sys.v ~node:(key mod 1024) ->
-          ( Printf.sprintf "deliver %d->%d: %s" (key / 1024) (key mod 1024)
-              (Message.describe msg),
+          ( (fun () ->
+              Printf.sprintf "deliver %d->%d: %s" (key / 1024) (key mod 1024)
+                (Message.describe msg)),
             fun () -> deliver cfg ~inj sys key )
           :: acc
         | _ -> acc)
@@ -683,36 +697,57 @@ let moves cfg ~inj (sys : sys) =
   @ stash_moves cfg ~inj sys
   @ crash_moves cfg ~inj sys
 
+let moves cfg ~inj sys =
+  List.map (fun (label, next) -> (label (), next)) (enabled cfg ~inj sys)
+
+(* Oldest-first display trace of a newest-first path of label thunks. *)
+let trace path = List.rev_map (fun label -> label ()) path
+
 (* ------------------------------------------------------------------ *)
 (* Checks                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonical key for the visited set: the view's canonical string plus
-   everything else the closed system carries. *)
-let canon_sys (sys : sys) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (T.canon sys.v);
+(* A message in a visited-set key: its display form plus, for a data
+   reply, the payload longwords — two states whose in-flight replies
+   carry different values must not merge, since the merge and refill
+   that consume the reply read them. *)
+let msg_into b (m : Message.t) =
+  Message.describe_into b m;
+  match m.Message.kind with
+  | Message.Coh (Data_reply { data; _ }) ->
+    Buffer.add_char b '{';
+    Array.iter (fun w -> Keybuf.add_int b w; Buffer.add_char b ',') data;
+    Buffer.add_char b '}'
+  | _ -> ()
+
+(* The visited-set key, written into [b] (cleared first): the view's
+   canonical string plus everything else the closed system carries.
+   No [Printf] and no intermediate strings — the search renders one key
+   per transition, and the final [Buffer.contents] is its only
+   allocation. *)
+let key_into b (sys : sys) =
+  let chr = Buffer.add_char b and str = Buffer.add_string b in
+  let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
+  Buffer.clear b;
+  T.canon_into b sys.v;
   Imap.iter
     (fun key q ->
-      Buffer.add_string b (Printf.sprintf "|c%d:" key);
-      List.iter (fun m -> Buffer.add_string b (Message.describe m)) q)
+      str "|c"; int key; chr ':';
+      List.iter (msg_into b) q)
     sys.chans;
   Imap.iter
-    (fun n s -> Buffer.add_string b (Printf.sprintf "|s%d:%d" n (List.length s)))
+    (fun n s -> str "|s"; int n; chr ':'; int (List.length s))
     sys.scripts;
   Imap.iter
     (fun n m ->
-      Buffer.add_string b (Printf.sprintf "|m%d:" n);
-      Imap.iter (fun blk v -> Buffer.add_string b (Printf.sprintf "%x=%d," blk v)) m)
+      str "|m"; int n; chr ':';
+      Imap.iter (fun blk v -> hex blk; chr '='; int v; chr ',') m)
     sys.shadow;
-  Imap.iter (fun n v -> Buffer.add_string b (Printf.sprintf "|r%d:%d" n v)) sys.regs;
-  Imap.iter
-    (fun n blk -> Buffer.add_string b (Printf.sprintf "|p%d:%x" n blk))
-    sys.pending_read;
-  if sys.dropped then Buffer.add_string b "|D";
+  Imap.iter (fun n v -> str "|r"; int n; chr ':'; int v) sys.regs;
+  Imap.iter (fun n blk -> str "|p"; int n; chr ':'; hex blk) sys.pending_read;
+  if sys.dropped then str "|D";
   (match sys.stash with
-   | Some (n, blk, v) ->
-     Buffer.add_string b (Printf.sprintf "|T%d:%x=%d" n blk v)
+   | Some (n, blk, v) -> str "|T"; int n; chr ':'; hex blk; chr '='; int v
    | None -> ());
   (* the spec shadow is path-dependent state: two identical protocol
      states under different spec memories must explore separately, or
@@ -722,33 +757,26 @@ let canon_sys (sys : sys) =
      the racy bit is, since it changes how divergences are judged. *)
   (match sys.refine with
    | Some r ->
-     Buffer.add_string b (if r.racy then "|R!" else "|R");
-     Buffer.add_string b (Refine.canon r.rspec)
+     str (if r.racy then "|R!" else "|R");
+     Refine.canon_into b r.rspec
    | None -> ());
-  if sys.crash_budget > 0 || sys.recover_budget > 0 then
-    Buffer.add_string b
-      (Printf.sprintf "|X%d/%d" sys.crash_budget sys.recover_budget);
+  if sys.crash_budget > 0 || sys.recover_budget > 0 then begin
+    str "|X"; int sys.crash_budget; chr '/'; int sys.recover_budget
+  end;
+  let frame f = chr '#'; int f.fseq; msg_into b f.fmsg; chr ';' in
   Imap.iter
     (fun key cs ->
-      Buffer.add_string b
-        (Printf.sprintf "|L%d:%d/%d/%d:" key cs.tx_next cs.rx_expected
-           cs.budget);
-      List.iter
-        (fun f ->
-          Buffer.add_string b
-            (Printf.sprintf "#%d%s;" f.fseq (Message.describe f.fmsg)))
-        cs.wire;
-      Buffer.add_string b "~";
-      List.iter (fun f -> Buffer.add_string b (Printf.sprintf "#%d;" f.fseq))
-        cs.rx_buf;
-      Buffer.add_string b "~";
-      List.iter
-        (fun f ->
-          Buffer.add_string b
-            (Printf.sprintf "#%d%s;" f.fseq (Message.describe f.fmsg)))
-        cs.unacked)
+      str "|L"; int key; chr ':'; int cs.tx_next; chr '/';
+      int cs.rx_expected; chr '/'; int cs.budget; chr ':';
+      List.iter frame cs.wire;
+      chr '~';
+      List.iter (fun f -> chr '#'; int f.fseq; chr ';') cs.rx_buf;
+      chr '~';
+      List.iter frame cs.unacked)
     sys.lchans;
   Buffer.contents b
+
+let key sys = key_into (Buffer.create 1024) sys
 
 (* Invalidation-ack conservation: a node expecting [e] acks can never
    have received plus in flight more than [e]. *)
@@ -866,6 +894,17 @@ let present_values cfg (sys : sys) block =
   in
   List.sort compare acc
 
+(* Oldest-first display lines of a newest-first commit list. *)
+let render_commits rcommits =
+  List.rev_map
+    (fun (sst, verdict) ->
+      let line = Refine.string_of_sstep sst in
+      match verdict with
+      | Agrees -> line
+      | Excused -> line ^ " (excused: racy)"
+      | Diverges -> line ^ "  <-- DIVERGES")
+    rcommits
+
 (* Map one protocol move (the [old_s] -> [sys] delta) onto spec steps.
 
    Commit points: a store commits at issue (non-stalling under release
@@ -906,10 +945,11 @@ let refine_update (sc : scenario) cfg (old_s : sys) (sys : sys) :
         List.iter
           (fun m -> errs := !errs @ [ "race in a DRF scenario: " ^ m ])
           races;
-      let label = Refine.string_of_sstep sst in
       match Refine.step !r.rspec sst with
       | Ok sp ->
-        r := { !r with rspec = sp; racer; racy; rcommits = label :: !r.rcommits }
+        r :=
+          { !r with rspec = sp; racer; racy;
+            rcommits = (sst, Agrees) :: !r.rcommits }
       | Error e ->
         if (not sc.drf) && racy then
           r :=
@@ -917,14 +957,11 @@ let refine_update (sc : scenario) cfg (old_s : sys) (sys : sys) :
               rspec = Refine.force !r.rspec sst;
               racer;
               racy;
-              rcommits = (label ^ " (excused: racy)") :: !r.rcommits }
+              rcommits = (sst, Excused) :: !r.rcommits }
         else begin
           errs := !errs @ [ "refinement: " ^ e ];
           r :=
-            { !r with
-              racer;
-              racy;
-              rcommits = (label ^ "  <-- DIVERGES") :: !r.rcommits }
+            { !r with racer; racy; rcommits = (sst, Diverges) :: !r.rcommits }
         end
     in
     let uops = ref r0.uops in
@@ -994,10 +1031,10 @@ let refine_update (sc : scenario) cfg (old_s : sys) (sys : sys) :
     done;
     let r = { !r with uops = !uops } in
     if !errs = [] then Ok { sys with refine = Some r }
-    else Error (!errs, List.rev r.rcommits)
+    else Error (!errs, render_commits r.rcommits)
 
 let commits_of (sys : sys) =
-  match sys.refine with Some r -> List.rev r.rcommits | None -> []
+  match sys.refine with Some r -> render_commits r.rcommits | None -> []
 
 (* Terminal obligations of refinement: no operation left uncommitted
    on a live node, and — when the scenario is DRF and no race was
@@ -1128,6 +1165,7 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
     ?refine ?base ?(max_states = 1_000_000) (sc : scenario) =
   let cfg = cfg_of ?base sc in
   let visited = Hashtbl.create 4096 in
+  let kbuf = Buffer.create 1024 in
   let states = ref 0 and transitions = ref 0 and terminals = ref 0 in
   let max_depth = ref 0 and truncated = ref false in
   let violation = ref None in
@@ -1138,10 +1176,9 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
       match check_state sc cfg sys with
       | _ :: _ as errs ->
         violation :=
-          Some
-            { verr = errs; vtrace = List.rev path; vcommits = commits_of sys }
+          Some { verr = errs; vtrace = trace path; vcommits = commits_of sys }
       | [] -> (
-        let ms = moves cfg ~inj:injection sys in
+        let ms = enabled cfg ~inj:injection sys in
         match ms with
         | [] -> (
           incr terminals;
@@ -1150,9 +1187,7 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
           | errs ->
             violation :=
               Some
-                { verr = errs;
-                  vtrace = List.rev path;
-                  vcommits = commits_of sys })
+                { verr = errs; vtrace = trace path; vcommits = commits_of sys })
         | ms ->
           List.iter
             (fun (label, next) ->
@@ -1163,7 +1198,7 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
                     violation :=
                       Some
                         { verr = [ e ];
-                          vtrace = List.rev (label :: path);
+                          vtrace = trace (label :: path);
                           vcommits = commits_of sys };
                     sys
                 in
@@ -1175,13 +1210,13 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
                       violation :=
                         Some
                           { verr = errs;
-                            vtrace = List.rev (label :: path);
+                            vtrace = trace (label :: path);
                             vcommits = commits };
                       sys'
                   in
                   if !violation = None then begin
                     incr transitions;
-                    let key = canon_sys sys' in
+                    let key = key_into kbuf sys' in
                     if not (Hashtbl.mem visited key) then begin
                       Hashtbl.add visited key ();
                       incr states;
@@ -1195,7 +1230,7 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
     end
   in
   let sys0 = init_sys ?lossy ?crash ?recover ?refine ?base sc in
-  Hashtbl.add visited (canon_sys sys0) ();
+  Hashtbl.add visited (key_into kbuf sys0) ();
   states := 1;
   dfs sys0 [] 0;
   { states = !states;
@@ -1235,12 +1270,10 @@ let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
        | errs ->
          violation :=
            Some
-             { verr = errs;
-               vtrace = List.rev !path;
-               vcommits = commits_of !sys };
+             { verr = errs; vtrace = trace !path; vcommits = commits_of !sys };
          continue := false);
       if !continue then
-        match moves cfg ~inj:injection !sys with
+        match enabled cfg ~inj:injection !sys with
         | [] ->
           (match check_terminal sc cfg !sys with
            | [] -> ()
@@ -1248,7 +1281,7 @@ let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
              violation :=
                Some
                  { verr = errs;
-                   vtrace = List.rev !path;
+                   vtrace = trace !path;
                    vcommits = commits_of !sys });
           continue := false
         | ms ->
@@ -1266,14 +1299,14 @@ let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
                 violation :=
                   Some
                     { verr = errs;
-                      vtrace = List.rev (label :: !path);
+                      vtrace = trace (label :: !path);
                       vcommits = commits };
                 continue := false)
            with Unexpected e | Failure e | Invalid_argument e ->
              violation :=
                Some
                  { verr = [ e ];
-                   vtrace = List.rev (label :: !path);
+                   vtrace = trace (label :: !path);
                    vcommits = commits_of !sys };
              continue := false)
     done

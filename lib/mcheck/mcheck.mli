@@ -110,7 +110,16 @@ val moves :
 (** All enabled moves with display labels: issue next scripted op,
     deliver a channel head, and — on a lossy system — the adversary's
     budgeted drop/dup/reorder moves plus free retransmission of lost
-    frames. *)
+    frames.  (The search itself renders a label only when it prints a
+    counterexample.) *)
+
+val key : sys -> string
+(** The visited-set key: equal keys <=> the search treats the systems
+    as one state.  It covers the view ([T.canon]), every in-flight
+    message including a data reply's payload longwords, scripts
+    remaining, shadow memory, registers, the lossy sublayer, the
+    adversary budgets and the refinement spec state.  The search keeps
+    the full key, never a digest, so no collision can prune a state. *)
 
 type violation = {
   verr : string list;

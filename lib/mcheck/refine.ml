@@ -215,28 +215,25 @@ let force sp (st : sstep) =
     | S_crash { victim; held; admissible } ->
       apply_crash sp ~victim ~held ~admissible)
 
-let canon sp =
-  let b = Buffer.create 128 in
+let canon_into b sp =
+  let chr = Buffer.add_char b and int = Keybuf.add_int b in
+  let hex = Keybuf.add_hex b in
   Imap.iter
     (fun blk vs ->
-      Buffer.add_string b (Printf.sprintf "m%x={%s}" blk (vals_to_string vs)))
+      chr 'm'; hex blk; Buffer.add_string b "={";
+      List.iteri (fun i v -> if i > 0 then chr ','; int v) vs;
+      chr '}')
     sp.smem;
-  Imap.iter
-    (fun blk w -> Buffer.add_string b (Printf.sprintf "w%x:%d" blk w))
-    sp.swriter;
-  Imap.iter
-    (fun id h -> Buffer.add_string b (Printf.sprintf "l%d:%d" id h))
-    sp.slocks;
-  List.iter (fun id -> Buffer.add_string b (Printf.sprintf "f%d" id)) sp.sflags;
-  Imap.iter
-    (fun ep m -> Buffer.add_string b (Printf.sprintf "a%d:%x" ep m))
-    sp.sarr;
-  Imap.iter
-    (fun ep m -> Buffer.add_string b (Printf.sprintf "d%d:%x" ep m))
-    sp.sdone;
-  Imap.iter
-    (fun n k -> Buffer.add_string b (Printf.sprintf "p%d:%d" n k))
-    sp.spass;
+  Imap.iter (fun blk w -> chr 'w'; hex blk; chr ':'; int w) sp.swriter;
+  Imap.iter (fun id h -> chr 'l'; int id; chr ':'; int h) sp.slocks;
+  List.iter (fun id -> chr 'f'; int id) sp.sflags;
+  Imap.iter (fun ep m -> chr 'a'; int ep; chr ':'; hex m) sp.sarr;
+  Imap.iter (fun ep m -> chr 'd'; int ep; chr ':'; hex m) sp.sdone;
+  Imap.iter (fun n k -> chr 'p'; int n; chr ':'; int k) sp.spass
+
+let canon sp =
+  let b = Buffer.create 128 in
+  canon_into b sp;
   Buffer.contents b
 
 let equal a b = canon a = canon b

@@ -64,10 +64,14 @@ val force : spec -> sstep -> spec
     resynchronize the spec after an excused divergence in a racy
     scenario (a load adopts the value it observed, etc.). *)
 
+val canon_into : Buffer.t -> spec -> unit
+(** Append the canonical string, folded into the model checker's
+    visited-set key (the spec state is path-dependent, so two protocol
+    states with different spec shadows must not be merged).  No
+    [Printf]: it runs once per explored transition. *)
+
 val canon : spec -> string
-(** Canonical string, folded into the model checker's visited-set key
-    (the spec state is path-dependent, so two protocol states with
-    different spec shadows must not be merged). *)
+(** [canon_into] into a fresh string. *)
 
 val equal : spec -> spec -> bool
 

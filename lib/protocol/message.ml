@@ -69,19 +69,43 @@ let kind_name m =
   | Sync Flag_wait_req -> "flag_wait"
   | Sync Flag_wake -> "flag_wake"
 
+(* Display form, e.g. ["[0] data_reply(excl,a1,4B) @0x2000"]: counterexample
+   traces and the model checker's visited-set keys. *)
+let describe_into b m =
+  let str = Buffer.add_string b and int = Keybuf.add_int b in
+  Buffer.add_char b '[';
+  int m.src;
+  str "] ";
+  (match m.kind with
+   | Coh (Fwd_read { requester }) ->
+     str "fwd_read(r";
+     int requester;
+     Buffer.add_char b ')'
+   | Coh (Fwd_readex { requester; acks }) ->
+     str "fwd_readex(r";
+     int requester;
+     str ",a";
+     int acks;
+     Buffer.add_char b ')'
+   | Coh (Data_reply { exclusive; acks; data }) ->
+     str (if exclusive then "data_reply(excl,a" else "data_reply(shared,a");
+     int acks;
+     Buffer.add_char b ',';
+     int (4 * Array.length data);
+     str "B)"
+   | Coh (Upgrade_ack { acks }) ->
+     str "upgrade_ack(a";
+     int acks;
+     Buffer.add_char b ')'
+   | Coh (Inv { requester }) ->
+     str "inv(ack->";
+     int requester;
+     Buffer.add_char b ')'
+   | _ -> str (kind_name m));
+  str " @0x";
+  Keybuf.add_hex b m.addr
+
 let describe m =
-  let k =
-    match m.kind with
-    | Coh (Fwd_read { requester }) -> Printf.sprintf "fwd_read(r%d)" requester
-    | Coh (Fwd_readex { requester; acks }) ->
-      Printf.sprintf "fwd_readex(r%d,a%d)" requester acks
-    | Coh (Data_reply { exclusive; acks; data }) ->
-      Printf.sprintf "data_reply(%s,a%d,%dB)"
-        (if exclusive then "excl" else "shared")
-        acks
-        (4 * Array.length data)
-    | Coh (Upgrade_ack { acks }) -> Printf.sprintf "upgrade_ack(a%d)" acks
-    | Coh (Inv { requester }) -> Printf.sprintf "inv(ack->%d)" requester
-    | _ -> kind_name m
-  in
-  Printf.sprintf "[%d] %s @0x%x" m.src k m.addr
+  let b = Buffer.create 48 in
+  describe_into b m;
+  Buffer.contents b

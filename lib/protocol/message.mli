@@ -44,4 +44,9 @@ val payload_longs : t -> int
    trace tracks carry. *)
 val kind_name : t -> string
 
+val describe_into : Buffer.t -> t -> unit
+(** Append the display form, e.g. ["[0] data_reply(excl,a1,4B) @0x2000"]
+    (a data reply shows its size, not its payload). *)
+
 val describe : t -> string
+(** [describe_into] into a fresh string. *)

@@ -206,13 +206,35 @@ let to_mask t = fold (fun x m -> m lor (1 lsl x)) t 0
 (* Canonical rendering: equal strings <=> structurally equal values.
    The leading character disambiguates representations so the model
    checker's visited set never conflates them. *)
-let to_string t =
-  let ints l = String.concat "," (List.map string_of_int l) in
+let to_buffer b t =
+  let ints l =
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        Keybuf.add_int b x)
+      l;
+    Buffer.add_char b ')'
+  in
   match t with
-  | Bits m -> Printf.sprintf "%x" m
-  | Ptrs { ps; _ } -> Printf.sprintf "P(%s)" (ints ps)
-  | Bcast { excl; _ } -> Printf.sprintf "*(-%s)" (ints excl)
-  | Cv { g; bits; excl; _ } -> Printf.sprintf "C%d(%x;-%s)" g bits (ints excl)
+  | Bits m -> Keybuf.add_hex b m
+  | Ptrs { ps; _ } ->
+    Buffer.add_string b "P(";
+    ints ps
+  | Bcast { excl; _ } ->
+    Buffer.add_string b "*(-";
+    ints excl
+  | Cv { g; bits; excl; _ } ->
+    Buffer.add_char b 'C';
+    Keybuf.add_int b g;
+    Buffer.add_char b '(';
+    Keybuf.add_hex b bits;
+    Buffer.add_string b ";-";
+    ints excl
+
+let to_string t =
+  let b = Buffer.create 16 in
+  to_buffer b t;
+  Buffer.contents b
 
 (* --- mode plumbing --------------------------------------------------- *)
 

@@ -57,8 +57,12 @@ val as_bits : t -> int option
 val to_mask : t -> int
 (** Collapse to an int bitmask; members must be below [Sys.int_size]. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the canonical rendering (equal strings <=> equal values),
+    without [Printf]: the full map prints as its hex mask. *)
+
 val to_string : t -> string
-(** Canonical rendering (equal strings <=> equal values). *)
+(** [to_buffer] into a fresh string. *)
 
 val capacity : mode -> int
 val mode_name : mode -> string

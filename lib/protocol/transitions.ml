@@ -2022,120 +2022,133 @@ let quiescent_invariants (cfg : cfg) (v : view) : string list =
    (Marshalling the view directly would NOT be canonical: balanced-tree
    shapes depend on insertion order.)  Equal strings <=> equal views;
    used for visited-state deduplication in the model checker and for
-   comparing a replayed trace against the live run. *)
-let canon (v : view) : string =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.bprintf b fmt in
+   comparing a replayed trace against the live run.  Written straight
+   into the caller's buffer with no [Printf]: the checker renders one
+   key per explored transition. *)
+let canon_into b (v : view) =
+  let chr = Buffer.add_char b and str = Buffer.add_string b in
+  let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
+  let bool x = str (if x then "true" else "false") in
+  let ints = List.iteri (fun i x -> if i > 0 then chr ','; int x) in
   (* full-map sets print as the historical hex/decimal masks so default
      configurations stay byte-identical to the seed traces; other
      representations use Nodeset's canonical rendering *)
-  let ns_hex ns =
-    match Ns.as_bits ns with
-    | Some m -> Printf.sprintf "%x" m
-    | None -> Ns.to_string ns
-  in
+  let ns_hex = Ns.to_buffer b in
   let ns_dec ns =
-    match Ns.as_bits ns with
-    | Some m -> string_of_int m
-    | None -> Ns.to_string ns
+    match Ns.as_bits ns with Some m -> int m | None -> Ns.to_buffer b ns
   in
   Imap.iter
-    (fun blk (e : dirent) -> pf "D%x:%d,%s;" blk e.owner (ns_hex e.sharers))
+    (fun blk (e : dirent) ->
+      chr 'D'; hex blk; chr ':'; int e.owner; chr ','; ns_hex e.sharers;
+      chr ';')
     v.dir;
   Imap.iter
     (fun id (n : nview) ->
-      pf "N%d{" id;
+      chr 'N'; int id; chr '{';
       Imap.iter
         (fun blk l ->
-          pf "l%x=%c;" blk
+          chr 'l'; hex blk; chr '=';
+          chr
             (match l with
              | L_invalid -> 'i'
              | L_shared -> 's'
              | L_exclusive -> 'e'
              | L_pending_invalid -> 'p'
-             | L_pending_shared -> 'q'))
+             | L_pending_shared -> 'q');
+          chr ';')
         n.lines;
       Imap.iter
         (fun blk (p : pend) ->
-          pf "p%x=%c%b[" blk
+          chr 'p'; hex blk; chr '=';
+          chr
             (match p.pkind with
              | P_read -> 'r'
              | P_readex -> 'x'
-             | P_upgrade -> 'u')
-            p.invalidated;
-          Imap.iter (fun a w -> pf "%x:%x," a w) p.written;
-          pf "];")
+             | P_upgrade -> 'u');
+          bool p.invalidated; chr '[';
+          Imap.iter (fun a w -> hex a; chr ':'; hex w; chr ',') p.written;
+          str "];")
         n.pending;
       Imap.iter
         (fun blk (a : ackst) ->
-          pf "a%x=%d/%s;" blk a.got
-            (match a.expected with Some e -> string_of_int e | None -> "?"))
+          chr 'a'; hex blk; chr '='; int a.got; chr '/';
+          (match a.expected with Some e -> int e | None -> chr '?');
+          chr ';')
         n.acks;
-      pf "u%d;" n.unacked;
+      chr 'u'; int n.unacked; chr ';';
       Imap.iter
         (fun blk msgs ->
-          pf "w%x=[" blk;
-          List.iter (fun m -> pf "%s;" (Message.describe m)) msgs;
-          pf "];")
+          chr 'w'; hex blk; str "=[";
+          List.iter (fun m -> Message.describe_into b m; chr ';') msgs;
+          str "];")
         n.waiters;
       List.iter
-        (fun d ->
-          match d with
-          | D_inv blk -> pf "di%x;" blk
-          | D_downgrade blk -> pf "dd%x;" blk)
+        (function
+          | D_inv blk -> str "di"; hex blk; chr ';'
+          | D_downgrade blk -> str "dd"; hex blk; chr ';')
         n.deferred;
-      if n.in_batch then pf "B;";
+      if n.in_batch then str "B;";
       (match n.nstat with
        | N_running -> ()
-       | N_waiting w ->
-         pf "W%s;"
-           (match w with
-            | W_blocks bs ->
-              "b" ^ String.concat "," (List.map (Printf.sprintf "%x") bs)
-            | W_release -> "r"
-            | W_sync -> "s"));
+       | N_waiting (W_blocks bs) ->
+         str "Wb";
+         List.iteri (fun i x -> if i > 0 then chr ','; hex x) bs;
+         chr ';'
+       | N_waiting W_release -> str "Wr;"
+       | N_waiting W_sync -> str "Ws;");
       (match n.resume with
        | R_none -> ()
-       | R_refill -> pf "Rf;"
+       | R_refill -> str "Rf;"
        | R_store_retry { addr; bytes; store_done } ->
-         pf "Rs%x,%d,%b;" addr bytes store_done
-       | R_store_commit { then_release } -> pf "Rc%b;" then_release
-       | R_then_release -> pf "Rr;"
-       | R_done -> pf "Rd;"
-       | R_lock_acquired id -> pf "Rl%d;" id
-       | R_unlock id -> pf "Ru%d;" id
-       | R_barrier_enter -> pf "Rb;"
-       | R_barrier_passed -> pf "Rp;"
-       | R_flag_set id -> pf "Rg%d;" id
-       | R_flag_woken id -> pf "Rw%d;" id);
-      if n.sync_signal then pf "S;";
-      pf "}")
+         str "Rs"; hex addr; chr ','; int bytes; chr ','; bool store_done;
+         chr ';'
+       | R_store_commit { then_release } -> str "Rc"; bool then_release; chr ';'
+       | R_then_release -> str "Rr;"
+       | R_done -> str "Rd;"
+       | R_lock_acquired id -> str "Rl"; int id; chr ';'
+       | R_unlock id -> str "Ru"; int id; chr ';'
+       | R_barrier_enter -> str "Rb;"
+       | R_barrier_passed -> str "Rp;"
+       | R_flag_set id -> str "Rg"; int id; chr ';'
+       | R_flag_woken id -> str "Rw"; int id; chr ';');
+      if n.sync_signal then str "S;";
+      chr '}')
     v.nodes;
   Imap.iter
     (fun id (l : lockst) ->
-      pf "L%d:%s,[%s];" id
-        (match l.holder with Some h -> string_of_int h | None -> "-")
-        (String.concat "," (List.map string_of_int l.lq)))
+      chr 'L'; int id; chr ':';
+      (match l.holder with Some h -> int h | None -> chr '-');
+      str ",["; ints l.lq; str "];")
     v.locks;
   Imap.iter
     (fun id (f : flagst) ->
-      pf "F%d:%b,[%s];" id f.fset
-        (String.concat "," (List.map string_of_int f.fwaiters)))
+      chr 'F'; int id; chr ':'; bool f.fset; str ",[";
+      ints f.fwaiters; str "];")
     v.flags;
-  pf "B%s" (ns_dec v.barrier_arrived);
-  if not (Ns.is_empty v.halted) then
-    pf ";X%s,%s" (ns_hex v.crashed) (ns_hex v.halted);
+  chr 'B';
+  ns_dec v.barrier_arrived;
+  if not (Ns.is_empty v.halted) then begin
+    str ";X"; ns_hex v.crashed; chr ','; ns_hex v.halted
+  end;
   (* scaling-layer state prints only when populated, so default-config
      strings stay byte-identical to the seed *)
-  if not (Ns.is_empty v.brelease) then pf ";R%s" (ns_dec v.brelease);
+  if not (Ns.is_empty v.brelease) then begin
+    str ";R"; ns_dec v.brelease
+  end;
   if not (Imap.is_empty v.homes) then begin
-    pf ";H";
-    Imap.iter (fun page h -> pf "%x:%d," page h) v.homes
+    str ";H";
+    Imap.iter (fun page h -> hex page; chr ':'; int h; chr ',') v.homes
   end;
   if not (Imap.is_empty v.heat) then begin
-    pf ";h";
-    Imap.iter (fun page (who, k) -> pf "%x:%d*%d," page who k) v.heat
-  end;
+    str ";h";
+    Imap.iter
+      (fun page (who, k) -> hex page; chr ':'; int who; chr '*'; int k; chr ',')
+      v.heat
+  end
+
+let canon (v : view) : string =
+  let b = Buffer.create 1024 in
+  canon_into b v;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

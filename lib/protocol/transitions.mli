@@ -230,7 +230,9 @@ val invariants : cfg -> view -> string list
 val quiescent_invariants : cfg -> view -> string list
 
 (* Canonical string: equal strings <=> equal views (map-shape
-   independent).  Visited-set keys and replay comparison. *)
+   independent).  Visited-set keys and replay comparison.  [canon_into]
+   appends the same bytes to a caller's buffer without [Printf]. *)
+val canon_into : Buffer.t -> view -> unit
 val canon : view -> string
 
 val string_of_wait : wait -> string

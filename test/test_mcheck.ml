@@ -2,16 +2,30 @@
    find no violation; QCheck-generated random scripts driven through
    random interleavings must keep owner/sharer consistency and
    invalidation-ack conservation at every reachable state; the injected
-   dropped-ack bug must be caught with a counterexample; and replaying
-   a real workload's recorded inputs through the pure core must
-   reproduce its exact final protocol state. *)
+   dropped-ack bug must be caught with a counterexample; replaying a
+   real workload's recorded inputs through the pure core must
+   reproduce its exact final protocol state; and the visited-set key
+   keeps its bytes, its state counts and its allocation budget. *)
 
 open QCheck2
 module T = Shasta_protocol.Transitions
 module Mcheck = Shasta_mcheck.Mcheck
+module Message = Shasta_protocol.Message
 
 let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest (Test.make ~name ~count gen prop)
+
+(* Take the enabled move with display label [label], or fail listing
+   the labels that are enabled. *)
+let play cfg sys label =
+  match
+    List.assoc_opt label (Mcheck.moves cfg ~inj:Mcheck.No_injection !sys)
+  with
+  | Some next -> sys := next ()
+  | None ->
+    Alcotest.failf "move %S not enabled (have: %s)" label
+      (String.concat "; "
+         (List.map fst (Mcheck.moves cfg ~inj:Mcheck.No_injection !sys)))
 
 (* --- exhaustive scenarios ------------------------------------------- *)
 
@@ -240,16 +254,7 @@ let t_crash_after_barrier_arrival () =
   in
   let cfg = Mcheck.cfg_of sc in
   let sys = ref (Mcheck.init_sys ~crash:1 sc) in
-  let play label =
-    match
-      List.assoc_opt label (Mcheck.moves cfg ~inj:Mcheck.No_injection !sys)
-    with
-    | Some next -> sys := next ()
-    | None ->
-      Alcotest.failf "move %S not enabled (have: %s)" label
-        (String.concat "; "
-           (List.map fst (Mcheck.moves cfg ~inj:Mcheck.No_injection !sys)))
-  in
+  let play = play cfg sys in
   play "n1: barrier";
   play "deliver 1->0: [1] barrier_arrive @0x0";
   play "crash n1";
@@ -406,6 +411,308 @@ let t_release_order_clean () =
      Alcotest.fail "release-order diverges without injection");
   Alcotest.(check bool) "explored fully" false r.Mcheck.truncated
 
+(* --- the visited-set key ---------------------------------------------- *)
+
+(* Reference model: the Printf renderers [Message.describe] and
+   [T.canon] had before they were rewritten as Printf-free buffer
+   writers ([Nodeset.to_string] has its own reference in
+   test_nodeset.ml).  The writers must stay byte-identical to these:
+   replay comparison and every recorded state count depend on the
+   bytes. *)
+let ref_describe (m : Message.t) =
+  let k =
+    match m.Message.kind with
+    | Message.Coh (Fwd_read { requester }) ->
+      Printf.sprintf "fwd_read(r%d)" requester
+    | Message.Coh (Fwd_readex { requester; acks }) ->
+      Printf.sprintf "fwd_readex(r%d,a%d)" requester acks
+    | Message.Coh (Data_reply { exclusive; acks; data }) ->
+      Printf.sprintf "data_reply(%s,a%d,%dB)"
+        (if exclusive then "excl" else "shared")
+        acks
+        (4 * Array.length data)
+    | Message.Coh (Upgrade_ack { acks }) ->
+      Printf.sprintf "upgrade_ack(a%d)" acks
+    | Message.Coh (Inv { requester }) -> Printf.sprintf "inv(ack->%d)" requester
+    | _ -> Message.kind_name m
+  in
+  Printf.sprintf "[%d] %s @0x%x" m.Message.src k m.Message.addr
+
+let ref_canon (v : T.view) : string =
+  let module Ns = Shasta_protocol.Nodeset in
+  let b = Buffer.create 1024 in
+  let pf fmt = Printf.bprintf b fmt in
+  let ns_hex ns =
+    match Ns.as_bits ns with
+    | Some m -> Printf.sprintf "%x" m
+    | None -> Ns.to_string ns
+  in
+  let ns_dec ns =
+    match Ns.as_bits ns with
+    | Some m -> string_of_int m
+    | None -> Ns.to_string ns
+  in
+  T.Imap.iter
+    (fun blk (e : T.dirent) ->
+      pf "D%x:%d,%s;" blk e.T.owner (ns_hex e.T.sharers))
+    v.T.dir;
+  T.Imap.iter
+    (fun id (n : T.nview) ->
+      pf "N%d{" id;
+      T.Imap.iter
+        (fun blk l ->
+          pf "l%x=%c;" blk
+            (match l with
+             | T.L_invalid -> 'i'
+             | T.L_shared -> 's'
+             | T.L_exclusive -> 'e'
+             | T.L_pending_invalid -> 'p'
+             | T.L_pending_shared -> 'q'))
+        n.T.lines;
+      T.Imap.iter
+        (fun blk (p : T.pend) ->
+          pf "p%x=%c%b[" blk
+            (match p.T.pkind with
+             | T.P_read -> 'r'
+             | T.P_readex -> 'x'
+             | T.P_upgrade -> 'u')
+            p.T.invalidated;
+          T.Imap.iter (fun a w -> pf "%x:%x," a w) p.T.written;
+          pf "];")
+        n.T.pending;
+      T.Imap.iter
+        (fun blk (a : T.ackst) ->
+          pf "a%x=%d/%s;" blk a.T.got
+            (match a.T.expected with Some e -> string_of_int e | None -> "?"))
+        n.T.acks;
+      pf "u%d;" n.T.unacked;
+      T.Imap.iter
+        (fun blk msgs ->
+          pf "w%x=[" blk;
+          List.iter (fun m -> pf "%s;" (ref_describe m)) msgs;
+          pf "];")
+        n.T.waiters;
+      List.iter
+        (function
+          | T.D_inv blk -> pf "di%x;" blk
+          | T.D_downgrade blk -> pf "dd%x;" blk)
+        n.T.deferred;
+      if n.T.in_batch then pf "B;";
+      (match n.T.nstat with
+       | T.N_running -> ()
+       | T.N_waiting w ->
+         pf "W%s;"
+           (match w with
+            | T.W_blocks bs ->
+              "b" ^ String.concat "," (List.map (Printf.sprintf "%x") bs)
+            | T.W_release -> "r"
+            | T.W_sync -> "s"));
+      (match n.T.resume with
+       | T.R_none -> ()
+       | T.R_refill -> pf "Rf;"
+       | T.R_store_retry { addr; bytes; store_done } ->
+         pf "Rs%x,%d,%b;" addr bytes store_done
+       | T.R_store_commit { then_release } -> pf "Rc%b;" then_release
+       | T.R_then_release -> pf "Rr;"
+       | T.R_done -> pf "Rd;"
+       | T.R_lock_acquired id -> pf "Rl%d;" id
+       | T.R_unlock id -> pf "Ru%d;" id
+       | T.R_barrier_enter -> pf "Rb;"
+       | T.R_barrier_passed -> pf "Rp;"
+       | T.R_flag_set id -> pf "Rg%d;" id
+       | T.R_flag_woken id -> pf "Rw%d;" id);
+      if n.T.sync_signal then pf "S;";
+      pf "}")
+    v.T.nodes;
+  T.Imap.iter
+    (fun id (l : T.lockst) ->
+      pf "L%d:%s,[%s];" id
+        (match l.T.holder with Some h -> string_of_int h | None -> "-")
+        (String.concat "," (List.map string_of_int l.T.lq)))
+    v.T.locks;
+  T.Imap.iter
+    (fun id (f : T.flagst) ->
+      pf "F%d:%b,[%s];" id f.T.fset
+        (String.concat "," (List.map string_of_int f.T.fwaiters)))
+    v.T.flags;
+  pf "B%s" (ns_dec v.T.barrier_arrived);
+  if not (Ns.is_empty v.T.halted) then
+    pf ";X%s,%s" (ns_hex v.T.crashed) (ns_hex v.T.halted);
+  if not (Ns.is_empty v.T.brelease) then pf ";R%s" (ns_dec v.T.brelease);
+  if not (T.Imap.is_empty v.T.homes) then begin
+    pf ";H";
+    T.Imap.iter (fun page h -> pf "%x:%d," page h) v.T.homes
+  end;
+  if not (T.Imap.is_empty v.T.heat) then begin
+    pf ";h";
+    T.Imap.iter (fun page (who, k) -> pf "%x:%d*%d," page who k) v.T.heat
+  end;
+  Buffer.contents b
+
+(* The shared int writers agree with Printf's %d and %x, negatives and
+   both extremes included. *)
+let int_gen =
+  Gen.(
+    oneof
+      [ int;
+        small_signed_int;
+        oneofl [ 0; -1; min_int; max_int; 0xFFFF_FF03 ] ])
+
+let prop_int_writers n =
+  let via f = let b = Buffer.create 16 in f b n; Buffer.contents b in
+  via Shasta_protocol.Keybuf.add_int = Printf.sprintf "%d" n
+  && via Shasta_protocol.Keybuf.add_hex = Printf.sprintf "%x" n
+
+let message_gen =
+  Gen.(
+    let* src = small_nat and* addr = int_gen and* a = small_signed_int
+    and* r = small_nat and* len = int_bound 8 and* excl = bool in
+    let* kind =
+      oneofl
+        Message.
+          [ Coh Read_req; Coh Readex_req; Coh Upgrade_req;
+            Coh (Fwd_read { requester = r });
+            Coh (Fwd_readex { requester = r; acks = a });
+            Coh
+              (Data_reply
+                 { data = Array.make len a; exclusive = excl; acks = a });
+            Coh (Upgrade_ack { acks = a }); Coh (Inv { requester = r });
+            Coh Inv_ack; Sync Lock_req; Sync Lock_grant; Sync Unlock_msg;
+            Sync Barrier_arrive; Sync Barrier_release; Sync Flag_set_msg;
+            Sync Flag_wait_req; Sync Flag_wake ]
+    in
+    return { Message.src; addr; kind })
+
+let prop_describe_matches_reference m = Message.describe m = ref_describe m
+
+(* Seeded random walks through [Mcheck.moves] over every scenario
+   family: at each reached view, [T.canon] equals the reference. *)
+let walk_gen =
+  Gen.(triple (oneofl [ 2; 3 ]) (int_bound 3) (int_bound 1_000_000))
+
+let prop_canon_matches_reference (nprocs, family, seed) =
+  let rng = Random.State.make [| seed |] in
+  let scs, init =
+    match family with
+    | 0 -> (Mcheck.scenarios ~nprocs, fun sc -> Mcheck.init_sys ~lossy:1 sc)
+    | 1 ->
+      ( Mcheck.refine_scenarios ~nprocs,
+        fun sc -> Mcheck.init_sys ~refine:true sc )
+    | 2 ->
+      ( Mcheck.crash_scenarios ~nprocs,
+        fun sc -> Mcheck.init_sys ~crash:1 ~recover:1 sc )
+    | _ -> (Mcheck.scale_scenarios ~nprocs, fun sc -> Mcheck.init_sys sc)
+  in
+  List.for_all
+    (fun sc ->
+      let cfg = Mcheck.cfg_of sc in
+      let rec walk sys =
+        let v = Mcheck.view sys in
+        T.canon v = ref_canon v
+        &&
+        match Mcheck.moves cfg ~inj:Mcheck.No_injection sys with
+        | [] -> true
+        | ms ->
+          let _, next = List.nth ms (Random.State.int rng (List.length ms)) in
+          walk (next ())
+      in
+      walk (init sc))
+    scs
+
+(* A live run under hot-page migration (radix, where migration fires)
+   populates the placement and heat maps the checker's scenarios never
+   reach. *)
+let t_canon_live_view () =
+  let open Shasta_runtime in
+  let prog = (Shasta_apps.Apps.find "radix").make Shasta_apps.Apps.Test in
+  let spec =
+    { (Api.default_spec prog) with nprocs = 4; home_policy = State.Migrate }
+  in
+  let state, _, _ = Api.prepare spec in
+  let _ = Cluster.run_app state in
+  let v = state.State.proto in
+  Alcotest.(check bool) "homes populated" false (T.Imap.is_empty v.T.homes);
+  Alcotest.(check bool) "heat populated" false (T.Imap.is_empty v.T.heat);
+  Alcotest.(check string) "canon matches the reference" (ref_canon v)
+    (T.canon v)
+
+(* Two systems that differ only in the value an in-flight data reply
+   carries are distinct states: the merge or refill that consumes the
+   reply reads it. *)
+let t_key_covers_reply_payload () =
+  let queued v0 =
+    let sc =
+      { Mcheck.sname = "payload";
+        nprocs = 2;
+        blocks = [ 0 ];
+        scripts = [| [ Mcheck.Write (0, v0) ]; [ Mcheck.Write (0, 7) ] |];
+        oracle = (fun _ -> []);
+        drf = false;
+        cfg_mod = Fun.id }
+    in
+    let cfg = Mcheck.cfg_of sc in
+    let sys = ref (Mcheck.init_sys sc) in
+    play cfg sys (Printf.sprintf "n0: write 0x0 <- %d" v0);
+    play cfg sys "n1: write 0x0 <- 7";
+    play cfg sys "deliver 1->0: [1] readex_req @0x0";
+    Alcotest.(check bool) "n0's exclusive reply is queued" true
+      (List.mem_assoc "deliver 0->1: [0] data_reply(excl,a0,4B) @0x0"
+         (Mcheck.moves cfg ~inj:Mcheck.No_injection !sys));
+    !sys
+  in
+  let a = queued 1 and b = queued 2 in
+  Alcotest.(check string) "same protocol view"
+    (T.canon (Mcheck.view a)) (T.canon (Mcheck.view b));
+  Alcotest.(check bool) "different keys" false (Mcheck.key a = Mcheck.key b)
+
+(* Exact state counts of every P=2 scenario: a key change that merges
+   or splits states fails here.  The crash rows count the states the
+   reply payload distinguishes. *)
+let t_state_counts () =
+  let names = List.map (fun sc -> sc.Mcheck.sname) in
+  let family = Mcheck.refine_scenarios ~nprocs:2 in
+  Alcotest.(check (list string)) "refine family"
+    [ "read-sharing"; "write-race"; "lock-increment"; "flag-handoff";
+      "barrier-exchange"; "upgrade-race"; "release-order" ]
+    (names family);
+  let crash_family = Mcheck.crash_scenarios ~nprocs:2 in
+  Alcotest.(check (list string)) "crash family"
+    [ "read-sharing"; "write-race"; "lock-increment"; "barrier-exchange";
+      "upgrade-race" ]
+    (names crash_family);
+  let expect mode scs want check =
+    List.iter2
+      (fun sc want ->
+        let r : Mcheck.result = check sc in
+        Alcotest.(check int) (mode ^ " " ^ sc.Mcheck.sname) want r.states)
+      scs want
+  in
+  expect "plain" family [ 18; 12; 64; 13; 43; 36; 100 ] (fun sc ->
+      Mcheck.check_exhaustive sc);
+  expect "lossy:2" family [ 643; 656; 5267; 341; 5063; 2465; 9821 ]
+    (Mcheck.check_exhaustive ~lossy:2);
+  expect "refine" family [ 18; 15; 64; 13; 43; 42; 100 ]
+    (Mcheck.check_exhaustive ~refine:true);
+  expect "refine+lossy:2" family [ 643; 748; 5267; 341; 5063; 2955; 9821 ]
+    (Mcheck.check_exhaustive ~refine:true ~lossy:2);
+  expect "crash 1/recover 1" crash_family [ 66; 44; 226; 145; 124 ]
+    (Mcheck.check_exhaustive ~crash:1 ~recover:1)
+
+(* The checker's per-transition path renders its key into one reused
+   buffer and builds no display string: a lossy refinement run stays
+   under 1,200 minor words per transition (it measures ~730; Printf on
+   that path costs ~2,000 more). *)
+let t_checker_allocation () =
+  let sc = Mcheck.lock_increment ~nprocs:2 in
+  let before = Gc.minor_words () in
+  let r = Mcheck.check_exhaustive ~lossy:2 ~refine:true sc in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "clean" true (r.Mcheck.violation = None);
+  let per = words /. float_of_int r.Mcheck.transitions in
+  if per > 1200.0 then
+    Alcotest.failf "%.0f minor words per transition (%d transitions)" per
+      r.Mcheck.transitions
+
 (* --- deterministic replay ------------------------------------------- *)
 
 let t_replay_reproduces () =
@@ -501,6 +808,19 @@ let () =
             t_scale_crash_exhaustive_clean;
           Alcotest.test_case "scale scenarios clean at P=3 (fuzz)" `Quick
             t_scale_fuzz_clean ] );
+      ( "key",
+        [ qtest "int writers match Printf" ~count:500 int_gen prop_int_writers;
+          qtest "describe matches the Printf reference" ~count:500 message_gen
+            prop_describe_matches_reference;
+          qtest "canon matches the Printf reference on random walks" ~count:40
+            walk_gen prop_canon_matches_reference;
+          Alcotest.test_case "canon matches the reference on a live view"
+            `Quick t_canon_live_view;
+          Alcotest.test_case "reply payload is in the key" `Quick
+            t_key_covers_reply_payload;
+          Alcotest.test_case "state counts at P=2" `Quick t_state_counts;
+          Alcotest.test_case "checker allocation per transition" `Quick
+            t_checker_allocation ] );
       ( "replay",
         [ Alcotest.test_case "lu reproduces" `Quick t_replay_reproduces;
           Alcotest.test_case "ocean under SC" `Quick t_replay_sc_mode;
