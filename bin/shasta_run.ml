@@ -490,6 +490,20 @@ let node_faults_c =
     | None -> "none"
     | Some nf -> Nodefaults.describe nf)
 
+(* Counts and sizes: a value outside the range is an error against the
+   option's name, never clamped or ignored. *)
+let int_at_least ~docv lo =
+  let what = if lo = 0 then "a non-negative" else "a positive" in
+  Arg.conv ~docv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= lo -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "%s integer is required, got %S" what s))),
+      Format.pp_print_int )
+
+let count_c = int_at_least ~docv:"N" 0
+let positive_c = int_at_least ~docv:"N" 1
+
 let dir_mode_c =
   let module Ns = Shasta_protocol.Nodeset in
   Arg.conv ~docv:"MODE"
@@ -575,11 +589,11 @@ let cmd =
   in
   let no_range_t = Arg.(value & flag & info [ "no-range" ] ~doc:"Drop the range check.") in
   let fixed_block_t =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_c) None
          & info [ "block" ] ~doc:"Force one block size in bytes (ablation).")
   in
   let threshold_t =
-    Arg.(value & opt int 1024
+    Arg.(value & opt count_c 1024
          & info [ "threshold" ]
              ~doc:"Size cutoff of the block-size heuristic (Section 4.2).")
   in
@@ -668,14 +682,14 @@ let cmd =
                    find and print a counterexample.")
   in
   let lossy_t =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count_c) None
          & info [ "lossy" ] ~docv:"BUDGET"
              ~doc:"With --check: model-check over the unreliable wire \
                    under the reliable-delivery sublayer, giving the \
                    adversary BUDGET drop/dup/reorder moves per channel.")
   in
   let crash_t =
-    Arg.(value & opt int 0
+    Arg.(value & opt count_c 0
          & info [ "crash" ] ~docv:"N"
              ~doc:"With --check: give the node-crash adversary N halt \
                    moves — at any state it may kill any node (while two \
@@ -686,7 +700,7 @@ let cmd =
                    still required.  Needs the reliable wire.")
   in
   let recover_t =
-    Arg.(value & opt int 0
+    Arg.(value & opt count_c 0
          & info [ "recover" ] ~docv:"N"
              ~doc:"With --check --crash: also give the adversary N \
                    restart moves that bring crashed nodes back into \
@@ -705,7 +719,7 @@ let cmd =
     Arg.(value & opt int 1 & info [ "fuzz-seed" ] ~doc:"Fuzzer seed.")
   in
   let fuzz_runs_t =
-    Arg.(value & opt int 50
+    Arg.(value & opt count_c 50
          & info [ "fuzz-runs" ]
              ~doc:"Random interleavings per scenario after the exhaustive \
                    pass (0 disables).")
@@ -720,7 +734,7 @@ let cmd =
                    table and shard-handoff accounting).")
   in
   let kv_ops_t =
-    Arg.(value & opt int 100_000
+    Arg.(value & opt positive_c 100_000
          & info [ "kv-ops" ] ~docv:"N"
              ~doc:"Total run-phase operations across all nodes.")
   in

@@ -12,9 +12,16 @@
    inside that range (addresses are < 2^40).  Floating-point data takes
    the Int64 path and is exact. *)
 
+(* A byte fill of [f_addr, f_addr + f_len) still owed to the pages of
+   that range that were not materialized when it was made. *)
+type fill = { f_addr : int; f_len : int; f_byte : int }
+
 type t = {
   pages : (int, int array) Hashtbl.t;
   mutable allocated_pages : int;
+  (* pending fills, newest first; a page applies them oldest first when
+     it materializes *)
+  mutable fills : fill list;
   (* the page the last access touched; pages are never freed, so the
      entry cannot go stale *)
   mutable last_pno : int;
@@ -25,8 +32,36 @@ let page_bytes = 8192
 let page_longs = page_bytes / 4
 
 let create () =
-  { pages = Hashtbl.create 1024; allocated_pages = 0; last_pno = min_int;
-    last_page = [||] }
+  { pages = Hashtbl.create 1024; allocated_pages = 0; fills = [];
+    last_pno = min_int; last_page = [||] }
+
+let set_byte_in pg off v =
+  let i = off / 4 and shift = 8 * (off land 3) in
+  pg.(i) <- pg.(i) land lnot (0xFF lsl shift) lor (v lsl shift)
+
+(* Apply fill [f] to page [pg] (number [pno]): whole longwords with one
+   [Array.fill], byte read-modify-write only at unaligned edges. *)
+let fill_page pg pno f =
+  let pstart = pno * page_bytes in
+  let lo = max f.f_addr pstart - pstart
+  and hi = min (f.f_addr + f.f_len) (pstart + page_bytes) - pstart in
+  if lo < hi then begin
+    (* [lo, wlo) and [whi, hi) are the edges; [wlo, whi) whole longwords *)
+    let wlo = min hi ((lo + 3) land lnot 3) in
+    let whi = max wlo (hi land lnot 3) in
+    for off = lo to wlo - 1 do set_byte_in pg off f.f_byte done;
+    Array.fill pg (wlo / 4) ((whi - wlo) / 4) (f.f_byte * 0x01010101);
+    for off = whi to hi - 1 do set_byte_in pg off f.f_byte done
+  end
+
+(* [fills] is newest first: recurse before applying, so the oldest fill
+   lands first.  Top level and closure-free, so a page's first touch
+   allocates only the page. *)
+let rec apply_fills pg pno = function
+  | [] -> ()
+  | f :: older ->
+    apply_fills pg pno older;
+    fill_page pg pno f
 
 (* The page holding [addr], materialized on first touch.  Allocates only
    when it materializes a page. *)
@@ -39,6 +74,7 @@ let page t addr =
       | p -> p
       | exception Not_found ->
         let p = Array.make page_longs 0 in
+        apply_fills p pno t.fills;
         Hashtbl.add t.pages pno p;
         t.allocated_pages <- t.allocated_pages + 1;
         p
@@ -111,10 +147,39 @@ let write_float t addr v = write_quad_bits t addr (Int64.bits_of_float v)
    three address bits, as on the Alpha). *)
 let read_quad_unaligned t addr = read_quad t (addr land lnot 7)
 
-(* Copy every allocated page of [src] overlapping [addr, addr+len) into
-   [dst] (page-aligned range).  Used for process-creation-time copying
-   of the static data area. *)
+(* Every byte of [addr, addr+len) reads as [v], exactly as after a
+   [write_byte] loop: materialized pages are filled now, the others when
+   they materialize. *)
+let fill_bytes t ~addr ~len v =
+  if len > 0 then begin
+    let f = { f_addr = addr; f_len = len; f_byte = v land 0xFF } in
+    let pending = ref false in
+    for pno = addr / page_bytes to (addr + len - 1) / page_bytes do
+      match Hashtbl.find t.pages pno with
+      | pg -> fill_page pg pno f
+      | exception Not_found -> pending := true
+    done;
+    if !pending then t.fills <- f :: t.fills
+  end
+
+(* Materialize every page of [t] that a pending fill owes inside the
+   page-aligned range [addr, addr+len).  Closure-free, so a copy out of
+   a memory without fills allocates nothing more. *)
+let rec materialize_fills t ~addr ~len = function
+  | [] -> ()
+  | f :: older ->
+    let lo = max addr f.f_addr and hi = min (addr + len) (f.f_addr + f.f_len) in
+    for pno = lo / page_bytes to (hi - 1) / page_bytes do
+      ignore (page t (pno * page_bytes))
+    done;
+    materialize_fills t ~addr ~len older
+
+(* Copy every page of [src] overlapping [addr, addr+len) (page-aligned
+   range) that holds data into [dst].  Pages a pending fill covers are
+   materialized in [src] first, so they copy as their filled content.
+   Used for process-creation-time copying of the static data area. *)
 let copy_pages ~src ~dst ~addr ~len =
+  materialize_fills src ~addr ~len src.fills;
   let to_copy =
     Hashtbl.fold
       (fun pno pg acc ->

@@ -53,9 +53,19 @@ val write_float : t -> int -> float -> unit
 
 (** {1 Bulk operations} *)
 
+val fill_bytes : t -> addr:int -> len:int -> int -> unit
+(** [fill_bytes t ~addr ~len v]: every observer sees exactly what a
+    [write_byte] loop storing [v] over [addr, addr+len) would have left.
+    Pages already materialized are filled at once; for the rest the
+    range is kept as a pending fill that each page applies, oldest fill
+    first, when it materializes. *)
+
 val copy_pages : src:t -> dst:t -> addr:int -> len:int -> unit
-(** Copy every materialized page of [src] overlapping the range into
-    [dst]; used for process-creation-time copying of the static area. *)
+(** Copy every page of [src] overlapping the page-aligned range that
+    holds data into [dst]: the materialized ones, and those a pending
+    fill covers, which are materialized in [src] first so that they copy
+    as their filled content.  Used for process-creation-time copying of
+    the static area. *)
 
 val blit_out : t -> addr:int -> nlongs:int -> int array
 val blit_in : t -> addr:int -> int array -> unit

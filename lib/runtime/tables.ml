@@ -58,12 +58,10 @@ let set_excl_range (node : Node.t) ~ls ~addr ~len v =
    succeed on private data. *)
 let mark_private_exclusive (node : Node.t) ~ls ~addr ~len =
   let lb = line_bytes ~ls in
-  (* fast path: whole bytes of the exclusive table (8 lines each) *)
-  let first_line = addr / lb and last_line = (addr + len - 1) / lb in
-  (* the exclusive-table byte address for line L is simply L / 8 *)
-  for b = first_line / 8 to last_line / 8 do
-    Memory.write_byte node.mem b 0xFF
-  done
+  (* whole bytes of the exclusive table (8 lines each); the byte address
+     for line L is simply L / 8 *)
+  let first = addr / lb / 8 and last = (addr + len - 1) / lb / 8 in
+  Memory.fill_bytes node.mem ~addr:first ~len:(last - first + 1) 0xFF
 
 (* --- flags ------------------------------------------------------------ *)
 

@@ -1,6 +1,6 @@
 (* Memory model tests: longword/quadword/byte aliasing, sign extension,
-   float bit patterns, the flag value, page copying, plus cache model
-   behaviour. *)
+   float bit patterns, the flag value, page copying, bulk fills against a
+   [write_byte] loop, plus cache model behaviour. *)
 
 open Shasta_machine
 
@@ -85,6 +85,140 @@ let t_copy_pages () =
   Alcotest.(check int) "outside range untouched" 0
     (Memory.read_quad dst 0x40000)
 
+(* --- bulk fills: [fill_bytes] must equal a [write_byte] loop ---------- *)
+
+let pb = Memory.page_bytes
+
+let write_loop m ~addr ~len v =
+  for a = addr to addr + len - 1 do
+    Memory.write_byte m a v
+  done
+
+let check_bytes what m ~addr ~len v =
+  for a = addr to addr + len - 1 do
+    Alcotest.(check int) (Printf.sprintf "%s 0x%x" what a) v
+      (Memory.read_byte m a)
+  done
+
+let t_fill_lazy () =
+  let m = Memory.create () in
+  Memory.fill_bytes m ~addr:(pb - 3) ~len:(pb + 10) 0xAB;
+  Alcotest.(check int) "no page materialized" 0 (Memory.allocated_bytes m);
+  check_bytes "filled" m ~addr:(pb - 3) ~len:(pb + 10) 0xAB;
+  check_bytes "before" m ~addr:(pb - 7) ~len:4 0;
+  check_bytes "after" m ~addr:(2 * pb + 7) ~len:5 0
+
+let t_fill_materialized () =
+  (* a page materialized before the fill is filled at once, keeping its
+     bytes outside the range *)
+  let m = Memory.create () in
+  Memory.write_long_u m pb 0x11223344;
+  Memory.write_long_u m (pb + 8) 0x55667788;
+  Memory.fill_bytes m ~addr:(pb + 2) ~len:6 0xEE;
+  Alcotest.(check int) "head edge" 0xEEEE3344 (Memory.read_long_u m pb);
+  Alcotest.(check int) "middle" 0xEEEEEEEE (Memory.read_long_u m (pb + 4));
+  Alcotest.(check int) "past the end" 0x55667788
+    (Memory.read_long_u m (pb + 8));
+  Alcotest.(check int) "one page" pb (Memory.allocated_bytes m)
+
+let t_fill_then_write () =
+  (* a write into a lazily filled page lands on top of the fill *)
+  let m = Memory.create () in
+  Memory.fill_bytes m ~addr:0 ~len:(2 * pb) 0x5A;
+  Memory.write_byte m (pb + 1) 0x01;
+  Alcotest.(check int) "written byte" 0x01 (Memory.read_byte m (pb + 1));
+  Alcotest.(check int) "its longword" 0x5A5A015A (Memory.read_long_u m pb);
+  Alcotest.(check int) "other page" 0x5A (Memory.read_byte m 7)
+
+let t_fill_order () =
+  (* overlapping pending fills land oldest first *)
+  let m = Memory.create () in
+  Memory.fill_bytes m ~addr:0 ~len:100 0xAA;
+  Memory.fill_bytes m ~addr:50 ~len:100 0xBB;
+  Memory.fill_bytes m ~addr:1 ~len:1 0xCC;
+  Alcotest.(check int) "first" 0xAA (Memory.read_byte m 0);
+  Alcotest.(check int) "single byte" 0xCC (Memory.read_byte m 1);
+  Alcotest.(check int) "older below overlap" 0xAA (Memory.read_byte m 49);
+  Alcotest.(check int) "newer over overlap" 0xBB (Memory.read_byte m 50);
+  Alcotest.(check int) "newer tail" 0xBB (Memory.read_byte m 149);
+  Alcotest.(check int) "past both" 0 (Memory.read_byte m 150)
+
+let t_copy_pending () =
+  (* a source page that only a pending fill covers copies as filled,
+     replacing the destination's page *)
+  let src = Memory.create () and dst = Memory.create () in
+  Memory.fill_bytes src ~addr:(pb + 4) ~len:8 0x77;
+  Memory.write_quad dst (pb + 16) 99;
+  Memory.copy_pages ~src ~dst ~addr:0 ~len:(4 * pb);
+  check_bytes "copied fill" dst ~addr:(pb + 4) ~len:8 0x77;
+  Alcotest.(check int) "whole page copied" 0 (Memory.read_quad dst (pb + 16))
+
+(* The model test: the same operations on a memory that fills with
+   [fill_bytes] and one that fills with a [write_byte] loop.  Every
+   prefix of the sequence is replayed on fresh memories and compared
+   over the whole window, so no comparison read materializes a page the
+   later operations would have found lazy. *)
+
+type op =
+  | Fill of int * int * int
+  | Long of int * int
+  | Byte of int * int
+  | Read of int
+  | Src_fill of int * int * int
+  | Copy of int * int (* first page, pages *)
+
+let window_pages = 3
+let window = window_pages * pb
+
+let op_gen =
+  let open QCheck2.Gen in
+  let addr = int_bound (window - 1) in
+  let len =
+    oneof [ int_bound 8; int_bound 64; int_range (pb - 8) (pb + 8);
+            int_bound window ]
+  in
+  let fill k =
+    map3 (fun a l v -> k a (min l (window - a)) v) addr len (int_bound 255)
+  in
+  oneof
+    [ fill (fun a l v -> Fill (a, l, v));
+      fill (fun a l v -> Src_fill (a, l, v));
+      map2 (fun a v -> Long (a land lnot 3, v)) addr (int_bound 0x3FFFFFFF);
+      map2 (fun a v -> Byte (a, v)) addr (int_bound 255);
+      map (fun a -> Read a) addr;
+      map2 (fun p n -> Copy (p, n)) (int_bound (window_pages - 1))
+        (int_range 1 window_pages) ]
+
+let apply ~fill (m, src) = function
+  | Fill (addr, len, v) -> fill m ~addr ~len v
+  | Src_fill (addr, len, v) -> fill src ~addr ~len v
+  | Long (a, v) -> Memory.write_long_u m a v
+  | Byte (a, v) -> Memory.write_byte m a v
+  | Read a -> ignore (Memory.read_byte m a)
+  | Copy (p, n) ->
+    Memory.copy_pages ~src ~dst:m ~addr:(p * pb) ~len:(n * pb)
+
+let replay ~fill ops =
+  let mems = (Memory.create (), Memory.create ()) in
+  List.iter (apply ~fill mems) ops;
+  mems
+
+let same_window a b =
+  let rec go i =
+    i = window || (Memory.read_byte a i = Memory.read_byte b i && go (i + 1))
+  in
+  go 0
+
+let prop_fill_model ops =
+  let n = List.length ops in
+  List.for_all
+    (fun k ->
+      let prefix = List.filteri (fun i _ -> i < k) ops in
+      let m, src = replay ~fill:Memory.fill_bytes prefix in
+      let m', src' = replay ~fill:write_loop prefix in
+      same_window m m' && same_window src src')
+    (List.init n (fun i -> i + 1))
+
 let t_blit () =
   let m = Memory.create () in
   Memory.blit_in m ~addr:0x8000 [| 1; 2; 3; 4 |];
@@ -131,6 +265,16 @@ let () =
           Alcotest.test_case "ldq_u" `Quick t_ldq_u_alignment;
           Alcotest.test_case "copy pages" `Quick t_copy_pages;
           Alcotest.test_case "blit" `Quick t_blit ] );
+      ( "fill",
+        [ Alcotest.test_case "lazy" `Quick t_fill_lazy;
+          Alcotest.test_case "materialized page" `Quick t_fill_materialized;
+          Alcotest.test_case "write after fill" `Quick t_fill_then_write;
+          Alcotest.test_case "oldest first" `Quick t_fill_order;
+          Alcotest.test_case "copy pending" `Quick t_copy_pending;
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~name:"equals a write_byte loop" ~count:100
+               QCheck2.Gen.(list_size (int_range 1 12) op_gen)
+               prop_fill_model) ] );
       ( "cache",
         [ Alcotest.test_case "basics" `Quick t_cache_basics;
           Alcotest.test_case "invalidate" `Quick t_cache_invalidate;

@@ -328,6 +328,41 @@ let t_home_policies () =
        Shasta_obs.Obs.c_home_migrate
      > 0)
 
+(* Cold start at the 64-node config: the private regions' exclusive bits
+   read as set, yet building the cluster materializes almost nothing (the
+   exclusive table is filled lazily, page by page, on first touch; an
+   eager fill left 49 pages per node). *)
+let t_create_footprint () =
+  let prog = Shasta_apps.Lu.program ~n:48 ~bs:8 () in
+  let state, _, _ =
+    Api.prepare
+      { (Api.default_spec prog) with
+        nprocs = 64;
+        dir_mode = Shasta_protocol.Nodeset.Limited 4;
+        scalable_sync = true }
+  in
+  let module M = Shasta_machine.Memory in
+  Array.iter
+    (fun (n : Node.t) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d: at most 2 pages" n.id)
+        true
+        (M.allocated_bytes n.mem <= 2 * M.page_bytes))
+    state.nodes;
+  let ls = state.config.line_shift in
+  let open Shasta.Layout in
+  List.iter
+    (fun id ->
+      let mem = state.nodes.(id).mem in
+      List.iter
+        (fun a ->
+          Alcotest.(check int)
+            (Printf.sprintf "node %d: 0x%x exclusive" id a)
+            1
+            ((M.read_byte mem (a lsr (ls + 3)) lsr ((a lsr ls) land 7)) land 1))
+        [ static_base; static_limit - 64; stack_limit; stack_top - 64 ])
+    [ 0; 63 ]
+
 let () =
   Alcotest.run "runtime"
     [ ( "sharing",
@@ -353,6 +388,8 @@ let () =
       ( "networks",
         [ Alcotest.test_case "atm correctness" `Quick t_atm_network_also_correct;
           Alcotest.test_case "atm slower" `Quick t_atm_slower_than_mc ] );
+      ( "cold start",
+        [ Alcotest.test_case "footprint at P=64" `Quick t_create_footprint ] );
       ( "home policies",
         [ Alcotest.test_case "same output, replay reproduces" `Quick
             t_home_policies ] )
