@@ -868,8 +868,7 @@ let section_crash () =
 
 module Ns = Shasta_protocol.Nodeset
 
-let dir_modes = [ ("full", Ns.Full); ("limited4", Ns.Limited 4);
-                  ("coarse4", Ns.Coarse 4) ]
+let dir_modes = [ ("full", Ns.Full); ("limited4", Ns.Limited 4) ]
 
 let run_scale ?(sync = false) ?(dmode = Ns.Full)
     ?(policy = State.Round_robin) ?obs ~nprocs prog =
@@ -913,9 +912,8 @@ let section_scaling () =
     "Scaling past P=8: directory organizations, home policies and\n\
      scalable synchronization (LU sweep, KV service, sync traffic)";
   (* 1. the P=1..64 sweep per directory organization.  The full map
-     stops at its 61-node capacity; limited pointers and the coarse
-     vector carry the same program to 64.  All modes must compute the
-     same answer. *)
+     stops at its 61-node capacity; limited pointers carry the same
+     program to 64.  Both modes must compute the same answer. *)
   let sweep_procs = [ 1; 2; 4; 8; 16; 32; 64 ] in
   let lu =
     if !quick then Shasta_apps.Lu.program ~n:16 ~bs:4 ()
@@ -1065,14 +1063,14 @@ let section_scaling () =
   Table.print t;
   print_string
     "The full map stops at 61 nodes (its int-bitmask capacity); limited\n\
-     pointers overflow hot entries to broadcast-with-exclusions and the\n\
-     coarse vector invalidates per region, trading spurious\n\
-     invalidations for directory storage while computing identical\n\
-     results.  Scalable sync must flatten the per-node sync hot-spot\n\
-     at P=32 (gated above): queue locks hand contended locks\n\
-     peer-to-peer and the combining tree spreads the home's P-wide\n\
-     barrier fan over log-depth combining nodes.  Placement policies\n\
-     cut remote-home traffic on allocator-owned data.\n"
+     pointers overflow hot entries to broadcast-with-exclusions,\n\
+     trading spurious invalidations for directory storage while\n\
+     computing identical results.  Scalable sync must flatten the\n\
+     per-node sync hot-spot at P=32 (gated above): queue locks hand\n\
+     contended locks peer-to-peer and the combining tree spreads the\n\
+     home's P-wide barrier fan over log-depth combining nodes.\n\
+     Placement policies cut remote-home traffic on allocator-owned\n\
+     data.\n"
 
 (* ------------------------------------------------------------------ *)
 (* bechamel microbenchmarks of the instrumenter itself                  *)

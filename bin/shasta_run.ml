@@ -804,9 +804,8 @@ let cmd =
              ~doc:"Directory organization: full (one presence bit per \
                    node, up to 61 nodes), limited[:K] (K sharer pointers \
                    per entry, overflowing to broadcast-with-exclusions; \
-                   default K=4) or coarse[:G] (one presence bit per \
-                   G-node region; default G=4).  The processor count is \
-                   validated against the mode's capacity.")
+                   default K=4).  The processor count is validated \
+                   against the mode's capacity.")
   in
   let home_policy_t =
     Arg.(value & opt (enum home_policies) State.Round_robin
@@ -842,7 +841,7 @@ let cmd =
          & info [ "scale" ]
              ~doc:"With --check: model-check the scaling scenarios \
                    instead of the base set (limited-pointer overflow to \
-                   broadcast, coarse-vector regions, the queue lock and \
+                   broadcast, the stale-home trap, the queue lock and \
                    the combining-tree barrier).")
   in
   let main list check inject lossy crash recover fuzz_only fuzz_seed
@@ -862,8 +861,12 @@ let cmd =
           threshold sc trace trace_out metrics metrics_csv profile
           profile_out flame_out top show_asm replay progress dir_mode
           home_policy sync kvo
-    with Failure e | Invalid_argument e ->
+    with
+    | Failure e | Invalid_argument e ->
       prerr_endline ("shasta_run: " ^ e);
+      exit 2
+    | Cluster.Deadlock d ->
+      prerr_endline ("shasta_run: deadlock: " ^ d);
       exit 2
   in
   let term =

@@ -171,8 +171,8 @@ type scenario = {
          only promised to race-free programs). *)
   cfg_mod : T.cfg -> T.cfg;
       (* configuration override applied over the default (full-map,
-         centralized sync) — how scale scenarios select limited-pointer
-         or coarse directories and the queue-lock/tree-barrier path *)
+         centralized sync) — how scale scenarios select the
+         limited-pointer directory and the queue-lock/tree-barrier path *)
 }
 
 let value (sys : sys) ~node ~block =
@@ -1529,25 +1529,17 @@ let lp_overflow ~nprocs =
     drf = false;
     cfg_mod = (fun c -> { c with T.dmode = Nodeset.Limited 1 }) }
 
-(* Coarse-vector regions: region size 2 makes every singleton sharer a
-   whole 2-node region, so invalidations over-approximate; the oracle
-   is the same all-readers-agree check. *)
-let coarse_sharing ~nprocs =
-  let sc = read_sharing ~nprocs in
-  { sc with
-    sname = "coarse-sharing";
-    cfg_mod = (fun c -> { c with T.dmode = Nodeset.Coarse 2 }) }
-
-(* The stale-home trap: inexact sharer supersets can cover the home
+(* The stale-home trap: an inexact sharer superset can cover the home
    node even though its copy is invalid.  Node 3 writes (invalidating
-   the home's initial copy), then readers 1 and 2 race: in the order
-   where 1 reads first, its region/broadcast coverage spuriously
-   includes home 0, and a directory that trusts superset membership
-   would serve node 2 the home's stale copy directly.  The oracle
-   demands both readers see the write; regression for the rule that
-   [home_valid] requires exact membership. *)
-let home_stale ~sname ~dmode =
-  { sname;
+   the home's initial copy), then readers 1 and 2 race: the writer
+   holds the one pointer, so the first reader overflows the entry to a
+   broadcast that spuriously includes home 0, and a directory that
+   trusts superset membership would serve the second reader the home's
+   stale copy directly.  The oracle demands both readers see the write;
+   regression for the rule that [home_valid] requires exact
+   membership. *)
+let lp_home_stale =
+  { sname = "lp-home-stale";
     nprocs = 4;
     blocks = [ b0 ];
     scripts =
@@ -1559,7 +1551,7 @@ let home_stale ~sname ~dmode =
       (fun sys ->
         expect_reg ~node:1 ~want:7 sys @ expect_reg ~node:2 ~want:7 sys);
     drf = true;
-    cfg_mod = (fun c -> { c with T.dmode }) }
+    cfg_mod = (fun c -> { c with T.dmode = Nodeset.Limited 1 }) }
 
 (* MCS-style queue lock: lock-protected increments under
    [scalable_sync], where a release hands the lock straight to the
@@ -1591,9 +1583,7 @@ let scalable_mix ~nprocs =
 
 let scale_scenarios ~nprocs =
   [ lp_overflow ~nprocs;
-    coarse_sharing ~nprocs;
-    home_stale ~sname:"lp-home-stale" ~dmode:(Nodeset.Limited 1);
-    home_stale ~sname:"coarse-home-stale" ~dmode:(Nodeset.Coarse 2);
+    lp_home_stale;
     queue_lock ~nprocs;
     tree_barrier;
     scalable_mix ~nprocs ]

@@ -73,8 +73,8 @@ type scenario = {
          race are excused *)
   cfg_mod : T.cfg -> T.cfg;
       (* configuration override over the default (full-map, centralized
-         sync): scale scenarios pick limited/coarse directories and the
-         queue-lock/tree-barrier path here *)
+         sync): scale scenarios pick the limited-pointer directory and
+         the queue-lock/tree-barrier path here *)
 }
 
 (* Oracle helpers: inspect a terminal system. *)
@@ -205,13 +205,12 @@ val crash_scenarios : nprocs:int -> scenario list
     strands its waiter — tolerating that is an application
     obligation). *)
 
-(* Scaling scenarios: non-default directory organizations and the
-   scalable synchronization path. *)
+(* Scaling scenarios: the limited-pointer directory and the scalable
+   synchronization path. *)
 val lp_overflow : nprocs:int -> scenario
 (** One limited pointer + [nprocs] sharers: the entry overflows to
     broadcast; the oracle proves the superset never misses a sharer. *)
 
-val coarse_sharing : nprocs:int -> scenario
 val queue_lock : nprocs:int -> scenario
 val tree_barrier : scenario
 val scalable_mix : nprocs:int -> scenario

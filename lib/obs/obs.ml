@@ -72,7 +72,7 @@ let h_miss_latency = "miss.latency_cycles"
 
 (* Invalidation fan-out: sharers invalidated per directory-driven
    invalidation run — the distribution that separates the directory
-   organizations (broadcast/coarse modes fan wider than full-map). *)
+   organizations (an overflowed broadcast fans wider than full-map). *)
 let h_fanout = "dir.fanout"
 
 (* Registry cells resolved once, at [create]: the per-event path bumps

@@ -5,7 +5,7 @@
    crashed/halted masks — as one OCaml [int] bitmask, which caps the
    simulator at [Sys.int_size - 2] processors and charges every
    directory entry the full-map storage cost the paper's critics point
-   at.  This module abstracts the representation behind three classic
+   at.  This module abstracts the representation behind two classic
    directory organizations:
 
    - [Full]: the exact full-map bit vector (the seed behaviour, and the
@@ -15,12 +15,10 @@
      nodes.  Correct because the protocol only ever uses sharer sets to
      send invalidations, and a spurious invalidation is acknowledged
      and absorbed at every receiver state.
-   - [Coarse g]: a coarse bit vector where bit i stands for the region
-     of g consecutive nodes [i*g, i*g+g).  Also a superset scheme.
 
-   Inexact representations still support exact [remove] (needed by
-   crash recovery, which must strike a dead node from every set): the
-   broadcast and coarse forms carry an explicit exclusion list.
+   The inexact broadcast form still supports exact [remove] (needed by
+   crash recovery, which must strike a dead node from every set): it
+   carries an explicit exclusion list.
 
    All list components are kept sorted, so structurally equal values
    denote equal sets reached by any operation order — required by the
@@ -31,7 +29,7 @@
    the sign bit. *)
 let max_bits = Sys.int_size - 2
 
-type mode = Full | Limited of int | Coarse of int
+type mode = Full | Limited of int
 
 type t =
   | Bits of int (* exact bitmask *)
@@ -40,8 +38,6 @@ type t =
        unbounded exact fallback for nprocs beyond [max_bits] *)
   | Bcast of { n : int; excl : int list }
     (* limited-pointer overflow: {0..n-1} minus the sorted exclusions *)
-  | Cv of { g : int; n : int; bits : int; excl : int list }
-    (* coarse vector: union of g-wide regions minus sorted exclusions *)
 
 (* --- bit iteration (popcount-style, no O(nprocs) scan) -------------- *)
 
@@ -85,7 +81,6 @@ let empty mode ~nprocs =
   match mode with
   | Full -> Bits 0
   | Limited k -> Ptrs { k; n = nprocs; ps = [] }
-  | Coarse g -> Cv { g; n = nprocs; bits = 0; excl = [] }
 
 (* An exact set regardless of directory mode — for the masks that must
    never over-approximate (barrier arrivals, crashed, halted). *)
@@ -100,28 +95,18 @@ let mem t x =
   | Bits m -> m land (1 lsl x) <> 0
   | Ptrs { ps; _ } -> List.mem x ps
   | Bcast { n; excl } -> x >= 0 && x < n && not (List.mem x excl)
-  | Cv { g; n; bits; excl } ->
-    x >= 0 && x < n
-    && bits land (1 lsl (x / g)) <> 0
-    && not (List.mem x excl)
 
 let cardinal t =
   match t with
   | Bits m -> popcount m
   | Ptrs { ps; _ } -> List.length ps
   | Bcast { n; excl } -> n - List.length excl
-  | Cv { g; n; bits; excl } ->
-    (* exclusions are always inside covered regions, so the difference
-       is the exact member count *)
-    let c = ref 0 in
-    iter_bits (fun r -> c := !c + min ((r + 1) * g) n - (r * g)) bits;
-    !c - List.length excl
 
 let is_empty t =
   match t with
   | Bits m -> m = 0
   | Ptrs { ps; _ } -> ps = []
-  | Bcast _ | Cv _ -> cardinal t = 0
+  | Bcast _ -> cardinal t = 0
 
 (* Members in ascending order. *)
 let iter f t =
@@ -132,14 +117,6 @@ let iter f t =
     for x = 0 to n - 1 do
       if not (List.mem x excl) then f x
     done
-  | Cv { g; n; bits; excl } ->
-    iter_bits
-      (fun r ->
-        let hi = min ((r + 1) * g) n in
-        for x = r * g to hi - 1 do
-          if not (List.mem x excl) then f x
-        done)
-      bits
 
 let fold f t acc =
   let acc = ref acc in
@@ -160,11 +137,6 @@ let add t x =
   | Bcast { n; excl } ->
     if List.mem x excl then Bcast { n; excl = List.filter (( <> ) x) excl }
     else t
-  | Cv { g; n; bits; excl } ->
-    Cv
-      { g; n;
-        bits = bits lor (1 lsl (x / g));
-        excl = List.filter (( <> ) x) excl }
 
 let remove t x =
   match t with
@@ -174,13 +146,6 @@ let remove t x =
     if x >= 0 && x < n && not (List.mem x excl) then
       Bcast { n; excl = sorted_insert x excl }
     else t
-  | Cv { g; n; bits; excl } ->
-    if
-      x >= 0 && x < n
-      && bits land (1 lsl (x / g)) <> 0
-      && not (List.mem x excl)
-    then Cv { g; n; bits; excl = sorted_insert x excl }
-    else t
 
 let singleton mode ~nprocs x = add (empty mode ~nprocs) x
 
@@ -188,7 +153,6 @@ let singleton mode ~nprocs x = add (empty mode ~nprocs) x
 
 let subset a b = List.for_all (mem b) (to_list a)
 let disjoint a b = not (List.exists (mem b) (to_list a))
-let equal_members a b = to_list a = to_list b
 
 (* --- representation probes ------------------------------------------ *)
 
@@ -196,7 +160,6 @@ let equal_members a b = to_list a = to_list b
 let is_exact = function
   | Bits _ | Ptrs _ -> true
   | Bcast _ -> false
-  | Cv { g; _ } -> g <= 1
 
 let as_bits = function Bits m -> Some m | _ -> None
 
@@ -223,13 +186,6 @@ let to_buffer b t =
   | Bcast { excl; _ } ->
     Buffer.add_string b "*(-";
     ints excl
-  | Cv { g; bits; excl; _ } ->
-    Buffer.add_char b 'C';
-    Keybuf.add_int b g;
-    Buffer.add_char b '(';
-    Keybuf.add_hex b bits;
-    Buffer.add_string b ";-";
-    ints excl
 
 let to_string t =
   let b = Buffer.create 16 in
@@ -238,15 +194,9 @@ let to_string t =
 
 (* --- mode plumbing --------------------------------------------------- *)
 
-let capacity = function
-  | Full -> max_bits
-  | Limited _ -> max_int (* overflow-to-broadcast scales to any nprocs *)
-  | Coarse g -> g * max_bits
-
 let mode_name = function
   | Full -> "full"
   | Limited k -> Printf.sprintf "limited:%d" k
-  | Coarse g -> Printf.sprintf "coarse:%d" g
 
 let mode_of_string s =
   let parse_param name p default =
@@ -271,13 +221,10 @@ let mode_of_string s =
     | Some _ -> Error "full takes no parameter")
   | "limited" ->
     Result.map (fun k -> Limited k) (parse_param "limited" param 4)
-  | "coarse" ->
-    Result.map (fun g -> Coarse g) (parse_param "coarse" param 4)
   | _ ->
     Error
       (Printf.sprintf
-         "unknown directory mode %S (expected full, limited[:K], coarse[:G])"
-         s)
+         "unknown directory mode %S (expected full or limited[:K])" s)
 
 (* Reject configurations whose node sets cannot represent all of
    [nprocs] — the guard for the historical silent int-mask wraparound. *)
@@ -289,16 +236,8 @@ let validate mode ~nprocs =
       Error
         (Printf.sprintf
            "nprocs %d exceeds the full-map directory capacity of %d \
-            (an int bitmask); use --dir-mode limited[:K] or coarse[:G]"
+            (an int bitmask); use --dir-mode limited[:K]"
            nprocs max_bits)
     | Limited k when k < 1 ->
       Error (Printf.sprintf "limited-pointer count must be >= 1, got %d" k)
-    | Coarse g when g < 1 ->
-      Error (Printf.sprintf "coarse-vector region must be >= 1, got %d" g)
-    | Coarse g when nprocs > g * max_bits ->
-      Error
-        (Printf.sprintf
-           "nprocs %d exceeds the coarse-vector capacity %d (region %d x %d \
-            bits); raise the region size"
-           nprocs (g * max_bits) g max_bits)
     | _ -> Ok ()

@@ -1,23 +1,22 @@
 (** Sets of node ids under a configurable directory organization.
 
-    Three classic schemes, selected per configuration ([--dir-mode]):
+    Two classic schemes, selected per configuration ([--dir-mode]):
     the exact full-map bit vector (the default, byte-identical to the
-    historical int masks), limited-pointer with overflow-to-broadcast,
-    and coarse bit vectors over regions of [g] consecutive nodes.  The
-    inexact schemes may over-approximate membership (supersets only —
-    the protocol absorbs spurious invalidations), but [remove] is
-    always exact, which crash recovery relies on.
+    historical int masks), and limited pointers with
+    overflow-to-broadcast.  An overflowed set may over-approximate
+    membership (supersets only — the protocol absorbs spurious
+    invalidations), but [remove] is always exact, which crash recovery
+    relies on.
 
     Values are canonical: structurally equal values denote equal sets
     regardless of the operation order that built them. *)
 
-type mode = Full | Limited of int | Coarse of int
+type mode = Full | Limited of int
 
 type t =
   | Bits of int
   | Ptrs of { k : int; n : int; ps : int list }
   | Bcast of { n : int; excl : int list }
-  | Cv of { g : int; n : int; bits : int; excl : int list }
 
 val max_bits : int
 (** Capacity of one int bitmask (Sys.int_size - 2). *)
@@ -44,11 +43,10 @@ val to_list : t -> int list
 
 val subset : t -> t -> bool
 val disjoint : t -> t -> bool
-val equal_members : t -> t -> bool
 
 val is_exact : t -> bool
-(** [false] when membership may be over-approximated (broadcast or
-    multi-node coarse regions). *)
+(** [false] when membership may be over-approximated (an overflowed
+    broadcast). *)
 
 val as_bits : t -> int option
 (** [Some mask] for the full-map representation — the canonical-string
@@ -64,7 +62,6 @@ val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 (** [to_buffer] into a fresh string. *)
 
-val capacity : mode -> int
 val mode_name : mode -> string
 val mode_of_string : string -> (mode, string) result
 val validate : mode -> nprocs:int -> (unit, string) result

@@ -314,7 +314,7 @@ let set_dir c block e = c.v <- { c.v with dir = Imap.add block e c.v.dir }
 
 let is_sharer (e : dirent) node = Ns.mem e.sharers node
 
-let sharer_list (e : dirent) ~nprocs:_ = Ns.to_list e.sharers
+let sharer_list (e : dirent) = Ns.to_list e.sharers
 
 let line_of (n : nview) block =
   match Imap.find_opt block n.lines with Some l -> l | None -> L_invalid
@@ -671,8 +671,9 @@ and home_read c ~requester ~block =
   let e = dir_entry_exn c block in
   let h = c.node in
   (* membership in an inexact sharer superset does not prove the home's
-     copy is valid (a region-mate's read covers the home too), so only
-     trust it when the set is exact; otherwise the owner path serves the
+     copy is valid: a broadcast overflow covers every node, the home
+     included even after its copy was invalidated.  So only trust it
+     when the set is exact; otherwise the owner path serves the
      authoritative copy *)
   let home_valid =
     requester <> h && (e.owner = h || (Ns.is_exact e.sharers && is_sharer e h))
@@ -694,13 +695,13 @@ and home_readex c ~requester ~block =
   let o = e.owner in
   if o = requester then begin
     (* requester already owns the block (held shared after a downgrade):
-       grant exclusivity like an upgrade.  Inexact sharer supersets can
-       re-cover a crashed node (a fresh singleton spans its whole
-       region), so the fan-out filters the dead: a suppressed Inv must
+       grant exclusivity like an upgrade.  An inexact sharer superset
+       can re-cover a crashed node (a broadcast overflow covers every
+       node), so the fan-out filters the dead: a suppressed Inv must
        not be counted either, or the requester waits on a ghost ack *)
     let others =
       List.filter (fun s -> s <> requester && not (is_crashed c.v s))
-        (sharer_list e ~nprocs:c.cfg.nprocs)
+        (sharer_list e)
     in
     set_dir c block { e with sharers = ns_singleton c.cfg requester };
     List.iter
@@ -714,7 +715,7 @@ and home_readex c ~requester ~block =
     let others =
       List.filter
         (fun s -> s <> requester && s <> o && not (is_crashed c.v s))
-        (sharer_list e ~nprocs:c.cfg.nprocs)
+        (sharer_list e)
     in
     let nacks = List.length others in
     set_dir c block { owner = requester; sharers = ns_singleton c.cfg requester };
@@ -732,16 +733,17 @@ and home_readex c ~requester ~block =
 and home_upgrade c ~requester ~block =
   let e = dir_entry_exn c block in
   (* an inexact superset cannot prove the requester's copy survived: a
-     region-mate's read-exclusive may have invalidated it while leaving
-     it covered, and granting the upgrade would bless stale data (and
-     invalidate the real owner).  Supersets are only sound for Inv
-     fan-out, so demand exact membership and otherwise convert to a
-     read-exclusive, which refetches the data *)
+     broadcast overflow covers every node, the requester included even
+     after another node's read-exclusive invalidated its copy, and
+     granting the upgrade would bless stale data (and leave two
+     exclusive copies).  Supersets are only sound for Inv fan-out, so
+     demand exact membership and otherwise convert to a read-exclusive,
+     which refetches the data *)
   if Ns.is_exact e.sharers && is_sharer e requester then begin
     heat_bump c ~block ~requester;
     let others =
       List.filter (fun s -> s <> requester && not (is_crashed c.v s))
-        (sharer_list e ~nprocs:c.cfg.nprocs)
+        (sharer_list e)
     in
     set_dir c block { owner = requester; sharers = ns_singleton c.cfg requester };
     List.iter
@@ -1764,11 +1766,9 @@ let step (cfg : cfg) (v : view) ~node (input : input) : action list * view =
 let node_view (v : view) ~node = Imap.find node v.nodes
 let deferred_of v ~node = (node_view v ~node).deferred
 let line_state v ~node ~block = line_of (node_view v ~node) block
-let is_pending v ~node ~block = Imap.mem block (node_view v ~node).pending
 let in_batch v ~node = (node_view v ~node).in_batch
 let dir_entry v ~block = Imap.find_opt block v.dir
 let dir_fold f v acc = Imap.fold (fun b e a -> f b e a) v.dir acc
-let wait_satisfied v ~node = wait_sat (node_view v ~node)
 
 (* Int-mask views of the crash sets, for callers that mirror them into
    program-visible cells; meaningful only for nodes below the int
@@ -2161,84 +2161,3 @@ let string_of_wait = function
       (String.concat "," (List.map (Printf.sprintf "0x%x") bs))
   | W_release -> "release"
   | W_sync -> "sync"
-
-let string_of_ev = function
-  | E_miss (MK_read, a) -> Printf.sprintf "miss(read,0x%x)" a
-  | E_miss (MK_write, a) -> Printf.sprintf "miss(write,0x%x)" a
-  | E_miss (MK_upgrade, a) -> Printf.sprintf "miss(upgrade,0x%x)" a
-  | E_false_miss a -> Printf.sprintf "false_miss(0x%x)" a
-  | E_invalidated { block; requester } ->
-    Printf.sprintf "invalidated(0x%x,ack->%d)" block requester
-  | E_downgraded { block; requester } ->
-    Printf.sprintf "downgraded(0x%x,->%d)" block requester
-  | E_store_reissue b -> Printf.sprintf "store_reissue(0x%x)" b
-  | E_batch_run { nranges; waited } ->
-    Printf.sprintf "batch_run(%d ranges,%d waits)" nranges waited
-  | E_lock_acquired id -> Printf.sprintf "lock_acquired(%d)" id
-  | E_barrier_passed -> "barrier_passed"
-  | E_flag_raised id -> Printf.sprintf "flag_raised(%d)" id
-  | E_flag_woken id -> Printf.sprintf "flag_woken(%d)" id
-  | E_lease_takeover { id; from } ->
-    Printf.sprintf "lease_takeover(%d,from=%d)" id from
-  | E_dir_rebuild { block; from } ->
-    Printf.sprintf "dir_rebuild(0x%x,from=%d)" block from
-  | E_home_migrated { page; to_ } ->
-    Printf.sprintf "home_migrated(page=%d,to=%d)" page to_
-
-let string_of_action = function
-  | A_charge Request_issue -> "charge(request_issue)"
-  | A_charge Message_handle -> "charge(message_handle)"
-  | A_charge Sync_local -> "charge(sync_local)"
-  | A_charge False_miss -> "charge(false_miss)"
-  | A_charge (Batch_record n) -> Printf.sprintf "charge(batch_record*%d)" n
-  | A_count _ -> "count"
-  | A_emit e -> "emit " ^ string_of_ev e
-  | A_send { dst; msg } ->
-    Printf.sprintf "send->%d %s" dst (Message.describe msg)
-  | A_local msg -> Printf.sprintf "local %s" (Message.describe msg)
-  | A_mem (M_make_exclusive b) -> Printf.sprintf "mem(exclusive 0x%x)" b
-  | A_mem (M_make_shared b) -> Printf.sprintf "mem(shared 0x%x)" b
-  | A_mem (M_make_invalid b) -> Printf.sprintf "mem(invalid 0x%x)" b
-  | A_mem (M_make_pending { block; shared }) ->
-    Printf.sprintf "mem(pending-%s 0x%x)"
-      (if shared then "shared" else "invalid")
-      block
-  | A_mem (M_flag { block; keep }) ->
-    Printf.sprintf "mem(flag 0x%x,%d kept)" block (List.length keep)
-  | A_mem (M_merge { block; written }) ->
-    Printf.sprintf "mem(merge 0x%x,%d written)" block (List.length written)
-  | A_mem (M_adopt { block; from }) ->
-    Printf.sprintf "mem(adopt 0x%x from %d)" block from
-  | A_block w -> "block " ^ string_of_wait w
-  | A_stall w -> "wake " ^ string_of_wait w
-  | A_refill -> "refill"
-  | A_commit_store -> "commit_store"
-  | A_reenter_store { addr; bytes; store_done; post } ->
-    Printf.sprintf "reenter_store(0x%x,%dB,done=%b,%d post)" addr bytes
-      store_done (List.length post)
-
-let string_of_input = function
-  | I_msg m -> "deliver " ^ Message.describe m
-  | I_load_miss { addr; _ } -> Printf.sprintf "load_miss 0x%x" addr
-  | I_store_miss { addr; bytes; store_done; _ } ->
-    Printf.sprintf "store_miss 0x%x %dB%s" addr bytes
-      (if store_done then "" else " (stalling)")
-  | I_batch_miss { nranges; blocks; _ } ->
-    Printf.sprintf "batch_miss %d ranges, %d blocks" nranges
-      (List.length blocks)
-  | I_batch_end { order; _ } ->
-    Printf.sprintf "batch_end (%d deferred)" (List.length order)
-  | I_lock id -> Printf.sprintf "lock %d" id
-  | I_unlock id -> Printf.sprintf "unlock %d" id
-  | I_barrier -> "barrier"
-  | I_flag_set id -> Printf.sprintf "flag_set %d" id
-  | I_flag_wait id -> Printf.sprintf "flag_wait %d" id
-  | I_alloc { owner; blocks } ->
-    Printf.sprintf "alloc owner=%d (%d blocks)" owner (List.length blocks)
-  | I_set_home { page; home } ->
-    Printf.sprintf "set_home page=%d home=%d" page home
-  | I_continue post -> Printf.sprintf "continue (%d post)" (List.length post)
-  | I_node_crash { victim; lost } ->
-    Printf.sprintf "node_crash victim=%d (%d lost frames)" victim
-      (List.length lost)
-  | I_node_recover victim -> Printf.sprintf "node_recover %d" victim

@@ -207,11 +207,9 @@ val tree_fanout : int
 val node_view : view -> node:int -> nview
 val deferred_of : view -> node:int -> deferred list
 val line_state : view -> node:int -> block:int -> line
-val is_pending : view -> node:int -> block:int -> bool
 val in_batch : view -> node:int -> bool
 val dir_entry : view -> block:int -> dirent option
 val dir_fold : (int -> dirent -> 'a -> 'a) -> view -> 'a -> 'a
-val wait_satisfied : view -> node:int -> wait -> bool
 val crashed_mask : view -> int
 val halted_mask : view -> int
 val is_live : view -> node:int -> bool
@@ -220,7 +218,7 @@ val locks_held_by : view -> node:int -> int list
 (** Lock ids whose holder is [node], ascending. *)
 
 val is_sharer : dirent -> int -> bool
-val sharer_list : dirent -> nprocs:int -> int list
+val sharer_list : dirent -> int list
 val sharer_count : dirent -> int
 
 (* Invariant checking: [] means consistent.  [invariants] holds in every
@@ -236,6 +234,3 @@ val canon_into : Buffer.t -> view -> unit
 val canon : view -> string
 
 val string_of_wait : wait -> string
-val string_of_ev : ev -> string
-val string_of_action : action -> string
-val string_of_input : input -> string

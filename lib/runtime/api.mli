@@ -33,9 +33,9 @@ type spec = {
           million simulated cycles; [None] (the default) stays silent
           and byte-identical to a heartbeat-free run *)
   dir_mode : Shasta_protocol.Nodeset.mode;
-      (** directory organization (full-map / limited-pointer /
-          coarse-vector); [nprocs] is validated against its capacity
-          when the cluster is built *)
+      (** directory organization (full-map / limited-pointer);
+          [nprocs] is validated against its capacity when the cluster
+          is built *)
   home_policy : State.home_policy;
   scalable_sync : bool;
       (** queue locks and combining-tree barriers instead of the

@@ -49,7 +49,7 @@ type config = {
          to a heartbeat-free build *)
   dir_mode : Nodeset.mode;
       (* directory organization for every protocol node set (full-map
-         default; limited-pointer/coarse-vector for nprocs > 61) *)
+         default; limited-pointer for nprocs > 61) *)
   home_policy : home_policy;
   scalable_sync : bool;
       (* MCS-style queue locks + combining-tree barrier instead of the

@@ -321,8 +321,8 @@ let t_crash_deterministic () =
 
 (* --- scaling scenarios under the crash adversary (PR-9 gap) --------- *)
 
-(* The scale family (limited-pointer overflow, coarse regions, queue
-   lock, combining-tree barrier) was never model-checked against
+(* The scale family (limited-pointer overflow, the stale-home trap,
+   queue lock, combining-tree barrier) was never model-checked against
    crash/recover: directory reconstruction must re-derive inexact
    sharer supersets, a queue lock's chain must survive a dead link,
    and the combining tree's release wave must be re-driven into a dead

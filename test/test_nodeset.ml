@@ -4,17 +4,16 @@
 
    - exact representations (full map; limited pointers before overflow)
      agree with the model exactly;
-   - inexact representations (overflowed broadcast, coarse vector) are
-     SUPERSETS of the model — the protocol only uses sharer sets to
+   - the inexact representation (overflowed broadcast) is a SUPERSET
+     of the model — the protocol only uses sharer sets to
      fan out invalidations, and a spurious invalidation is absorbed, so
      over-approximation is sound while under-approximation would lose a
      sharer;
    - the structural accessors (mem / cardinal / iter / to_list /
      is_empty) are mutually consistent and [iter] ascends.
 
-   Directed tests pin the limited-pointer overflow step, coarse-vector
-   region rounding, exact removal via exclusion lists, and the
-   nprocs-vs-capacity validation (including the runtime config error
+   Directed tests pin the limited-pointer overflow step, exact removal
+   via exclusion lists, and the nprocs-vs-capacity validation (including the runtime config error
    message users actually see at P=64). *)
 
 open QCheck2
@@ -36,7 +35,6 @@ type op = Add of int | Remove of int
 let show_mode = function
   | Ns.Full -> "full"
   | Ns.Limited k -> Printf.sprintf "limited:%d" k
-  | Ns.Coarse g -> Printf.sprintf "coarse:%d" g
 
 let show_op = function
   | Add n -> Printf.sprintf "add %d" n
@@ -46,8 +44,7 @@ let case_gen =
   let mode =
     Gen.oneof
       [ Gen.pure Ns.Full;
-        Gen.map (fun k -> Ns.Limited k) (Gen.int_range 1 3);
-        Gen.map (fun g -> Ns.Coarse g) (Gen.int_range 1 3) ]
+        Gen.map (fun k -> Ns.Limited k) (Gen.int_range 1 3) ]
   in
   let case =
     Gen.bind (Gen.pair mode (Gen.int_range 1 16)) (fun (mode, nprocs) ->
@@ -117,21 +114,6 @@ let prop_overflow_superset (_, nprocs, ops) =
   let s, model = apply_ops (Ns.Limited 1) ~nprocs ops in
   IntSet.for_all (fun x -> Ns.mem s x) model
 
-(* coarse-vector region soundness: a superset of the model whose every
-   member lies in a region some add actually touched — coverage never
-   leaks into regions nobody ever occupied (removing a node may leave
-   its region-mates covered; that over-approximation is the point) *)
-let prop_coarse_regions (_, nprocs, ops) =
-  let g = 2 in
-  let s, model = apply_ops (Ns.Coarse g) ~nprocs ops in
-  let touched =
-    List.filter_map (function Add x -> Some (x / g) | Remove _ -> None) ops
-  in
-  IntSet.for_all (fun x -> Ns.mem s x) model
-  && List.for_all
-       (fun x -> x < nprocs && List.mem (x / g) touched)
-       (Ns.to_list s)
-
 (* --- directed cases -------------------------------------------------- *)
 
 let t_limited_overflow_step () =
@@ -151,25 +133,13 @@ let t_limited_overflow_step () =
   Alcotest.(check bool) "re-add cancels exclusion" true
     (Ns.mem (Ns.add s3 3) 3)
 
-let t_coarse_rounding () =
-  let nprocs = 7 in
-  let s = Ns.add (Ns.empty (Ns.Coarse 4) ~nprocs) 5 in
-  Alcotest.(check bool) "member present" true (Ns.mem s 5);
-  Alcotest.(check bool) "region-mate covered" true (Ns.mem s 4);
-  Alcotest.(check bool) "other region clear" false (Ns.mem s 0);
-  (* the last region is clipped to nprocs *)
-  Alcotest.(check (list int)) "clipped region" [ 4; 5; 6 ] (Ns.to_list s);
-  let s = Ns.remove s 6 in
-  Alcotest.(check (list int)) "exclusion inside region" [ 4; 5 ]
-    (Ns.to_list s)
-
 let t_singleton_masks () =
   List.iter
     (fun mode ->
       let s = Ns.singleton mode ~nprocs:8 3 in
       Alcotest.(check bool)
         (show_mode mode ^ " singleton member") true (Ns.mem s 3))
-    [ Ns.Full; Ns.Limited 1; Ns.Coarse 4 ];
+    [ Ns.Full; Ns.Limited 1 ];
   (* full-map singletons are the historical one-hot masks *)
   Alcotest.(check int) "one-hot" (1 lsl 3)
     (Ns.to_mask (Ns.singleton Ns.Full ~nprocs:8 3))
@@ -183,16 +153,13 @@ let t_capacity_validation () =
    | Error e ->
      Alcotest.(check bool) "error names the capacity" true
        (contains ~affix:"capacity" e));
-  (match Ns.validate (Ns.Limited 4) ~nprocs:64 with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail e);
-  (match Ns.validate (Ns.Coarse 4) ~nprocs:64 with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail e)
+  match Ns.validate (Ns.Limited 4) ~nprocs:64 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
 
 (* the error users actually hit: a 64-processor cluster under the
    default full-map directory must fail fast, with the fix in the
-   message, and succeed under limited/coarse *)
+   message, and succeed under limited pointers *)
 let t_config_capacity_regression () =
   let module State = Shasta_runtime.State in
   (try
@@ -202,9 +169,7 @@ let t_config_capacity_regression () =
      Alcotest.(check bool) "message suggests --dir-mode" true
        (contains ~affix:"dir-mode" e));
   let c = State.default_config ~nprocs:64 ~dir_mode:(Ns.Limited 4) () in
-  Alcotest.(check int) "limited accepts 64" 64 c.State.nprocs;
-  let c = State.default_config ~nprocs:64 ~dir_mode:(Ns.Coarse 4) () in
-  Alcotest.(check int) "coarse accepts 64" 64 c.State.nprocs
+  Alcotest.(check int) "limited accepts 64" 64 c.State.nprocs
 
 let t_mode_of_string () =
   let ok s m =
@@ -215,11 +180,12 @@ let t_mode_of_string () =
   ok "full" Ns.Full;
   ok "limited" (Ns.Limited 4);
   ok "limited:2" (Ns.Limited 2);
-  ok "coarse" (Ns.Coarse 4);
-  ok "coarse:8" (Ns.Coarse 8);
-  match Ns.mode_of_string "sparse" with
-  | Ok _ -> Alcotest.fail "junk mode accepted"
-  | Error _ -> ()
+  List.iter
+    (fun s ->
+      match Ns.mode_of_string s with
+      | Ok _ -> Alcotest.fail (s ^ " accepted")
+      | Error _ -> ())
+    [ "sparse"; "coarse:4" ]
 
 (* The canonical rendering keeps the bytes of its former Printf
    implementation, which the model checker's state keys depend on. *)
@@ -229,8 +195,6 @@ let ref_to_string (t : Ns.t) =
   | Ns.Bits m -> Printf.sprintf "%x" m
   | Ns.Ptrs { ps; _ } -> Printf.sprintf "P(%s)" (ints ps)
   | Ns.Bcast { excl; _ } -> Printf.sprintf "*(-%s)" (ints excl)
-  | Ns.Cv { g; bits; excl; _ } ->
-    Printf.sprintf "C%d(%x;-%s)" g bits (ints excl)
 
 let prop_to_string_reference (mode, nprocs, ops) =
   let s, _ = apply_ops mode ~nprocs ops in
@@ -247,15 +211,11 @@ let () =
             case_gen prop_remove_exact;
           qtest "limited-pointer overflow is a superset" ~print:print_case
             case_gen prop_overflow_superset;
-          qtest "coarse-vector regions are sound" ~print:print_case case_gen
-            prop_coarse_regions;
           qtest "to_string matches the Printf reference" ~print:print_case
             case_gen prop_to_string_reference ] );
       ( "directed",
         [ Alcotest.test_case "limited overflow step" `Quick
             t_limited_overflow_step;
-          Alcotest.test_case "coarse region rounding" `Quick
-            t_coarse_rounding;
           Alcotest.test_case "singletons" `Quick t_singleton_masks;
           Alcotest.test_case "capacity validation" `Quick
             t_capacity_validation;

@@ -1,37 +1,24 @@
-(* Protocol component tests: directory bookkeeping, granularity tables,
+(* Protocol component tests: directory homes, granularity tables,
    message metadata, network ordering. *)
 
 open Shasta_protocol
 
-(* --- directory ------------------------------------------------------ *)
+(* --- directory homes ------------------------------------------------ *)
 
 let t_dir_homes () =
-  let d = Directory.create ~nprocs:4 () in
-  Alcotest.(check int) "round robin page 0" 0 (Directory.home_of d 0);
-  Alcotest.(check int) "round robin page 1" 1 (Directory.home_of d 8192);
-  Alcotest.(check int) "round robin wraps" 0 (Directory.home_of d (4 * 8192));
-  Directory.set_home d ~page:2 ~home:3;
-  Alcotest.(check int) "explicit placement" 3
-    (Directory.home_of d (2 * 8192));
-  Alcotest.check_raises "home must exist" (Invalid_argument "Directory.set_home")
-    (fun () -> Directory.set_home d ~page:0 ~home:7)
-
-let t_dir_entries () =
-  let d = Directory.create ~nprocs:4 () in
-  Directory.add_block d ~block:0x1000 ~owner:2;
-  let e = Directory.entry d 0x1000 in
-  Alcotest.(check int) "owner" 2 e.owner;
-  Alcotest.(check bool) "owner is sharer" true (Directory.is_sharer e 2);
-  Directory.add_sharer e 0;
-  Directory.add_sharer e 3;
-  Alcotest.(check int) "sharer count" 3 (Directory.sharer_count e);
-  Alcotest.(check (list int)) "sharer list" [ 0; 2; 3 ]
-    (Directory.sharer_list e ~nprocs:4);
-  Directory.remove_sharer e 2;
-  Alcotest.(check bool) "removed" false (Directory.is_sharer e 2);
-  Alcotest.(check bool) "unallocated block rejected" true
-    (try ignore (Directory.entry d 0x2000); false
-     with Invalid_argument _ -> true)
+  let module T = Transitions in
+  let cfg =
+    { T.nprocs = 4; page_bytes = 8192; sc = false; dmode = Nodeset.Full;
+      scalable_sync = false; migrate = false }
+  in
+  let v = T.init cfg in
+  Alcotest.(check int) "round robin page 0" 0 (T.home_for cfg v 0);
+  Alcotest.(check int) "round robin page 1" 1 (T.home_for cfg v 8192);
+  Alcotest.(check int) "round robin wraps" 0 (T.home_for cfg v (4 * 8192));
+  let _, v = T.step cfg v ~node:0 (T.I_set_home { page = 2; home = 3 }) in
+  Alcotest.(check int) "explicit placement" 3 (T.home_for cfg v (2 * 8192));
+  Alcotest.(check int) "other pages stay round robin" 1
+    (T.home_for cfg v 8192)
 
 (* --- granularity ---------------------------------------------------- *)
 
@@ -133,8 +120,7 @@ let t_net_next_arrival () =
 let () =
   Alcotest.run "protocol"
     [ ( "directory",
-        [ Alcotest.test_case "homes" `Quick t_dir_homes;
-          Alcotest.test_case "entries" `Quick t_dir_entries ] );
+        [ Alcotest.test_case "homes" `Quick t_dir_homes ] );
       ( "granularity",
         [ Alcotest.test_case "heuristic" `Quick t_gran_heuristic;
           Alcotest.test_case "legalize" `Quick t_gran_legalize;

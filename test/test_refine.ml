@@ -16,8 +16,8 @@
 
    - Exhaustive refinement at P=2 over every scenario family — base
      (plus the directed release-order scenario), scaling
-     (limited-pointer, coarse-vector, queue locks, combining-tree
-     barrier), crash family under the crash/recover adversary, and
+     (limited-pointer overflow, the stale-home trap, queue locks,
+     combining-tree barrier), crash family under the crash/recover adversary, and
      the base family over lossy channels — must find no divergence:
      every user-visible commit maps onto exactly one atomic spec
      step and everything else stutters.
