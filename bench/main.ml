@@ -2,7 +2,7 @@
    evaluation (Section 5), plus the ablations DESIGN.md calls out.
 
    Usage: dune exec bench/main.exe [-- --quick] [--json-out FILE]
-            [--json-no-host] [--progress N] [section ...]
+            [--progress N] [section ...]
    Sections: figures table1 table2 table3 parallel granularity polling
              excltable consistency messages faults throughput kv crash
              scaling micro (default: all).
@@ -12,12 +12,12 @@
    which application, who wins and by roughly what factor — are the
    reproduction target.  EXPERIMENTS.md records paper-vs-measured.
 
-   --json-out appends every emitting section's versioned BENCH records
-   (one JSON line each, the Benchjson schema) to FILE for the perf
-   trajectory; --json-no-host zeroes the machine-dependent host fields
-   so the file can serve as a checked-in baseline; bin/bench_gate.exe
-   compares two such files.  Oracle/consistency failures make the
-   harness exit non-zero. *)
+   --json-out writes every emitting section's versioned BENCH records
+   (one JSON line each, the Benchjson schema) to FILE.  A record holds
+   only simulated metrics, so the file is byte-identical across runs
+   and machines and can serve as a checked-in baseline;
+   bin/bench_gate.exe compares two such files.  Oracle/consistency
+   failures make the harness exit non-zero. *)
 
 open Shasta
 open Shasta_minic.Builder
@@ -26,11 +26,9 @@ module Table = Shasta_stats.Table
 module Obs = Shasta_obs.Obs
 module Metrics = Shasta_obs.Metrics
 module Benchjson = Shasta_obs.Benchjson
-module Perf = Shasta_obs.Perf
 
 let quick = ref false
 let json_out : string option ref = ref None
-let json_no_host = ref false
 let progress : int option ref = ref None
 
 let app_size () =
@@ -59,9 +57,6 @@ let emit_bench r = bench_records := r :: !bench_records
 
 let write_bench path =
   let recs = List.rev !bench_records in
-  let recs =
-    if !json_no_host then List.map Benchjson.strip_host recs else recs
-  in
   let oc = open_out path in
   List.iter
     (fun r ->
@@ -82,17 +77,6 @@ let run_cycles ?(opts = Some Opts.full) ?(nprocs = 1)
   in
   let r = Api.run spec in
   (r.phase.wall_cycles, r)
-
-(* Like [run_cycles] but under host-side measurement, for the sections
-   that emit BENCH records. *)
-let run_measured ?(opts = Some Opts.full) ?(nprocs = 1) ?node_faults
-    ?fixed_block ?obs prog =
-  let spec =
-    { (Api.default_spec prog) with
-      opts; nprocs; node_faults; fixed_block; obs; progress = !progress }
-  in
-  let r, perf = Api.run_measured spec in
-  (spec, r, perf)
 
 (* Drive the phases by hand so the cache model's counters are visible. *)
 let run_with_caches ~opts prog =
@@ -692,47 +676,38 @@ let section_faults () =
      Duplicates are discarded at the receiver and cost nothing.\n"
 
 (* ------------------------------------------------------------------ *)
-(* perf trajectory: every seed app at P=1/2/4/8, with host metrics      *)
+(* perf trajectory: every seed app at P=1/2/4/8                        *)
 (* ------------------------------------------------------------------ *)
 
 let section_throughput () =
   Table.section
     "Perf trajectory: seed apps at P=1/2/4/8 (full opts)\n\
-     simulated cycles per run; host Mcyc/s = simulated cycles retired\n\
-     per host second of the timed parallel phase";
+     simulated cycles per run";
   let procs = [ 1; 2; 4; 8 ] in
   let t =
     Table.create
-      (("application"
-        :: List.map (fun p -> Printf.sprintf "cyc P=%d" p) procs)
-       @ [ "Mcyc/s @P=1" ])
+      ("application" :: List.map (fun p -> Printf.sprintf "cyc P=%d" p) procs)
   in
   List.iter
     (fun (e : Shasta_apps.Apps.entry) ->
       let p = e.make (app_size ()) in
-      let cells, mcyc1 =
-        List.fold_left
-          (fun (acc, m1) np ->
-            let spec, r, perf = run_measured ~nprocs:np p in
-            emit_bench (Api.bench_record ~workload:e.name ~perf spec r);
-            let m1 =
-              if np = 1 then
-                Stdlib.( /. )
-                  (Perf.cyc_per_s perf ~sim_cycles:r.Api.phase.wall_cycles)
-                  1e6
-              else m1
+      let cells =
+        List.map
+          (fun np ->
+            let spec =
+              { (Api.default_spec p) with nprocs = np; progress = !progress }
             in
-            (acc @ [ string_of_int r.Api.phase.wall_cycles ], m1))
-          ([], 0.0) procs
+            let r = Api.run spec in
+            emit_bench (Api.bench_record ~workload:e.name spec r);
+            string_of_int r.Api.phase.wall_cycles)
+          procs
       in
-      Table.add_row t ((e.name :: cells) @ [ Table.f1 mcyc1 ]))
+      Table.add_row t (e.name :: cells))
     Shasta_apps.Apps.all;
   Table.print t;
   print_string
-    "The simulated-cycle columns are deterministic (byte-identical\n\
-     across runs and machines) and gate on exact equality; the host\n\
-     throughput column is what the multicore-engine work (ROADMAP item\n\
-     3) is trying to push up, gated within a tolerance.\n"
+    "The cycle columns are deterministic (byte-identical across runs\n\
+     and machines) and gate on exact equality.\n"
 
 (* ------------------------------------------------------------------ *)
 (* KV service: YCSB-style mixes over the sharded hash table             *)
@@ -765,9 +740,7 @@ let section_kv () =
         (fun np ->
           List.iter
             (fun block ->
-              let _, r, perf =
-                run_measured ~nprocs:np ~fixed_block:block prog
-              in
+              let _, r = run_cycles ~nprocs:np ~fixed_block:block prog in
               let rep = Report.parse r.Api.phase.output in
               check
                 ~what:
@@ -780,7 +753,7 @@ let section_kv () =
                 (Report.to_bench
                    ~workload:("kv-" ^ W.mix_name mix)
                    ~line:block ~messages:r.Api.phase.msgs_sent
-                   ~misses:(Api.phase_misses r.Api.phase) ~perf rep);
+                   ~misses:(Api.phase_misses r.Api.phase) rep);
               Table.addf t "%s\t%d\t%d\t%d\t%s\t%d\t%d\t%d\t%d"
                 (W.mix_name mix) np block
                 (Report.run_cycles rep)
@@ -827,8 +800,7 @@ let section_crash () =
   let row name slug spec_str =
     let nf = Option.get (Nodefaults.of_string spec_str) in
     let obs = Obs.create ~nprocs:np () in
-    let _, r, perf = run_measured ~nprocs:np ~node_faults:nf ~obs prog in
-    let cycles = r.Api.phase.wall_cycles in
+    let cycles, r = run_cycles ~nprocs:np ~node_faults:nf ~obs prog in
     let rep = Report.parse r.Api.phase.output in
     (* survivors must stay consistent: lost keys are accounted, errors
        are not tolerated *)
@@ -839,7 +811,7 @@ let section_crash () =
       (rep.Report.errors + rep.Report.verify_errors = 0);
     emit_bench
       (Report.to_bench ~workload:slug ~messages:r.Api.phase.msgs_sent
-         ~misses:(Api.phase_misses r.Api.phase) ~perf rep);
+         ~misses:(Api.phase_misses r.Api.phase) rep);
     let m = Obs.metrics obs in
     let total c = Obs.Metrics.counter_total m c in
     Table.addf t "%s\t%d\t%s\t%s\t%d\t%d\t%d" name cycles
@@ -877,8 +849,7 @@ let run_scale ?(sync = false) ?(dmode = Ns.Full)
       opts = Some Opts.full; nprocs; obs; progress = !progress;
       dir_mode = dmode; home_policy = policy; scalable_sync = sync }
   in
-  let r, perf = Api.run_measured spec in
-  (spec, r, perf)
+  (spec, Api.run spec)
 
 (* Count the synchronization messages of a run (lock, barrier and flag
    traffic) straight off the typed event stream.  Besides the total we
@@ -933,10 +904,9 @@ let section_scaling () =
             match Ns.validate dmode ~nprocs:np with
             | Error _ -> "-" (* beyond this mode's capacity *)
             | Ok () ->
-              let spec, r, perf = run_scale ~dmode ~nprocs:np lu in
+              let spec, r = run_scale ~dmode ~nprocs:np lu in
               emit_bench
-                (Api.bench_record ~workload:("lu-scale-" ^ mname) ~perf spec
-                   r);
+                (Api.bench_record ~workload:("lu-scale-" ^ mname) spec r);
               (match Hashtbl.find_opt reference np with
                | None -> Hashtbl.add reference np r.Api.phase.output
                | Some out ->
@@ -975,7 +945,7 @@ let section_scaling () =
           match Ns.validate dmode ~nprocs:np with
           | Error _ -> ()
           | Ok () ->
-            let _, r, perf = run_scale ~dmode ~nprocs:np kv_prog in
+            let _, r = run_scale ~dmode ~nprocs:np kv_prog in
             let rep = Report.parse r.Api.phase.output in
             check
               ~what:
@@ -986,7 +956,7 @@ let section_scaling () =
               (Report.to_bench
                  ~workload:("kv-scale-" ^ mname)
                  ~messages:r.Api.phase.msgs_sent
-                 ~misses:(Api.phase_misses r.Api.phase) ~perf rep);
+                 ~misses:(Api.phase_misses r.Api.phase) rep);
             Table.addf t "%s\t%d\t%d\t%s\t%d\t%d\t%d" mname np
               (Report.run_cycles rep)
               (Table.f2 (Report.ops_per_mcycle rep))
@@ -1012,14 +982,13 @@ let section_scaling () =
         List.map
           (fun sync ->
             let obs, count, hotspot = sync_counting_obs ~nprocs:32 in
-            let spec, r, perf = run_scale ~sync ~obs ~nprocs:32 prog in
+            let spec, r = run_scale ~sync ~obs ~nprocs:32 prog in
             let hot = hotspot () in
             emit_bench
               (Api.bench_record
                  ~workload:
                    (Printf.sprintf "%s-sync-%s" aname
                       (if sync then "scalable" else "central"))
-                 ~perf
                  ~extra:
                    [ ("sync_msgs", Shasta_obs.Benchjson.Int !count);
                      ("sync_hotspot", Shasta_obs.Benchjson.Int hot) ]
@@ -1052,9 +1021,8 @@ let section_scaling () =
   in
   List.iter
     (fun (pname, policy) ->
-      let spec, r, perf = run_scale ~policy ~nprocs:16 lu in
-      emit_bench
-        (Api.bench_record ~workload:("lu-homes-" ^ pname) ~perf spec r);
+      let spec, r = run_scale ~policy ~nprocs:16 lu in
+      emit_bench (Api.bench_record ~workload:("lu-homes-" ^ pname) spec r);
       Table.addf t "%s\t%s\t%d\t%d" "lu" pname r.Api.phase.wall_cycles
         r.Api.phase.msgs_sent)
     [ ("rr", State.Round_robin);
@@ -1152,8 +1120,7 @@ let sections =
 
 let usage () =
   Printf.eprintf
-    "usage: bench [--quick] [--json-out FILE] [--json-no-host]\n\
-    \             [--progress N] [section ...]\n\
+    "usage: bench [--quick] [--json-out FILE] [--progress N] [section ...]\n\
      sections: %s\n"
     (String.concat " " (List.map fst sections));
   exit 1
@@ -1166,9 +1133,6 @@ let () =
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      parse rest
-    | "--json-no-host" :: rest ->
-      json_no_host := true;
       parse rest
     | "--json-out" :: file :: rest ->
       json_out := Some file;

@@ -3,11 +3,9 @@
    Usage: bench_gate --baseline bench/baseline/BENCH_seed.json BENCH_new.json
 
    Loads both files through Benchjson (JSON Lines, one record per
-   workload/nprocs/line/opts configuration), runs the per-metric gate —
-   simulated metrics on exact equality, host metrics on a relative
-   tolerance, skipped when the baseline never measured them — prints a
-   delta table, and exits 1 when any metric regressed or a baseline
-   record disappeared.  All policy lives in {!Shasta_obs.Benchjson.gate};
+   workload/nprocs/line/opts configuration), runs the gate — every
+   simulated metric on exact equality — prints a delta table, and exits
+   1 when any metric regressed or a baseline record disappeared.  All policy lives in {!Shasta_obs.Benchjson.gate};
    this binary is argument parsing and rendering. *)
 
 module B = Shasta_obs.Benchjson
@@ -30,13 +28,11 @@ let delta_str (c : B.check) =
   | _ -> "-"
 
 let print_table checks ~verbose =
-  (* one row per check; without --verbose, passing host/sim rows other
-     than sim_cycles and wall_s are folded away to keep the table
-     readable on big files *)
+  (* one row per check; without --verbose, passing rows other than
+     sim_cycles are folded away to keep the table readable on big
+     files *)
   let interesting (c : B.check) =
-    verbose || (not c.c_ok)
-    || c.c_metric = "sim_cycles"
-    || c.c_metric = "wall_s"
+    verbose || (not c.c_ok) || c.c_metric = "sim_cycles"
     || c.c_status = B.New
   in
   let rows = List.filter interesting checks in
@@ -62,15 +58,13 @@ let print_table checks ~verbose =
     Printf.printf "  (%d passing metric(s) not shown; --verbose prints all)\n"
       hidden
 
-let run baseline candidate tol sim_only verbose =
+let run baseline candidate verbose =
   let base = B.load_file baseline in
   let cand = B.load_file candidate in
-  let checks, ok = B.gate ~tol ~sim_only ~baseline:base ~candidate:cand () in
-  Printf.printf "bench_gate: %s (baseline, %d record(s)) vs %s (%d record(s))\n"
+  let checks, ok = B.gate ~baseline:base ~candidate:cand in
+  Printf.printf
+    "bench_gate: %s (baseline, %d record(s)) vs %s (%d record(s))\n\n"
     baseline (List.length base) candidate (List.length cand);
-  Printf.printf "  policy: simulated metrics exact; host metrics ±%.0f%%%s\n\n"
-    (100.0 *. tol)
-    (if sim_only then " (host comparison disabled: --sim-only)" else "");
   print_table checks ~verbose;
   let regressions =
     List.filter (fun (c : B.check) -> not c.B.c_ok) checks
@@ -108,24 +102,6 @@ let candidate =
     & pos 0 (some file) None
     & info [] ~docv:"CANDIDATE" ~doc:"Candidate BENCH_*.json file to gate.")
 
-let tol =
-  Arg.(
-    value & opt float 0.25
-    & info [ "tol"; "tolerance" ] ~docv:"FRACTION"
-        ~doc:
-          "Relative tolerance for host metrics (wall time, cycles/s, GC); \
-           default 0.25 = ±25%. Simulated metrics always gate on exact \
-           equality.")
-
-let sim_only =
-  Arg.(
-    value & flag
-    & info [ "sim-only" ]
-        ~doc:
-          "Compare only the deterministic simulated metrics and ignore the \
-           host-side ones entirely (e.g. when comparing runs from different \
-           machines, or two runs of the same build for byte-determinism).")
-
 let verbose =
   Arg.(
     value & flag
@@ -137,10 +113,9 @@ let cmd =
     [ `S Manpage.s_description;
       `P
         "Compares every record of the baseline against the candidate (matched \
-         on workload/nprocs/line/opts). Simulated metrics — cycles, messages, \
-         misses and per-workload extras — are deterministic and must match \
-         exactly; host metrics may drift within the tolerance. Exits 1 on any \
-         regression or missing record.";
+         on workload/nprocs/line/opts). Every metric — cycles, messages, \
+         misses and per-workload extras — is simulated, deterministic and \
+         must match exactly. Exits 1 on any regression or missing record.";
       `S Manpage.s_examples;
       `Pre
         "  dune exec bench/main.exe -- --quick --json-out BENCH_quick.json\n\
@@ -149,6 +124,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "bench_gate" ~doc ~man)
-    Term.(const run $ baseline $ candidate $ tol $ sim_only $ verbose)
+    Term.(const run $ baseline $ candidate $ verbose)
 
 let () = exit (Cmd.eval' cmd)

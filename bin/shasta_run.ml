@@ -306,13 +306,12 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
    | Some _ -> () (* the raw output block is the report's wire format *)
    | None -> Printf.printf "output:\n%s" r.phase.output);
   Printf.printf "wall cycles : %d\n" r.phase.wall_cycles;
-  Printf.printf "host        : %.3f s (%s), %.1f Mcyc/s\n"
+  Printf.printf "host        : %.3f s (%s)\n"
     perf.Shasta_obs.Perf.wall_s
     (String.concat ", "
        (List.map
           (fun (n, s) -> Printf.sprintf "%s %.3fs" n s)
-          perf.Shasta_obs.Perf.phases))
-    (Shasta_obs.Perf.cyc_per_s perf ~sim_cycles:r.phase.wall_cycles /. 1e6);
+          perf.Shasta_obs.Perf.phases));
   Printf.printf "messages    : %d (%d payload longwords)\n" r.phase.msgs_sent
     r.phase.payload_longs;
   (match faults with
@@ -421,8 +420,8 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
      (match kvo.bench_out with
       | None -> ()
       | Some file ->
-        (* versioned BENCH record: simulated KV metrics plus the host
-           measurements of this run, parseable by Benchjson *)
+        (* versioned BENCH record of the simulated KV metrics,
+           parseable by Benchjson *)
         let opts_name =
           match opts with
           | None -> "orig"
@@ -435,7 +434,7 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
         output_string oc
           (Report.to_json ~line:line_bytes ~opts:opts_name
              ~messages:r.phase.msgs_sent ~misses:(Api.phase_misses r.phase)
-             ~perf ~workload:(W.mix_name wl.W.mix) rep);
+             ~workload:(W.mix_name wl.W.mix) rep);
         output_string oc "\n";
         close_out oc));
   if metrics then begin

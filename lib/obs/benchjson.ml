@@ -4,30 +4,18 @@
    A BENCH file is JSON Lines — one record per line, append-friendly so
    each bench section can add its rows as it finishes.  Every record
    carries the schema version, the identifying key (workload, nprocs,
-   line, opts), the deterministic simulated metrics (sim_cycles,
+   line, opts) and the simulated metrics of the run (sim_cycles,
    messages, misses, plus workload-specific [extra] fields such as the
-   KV latency percentiles), and the host-side metrics measured by
-   {!Perf} (wall seconds, simulated cycles per host second, GC deltas).
-   Simulated metrics are byte-identical across runs of the same seed;
-   host metrics vary with the machine, which is why [gate] applies
-   exact equality to the former and a tolerance to the latter.
+   KV latency percentiles).  A record is a pure function of the
+   simulated run, so two runs of the same configuration emit
+   byte-identical lines and [gate] compares every metric exactly.  Host
+   timings live in the perfbench suite, not here.
 
    Emit and parse live together here so that one module defines the
    wire format: the KV --bench-out writer, the bench harness --json-out
    emitter, the regression gate and the tests all go through it.  The
-   parser is a minimal self-contained JSON reader (objects, arrays,
-   strings, numbers, booleans, null) — no external JSON dependency. *)
-
-type gc = {
-  minor_words : float;
-  major_words : float;
-  minor_collections : int;
-  major_collections : int;
-}
-
-let no_gc =
-  { minor_words = 0.0; major_words = 0.0; minor_collections = 0;
-    major_collections = 0 }
+   parser reads exactly what [emit] writes — one flat JSON object whose
+   values are strings or numbers — with no external JSON dependency. *)
 
 type num = Int of int | Float of float
 
@@ -40,31 +28,24 @@ type t = {
   sim_cycles : int;
   messages : int;
   misses : int;
-  wall_s : float;  (* host: 0.0 when not measured *)
-  cyc_per_s : float;  (* host: simulated cycles per host second *)
-  gc : gc;  (* host: GC delta over the measured run *)
-  git_rev : string;
   extra : (string * num) list;
       (* workload-specific simulated metrics (KV percentiles, op and
          error counts, ...) — gated with exact equality like the fixed
          simulated fields *)
 }
 
-let schema_version = 1
+let schema_version = 2
 
 let make ~workload ~nprocs ?(line = 64) ?(opts = "full") ~sim_cycles
-    ?(messages = 0) ?(misses = 0) ?(wall_s = 0.0) ?(cyc_per_s = 0.0)
-    ?(gc = no_gc) ?(git_rev = "") ?(extra = []) () =
+    ?(messages = 0) ?(misses = 0) ?(extra = []) () =
   { schema = schema_version; workload; nprocs; line; opts; sim_cycles;
-    messages; misses; wall_s; cyc_per_s; gc; git_rev; extra }
+    messages; misses; extra }
 
 (* The identifying key: records in a baseline and a candidate file are
    matched on it. *)
 let key r = (r.workload, r.nprocs, r.line, r.opts)
 
 let key_str r = Printf.sprintf "%s p=%d line=%d %s" r.workload r.nprocs r.line r.opts
-
-let strip_host r = { r with wall_s = 0.0; cyc_per_s = 0.0; gc = no_gc }
 
 (* ------------------------------------------------------------------ *)
 (* Emit                                                                *)
@@ -114,15 +95,6 @@ let emit r =
   field "sim_cycles" (string_of_int r.sim_cycles);
   field "messages" (string_of_int r.messages);
   field "misses" (string_of_int r.misses);
-  field "wall_s" (float_str r.wall_s);
-  field "cyc_per_s" (float_str r.cyc_per_s);
-  field "gc"
-    (Printf.sprintf
-       "{\"minor_words\": %s, \"major_words\": %s, \
-        \"minor_collections\": %d, \"major_collections\": %d}"
-       (float_str r.gc.minor_words) (float_str r.gc.major_words)
-       r.gc.minor_collections r.gc.major_collections);
-  field "git_rev" (Printf.sprintf "\"%s\"" (escape r.git_rev));
   List.iter (fun (k, v) -> field k (num_str v)) r.extra;
   Buffer.add_char b '}';
   Buffer.contents b
@@ -131,19 +103,31 @@ let emit r =
 (* Parse                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of num
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
+(* A record line is one flat JSON object; each value is a string or a
+   number.  Nested objects, arrays and literals are malformed. *)
+type value = Str of string | Num of num
 
 exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-let parse_json s =
+let to_int name = function
+  | Num (Int i) -> i
+  | Num (Float f) when Float.is_integer f -> int_of_float f
+  | _ -> malformed "field %s: expected an integer" name
+
+(* The version is checked as soon as it is read (emit writes it first),
+   so a stale line reports its schema rather than whatever older shape
+   follows it. *)
+let check_schema v =
+  let schema = to_int "schema" v in
+  if schema <> schema_version then
+    malformed
+      "schema %d is not the supported schema %d; regenerate the file with \
+       bench --json-out"
+      schema schema_version
+
+let parse_object s =
   let n = String.length s in
   let pos = ref 0 in
   let peek () = if !pos < n then Some s.[!pos] else None in
@@ -217,172 +201,82 @@ let parse_json s =
         | Some f -> Float f
         | None -> malformed "bad number %S" raw)
   in
-  let rec parse_value () =
+  let parse_value k =
     skip_ws ();
     match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Jobj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ()
-          | Some '}' -> advance ()
-          | _ -> malformed "expected ',' or '}' at %d" !pos
-        in
-        members ();
-        Jobj (List.rev !fields)
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Jlist []
-      end
-      else begin
-        let items = ref [] in
-        let rec elems () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elems ()
-          | Some ']' -> advance ()
-          | _ -> malformed "expected ',' or ']' at %d" !pos
-        in
-        elems ();
-        Jlist (List.rev !items)
-      end
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-        pos := !pos + 4;
-        Jbool true
-      end
-      else malformed "bad literal at %d" !pos
-    | Some 'f' ->
-      if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-        pos := !pos + 5;
-        Jbool false
-      end
-      else malformed "bad literal at %d" !pos
-    | Some 'n' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "null" then begin
-        pos := !pos + 4;
-        Jnull
-      end
-      else malformed "bad literal at %d" !pos
-    | Some _ -> Jnum (parse_number ())
-    | None -> malformed "empty input"
+    | Some '"' -> Str (parse_string ())
+    | Some ('-' | '0' .. '9') -> Num (parse_number ())
+    | Some c ->
+      malformed "field %s: expected a string or a number, found '%c'" k c
+    | None -> malformed "field %s: no value" k
   in
-  let v = parse_value () in
+  skip_ws ();
+  expect '{';
+  skip_ws ();
+  let fields = ref [] in
+  if peek () = Some '}' then advance ()
+  else begin
+    let rec members () =
+      skip_ws ();
+      let k = parse_string () in
+      skip_ws ();
+      expect ':';
+      let v = parse_value k in
+      if k = "schema" then check_schema v;
+      fields := (k, v) :: !fields;
+      skip_ws ();
+      match peek () with
+      | Some ',' ->
+        advance ();
+        members ()
+      | Some '}' -> advance ()
+      | _ -> malformed "expected ',' or '}' at %d" !pos
+    in
+    members ()
+  end;
   skip_ws ();
   if !pos <> n then malformed "trailing input at %d" !pos;
-  v
-
-let to_int name = function
-  | Jnum (Int i) -> i
-  | Jnum (Float f) when Float.is_integer f -> int_of_float f
-  | _ -> malformed "field %s: expected an integer" name
-
-let to_float name = function
-  | Jnum (Int i) -> float_of_int i
-  | Jnum (Float f) -> f
-  | _ -> malformed "field %s: expected a number" name
+  List.rev !fields
 
 let to_str name = function
-  | Jstr s -> s
-  | _ -> malformed "field %s: expected a string" name
+  | Str s -> s
+  | Num _ -> malformed "field %s: expected a string" name
 
-let of_json = function
-  | Jobj fields ->
-    let find k = List.assoc_opt k fields in
-    let int k d = match find k with Some v -> to_int k v | None -> d in
-    let flt k d = match find k with Some v -> to_float k v | None -> d in
-    let str k d = match find k with Some v -> to_str k v | None -> d in
-    let schema =
-      match find "schema" with
-      | Some v -> to_int "schema" v
-      | None -> malformed "record has no \"schema\" field"
-    in
-    if schema > schema_version then
-      malformed "schema %d is newer than supported %d" schema schema_version;
-    let gc =
-      match find "gc" with
-      | Some (Jobj g) ->
-        let gint k d =
-          match List.assoc_opt k g with Some v -> to_int k v | None -> d
-        in
-        let gflt k d =
-          match List.assoc_opt k g with Some v -> to_float k v | None -> d
-        in
-        { minor_words = gflt "minor_words" 0.0;
-          major_words = gflt "major_words" 0.0;
-          minor_collections = gint "minor_collections" 0;
-          major_collections = gint "major_collections" 0 }
-      | Some _ -> malformed "field gc: expected an object"
-      | None -> no_gc
-    in
-    let known =
-      [ "schema"; "workload"; "nprocs"; "line"; "opts"; "sim_cycles";
-        "messages"; "misses"; "wall_s"; "cyc_per_s"; "gc"; "git_rev" ]
-    in
-    let extra =
-      List.filter_map
-        (fun (k, v) ->
-          if List.mem k known then None
-          else match v with Jnum num -> Some (k, num) | _ -> None)
-        fields
-    in
-    { schema;
-      workload = str "workload" "";
-      nprocs = int "nprocs" 0;
-      line = int "line" 64;
-      opts = str "opts" "";
-      sim_cycles = int "sim_cycles" 0;
-      messages = int "messages" 0;
-      misses = int "misses" 0;
-      wall_s = flt "wall_s" 0.0;
-      cyc_per_s = flt "cyc_per_s" 0.0;
-      gc;
-      git_rev = str "git_rev" "";
-      extra }
-  | _ -> malformed "record is not a JSON object"
+let of_fields fields =
+  let find k = List.assoc_opt k fields in
+  let int k d = match find k with Some v -> to_int k v | None -> d in
+  let str k d = match find k with Some v -> to_str k v | None -> d in
+  if find "schema" = None then malformed "record has no \"schema\" field";
+  let known =
+    [ "schema"; "workload"; "nprocs"; "line"; "opts"; "sim_cycles";
+      "messages"; "misses" ]
+  in
+  let extra =
+    List.filter_map
+      (fun (k, v) ->
+        if List.mem k known then None
+        else match v with Num num -> Some (k, num) | Str _ -> None)
+      fields
+  in
+  { schema = schema_version;
+    workload = str "workload" "";
+    nprocs = int "nprocs" 0;
+    line = int "line" 64;
+    opts = str "opts" "";
+    sim_cycles = int "sim_cycles" 0;
+    messages = int "messages" 0;
+    misses = int "misses" 0;
+    extra }
 
 let parse line =
-  try of_json (parse_json line)
+  try of_fields (parse_object line)
   with Malformed m -> failwith ("Benchjson.parse: " ^ m)
 
-(* A whole BENCH file: JSON Lines (possibly with blank lines), or — for
-   tolerance of hand-built files — a single top-level JSON array. *)
+(* A whole BENCH file: JSON Lines, blank lines ignored. *)
 let load_string contents =
-  let trimmed = String.trim contents in
-  if trimmed = "" then []
-  else if trimmed.[0] = '[' then
-    match parse_json trimmed with
-    | Jlist items -> List.map of_json items
-    | _ -> failwith "Benchjson.load_string: expected an array"
-  else
-    String.split_on_char '\n' contents
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.map parse
+  String.split_on_char '\n' contents
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map parse
 
 let load_file path =
   let ic = open_in path in
@@ -390,27 +284,20 @@ let load_file path =
   let contents = really_input_string ic len in
   close_in ic;
   try load_string contents
-  with Failure m | Malformed m ->
-    failwith (Printf.sprintf "Benchjson.load_file %s: %s" path m)
+  with Failure m -> failwith (Printf.sprintf "Benchjson.load_file %s: %s" path m)
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-metric policy: simulated metrics come from a deterministic
-   simulator, so the only acceptable delta is zero; host metrics wobble
-   with the machine and load, so they gate on a relative tolerance —
-   and only in the direction that is a regression (slower wall clock,
-   lower cycles-per-second throughput, more allocation).  A host metric
-   whose baseline is zero/absent (e.g. the checked-in seed baseline,
-   which is simulated-only) is skipped. *)
+(* Every metric in a record comes from a deterministic simulator, so
+   the only acceptable delta is zero. *)
 
-type status = Ok | Regression | Missing | New | Skipped
+type status = Ok | Regression | Missing | New
 
 type check = {
   c_key : string;  (* record key, [key_str] form *)
   c_metric : string;
-  c_class : [ `Sim | `Host ];
   c_base : num option;
   c_cand : num option;
   c_ok : bool;
@@ -420,85 +307,52 @@ type check = {
 
 let num_value = function Int i -> float_of_int i | Float f -> f
 
-let sim_metrics r =
+let metrics r =
   [ ("sim_cycles", Int r.sim_cycles);
     ("messages", Int r.messages);
     ("misses", Int r.misses) ]
   @ r.extra
 
-(* (name, value, lower_is_better) *)
-let host_metrics r =
-  [ ("wall_s", Float r.wall_s, true);
-    ("cyc_per_s", Float r.cyc_per_s, false);
-    ("gc.minor_words", Float r.gc.minor_words, true);
-    ("gc.major_words", Float r.gc.major_words, true);
-    ("gc.minor_collections", Int r.gc.minor_collections, true);
-    ("gc.major_collections", Int r.gc.major_collections, true) ]
-
-let check_record ~tol ~sim_only (base : t) (cand : t) =
+let check_record (base : t) (cand : t) =
   let k = key_str base in
-  let sim =
-    let cand_sim = sim_metrics cand in
+  let cand_m = metrics cand and base_m = metrics base in
+  let compared =
     List.map
       (fun (name, bv) ->
-        match List.assoc_opt name cand_sim with
+        match List.assoc_opt name cand_m with
         | None ->
-          { c_key = k; c_metric = name; c_class = `Sim; c_base = Some bv;
-            c_cand = None; c_ok = false; c_status = Missing;
+          { c_key = k; c_metric = name; c_base = Some bv; c_cand = None;
+            c_ok = false; c_status = Missing;
             c_note = "metric missing from candidate" }
         | Some cv ->
           let ok = num_value bv = num_value cv in
-          { c_key = k; c_metric = name; c_class = `Sim; c_base = Some bv;
-            c_cand = Some cv; c_ok = ok;
+          { c_key = k; c_metric = name; c_base = Some bv; c_cand = Some cv;
+            c_ok = ok;
             c_status = (if ok then Ok else Regression);
             c_note =
               (if ok then "exact" else "simulated metric must match exactly") })
-      (sim_metrics base)
+      base_m
   in
-  let new_sim =
-    let base_sim = sim_metrics base in
+  let added =
     List.filter_map
       (fun (name, cv) ->
-        if List.mem_assoc name base_sim then None
+        if List.mem_assoc name base_m then None
         else
           Some
-            { c_key = k; c_metric = name; c_class = `Sim; c_base = None;
-              c_cand = Some cv; c_ok = true; c_status = New;
-              c_note = "no baseline value" })
-      (sim_metrics cand)
+            { c_key = k; c_metric = name; c_base = None; c_cand = Some cv;
+              c_ok = true; c_status = New; c_note = "no baseline value" })
+      cand_m
   in
-  let host =
-    if sim_only then []
-    else
-      List.map2
-        (fun (name, bv, lower_better) (_, cv, _) ->
-          let b = num_value bv and c = num_value cv in
-          if b <= 0.0 then
-            { c_key = k; c_metric = name; c_class = `Host; c_base = Some bv;
-              c_cand = Some cv; c_ok = true; c_status = Skipped;
-              c_note = "baseline not measured" }
-          else begin
-            let rel = (c -. b) /. b in
-            let worse = if lower_better then rel > tol else rel < -.tol in
-            { c_key = k; c_metric = name; c_class = `Host; c_base = Some bv;
-              c_cand = Some cv; c_ok = not worse;
-              c_status = (if worse then Regression else Ok);
-              c_note =
-                Printf.sprintf "%+.1f%% (tolerance %.0f%%)" (100.0 *. rel)
-                  (100.0 *. tol) }
-          end)
-        (host_metrics base) (host_metrics cand)
-  in
-  sim @ new_sim @ host
+  compared @ added
 
-let gate ?(tol = 0.25) ?(sim_only = false) ~baseline ~candidate () =
+let gate ~baseline ~candidate =
   let checks =
     List.concat_map
       (fun (b : t) ->
         match List.find_opt (fun c -> key c = key b) candidate with
-        | Some c -> check_record ~tol ~sim_only b c
+        | Some c -> check_record b c
         | None ->
-          [ { c_key = key_str b; c_metric = "record"; c_class = `Sim;
+          [ { c_key = key_str b; c_metric = "record";
               c_base = Some (Int b.sim_cycles); c_cand = None; c_ok = false;
               c_status = Missing;
               c_note = "record missing from candidate" } ])
@@ -510,9 +364,9 @@ let gate ?(tol = 0.25) ?(sim_only = false) ~baseline ~candidate () =
         if List.exists (fun b -> key b = key c) baseline then None
         else
           Some
-            { c_key = key_str c; c_metric = "record"; c_class = `Sim;
-              c_base = None; c_cand = Some (Int c.sim_cycles); c_ok = true;
-              c_status = New; c_note = "no baseline record" })
+            { c_key = key_str c; c_metric = "record"; c_base = None;
+              c_cand = Some (Int c.sim_cycles); c_ok = true; c_status = New;
+              c_note = "no baseline record" })
       candidate
   in
   let all = checks @ news in
@@ -523,4 +377,3 @@ let status_str = function
   | Regression -> "REGRESSION"
   | Missing -> "MISSING"
   | New -> "new"
-  | Skipped -> "skipped"

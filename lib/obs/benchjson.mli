@@ -2,19 +2,10 @@
     artifact in the repo is written in and parsed from.
 
     Files are JSON Lines — one record per line — so emitters can
-    append section by section.  Simulated metrics (sim_cycles,
-    messages, misses and the per-workload [extra] fields) are
-    deterministic and gate on exact equality; host metrics (wall_s,
-    cyc_per_s, gc) gate on a relative tolerance. *)
-
-type gc = {
-  minor_words : float;
-  major_words : float;
-  minor_collections : int;
-  major_collections : int;
-}
-
-val no_gc : gc
+    append section by section.  A record holds only simulated metrics
+    (sim_cycles, messages, misses and the per-workload [extra] fields):
+    it is a pure function of the simulated run, and the gate compares
+    every metric on exact equality. *)
 
 (** Extra metrics keep their JSON numeric kind so emit/parse
     round-trips byte-identically. *)
@@ -29,10 +20,6 @@ type t = {
   sim_cycles : int;
   messages : int;
   misses : int;
-  wall_s : float;
-  cyc_per_s : float;
-  gc : gc;
-  git_rev : string;
   extra : (string * num) list;
 }
 
@@ -46,10 +33,6 @@ val make :
   sim_cycles:int ->
   ?messages:int ->
   ?misses:int ->
-  ?wall_s:float ->
-  ?cyc_per_s:float ->
-  ?gc:gc ->
-  ?git_rev:string ->
   ?extra:(string * num) list ->
   unit ->
   t
@@ -59,10 +42,6 @@ val key : t -> string * int * int * string
     and candidate records are matched on it. *)
 
 val key_str : t -> string
-
-val strip_host : t -> t
-(** Zero the host-side fields (wall_s, cyc_per_s, gc) — used to build
-    machine-independent checked-in baselines. *)
 
 val float_str : float -> string
 (** Shortest decimal rendering that round-trips exactly. *)
@@ -75,23 +54,22 @@ val emit : t -> string
     which CI greps rely on. *)
 
 val parse : string -> t
-(** Parse one record line.  @raise Failure on malformed input or a
-    schema version newer than {!schema_version}. *)
+(** Parse one record line: a flat JSON object whose values are strings
+    or numbers.  @raise Failure on malformed input or a schema version
+    other than {!schema_version}. *)
 
 val load_string : string -> t list
-(** Parse a whole BENCH file: JSON Lines, or a single top-level JSON
-    array. *)
+(** Parse a whole BENCH file (JSON Lines; blank lines are ignored). *)
 
 val load_file : string -> t list
 
 (** {2 Regression gate} *)
 
-type status = Ok | Regression | Missing | New | Skipped
+type status = Ok | Regression | Missing | New
 
 type check = {
   c_key : string;
   c_metric : string;
-  c_class : [ `Sim | `Host ];
   c_base : num option;
   c_cand : num option;
   c_ok : bool;
@@ -99,19 +77,11 @@ type check = {
   c_note : string;
 }
 
-val gate :
-  ?tol:float ->
-  ?sim_only:bool ->
-  baseline:t list ->
-  candidate:t list ->
-  unit ->
-  check list * bool
-(** Compare candidate records against baseline records.  Simulated
-    metrics must match exactly; host metrics may drift up to [tol]
-    (default 0.25) in the regression direction, and are skipped when
-    the baseline value is zero (unmeasured) or [sim_only] is set.  A
-    baseline record absent from the candidate fails; a candidate-only
-    record is reported [New] and passes.  Returns all checks and
-    whether the gate passes. *)
+val gate : baseline:t list -> candidate:t list -> check list * bool
+(** Compare candidate records against baseline records: every metric
+    must match exactly.  A baseline record or metric absent from the
+    candidate fails; a candidate-only record or metric is reported
+    [New] and passes.  Returns all checks and whether the gate
+    passes. *)
 
 val status_str : status -> string

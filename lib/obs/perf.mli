@@ -1,7 +1,6 @@
-(** Host-side performance counters: monotonic wall time, per-phase
-    breakdown (compile / load / run / drain), and GC deltas over the
-    measured region — the simulator measuring itself rather than the
-    simulated machine. *)
+(** Host-side performance counters: monotonic wall time and its
+    per-phase breakdown (compile / load / run / drain) — the simulator
+    measuring itself rather than the simulated machine. *)
 
 type t
 
@@ -9,7 +8,6 @@ type report = {
   wall_s : float;  (** total wall seconds from [create] to [report] *)
   phases : (string * float) list;
       (** seconds charged per phase, in first-use order *)
-  gc : Benchjson.gc;  (** GC delta over the measured region *)
 }
 
 val monotonic_clock : unit -> float
@@ -30,14 +28,6 @@ val add_phase : t -> string -> float -> unit
 
 val report : t -> report
 
-val cyc_per_s : report -> sim_cycles:int -> float
-(** Simulated cycles per host second, charged against the "run" phase
-    when one was measured, else total wall time. *)
-
 val publish : Metrics.t -> report -> unit
 (** Fold the report into the registry as node-0 counters
-    ([perf.wall_us], [perf.<phase>_us], [perf.gc.*]). *)
-
-val git_rev : unit -> string
-(** Short git revision of the working tree; [SHASTA_GIT_REV] overrides;
-    "unknown" when neither is available.  Memoized. *)
+    ([perf.wall_us], [perf.<phase>_us]). *)

@@ -92,8 +92,7 @@ let run ?(init_proc = "appinit") ?(work_proc = "work") spec =
    {!Shasta_obs.Perf} accumulator — "compile" covers MiniC compilation,
    instrumentation and cluster construction, "load"/"run"/"drain" are
    charged by [Cluster.run_app].  The report is folded into the result
-   state's metrics registry (node-0 [perf.*] counters) and returned for
-   BENCH emission. *)
+   state's metrics registry (node-0 [perf.*] counters) and returned. *)
 let run_measured ?(init_proc = "appinit") ?(work_proc = "work") ?clock spec =
   let perf = Shasta_obs.Perf.create ?clock () in
   let state, inst_stats, program =
@@ -112,10 +111,8 @@ let phase_misses (ph : Cluster.phase_result) =
       a + c.read_misses + c.write_misses + c.upgrade_misses)
     0 ph.counters
 
-(* One BENCH record for a completed run.  Simulated fields come from
-   the phase result; host fields from [perf] (omit it — or pass a
-   zeroed report — for machine-independent baselines). *)
-let bench_record ~workload ?(opts_name = "full") ?perf ?(extra = []) spec
+(* One BENCH record for a completed run, all from the phase result. *)
+let bench_record ~workload ?(opts_name = "full") ?(extra = []) spec
     (r : result) =
   let line =
     match spec.fixed_block with
@@ -123,15 +120,6 @@ let bench_record ~workload ?(opts_name = "full") ?perf ?(extra = []) spec
     | None -> (
       match spec.opts with Some o -> 1 lsl o.Shasta.Opts.line_shift | None -> 64)
   in
-  let wall_s, cyc_per_s, gc =
-    match perf with
-    | None -> (0.0, 0.0, Shasta_obs.Benchjson.no_gc)
-    | Some (p : Shasta_obs.Perf.report) ->
-      ( p.wall_s,
-        Shasta_obs.Perf.cyc_per_s p ~sim_cycles:r.phase.wall_cycles,
-        p.gc )
-  in
   Shasta_obs.Benchjson.make ~workload ~nprocs:spec.nprocs ~line
     ~opts:opts_name ~sim_cycles:r.phase.wall_cycles
-    ~messages:r.phase.msgs_sent ~misses:(phase_misses r.phase) ~wall_s
-    ~cyc_per_s ~gc ~git_rev:(Shasta_obs.Perf.git_rev ()) ~extra ()
+    ~messages:r.phase.msgs_sent ~misses:(phase_misses r.phase) ~extra ()

@@ -76,9 +76,9 @@ val run_measured :
   spec ->
   result * Shasta_obs.Perf.report
 (** [run] wrapped in a {!Shasta_obs.Perf} measurement: host wall time
-    broken into compile / load / run / drain phases plus GC deltas.
-    The report is also folded into the result state's metrics registry
-    as node-0 [perf.*] counters.  [clock] is injectable for tests. *)
+    broken into compile / load / run / drain phases.  The report is
+    also folded into the result state's metrics registry as node-0
+    [perf.*] counters.  [clock] is injectable for tests. *)
 
 val phase_misses : Cluster.phase_result -> int
 (** Total inline-check misses (read + write + upgrade) of the timed
@@ -87,12 +87,9 @@ val phase_misses : Cluster.phase_result -> int
 val bench_record :
   workload:string ->
   ?opts_name:string ->
-  ?perf:Shasta_obs.Perf.report ->
   ?extra:(string * Shasta_obs.Benchjson.num) list ->
   spec ->
   result ->
   Shasta_obs.Benchjson.t
-(** One versioned BENCH record for a completed run: simulated metrics
-    from the phase result, host metrics from [perf] (omitted — e.g.
-    for checked-in baselines — they stay zero and the gate skips
-    them). *)
+(** One versioned BENCH record for a completed run: the simulated
+    metrics of the phase result, plus [extra]. *)

@@ -145,21 +145,13 @@ let render ?label t =
    rides in [extra], where the regression gate treats it like any other
    deterministic simulated metric.  [messages]/[misses] belong to the
    cluster, not the report, so callers that have a phase result pass
-   them in; [perf] adds the tolerance-gated host half. *)
+   them in. *)
 module Benchjson = Shasta_obs.Benchjson
 
 let to_bench ~workload ?(line = 64) ?(opts = "full") ?(messages = 0)
-    ?(misses = 0) ?perf t =
-  let sim_cycles = run_cycles t in
-  let wall_s, cyc_per_s, gc =
-    match perf with
-    | None -> (0.0, 0.0, Benchjson.no_gc)
-    | Some (p : Shasta_obs.Perf.report) ->
-      (p.wall_s, Shasta_obs.Perf.cyc_per_s p ~sim_cycles, p.gc)
-  in
-  Benchjson.make ~workload ~nprocs:t.nprocs ~line ~opts ~sim_cycles
-    ~messages ~misses ~wall_s ~cyc_per_s ~gc
-    ~git_rev:(Shasta_obs.Perf.git_rev ())
+    ?(misses = 0) t =
+  Benchjson.make ~workload ~nprocs:t.nprocs ~line ~opts
+    ~sim_cycles:(run_cycles t) ~messages ~misses
     ~extra:
       [ ("ops", Benchjson.Int t.ops);
         ("ops_per_mcycle", Benchjson.Float (ops_per_mcycle t));
@@ -175,5 +167,5 @@ let to_bench ~workload ?(line = 64) ?(opts = "full") ?(messages = 0)
         ("lost", Benchjson.Int t.lost) ]
     ()
 
-let to_json ?line ?opts ?messages ?misses ?perf ~workload t =
-  Benchjson.emit (to_bench ~workload ?line ?opts ?messages ?misses ?perf t)
+let to_json ?line ?opts ?messages ?misses ~workload t =
+  Benchjson.emit (to_bench ~workload ?line ?opts ?messages ?misses t)

@@ -62,21 +62,19 @@ val to_bench :
   ?opts:string ->
   ?messages:int ->
   ?misses:int ->
-  ?perf:Shasta_obs.Perf.report ->
   t ->
   Shasta_obs.Benchjson.t
 (** The report as a versioned BENCH record: KV metrics (ops,
     throughput, percentiles, errors, lost, ...) in the record's
     [extra] fields, gated exactly like the fixed simulated metrics.
     [messages]/[misses] come from the cluster phase result when the
-    caller has one; [perf] fills the tolerance-gated host half. *)
+    caller has one. *)
 
 val to_json :
   ?line:int ->
   ?opts:string ->
   ?messages:int ->
   ?misses:int ->
-  ?perf:Shasta_obs.Perf.report ->
   workload:string ->
   t ->
   string

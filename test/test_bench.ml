@@ -1,6 +1,7 @@
 (* BENCH_*.json schema and regression gate: emit/parse round-trips
-   (property-based), the gate's exact-vs-tolerance policy, and the KV
-   report writer staying on the shared schema. *)
+   (property-based), the gate's exact-match policy, schema versioning
+   and flatness, and the KV report writer staying on the shared
+   schema. *)
 
 module B = Shasta_obs.Benchjson
 module Report = Shasta_workload.Report
@@ -61,26 +62,18 @@ let gen_record =
   int_range 0 1_000_000_000 >>= fun sim_cycles ->
   int_range 0 1_000_000 >>= fun messages ->
   int_range 0 1_000_000 >>= fun misses ->
-  gen_float >>= fun wall_s ->
-  gen_float >>= fun cyc_per_s ->
-  gen_float >>= fun minor_words ->
-  gen_float >>= fun major_words ->
-  int_range 0 10_000 >>= fun minor_collections ->
-  int_range 0 1_000 >>= fun major_collections ->
-  gen_str >>= fun git_rev ->
   gen_extra >>= fun extra ->
   return
     (B.make ~workload ~nprocs ~line ~opts ~sim_cycles ~messages ~misses
-       ~wall_s ~cyc_per_s
-       ~gc:{ B.minor_words; major_words; minor_collections; major_collections }
-       ~git_rev ~extra ())
+       ~extra ())
 
 (* --- round-trip ------------------------------------------------------ *)
 
 let prop_roundtrip r = B.parse (B.emit r) = r
 
 (* Two emissions of the same record are byte-identical — determinism of
-   the wire format itself, which the CI byte-comparison leans on. *)
+   the wire format itself, which the byte-compare rule in test/dune
+   leans on. *)
 let prop_emit_stable r = B.emit r = B.emit (B.parse (B.emit r))
 
 let prop_load_string rs =
@@ -89,16 +82,12 @@ let prop_load_string rs =
 
 (* --- gate policy ----------------------------------------------------- *)
 
-let base_record ?(workload = "lu") ?(sim_cycles = 1_000_000)
-    ?(wall_s = 2.0) ?(cyc_per_s = 500_000.0) ?(extra = []) () =
+let base_record ?(workload = "lu") ?(sim_cycles = 1_000_000) ?(extra = [])
+    () =
   B.make ~workload ~nprocs:4 ~line:64 ~opts:"full" ~sim_cycles
-    ~messages:500 ~misses:120 ~wall_s ~cyc_per_s
-    ~gc:{ B.minor_words = 1e6; major_words = 1e4;
-          minor_collections = 10; major_collections = 2 }
-    ~git_rev:"abc1234" ~extra ()
+    ~messages:500 ~misses:120 ~extra ()
 
-let gate_ok ?tol ?sim_only baseline candidate =
-  snd (B.gate ?tol ?sim_only ~baseline ~candidate ())
+let gate_ok baseline candidate = snd (B.gate ~baseline ~candidate)
 
 let test_gate_identical () =
   let b = [ base_record (); base_record ~workload:"fft" () ] in
@@ -108,8 +97,7 @@ let test_gate_sim_regression () =
   let b = [ base_record () ] in
   let c = [ base_record ~sim_cycles:1_000_001 () ] in
   Alcotest.(check bool) "+1 cycle fails" false (gate_ok b c);
-  (* ...even when every host metric is fine and even improved *)
-  let c' = [ base_record ~sim_cycles:999_999 ~wall_s:1.0 () ] in
+  let c' = [ base_record ~sim_cycles:999_999 () ] in
   Alcotest.(check bool) "-1 cycle fails too (exact, not <=)" false
     (gate_ok b c')
 
@@ -117,36 +105,6 @@ let test_gate_extra_exact () =
   let b = [ base_record ~extra:[ ("errors", B.Int 0) ] () ] in
   let c = [ base_record ~extra:[ ("errors", B.Int 1) ] () ] in
   Alcotest.(check bool) "extra metrics gate exactly" false (gate_ok b c)
-
-let test_gate_wall_blowup () =
-  let b = [ base_record ~wall_s:2.0 () ] in
-  let ok_c = [ base_record ~wall_s:2.4 () ] in
-  let bad_c = [ base_record ~wall_s:3.0 () ] in
-  Alcotest.(check bool) "+20% wall time within default tolerance" true
-    (gate_ok b ok_c);
-  Alcotest.(check bool) "+50% wall time regresses" false (gate_ok b bad_c);
-  Alcotest.(check bool) "+50% passes with a looser --tol" true
-    (gate_ok ~tol:0.6 b bad_c);
-  Alcotest.(check bool) "+50% passes under --sim-only" true
-    (gate_ok ~sim_only:true b bad_c)
-
-let test_gate_host_direction () =
-  (* cyc_per_s is higher-is-better: a drop regresses, a rise never does *)
-  let b = [ base_record ~cyc_per_s:1_000_000.0 () ] in
-  Alcotest.(check bool) "throughput drop regresses" false
-    (gate_ok b [ base_record ~cyc_per_s:500_000.0 () ]);
-  Alcotest.(check bool) "throughput rise passes" true
-    (gate_ok b [ base_record ~cyc_per_s:5_000_000.0 () ]);
-  (* wall_s is lower-is-better: getting faster never regresses *)
-  Alcotest.(check bool) "wall time drop passes" true
-    (gate_ok b [ base_record ~cyc_per_s:1_000_000.0 ~wall_s:0.1 () ])
-
-let test_gate_stripped_baseline () =
-  (* a host-stripped (checked-in) baseline never gates host metrics *)
-  let b = [ B.strip_host (base_record ()) ] in
-  let c = [ base_record ~wall_s:100.0 () ] in
-  Alcotest.(check bool) "host skipped when baseline unmeasured" true
-    (gate_ok b c)
 
 let test_gate_missing_and_new () =
   let b = [ base_record (); base_record ~workload:"fft" () ] in
@@ -206,9 +164,45 @@ let test_schema_future_rejected () =
   Alcotest.check_raises "future schema rejected"
     (Failure
        (Printf.sprintf
-          "Benchjson.parse: schema %d is newer than supported %d"
+          "Benchjson.parse: schema %d is not the supported schema %d; \
+           regenerate the file with bench --json-out"
           (B.schema_version + 1) B.schema_version))
     (fun () -> ignore (B.parse line))
+
+(* A schema-1 line as the checked-in baselines held it, host fields
+   and all: it must not parse, or its "wall_s": 0.0 would be read as an
+   exactly gated extra metric. *)
+let test_schema_1_rejected () =
+  let line =
+    "{\"schema\": 1, \"workload\": \"lu\", \"nprocs\": 1, \"line\": 64, \
+     \"opts\": \"full\", \"sim_cycles\": 174688, \"messages\": 0, \
+     \"misses\": 0, \"wall_s\": 0.0, \"cyc_per_s\": 0.0, \"gc\": \
+     {\"minor_words\": 0.0, \"major_words\": 0.0, \"minor_collections\": 0, \
+     \"major_collections\": 0}, \"git_rev\": \"08c1c28\"}"
+  in
+  Alcotest.check_raises "schema 1 rejected"
+    (Failure
+       (Printf.sprintf
+          "Benchjson.parse: schema 1 is not the supported schema %d; \
+           regenerate the file with bench --json-out"
+          B.schema_version))
+    (fun () -> ignore (B.parse line))
+
+(* Records are flat: a nested object or an array is malformed, not
+   silently skipped. *)
+let test_non_flat_rejected () =
+  let rejected what line =
+    match B.parse line with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Failure m ->
+      Alcotest.(check bool)
+        (what ^ " raises a Benchjson.parse failure")
+        true
+        (String.starts_with ~prefix:"Benchjson.parse: " m)
+  in
+  let head = Printf.sprintf "{\"schema\": %d, \"workload\": \"x\"" B.schema_version in
+  rejected "nested object" (head ^ ", \"gc\": {\"minor_words\": 1.0}}");
+  rejected "array" (head ^ ", \"xs\": [1, 2]}")
 
 let () =
   Alcotest.run "bench"
@@ -225,11 +219,6 @@ let () =
           Alcotest.test_case "sim regression (+/-1 cycle)" `Quick
             test_gate_sim_regression;
           Alcotest.test_case "extra metrics exact" `Quick test_gate_extra_exact;
-          Alcotest.test_case "wall-time blowup" `Quick test_gate_wall_blowup;
-          Alcotest.test_case "host metric direction" `Quick
-            test_gate_host_direction;
-          Alcotest.test_case "stripped baseline skips host" `Quick
-            test_gate_stripped_baseline;
           Alcotest.test_case "missing/new records" `Quick
             test_gate_missing_and_new ] );
       ( "kv",
@@ -238,4 +227,7 @@ let () =
           Alcotest.test_case "kv record gates" `Quick test_kv_gate_self ] );
       ( "schema",
         [ Alcotest.test_case "future version rejected" `Quick
-            test_schema_future_rejected ] ) ]
+            test_schema_future_rejected;
+          Alcotest.test_case "schema 1 rejected" `Quick test_schema_1_rejected;
+          Alcotest.test_case "non-flat value rejected" `Quick
+            test_non_flat_rejected ] ) ]
