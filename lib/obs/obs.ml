@@ -172,13 +172,17 @@ let flush t =
 let incr c ~node = Metrics.bump c ~node 1
 let observe h ~node v = Metrics.observe_handle h ~node v
 
+let count_send t ~node ~longs =
+  incr t.cells.msg_sent ~node;
+  observe t.cells.payload ~node longs
+
+let count_recv t ~node = incr t.cells.msg_recv ~node
+
 let count_event t ~node (ev : Event.t) =
   let c = t.cells in
   match ev with
-  | Msg_send { longs; _ } ->
-    incr c.msg_sent ~node;
-    observe c.payload ~node longs
-  | Msg_recv _ -> incr c.msg_recv ~node
+  | Msg_send { longs; _ } -> count_send t ~node ~longs
+  | Msg_recv _ -> count_recv t ~node
   | Miss { kind = Read; _ } -> incr c.miss_read ~node
   | Miss { kind = Write; _ } -> incr c.miss_write ~node
   | Miss { kind = Upgrade; _ } -> incr c.miss_upgrade ~node

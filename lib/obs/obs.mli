@@ -42,6 +42,14 @@ val emit : t -> ?site:Event.site -> node:int -> time:int -> Event.t -> unit
     profiler and sinks (if any).  [site] attributes the event to the
     emitting node's current code location. *)
 
+val count_send : t -> node:int -> longs:int -> unit
+(** Count one network send of [longs] payload longwords, exactly as
+    emitting an {!Event.Msg_send} would, without building the event:
+    the network tap's path when nothing is {!recording}. *)
+
+val count_recv : t -> node:int -> unit
+(** Count one network delivery, as an {!Event.Msg_recv} would. *)
+
 val counter : t -> string -> Metrics.counter
 (** Resolve a registry counter once, for a hot path with no event. *)
 

@@ -276,19 +276,44 @@ type input =
 (* Step context                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The stepping node's view is loaded into [me] once per step and each
+   update replaces it ([c.me <- { c.me with ... }]: no closure, no map
+   insert).  [v.nodes] keeps the value [me] was loaded from ([stored])
+   until [store_me] writes [me] back, once, at the end of the step.
+   Only crash recovery reads or rewrites other nodes' entries, through
+   [node_view_at] and [map_nodes], which see the current [me]. *)
 type ctx = {
   cfg : cfg;
   node : int; (* the stepping node: all actions target it *)
   mutable v : view;
+  mutable me : nview; (* the stepping node's current view *)
+  mutable stored : nview; (* its entry in [v.nodes] *)
   mutable racc : action list; (* reverse accumulation *)
   mutable stopped : bool; (* an A_reenter_store truncated this step *)
 }
 
 let act c a = if not c.stopped then c.racc <- a :: c.racc
 
-let nv c = Imap.find c.node c.v.nodes
-let set_nv c n = c.v <- { c.v with nodes = Imap.add c.node n c.v.nodes }
-let upd c f = set_nv c (f (nv c))
+let nv c = c.me
+
+let store_me c =
+  if c.me != c.stored then begin
+    c.v <- { c.v with nodes = Imap.add c.node c.me c.v.nodes };
+    c.stored <- c.me
+  end
+
+(* Any node's view as of now: [me] for the stepping node. *)
+let node_view_at c n = if n = c.node then c.me else Imap.find n c.v.nodes
+
+(* Rewrite every node's entry with [f], the stepping node's included. *)
+let map_nodes c f =
+  store_me c;
+  c.v <- { c.v with nodes = Imap.mapi f c.v.nodes };
+  c.me <- Imap.find c.node c.v.nodes;
+  c.stored <- c.me
+
+let set_line c block l =
+  c.me <- { c.me with lines = Imap.add block l c.me.lines }
 
 let home_of (cfg : cfg) block = block / cfg.page_bytes mod cfg.nprocs
 
@@ -324,16 +349,11 @@ let mem_op c (op : memop) =
   if not c.stopped then begin
     act c (A_mem op);
     match op with
-    | M_make_exclusive b -> upd c (fun n -> { n with lines = Imap.add b L_exclusive n.lines })
-    | M_make_shared b -> upd c (fun n -> { n with lines = Imap.add b L_shared n.lines })
-    | M_make_invalid b -> upd c (fun n -> { n with lines = Imap.add b L_invalid n.lines })
+    | M_make_exclusive b -> set_line c b L_exclusive
+    | M_make_shared b -> set_line c b L_shared
+    | M_make_invalid b -> set_line c b L_invalid
     | M_make_pending { block; shared } ->
-      upd c (fun n ->
-        { n with
-          lines =
-            Imap.add block
-              (if shared then L_pending_shared else L_pending_invalid)
-              n.lines })
+      set_line c block (if shared then L_pending_shared else L_pending_invalid)
     | M_flag _ | M_merge _ | M_adopt _ -> ()
   end
 
@@ -455,13 +475,13 @@ let rec send c ~dst ~addr kind =
 and block_on c w r =
   if wait_sat (nv c) w then begin
     (match w with
-     | W_sync -> upd c (fun n -> { n with sync_signal = false })
+     | W_sync -> c.me <- { c.me with sync_signal = false }
      | _ -> ());
     (* satisfied on entry: run the continuation with no stall event *)
     dispatch c r []
   end
   else begin
-    upd c (fun n -> { n with nstat = N_waiting w; resume = r });
+    c.me <- { c.me with nstat = N_waiting w; resume = r };
     act c (A_block w)
   end
 
@@ -472,11 +492,11 @@ and check_wake c ~post =
   | N_waiting w ->
     if wait_sat n w then begin
       (match w with
-       | W_sync -> upd c (fun n -> { n with sync_signal = false })
+       | W_sync -> c.me <- { c.me with sync_signal = false }
        | _ -> ());
       act c (A_stall w);
       let r = (nv c).resume in
-      upd c (fun n -> { n with nstat = N_running; resume = R_none });
+      c.me <- { c.me with nstat = N_running; resume = R_none };
       dispatch c r post
     end
     else run_post c post
@@ -584,22 +604,25 @@ and run_post c = function
 (* ------------------------------------------------------------------ *)
 
 and finish_acks c block =
-  upd c (fun n ->
-    { n with acks = Imap.remove block n.acks; unacked = n.unacked - 1 });
+  c.me <-
+    { c.me with
+      acks = Imap.remove block c.me.acks;
+      unacked = c.me.unacked - 1 };
   flush_waiters c block
 
 and register_acks c block expected =
   match Imap.find_opt block (nv c).acks with
   | None ->
     if expected > 0 then
-      upd c (fun n ->
-        { n with
-          acks = Imap.add block { got = 0; expected = Some expected } n.acks;
-          unacked = n.unacked + 1 })
+      c.me <-
+        { c.me with
+          acks = Imap.add block { got = 0; expected = Some expected } c.me.acks;
+          unacked = c.me.unacked + 1 }
     else flush_waiters c block
   | Some a ->
-    upd c (fun n ->
-      { n with acks = Imap.add block { a with expected = Some expected } n.acks });
+    c.me <-
+      { c.me with
+        acks = Imap.add block { a with expected = Some expected } c.me.acks };
     if a.got >= expected then finish_acks c block
 
 and recv_inv_ack c block =
@@ -616,17 +639,13 @@ and recv_inv_ack c block =
        provisional entry here would count unacked forever. *)
     ()
   else begin
-  let a =
+  let a, unacked =
     match Imap.find_opt block (nv c).acks with
-    | Some a -> a
-    | None ->
-      let a = { got = 0; expected = None } in
-      upd c (fun n ->
-        { n with acks = Imap.add block a n.acks; unacked = n.unacked + 1 });
-      a
+    | Some a -> (a, c.me.unacked)
+    | None -> ({ got = 0; expected = None }, c.me.unacked + 1)
   in
   let a = { a with got = a.got + 1 } in
-  upd c (fun n -> { n with acks = Imap.add block a n.acks });
+  c.me <- { c.me with acks = Imap.add block a c.me.acks; unacked };
   match a.expected with
   | Some e when a.got >= e -> finish_acks c block
   | _ -> ()
@@ -640,7 +659,7 @@ and flush_waiters c block =
     match Imap.find_opt block n.waiters with
     | None -> ()
     | Some msgs ->
-      upd c (fun n -> { n with waiters = Imap.remove block n.waiters });
+      c.me <- { c.me with waiters = Imap.remove block c.me.waiters };
       List.iter (fun msg -> handle c msg) msgs
   end
 
@@ -654,12 +673,12 @@ and issue_request c block kind ~count =
   send c ~dst:(route c.cfg c.v (eff_home c.cfg c.v block)) ~addr:block kind
 
 and start_pending c block pkind =
-  upd c (fun n ->
-    { n with
+  c.me <-
+    { c.me with
       pending =
         Imap.add block
           { pkind; written = Imap.empty; invalidated = false }
-          n.pending });
+          c.me.pending };
   mem_op c (M_make_pending { block; shared = pkind = P_upgrade })
 
 (* ------------------------------------------------------------------ *)
@@ -770,11 +789,10 @@ and owner_busy (n : nview) block =
   | Some p -> not (p.pkind = P_upgrade && not p.invalidated)
 
 and enqueue_waiter c block msg =
-  upd c (fun n ->
-    let q =
-      match Imap.find_opt block n.waiters with Some q -> q | None -> []
-    in
-    { n with waiters = Imap.add block (q @ [ msg ]) n.waiters })
+  let q =
+    match Imap.find_opt block c.me.waiters with Some q -> q | None -> []
+  in
+  c.me <- { c.me with waiters = Imap.add block (q @ [ msg ]) c.me.waiters }
 
 and owner_fwd_read c ~requester ~block =
   if requester = c.node && Imap.mem block (nv c).pending then
@@ -795,7 +813,7 @@ and owner_fwd_read c ~requester ~block =
       (Message.Coh (Data_reply { data = [||]; exclusive = false; acks = 0 }));
     let n = nv c in
     if n.in_batch then
-      upd c (fun n -> { n with deferred = D_downgrade block :: n.deferred })
+      c.me <- { c.me with deferred = D_downgrade block :: c.me.deferred }
     else if not (Imap.mem block n.pending) then
       (* a pending upgrade keeps its pending-shared state bytes *)
       mem_op c (M_make_shared block)
@@ -815,15 +833,16 @@ and owner_fwd_readex c ~requester ~block ~acks =
       (Message.Coh (Data_reply { data = [||]; exclusive = true; acks }));
     let n = nv c in
     if n.in_batch then
-      upd c (fun n -> { n with deferred = D_inv block :: n.deferred })
+      c.me <- { c.me with deferred = D_inv block :: c.me.deferred }
     else
       match Imap.find_opt block n.pending with
       | Some p ->
         (* our own upgrade is in flight and will be converted by the
            home; treat this like an invalidation racing it *)
-        upd c (fun n ->
-          { n with
-            pending = Imap.add block { p with invalidated = true } n.pending });
+        c.me <-
+          { c.me with
+            pending =
+              Imap.add block { p with invalidated = true } c.me.pending };
         mem_op c
           (M_flag { block; keep = List.map fst (Imap.bindings p.written) })
       | None -> mem_op c (M_make_invalid block)
@@ -838,7 +857,7 @@ and apply_inv c ~block ~requester =
   send c ~dst:requester ~addr:block (Message.Coh Inv_ack);
   let n = nv c in
   if n.in_batch then
-    upd c (fun n -> { n with deferred = D_inv block :: n.deferred })
+    c.me <- { c.me with deferred = D_inv block :: c.me.deferred }
   else if line_of n block = L_exclusive then
     (* stale invalidation: it targeted a sharer copy we have since
        replaced by exclusive ownership; nothing beyond the ack *)
@@ -846,9 +865,9 @@ and apply_inv c ~block ~requester =
   else
     match Imap.find_opt block n.pending with
     | Some p ->
-      upd c (fun n ->
-        { n with
-          pending = Imap.add block { p with invalidated = true } n.pending });
+      c.me <-
+        { c.me with
+          pending = Imap.add block { p with invalidated = true } c.me.pending };
       mem_op c
         (M_flag { block; keep = List.map fst (Imap.bindings p.written) })
     | None -> mem_op c (M_make_invalid block)
@@ -869,18 +888,18 @@ and complete_data_reply c ~block ~exclusive ~acks ~tail =
          c.node block)
   | Some p ->
     mem_op c (M_merge { block; written = Imap.bindings p.written });
-    upd c (fun n -> { n with pending = Imap.remove block n.pending });
+    c.me <- { c.me with pending = Imap.remove block c.me.pending };
     (* the node's own stalled access must consume the reply (the refill
        runs) BEFORE deferred forwarded requests are serviced *)
     if exclusive then begin
       mem_op c (M_make_exclusive block);
       (* any deferred invalidation of this block predates our ownership *)
-      upd c (fun n ->
-        { n with
+      c.me <-
+        { c.me with
           deferred =
             List.filter
               (function D_inv b -> b <> block | _ -> true)
-              n.deferred });
+              c.me.deferred };
       check_wake c ~post:(P_register_acks { block; acks } :: tail)
     end
     else if p.invalidated then begin
@@ -905,7 +924,7 @@ and complete_upgrade_ack c ~block ~acks ~tail =
       (Printf.sprintf "Engine: stray upgrade ack at node %d block 0x%x"
          c.node block)
   | Some _ ->
-    upd c (fun n -> { n with pending = Imap.remove block n.pending });
+    c.me <- { c.me with pending = Imap.remove block c.me.pending };
     mem_op c (M_make_exclusive block);
     check_wake c ~post:(P_register_acks { block; acks } :: tail)
 
@@ -929,7 +948,7 @@ and set_flag c id f = c.v <- { c.v with flags = Imap.add id f c.v.flags }
 
 and grant_lock c ~to_ ~id =
   if to_ = c.node then begin
-    upd c (fun n -> { n with sync_signal = true });
+    c.me <- { c.me with sync_signal = true };
     check_wake c ~post:[]
   end
   else send c ~dst:to_ ~addr:id (Message.Sync Lock_grant)
@@ -966,7 +985,7 @@ and barrier_maybe_release c =
     for n = 0 to c.cfg.nprocs - 1 do
       if Ns.mem arrived n then
         if n = c.node then begin
-          upd c (fun nn -> { nn with sync_signal = true });
+          c.me <- { c.me with sync_signal = true };
           check_wake c ~post:[]
         end
         else send c ~dst:n ~addr:0 (Message.Sync Barrier_release)
@@ -1036,14 +1055,14 @@ and tree_release_fan c n =
 and tree_release_self c =
   if Ns.mem c.v.brelease c.node then begin
     c.v <- { c.v with brelease = Ns.remove c.v.brelease c.node };
-    upd c (fun n -> { n with sync_signal = true })
+    c.me <- { c.me with sync_signal = true }
   end;
   List.iter (tree_release_fan c) (tree_children c.cfg c.node);
   check_wake c ~post:[]
 
 and wake_flag_waiter c ~to_ ~id =
   if to_ = c.node then begin
-    upd c (fun n -> { n with sync_signal = true });
+    c.me <- { c.me with sync_signal = true };
     check_wake c ~post:[]
   end
   else send c ~dst:to_ ~addr:id (Message.Sync Flag_wake)
@@ -1098,7 +1117,7 @@ and handle c (msg : Message.t) =
     home_lock_req c ~requester:msg.src ~id:msg.addr;
     check_wake c ~post:[]
   | Sync Lock_grant ->
-    upd c (fun n -> { n with sync_signal = true });
+    c.me <- { c.me with sync_signal = true };
     check_wake c ~post:[]
   | Sync Unlock_msg ->
     home_unlock c ~id:msg.addr;
@@ -1112,7 +1131,7 @@ and handle c (msg : Message.t) =
     check_wake c ~post:[]
   | Sync Barrier_release ->
     (if c.cfg.scalable_sync then tree_release_self c
-     else upd c (fun n -> { n with sync_signal = true }));
+     else c.me <- { c.me with sync_signal = true });
     check_wake c ~post:[]
   | Sync Flag_set_msg ->
     home_flag_set c ~id:msg.addr;
@@ -1121,7 +1140,7 @@ and handle c (msg : Message.t) =
     home_flag_wait c ~requester:msg.src ~id:msg.addr;
     check_wake c ~post:[]
   | Sync Flag_wake ->
-    upd c (fun n -> { n with sync_signal = true });
+    c.me <- { c.me with sync_signal = true };
     check_wake c ~post:[]
 
 (* ------------------------------------------------------------------ *)
@@ -1140,8 +1159,8 @@ let add_written c block stored =
     let written =
       List.fold_left (fun w (a, v) -> Imap.add a v w) p.written stored
     in
-    upd c (fun n ->
-      { n with pending = Imap.add block { p with written } n.pending })
+    c.me <-
+      { c.me with pending = Imap.add block { p with written } c.me.pending }
 
 let load_miss c ~addr ~block ~st =
   match st with
@@ -1219,7 +1238,7 @@ let store_miss c ~addr ~block ~st ~bytes ~store_done ~stored =
 let batch_miss c ~nranges ~blocks =
   act c (A_count C_batch_miss);
   act c (A_charge (Batch_record nranges));
-  upd c (fun n -> { n with in_batch = true });
+  c.me <- { c.me with in_batch = true };
   let waits = ref [] in
   List.iter
     (fun (block, need_excl, st) ->
@@ -1275,7 +1294,7 @@ let batch_miss c ~nranges ~blocks =
    [order] is the deduped application order; [values] the longword
    values of the batch's stores (addr, owning block, value). *)
 let apply_deferred c ~order ~values =
-  upd c (fun n -> { n with deferred = [] });
+  c.me <- { c.me with deferred = [] };
   let written_for block =
     List.fold_left
       (fun m (a, b, v) -> if b = block then Imap.add a v m else m)
@@ -1291,12 +1310,12 @@ let apply_deferred c ~order ~values =
            (* a request is already outstanding: fold the invalidation
               into it rather than issuing a duplicate *)
            let w = Imap.union (fun _ _ v -> Some v) p.written written in
-           upd c (fun n ->
-             { n with
+           c.me <-
+             { c.me with
                pending =
                  Imap.add block
                    { p with written = w; invalidated = true }
-                   n.pending });
+                   c.me.pending };
            mem_op c (M_flag { block; keep = List.map fst (Imap.bindings w) })
          | None ->
            if not (Imap.is_empty written) then begin
@@ -1338,15 +1357,15 @@ let batch_end c ~values ~order =
       (fun (a, block, v) ->
         match Imap.find_opt block (nv c).pending with
         | Some p ->
-          upd c (fun n ->
-            { n with
+          c.me <-
+            { c.me with
               pending =
                 Imap.add block
                   { p with written = Imap.add a v p.written }
-                  n.pending })
+                  c.me.pending }
         | None -> ())
       values;
-    upd c (fun n -> { n with in_batch = false });
+    c.me <- { c.me with in_batch = false };
     apply_deferred c ~order ~values
   end
 
@@ -1394,7 +1413,7 @@ let alloc c ~owner ~blocks =
   List.iter
     (fun block ->
       c.v <- { c.v with dir = Imap.add block { owner; sharers } c.v.dir };
-      upd c (fun n -> { n with lines = Imap.add block L_exclusive n.lines }))
+      set_line c block L_exclusive)
     blocks
 
 let set_home c ~page ~home =
@@ -1549,7 +1568,7 @@ let recover_directory c ~victim ~served =
               Ns.mem sharers n
               && not (is_crashed c.v n)
               &&
-              match line_of (Imap.find n c.v.nodes) block with
+              match line_of (node_view_at c n) block with
               | L_shared | L_exclusive -> true
               | _ -> false
             then Some n
@@ -1642,24 +1661,22 @@ let drop_dead_waiters c ~victim =
       requester <> victim
     | _ -> true
   in
-  let nodes =
-    Imap.mapi
-      (fun id (n : nview) ->
-        if id = victim || Imap.is_empty n.waiters then n
-        else
-          { n with
-            waiters =
-              Imap.filter_map
-                (fun _ q ->
-                  match List.filter keep q with [] -> None | q -> Some q)
-                n.waiters })
-      c.v.nodes
-  in
-  c.v <- { c.v with nodes }
+  map_nodes c (fun id (n : nview) ->
+    if id = victim || Imap.is_empty n.waiters then n
+    else
+      { n with
+        waiters =
+          Imap.filter_map
+            (fun _ q ->
+              match List.filter keep q with [] -> None | q -> Some q)
+            n.waiters })
 
+(* The coordinator is a live node other than the victim (both drivers
+   pick the lowest such node), so the victim's entry is never [me]. *)
 let node_crash c ~victim ~lost =
+  assert (victim <> c.node);
   if not (Ns.mem c.v.crashed victim) then begin
-    let vv = Imap.find victim c.v.nodes in
+    let vv = node_view_at c victim in
     c.v <-
       { c.v with
         crashed = Ns.add c.v.crashed victim;
@@ -1738,7 +1755,8 @@ let node_recover c ~victim =
 (* ------------------------------------------------------------------ *)
 
 let step (cfg : cfg) (v : view) ~node (input : input) : action list * view =
-  let c = { cfg; node; v; racc = []; stopped = false } in
+  let me = Imap.find node v.nodes in
+  let c = { cfg; node; v; me; stored = me; racc = []; stopped = false } in
   (match input with
    | I_msg msg -> handle c msg
    | I_load_miss { addr; block; st } -> load_miss c ~addr ~block ~st
@@ -1757,6 +1775,7 @@ let step (cfg : cfg) (v : view) ~node (input : input) : action list * view =
    | I_continue post -> run_post c post
    | I_node_crash { victim; lost } -> node_crash c ~victim ~lost
    | I_node_recover victim -> node_recover c ~victim);
+  store_me c;
   (List.rev c.racc, c.v)
 
 (* ------------------------------------------------------------------ *)

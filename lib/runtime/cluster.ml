@@ -72,23 +72,28 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
       fault_queue = [] }
   in
   (* Wire the interconnect and cache-model taps into the observability
-     subsystem: every network send/delivery becomes a typed event,
-     every hardware cache miss a registry bump. *)
+     subsystem: every network send/delivery becomes a typed event when
+     a sink or profiler records (only a registry bump otherwise), every
+     hardware cache miss a registry bump. *)
   let obs = config.obs in
   let module M = Shasta_protocol.Message in
   Shasta_network.Network.set_taps state.net
     ~on_send:(fun ~src ~dst ~now (msg : M.t) ->
-      (* stamp the send with the sender's current code site so the
-         profiler's transaction spans open at the requesting access *)
-      Engine.emit_at obs nodes.(src) ~time:now
-        (Ev.Msg_send
-           { dst; kind = M.kind_name msg; block = msg.addr;
-             longs = M.payload_longs msg }))
+      if Obs.recording obs then
+        (* stamp the send with the sender's current code site so the
+           profiler's transaction spans open at the requesting access *)
+        Engine.emit_at obs nodes.(src) ~time:now
+          (Ev.Msg_send
+             { dst; kind = M.kind_name msg; block = msg.addr;
+               longs = M.payload_longs msg })
+      else Obs.count_send obs ~node:src ~longs:(M.payload_longs msg))
     ~on_recv:(fun ~src ~dst ~now (msg : M.t) ->
-      Obs.emit obs ~node:dst ~time:now
-        (Ev.Msg_recv
-           { src; kind = M.kind_name msg; block = msg.addr;
-             longs = M.payload_longs msg }));
+      if Obs.recording obs then
+        Obs.emit obs ~node:dst ~time:now
+          (Ev.Msg_recv
+             { src; kind = M.kind_name msg; block = msg.addr;
+               longs = M.payload_longs msg })
+      else Obs.count_recv obs ~node:dst);
   (* fault-layer perturbations attribute to the sender's site too, so
      the profiler charges retransmission stalls to the code that sent
      the frame; with faults off the tap never fires and the event
@@ -151,6 +156,24 @@ let next_event_time (state : State.t) (node : Node.t) =
      | None -> max_int)
 
 exception Deadlock of string
+
+(* One "nN:status" word per node; every [Deadlock] message ends with it. *)
+let diagnose (state : State.t) =
+  Array.to_list state.nodes
+  |> List.map (fun (n : Node.t) ->
+    Printf.sprintf "n%d:%s" n.id
+      (match n.status with
+       | Node.Running -> "run"
+       | Node.Finished -> "done"
+       | Node.Crashed -> "crashed"
+       | Node.Waiting (Node.W_blocks bs) ->
+         Printf.sprintf "blocks[%s]"
+           (String.concat "," (List.map (Printf.sprintf "0x%x") bs))
+       | Node.Waiting Node.W_release -> "release"
+       | Node.Waiting Node.W_sync -> "sync"))
+  |> String.concat " "
+
+let deadlock state why = raise (Deadlock (why ^ diagnose state))
 
 (* ------------------------------------------------------------------ *)
 (* Node crash/recovery injection (--node-faults)                        *)
@@ -295,7 +318,7 @@ let run_until_done ?(max_events = 2_000_000_000) (state : State.t) =
   let next_hb = ref (-1) in
   while not (finished state) do
     incr events;
-    if !events > max_events then raise (Deadlock "event budget exhausted");
+    if !events > max_events then deadlock state "event budget exhausted: ";
     (* pick the node with the earliest next event *)
     let best = ref (-1) and best_t = ref max_int in
     for i = 0 to Array.length state.nodes - 1 do
@@ -319,25 +342,7 @@ let run_until_done ?(max_events = 2_000_000_000) (state : State.t) =
         state.fault_queue <- rest;
         fire_fault state entry
     end
-    else if !best < 0 then begin
-      let diag =
-        Array.to_list state.nodes
-        |> List.map (fun (n : Node.t) ->
-          Printf.sprintf "n%d:%s" n.id
-            (match n.status with
-             | Node.Running -> "run"
-             | Node.Finished -> "done"
-             | Node.Crashed -> "crashed"
-             | Node.Waiting (Node.W_blocks bs) ->
-               Printf.sprintf "blocks[%s]"
-                 (String.concat ","
-                    (List.map (Printf.sprintf "0x%x") bs))
-             | Node.Waiting Node.W_release -> "release"
-             | Node.Waiting Node.W_sync -> "sync"))
-        |> String.concat " "
-      in
-      raise (Deadlock diag)
-    end
+    else if !best < 0 then deadlock state ""
     else begin
       let node = state.nodes.(!best) in
       match node.status with
@@ -345,7 +350,9 @@ let run_until_done ?(max_events = 2_000_000_000) (state : State.t) =
       | Node.Crashed -> assert false (* never the earliest event *)
       | Node.Waiting _ | Node.Finished ->
         if not (Engine.deliver_next state node) then
-          raise (Deadlock "waiting node has no incoming messages")
+          deadlock state
+            (Printf.sprintf "waiting node n%d has no incoming messages: "
+               node.id)
     end
   done
 

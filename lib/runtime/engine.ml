@@ -161,25 +161,16 @@ let rec step state (node : Node.t) (input : T.input) =
    request over the sharer set — go to the interconnect as one
    multicast (timing-identical to the individual sends) and feed the
    dir.fanout histogram with the run's width. *)
-and inv_send (a : T.action) =
-  match a with
-  | T.A_send
-      ({ msg = { Message.kind = Message.Coh (Message.Inv _); _ }; _ } as s) ->
-    Some (s.dst, s.msg)
-  | _ -> None
-
 and apply_all state (node : Node.t) acts =
   match acts with
   | [] -> ()
-  | a :: _ when inv_send a <> None ->
+  | T.A_send { dst; msg = { kind = Coh (Inv _); _ } as msg } :: rest ->
     let rec split acc = function
-      | a :: rest as l -> (
-        match inv_send a with
-        | Some pair -> split (pair :: acc) rest
-        | None -> (List.rev acc, l))
-      | [] -> (List.rev acc, [])
+      | T.A_send { dst; msg = { kind = Coh (Inv _); _ } as msg } :: rest ->
+        split ((dst, msg) :: acc) rest
+      | l -> (List.rev acc, l)
     in
-    let pairs, rest = split [] acts in
+    let pairs, rest = split [ (dst, msg) ] rest in
     let now = Pipeline.cycle node.pipe in
     let done_at =
       Shasta_network.Network.multicast state.State.net ~src:node.id ~now

@@ -363,6 +363,27 @@ let t_create_footprint () =
         [ static_base; static_limit - 64; stack_limit; stack_top - 64 ])
     [ 0; 63 ]
 
+(* Every deadlock names its nodes: a run cut off by the event budget
+   says where each node was. *)
+let t_deadlock_names_nodes () =
+  let state = prepare ~nprocs:2 (Shasta_apps.Lu.program ~n:16 ~bs:4 ()) in
+  Array.iter (fun (n : Node.t) -> n.status <- Node.Finished) state.nodes;
+  Cluster.reset_node_for state state.nodes.(0) ~proc:"appinit";
+  match Cluster.run_until_done ~max_events:5 state with
+  | () -> Alcotest.fail "a 5-event budget finished the run"
+  | exception Cluster.Deadlock d ->
+    let has sub =
+      let n = String.length sub in
+      let rec go i =
+        i + n <= String.length d && (String.sub d i n = sub || go (i + 1))
+      in
+      go 0
+    in
+    Alcotest.(check bool) ("budget named: " ^ d) true
+      (has "event budget exhausted");
+    Alcotest.(check bool) ("n0 diagnosed: " ^ d) true (has "n0:");
+    Alcotest.(check bool) ("n1 diagnosed: " ^ d) true (has "n1:")
+
 let () =
   Alcotest.run "runtime"
     [ ( "sharing",
@@ -390,6 +411,9 @@ let () =
           Alcotest.test_case "atm slower" `Quick t_atm_slower_than_mc ] );
       ( "cold start",
         [ Alcotest.test_case "footprint at P=64" `Quick t_create_footprint ] );
+      ( "deadlock",
+        [ Alcotest.test_case "budget names the nodes" `Quick
+            t_deadlock_names_nodes ] );
       ( "home policies",
         [ Alcotest.test_case "same output, replay reproduces" `Quick
             t_home_policies ] )
