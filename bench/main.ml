@@ -85,7 +85,7 @@ let run_with_caches ~opts prog =
   let ph = Cluster.run_app state in
   let dmisses =
     Array.fold_left
-      (fun a (n : Node.t) -> a + n.caches.l1d.misses)
+      (fun a (n : Node.t) -> a + Shasta_machine.Cache.misses n.caches.l1d)
       0 state.nodes
   in
   (ph, dmisses)

@@ -7,39 +7,74 @@
    simple direct-mapped tag model reproduces those effects.  Writeback
    traffic is not costed (dirty evictions are counted but charged the
    same as clean fills); this second-order effect does not change any of
-   the shapes the paper reports. *)
+   the shapes the paper reports.
+
+   Tags cost what a run touches.  The tag store is an array of chunks of
+   up to 512 sets (4 KB, so a 16 KB L1 is one chunk and the 4 MB L2 is
+   128).  A chunk no miss has filled yet is the shared [empty] chunk,
+   which holds only -1 (no line); a miss into it allocates the chunk.
+   The hit path is the same two loads either way, and every hit and
+   miss is the one a flat, eagerly filled tag array would give.  Sets
+   are found by shift and mask, so the geometry must be powers of two. *)
+
+let max_chunk_bits = 9
+
+(* Shared by every cache and never written: [access] replaces it before
+   its store, and [invalidate_range] writes only a slot that holds a
+   block >= 0, which this chunk never does.  Built by the first [create],
+   so a process that models no cache (the model checker) allocates
+   nothing here. *)
+let empty = lazy (Array.make (1 lsl max_chunk_bits) (-1))
 
 type t = {
-  cname : string;
-  line_bytes : int;
-  nsets : int;
-  tags : int array; (* -1 = empty *)
-  mutable hits : int;
+  line_shift : int;
+  set_mask : int;
+  chunk_bits : int; (* log2 sets per chunk *)
+  chunk_mask : int;
+  chunks : int array array; (* [empty] = never filled *)
   mutable misses : int;
 }
 
-let create ~name ~size_bytes ~line_bytes =
-  if size_bytes mod line_bytes <> 0 then invalid_arg "Cache.create";
-  let nsets = size_bytes / line_bytes in
-  { cname = name; line_bytes; nsets; tags = Array.make nsets (-1);
-    hits = 0; misses = 0 }
+let pow2 n = n > 0 && n land (n - 1) = 0
 
-let reset t =
-  Array.fill t.tags 0 t.nsets (-1);
-  t.hits <- 0;
-  t.misses <- 0
+let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1)
+
+let create ~size_bytes ~line_bytes =
+  if not (pow2 size_bytes && pow2 line_bytes && line_bytes <= size_bytes)
+  then invalid_arg "Cache.create: sizes must be powers of two, line <= size";
+  let nsets = size_bytes / line_bytes in
+  let chunk_bits = min max_chunk_bits (log2 nsets) in
+  { line_shift = log2 line_bytes;
+    set_mask = nsets - 1;
+    chunk_bits;
+    chunk_mask = (1 lsl chunk_bits) - 1;
+    chunks = Array.make (nsets lsr chunk_bits) (Lazy.force empty);
+    misses = 0 }
+
+let misses t = t.misses
+
+let allocated_bytes t =
+  let empty = Lazy.force empty in
+  Array.fold_left
+    (fun n c -> if c == empty then n else n + (Array.length c * (Sys.word_size / 8)))
+    0 t.chunks
+
+(* Give [set]'s chunk its own storage in place of [empty]. *)
+let own_chunk t set =
+  let c = Array.make (t.chunk_mask + 1) (-1) in
+  t.chunks.(set lsr t.chunk_bits) <- c;
+  c
 
 (* Probe and fill.  Returns true on hit. *)
 let access t addr =
-  let block = addr / t.line_bytes in
-  let set = block mod t.nsets in
-  if t.tags.(set) = block then begin
-    t.hits <- t.hits + 1;
-    true
-  end
+  let block = addr asr t.line_shift in
+  let set = block land t.set_mask in
+  let c = t.chunks.(set lsr t.chunk_bits) in
+  if c.(set land t.chunk_mask) = block then true
   else begin
     t.misses <- t.misses + 1;
-    t.tags.(set) <- block;
+    let c = if c == Lazy.force empty then own_chunk t set else c in
+    c.(set land t.chunk_mask) <- block;
     false
   end
 
@@ -48,10 +83,11 @@ let access t addr =
    back (data replies, flag writes): the next program access must pay
    the miss the real machine would pay. *)
 let invalidate_range t ~addr ~len =
-  let first = addr / t.line_bytes and last = (addr + len - 1) / t.line_bytes in
-  for block = first to last do
-    let set = block mod t.nsets in
-    if t.tags.(set) = block then t.tags.(set) <- -1
+  for block = addr asr t.line_shift to (addr + len - 1) asr t.line_shift do
+    let set = block land t.set_mask in
+    let c = t.chunks.(set lsr t.chunk_bits) in
+    (* block >= 0, so this never writes [empty] *)
+    if c.(set land t.chunk_mask) = block then c.(set land t.chunk_mask) <- -1
   done
 
 type hierarchy = {
@@ -68,17 +104,12 @@ type hierarchy = {
 (* Cache geometry of the evaluation platform: 16 KB on-chip I and D
    caches, 4 MB off-chip second-level cache (Section 5.2). *)
 let alpha_hierarchy () =
-  { l1i = create ~name:"l1i" ~size_bytes:(16 * 1024) ~line_bytes:32;
-    l1d = create ~name:"l1d" ~size_bytes:(16 * 1024) ~line_bytes:32;
-    l2 = create ~name:"l2" ~size_bytes:(4 * 1024 * 1024) ~line_bytes:64;
+  { l1i = create ~size_bytes:(16 * 1024) ~line_bytes:32;
+    l1d = create ~size_bytes:(16 * 1024) ~line_bytes:32;
+    l2 = create ~size_bytes:(4 * 1024 * 1024) ~line_bytes:64;
     l1_miss_cycles = 10;
     l2_miss_cycles = 50;
     on_miss = ignore }
-
-let reset_hierarchy h =
-  reset h.l1i;
-  reset h.l1d;
-  reset h.l2
 
 (* Extra cycles for a data access. *)
 let daccess h addr =

@@ -5,24 +5,27 @@
     the paper's motivation for the exclusive table (Section 3.3) — so
     check metadata accesses go through the same model as data. *)
 
-type t = {
-  cname : string;
-  line_bytes : int;
-  nsets : int;
-  tags : int array;
-  mutable hits : int;
-  mutable misses : int;
-}
+type t
+(** One direct-mapped cache: its tags and its miss count.  Tag storage
+    is allocated in chunks of up to 512 sets on the first miss into
+    each chunk. *)
 
-val create : name:string -> size_bytes:int -> line_bytes:int -> t
-val reset : t -> unit
+val create : size_bytes:int -> line_bytes:int -> t
+(** An empty cache.  Raises [Invalid_argument] unless both sizes are
+    powers of two and [line_bytes <= size_bytes]. *)
+
+val misses : t -> int
+
+val allocated_bytes : t -> int
+(** Bytes of tag storage allocated so far; 0 for a fresh cache. *)
 
 val access : t -> int -> bool
-(** Probe and fill; [true] on hit. *)
+(** Probe and fill; [true] on hit.  Requires [addr >= 0]. *)
 
 val invalidate_range : t -> addr:int -> len:int -> unit
 (** Drop any lines overlapping the range; used when protocol handlers
-    rewrite memory behind the processor's back. *)
+    rewrite memory behind the processor's back.  Requires [addr >= 0]
+    and [len >= 1]. *)
 
 type hierarchy = {
   l1i : t;
@@ -38,8 +41,6 @@ type hierarchy = {
 val alpha_hierarchy : unit -> hierarchy
 (** The evaluation platform's geometry: 16 KB I/D L1, 4 MB L2
     (paper Section 5.2). *)
-
-val reset_hierarchy : hierarchy -> unit
 
 val daccess : hierarchy -> int -> int
 (** Extra cycles for a data access (0 on an L1 hit). *)

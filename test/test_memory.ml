@@ -228,7 +228,7 @@ let t_blit () =
 (* --- caches --- *)
 
 let t_cache_basics () =
-  let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:32 in
+  let c = Cache.create ~size_bytes:1024 ~line_bytes:32 in
   Alcotest.(check bool) "first access misses" false (Cache.access c 0);
   Alcotest.(check bool) "same line hits" true (Cache.access c 16);
   Alcotest.(check bool) "next line misses" false (Cache.access c 32);
@@ -237,7 +237,7 @@ let t_cache_basics () =
   Alcotest.(check bool) "original evicted" false (Cache.access c 0)
 
 let t_cache_invalidate () =
-  let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:32 in
+  let c = Cache.create ~size_bytes:1024 ~line_bytes:32 in
   ignore (Cache.access c 64);
   Cache.invalidate_range c ~addr:64 ~len:4;
   Alcotest.(check bool) "invalidated line misses" false (Cache.access c 64)
@@ -251,6 +251,94 @@ let t_hierarchy () =
   ignore (Cache.daccess h (0x1000 + (16 * 1024)));
   Alcotest.(check int) "l2 hit penalty" h.l1_miss_cycles
     (Cache.daccess h 0x1000)
+
+(* The model test: the chunked, shift/mask cache against a copy of the
+   flat tag array it replaced, which finds the set with [/] and [mod].
+   Every step's hit or miss and the running miss count must agree. *)
+
+type flat = { line : int; nsets : int; tags : int array; mutable fmisses : int }
+
+let flat_create ~size_bytes ~line_bytes =
+  let nsets = size_bytes / line_bytes in
+  { line = line_bytes; nsets; tags = Array.make nsets (-1); fmisses = 0 }
+
+let flat_access t addr =
+  let block = addr / t.line in
+  let set = block mod t.nsets in
+  if t.tags.(set) = block then true
+  else begin
+    t.fmisses <- t.fmisses + 1;
+    t.tags.(set) <- block;
+    false
+  end
+
+let flat_invalidate t ~addr ~len =
+  let first = addr / t.line and last = (addr + len - 1) / t.line in
+  for block = first to last do
+    let set = block mod t.nsets in
+    if t.tags.(set) = block then t.tags.(set) <- -1
+  done
+
+type cop = Access of int | Inval of int * int
+
+(* Addresses within a few lines of a chunk boundary (512 sets), with
+   one of four tags per set so that accesses conflict. *)
+let cop_gen ~size_bytes ~line_bytes =
+  let open QCheck2.Gen in
+  let span = 512 * line_bytes in
+  let nchunks = max 1 (size_bytes / span) in
+  let addr =
+    map3
+      (fun tag chunk d -> max 0 ((tag * size_bytes) + (chunk * span) + d))
+      (int_bound 3)
+      (oneof [ int_bound 1; int_bound nchunks ])
+      (int_range (-3 * line_bytes) (3 * line_bytes))
+  in
+  let len = oneof [ int_range 1 8; int_range 1 (4 * line_bytes); int_range 1 (2 * span) ] in
+  frequency
+    [ (3, map (fun a -> Access a) addr); (1, map2 (fun a l -> Inval (a, l)) addr len) ]
+
+let print_cop = function
+  | Access a -> Printf.sprintf "access 0x%x" a
+  | Inval (a, l) -> Printf.sprintf "invalidate 0x%x+%d" a l
+
+let prop_cache_model ~size_bytes ~line_bytes ~make ops =
+  let c = make () and r = flat_create ~size_bytes ~line_bytes in
+  List.for_all
+    (fun op ->
+      (match op with
+       | Access a -> Cache.access c a = flat_access r a
+       | Inval (addr, len) ->
+         Cache.invalidate_range c ~addr ~len;
+         flat_invalidate r ~addr ~len;
+         true)
+      && Cache.misses c = r.fmisses)
+    ops
+
+let cache_model_test ~name ~size_bytes ~line_bytes ~make =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:200
+       ~print:QCheck2.Print.(list print_cop)
+       QCheck2.Gen.(list_size (int_range 1 200) (cop_gen ~size_bytes ~line_bytes))
+       (prop_cache_model ~size_bytes ~line_bytes ~make))
+
+let t_cache_lazy () =
+  let h = Cache.alpha_hierarchy () in
+  List.iter
+    (fun (name, c) -> Alcotest.(check int) (name ^ " fresh") 0 (Cache.allocated_bytes c))
+    [ ("l1i", h.l1i); ("l1d", h.l1d); ("l2", h.l2) ];
+  let c = Cache.create ~size_bytes:(64 * 1024) ~line_bytes:32 in
+  ignore (Cache.access c 0x1000);
+  Alcotest.(check int) "one access, one chunk" 4096 (Cache.allocated_bytes c);
+  Cache.invalidate_range c ~addr:0x8000 ~len:0x8000;
+  Alcotest.(check int) "invalidate allocates nothing" 4096 (Cache.allocated_bytes c);
+  Alcotest.(check bool) "other chunk still misses" false (Cache.access c 0x8000);
+  Alcotest.(check int) "second chunk" 8192 (Cache.allocated_bytes c)
+
+let t_cache_pow2 () =
+  Alcotest.check_raises "3 KB cache"
+    (Invalid_argument "Cache.create: sizes must be powers of two, line <= size")
+    (fun () -> ignore (Cache.create ~size_bytes:3072 ~line_bytes:32))
 
 let () =
   Alcotest.run "memory"
@@ -278,5 +366,13 @@ let () =
       ( "cache",
         [ Alcotest.test_case "basics" `Quick t_cache_basics;
           Alcotest.test_case "invalidate" `Quick t_cache_invalidate;
-          Alcotest.test_case "hierarchy" `Quick t_hierarchy ] )
+          Alcotest.test_case "hierarchy" `Quick t_hierarchy;
+          Alcotest.test_case "tags allocated on first miss" `Quick t_cache_lazy;
+          Alcotest.test_case "power-of-two geometry" `Quick t_cache_pow2;
+          cache_model_test ~name:"equals a flat tag array (64 KB, 4 chunks)"
+            ~size_bytes:(64 * 1024) ~line_bytes:32
+            ~make:(fun () -> Cache.create ~size_bytes:(64 * 1024) ~line_bytes:32);
+          cache_model_test ~name:"equals a flat tag array (alpha L2)"
+            ~size_bytes:(4 * 1024 * 1024) ~line_bytes:64
+            ~make:(fun () -> (Cache.alpha_hierarchy ()).l2) ] )
     ]

@@ -331,7 +331,7 @@ let t_home_policies () =
 (* Cold start at the 64-node config: the private regions' exclusive bits
    read as set, yet building the cluster materializes almost nothing (the
    exclusive table is filled lazily, page by page, on first touch; an
-   eager fill left 49 pages per node). *)
+   eager fill left 49 pages per node), and no cache has tag storage yet. *)
 let t_create_footprint () =
   let prog = Shasta_apps.Lu.program ~n:48 ~bs:8 () in
   let state, _, _ =
@@ -347,7 +347,15 @@ let t_create_footprint () =
       Alcotest.(check bool)
         (Printf.sprintf "node %d: at most 2 pages" n.id)
         true
-        (M.allocated_bytes n.mem <= 2 * M.page_bytes))
+        (M.allocated_bytes n.mem <= 2 * M.page_bytes);
+      let h = n.caches in
+      List.iter
+        (fun (name, c) ->
+          Alcotest.(check int)
+            (Printf.sprintf "node %d: no %s tags" n.id name)
+            0
+            (Shasta_machine.Cache.allocated_bytes c))
+        [ ("l1i", h.l1i); ("l1d", h.l1d); ("l2", h.l2) ])
     state.nodes;
   let ls = state.config.line_shift in
   let open Shasta.Layout in
