@@ -373,13 +373,10 @@ let section_parallel () =
       (* message and miss totals come from the phase's metrics
          registry: the parallel-phase delta of the typed event stream *)
       let total = Metrics.counter_total last.phase.metrics in
-      let misses =
-        total Obs.c_miss_read + total Obs.c_miss_write
-        + total Obs.c_miss_upgrade
-      in
       Table.add_row t
         ((e.name :: cells)
-         @ [ string_of_int (total Obs.c_msg_sent); string_of_int misses ]))
+         @ [ string_of_int (total Obs.c_msg_sent);
+             string_of_int (Api.phase_misses last.phase) ]))
     Shasta_apps.Apps.all;
   Table.print t;
   print_string
@@ -590,14 +587,13 @@ let section_messages () =
           opts = Some Opts.full; nprocs = np; obs = Some obs }
       in
       let r = Api.run spec in
-      (* read straight from the observability registry (the parallel
-         phase delta) rather than the per-node raw counters *)
+      (* the observability registry's parallel-phase delta *)
       let total = Metrics.counter_total r.phase.metrics in
       let rd = total Obs.c_miss_read in
       let wr = total Obs.c_miss_write in
       let up = total Obs.c_miss_upgrade in
       let msgs = total Obs.c_msg_sent in
-      let misses = max 1 (rd + wr + up) in
+      let misses = max 1 (Api.phase_misses r.phase) in
       let hot =
         match Obs.Profile.sites prof with
         | ((proc, pc), s) :: _ ->

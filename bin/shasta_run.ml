@@ -343,11 +343,13 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
    | None -> Printf.printf "instrumented: no (original binary)\n");
   Array.iteri
     (fun id (c : Node.counters) ->
+      let count name = Metrics.counter r.phase.metrics name id in
       Printf.printf
         "node %d: %9d insns, misses rd=%d wr=%d up=%d batch=%d false=%d, \
          stall=%d cyc, polls=%d, locks=%d\n"
-        id c.insns c.read_misses c.write_misses c.upgrade_misses
-        c.batch_misses c.false_misses c.stall_cycles c.polls c.lock_acquires)
+        id c.insns (count Obs.c_miss_read) (count Obs.c_miss_write)
+        (count Obs.c_miss_upgrade) (count Obs.c_miss_batch)
+        (count Obs.c_miss_false) c.stall_cycles c.polls (count Obs.c_locks))
     r.phase.counters;
   (match prof with
    | None -> ()
@@ -432,7 +434,7 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
         in
         let oc = open_out_or_die file in
         output_string oc
-          (Report.to_json ~line:line_bytes ~opts:opts_name
+          (Report.to_json ~line:(Api.record_line spec) ~opts:opts_name
              ~messages:r.phase.msgs_sent ~misses:(Api.phase_misses r.phase)
              ~workload:(W.mix_name wl.W.mix) rep);
         output_string oc "\n";

@@ -16,15 +16,9 @@ let () =
       let r = Api.run { (Api.default_spec prog) with nprocs } in
       if r.phase.output <> expected then failwith "parallel result differs!";
       if nprocs = 1 then base := r.phase.wall_cycles;
-      let misses =
-        Array.fold_left
-          (fun a (c : Node.counters) ->
-            a + c.read_misses + c.write_misses + c.upgrade_misses)
-          0 r.phase.counters
-      in
       Printf.printf
         "P=%d: %9d cycles  speedup %.2f  %5d msgs  %5d misses  (result ok)\n"
         nprocs r.phase.wall_cycles
         (float_of_int !base /. float_of_int r.phase.wall_cycles)
-        r.phase.msgs_sent misses)
+        r.phase.msgs_sent (Api.phase_misses r.phase))
     [ 1; 2; 4; 8 ]

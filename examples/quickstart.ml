@@ -66,9 +66,15 @@ let () =
    | None -> ());
   Array.iteri
     (fun i (c : Shasta_runtime.Node.counters) ->
+      (* protocol events are counted in the observability registry *)
+      let count name = Shasta_obs.Metrics.counter r.phase.metrics name i in
       Printf.printf
         "  node %d: %d insns, %d read / %d write / %d upgrade misses, %d polls\n"
-        i c.insns c.read_misses c.write_misses c.upgrade_misses c.polls)
+        i c.insns
+        (count Shasta_obs.Obs.c_miss_read)
+        (count Shasta_obs.Obs.c_miss_write)
+        (count Shasta_obs.Obs.c_miss_upgrade)
+        c.polls)
     r.phase.counters;
   if String.trim r.phase.output = string_of_int expected then
     print_endline "OK: parallel result matches sequential expectation"

@@ -268,7 +268,7 @@ exception Unexpected of string
 let apply_action ~inj ~(reply : int array option ref) v' node sys
     (a : T.action) =
   match a with
-  | T.A_charge _ | T.A_count _ | T.A_emit _ -> sys
+  | T.A_charge _ | T.A_emit _ -> sys
   | T.A_local _ -> sys
   | T.A_block _ | T.A_stall _ -> sys (* node status lives in the view *)
   | T.A_send { dst; msg } ->

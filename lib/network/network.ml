@@ -210,17 +210,15 @@ module Sublayer = struct
      retransmitted after a timeout that doubles every time (exponential
      backoff).  Returns the arrival time of the first surviving copy,
      the arrival of a duplicated copy (if the dup coin fired), and the
-     fault summary.  Deterministic in [rng]; at most [max_attempts]
-     tries, the last of which always survives (the model never loses a
-     frame for good — that would wedge the protocol, not slow it). *)
+     fault summary.  Deterministic in [rng].  With [max_retx] = 0 there
+     are at most [max_attempts] tries, the last of which always survives
+     (the model never loses a frame for good — that would wedge the
+     protocol, not slow it).  With [max_retx] > 0 the sender gives up
+     after that many retransmissions and reports a timeout ([None]
+     arrival, [timed_out] set) instead of forcing the last attempt
+     through; the coins drawn before that point are the same. *)
   let max_attempts = 16
 
-  (* Bounded variant: with [max_retx] > 0 the sender gives up after
-     that many retransmissions and reports a timeout ([None] arrival,
-     [timed_out] set) instead of forcing the last attempt through.
-     [max_retx] = 0 keeps the historical never-lose behaviour, and
-     draws exactly the same coins in exactly the same order, so a
-     zero/absent knob is byte-identical. *)
   let tx_plan_bounded (f : faults) ~max_retx rng ~now ~flight ~rto =
     let cap = if max_retx > 0 then min max_retx (max_attempts - 1)
       else max_attempts - 1 in
@@ -255,11 +253,6 @@ module Sublayer = struct
       (Some arrival, dup_arrival,
        { retx; backoff; duplicated; reordered; timed_out = false })
     end
-
-  let tx_plan (f : faults) rng ~now ~flight ~rto =
-    match tx_plan_bounded f ~max_retx:0 rng ~now ~flight ~rto with
-    | Some arrival, dup_arrival, x -> (arrival, dup_arrival, x)
-    | None, _, _ -> assert false (* unbounded plans always deliver *)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -99,22 +99,17 @@ module Sublayer : sig
 
   val max_attempts : int
 
-  val tx_plan :
-    faults -> Random.State.t -> now:int -> flight:int -> rto:int ->
-    int * int option * xmit
-  (** Plan one frame's transmission over the faulty wire: returns the
-      arrival time of the first surviving copy, the arrival of a
-      duplicate copy if any, and the fault summary.  Deterministic in
-      the RNG state; at most [max_attempts] tries, the last of which
-      always survives. *)
-
   val tx_plan_bounded :
     faults -> max_retx:int -> Random.State.t ->
     now:int -> flight:int -> rto:int -> int option * int option * xmit
-  (** Like {!tx_plan} but the sender gives up after [max_retx]
-      retransmissions: [None] arrival with [timed_out] set means the
-      frame was abandoned.  [max_retx = 0] never abandons and draws the
-      same coins as {!tx_plan}. *)
+  (** Plan one frame's transmission over the faulty wire: returns the
+      arrival time of the first surviving copy, the arrival of a
+      duplicate copy if any, and the fault summary.  Deterministic in
+      the RNG state.  With [max_retx = 0] there are at most
+      [max_attempts] tries, the last of which always survives, so the
+      arrival is never [None].  With [max_retx > 0] the sender gives up
+      after [max_retx] retransmissions: [None] arrival with [timed_out]
+      set means the frame was abandoned. *)
 end
 
 (** {2 Lease arithmetic}

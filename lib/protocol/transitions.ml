@@ -155,17 +155,6 @@ type cost =
   | False_miss
   | Batch_record of int (* nranges *)
 
-type counter =
-  | C_read_miss
-  | C_write_miss
-  | C_upgrade_miss
-  | C_batch_miss
-  | C_false_miss
-  | C_msg_handled
-  | C_lock_acquire
-  | C_barrier_passed
-  | C_store_reissue
-
 type miss_kind = MK_read | MK_write | MK_upgrade
 
 (* Observability events, mirrored to Shasta_obs.Event by the engine. *)
@@ -220,7 +209,6 @@ type post =
 
 type action =
   | A_charge of cost
-  | A_count of counter
   | A_emit of ev
   | A_send of { dst : int; msg : Message.t }
     (* Data_reply is sent with [data = [||]]: the interpreter reads the
@@ -564,7 +552,6 @@ and dispatch c r post =
        end);
     run_post c post
   | R_barrier_passed ->
-    act c (A_count C_barrier_passed);
     act c (A_emit E_barrier_passed);
     run_post c post
   | R_flag_set id ->
@@ -667,9 +654,11 @@ and flush_waiters c block =
 (* Request issue (requester side)                                       *)
 (* ------------------------------------------------------------------ *)
 
-and issue_request c block kind ~count =
+(* [emit] runs after the issue charge, so a miss event reported through
+   it is stamped after the request's cost. *)
+and issue_request ?(emit = ignore) c block kind =
   act c (A_charge Request_issue);
-  count ();
+  emit ();
   send c ~dst:(route c.cfg c.v (eff_home c.cfg c.v block)) ~addr:block kind
 
 and start_pending c block pkind =
@@ -1082,7 +1071,6 @@ and home_flag_wait c ~requester ~id =
 (* ------------------------------------------------------------------ *)
 
 and handle c (msg : Message.t) =
-  act c (A_count C_msg_handled);
   act c (A_charge Message_handle);
   let block = msg.addr in
   match msg.kind with
@@ -1148,7 +1136,6 @@ and handle c (msg : Message.t) =
 (* ------------------------------------------------------------------ *)
 
 let false_miss c addr =
-  act c (A_count C_false_miss);
   act c (A_emit (E_false_miss addr));
   act c (A_charge False_miss)
 
@@ -1186,10 +1173,9 @@ let load_miss c ~addr ~block ~st =
        act c A_refill
      | _ -> block_on c (W_blocks [ block ]) R_refill)
   | L_invalid ->
-    act c (A_count C_read_miss);
     act c (A_emit (E_miss (MK_read, addr)));
     start_pending c block P_read;
-    issue_request c block (Message.Coh Read_req) ~count:(fun () -> ());
+    issue_request c block (Message.Coh Read_req);
     block_on c (W_blocks [ block ]) R_refill
 
 let store_miss c ~addr ~block ~st ~bytes ~store_done ~stored =
@@ -1210,18 +1196,16 @@ let store_miss c ~addr ~block ~st ~bytes ~store_done ~stored =
        c.stopped <- true)
   | L_shared | L_invalid ->
     (if st = L_shared then begin
-       act c (A_count C_upgrade_miss);
        act c (A_emit (E_miss (MK_upgrade, addr)));
        start_pending c block P_upgrade;
        if store_done then add_written c block stored;
-       issue_request c block (Message.Coh Upgrade_req) ~count:(fun () -> ())
+       issue_request c block (Message.Coh Upgrade_req)
      end
      else begin
-       act c (A_count C_write_miss);
        act c (A_emit (E_miss (MK_write, addr)));
        start_pending c block P_readex;
        if store_done then add_written c block stored;
-       issue_request c block (Message.Coh Readex_req) ~count:(fun () -> ())
+       issue_request c block (Message.Coh Readex_req)
      end);
     if c.cfg.sc then
       (* sequential consistency: the store completes — ownership AND all
@@ -1236,7 +1220,6 @@ let store_miss c ~addr ~block ~st ~bytes ~store_done ~stored =
    in the engine's historical per-block iteration order, states as the
    tables read them at entry. *)
 let batch_miss c ~nranges ~blocks =
-  act c (A_count C_batch_miss);
   act c (A_charge (Batch_record nranges));
   c.me <- { c.me with in_batch = true };
   let waits = ref [] in
@@ -1254,17 +1237,13 @@ let batch_miss c ~nranges ~blocks =
         | L_pending_shared ->
           if pending_invalidated then waits := block :: !waits
         | L_shared ->
-          act c (A_count C_upgrade_miss);
           act c (A_emit (E_miss (MK_upgrade, block)));
           start_pending c block P_upgrade;
           issue_request c block (Message.Coh Upgrade_req)
-            ~count:(fun () -> ())
         | L_invalid ->
-          act c (A_count C_write_miss);
           act c (A_emit (E_miss (MK_write, block)));
           start_pending c block P_readex;
-          issue_request c block (Message.Coh Readex_req)
-            ~count:(fun () -> ());
+          issue_request c block (Message.Coh Readex_req);
           waits := block :: !waits
       end
       else begin
@@ -1274,10 +1253,9 @@ let batch_miss c ~nranges ~blocks =
           if pending_invalidated then waits := block :: !waits
         | L_pending_invalid -> waits := block :: !waits
         | L_invalid ->
-          act c (A_count C_read_miss);
           act c (A_emit (E_miss (MK_read, block)));
           start_pending c block P_read;
-          issue_request c block (Message.Coh Read_req) ~count:(fun () -> ());
+          issue_request c block (Message.Coh Read_req);
           waits := block :: !waits
       end)
     blocks;
@@ -1321,15 +1299,13 @@ let apply_deferred c ~order ~values =
            if not (Imap.is_empty written) then begin
              (* the batch stored into a block invalidated under it: keep
                 the stored longwords, reissue the store miss *)
-             act c (A_count C_store_reissue);
              act c (A_emit (E_store_reissue block));
              mem_op c
                (M_flag
                   { block; keep = List.map fst (Imap.bindings written) });
              start_pending c block P_readex;
              add_written c block (Imap.bindings written);
-             issue_request c block (Message.Coh Readex_req) ~count:(fun () ->
-               act c (A_count C_write_miss);
+             issue_request c block (Message.Coh Readex_req) ~emit:(fun () ->
                act c (A_emit (E_miss (MK_write, block))))
            end
            else mem_op c (M_make_invalid block))
@@ -1339,12 +1315,10 @@ let apply_deferred c ~order ~values =
           (* an outstanding request already covers this block *)
           ()
         else if not (Imap.is_empty written) then begin
-          act c (A_count C_store_reissue);
           act c (A_emit (E_store_reissue block));
           start_pending c block P_upgrade;
           add_written c block (Imap.bindings written);
-          issue_request c block (Message.Coh Upgrade_req) ~count:(fun () ->
-            act c (A_count C_upgrade_miss);
+          issue_request c block (Message.Coh Upgrade_req) ~emit:(fun () ->
             act c (A_emit (E_miss (MK_upgrade, block))))
         end
         else mem_op c (M_make_shared block))
@@ -1374,7 +1348,6 @@ let batch_end c ~values ~order =
 (* ------------------------------------------------------------------ *)
 
 let rt_lock c id =
-  act c (A_count C_lock_acquire);
   let h = route c.cfg c.v (id mod c.cfg.nprocs) in
   if h = c.node then begin
     act c (A_charge Sync_local);

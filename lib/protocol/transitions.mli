@@ -90,17 +90,6 @@ type cost =
   | False_miss
   | Batch_record of int
 
-type counter =
-  | C_read_miss
-  | C_write_miss
-  | C_upgrade_miss
-  | C_batch_miss
-  | C_false_miss
-  | C_msg_handled
-  | C_lock_acquire
-  | C_barrier_passed
-  | C_store_reissue
-
 type miss_kind = MK_read | MK_write | MK_upgrade
 
 type ev =
@@ -138,7 +127,6 @@ type post =
 
 type action =
   | A_charge of cost
-  | A_count of counter
   | A_emit of ev
   | A_send of { dst : int; msg : Message.t }
   | A_local of Message.t

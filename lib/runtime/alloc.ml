@@ -66,7 +66,7 @@ let init_range state ~owner ~base ~len ~bsize =
 
 let g_malloc state (node : Node.t) ~size ~bsize_req =
   if size <= 0 then failwith "g_malloc: non-positive size";
-  Shasta_machine.Pipeline.stall node.pipe state.State.config.costs.malloc_base;
+  Shasta_machine.Pipeline.stall node.pipe Costs.default.malloc_base;
   let gran = state.State.gran in
   let bsize =
     match state.State.config.fixed_block with

@@ -106,20 +106,22 @@ let run_measured ?(init_proc = "appinit") ?(work_proc = "work") ?clock spec =
 (* Total inline-check misses of the timed phase — the [misses] field of
    a BENCH record. *)
 let phase_misses (ph : Cluster.phase_result) =
-  Array.fold_left
-    (fun a (c : Node.counters) ->
-      a + c.read_misses + c.write_misses + c.upgrade_misses)
-    0 ph.counters
+  let total = Shasta_obs.Metrics.counter_total ph.metrics in
+  total Shasta_obs.Obs.c_miss_read + total Shasta_obs.Obs.c_miss_write
+  + total Shasta_obs.Obs.c_miss_upgrade
+
+(* The [line] key of a BENCH record: a forced block size wins over the
+   instrumented line size (64 for the original binary). *)
+let record_line spec =
+  match spec.fixed_block with
+  | Some b -> b
+  | None -> (
+    match spec.opts with Some o -> 1 lsl o.Shasta.Opts.line_shift | None -> 64)
 
 (* One BENCH record for a completed run, all from the phase result. *)
 let bench_record ~workload ?(opts_name = "full") ?(extra = []) spec
     (r : result) =
-  let line =
-    match spec.fixed_block with
-    | Some b -> b
-    | None -> (
-      match spec.opts with Some o -> 1 lsl o.Shasta.Opts.line_shift | None -> 64)
-  in
-  Shasta_obs.Benchjson.make ~workload ~nprocs:spec.nprocs ~line
+  Shasta_obs.Benchjson.make ~workload ~nprocs:spec.nprocs
+    ~line:(record_line spec)
     ~opts:opts_name ~sim_cycles:r.phase.wall_cycles
     ~messages:r.phase.msgs_sent ~misses:(phase_misses r.phase) ~extra ()

@@ -82,7 +82,12 @@ val run_measured :
 
 val phase_misses : Cluster.phase_result -> int
 (** Total inline-check misses (read + write + upgrade) of the timed
-    phase, summed over nodes. *)
+    phase, summed over nodes, from the phase's metrics registry. *)
+
+val record_line : spec -> int
+(** The [line] key of a BENCH record for a run of [spec]: the forced
+    block size if there is one, else the instrumented line size (64
+    for the original binary). *)
 
 val bench_record :
   workload:string ->

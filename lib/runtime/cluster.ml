@@ -360,18 +360,9 @@ let snapshot_counters (n : Node.t) =
   { n.counters with insns = n.counters.insns }
 
 let diff_counters (a : Node.counters) (b : Node.counters) : Node.counters =
-  { read_misses = b.read_misses - a.read_misses;
-    write_misses = b.write_misses - a.write_misses;
-    upgrade_misses = b.upgrade_misses - a.upgrade_misses;
-    batch_misses = b.batch_misses - a.batch_misses;
-    false_misses = b.false_misses - a.false_misses;
-    stall_cycles = b.stall_cycles - a.stall_cycles;
+  { insns = b.insns - a.insns;
     polls = b.polls - a.polls;
-    msgs_handled = b.msgs_handled - a.msgs_handled;
-    lock_acquires = b.lock_acquires - a.lock_acquires;
-    barriers_passed = b.barriers_passed - a.barriers_passed;
-    insns = b.insns - a.insns;
-    store_reissues = b.store_reissues - a.store_reissues;
+    stall_cycles = b.stall_cycles - a.stall_cycles;
     dyn_loads = b.dyn_loads - a.dyn_loads;
     dyn_loads_shared = b.dyn_loads_shared - a.dyn_loads_shared;
     dyn_stores = b.dyn_stores - a.dyn_stores;

@@ -89,27 +89,14 @@ let longword_cover (node : Node.t) ~addr ~bytes =
 (* Action application                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let cost_cycles state (c : T.cost) =
-  let costs = state.State.config.costs in
+let cost_cycles (c : T.cost) =
+  let costs = Costs.default in
   match c with
   | T.Request_issue -> costs.request_issue
   | T.Message_handle -> costs.message_handle
   | T.Sync_local -> costs.sync_local
   | T.False_miss -> costs.false_miss
   | T.Batch_record n -> costs.batch_record * n
-
-let bump (node : Node.t) (k : T.counter) =
-  let c = node.counters in
-  match k with
-  | T.C_read_miss -> c.read_misses <- c.read_misses + 1
-  | T.C_write_miss -> c.write_misses <- c.write_misses + 1
-  | T.C_upgrade_miss -> c.upgrade_misses <- c.upgrade_misses + 1
-  | T.C_batch_miss -> c.batch_misses <- c.batch_misses + 1
-  | T.C_false_miss -> c.false_misses <- c.false_misses + 1
-  | T.C_msg_handled -> c.msgs_handled <- c.msgs_handled + 1
-  | T.C_lock_acquire -> c.lock_acquires <- c.lock_acquires + 1
-  | T.C_barrier_passed -> c.barriers_passed <- c.barriers_passed + 1
-  | T.C_store_reissue -> c.store_reissues <- c.store_reissues + 1
 
 let ev_of (e : T.ev) : Ev.t =
   match e with
@@ -186,8 +173,7 @@ and apply_all state (node : Node.t) acts =
 
 and apply state (node : Node.t) (a : T.action) =
   match a with
-  | T.A_charge c -> charge node (cost_cycles state c)
-  | T.A_count k -> bump node k
+  | T.A_charge c -> charge node (cost_cycles c)
   | T.A_emit e -> emit state node (ev_of e)
   | T.A_send { dst; msg } ->
     let msg = fill_data state node msg in
@@ -321,7 +307,7 @@ and drain state (node : Node.t) =
   | None -> ()
 
 and enter_handler state (node : Node.t) =
-  charge node state.State.config.costs.handler_entry;
+  charge node Costs.default.handler_entry;
   drain state node
 
 (* Deliver the next message even if it is in the future (used by the
@@ -435,7 +421,7 @@ let poll state (node : Node.t) =
   node.counters.polls <- node.counters.polls + 1;
   (* polls are far too frequent to stream as events; registry only *)
   Obs.incr (Obs.polls state.State.config.obs) ~node:node.id;
-  charge node state.State.config.costs.poll_cycles;
+  charge node Costs.default.poll_cycles;
   drain state node
 
 (* ------------------------------------------------------------------ *)

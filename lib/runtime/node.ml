@@ -25,19 +25,12 @@ type status =
        message is ever delivered again; the memory image stays frozen
        so recovery can salvage block bytes out of it *)
 
+(* Machine-side counts only: protocol events (misses, locks, barriers,
+   store reissues) are counted once, in the observability registry. *)
 type counters = {
-  mutable read_misses : int;
-  mutable write_misses : int; (* read-exclusive *)
-  mutable upgrade_misses : int;
-  mutable batch_misses : int;
-  mutable false_misses : int;
-  mutable stall_cycles : int;
-  mutable polls : int;
-  mutable msgs_handled : int;
-  mutable lock_acquires : int;
-  mutable barriers_passed : int;
   mutable insns : int;
-  mutable store_reissues : int;
+  mutable polls : int;
+  mutable stall_cycles : int;
   (* dynamic access mix, for the instrumented-frequency table *)
   mutable dyn_loads : int;
   mutable dyn_loads_shared : int;
@@ -46,11 +39,8 @@ type counters = {
 }
 
 let fresh_counters () =
-  { read_misses = 0; write_misses = 0; upgrade_misses = 0; batch_misses = 0;
-    false_misses = 0; stall_cycles = 0; polls = 0; msgs_handled = 0;
-    lock_acquires = 0; barriers_passed = 0; insns = 0; store_reissues = 0;
-    dyn_loads = 0; dyn_loads_shared = 0; dyn_stores = 0;
-    dyn_stores_shared = 0 }
+  { insns = 0; polls = 0; stall_cycles = 0; dyn_loads = 0;
+    dyn_loads_shared = 0; dyn_stores = 0; dyn_stores_shared = 0 }
 
 type t = {
   id : int;

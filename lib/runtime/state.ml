@@ -35,7 +35,6 @@ type config = {
       (* None (or a spec with no events): no crash injection, and the
          run is byte-identical to one without the layer.  Some s: halt
          and restart nodes per the schedule (shasta_run --node-faults) *)
-  costs : Costs.t;
   granularity_threshold : int; (* malloc heuristic cutoff, Section 4.2 *)
   fixed_block : int option; (* force one block size (ablation runs) *)
   obs : Shasta_obs.Obs.t;
@@ -59,7 +58,7 @@ type config = {
 let default_config ?(nprocs = 1) ?(line_shift = 6)
     ?(consistency = Release) ?(pipe_config = Pipeline.alpha_21064a)
     ?(net_profile = Shasta_network.Network.memory_channel) ?net_faults
-    ?node_faults ?(costs = Costs.default) ?(granularity_threshold = 1024)
+    ?node_faults ?(granularity_threshold = 1024)
     ?fixed_block ?obs ?progress ?(dir_mode = Nodeset.Full)
     ?(home_policy = Round_robin) ?(scalable_sync = false) () =
   (* fail loudly instead of silently wrapping masks past the int width:
@@ -71,7 +70,7 @@ let default_config ?(nprocs = 1) ?(line_shift = 6)
     match obs with Some o -> o | None -> Shasta_obs.Obs.create ~nprocs ()
   in
   { nprocs; line_shift; consistency; pipe_config; net_profile; net_faults;
-    node_faults; costs; granularity_threshold; fixed_block; obs; progress;
+    node_faults; granularity_threshold; fixed_block; obs; progress;
     dir_mode; home_policy; scalable_sync }
 
 (* Home pages are assigned round-robin at this page size (Section 2.1). *)

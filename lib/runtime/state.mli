@@ -27,7 +27,6 @@ type config = {
       (* None (or a spec with no events): no crash injection, and the
          run is byte-identical to one without the layer.  Some s: halt
          and restart nodes per the schedule (shasta_run --node-faults) *)
-  costs : Costs.t;
   granularity_threshold : int; (* malloc heuristic cutoff, Section 4.2 *)
   fixed_block : int option; (* force one block size (ablation runs) *)
   obs : Shasta_obs.Obs.t;
@@ -48,7 +47,6 @@ val default_config :
   ?net_profile:Shasta_network.Network.profile ->
   ?net_faults:Shasta_network.Network.faults ->
   ?node_faults:Nodefaults.t ->
-  ?costs:Costs.t ->
   ?granularity_threshold:int ->
   ?fixed_block:int ->
   ?obs:Shasta_obs.Obs.t ->

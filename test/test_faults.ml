@@ -241,28 +241,33 @@ let prop_tx_plan (seed, drop, dup, reorder, delay, now, flight, rto) =
     { Network.no_faults with drop; dup; reorder; delay; delay_cycles = 2000 }
   in
   let plan () =
-    Network.Sublayer.tx_plan f
+    Network.Sublayer.tx_plan_bounded f ~max_retx:0
       (Random.State.make [| seed |])
       ~now ~flight ~rto
   in
   let arrival, dup_arrival, x = plan () in
   (* deterministic in the RNG seed *)
   plan () = (arrival, dup_arrival, x)
-  (* bounded retries; the last attempt always survives *)
-  && x.Network.retx >= 0
-  && x.Network.retx < Network.Sublayer.max_attempts
-  (* the frame arrives after its (possibly backed-off) flight *)
-  && arrival >= now + flight + x.Network.backoff
-  (* backoff is exactly the sum of the doubling timeouts *)
-  && (let expect = ref 0 in
-      for k = 0 to x.Network.retx - 1 do
-        expect := !expect + (rto * (1 lsl min k 10))
-      done;
-      x.Network.backoff = !expect)
-  (* a duplicate copy trails the original *)
-  && (match dup_arrival with
-      | None -> not x.Network.duplicated
-      | Some d -> x.Network.duplicated && d > arrival)
+  (* with no retransmission cap the frame is never abandoned *)
+  && match arrival with
+  | None -> false
+  | Some arrival ->
+    (* bounded retries; the last attempt always survives *)
+    x.Network.retx >= 0
+    && x.Network.retx < Network.Sublayer.max_attempts
+    && not x.Network.timed_out
+    (* the frame arrives after its (possibly backed-off) flight *)
+    && arrival >= now + flight + x.Network.backoff
+    (* backoff is exactly the sum of the doubling timeouts *)
+    && (let expect = ref 0 in
+        for k = 0 to x.Network.retx - 1 do
+          expect := !expect + (rto * (1 lsl min k 10))
+        done;
+        x.Network.backoff = !expect)
+    (* a duplicate copy trails the original *)
+    && (match dup_arrival with
+        | None -> not x.Network.duplicated
+        | Some d -> x.Network.duplicated && d > arrival)
 
 (* --- QCheck: the per-destination queue counts ------------------------- *)
 

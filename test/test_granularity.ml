@@ -12,6 +12,9 @@ let prepare ?fixed_block ~nprocs prog =
 
 let heap = Shasta_runtime.State.shared_heap_start
 
+let read_misses (ph : Cluster.phase_result) ~node =
+  Shasta_obs.Metrics.counter ph.metrics Shasta_obs.Obs.c_miss_read node
+
 let t_heuristic_applied () =
   (* a 256-byte object gets a 256-byte block; a large array gets
      line-sized blocks (Section 4.2) *)
@@ -98,8 +101,8 @@ let t_whole_block_transfer () =
   let state = prepare ~nprocs:2 p in
   let ph = Cluster.run_app state in
   Alcotest.(check string) "sum correct" "2016\n" ph.output;
-  let c1 = state.nodes.(1).counters in
-  Alcotest.(check int) "single read miss for 8 lines" 1 c1.read_misses
+  Alcotest.(check int) "single read miss for 8 lines" 1
+    (read_misses ph ~node:1)
 
 let t_fine_blocks_more_misses () =
   (* the same scan with 64-byte blocks takes 8 read misses *)
@@ -121,7 +124,7 @@ let t_fine_blocks_more_misses () =
   let state = prepare ~nprocs:2 p in
   let ph = Cluster.run_app state in
   Alcotest.(check string) "sum correct" "2016\n" ph.output;
-  Alcotest.(check int) "one miss per line" 8 state.nodes.(1).counters.read_misses
+  Alcotest.(check int) "one miss per line" 8 (read_misses ph ~node:1)
 
 let t_line_128 () =
   (* the other line size the paper configures *)

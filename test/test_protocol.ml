@@ -38,9 +38,10 @@ let sht_inputs =
      (state.State.tcfg, List.rev state.State.inputs_rev, state.State.proto))
 
 (* A step allocates only the protocol state it changes: replaying the
-   recorded run through [step] lands on the live view at under 130
-   minor words per step (it measures ~118; re-inserting the stepping
-   node into the node map on every update costs ~141). *)
+   recorded run through [step] lands on the live view at under 116
+   minor words per step (it measures ~113.3; a count action beside
+   every miss, lock and barrier event would cost ~119, and re-inserting
+   the stepping node into the node map on every update ~141). *)
 let t_step_allocation () =
   let module T = Transitions in
   let cfg, inputs, live = Lazy.force sht_inputs in
@@ -55,7 +56,7 @@ let t_step_allocation () =
   Alcotest.(check bool) "replay lands on the live view" true
     (String.equal (T.canon v) (T.canon live));
   let per = words /. float_of_int steps in
-  if per > 130.0 then
+  if per > 116.0 then
     Alcotest.failf "%.1f minor words per step (%d steps)" per steps
 
 (* A step shares every entry it does not change: other nodes' views are

@@ -148,14 +148,15 @@ let t_dirty_sharing () =
 let t_migratory_ownership () =
   (* the lock-protected counter migrates: every node takes write misses *)
   let _, r = run ~nprocs:4 (Shasta_apps.Micro.migratory ~rounds:8 ()) in
-  Array.iteri
-    (fun id (c : Node.counters) ->
-      if id > 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "n%d missed for ownership" id)
-          true
-          (c.read_misses + c.write_misses + c.upgrade_misses > 0))
-    r.counters
+  let module Obs = Shasta_obs.Obs in
+  for id = 1 to 3 do
+    let count name = Shasta_obs.Metrics.counter r.metrics name id in
+    Alcotest.(check bool)
+      (Printf.sprintf "n%d missed for ownership" id)
+      true
+      (count Obs.c_miss_read + count Obs.c_miss_write
+       + count Obs.c_miss_upgrade > 0)
+  done
 
 (* --- synchronization ------------------------------------------------ *)
 
