@@ -2,7 +2,7 @@
    evaluation (Section 5), plus the ablations DESIGN.md calls out.
 
    Usage: dune exec bench/main.exe [-- --quick] [--json-out FILE]
-            [--progress N] [section ...]
+            [section ...]
    Sections: figures table1 table2 table3 parallel granularity polling
              excltable consistency messages faults throughput kv crash
              scaling micro (default: all).
@@ -29,7 +29,6 @@ module Benchjson = Shasta_obs.Benchjson
 
 let quick = ref false
 let json_out : string option ref = ref None
-let progress : int option ref = ref None
 
 let app_size () =
   if !quick then Shasta_apps.Apps.Test else Shasta_apps.Apps.Small
@@ -72,8 +71,7 @@ let run_cycles ?(opts = Some Opts.full) ?(nprocs = 1)
     ?fixed_block ?obs prog =
   let spec =
     { (Api.default_spec prog) with
-      opts; nprocs; pipe; net; net_faults; node_faults; fixed_block; obs;
-      progress = !progress }
+      opts; nprocs; pipe; net; net_faults; node_faults; fixed_block; obs }
   in
   let r = Api.run spec in
   (r.phase.wall_cycles, r)
@@ -690,9 +688,7 @@ let section_throughput () =
       let cells =
         List.map
           (fun np ->
-            let spec =
-              { (Api.default_spec p) with nprocs = np; progress = !progress }
-            in
+            let spec = { (Api.default_spec p) with nprocs = np } in
             let r = Api.run spec in
             emit_bench (Api.bench_record ~workload:e.name spec r);
             string_of_int r.Api.phase.wall_cycles)
@@ -842,8 +838,7 @@ let run_scale ?(sync = false) ?(dmode = Ns.Full)
     ?(policy = State.Round_robin) ?obs ~nprocs prog =
   let spec =
     { (Api.default_spec prog) with
-      opts = Some Opts.full; nprocs; obs; progress = !progress;
-      dir_mode = dmode; home_policy = policy; scalable_sync = sync }
+      opts = Some Opts.full; nprocs; obs; dir_mode = dmode; home_policy = policy; scalable_sync = sync }
   in
   (spec, Api.run spec)
 
@@ -1116,7 +1111,7 @@ let sections =
 
 let usage () =
   Printf.eprintf
-    "usage: bench [--quick] [--json-out FILE] [--progress N] [section ...]\n\
+    "usage: bench [--quick] [--json-out FILE] [section ...]\n\
      sections: %s\n"
     (String.concat " " (List.map fst sections));
   exit 1
@@ -1132,13 +1127,6 @@ let () =
       parse rest
     | "--json-out" :: file :: rest ->
       json_out := Some file;
-      parse rest
-    | "--progress" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n > 0 -> progress := Some n
-       | _ ->
-         Printf.eprintf "--progress expects a positive integer\n";
-         exit 1);
       parse rest
     | a :: rest when String.length a > 0 && a.[0] <> '-' ->
       named := !named @ [ a ];

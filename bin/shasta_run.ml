@@ -42,8 +42,8 @@ let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
   (* the CLI's --dir-mode/--sync select the configuration every
      scenario runs over (scale scenarios still pin their own) *)
   let base =
-    { Shasta_protocol.Transitions.nprocs = np; page_bytes = 8192; sc = false;
-      dmode; scalable_sync; migrate = false }
+    { Shasta_protocol.Transitions.default_cfg with
+      nprocs = np; dmode; scalable_sync }
   in
   Printf.printf "== model check: %d processors, %s%s%s%s%s%s\n" np
     (match injection with
@@ -199,9 +199,8 @@ let home_policies =
 
 let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
     no_instrument no_sched no_flag no_excl no_batch poll no_range fixed_block
-    threshold sc trace trace_out metrics metrics_csv profile profile_out
-    flame_out top show_asm replay progress dmode home_policy scalable_sync
-    kvo =
+    sc trace trace_out metrics metrics_csv profile profile_out flame_out top
+    show_asm replay dmode home_policy scalable_sync kvo =
   let entry = Shasta_apps.Apps.find app in
   let kv_wl =
     if kvo.kv || kvo.bench_out <> None then begin
@@ -271,10 +270,8 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
       net_faults = faults;
       node_faults = nfaults;
       fixed_block;
-      granularity_threshold = threshold;
       consistency = (if sc then State.Sequential else State.Release);
       obs = Some obs;
-      progress;
       dir_mode = dmode;
       home_policy;
       scalable_sync }
@@ -461,6 +458,17 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
     close_out oc
   end
 
+(* --check runs the pure core at release consistency under round-robin
+   homes, and must have something to run: a flag it would silently
+   ignore is a usage error naming that flag. *)
+let check_usage ~sc ~home_policy ~fuzz_only ~fuzz_runs =
+  if sc then Some "--check models release consistency only; drop --sc"
+  else if home_policy <> State.Round_robin then
+    Some "--check models round-robin homes only; drop --home-policy"
+  else if fuzz_only && fuzz_runs = 0 then
+    Some "--check --fuzz-only with --fuzz-runs 0 checks nothing"
+  else None
+
 let list_apps () =
   List.iter
     (fun (e : Shasta_apps.Apps.entry) ->
@@ -538,9 +546,11 @@ let cmd =
              ~doc:"Make the wire unreliable beneath the reliable-delivery \
                    sublayer.  SPEC is 'none', 'standard' (drop 1%, dup \
                    1%, reorder 2%) or comma-separated key=value pairs \
-                   among drop, dup, reorder, delay, delay-cycles, seed, \
-                   rto and max-retx (bound per-channel retransmissions), \
-                   e.g. 'drop=0.05,seed=3'.  Deterministic per seed.")
+                   among drop, dup, reorder and delay (probabilities in \
+                   [0, 0.9]), seed, and delay-cycles, rto and max-retx \
+                   (non-negative; max-retx bounds per-channel \
+                   retransmissions), e.g. 'drop=0.05,seed=3'.  \
+                   Deterministic per seed.")
   in
   let node_faults_t =
     Arg.(value & opt node_faults_c None
@@ -592,11 +602,6 @@ let cmd =
   let fixed_block_t =
     Arg.(value & opt (some positive_c) None
          & info [ "block" ] ~doc:"Force one block size in bytes (ablation).")
-  in
-  let threshold_t =
-    Arg.(value & opt count_c 1024
-         & info [ "threshold" ]
-             ~doc:"Size cutoff of the block-size heuristic (Section 4.2).")
   in
   let sc_t =
     Arg.(value & flag
@@ -662,7 +667,9 @@ let cmd =
              ~doc:"Model-check the protocol core: exhaustively enumerate \
                    every interleaving of small built-in scenarios and \
                    verify coherence invariants, quiescence and data \
-                   oracles.  Exits non-zero on a violation.")
+                   oracles.  Exits non-zero on a violation.  The \
+                   checker models release consistency under round-robin \
+                   homes: --sc and --home-policy are usage errors.")
   in
   let inject_t =
     Arg.(value
@@ -792,13 +799,6 @@ let cmd =
                    replay the log through the pure transition core and \
                    verify it reproduces the exact final protocol state.")
   in
-  let progress_t =
-    Arg.(value & opt (some int) None
-         & info [ "progress" ] ~docv:"N"
-             ~doc:"Print a heartbeat line to stderr (and emit a runtime \
-                   heartbeat event) every N million simulated cycles. Off \
-                   by default so runs stay byte-identical.")
-  in
   let dir_mode_t =
     Arg.(value & opt dir_mode_c Shasta_protocol.Nodeset.Full
          & info [ "dir-mode" ] ~docv:"MODE"
@@ -848,20 +848,25 @@ let cmd =
   let main list check inject lossy crash recover fuzz_only fuzz_seed
       fuzz_runs scale_check refine app size procs net net_faults node_faults
       cpu line no_instrument no_sched no_flag no_excl no_batch poll no_range
-      fixed_block threshold sc trace trace_out metrics metrics_csv profile
-      profile_out flame_out top show_asm replay progress dir_mode
-      home_policy sync kvo =
+      fixed_block sc trace trace_out metrics metrics_csv profile
+      profile_out flame_out top show_asm replay dir_mode home_policy sync
+      kvo =
     try
-      if list then list_apps ()
+      if list then `Ok (list_apps ())
       else if check then
-        model_check procs inject fuzz_seed fuzz_runs lossy crash recover
-          fuzz_only scale_check refine dir_mode sync
+        match check_usage ~sc ~home_policy ~fuzz_only ~fuzz_runs with
+        | Some e -> `Error (true, e)
+        | None ->
+          `Ok
+            (model_check procs inject fuzz_seed fuzz_runs lossy crash
+               recover fuzz_only scale_check refine dir_mode sync)
       else
-        run app size procs net net_faults node_faults cpu line no_instrument
-          no_sched no_flag no_excl no_batch poll no_range fixed_block
-          threshold sc trace trace_out metrics metrics_csv profile
-          profile_out flame_out top show_asm replay progress dir_mode
-          home_policy sync kvo
+        `Ok
+          (run app size procs net net_faults node_faults cpu line
+             no_instrument no_sched no_flag no_excl no_batch poll no_range
+             fixed_block sc trace trace_out metrics metrics_csv profile
+             profile_out flame_out top show_asm replay dir_mode home_policy
+             sync kvo)
     with
     | Failure e | Invalid_argument e ->
       prerr_endline ("shasta_run: " ^ e);
@@ -872,17 +877,18 @@ let cmd =
   in
   let term =
     Term.(
-      const main $ list_t $ check_t $ inject_t $ lossy_t $ crash_t
-      $ recover_t $ fuzz_only_t $ fuzz_seed_t $ fuzz_runs_t $ scale_check_t
-      $ refine_t
-      $ app_t $ size_t $ procs_t $ net_t $ net_faults_t $ node_faults_t
-      $ cpu_t
-      $ line_t $ no_instrument_t $ no_sched_t $ no_flag_t $ no_excl_t
-      $ no_batch_t $ poll_t $ no_range_t $ fixed_block_t $ threshold_t
-      $ sc_t $ trace_t $ trace_out_t $ metrics_t $ metrics_csv_t
-      $ profile_t $ profile_out_t $ flame_out_t $ top_t $ show_asm_t
-      $ replay_t $ progress_t $ dir_mode_t $ home_policy_t $ sync_t
-      $ kv_opts_t)
+      ret
+        (const main $ list_t $ check_t $ inject_t $ lossy_t $ crash_t
+        $ recover_t $ fuzz_only_t $ fuzz_seed_t $ fuzz_runs_t $ scale_check_t
+        $ refine_t
+        $ app_t $ size_t $ procs_t $ net_t $ net_faults_t $ node_faults_t
+        $ cpu_t
+        $ line_t $ no_instrument_t $ no_sched_t $ no_flag_t $ no_excl_t
+        $ no_batch_t $ poll_t $ no_range_t $ fixed_block_t $ sc_t $ trace_t
+        $ trace_out_t $ metrics_t $ metrics_csv_t
+        $ profile_t $ profile_out_t $ flame_out_t $ top_t $ show_asm_t
+        $ replay_t $ dir_mode_t $ home_policy_t $ sync_t
+        $ kv_opts_t))
   in
   Cmd.v
     (Cmd.info "shasta_run"

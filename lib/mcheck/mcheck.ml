@@ -185,16 +185,11 @@ let reg (sys : sys) ~node =
 
 let view (sys : sys) = sys.v
 
-let cfg_of ?base (sc : scenario) =
-  let dflt =
-    { T.nprocs = sc.nprocs; page_bytes = 8192; sc = false;
-      dmode = Nodeset.Full; scalable_sync = false; migrate = false }
-  in
+let cfg_of ?(base = T.default_cfg) (sc : scenario) =
   (* [base] carries the CLI's --dir-mode/--sync choice into every
      scenario; the scenario's own processor count and cfg_mod still
      win (scale scenarios pin the organization they exercise) *)
-  let c = match base with Some b -> { b with T.nprocs = sc.nprocs } | None -> dflt in
-  sc.cfg_mod c
+  sc.cfg_mod { base with T.nprocs = sc.nprocs }
 
 let init_sys ?lossy ?(crash = 0) ?(recover = 0) ?(refine = false) ?base
     (sc : scenario) =
@@ -1321,7 +1316,7 @@ let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
 (* ------------------------------------------------------------------ *)
 
 let b0 = 0
-let b1 = 8192 (* a different home when nprocs > 1 *)
+let b1 = Granularity.page_bytes (* a different home when nprocs > 1 *)
 
 let no_oracle _ = []
 

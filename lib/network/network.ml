@@ -88,10 +88,10 @@ let no_faults =
 let standard =
   { no_faults with drop = 0.01; dup = 0.01; reorder = 0.02 }
 
-let clamp_p p = if p < 0.0 then 0.0 else if p > 0.9 then 0.9 else p
-
 (* "none" | "standard" | "drop=0.01,dup=0.01,reorder=0.02,delay=0.05,
-   delay-cycles=2000,seed=3,rto=5000" *)
+   delay-cycles=2000,seed=3,rto=5000".  A value out of range is an error
+   naming its key, never clamped: probabilities are finite and in
+   [0, 0.9], cycle counts and retransmission bounds non-negative. *)
 let faults_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "" | "0" | "none" | "off" -> None
@@ -108,15 +108,22 @@ let faults_of_string s =
           | Some i ->
             let k = String.sub kv 0 i in
             let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-            let fv () =
-              try clamp_p (float_of_string v)
-              with _ ->
-                invalid_arg ("Network.faults_of_string: bad number: " ^ kv)
+            let bad what =
+              invalid_arg
+                (Printf.sprintf "Network.faults_of_string: %s needs %s, got %S"
+                   k what v)
             in
-            let iv () =
-              try int_of_string v
-              with _ ->
-                invalid_arg ("Network.faults_of_string: bad number: " ^ kv)
+            (* NaN fails both comparisons *)
+            let fv () =
+              match float_of_string_opt v with
+              | Some p when p >= 0.0 && p <= 0.9 -> p
+              | _ -> bad "a probability in [0, 0.9]"
+            in
+            let iv ?(lo = min_int) () =
+              match int_of_string_opt v with
+              | Some n when n >= lo -> n
+              | _ ->
+                bad (if lo = 0 then "a non-negative integer" else "an integer")
             in
             (match k with
              | "drop" -> f := { !f with drop = fv () }
@@ -124,10 +131,10 @@ let faults_of_string s =
              | "reorder" -> f := { !f with reorder = fv () }
              | "delay" -> f := { !f with delay = fv () }
              | "delay-cycles" | "delay_cycles" ->
-               f := { !f with delay_cycles = iv () }
+               f := { !f with delay_cycles = iv ~lo:0 () }
              | "seed" -> f := { !f with fseed = iv () }
-             | "rto" -> f := { !f with rto = iv () }
-             | "max-retx" | "max_retx" -> f := { !f with max_retx = iv () }
+             | "rto" -> f := { !f with rto = iv ~lo:0 () }
+             | "max-retx" | "max_retx" -> f := { !f with max_retx = iv ~lo:0 () }
              | _ -> invalid_arg ("Network.faults_of_string: unknown key " ^ k)))
       (String.split_on_char ',' spec);
     Some !f

@@ -55,7 +55,9 @@ val faults_of_string : string -> faults option
 (** ["none"], ["standard"], or a comma-separated
     [key=value] spec with keys [drop], [dup], [reorder], [delay],
     [delay-cycles], [seed], [rto], [max-retx].  Raises
-    [Invalid_argument] on a malformed spec. *)
+    [Invalid_argument], naming the key, on a malformed spec or a value
+    out of range: probabilities must be finite and in [0, 0.9],
+    [delay-cycles], [rto] and [max-retx] non-negative. *)
 
 val describe_faults : faults -> string
 

@@ -77,10 +77,6 @@ type t =
   | Dir_rebuild of { block : int; from : int }
       (* a directory entry owned by (or homed on) crashed node [from]
          was reconstructed from surviving sharer state *)
-  | Heartbeat of { cycles : int; live : int }
-      (* progress pulse under --progress N: the cluster crossed another
-         N million simulated cycles with [live] nodes still running —
-         proof of life on long otherwise-silent runs *)
   | Home_migrated of { page : int; to_ : int }
       (* hot-page home migration (--home-policy migrate): directory
          requests for [page] now go to [to_], the node whose repeated
@@ -126,8 +122,6 @@ let describe = function
     Printf.sprintf "lease-takeover %d (from n%d)" id from
   | Dir_rebuild { block; from } ->
     Printf.sprintf "dir-rebuild @0x%x (from n%d)" block from
-  | Heartbeat { cycles; live } ->
-    Printf.sprintf "heartbeat %d Mcyc (%d live)" (cycles / 1_000_000) live
   | Home_migrated { page; to_ } ->
     Printf.sprintf "home-migrate page %d -> n%d" page to_
 
@@ -153,5 +147,4 @@ let chrome_name = function
   | Node_recover _ -> "node-recover"
   | Lease_takeover _ -> "lease-takeover"
   | Dir_rebuild _ -> "dir-rebuild"
-  | Heartbeat _ -> "heartbeat"
   | Home_migrated _ -> "home-migrate"

@@ -60,9 +60,6 @@ let c_node_recover = "node.recover"
 let c_lease_takeover = "lease.takeover"
 let c_dir_rebuild = "dir.rebuild"
 
-(* Progress pulses emitted under --progress N. *)
-let c_heartbeat = "runtime.heartbeat"
-
 (* Hot-page directory-home migrations under --home-policy migrate. *)
 let c_home_migrate = "dir.home_migrate"
 
@@ -107,7 +104,6 @@ type cells = {
   node_recover : Metrics.counter;
   lease_takeover : Metrics.counter;
   dir_rebuild : Metrics.counter;
-  heartbeat : Metrics.counter;
   home_migrate : Metrics.counter;
   payload : Metrics.histogram;
   stall : Metrics.histogram;
@@ -139,10 +135,9 @@ let create ~nprocs () =
       net_reorder = c c_net_reorder; net_backoff = c c_net_backoff;
       net_timeout = c c_net_timeout; node_crash = c c_node_crash;
       node_recover = c c_node_recover; lease_takeover = c c_lease_takeover;
-      dir_rebuild = c c_dir_rebuild; heartbeat = c c_heartbeat;
-      home_migrate = c c_home_migrate; payload = h h_payload;
-      stall = h h_stall; miss_latency = h h_miss_latency;
-      fanout = h h_fanout }
+      dir_rebuild = c c_dir_rebuild; home_migrate = c c_home_migrate;
+      payload = h h_payload; stall = h h_stall;
+      miss_latency = h h_miss_latency; fanout = h h_fanout }
   in
   { metrics = m; cells; sinks = []; profiler = None }
 
@@ -214,7 +209,6 @@ let count_event t ~node (ev : Event.t) =
   | Node_recover _ -> incr c.node_recover ~node
   | Lease_takeover _ -> incr c.lease_takeover ~node
   | Dir_rebuild _ -> incr c.dir_rebuild ~node
-  | Heartbeat _ -> incr c.heartbeat ~node
   | Home_migrated _ -> incr c.home_migrate ~node
 
 let emit t ?site ~node ~time ev =

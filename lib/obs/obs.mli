@@ -122,9 +122,6 @@ val c_lease_takeover : string
 val c_dir_rebuild : string
 (** Directory entries reconstructed after a crash. *)
 
-val c_heartbeat : string
-(** Progress pulses emitted under [--progress N]. *)
-
 val c_home_migrate : string
 (** Hot-page directory-home migrations ([--home-policy migrate]). *)
 

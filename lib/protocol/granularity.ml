@@ -13,31 +13,37 @@
    avoid false sharing.  An explicit block size (the special version of
    malloc) overrides the heuristic. *)
 
+(* The coherence page: the unit of per-page block size here, of home
+   assignment in the protocol (Section 2.1) and of shared allocation. *)
+let page_bytes = 8192
+
+(* Heuristic cutoff for object-sized blocks. *)
+let threshold = 1024
+
 type t = {
   line_bytes : int;
-  page_bytes : int;
-  threshold : int; (* heuristic cutoff for object-sized blocks *)
   block_of_page : (int, int) Hashtbl.t; (* page number -> block bytes *)
 }
 
-let create ?(page_bytes = 8192) ?(threshold = 1024) ~line_bytes () =
+let create ~line_bytes () =
   if line_bytes land (line_bytes - 1) <> 0 then
     invalid_arg "Granularity.create: line size must be a power of two";
-  { line_bytes; page_bytes; threshold; block_of_page = Hashtbl.create 64 }
+  { line_bytes; block_of_page = Hashtbl.create 64 }
 
 let round_up v m = (v + m - 1) / m * m
 
 (* Round a block-size request to a legal value: a multiple of the line
    size ("the size of each block must be a multiple of the fixed line
    size"), a power of two for alignment, at most a page. *)
-let legalize t bytes =
-  let b = max t.line_bytes (min bytes t.page_bytes) in
+let legalize ~line_bytes bytes =
+  let b = max line_bytes (min bytes page_bytes) in
   let rec pow2 p = if p >= b then p else pow2 (2 * p) in
-  pow2 t.line_bytes
+  pow2 line_bytes
 
 (* Heuristic block size for an object of [size] bytes (Section 4.2). *)
 let heuristic_block t ~size =
-  if size <= t.threshold then legalize t (round_up (max size 1) t.line_bytes)
+  if size <= threshold then
+    legalize ~line_bytes:t.line_bytes (round_up (max size 1) t.line_bytes)
   else t.line_bytes
 
 let set_page_block t ~page ~block_bytes =
@@ -47,10 +53,8 @@ let set_page_block t ~page ~block_bytes =
    | _ -> ());
   Hashtbl.replace t.block_of_page page block_bytes
 
-let page_of t addr = addr / t.page_bytes
-
 let block_bytes_at t addr =
-  match Hashtbl.find_opt t.block_of_page (page_of t addr) with
+  match Hashtbl.find_opt t.block_of_page (addr / page_bytes) with
   | Some b -> b
   | None -> t.line_bytes
 

@@ -118,8 +118,7 @@ type view = {
 }
 
 type cfg = {
-  nprocs : int;
-  page_bytes : int; (* home assignment: (block / page_bytes) mod nprocs *)
+  nprocs : int; (* homes: (block / Granularity.page_bytes) mod nprocs *)
   sc : bool; (* sequential consistency (stalling stores) *)
   dmode : Ns.mode; (* directory organization for sharer sets *)
   scalable_sync : bool; (* MCS-style queue locks + combining-tree
@@ -127,6 +126,10 @@ type cfg = {
   migrate : bool; (* migrate a page's home to a persistently remote
                      requester (directory-entry migration) *)
 }
+
+let default_cfg =
+  { nprocs = 1; sc = false; dmode = Ns.Full; scalable_sync = false;
+    migrate = false }
 
 let empty_nview =
   { lines = Imap.empty; pending = Imap.empty; acks = Imap.empty; unacked = 0;
@@ -303,7 +306,7 @@ let map_nodes c f =
 let set_line c block l =
   c.me <- { c.me with lines = Imap.add block l c.me.lines }
 
-let home_of (cfg : cfg) block = block / cfg.page_bytes mod cfg.nprocs
+let home_of (cfg : cfg) block = block / Granularity.page_bytes mod cfg.nprocs
 
 (* Effective home under placement policies: the homes override when one
    was installed (first-touch, migration), else the natural round-robin
@@ -312,7 +315,7 @@ let home_of (cfg : cfg) block = block / cfg.page_bytes mod cfg.nprocs
 let eff_home (cfg : cfg) (v : view) block =
   if Imap.is_empty v.homes then home_of cfg block
   else
-    match Imap.find_opt (block / cfg.page_bytes) v.homes with
+    match Imap.find_opt (block / Granularity.page_bytes) v.homes with
     | Some h -> h
     | None -> home_of cfg block
 
@@ -422,7 +425,7 @@ let migrate_threshold = 8
 
 let heat_bump c ~block ~requester =
   if c.cfg.migrate && requester <> c.node then begin
-    let page = block / c.cfg.page_bytes in
+    let page = block / Granularity.page_bytes in
     let streak =
       match Imap.find_opt page c.v.heat with
       | Some (last, k) when last = requester -> k + 1

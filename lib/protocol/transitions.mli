@@ -75,13 +75,16 @@ type view = {
 }
 
 type cfg = {
-  nprocs : int;
-  page_bytes : int;
+  nprocs : int;  (* homes: (block / Granularity.page_bytes) mod nprocs *)
   sc : bool;
   dmode : Nodeset.mode; (* directory organization for sharer sets *)
   scalable_sync : bool; (* queue locks + combining-tree barrier *)
   migrate : bool; (* hot-page directory-home migration *)
 }
+
+val default_cfg : cfg
+(** One node, release consistency, full-map directory, centralized
+    sync, no migration: the base every configuration overrides. *)
 
 type cost =
   | Request_issue

@@ -13,13 +13,11 @@
 
 open Shasta_protocol
 
-let page_bytes = 8192
-
 let round_up v m = (v + m - 1) / m * m
 
 let fresh_pages state n =
   let base = state.State.shared_next_page in
-  state.State.shared_next_page <- base + (n * page_bytes);
+  state.State.shared_next_page <- base + (n * Granularity.page_bytes);
   if state.State.shared_next_page > Shasta.Layout.shared_limit then
     failwith "Alloc: shared heap exhausted";
   base
@@ -28,7 +26,7 @@ let pool_for state bsize =
   match Hashtbl.find_opt state.State.pools bsize with
   | Some p -> p
   | None ->
-    let p = { State.pool_page = 0; pool_used = page_bytes } in
+    let p = { State.pool_page = 0; pool_used = Granularity.page_bytes } in
     Hashtbl.add state.State.pools bsize p;
     p
 
@@ -36,7 +34,8 @@ let pool_for state bsize =
 let init_range state ~owner ~base ~len ~bsize =
   let ls = state.State.config.line_shift in
   (* per-page block size, known to all nodes *)
-  let first_page = base / page_bytes and last_page = (base + len - 1) / page_bytes in
+  let first_page = base / Granularity.page_bytes
+  and last_page = (base + len - 1) / Granularity.page_bytes in
   for page = first_page to last_page do
     (match Hashtbl.find_opt state.State.gran.Granularity.block_of_page page with
      | Some b when b <> bsize -> failwith "Alloc: page block-size conflict"
@@ -68,22 +67,25 @@ let g_malloc state (node : Node.t) ~size ~bsize_req =
   if size <= 0 then failwith "g_malloc: non-positive size";
   Shasta_machine.Pipeline.stall node.pipe Costs.default.malloc_base;
   let gran = state.State.gran in
+  let line_bytes = gran.line_bytes in
   let bsize =
     match state.State.config.fixed_block with
-    | Some b -> Granularity.legalize gran b
+    | Some b -> Granularity.legalize ~line_bytes b
     | None ->
-      if bsize_req > 0 then Granularity.legalize gran bsize_req
+      if bsize_req > 0 then Granularity.legalize ~line_bytes bsize_req
       else Granularity.heuristic_block gran ~size
   in
   let rounded = round_up size bsize in
   let base, len =
-    if rounded >= page_bytes then begin
-      let npages = (rounded + page_bytes - 1) / page_bytes in
-      (fresh_pages state npages, npages * page_bytes)
+    if rounded >= Granularity.page_bytes then begin
+      let npages =
+        (rounded + Granularity.page_bytes - 1) / Granularity.page_bytes
+      in
+      (fresh_pages state npages, npages * Granularity.page_bytes)
     end
     else begin
       let pool = pool_for state bsize in
-      if pool.pool_used + rounded > page_bytes then begin
+      if pool.pool_used + rounded > Granularity.page_bytes then begin
         pool.pool_page <- fresh_pages state 1;
         pool.pool_used <- 0
       end;

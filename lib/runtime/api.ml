@@ -21,14 +21,10 @@ type spec = {
          halts/restarts nodes per the schedule with lease-based
          detection and directory reconstruction *)
   fixed_block : int option;
-  granularity_threshold : int;
   consistency : State.consistency;
   obs : Shasta_obs.Obs.t option;
       (* observability subsystem to report into; [None] builds a fresh
          sinkless one (the metrics registry is still populated) *)
-  progress : int option;
-      (* Some n: heartbeat every n million simulated cycles (obs event
-         + stderr line); None stays silent and byte-identical *)
   dir_mode : Shasta_protocol.Nodeset.mode;
       (* directory organization for the protocol's node sets; nprocs is
          validated against its capacity at prepare time *)
@@ -40,9 +36,8 @@ let default_spec prog =
   { prog; opts = Some Shasta.Opts.full; nprocs = 1;
     pipe = Shasta_machine.Pipeline.alpha_21064a;
     net = Shasta_network.Network.memory_channel; net_faults = None;
-    node_faults = None; fixed_block = None;
-    granularity_threshold = 1024; consistency = State.Release; obs = None;
-    progress = None; dir_mode = Shasta_protocol.Nodeset.Full;
+    node_faults = None; fixed_block = None; consistency = State.Release;
+    obs = None; dir_mode = Shasta_protocol.Nodeset.Full;
     home_policy = State.Round_robin; scalable_sync = false }
 
 type result = {
@@ -72,10 +67,8 @@ let prepare spec =
     State.default_config ~nprocs:spec.nprocs ~line_shift
       ~consistency:spec.consistency ~pipe_config:spec.pipe
       ~net_profile:spec.net ?net_faults:spec.net_faults
-      ?node_faults:spec.node_faults
-      ~granularity_threshold:spec.granularity_threshold
-      ?fixed_block:spec.fixed_block ?obs:spec.obs ?progress:spec.progress
-      ~dir_mode:spec.dir_mode ~home_policy:spec.home_policy
+      ?node_faults:spec.node_faults ?fixed_block:spec.fixed_block
+      ?obs:spec.obs ~dir_mode:spec.dir_mode ~home_policy:spec.home_policy
       ~scalable_sync:spec.scalable_sync ()
   in
   let state =
@@ -110,13 +103,16 @@ let phase_misses (ph : Cluster.phase_result) =
   total Shasta_obs.Obs.c_miss_read + total Shasta_obs.Obs.c_miss_write
   + total Shasta_obs.Obs.c_miss_upgrade
 
-(* The [line] key of a BENCH record: a forced block size wins over the
-   instrumented line size (64 for the original binary). *)
+(* The [line] key of a BENCH record: a forced block size, legalized the
+   way the allocator legalizes it, wins over the instrumented line size
+   (64 for the original binary). *)
 let record_line spec =
+  let line_bytes =
+    match spec.opts with Some o -> 1 lsl o.Shasta.Opts.line_shift | None -> 64
+  in
   match spec.fixed_block with
-  | Some b -> b
-  | None -> (
-    match spec.opts with Some o -> 1 lsl o.Shasta.Opts.line_shift | None -> 64)
+  | Some b -> Shasta_protocol.Granularity.legalize ~line_bytes b
+  | None -> line_bytes
 
 (* One BENCH record for a completed run, all from the phase result. *)
 let bench_record ~workload ?(opts_name = "full") ?(extra = []) spec

@@ -21,17 +21,12 @@ type spec = {
           halts/restarts nodes per the schedule, with lease-based
           detection, directory reconstruction and lock-lease takeover *)
   fixed_block : int option;  (** force one block size (ablations) *)
-  granularity_threshold : int;
   consistency : State.consistency;
   obs : Shasta_obs.Obs.t option;
       (** observability subsystem to report into — attach sinks before
           running; [None] builds a fresh sinkless one (the metrics
           registry is still populated and readable via the result
           state) *)
-  progress : int option;
-      (** [Some n]: heartbeat (obs event + stderr line) every [n]
-          million simulated cycles; [None] (the default) stays silent
-          and byte-identical to a heartbeat-free run *)
   dir_mode : Shasta_protocol.Nodeset.mode;
       (** directory organization (full-map / limited-pointer);
           [nprocs] is validated against its capacity when the cluster
@@ -85,9 +80,10 @@ val phase_misses : Cluster.phase_result -> int
     phase, summed over nodes, from the phase's metrics registry. *)
 
 val record_line : spec -> int
-(** The [line] key of a BENCH record for a run of [spec]: the forced
-    block size if there is one, else the instrumented line size (64
-    for the original binary). *)
+(** The [line] key of a BENCH record for a run of [spec]: the block
+    size the run used for a forced block (the request rounded as
+    {!Shasta_protocol.Granularity.legalize} rounds it), else the
+    instrumented line size (64 for the original binary). *)
 
 val bench_record :
   workload:string ->

@@ -45,7 +45,6 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
   in
   let tcfg =
     { Shasta_protocol.Transitions.nprocs = config.nprocs;
-      page_bytes = State.page_bytes;
       sc = (config.consistency = State.Sequential);
       dmode = config.dir_mode;
       scalable_sync = config.scalable_sync;
@@ -56,8 +55,8 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
       net = Shasta_network.Network.create ?faults:config.net_faults
           ~nprocs:config.nprocs config.net_profile;
       gran =
-        Shasta_protocol.Granularity.create ~line_bytes:(1 lsl config.line_shift)
-          ~threshold:config.granularity_threshold ();
+        Shasta_protocol.Granularity.create
+          ~line_bytes:(1 lsl config.line_shift) ();
       tcfg;
       proto = Shasta_protocol.Transitions.init tcfg;
       shared_next_page = State.shared_heap_start;
@@ -274,34 +273,6 @@ let fire_fault (state : State.t) (at, (e : Nodefaults.event)) =
 let next_fault_time (state : State.t) =
   match state.fault_queue with [] -> max_int | (t, _) :: _ -> t
 
-(* Heartbeat under --progress N: whenever simulated time crosses
-   another N-million-cycle boundary, emit one obs event and one stderr
-   line.  With [progress = None] (the default) nothing fires and the
-   event stream is byte-identical to a heartbeat-free build. *)
-let heartbeat (state : State.t) next_hb ~now =
-  match state.config.progress with
-  | None -> ()
-  | Some n ->
-    let ival = n * 1_000_000 in
-    if ival > 0 && now < max_int then begin
-      (if !next_hb < 0 then next_hb := (now / ival * ival) + ival);
-      while now >= !next_hb do
-        let live =
-          Array.fold_left
-            (fun a (nd : Node.t) ->
-              match nd.status with
-              | Node.Running | Node.Waiting _ -> a + 1
-              | Node.Finished | Node.Crashed -> a)
-            0 state.nodes
-        in
-        Obs.emit state.config.obs ~node:0 ~time:!next_hb
-          (Ev.Heartbeat { cycles = !next_hb; live });
-        Printf.eprintf "[shasta] heartbeat: %d Mcyc simulated, %d node(s) live\n%!"
-          (!next_hb / 1_000_000) live;
-        next_hb := !next_hb + ival
-      done
-    end
-
 (* Run the scheduler until every node has finished and the network has
    drained. *)
 let finished (state : State.t) =
@@ -315,7 +286,6 @@ let finished (state : State.t) =
 
 let run_until_done ?(max_events = 2_000_000_000) (state : State.t) =
   let events = ref 0 in
-  let next_hb = ref (-1) in
   while not (finished state) do
     incr events;
     if !events > max_events then deadlock state "event budget exhausted: ";
@@ -328,7 +298,6 @@ let run_until_done ?(max_events = 2_000_000_000) (state : State.t) =
         best := i
       end
     done;
-    heartbeat state next_hb ~now:(min !best_t (next_fault_time state));
     (* a scheduled fault fires once simulated time reaches it — i.e. no
        node has an earlier event.  The [best < 0] arm matters: before a
        crash is detected, every live node may be blocked on the victim

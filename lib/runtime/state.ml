@@ -35,17 +35,11 @@ type config = {
       (* None (or a spec with no events): no crash injection, and the
          run is byte-identical to one without the layer.  Some s: halt
          and restart nodes per the schedule (shasta_run --node-faults) *)
-  granularity_threshold : int; (* malloc heuristic cutoff, Section 4.2 *)
   fixed_block : int option; (* force one block size (ablation runs) *)
   obs : Shasta_obs.Obs.t;
       (* the observability subsystem every layer reports into: typed
          event stream (when sinks are attached) plus the always-on
          metrics registry *)
-  progress : int option;
-      (* Some n: emit a heartbeat (obs event + stderr line) every n
-         million simulated cycles so long runs are observably alive.
-         None (the default) emits nothing — traces stay byte-identical
-         to a heartbeat-free build *)
   dir_mode : Nodeset.mode;
       (* directory organization for every protocol node set (full-map
          default; limited-pointer for nprocs > 61) *)
@@ -58,8 +52,7 @@ type config = {
 let default_config ?(nprocs = 1) ?(line_shift = 6)
     ?(consistency = Release) ?(pipe_config = Pipeline.alpha_21064a)
     ?(net_profile = Shasta_network.Network.memory_channel) ?net_faults
-    ?node_faults ?(granularity_threshold = 1024)
-    ?fixed_block ?obs ?progress ?(dir_mode = Nodeset.Full)
+    ?node_faults ?fixed_block ?obs ?(dir_mode = Nodeset.Full)
     ?(home_policy = Round_robin) ?(scalable_sync = false) () =
   (* fail loudly instead of silently wrapping masks past the int width:
      every nprocs must be representable by the active directory mode *)
@@ -70,11 +63,7 @@ let default_config ?(nprocs = 1) ?(line_shift = 6)
     match obs with Some o -> o | None -> Shasta_obs.Obs.create ~nprocs ()
   in
   { nprocs; line_shift; consistency; pipe_config; net_profile; net_faults;
-    node_faults; granularity_threshold; fixed_block; obs; progress;
-    dir_mode; home_policy; scalable_sync }
-
-(* Home pages are assigned round-robin at this page size (Section 2.1). *)
-let page_bytes = 8192
+    node_faults; fixed_block; obs; dir_mode; home_policy; scalable_sync }
 
 (* A per-block-size allocation pool: shared pages are handed out to one
    block size at a time (Section 4.2's per-page granularity scheme). *)

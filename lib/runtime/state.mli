@@ -27,12 +27,8 @@ type config = {
       (* None (or a spec with no events): no crash injection, and the
          run is byte-identical to one without the layer.  Some s: halt
          and restart nodes per the schedule (shasta_run --node-faults) *)
-  granularity_threshold : int; (* malloc heuristic cutoff, Section 4.2 *)
   fixed_block : int option; (* force one block size (ablation runs) *)
   obs : Shasta_obs.Obs.t;
-  progress : int option;
-      (* Some n: heartbeat (obs event + stderr line) every n million
-         simulated cycles; None emits nothing *)
   dir_mode : Nodeset.mode;
       (* directory organization for every protocol node set *)
   home_policy : home_policy;
@@ -47,10 +43,8 @@ val default_config :
   ?net_profile:Shasta_network.Network.profile ->
   ?net_faults:Shasta_network.Network.faults ->
   ?node_faults:Nodefaults.t ->
-  ?granularity_threshold:int ->
   ?fixed_block:int ->
   ?obs:Shasta_obs.Obs.t ->
-  ?progress:int ->
   ?dir_mode:Nodeset.mode ->
   ?home_policy:home_policy ->
   ?scalable_sync:bool ->
@@ -59,9 +53,6 @@ val default_config :
 (** Raises [Invalid_argument] when [nprocs] exceeds the directory
     mode's representable capacity (e.g. full-map past the int-mask
     width) — the guard against silent mask wraparound. *)
-
-val page_bytes : int
-(** Home pages are assigned round-robin at this page size (Section 2.1). *)
 
 (* A per-block-size allocation pool: shared pages are handed out to one
    block size at a time (Section 4.2's per-page granularity scheme). *)

@@ -156,6 +156,30 @@ let t_faults_deterministic () =
   let a = go () and b = go () in
   Alcotest.(check bool) "identical cycles and counters" true (a = b)
 
+(* A fault spec value out of range is rejected with a message naming
+   its key, never clamped into range or silently dropped; the range's
+   edges parse as given. *)
+let t_spec_rejects_out_of_range () =
+  List.iter
+    (fun (spec, key) ->
+      match Network.faults_of_string spec with
+      | _ -> Alcotest.failf "%s: accepted" spec
+      | exception Invalid_argument e ->
+        let prefix = "Network.faults_of_string: " ^ key ^ " needs" in
+        Alcotest.(check bool) (spec ^ " names " ^ key) true
+          (String.starts_with ~prefix e))
+    [ ("drop=2", "drop"); ("drop=nan", "drop"); ("drop=-0.5", "drop");
+      ("dup=inf", "dup"); ("rto=-5", "rto"); ("max-retx=-1", "max-retx");
+      ("delay-cycles=-100,delay=0.5", "delay-cycles") ];
+  match
+    Network.faults_of_string "drop=0.9,delay=0,delay-cycles=0,rto=0,max-retx=0"
+  with
+  | Some f ->
+    Alcotest.(check bool) "edges kept" true
+      (f.drop = 0.9 && f.delay = 0.0 && f.delay_cycles = 0 && f.rto = 0
+       && f.max_retx = 0)
+  | None -> Alcotest.fail "edge spec parsed as no faults"
+
 (* --- QCheck: the receiver half of the reliable sublayer ------------- *)
 
 (* An adversarial arrival schedule for one channel: sequence numbers
@@ -354,7 +378,9 @@ let () =
         [ Alcotest.test_case "zero when off" `Quick t_counters_zero_when_off;
           Alcotest.test_case "registry matches wire" `Quick
             t_counters_match_wire;
-          Alcotest.test_case "deterministic" `Quick t_faults_deterministic ] );
+          Alcotest.test_case "deterministic" `Quick t_faults_deterministic;
+          Alcotest.test_case "spec rejects out-of-range values" `Quick
+            t_spec_rejects_out_of_range ] );
       ( "sublayer",
         [ Support.qtest "exactly-once, in-order delivery" ~count:300
             arrivals_gen prop_exactly_once_in_order;

@@ -90,8 +90,7 @@ let prop_shifts (a, n) =
 (* --- granularity algebra -------------------------------------------- *)
 
 let prop_legalize size =
-  let g = Shasta_protocol.Granularity.create ~line_bytes:64 () in
-  let b = Shasta_protocol.Granularity.legalize g size in
+  let b = Shasta_protocol.Granularity.legalize ~line_bytes:64 size in
   b >= 64 && b <= 8192 && b land (b - 1) = 0
 
 let prop_heuristic size =

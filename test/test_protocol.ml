@@ -7,10 +7,7 @@ open Shasta_protocol
 
 let t_dir_homes () =
   let module T = Transitions in
-  let cfg =
-    { T.nprocs = 4; page_bytes = 8192; sc = false; dmode = Nodeset.Full;
-      scalable_sync = false; migrate = false }
-  in
+  let cfg = { T.default_cfg with nprocs = 4 } in
   let v = T.init cfg in
   Alcotest.(check int) "round robin page 0" 0 (T.home_for cfg v 0);
   Alcotest.(check int) "round robin page 1" 1 (T.home_for cfg v 8192);
@@ -87,10 +84,7 @@ let t_step_sharing () =
    the coordinator claimed earlier in the same step stays claimed. *)
 let t_crash_drops_coordinator_waiters () =
   let module T = Transitions in
-  let cfg =
-    { T.nprocs = 3; page_bytes = 8192; sc = false; dmode = Nodeset.Full;
-      scalable_sync = false; migrate = false }
-  in
+  let cfg = { T.default_cfg with nprocs = 3 } in
   let v = T.init cfg in
   let fwd requester =
     { Message.src = 0; addr = 0x40; kind = Coh (Fwd_read { requester }) }
@@ -129,10 +123,10 @@ let t_gran_heuristic () =
     (Granularity.heuristic_block g ~size:100_000)
 
 let t_gran_legalize () =
-  let g = Granularity.create ~line_bytes:64 () in
-  Alcotest.(check int) "round to power of two" 256 (Granularity.legalize g 200);
-  Alcotest.(check int) "at least a line" 64 (Granularity.legalize g 1);
-  Alcotest.(check int) "at most a page" 8192 (Granularity.legalize g 100_000)
+  let legalize = Granularity.legalize ~line_bytes:64 in
+  Alcotest.(check int) "round to power of two" 256 (legalize 200);
+  Alcotest.(check int) "at least a line" 64 (legalize 1);
+  Alcotest.(check int) "at most a page" 8192 (legalize 100_000)
 
 let t_gran_block_map () =
   let g = Granularity.create ~line_bytes:64 () in
