@@ -343,8 +343,6 @@ let apply_action ~inj ~(reply : int array option ref) v' node sys
         regs = Imap.add node (shadow_get sys ~node ~block:b) sys.regs;
         pending_read = Imap.remove node sys.pending_read }
     | None -> sys)
-  | T.A_reenter_store _ ->
-    raise (Unexpected "A_reenter_store under non-stalling stores")
   | T.A_commit_store ->
     raise (Unexpected "A_commit_store under non-stalling stores")
 
@@ -375,9 +373,8 @@ let issue cfg ~inj (sys : sys) node op rest =
     if shadow_get sys ~node ~block:b <> marker then
       { sys with regs = Imap.add node (shadow_get sys ~node ~block:b) sys.regs }
     else
-      let st = T.line_state sys.v ~node ~block:b in
       let sys = { sys with pending_read = Imap.add node b sys.pending_read } in
-      run_step cfg ~inj sys node (T.I_load_miss { addr = b; block = b; st })
+      run_step cfg ~inj sys node (T.I_load_miss { addr = b; block = b })
   | Write (b, _) | Write_reg_plus (b, _) ->
     let value =
       match op with
@@ -402,8 +399,6 @@ let issue cfg ~inj (sys : sys) node op rest =
           (T.I_store_miss
              { addr = b;
                block = b;
-               st;
-               bytes = 4;
                store_done = true;
                stored = [ (b, value) ] })
     end
@@ -648,8 +643,6 @@ let stash_moves cfg ~inj (sys : sys) =
               (T.I_store_miss
                  { addr = b;
                    block = b;
-                   st;
-                   bytes = 4;
                    store_done = true;
                    stored = [ (b, value) ] }) ) ]
   | _ -> []

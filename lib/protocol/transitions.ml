@@ -60,7 +60,9 @@ type wait =
 type resume =
   | R_none
   | R_refill (* re-run the stalled load (interpreter-side closure) *)
-  | R_store_retry of { addr : int; bytes : int; store_done : bool }
+  | R_store_retry of { addr : int; block : int }
+    (* stalled non-scheduled store: re-run the store miss against the
+       line state the wake left *)
   | R_store_commit of { then_release : bool }
     (* stalled non-scheduled store: commit its memory effect first, so
        the value is visible before any queued request is served *)
@@ -200,16 +202,6 @@ type memop =
        (frozen) memory image into the acting node's memory.  A pure byte
        salvage — no line-state change; pair with M_make_* to claim. *)
 
-(* Residual pure work to run after an interpreter re-entry (store
-   retry).  The engine's continuation closures captured "the rest of the
-   current handler"; here that rest is reified so it can cross the
-   pure/impure boundary and be resumed with [I_continue]. *)
-type post =
-  | P_register_acks of { block : int; acks : int }
-  | P_flush_waiters of int
-  | P_invalidate_flush of int (* make_invalid + flush (late inv reply) *)
-  | P_check_wake
-
 type action =
   | A_charge of cost
   | A_emit of ev
@@ -225,22 +217,15 @@ type action =
   | A_commit_store
     (* run the stalled store's memory write (non-scheduled checks: the
        store instruction itself only executes after the thread resumes) *)
-  | A_reenter_store of
-      { addr : int; bytes : int; store_done : bool; post : post list }
-    (* must be the LAST action of a step: the interpreter re-enters
-       [store_miss] (drain and all), then feeds [post] back via
-       [I_continue] *)
 
 type input =
   | I_msg of Message.t
-  | I_load_miss of { addr : int; block : int; st : line }
+  | I_load_miss of { addr : int; block : int }
   | I_store_miss of
-      { addr : int; block : int; st : line; bytes : int; store_done : bool;
+      { addr : int; block : int; store_done : bool;
         stored : (int * int) list (* longword cover of the store's value *) }
   | I_batch_miss of
-      { nranges : int;
-        blocks : (int * bool * line) list; (* block, need_excl, state *)
-        stores : (int * int) list (* addr, bytes *) }
+      { nranges : int; blocks : (int * bool) list (* block, need_excl *) }
   | I_batch_end of
       { values : (int * int * int) list; (* longword addr, block, value *)
         order : deferred list (* deduped, in application order *) }
@@ -253,7 +238,6 @@ type input =
   | I_set_home of { page : int; home : int }
     (* home-placement policy (first-touch): subsequent requests for
        the page's blocks are issued to [home] *)
-  | I_continue of post list
   | I_node_crash of { victim : int; lost : (int * Message.t) list }
     (* [victim] was declared dead; [lost] are the frames purged off the
        wire (still queued to or from it) as [(dst, msg)] in send order.
@@ -280,10 +264,9 @@ type ctx = {
   mutable me : nview; (* the stepping node's current view *)
   mutable stored : nview; (* its entry in [v.nodes] *)
   mutable racc : action list; (* reverse accumulation *)
-  mutable stopped : bool; (* an A_reenter_store truncated this step *)
 }
 
-let act c a = if not c.stopped then c.racc <- a :: c.racc
+let act c a = c.racc <- a :: c.racc
 
 let nv c = c.me
 
@@ -337,16 +320,14 @@ let line_of (n : nview) block =
 
 (* Emit a table/memory effect and mirror the resulting line state. *)
 let mem_op c (op : memop) =
-  if not c.stopped then begin
-    act c (A_mem op);
-    match op with
-    | M_make_exclusive b -> set_line c b L_exclusive
-    | M_make_shared b -> set_line c b L_shared
-    | M_make_invalid b -> set_line c b L_invalid
-    | M_make_pending { block; shared } ->
-      set_line c block (if shared then L_pending_shared else L_pending_invalid)
-    | M_flag _ | M_merge _ | M_adopt _ -> ()
-  end
+  act c (A_mem op);
+  match op with
+  | M_make_exclusive b -> set_line c b L_exclusive
+  | M_make_shared b -> set_line c b L_shared
+  | M_make_invalid b -> set_line c b L_invalid
+  | M_make_pending { block; shared } ->
+    set_line c block (if shared then L_pending_shared else L_pending_invalid)
+  | M_flag _ | M_merge _ | M_adopt _ -> ()
 
 let is_crashed (v : view) node = Ns.mem v.crashed node
 
@@ -447,7 +428,31 @@ let heat_bump c ~block ~requester =
 
 (* The mutually recursive protocol logic.  Function-for-function this is
    the old engine with every side effect replaced by an [act] and every
-   continuation by a [resume]/[post]. *)
+   continuation by a [resume].  Every step runs to completion: nothing
+   is handed back to the interpreter mid-step. *)
+
+let false_miss c addr =
+  act c (A_emit (E_false_miss addr));
+  act c (A_charge False_miss)
+
+(* The line a miss finds.  Memory outside the directory is never shared:
+   its state-table bytes read exclusive (the tables start out zeroed, and
+   private regions are marked exclusive), so a miss there is a false
+   one. *)
+let miss_line c block =
+  match Imap.find_opt block c.me.lines with
+  | Some l -> l
+  | None -> if Imap.mem block c.v.dir then L_invalid else L_exclusive
+
+let add_written c block stored =
+  match Imap.find_opt block (nv c).pending with
+  | None -> ()
+  | Some p ->
+    let written =
+      List.fold_left (fun w (a, v) -> Imap.add a v w) p.written stored
+    in
+    c.me <-
+      { c.me with pending = Imap.add block { p with written } c.me.pending }
 
 let rec send c ~dst ~addr kind =
   let msg = { Message.src = c.node; addr; kind } in
@@ -469,17 +474,17 @@ and block_on c w r =
      | W_sync -> c.me <- { c.me with sync_signal = false }
      | _ -> ());
     (* satisfied on entry: run the continuation with no stall event *)
-    dispatch c r []
+    dispatch c r
   end
   else begin
     c.me <- { c.me with nstat = N_waiting w; resume = r };
     act c (A_block w)
   end
 
-and check_wake c ~post =
+and check_wake c =
   let n = nv c in
   match n.nstat with
-  | N_running -> run_post c post
+  | N_running -> ()
   | N_waiting w ->
     if wait_sat n w then begin
       (match w with
@@ -488,75 +493,63 @@ and check_wake c ~post =
       act c (A_stall w);
       let r = (nv c).resume in
       c.me <- { c.me with nstat = N_running; resume = R_none };
-      dispatch c r post
+      dispatch c r
     end
-    else run_post c post
 
-(* Run a resume (the satisfied wait's continuation), then the residual
-   [post] work.  A store retry crosses back into the interpreter: it
-   truncates the step and carries [post] with it. *)
-and dispatch c r post =
-  match r with
-  | R_none -> run_post c post
-  | R_refill ->
-    act c A_refill;
-    run_post c post
-  | R_store_retry { addr; bytes; store_done } ->
-    act c (A_reenter_store { addr; bytes; store_done; post });
-    c.stopped <- true
+(* Run a resume: the satisfied wait's continuation. *)
+and dispatch c = function
+  | R_none | R_done -> ()
+  | R_refill -> act c A_refill
+  | R_store_retry { addr; block } ->
+    (* a basic (non-scheduled) store check called the handler before the
+       store ran: re-check the line, and once the handler returns with
+       the node running, the store commits — before the rest of this
+       step serves any queued request *)
+    store_miss c ~addr ~block ~store_done:false ~stored:[];
+    if (nv c).nstat = N_running then act c A_commit_store
   | R_store_commit { then_release } ->
     act c A_commit_store;
-    if then_release then block_on c W_release R_done;
-    run_post c post
-  | R_then_release ->
-    block_on c W_release R_done;
-    run_post c post
-  | R_done -> run_post c post
-  | R_lock_acquired id ->
-    act c (A_emit (E_lock_acquired id));
-    run_post c post
+    if then_release then block_on c W_release R_done
+  | R_then_release -> block_on c W_release R_done
+  | R_lock_acquired id -> act c (A_emit (E_lock_acquired id))
   | R_unlock id ->
-    (if c.cfg.scalable_sync then begin
-       (* MCS-style queue lock: the releaser reads the queue itself and
-          hands the lock DIRECTLY to its successor — no round trip
-          through the lock's home.  Contended handoff costs one message
-          (vs unlock+grant), an uncontended release costs none. *)
-       act c (A_charge Sync_local);
-       home_unlock c ~id
-     end
-     else
-       let h = route c.cfg c.v (id mod c.cfg.nprocs) in
-       if h = c.node then begin
-         act c (A_charge Sync_local);
-         home_unlock c ~id
-       end
-       else send c ~dst:h ~addr:id (Message.Sync Unlock_msg));
-    run_post c post
+    if c.cfg.scalable_sync then begin
+      (* MCS-style queue lock: the releaser reads the queue itself and
+         hands the lock DIRECTLY to its successor — no round trip
+         through the lock's home.  Contended handoff costs one message
+         (vs unlock+grant), an uncontended release costs none. *)
+      act c (A_charge Sync_local);
+      home_unlock c ~id
+    end
+    else
+      let h = route c.cfg c.v (id mod c.cfg.nprocs) in
+      if h = c.node then begin
+        act c (A_charge Sync_local);
+        home_unlock c ~id
+      end
+      else send c ~dst:h ~addr:id (Message.Sync Unlock_msg)
   | R_barrier_enter ->
-    (if c.cfg.scalable_sync then begin
-       (* combining-tree barrier: record the arrival in place, then
-          combine triggers up the tree *)
-       act c (A_charge Sync_local);
-       block_on c W_sync R_barrier_passed;
-       c.v <-
-         { c.v with barrier_arrived = Ns.add c.v.barrier_arrived c.node };
-       tree_barrier_check c
-     end
-     else
-       let bh = route c.cfg c.v 0 in
-       if c.node = bh then begin
-         act c (A_charge Sync_local);
-         block_on c W_sync R_barrier_passed;
-         home_barrier_arrive c ~who:c.node
-       end
-       else begin
-         send c ~dst:bh ~addr:0 (Message.Sync Barrier_arrive);
-         block_on c W_sync R_barrier_passed
-       end);
-    run_post c post
-  | R_barrier_passed ->
-    act c (A_emit E_barrier_passed);
-    run_post c post
+    if c.cfg.scalable_sync then begin
+      (* combining-tree barrier: record the arrival in place, then
+         combine triggers up the tree *)
+      act c (A_charge Sync_local);
+      block_on c W_sync R_barrier_passed;
+      c.v <-
+        { c.v with barrier_arrived = Ns.add c.v.barrier_arrived c.node };
+      tree_barrier_check c
+    end
+    else
+      let bh = route c.cfg c.v 0 in
+      if c.node = bh then begin
+        act c (A_charge Sync_local);
+        block_on c W_sync R_barrier_passed;
+        home_barrier_arrive c ~who:c.node
+      end
+      else begin
+        send c ~dst:bh ~addr:0 (Message.Sync Barrier_arrive);
+        block_on c W_sync R_barrier_passed
+      end
+  | R_barrier_passed -> act c (A_emit E_barrier_passed)
   | R_flag_set id ->
     act c (A_emit (E_flag_raised id));
     let h = route c.cfg c.v (id mod c.cfg.nprocs) in
@@ -564,30 +557,8 @@ and dispatch c r post =
       act c (A_charge Sync_local);
       home_flag_set c ~id
     end
-    else send c ~dst:h ~addr:id (Message.Sync Flag_set_msg);
-    run_post c post
-  | R_flag_woken id ->
-    act c (A_emit (E_flag_woken id));
-    run_post c post
-
-and run_post c = function
-  | [] -> ()
-  | _ when c.stopped -> () (* carried by the A_reenter_store's [post] *)
-  | P_register_acks { block; acks } :: rest ->
-    register_acks c block acks;
-    run_post c rest
-  | P_flush_waiters block :: rest ->
-    flush_waiters c block;
-    run_post c rest
-  | P_invalidate_flush block :: rest ->
-    (* serve queued forwarded reads BEFORE stamping the copy: their
-       reads serialize before the invalidating write, and the reply
-       data is read out of this node's memory at send time — flagging
-       first would ship the flag pattern as data *)
-    flush_waiters c block;
-    mem_op c (M_make_invalid block);
-    run_post c rest
-  | P_check_wake :: rest -> check_wake c ~post:rest
+    else send c ~dst:h ~addr:id (Message.Sync Flag_set_msg)
+  | R_flag_woken id -> act c (A_emit (E_flag_woken id))
 
 (* ------------------------------------------------------------------ *)
 (* Invalidation-ack bookkeeping                                         *)
@@ -794,7 +765,6 @@ and owner_fwd_read c ~requester ~block =
        data grant, served from the salvaged copy (queueing it behind the
        pending entry would deadlock on itself) *)
     complete_data_reply c ~block ~exclusive:false ~acks:0
-      ~tail:[ P_check_wake ]
   else if owner_busy (nv c) block then
     enqueue_waiter c block
       { Message.src = c.node; addr = block;
@@ -815,7 +785,6 @@ and owner_fwd_readex c ~requester ~block ~acks =
   if requester = c.node && Imap.mem block (nv c).pending then
     (* see owner_fwd_read: self-forward after crash recovery *)
     complete_data_reply c ~block ~exclusive:true ~acks
-      ~tail:[ P_check_wake ]
   else if owner_busy (nv c) block then
     enqueue_waiter c block
       { Message.src = c.node; addr = block;
@@ -864,7 +833,7 @@ and apply_inv c ~block ~requester =
         (M_flag { block; keep = List.map fst (Imap.bindings p.written) })
     | None -> mem_op c (M_make_invalid block)
 
-and complete_data_reply c ~block ~exclusive ~acks ~tail =
+and complete_data_reply c ~block ~exclusive ~acks =
   match Imap.find_opt block (nv c).pending with
   | None when Ns.mem c.v.halted c.node ->
     (* a reply to a request that died with this node's crash: the
@@ -881,10 +850,8 @@ and complete_data_reply c ~block ~exclusive ~acks ~tail =
   | Some p ->
     mem_op c (M_merge { block; written = Imap.bindings p.written });
     c.me <- { c.me with pending = Imap.remove block c.me.pending };
-    (* the node's own stalled access must consume the reply (the refill
-       runs) BEFORE deferred forwarded requests are serviced *)
-    if exclusive then begin
-      mem_op c (M_make_exclusive block);
+    mem_op c (if exclusive then M_make_exclusive block else M_make_shared block);
+    if exclusive then
       (* any deferred invalidation of this block predates our ownership *)
       c.me <-
         { c.me with
@@ -892,20 +859,21 @@ and complete_data_reply c ~block ~exclusive ~acks ~tail =
             List.filter
               (function D_inv b -> b <> block | _ -> true)
               c.me.deferred };
-      check_wake c ~post:(P_register_acks { block; acks } :: tail)
-    end
-    else if p.invalidated then begin
-      (* late invalidation: let the stalled load consume the value, then
-         apply the invalidation *)
-      mem_op c (M_make_shared block);
-      check_wake c ~post:(P_invalidate_flush block :: tail)
-    end
+    (* the node's own stalled access must consume the reply (the refill
+       runs) BEFORE deferred forwarded requests are serviced *)
+    check_wake c;
+    if exclusive then register_acks c block acks
     else begin
-      mem_op c (M_make_shared block);
-      check_wake c ~post:(P_flush_waiters block :: tail)
-    end
+      (* a late invalidation is applied only after the queued forwarded
+         reads are served: their reads serialize before the invalidating
+         write, and the reply data is read out of this node's memory at
+         send time — flagging first would ship the flag pattern as data *)
+      flush_waiters c block;
+      if p.invalidated then mem_op c (M_make_invalid block)
+    end;
+    check_wake c
 
-and complete_upgrade_ack c ~block ~acks ~tail =
+and complete_upgrade_ack c ~block ~acks =
   match Imap.find_opt block (nv c).pending with
   | None when Ns.mem c.v.halted c.node ->
     (* late ack to a request that died with this node's crash; see
@@ -918,7 +886,9 @@ and complete_upgrade_ack c ~block ~acks ~tail =
   | Some _ ->
     c.me <- { c.me with pending = Imap.remove block c.me.pending };
     mem_op c (M_make_exclusive block);
-    check_wake c ~post:(P_register_acks { block; acks } :: tail)
+    check_wake c;
+    register_acks c block acks;
+    check_wake c
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization (home side)                                          *)
@@ -941,7 +911,7 @@ and set_flag c id f = c.v <- { c.v with flags = Imap.add id f c.v.flags }
 and grant_lock c ~to_ ~id =
   if to_ = c.node then begin
     c.me <- { c.me with sync_signal = true };
-    check_wake c ~post:[]
+    check_wake c
   end
   else send c ~dst:to_ ~addr:id (Message.Sync Lock_grant)
 
@@ -978,7 +948,7 @@ and barrier_maybe_release c =
       if Ns.mem arrived n then
         if n = c.node then begin
           c.me <- { c.me with sync_signal = true };
-          check_wake c ~post:[]
+          check_wake c
         end
         else send c ~dst:n ~addr:0 (Message.Sync Barrier_release)
     done
@@ -1050,12 +1020,12 @@ and tree_release_self c =
     c.me <- { c.me with sync_signal = true }
   end;
   List.iter (tree_release_fan c) (tree_children c.cfg c.node);
-  check_wake c ~post:[]
+  check_wake c
 
 and wake_flag_waiter c ~to_ ~id =
   if to_ = c.node then begin
     c.me <- { c.me with sync_signal = true };
-    check_wake c ~post:[]
+    check_wake c
   end
   else send c ~dst:to_ ~addr:id (Message.Sync Flag_wake)
 
@@ -1079,81 +1049,106 @@ and handle c (msg : Message.t) =
   match msg.kind with
   | Coh Read_req ->
     home_read c ~requester:msg.src ~block;
-    check_wake c ~post:[]
+    check_wake c
   | Coh Readex_req ->
     home_readex c ~requester:msg.src ~block;
-    check_wake c ~post:[]
+    check_wake c
   | Coh Upgrade_req ->
     home_upgrade c ~requester:msg.src ~block;
-    check_wake c ~post:[]
+    check_wake c
   | Coh (Fwd_read { requester }) ->
     owner_fwd_read c ~requester ~block;
-    check_wake c ~post:[]
+    check_wake c
   | Coh (Fwd_readex { requester; acks }) ->
     owner_fwd_readex c ~requester ~block ~acks;
-    check_wake c ~post:[]
+    check_wake c
   | Coh (Data_reply { data = _; exclusive; acks }) ->
-    (* the trailing check_wake rides in the post list: a store retry in
-       the wake must not lose it *)
-    complete_data_reply c ~block ~exclusive ~acks ~tail:[ P_check_wake ]
-  | Coh (Upgrade_ack { acks }) ->
-    complete_upgrade_ack c ~block ~acks ~tail:[ P_check_wake ]
+    complete_data_reply c ~block ~exclusive ~acks
+  | Coh (Upgrade_ack { acks }) -> complete_upgrade_ack c ~block ~acks
   | Coh (Inv { requester }) ->
     apply_inv c ~block ~requester;
-    check_wake c ~post:[]
+    check_wake c
   | Coh Inv_ack ->
     recv_inv_ack c block;
-    check_wake c ~post:[]
+    check_wake c
   | Sync Lock_req ->
     home_lock_req c ~requester:msg.src ~id:msg.addr;
-    check_wake c ~post:[]
+    check_wake c
   | Sync Lock_grant ->
     c.me <- { c.me with sync_signal = true };
-    check_wake c ~post:[]
+    check_wake c
   | Sync Unlock_msg ->
     home_unlock c ~id:msg.addr;
-    check_wake c ~post:[]
+    check_wake c
   | Sync Barrier_arrive ->
     (* centralized: the home records [src]'s arrival.  Tree mode:
        arrivals are already recorded globally — the message is a
        combining trigger, re-evaluated at this tree node *)
     if c.cfg.scalable_sync then tree_barrier_check c
     else home_barrier_arrive c ~who:msg.src;
-    check_wake c ~post:[]
+    check_wake c
   | Sync Barrier_release ->
     (if c.cfg.scalable_sync then tree_release_self c
      else c.me <- { c.me with sync_signal = true });
-    check_wake c ~post:[]
+    check_wake c
   | Sync Flag_set_msg ->
     home_flag_set c ~id:msg.addr;
-    check_wake c ~post:[]
+    check_wake c
   | Sync Flag_wait_req ->
     home_flag_wait c ~requester:msg.src ~id:msg.addr;
-    check_wake c ~post:[]
+    check_wake c
   | Sync Flag_wake ->
     c.me <- { c.me with sync_signal = true };
-    check_wake c ~post:[]
+    check_wake c
 
 (* ------------------------------------------------------------------ *)
 (* Inline miss handlers (step entry points)                             *)
 (* ------------------------------------------------------------------ *)
 
-let false_miss c addr =
-  act c (A_emit (E_false_miss addr));
-  act c (A_charge False_miss)
+(* Store miss.  With [store_done] (the scheduled check of Section 3.1)
+   the store has already written memory and [stored] is its longword
+   cover; without it the store runs after the handler returns, so the
+   handler stalls until the line is exclusive. *)
+and store_miss c ~addr ~block ~store_done ~stored =
+  match miss_line c block with
+  | L_exclusive ->
+    (* resolved by a drained message or by the wake of a retry, or
+       memory outside the directory: false miss *)
+    false_miss c addr
+  | L_pending_invalid | L_pending_shared ->
+    if not (Imap.mem block (nv c).pending) then
+      (* [invariants] rules this out; retrying would never end *)
+      invalid_arg
+        (Printf.sprintf
+           "Transitions: pending line without pending entry at node %d \
+            block 0x%x"
+           c.node block)
+    else if store_done then add_written c block stored
+    else block_on c (W_blocks [ block ]) (R_store_retry { addr; block })
+  | (L_shared | L_invalid) as st ->
+    (if st = L_shared then begin
+       act c (A_emit (E_miss (MK_upgrade, addr)));
+       start_pending c block P_upgrade;
+       if store_done then add_written c block stored;
+       issue_request c block (Message.Coh Upgrade_req)
+     end
+     else begin
+       act c (A_emit (E_miss (MK_write, addr)));
+       start_pending c block P_readex;
+       if store_done then add_written c block stored;
+       issue_request c block (Message.Coh Readex_req)
+     end);
+    if c.cfg.sc then
+      (* sequential consistency: the store completes — ownership AND all
+         invalidation acknowledgements — before execution continues *)
+      block_on c (W_blocks [ block ])
+        (if store_done then R_then_release
+         else R_store_commit { then_release = true })
+    else if not store_done then
+      block_on c (W_blocks [ block ]) (R_store_commit { then_release = false })
 
-let add_written c block stored =
-  match Imap.find_opt block (nv c).pending with
-  | None -> ()
-  | Some p ->
-    let written =
-      List.fold_left (fun w (a, v) -> Imap.add a v w) p.written stored
-    in
-    c.me <-
-      { c.me with pending = Imap.add block { p with written } c.me.pending }
-
-let load_miss c ~addr ~block ~st =
-  match st with
+let load_miss c ~addr ~block =
+  match miss_line c block with
   | L_exclusive | L_shared ->
     false_miss c addr;
     act c A_refill
@@ -1181,53 +1176,17 @@ let load_miss c ~addr ~block ~st =
     issue_request c block (Message.Coh Read_req);
     block_on c (W_blocks [ block ]) R_refill
 
-let store_miss c ~addr ~block ~st ~bytes ~store_done ~stored =
-  match st with
-  | L_exclusive ->
-    (* resolved while the message queue drained: false miss *)
-    false_miss c addr
-  | L_pending_invalid | L_pending_shared ->
-    (match Imap.find_opt block (nv c).pending with
-     | Some _ ->
-       if store_done then add_written c block stored
-       else
-         block_on c (W_blocks [ block ])
-           (R_store_retry { addr; bytes; store_done })
-     | None ->
-       (* the pending state byte was stale; re-enter with a fresh read *)
-       act c (A_reenter_store { addr; bytes; store_done; post = [] });
-       c.stopped <- true)
-  | L_shared | L_invalid ->
-    (if st = L_shared then begin
-       act c (A_emit (E_miss (MK_upgrade, addr)));
-       start_pending c block P_upgrade;
-       if store_done then add_written c block stored;
-       issue_request c block (Message.Coh Upgrade_req)
-     end
-     else begin
-       act c (A_emit (E_miss (MK_write, addr)));
-       start_pending c block P_readex;
-       if store_done then add_written c block stored;
-       issue_request c block (Message.Coh Readex_req)
-     end);
-    if c.cfg.sc then
-      (* sequential consistency: the store completes — ownership AND all
-         invalidation acknowledgements — before execution continues *)
-      block_on c (W_blocks [ block ])
-        (if store_done then R_then_release
-         else R_store_commit { then_release = true })
-    else if not store_done then
-      block_on c (W_blocks [ block ]) (R_store_commit { then_release = false })
-
-(* Batch miss (Section 4.3): [blocks] carries (block, need_excl, state)
-   in the engine's historical per-block iteration order, states as the
-   tables read them at entry. *)
+(* Batch miss (Section 4.3): [blocks] carries (block, need_excl) in the
+   engine's historical per-block iteration order.  Each block's requests
+   touch only that block's line, so reading it as the loop reaches it
+   sees the state at entry. *)
 let batch_miss c ~nranges ~blocks =
   act c (A_charge (Batch_record nranges));
   c.me <- { c.me with in_batch = true };
   let waits = ref [] in
   List.iter
-    (fun (block, need_excl, st) ->
+    (fun (block, need_excl) ->
+      let st = miss_line c block in
       let pending_invalidated =
         match Imap.find_opt block (nv c).pending with
         | Some p -> p.invalidated
@@ -1266,7 +1225,7 @@ let batch_miss c ~nranges ~blocks =
   if c.cfg.sc then begin
     (* Section 4.3: under SC the handler waits for ALL requests,
        including exclusive ones and their acknowledgements *)
-    let all = List.rev_map (fun (b, _, _) -> b) blocks in
+    let all = List.rev_map fst blocks in
     block_on c (W_blocks all) R_then_release
   end
   else if !waits <> [] then block_on c (W_blocks !waits) R_done
@@ -1720,7 +1679,7 @@ let node_crash c ~victim ~lost =
        trigger that was lost with the victim). *)
     if c.cfg.scalable_sync then tree_maybe_release c
     else barrier_maybe_release c;
-    check_wake c ~post:[]
+    check_wake c
   end
 
 let node_recover c ~victim =
@@ -1732,14 +1691,13 @@ let node_recover c ~victim =
 
 let step (cfg : cfg) (v : view) ~node (input : input) : action list * view =
   let me = Imap.find node v.nodes in
-  let c = { cfg; node; v; me; stored = me; racc = []; stopped = false } in
+  let c = { cfg; node; v; me; stored = me; racc = [] } in
   (match input with
    | I_msg msg -> handle c msg
-   | I_load_miss { addr; block; st } -> load_miss c ~addr ~block ~st
-   | I_store_miss { addr; block; st; bytes; store_done; stored } ->
-     store_miss c ~addr ~block ~st ~bytes ~store_done ~stored
-   | I_batch_miss { nranges; blocks; stores = _ } ->
-     batch_miss c ~nranges ~blocks
+   | I_load_miss { addr; block } -> load_miss c ~addr ~block
+   | I_store_miss { addr; block; store_done; stored } ->
+     store_miss c ~addr ~block ~store_done ~stored
+   | I_batch_miss { nranges; blocks } -> batch_miss c ~nranges ~blocks
    | I_batch_end { values; order } -> batch_end c ~values ~order
    | I_lock id -> rt_lock c id
    | I_unlock id -> block_on c W_release (R_unlock id)
@@ -1748,7 +1706,6 @@ let step (cfg : cfg) (v : view) ~node (input : input) : action list * view =
    | I_flag_wait id -> rt_flag_wait c id
    | I_alloc { owner; blocks } -> alloc c ~owner ~blocks
    | I_set_home { page; home } -> set_home c ~page ~home
-   | I_continue post -> run_post c post
    | I_node_crash { victim; lost } -> node_crash c ~victim ~lost
    | I_node_recover victim -> node_recover c ~victim);
   store_me c;
@@ -1790,12 +1747,7 @@ let sharer_count (e : dirent) = Ns.cardinal e.sharers
 
 (* Properties that hold in EVERY reachable view, including mid-protocol
    (requests and invalidations in flight).  Returns human-readable
-   violation strings; [] means the view is consistent.
-
-   Caveat for drivers: a step whose action list ends in
-   [A_reenter_store] is truncated — its residual [post] work has not run
-   yet — so invariants should be checked only after the matching
-   [I_continue]. *)
+   violation strings; [] means the view is consistent. *)
 let invariants (cfg : cfg) (v : view) : string list =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -2094,9 +2046,8 @@ let canon_into b (v : view) =
       (match n.resume with
        | R_none -> ()
        | R_refill -> str "Rf;"
-       | R_store_retry { addr; bytes; store_done } ->
-         str "Rs"; hex addr; chr ','; int bytes; chr ','; bool store_done;
-         chr ';'
+       | R_store_retry { addr; block } ->
+         str "Rs"; hex addr; chr ','; hex block; chr ';'
        | R_store_commit { then_release } -> str "Rc"; bool then_release; chr ';'
        | R_then_release -> str "Rr;"
        | R_done -> str "Rd;"

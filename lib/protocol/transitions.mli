@@ -27,7 +27,7 @@ type wait = W_blocks of int list | W_release | W_sync
 type resume =
   | R_none
   | R_refill
-  | R_store_retry of { addr : int; bytes : int; store_done : bool }
+  | R_store_retry of { addr : int; block : int }
   | R_store_commit of { then_release : bool }
   | R_then_release
   | R_done
@@ -122,12 +122,6 @@ type memop =
        frozen memory image into the acting node's memory (no line-state
        change) *)
 
-type post =
-  | P_register_acks of { block : int; acks : int }
-  | P_flush_waiters of int
-  | P_invalidate_flush of int
-  | P_check_wake
-
 type action =
   | A_charge of cost
   | A_emit of ev
@@ -138,19 +132,13 @@ type action =
   | A_stall of wait
   | A_refill
   | A_commit_store
-  | A_reenter_store of
-      { addr : int; bytes : int; store_done : bool; post : post list }
 
 type input =
   | I_msg of Message.t
-  | I_load_miss of { addr : int; block : int; st : line }
+  | I_load_miss of { addr : int; block : int }
   | I_store_miss of
-      { addr : int; block : int; st : line; bytes : int; store_done : bool;
-        stored : (int * int) list }
-  | I_batch_miss of
-      { nranges : int;
-        blocks : (int * bool * line) list;
-        stores : (int * int) list }
+      { addr : int; block : int; store_done : bool; stored : (int * int) list }
+  | I_batch_miss of { nranges : int; blocks : (int * bool) list }
   | I_batch_end of
       { values : (int * int * int) list; order : deferred list }
   | I_lock of int
@@ -162,7 +150,6 @@ type input =
   | I_set_home of { page : int; home : int }
     (* install a home-placement override for [page] (first-touch
        policy) *)
-  | I_continue of post list
   | I_node_crash of { victim : int; lost : (int * Message.t) list }
     (* stepped at a surviving coordinator: marks [victim] dead,
        reconstructs directory entries it owned, reclaims its locks by
@@ -175,9 +162,9 @@ val init : cfg -> view
 
 (* The transition function.  Applying the returned actions in order
    against the machine reproduces the historical engine's effect order
-   exactly.  An [A_reenter_store] is always the LAST action: the step
-   was truncated and the interpreter must re-enter the store-miss path,
-   then resume the carried [post] list via [I_continue]. *)
+   exactly.  Every step runs to completion, a stalled store's retry
+   included: miss inputs name only the address and block, and the core
+   reads the node's line state from its own view. *)
 val step : cfg -> view -> node:int -> input -> action list * view
 
 val home_of : cfg -> int -> int
@@ -213,8 +200,8 @@ val sharer_list : dirent -> int list
 val sharer_count : dirent -> int
 
 (* Invariant checking: [] means consistent.  [invariants] holds in every
-   reachable view (but only after any pending [I_continue] has run);
-   [quiescent_invariants] additionally requires all activity drained. *)
+   reachable view; [quiescent_invariants] additionally requires all
+   activity drained. *)
 val invariants : cfg -> view -> string list
 val quiescent_invariants : cfg -> view -> string list
 

@@ -7,10 +7,10 @@
    paper) — are made by [Transitions.step] over the immutable view in
    [state.proto].  This module:
 
-   - turns machine observations into step inputs (state-table bytes at
-     miss checks, drained network messages, batched access lists with
-     their historical iteration orders, store values the core cannot
-     read itself);
+   - turns machine observations into step inputs (miss addresses,
+     drained network messages, batched access lists with their
+     historical iteration orders, store values the core cannot read
+     itself) — the core reads line states from its own view;
    - applies the returned action list IN ORDER against
      Pipeline/Network/Memory/Tables and the observability subsystem,
      which reproduces the old monolithic engine's effect order — and
@@ -18,15 +18,11 @@
    - records every (node, input) pair when [state.record_inputs] is
      set, enabling deterministic replay through the pure core alone.
 
-   The one re-entrant corner: a stalling store's retry must re-run the
-   full store-miss path (drain included).  The core ends such a step
-   with [A_reenter_store], the interpreter re-enters [store_miss], and
-   the residual pure work rides along as a post list fed back through
-   [I_continue]. *)
+   Every step runs to completion: the interpreter never re-enters the
+   core from inside an action. *)
 
 open Shasta_machine
 open Shasta_protocol
-open Shasta
 module Obs = Shasta_obs.Obs
 module Ev = Shasta_obs.Event
 module T = Transitions
@@ -64,13 +60,6 @@ let charge (node : Node.t) cycles = Pipeline.stall node.pipe cycles
 (* ------------------------------------------------------------------ *)
 (* Input construction helpers                                           *)
 (* ------------------------------------------------------------------ *)
-
-let line_of_byte st =
-  if st = Layout.st_exclusive then T.L_exclusive
-  else if st = Layout.st_shared then T.L_shared
-  else if st = Layout.st_pending_invalid then T.L_pending_invalid
-  else if st = Layout.st_pending_shared then T.L_pending_shared
-  else T.L_invalid
 
 (* The longwords [addr, addr+bytes) covers, with their current memory
    values (the store has already executed). *)
@@ -208,15 +197,6 @@ and apply state (node : Node.t) (a : T.action) =
   | T.A_commit_store ->
     node.commit_store ();
     node.commit_store <- (fun () -> ())
-  | T.A_reenter_store { addr; bytes; store_done; post } ->
-    store_miss state node ~addr ~bytes ~store_done;
-    (* a stalled non-scheduled store that can now proceed must become
-       visible before the carried post work serves any queued request *)
-    if (not store_done) && node.status = Node.Running then begin
-      node.commit_store ();
-      node.commit_store <- (fun () -> ())
-    end;
-    if post <> [] then step state node (T.I_continue post)
 
 and apply_mem state (node : Node.t) (op : T.memop) =
   match op with
@@ -258,38 +238,11 @@ and apply_mem state (node : Node.t) (op : T.memop) =
     Memory.blit_in node.mem ~addr:block data;
     Cache.dinvalidate node.caches ~addr:block ~len
 
-(* Store miss.  With [store_done] (the scheduled check of Section 3.1),
-   the store has already written memory and the handler is non-stalling
-   under release consistency; without it, the handler stalls until the
-   line is exclusive and the store executes afterwards. *)
-and store_miss state (node : Node.t) ~addr ~bytes ~store_done =
-  (* Messages drained below may invalidate the block and flag the
-     just-stored longwords before the core records them, so capture the
-     store's value now and re-apply it after the drain: the store is the
-     newest write to these longwords. *)
-  let saved =
-    if store_done then
-      Some (Memory.blit_out node.mem ~addr ~nlongs:(bytes / 4))
-    else None
-  in
-  enter_handler state node;
-  (match saved with
-   | Some data ->
-     Memory.blit_in node.mem ~addr data;
-     Cache.dinvalidate node.caches ~addr ~len:bytes
-   | None -> ());
-  let block = block_of state addr in
-  let st = line_of_byte (Tables.get_state node ~ls:(ls state) addr) in
-  let stored =
-    if store_done then longword_cover node ~addr ~bytes else []
-  in
-  step state node (T.I_store_miss { addr; block; st; bytes; store_done; stored })
-
 (* ------------------------------------------------------------------ *)
 (* Message delivery                                                     *)
 (* ------------------------------------------------------------------ *)
 
-and handle_msg state (node : Node.t) (msg : Message.t) =
+let handle_msg state (node : Node.t) (msg : Message.t) =
   (match msg.kind with
    | Message.Coh (Data_reply { data; _ }) -> node.reply_data <- Some data
    | _ -> ());
@@ -297,7 +250,7 @@ and handle_msg state (node : Node.t) (msg : Message.t) =
   node.reply_data <- None
 
 (* Drain every message that has already arrived for [node]. *)
-and drain state (node : Node.t) =
+let rec drain state (node : Node.t) =
   let now = Pipeline.cycle node.pipe in
   match Shasta_network.Network.recv state.State.net ~dst:node.id ~now with
   | Some (_, msg) ->
@@ -306,7 +259,7 @@ and drain state (node : Node.t) =
     drain state node
   | None -> ()
 
-and enter_handler state (node : Node.t) =
+let enter_handler state (node : Node.t) =
   charge node Costs.default.handler_entry;
   drain state node
 
@@ -338,9 +291,33 @@ let deliver_next state (node : Node.t) =
 let load_miss state (node : Node.t) ~addr ~refill =
   enter_handler state node;
   node.refill <- refill;
+  step state node (T.I_load_miss { addr; block = block_of state addr })
+
+(* Store miss.  With [store_done] (the scheduled check of Section 3.1),
+   the store has already written memory and the handler is non-stalling
+   under release consistency; without it, the handler stalls until the
+   line is exclusive and the store executes afterwards. *)
+let store_miss state (node : Node.t) ~addr ~bytes ~store_done =
+  (* Messages drained below may invalidate the block and flag the
+     just-stored longwords before the core records them, so capture the
+     store's value now and re-apply it after the drain: the store is the
+     newest write to these longwords. *)
+  let saved =
+    if store_done then
+      Some (Memory.blit_out node.mem ~addr ~nlongs:(bytes / 4))
+    else None
+  in
+  enter_handler state node;
+  (match saved with
+   | Some data ->
+     Memory.blit_in node.mem ~addr data;
+     Cache.dinvalidate node.caches ~addr ~len:bytes
+   | None -> ());
   let block = block_of state addr in
-  let st = line_of_byte (Tables.get_state node ~ls:(ls state) addr) in
-  step state node (T.I_load_miss { addr; block; st })
+  let stored =
+    if store_done then longword_cover node ~addr ~bytes else []
+  in
+  step state node (T.I_store_miss { addr; block; store_done; stored })
 
 (* Batch miss (Section 4.3): issue requests for every block the batch
    ranges touch, then wait for the read and read-exclusive replies only
@@ -371,16 +348,8 @@ let batch_miss state (node : Node.t) ~nranges ~accesses =
       in
       cover addr)
     accesses;
-  let rev = ref [] in
-  Hashtbl.iter
-    (fun b need_excl ->
-      rev :=
-        (b, need_excl, line_of_byte (Tables.get_state node ~ls:(ls state) b))
-        :: !rev)
-    blocks;
-  step state node
-    (T.I_batch_miss
-       { nranges; blocks = List.rev !rev; stores = node.batch_stores })
+  let rev = Hashtbl.fold (fun b excl acc -> (b, excl) :: acc) blocks [] in
+  step state node (T.I_batch_miss { nranges; blocks = List.rev rev })
 
 (* Batch end: transfer batched store locations into still-pending
    blocks, then apply deferred invalidations/downgrades with store

@@ -2,8 +2,9 @@
    ([Shasta_protocol.Transitions]).
 
    Every entry point builds a [Transitions.input] from what the machine
-   observed (state-table bytes, drained messages, stored longwords),
-   runs the pure [step], and applies the returned actions in order
+   observed (miss addresses, drained messages, stored longwords; the
+   core reads line states from its own view), runs the pure [step] to
+   completion, and applies the returned actions in order
    against Pipeline/Network/Memory and the observability subsystem.
    When [state.record_inputs] is set, every input is also logged for
    deterministic replay ([Replay]). *)

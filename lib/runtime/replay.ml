@@ -3,12 +3,12 @@
    When [state.record_inputs] is set, the engine logs every
    (node, input) pair it feeds to [Transitions.step].  Because the core
    is pure and the recorded inputs carry every machine-derived value the
-   core consumed (state-table bytes, stored longwords, batch iteration
-   orders), folding [step] over the log from the initial view must
-   land on exactly the view the live run left behind — [canon]-equal,
-   not merely similar.  A divergence means the core consulted state
-   outside its inputs, i.e. a hidden side channel: precisely the bug
-   class the refactor is meant to exclude.
+   core consumed (stored longwords, batch iteration orders), folding
+   [step] over the log from the initial view must land on exactly the
+   view the live run left behind — [canon]-equal, not merely similar.
+   A divergence means the core consulted state outside its inputs, i.e.
+   a hidden side channel: precisely the bug class the refactor is meant
+   to exclude.
 
    The recording point sits ABOVE the transport: message inputs are
    logged when the engine pops them from [Network.recv], which is after
@@ -18,10 +18,7 @@
    already contains the repaired, exactly-once per-channel-FIFO stream
    the protocol consumed, and the fault layer needs no re-simulation.
 
-   Structural invariants are checked after every replayed step, except
-   while a truncated store-retry step ([A_reenter_store]) is still
-   waiting for its re-entered store miss and carried [I_continue] to
-   run — mid-flight, the view is intentionally incomplete. *)
+   Structural invariants are checked after every replayed step. *)
 
 open Shasta_protocol
 module T = Transitions
@@ -40,29 +37,15 @@ let replay (state : State.t) =
   let v = ref (T.init cfg) in
   let steps = ref 0 in
   let failures = ref [] in
-  (* suppressed while a truncated step's residual work is outstanding *)
-  let pending_continue = ref false in
   List.iter
     (fun (node, input) ->
-      (match input with
-       | T.I_continue _ -> pending_continue := false
-       | _ -> ());
-      let acts, v' = T.step cfg !v ~node input in
-      v := v';
+      v := snd (T.step cfg !v ~node input);
       incr steps;
-      let truncated =
-        match List.rev acts with
-        | T.A_reenter_store { post; _ } :: _ ->
-          if post <> [] then pending_continue := true;
-          true
-        | _ -> false
-      in
-      if (not truncated) && not !pending_continue then
-        match T.invariants cfg !v with
-        | [] -> ()
-        | errs ->
-          if List.length !failures < 10 then
-            failures := (!steps, errs) :: !failures)
+      match T.invariants cfg !v with
+      | [] -> ()
+      | errs ->
+        if List.length !failures < 10 then
+          failures := (!steps, errs) :: !failures)
     inputs;
   { steps = !steps;
     invariant_failures = List.rev !failures;

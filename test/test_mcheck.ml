@@ -546,8 +546,7 @@ let ref_canon (v : T.view) : string =
       (match n.T.resume with
        | T.R_none -> ()
        | T.R_refill -> pf "Rf;"
-       | T.R_store_retry { addr; bytes; store_done } ->
-         pf "Rs%x,%d,%b;" addr bytes store_done
+       | T.R_store_retry { addr; block } -> pf "Rs%x,%x;" addr block
        | T.R_store_commit { then_release } -> pf "Rc%b;" then_release
        | T.R_then_release -> pf "Rr;"
        | T.R_done -> pf "Rd;"
@@ -789,7 +788,9 @@ let t_replay_under_faults () =
   Alcotest.(check bool) "replay ok under net faults" true (Replay.ok r)
 
 let t_replay_sc_mode () =
-  (* sequential consistency exercises the stalling-store re-entry *)
+  (* sequential consistency: every store miss blocks until ownership and
+     all invalidation acks are in (scheduled checks: the store has
+     already written memory) *)
   let open Shasta_runtime in
   let prog = Shasta_apps.Ocean.program ~n:18 ~iters:2 () in
   let spec =
@@ -802,6 +803,29 @@ let t_replay_sc_mode () =
   let _ = Cluster.run_app state in
   let r = Replay.replay state in
   Alcotest.(check bool) "replay ok under SC" true (Replay.ok r)
+
+(* Basic (non-scheduled) store checks call the handler before the store
+   runs, so a store miss can stall and be retried inside the step that
+   wakes it.  Those steps must replay, invariants checked after each. *)
+let t_replay_no_sched consistency () =
+  let open Shasta_runtime in
+  let prog = Shasta_apps.Ocean.program ~n:18 ~iters:2 () in
+  let spec =
+    { (Api.default_spec prog) with
+      nprocs = 4;
+      consistency;
+      opts = Some { Shasta.Opts.full with schedule = false } }
+  in
+  let state, _, _ = Api.prepare spec in
+  state.State.record_inputs <- true;
+  let _ = Cluster.run_app state in
+  Alcotest.(check bool) "non-scheduled store misses recorded" true
+    (List.exists
+       (function
+         | _, T.I_store_miss { store_done; _ } -> not store_done
+         | _ -> false)
+       state.State.inputs_rev);
+  Alcotest.(check bool) "replay ok" true (Replay.ok (Replay.replay state))
 
 let () =
   Alcotest.run "mcheck"
@@ -862,6 +886,10 @@ let () =
       ( "replay",
         [ Alcotest.test_case "lu reproduces" `Quick t_replay_reproduces;
           Alcotest.test_case "ocean under SC" `Quick t_replay_sc_mode;
+          Alcotest.test_case "ocean, basic store checks" `Quick
+            (t_replay_no_sched Shasta_runtime.State.Release);
+          Alcotest.test_case "ocean, basic store checks under SC" `Quick
+            (t_replay_no_sched Shasta_runtime.State.Sequential);
           Alcotest.test_case "lu under net faults" `Quick
             t_replay_under_faults ] )
     ]

@@ -18,10 +18,19 @@ let run ~nprocs prog =
 (* Structural invariants that must hold whenever the system is idle:
    every block has a valid owner whose sharer bit is set; an exclusive
    holder is the unique valid copy; every node holding a valid copy is
-   in the sharer vector. *)
+   in the sharer vector; and every live node's state table mirrors the
+   line state the protocol core reads from its own view. *)
 let check_invariants (state : State.t) =
   let module T = Shasta_protocol.Transitions in
+  let module L = Shasta.Layout in
   let ls = state.config.line_shift in
+  let line_of_byte st =
+    if st = L.st_exclusive then T.L_exclusive
+    else if st = L.st_shared then T.L_shared
+    else if st = L.st_pending_invalid then T.L_pending_invalid
+    else if st = L.st_pending_shared then T.L_pending_shared
+    else T.L_invalid
+  in
   (* the pure view's own quiescent invariants (directory/line agreement,
      single exclusive holder, no leftover pending state) *)
   (match T.quiescent_invariants state.tcfg state.proto with
@@ -38,6 +47,16 @@ let check_invariants (state : State.t) =
       Alcotest.(check bool)
         (Printf.sprintf "block 0x%x owner is sharer" block)
         true (T.is_sharer e e.T.owner);
+      Array.iter
+        (fun (n : Node.t) ->
+          if
+            (not (Shasta_protocol.Nodeset.mem state.proto.T.halted n.id))
+            && line_of_byte (Tables.get_state n ~ls block)
+               <> T.line_state state.proto ~node:n.id ~block
+          then
+            Alcotest.failf "n%d's state table disagrees with its line of 0x%x"
+              n.id block)
+        state.nodes;
       let valid_nodes =
         Array.to_list state.nodes
         |> List.filter (fun (n : Node.t) ->
