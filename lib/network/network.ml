@@ -333,9 +333,20 @@ type 'a t = {
   (* chan.(src * nprocs + dst) *)
   chans : 'a queued Queue.t array;
   pending : int array;
-      (* per destination: frames queued on all its incoming channels.
-         The scheduler's idle test — a node with 0 here is skipped
-         without looking at its P channels. *)
+      (* per destination: frames queued on all its incoming channels *)
+  earliest : int array;
+      (* per destination: the earliest [deliver] among its queued
+         frames, [max_int] when none — what the scheduler keys a
+         waiting node by, read in O(1).  A channel's [deliver] times
+         never decrease, so its head is its earliest frame: a push can
+         only lower the value, and only a pop or a purge recomputes it
+         from the P channel heads. *)
+  moved : int array;
+  mutable nmoved : int;
+  is_moved : bool array;
+      (* the destinations whose [earliest] changed since the scheduler
+         last looked: a stack of at most [nprocs] distinct entries,
+         deduplicated by [is_moved], so marking never allocates *)
   mutable last_deliver : int array; (* per channel, for FIFO ordering *)
   mutable seq : int;
   mutable sent : int;
@@ -378,6 +389,10 @@ let create ?faults ~nprocs profile =
   { profile; nprocs;
     chans = Array.init nchan (fun _ -> Queue.create ());
     pending = Array.make nprocs 0;
+    earliest = Array.make nprocs max_int;
+    moved = Array.make nprocs 0;
+    nmoved = 0;
+    is_moved = Array.make nprocs false;
     last_deliver = Array.make nchan 0;
     seq = 0; sent = 0; payload_longs = 0;
     faults;
@@ -399,9 +414,45 @@ let set_fault_tap t ~on_fault = t.on_fault <- on_fault
 
 let chan t ~src ~dst = (src * t.nprocs) + dst
 
+let mark_moved t dst =
+  if not t.is_moved.(dst) then begin
+    t.is_moved.(dst) <- true;
+    t.moved.(t.nmoved) <- dst;
+    t.nmoved <- t.nmoved + 1
+  end
+
+let pop_moved t =
+  if t.nmoved = 0 then -1
+  else begin
+    t.nmoved <- t.nmoved - 1;
+    let dst = t.moved.(t.nmoved) in
+    t.is_moved.(dst) <- false;
+    dst
+  end
+
+(* Recompute [dst]'s earliest arrival from its channel heads. *)
+let refresh t ~dst =
+  let best = ref max_int in
+  if t.pending.(dst) > 0 then
+    for src = 0 to t.nprocs - 1 do
+      let q = t.chans.(chan t ~src ~dst) in
+      if not (Queue.is_empty q) then begin
+        let d = (Queue.peek q).deliver in
+        if d < !best then best := d
+      end
+    done;
+  if !best <> t.earliest.(dst) then begin
+    t.earliest.(dst) <- !best;
+    mark_moved t dst
+  end
+
 let enqueue t ~dst c frame =
   Queue.push frame t.chans.(c);
-  t.pending.(dst) <- t.pending.(dst) + 1
+  t.pending.(dst) <- t.pending.(dst) + 1;
+  if frame.deliver < t.earliest.(dst) then begin
+    t.earliest.(dst) <- frame.deliver;
+    mark_moved t dst
+  end
 
 let effective_rto t =
   match t.faults with
@@ -510,26 +561,12 @@ let multicast t ~src ~now ~payload_longs pairs =
       send t ~src ~dst ~now ~payload_longs:(payload_longs msg) msg)
     now pairs
 
-(* Earliest arrival time of any message destined for [dst], if any.
-   An idle destination answers without scanning its channels. *)
-let next_arrival t ~dst =
-  if t.pending.(dst) = 0 then None
-  else begin
-    let best = ref max_int in
-    for src = 0 to t.nprocs - 1 do
-      let q = t.chans.(chan t ~src ~dst) in
-      if not (Queue.is_empty q) then begin
-        let d = (Queue.peek q).deliver in
-        if d < !best then best := d
-      end
-    done;
-    Some !best
-  end
+let next_arrival t ~dst = t.earliest.(dst)
 
 (* Pop the earliest message for [dst] with arrival <= [now].  Ties are
    broken by global send order, keeping the simulation deterministic. *)
 let recv t ~dst ~now =
-  if t.pending.(dst) = 0 then None
+  if t.pending.(dst) = 0 || t.earliest.(dst) > now then None
   else begin
     let best = ref (-1) and best_deliver = ref 0 and best_seq = ref 0 in
     for src = 0 to t.nprocs - 1 do
@@ -546,14 +583,12 @@ let recv t ~dst ~now =
         end
       end
     done;
-    if !best < 0 then None
-    else begin
-      let src = !best in
-      let q = Queue.pop t.chans.(chan t ~src ~dst) in
-      t.pending.(dst) <- t.pending.(dst) - 1;
-      t.on_recv ~src ~dst ~now:q.deliver q.msg;
-      Some (q.deliver, q.msg)
-    end
+    let src = !best in
+    let q = Queue.pop t.chans.(chan t ~src ~dst) in
+    t.pending.(dst) <- t.pending.(dst) - 1;
+    refresh t ~dst;
+    t.on_recv ~src ~dst ~now:q.deliver q.msg;
+    Some (q.deliver, q.msg)
   end
 
 let pending_for t ~dst = t.pending.(dst)
@@ -606,6 +641,9 @@ let mark_dead t ~node =
         t.last_deliver.(c) <- 0)
       (if other = node then [ (node, node) ]
        else [ (node, other); (other, node) ])
+  done;
+  for dst = 0 to t.nprocs - 1 do
+    refresh t ~dst
   done;
   List.map (fun (_, src, dst, msg) -> (src, dst, msg))
     (List.sort compare !lost)

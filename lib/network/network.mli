@@ -197,10 +197,20 @@ val multicast :
     invalidation path uses this so the fan-out width is observable in
     one place. *)
 
-val next_arrival : 'a t -> dst:int -> int option
+val next_arrival : 'a t -> dst:int -> int
+(** Earliest arrival time among the frames queued for [dst], [max_int]
+    when none: a per-destination value kept at push, pop and
+    {!mark_dead}, read in O(1). *)
+
+val pop_moved : 'a t -> int
+(** One destination whose {!next_arrival} changed since it was last
+    popped, or [-1] when there is none.  Each destination is held at
+    most once; marking and popping never allocate.  The scheduler
+    re-keys exactly these nodes. *)
+
 val recv : 'a t -> dst:int -> now:int -> (int * 'a) option
-(** Earliest already-arrived message for [dst], with its arrival time.
-    Both answer at once for a destination with nothing queued. *)
+(** Earliest already-arrived message for [dst], with its arrival time;
+    answers at once when nothing for [dst] has arrived by [now]. *)
 
 val pending_for : 'a t -> dst:int -> int
 (** Frames queued for [dst]: a per-destination count kept at push, pop

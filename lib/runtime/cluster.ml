@@ -148,11 +148,8 @@ let next_event_time (state : State.t) (node : Node.t) =
   | Node.Running -> Node.time node
   | Node.Crashed -> max_int (* never runs, never delivers *)
   | Node.Waiting _ | Node.Finished ->
-    (match
-       Shasta_network.Network.next_arrival state.net ~dst:node.id
-     with
-     | Some t -> max t (Node.time node)
-     | None -> max_int)
+    let t = Shasta_network.Network.next_arrival state.net ~dst:node.id in
+    if t = max_int then max_int else max t (Node.time node)
 
 exception Deadlock of string
 
@@ -273,8 +270,7 @@ let fire_fault (state : State.t) (at, (e : Nodefaults.event)) =
 let next_fault_time (state : State.t) =
   match state.fault_queue with [] -> max_int | (t, _) :: _ -> t
 
-(* Run the scheduler until every node has finished and the network has
-   drained. *)
+(* Every node has finished and the network has drained. *)
 let finished (state : State.t) =
   Array.for_all
     (fun (n : Node.t) ->
@@ -284,46 +280,74 @@ let finished (state : State.t) =
     state.nodes
   && Shasta_network.Network.in_flight state.net = 0
 
+(* Run the scheduler until [finished].  Each event goes to the node
+   with the earliest next-event time, ties to the lowest id; a tree
+   over the nodes' event times ([Mintree]) picks it.
+
+   Invariant that keeps the tree's keys current: an event changes the
+   event time of the node that ran it and of the destinations of its
+   sends (the network marks every destination whose earliest arrival
+   moved, [Network.pop_moved]), and of no other node — a node's status
+   and clock change only in its own handlers, and the steps a running
+   node takes on another's behalf ([I_alloc] at the allocator,
+   [I_set_home] at n0) emit no actions.  A fired fault may change any
+   node (crash, coordinator recovery work, the wire purge), so it
+   re-keys them all.
+
+   A node with an event means the run is not finished, so [finished]
+   is tested only when no node has one. *)
 let run_until_done ?(max_events = 2_000_000_000) (state : State.t) =
-  let events = ref 0 in
-  while not (finished state) do
-    incr events;
-    if !events > max_events then deadlock state "event budget exhausted: ";
-    (* pick the node with the earliest next event *)
-    let best = ref (-1) and best_t = ref max_int in
-    for i = 0 to Array.length state.nodes - 1 do
-      let t = next_event_time state state.nodes.(i) in
-      if t < !best_t then begin
-        best_t := t;
-        best := i
+  let tree = Mintree.create (Array.length state.nodes) in
+  let rekey i = Mintree.update tree i (next_event_time state state.nodes.(i)) in
+  let rec rekey_moved () =
+    let dst = Shasta_network.Network.pop_moved state.net in
+    if dst >= 0 then begin
+      rekey dst;
+      rekey_moved ()
+    end
+  in
+  let rekey_all () =
+    rekey_moved ();
+    Array.iteri (fun i _ -> rekey i) state.nodes
+  in
+  rekey_all ();
+  let rec loop events =
+    let best = Mintree.winner tree in
+    let best_t = Mintree.key tree best in
+    if best_t < max_int || not (finished state) then begin
+      if events > max_events then deadlock state "event budget exhausted: ";
+      (* a scheduled fault fires once simulated time reaches it — i.e.
+         no node has an earlier event.  Firing with no node event at
+         all matters: before a crash is detected, every live node may
+         be blocked on the victim with nothing in flight; that is the
+         detector's cue, not a deadlock. *)
+      let nft = next_fault_time state in
+      if nft < max_int && nft <= best_t then begin
+        match state.fault_queue with
+        | [] -> assert false
+        | entry :: rest ->
+          state.fault_queue <- rest;
+          fire_fault state entry;
+          rekey_all ()
       end
-    done;
-    (* a scheduled fault fires once simulated time reaches it — i.e. no
-       node has an earlier event.  The [best < 0] arm matters: before a
-       crash is detected, every live node may be blocked on the victim
-       with nothing in flight; that is the detector's cue, not a
-       deadlock. *)
-    let nft = next_fault_time state in
-    if nft < max_int && (!best < 0 || nft <= !best_t) then begin
-      match state.fault_queue with
-      | [] -> assert false
-      | entry :: rest ->
-        state.fault_queue <- rest;
-        fire_fault state entry
+      else if best_t = max_int then deadlock state ""
+      else begin
+        let node = state.nodes.(best) in
+        (match node.status with
+         | Node.Running -> ignore (Exec.run state node ~fuel:400)
+         | Node.Crashed -> assert false (* never the earliest event *)
+         | Node.Waiting _ | Node.Finished ->
+           if not (Engine.deliver_next state node) then
+             deadlock state
+               (Printf.sprintf "waiting node n%d has no incoming messages: "
+                  node.id));
+        rekey best;
+        rekey_moved ()
+      end;
+      loop (events + 1)
     end
-    else if !best < 0 then deadlock state ""
-    else begin
-      let node = state.nodes.(!best) in
-      match node.status with
-      | Node.Running -> ignore (Exec.run state node ~fuel:400)
-      | Node.Crashed -> assert false (* never the earliest event *)
-      | Node.Waiting _ | Node.Finished ->
-        if not (Engine.deliver_next state node) then
-          deadlock state
-            (Printf.sprintf "waiting node n%d has no incoming messages: "
-               node.id)
-    end
-  done
+  in
+  loop 1
 
 let snapshot_counters (n : Node.t) =
   { n.counters with insns = n.counters.insns }

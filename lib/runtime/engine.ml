@@ -266,11 +266,11 @@ let enter_handler state (node : Node.t) =
 (* Deliver the next message even if it is in the future (used by the
    scheduler for blocked nodes). *)
 let deliver_next state (node : Node.t) =
-  match
+  let arrival =
     Shasta_network.Network.next_arrival state.State.net ~dst:node.id
-  with
-  | None -> false
-  | Some arrival ->
+  in
+  if arrival = max_int then false
+  else begin
     Pipeline.advance_to node.pipe arrival;
     (match
        Shasta_network.Network.recv state.State.net ~dst:node.id
@@ -281,6 +281,7 @@ let deliver_next state (node : Node.t) =
        handle_msg state node msg
      | None -> assert false);
     true
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Inline miss handlers (called from the interpreter pseudo-ops)        *)

@@ -315,9 +315,12 @@ let net_ops_gen =
   list_size (int_range 1 120) (pair op (int_bound 3000)) >>= fun ops ->
   return (nprocs, ops)
 
-(* After every step, the counted answers equal a brute-force scan of
-   all channels ([Network.queued]); [recv] pops a frame with the
-   earliest arrival among those already arrived. *)
+(* After every step — send, recv, mark_dead, mark_live — the counted
+   answers equal a brute-force scan of all channels ([Network.queued]),
+   including the earliest arrival the scheduler keys nodes by
+   ([max_int] when nothing is queued, so a stale cached time on an
+   empty destination shows); [recv] pops a frame with the earliest
+   arrival among those already arrived. *)
 let prop_pending_counts faults (nprocs, ops) =
   let net = Network.create ?faults ~nprocs Network.memory_channel in
   let now = ref 0 and id = ref 0 in
@@ -328,11 +331,7 @@ let prop_pending_counts faults (nprocs, ops) =
          (fun dst ->
            let mine = List.filter (fun (_, d, _, _) -> d = dst) q in
            let earliest =
-             List.fold_left
-               (fun a (_, _, t, _) -> match a with
-                  | Some b when b <= t -> a
-                  | _ -> Some t)
-               None mine
+             List.fold_left (fun a (_, _, t, _) -> min a t) max_int mine
            in
            Network.pending_for net ~dst = List.length mine
            && Network.next_arrival net ~dst = earliest)

@@ -273,12 +273,16 @@ let t_net_costs () =
 let t_net_next_arrival () =
   let net = Shasta_network.Network.create ~nprocs:2
       Shasta_network.Network.ideal in
-  Alcotest.(check (option int)) "empty" None
+  Alcotest.(check int) "empty" max_int
     (Shasta_network.Network.next_arrival net ~dst:1);
   ignore
     (Shasta_network.Network.send net ~src:0 ~dst:1 ~now:5 ~payload_longs:0 "x");
-  Alcotest.(check bool) "arrival known" true
-    (Shasta_network.Network.next_arrival net ~dst:1 <> None)
+  (* sent at 5, plus 1 cycle of send overhead and 1 of wire latency *)
+  Alcotest.(check int) "arrival known" 7
+    (Shasta_network.Network.next_arrival net ~dst:1);
+  ignore (Shasta_network.Network.recv net ~dst:1 ~now:7);
+  Alcotest.(check int) "empty after the pop" max_int
+    (Shasta_network.Network.next_arrival net ~dst:1)
 
 let () =
   Alcotest.run "protocol"

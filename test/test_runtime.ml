@@ -4,6 +4,7 @@
 
 open Shasta_minic.Builder
 open Shasta_runtime
+module Support = Test_support.Support
 
 let prepare ~nprocs prog =
   let spec = { (Api.default_spec prog) with nprocs } in
@@ -412,6 +413,58 @@ let t_deadlock_names_nodes () =
     Alcotest.(check bool) ("n0 diagnosed: " ^ d) true (has "n0:");
     Alcotest.(check bool) ("n1 diagnosed: " ^ d) true (has "n1:")
 
+(* --- the scheduler's tournament tree ---------------------------------- *)
+
+(* Random re-key sequences over 1 to 70 keys (powers of two and not),
+   drawn so that equal keys and [max_int] are common; the run ends by
+   setting every key back to [max_int].  Before and after every update
+   the tree's winner is the brute-force argmin, ties to the lowest
+   index. *)
+let mintree_gen =
+  let open QCheck2.Gen in
+  int_range 1 70 >>= fun n ->
+  let key =
+    frequency
+      [ (3, int_bound 4); (1, return max_int); (1, int_bound 1_000_000) ]
+  in
+  list_size (int_range 0 300) (pair (int_bound (n - 1)) key) >>= fun ops ->
+  return (n, ops)
+
+let prop_mintree_argmin (n, ops) =
+  let t = Mintree.create n in
+  let keys = Array.make n max_int in
+  let agrees () =
+    let best = ref 0 in
+    Array.iteri (fun i k -> if k < keys.(!best) then best := i) keys;
+    Mintree.winner t = !best && Mintree.key t !best = keys.(!best)
+  in
+  let set (i, k) =
+    Mintree.update t i k;
+    keys.(i) <- k;
+    agrees ()
+  in
+  agrees ()
+  && List.for_all set ops
+  && List.for_all set (List.init n (fun i -> (i, max_int)))
+
+(* Selecting and re-keying allocate nothing: 100,000 of each at 64
+   keys stay under 0.01 minor words per pair (the measurement itself
+   boxes a float or two). *)
+let t_mintree_no_allocation () =
+  let n = 64 and ops = 100_000 in
+  let t = Mintree.create n in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for k = 1 to ops do
+    Mintree.update t (k * 37 mod n) (k * 7919 mod 1000);
+    sum := !sum + Mintree.winner t
+  done;
+  let words = Float.sub (Gc.minor_words ()) before in
+  ignore (Sys.opaque_identity !sum);
+  let per_op = Float.div words (float_of_int ops) in
+  if per_op >= 0.01 then
+    Alcotest.failf "%.4f minor words per update and select" per_op
+
 let () =
   Alcotest.run "runtime"
     [ ( "sharing",
@@ -442,6 +495,11 @@ let () =
       ( "deadlock",
         [ Alcotest.test_case "budget names the nodes" `Quick
             t_deadlock_names_nodes ] );
+      ( "scheduler",
+        [ Support.qtest "tree winner is the argmin, ties to lowest"
+            ~count:1000 mintree_gen prop_mintree_argmin;
+          Alcotest.test_case "tree selects and re-keys without allocating"
+            `Quick t_mintree_no_allocation ] );
       ( "home policies",
         [ Alcotest.test_case "same output, replay reproduces" `Quick
             t_home_policies ] )
