@@ -2,34 +2,29 @@
 
    The Shasta protocol "depends on point-to-point order for messages
    sent between any two nodes" (Section 2.1).  This module provides
-   that abstraction twice over:
+   per-(src,dst) FIFO channels with a configurable cost model (costs
+   are in processor cycles of the 275 MHz machines of the paper; the
+   two named profiles approximate the Memory Channel and ATM clusters
+   used in the evaluation, and `ideal` isolates protocol behaviour from
+   communication cost in tests).
 
-   - the RELIABLE wire the paper assumes: per-(src,dst) FIFO channels
-     with a configurable cost model (costs are in processor cycles of
-     the 275 MHz machines of the paper; the two named profiles
-     approximate the Memory Channel and ATM clusters used in the
-     evaluation, and `ideal` isolates protocol behaviour from
-     communication cost in tests);
-
-   - an UNRELIABLE wire (commodity interconnects drop, duplicate,
-     delay and reorder packets) repaired by a reliable-delivery
-     sublayer, so the protocol above still sees exactly-once,
-     per-channel-FIFO delivery — only slower.  The fault model is
-     seeded and per-channel deterministic: the same seed and the same
-     send sequence produce the same faults, so faulty runs replay and
-     their oracles are checkable.
-
-   The transport sublayer ([Sublayer]) is the textbook construction:
-   per-channel sequence numbers stamped at the sender, receiver-side
-   dedup and resequencing (out-of-order frames are held until the gap
-   fills; duplicates are discarded), and sender-side retransmission on
-   timeout with exponential backoff.  Because every node's send order
-   is deterministic and the fault coins are drawn from a per-channel
-   seeded stream, the arrival time of the first surviving copy of each
-   frame can be computed at send time; the resequencer then assigns
-   delivery times in sequence order.  The protocol layer never sees a
-   dropped, duplicated or reordered message — it sees retransmission
-   stalls, which the observability taps attribute ([on_fault]). *)
+   Every send takes one path: plan the frame's arrival time at send
+   time, clamp it to the channel's previous delivery (the per-channel
+   FIFO point), and queue it.  On the reliable wire the paper assumes,
+   the arrival is the send overhead plus the flight time.  On an
+   optional UNRELIABLE wire ([faults]: commodity interconnects drop,
+   duplicate, delay and reorder packets) the arrival is planned by the
+   sender half of a reliable-delivery sublayer ([tx_plan]): each
+   dropped attempt is retransmitted after a timeout that doubles every
+   time.  The fault coins come from a per-channel seeded stream, so the
+   same seed and send sequence give the same faults and faulty runs
+   replay.  The receiver half needs no state: a frame planned to
+   overtake an earlier one on its channel is delivered when that one
+   is, which is what the FIFO clamp gives every frame anyway, and a
+   duplicate copy is discarded on arrival.  So reordering and
+   duplication are counted but cost nothing; the protocol sees only
+   retransmission stalls and extra delay, which the observability taps
+   attribute ([on_fault]). *)
 
 type profile = {
   net_name : string;
@@ -67,16 +62,15 @@ type faults = {
   fseed : int; (* per-channel RNG seed component *)
   drop : float; (* per-transmission-attempt loss probability *)
   dup : float; (* probability the delivered frame also arrives twice *)
-  reorder : float; (* probability a frame skips the wire FIFO clamp *)
+  reorder : float; (* probability a frame would overtake an earlier one *)
   delay : float; (* probability of [delay_cycles] of extra flight time *)
   delay_cycles : int;
   rto : int; (* base retransmission timeout; 0 = derive from profile *)
   max_retx : int; (* give up after this many retransmissions; 0 = retry
-                     forever (well, [Sublayer.max_attempts] — the
-                     historical behaviour).  A bounded channel turns a
+                     until the last of [max_attempts] tries, which
+                     always survives.  A bounded channel turns a
                      persistent loss into a counted [net.timeout]
-                     instead of an unbounded stall; the crash detector
-                     builds on it. *)
+                     instead of an unbounded stall. *)
 }
 
 let no_faults =
@@ -148,8 +142,8 @@ let describe_faults f =
    transmission attempts (each one retransmitted after a timeout),
    [backoff] total cycles spent waiting for those timeouts,
    [duplicated] a second copy also reached the receiver (and was
-   discarded by dedup), [reordered] the frame skipped the wire's FIFO
-   clamp (resequencing restored order at delivery). *)
+   discarded there), [reordered] the frame would have overtaken an
+   earlier one on its channel (the FIFO clamp delivers it in order). *)
 type xmit = {
   retx : int;
   backoff : int;
@@ -164,153 +158,49 @@ let clean_xmit =
   { retx = 0; backoff = 0; duplicated = false; reordered = false;
     timed_out = false }
 
-(* ------------------------------------------------------------------ *)
-(* Reliable-delivery sublayer                                          *)
-(* ------------------------------------------------------------------ *)
+(* Plan the transmission of one frame over the faulty wire.  Attempt 0
+   goes out at [now]; each dropped attempt is retransmitted after a
+   timeout that doubles every time (exponential backoff).  Returns the
+   arrival time of the first surviving copy and the fault summary.
+   Deterministic in [rng].  With [f.max_retx] = 0 there are at most
+   [max_attempts] tries, the last of which always survives (the model
+   never loses a frame for good — that would wedge the protocol, not
+   slow it).  With [f.max_retx] > 0 the sender gives up after that many
+   retransmissions and reports a timeout (arrival [-1], [timed_out]
+   set) instead of forcing the last attempt through; the coins drawn
+   before that point are the same. *)
+let max_attempts = 16
 
-(* Receiver side of the sublayer, usable (and unit-tested) on its own:
-   frames carry per-channel sequence numbers; [rx_offer] accepts them
-   in any arrival order and hands payloads up exactly once, in
-   sequence order, at a delivery time never earlier than any
-   previously delivered payload (per-channel FIFO restored). *)
-module Sublayer = struct
-  type 'a rx = {
-    mutable expected : int; (* next sequence number to deliver *)
-    mutable last_deliver : int; (* delivery times are monotonic *)
-    held : (int, int * 'a) Hashtbl.t; (* fseq -> first arrival, payload *)
-  }
-
-  let rx_create () = { expected = 0; last_deliver = 0; held = Hashtbl.create 8 }
-
-  let rx_expected rx = rx.expected
-  let rx_held rx = Hashtbl.length rx.held
-
-  (* Is a frame with [fseq] a duplicate (already delivered or already
-     held)? *)
-  let rx_is_dup rx ~fseq = fseq < rx.expected || Hashtbl.mem rx.held fseq
-
-  (* Offer one frame arrival.  Returns the payloads that become
-     deliverable, in sequence order, each with its delivery time; a
-     duplicate or out-of-order frame returns []. *)
-  let rx_offer rx ~fseq ~arrival payload =
-    if rx_is_dup rx ~fseq then []
-    else begin
-      Hashtbl.replace rx.held fseq (arrival, payload);
-      let out = ref [] in
-      let rec flush () =
-        match Hashtbl.find_opt rx.held rx.expected with
-        | None -> ()
-        | Some (a, p) ->
-          Hashtbl.remove rx.held rx.expected;
-          let t = max a rx.last_deliver in
-          rx.last_deliver <- t;
-          rx.expected <- rx.expected + 1;
-          out := (t, p) :: !out;
-          flush ()
-      in
-      flush ();
-      List.rev !out
-    end
-
-  (* Sender side: plan the transmission of one frame over the faulty
-     wire.  Attempt 0 goes out at [now]; each dropped attempt is
-     retransmitted after a timeout that doubles every time (exponential
-     backoff).  Returns the arrival time of the first surviving copy,
-     the arrival of a duplicated copy (if the dup coin fired), and the
-     fault summary.  Deterministic in [rng].  With [max_retx] = 0 there
-     are at most [max_attempts] tries, the last of which always survives
-     (the model never loses a frame for good — that would wedge the
-     protocol, not slow it).  With [max_retx] > 0 the sender gives up
-     after that many retransmissions and reports a timeout ([None]
-     arrival, [timed_out] set) instead of forcing the last attempt
-     through; the coins drawn before that point are the same. *)
-  let max_attempts = 16
-
-  let tx_plan_bounded (f : faults) ~max_retx rng ~now ~flight ~rto =
-    let cap = if max_retx > 0 then min max_retx (max_attempts - 1)
-      else max_attempts - 1 in
-    let rec attempts k start backoff =
-      if k < cap && Random.State.float rng 1.0 < f.drop then
-        let timeout = rto * (1 lsl min k 10) in
-        attempts (k + 1) (start + timeout) (backoff + timeout)
-      else if k >= cap && max_retx > 0 && k = cap
-              && Random.State.float rng 1.0 < f.drop then
-        (* the final allowed attempt was itself dropped: give up *)
-        (k + 1, start, backoff, true)
-      else (k, start, backoff, false)
+let tx_plan (f : faults) rng ~now ~flight ~rto =
+  let max_retx = f.max_retx in
+  let cap = if max_retx > 0 then min max_retx (max_attempts - 1)
+    else max_attempts - 1 in
+  let rec attempts k start backoff =
+    if k < cap && Random.State.float rng 1.0 < f.drop then
+      let timeout = rto * (1 lsl min k 10) in
+      attempts (k + 1) (start + timeout) (backoff + timeout)
+    else if k >= cap && max_retx > 0 && k = cap
+            && Random.State.float rng 1.0 < f.drop then
+      (* the final allowed attempt was itself dropped: give up *)
+      (k + 1, start, backoff, true)
+    else (k, start, backoff, false)
+  in
+  let retx, start, backoff, timed_out = attempts 0 now 0 in
+  if timed_out then
+    (-1, { clean_xmit with retx; backoff; timed_out = true })
+  else begin
+    let arrival = start + flight in
+    let arrival =
+      if f.delay > 0.0 && Random.State.float rng 1.0 < f.delay then
+        arrival + f.delay_cycles
+      else arrival
     in
-    let retx, start, backoff, timed_out = attempts 0 now 0 in
-    if timed_out then
-      (None, None, { retx; backoff; duplicated = false; reordered = false;
-                     timed_out = true })
-    else begin
-      let arrival = start + flight in
-      let arrival =
-        if f.delay > 0.0 && Random.State.float rng 1.0 < f.delay then
-          arrival + f.delay_cycles
-        else arrival
-      in
-      let duplicated = f.dup > 0.0 && Random.State.float rng 1.0 < f.dup in
-      let dup_arrival =
-        if duplicated then Some (arrival + max 1 (flight / 2)) else None
-      in
-      let reordered =
-        f.reorder > 0.0 && Random.State.float rng 1.0 < f.reorder
-      in
-      (Some arrival, dup_arrival,
-       { retx; backoff; duplicated; reordered; timed_out = false })
-    end
-end
-
-(* ------------------------------------------------------------------ *)
-(* Lease arithmetic                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Pure lease bookkeeping for node liveness: a lease is granted to a
-   holder for a fixed [horizon] of cycles and renewed by heartbeats —
-   which, in this transport, are simply observed sends (every frame a
-   node puts on the wire piggybacks "I am alive" for free; the
-   interconnect's [last_activity] is the heartbeat stream).  A lease
-   that outlives its horizon without renewal marks its holder suspect;
-   takeover hands the lease to a new holder under a bumped epoch so
-   stale holders can be fenced.  All arithmetic is pure and unit-tested
-   (QCheck, test_crash.ml): expiry never precedes the grant horizon,
-   takeover is idempotent, heartbeat application dedups by sequence
-   number (exactly-once renewal). *)
-module Lease = struct
-  type t = {
-    holder : int;
-    granted : int; (* cycle of grant or last accepted renewal *)
-    horizon : int; (* validity window, cycles *)
-    epoch : int; (* bumped on every takeover, fences stale holders *)
-    last_hb : int; (* highest heartbeat sequence number applied *)
-  }
-
-  let grant ~holder ~now ~horizon =
-    { holder; granted = now; horizon = max 1 horizon; epoch = 0;
-      last_hb = -1 }
-
-  let holder l = l.holder
-  let epoch l = l.epoch
-  let expiry l = l.granted + l.horizon
-  let expired l ~now = now >= expiry l
-
-  (* Apply one heartbeat; renewal happens exactly once per sequence
-     number (re-delivered heartbeats are no-ops), and renewal never
-     moves the grant backwards. *)
-  let heartbeat l ~seq ~now =
-    if seq <= l.last_hb then (l, false)
-    else ({ l with granted = max l.granted now; last_hb = seq }, true)
-
-  (* Reassign the lease.  Idempotent: taking over to the current holder
-     changes nothing (same epoch, same grant), so two racing takeovers
-     by the same claimant converge. *)
-  let takeover l ~new_holder ~now =
-    if l.holder = new_holder then l
-    else
-      { holder = new_holder; granted = now; horizon = l.horizon;
-        epoch = l.epoch + 1; last_hb = -1 }
-end
+    let duplicated = f.dup > 0.0 && Random.State.float rng 1.0 < f.dup in
+    let reordered =
+      f.reorder > 0.0 && Random.State.float rng 1.0 < f.reorder
+    in
+    (arrival, { retx; backoff; duplicated; reordered; timed_out = false })
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The interconnect                                                    *)
@@ -347,16 +237,13 @@ type 'a t = {
       (* the destinations whose [earliest] changed since the scheduler
          last looked: a stack of at most [nprocs] distinct entries,
          deduplicated by [is_moved], so marking never allocates *)
-  mutable last_deliver : int array; (* per channel, for FIFO ordering *)
+  last_deliver : int array; (* per channel, for FIFO ordering *)
   mutable seq : int;
   mutable sent : int;
   mutable payload_longs : int;
-  (* unreliable wire + reliable sublayer (None = the paper's perfect
-     interconnect; the send path is then exactly the historical one) *)
-  faults : faults option;
-  rngs : Random.State.t array; (* per channel, seeded (fseed, src, dst) *)
-  rxs : unit Sublayer.rx array; (* per channel resequencer (times only) *)
-  wire_last : int array; (* per channel raw-wire FIFO point *)
+  (* the unreliable wire's spec and its per-channel fault coin streams,
+     seeded (fseed, src, dst); [None] on the paper's reliable wire *)
+  faulty : (faults * Random.State.t array) option;
   mutable fstats : fault_stats;
   (* node-level liveness: [dead.(n)] marks a node declared crashed
      (sends to it are dropped and counted as timeouts; nothing is
@@ -385,7 +272,6 @@ let zero_fault_stats =
 
 let create ?faults ~nprocs profile =
   let nchan = nprocs * nprocs in
-  let seed = match faults with Some f -> f.fseed | None -> 0 in
   { profile; nprocs;
     chans = Array.init nchan (fun _ -> Queue.create ());
     pending = Array.make nprocs 0;
@@ -395,12 +281,13 @@ let create ?faults ~nprocs profile =
     is_moved = Array.make nprocs false;
     last_deliver = Array.make nchan 0;
     seq = 0; sent = 0; payload_longs = 0;
-    faults;
-    rngs =
-      Array.init nchan (fun c ->
-        Random.State.make [| seed; c / nprocs; c mod nprocs |]);
-    rxs = Array.init nchan (fun _ -> Sublayer.rx_create ());
-    wire_last = Array.make nchan 0;
+    faulty =
+      Option.map
+        (fun f ->
+          ( f,
+            Array.init nchan (fun c ->
+              Random.State.make [| f.fseed; c / nprocs; c mod nprocs |]) ))
+        faults;
     fstats = zero_fault_stats;
     dead = Array.make nprocs false;
     last_activity = Array.make nprocs 0;
@@ -454,18 +341,12 @@ let enqueue t ~dst c frame =
     mark_moved t dst
   end
 
-let effective_rto t =
-  match t.faults with
-  | Some f when f.rto > 0 -> f.rto
-  | _ ->
-    let p = t.profile in
-    4 * (p.send_overhead + p.wire_latency + p.recv_overhead)
-
 (* Send a message; returns the time at which the sender is done with the
    send (the caller charges this to the sending node). *)
 let send t ~src ~dst ~now ~payload_longs msg =
   let p = t.profile in
   let c = chan t ~src ~dst in
+  let start = now + p.send_overhead in
   let flight = p.wire_latency + (p.per_longword * payload_longs) in
   t.last_activity.(src) <- max t.last_activity.(src) now;
   if t.dead.(dst) then begin
@@ -479,74 +360,42 @@ let send t ~src ~dst ~now ~payload_longs msg =
     t.fstats <- { t.fstats with timeouts = t.fstats.timeouts + 1 };
     let x = { clean_xmit with timed_out = true } in
     t.on_fault ~src ~dst ~now x msg;
-    now + p.send_overhead
+    start
   end
   else begin
-    let delivered = ref true in
-    (match t.faults with
-     | None ->
-       (* the paper's reliable wire: point-to-point FIFO, never deliver
-          before a previously sent message on the same channel *)
-       let deliver = max (now + p.send_overhead + flight) t.last_deliver.(c) in
-       t.last_deliver.(c) <- deliver;
-       t.seq <- t.seq + 1;
-       enqueue t ~dst c { deliver; seq = t.seq; msg }
-     | Some f ->
-       (* unreliable wire under the reliable sublayer: plan the frame's
-          transmission (drops retransmitted with backoff, optional extra
-          delay and duplication), then resequence: the frame is delivered
-          when it AND everything before it on the channel have arrived *)
-       let rng = t.rngs.(c) in
-       let arrival, dup_arrival, x =
-         Sublayer.tx_plan_bounded f ~max_retx:f.max_retx rng
-           ~now:(now + p.send_overhead) ~flight ~rto:(effective_rto t)
-       in
-       (match arrival with
-        | None ->
-          (* retransmission budget exhausted: the sublayer gives up on
-             this frame.  The channel's sequence space is untouched (the
-             frame was never offered to the resequencer), so later
-             frames flow past the loss. *)
-          delivered := false
-        | Some arrival ->
-          (* a non-reordered frame respects the raw wire's FIFO point; a
-             reordered one may overtake it (resequencing restores order) *)
-          let arrival =
-            if x.reordered then arrival
-            else begin
-              let a = max arrival t.wire_last.(c) in
-              t.wire_last.(c) <- a;
-              a
-            end
-          in
-          (* frames enter the resequencer in sequence order (sends on a
-             channel are issued in order), so delivery time is the arrival
-             clamped to the channel's previous delivery *)
-          (match Sublayer.rx_offer t.rxs.(c)
-                   ~fseq:(Sublayer.rx_expected t.rxs.(c)) ~arrival ()
-           with
-           | [ (deliver, ()) ] ->
-             t.last_deliver.(c) <- deliver;
-             t.seq <- t.seq + 1;
-             enqueue t ~dst c { deliver; seq = t.seq; msg }
-           | _ -> assert false));
-       (* duplicated copies reach the receiver and are discarded there *)
-       let dups = match dup_arrival with Some _ -> 1 | None -> 0 in
-       let s = t.fstats in
-       t.fstats <-
-         { drops = s.drops + x.retx;
-           dups = s.dups + dups;
-           retxs = s.retxs + x.retx;
-           reorders = (s.reorders + if x.reordered then 1 else 0);
-           backoff_cycles = s.backoff_cycles + x.backoff;
-           timeouts = (s.timeouts + if x.timed_out then 1 else 0) };
-       if x <> clean_xmit then t.on_fault ~src ~dst ~now x msg);
-    if !delivered then begin
+    (* the planned arrival, or -1 when the frame was abandoned *)
+    let arrival =
+      match t.faulty with
+      | None -> start + flight
+      | Some (f, rngs) ->
+        let rto =
+          if f.rto > 0 then f.rto
+          else 4 * (p.send_overhead + p.wire_latency + p.recv_overhead)
+        in
+        let arrival, x = tx_plan f rngs.(c) ~now:start ~flight ~rto in
+        let s = t.fstats in
+        t.fstats <-
+          { drops = s.drops + x.retx;
+            dups = (s.dups + if x.duplicated then 1 else 0);
+            retxs = s.retxs + x.retx;
+            reorders = (s.reorders + if x.reordered then 1 else 0);
+            backoff_cycles = s.backoff_cycles + x.backoff;
+            timeouts = (s.timeouts + if x.timed_out then 1 else 0) };
+        if x <> clean_xmit then t.on_fault ~src ~dst ~now x msg;
+        arrival
+    in
+    if arrival >= 0 then begin
+      (* point-to-point FIFO: never deliver before a previously sent
+         message on the same channel *)
+      let deliver = max arrival t.last_deliver.(c) in
+      t.last_deliver.(c) <- deliver;
+      t.seq <- t.seq + 1;
+      enqueue t ~dst c { deliver; seq = t.seq; msg };
       t.sent <- t.sent + 1;
       t.payload_longs <- t.payload_longs + payload_longs;
       t.on_send ~src ~dst ~now msg
     end;
-    now + p.send_overhead
+    start
   end
 
 (* Multicast fan-out: one message per (dst, msg) pair, each send
@@ -620,10 +469,9 @@ let mark_live t ~node = t.dead.(node) <- false
 (* Declare [node] crashed: every frame still queued to or from it is
    removed from the wire and returned (in global send order, so the
    caller's recovery handling is deterministic and replayable), the
-   per-channel sublayer state on those channels is reset (a recovered
-   node starts fresh sequence spaces — held fragments of purged
-   streams must not gate post-recovery traffic), and future sends to
-   the node are dropped and counted as timeouts until [mark_live]. *)
+   FIFO points of those channels are reset (a recovered node's traffic
+   is not held behind purged frames), and future sends to the node are
+   dropped and counted as timeouts until [mark_live]. *)
 let mark_dead t ~node =
   t.dead.(node) <- true;
   let lost = ref [] in
@@ -636,8 +484,6 @@ let mark_dead t ~node =
           t.chans.(c);
         t.pending.(dst) <- t.pending.(dst) - Queue.length t.chans.(c);
         Queue.clear t.chans.(c);
-        t.rxs.(c) <- Sublayer.rx_create ();
-        t.wire_last.(c) <- 0;
         t.last_deliver.(c) <- 0)
       (if other = node then [ (node, node) ]
        else [ (node, other); (other, node) ])

@@ -3,13 +3,15 @@
     any two nodes" — with a configurable cost model in processor
     cycles.
 
-    The wire may optionally be made unreliable ([faults]): seeded,
-    per-channel deterministic drop / duplicate / reorder / delay.  A
-    reliable-delivery sublayer (per-channel sequence numbers,
-    receiver-side dedup and resequencing, sender-side retransmit with
-    timeout and exponential backoff) repairs it, so the protocol above
-    still observes exactly-once per-channel-FIFO delivery — only with
-    retransmission stalls, which the fault tap attributes. *)
+    Every send plans its frame's arrival time and clamps it to the
+    channel's previous delivery.  The wire may optionally be made
+    unreliable ([faults]): seeded, per-channel deterministic drop /
+    duplicate / reorder / delay, with the arrival planned by sender-side
+    retransmission with timeout and exponential backoff ({!tx_plan}).
+    The protocol above still observes exactly-once per-channel-FIFO
+    delivery; drops and delays cost retransmission stalls, which the
+    fault tap attributes, while reordering and duplication are counted
+    but cost nothing. *)
 
 type profile = {
   net_name : string;
@@ -34,14 +36,18 @@ type faults = {
   fseed : int;  (** per-channel RNG seed component *)
   drop : float;  (** per-transmission-attempt loss probability *)
   dup : float;  (** probability a delivered frame also arrives twice *)
-  reorder : float;  (** probability a frame overtakes the wire FIFO *)
+  reorder : float;
+      (** probability a frame would overtake an earlier one on its
+          channel; counted, but free: the FIFO clamp delivers it when
+          it would have been delivered anyway *)
   delay : float;  (** probability of [delay_cycles] extra flight time *)
   delay_cycles : int;
   rto : int;  (** base retransmission timeout; 0 derives it from the profile *)
   max_retx : int;
       (** give up on a frame after this many retransmissions, counting
           a [net.timeout] instead of stalling forever; 0 (the default)
-          keeps the historical retry-forever behaviour, byte-identical *)
+          retries until the last of {!max_attempts} tries, which
+          always survives *)
 }
 
 val no_faults : faults
@@ -65,7 +71,9 @@ type xmit = {
   retx : int;  (** dropped transmission attempts, each retransmitted *)
   backoff : int;  (** total cycles spent waiting for timeouts *)
   duplicated : bool;  (** a second copy arrived and was discarded *)
-  reordered : bool;  (** frame overtook the wire; resequencing restored order *)
+  reordered : bool;
+      (** the frame would have overtaken an earlier one; the FIFO clamp
+          delivers it in order *)
   timed_out : bool;
       (** retransmission budget exhausted — the frame was abandoned
           (only on a channel with [max_retx] > 0, or a send to a node
@@ -73,76 +81,17 @@ type xmit = {
 }
 (** What the fault layer did to one logical send. *)
 
-val clean_xmit : xmit
+val max_attempts : int
 
-(** {2 Reliable-delivery sublayer}
-
-    The receiver half is exposed on its own so its exactly-once,
-    in-order delivery guarantee can be tested independently of the
-    protocol. *)
-
-module Sublayer : sig
-  type 'a rx
-
-  val rx_create : unit -> 'a rx
-  val rx_expected : 'a rx -> int
-  (** Next sequence number to be delivered. *)
-
-  val rx_held : 'a rx -> int
-  (** Frames buffered waiting for a sequence gap to fill. *)
-
-  val rx_is_dup : 'a rx -> fseq:int -> bool
-
-  val rx_offer : 'a rx -> fseq:int -> arrival:int -> 'a -> (int * 'a) list
-  (** Offer one frame arrival.  Returns the payloads that become
-      deliverable, in sequence order, each with its delivery time
-      (monotonic per channel); a duplicate returns [[]], an
-      out-of-order frame is held. *)
-
-  val max_attempts : int
-
-  val tx_plan_bounded :
-    faults -> max_retx:int -> Random.State.t ->
-    now:int -> flight:int -> rto:int -> int option * int option * xmit
-  (** Plan one frame's transmission over the faulty wire: returns the
-      arrival time of the first surviving copy, the arrival of a
-      duplicate copy if any, and the fault summary.  Deterministic in
-      the RNG state.  With [max_retx = 0] there are at most
-      [max_attempts] tries, the last of which always survives, so the
-      arrival is never [None].  With [max_retx > 0] the sender gives up
-      after [max_retx] retransmissions: [None] arrival with [timed_out]
-      set means the frame was abandoned. *)
-end
-
-(** {2 Lease arithmetic}
-
-    Pure node-liveness leases: granted for a fixed horizon, renewed by
-    sequence-numbered heartbeats (on this transport, every observed
-    send doubles as a heartbeat — see {!last_activity}), reassigned by
-    epoch-bumping takeover when they expire. *)
-
-module Lease : sig
-  type t
-
-  val grant : holder:int -> now:int -> horizon:int -> t
-  val holder : t -> int
-  val epoch : t -> int
-
-  val expiry : t -> int
-  (** First cycle at which the lease is no longer valid; never earlier
-      than the grant time plus the horizon. *)
-
-  val expired : t -> now:int -> bool
-
-  val heartbeat : t -> seq:int -> now:int -> t * bool
-  (** Apply one heartbeat.  Renewal is exactly-once per sequence number
-      (redelivered heartbeats return [false] and change nothing) and
-      never moves the grant backwards. *)
-
-  val takeover : t -> new_holder:int -> now:int -> t
-  (** Reassign the lease under a bumped epoch.  Idempotent: a takeover
-      to the current holder is the identity. *)
-end
+val tx_plan :
+  faults -> Random.State.t -> now:int -> flight:int -> rto:int -> int * xmit
+(** Plan one frame's transmission over the faulty wire: returns the
+    arrival time of the first surviving copy and the fault summary.
+    Deterministic in the RNG state.  With [max_retx = 0] there are at
+    most [max_attempts] tries, the last of which always survives.  With
+    [max_retx > 0] the sender gives up after [max_retx]
+    retransmissions: an arrival of [-1] with [timed_out] set means the
+    frame was abandoned. *)
 
 (** {2 The interconnect} *)
 
@@ -162,7 +111,7 @@ val zero_fault_stats : fault_stats
 
 val create : ?faults:faults -> nprocs:int -> profile -> 'a t
 (** Without [?faults] the wire is the paper's reliable interconnect and
-    behaves exactly as before. *)
+    holds no fault state. *)
 
 val set_taps :
   'a t ->
@@ -179,7 +128,8 @@ val set_fault_tap :
   on_fault:(src:int -> dst:int -> now:int -> xmit -> 'a -> unit) ->
   unit
 (** [on_fault] fires at send time whenever the fault layer perturbed a
-    frame (dropped an attempt, duplicated, reordered, or delayed it). *)
+    frame (dropped an attempt, duplicated or reordered it, or abandoned
+    it). *)
 
 val send : 'a t -> src:int -> dst:int -> now:int -> payload_longs:int ->
   'a -> int
@@ -230,8 +180,6 @@ val fault_stats : 'a t -> fault_stats
 (** Cumulative fault-layer activity since creation; all zero when the
     wire is reliable. *)
 
-val effective_rto : 'a t -> int
-
 (** {2 Node-level liveness} *)
 
 val last_activity : 'a t -> node:int -> int
@@ -241,8 +189,8 @@ val last_activity : 'a t -> node:int -> int
 val mark_dead : 'a t -> node:int -> (int * int * 'a) list
 (** Declare [node] crashed.  Every frame still queued to or from it is
     removed from the wire and returned as [(src, dst, msg)] in global
-    send order (deterministic, so recovery handling replays); the
-    sublayer state of the purged channels is reset; until {!mark_live},
+    send order (deterministic, so recovery handling replays); the FIFO
+    points of the purged channels are reset; until {!mark_live},
     sends addressed to the node are dropped and counted as timeouts. *)
 
 val mark_live : 'a t -> node:int -> unit

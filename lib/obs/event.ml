@@ -60,7 +60,8 @@ type t =
       (* the fault layer perturbed one logical send: [retx] attempts
          were dropped and retransmitted ([backoff] cycles of timeout),
          a duplicate arrived and was discarded, the frame was reordered
-         and resequenced, or — on a bounded channel — the
+         (and delivered in channel order anyway), or — on a bounded
+         channel — the
          retransmission budget ran out and the frame was abandoned
          ([timed_out]).  Emitted at the sender's time with the sender's
          site, so retransmission stalls attribute to the code that paid

@@ -42,8 +42,9 @@ let c_spans = "span.matched"
 
 (* Fault-layer activity under --net-faults: dropped transmission
    attempts, discarded duplicate arrivals, retransmissions (== drops:
-   every dropped attempt is retransmitted), resequenced reorderings,
-   and total cycles spent waiting out retransmission timeouts. *)
+   every dropped attempt is retransmitted), reorderings (delivered in
+   channel order anyway), and total cycles spent waiting out
+   retransmission timeouts. *)
 let c_net_drop = "net.drop"
 let c_net_dup = "net.dup"
 let c_net_retx = "net.retx"

@@ -98,10 +98,11 @@ val c_net_dup : string
 (** Duplicate arrivals discarded by receiver-side dedup. *)
 
 val c_net_retx : string
-(** Retransmissions performed by the reliable sublayer (== [c_net_drop]). *)
+(** Retransmissions after dropped attempts (== [c_net_drop]). *)
 
 val c_net_reorder : string
-(** Frames that overtook their channel and were resequenced. *)
+(** Frames that would have overtaken an earlier one on their channel;
+    the FIFO clamp delivers them in order, at no cost. *)
 
 val c_net_backoff : string
 (** Total cycles spent waiting out retransmission timeouts. *)

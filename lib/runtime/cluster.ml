@@ -232,12 +232,11 @@ let fire_fault (state : State.t) (at, (e : Nodefaults.event)) =
         | Some s -> s
         | None -> Nodefaults.empty
       in
-      let lease =
-        Shasta_network.Network.Lease.grant ~holder:e.node
-          ~now:(Shasta_network.Network.last_activity state.net ~node:e.node)
-          ~horizon:spec.lease
+      let d =
+        max (at + 1)
+          (Shasta_network.Network.last_activity state.net ~node:e.node
+           + max 1 spec.lease)
       in
-      let d = max (at + 1) (Shasta_network.Network.Lease.expiry lease) in
       state.fault_queue <-
         List.merge
           (fun (a, _) (b, _) -> compare a b)

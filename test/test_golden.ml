@@ -8,10 +8,10 @@
    delivery time, a reordered event — fails here with the first
    diverging window and the lines the current code produces in it.
 
-   The same digests must also hold with the reliable-delivery sublayer
-   PRESENT but all fault probabilities zero (--net-faults none takes
-   the plain path; Network.no_faults takes the sublayer path): the
-   sublayer is pure overhead-free plumbing when the wire is clean.
+   The same digests must also hold on a faulty wire whose fault
+   probabilities are all zero: [Some no_faults] plans every arrival
+   through the fault coins where [None] does not, and both must give
+   the same messages, delivery cycles and trace bytes.
 
    Intentional behaviour changes regenerate the goldens:
      dune exec test/gen_golden.exe > test/support/golden.ml *)
@@ -63,8 +63,9 @@ let t_golden (name, nprocs, make) () =
   let lines, _, _ = Support.run_trace ~nprocs (make ()) in
   check_against name lines
 
-(* The sublayer with zero fault probabilities must not move a single
-   event: same messages, same delivery cycles, same trace bytes. *)
+(* [Some no_faults] vs [None]: a faulty wire with zero fault
+   probabilities must not move a single event — same messages, same
+   delivery cycles, same trace bytes. *)
 let t_golden_sublayer_identity (name, nprocs, make) () =
   let lines, _, _ =
     Support.run_trace ~nprocs

@@ -766,8 +766,9 @@ let t_replay_reproduces () =
     r.Replay.mismatch
 
 let t_replay_under_faults () =
-  (* the engine records protocol inputs AFTER the reliable sublayer
-     (post-dedup, post-resequencing), so a run over a faulty wire
+  (* the engine records protocol inputs AFTER the wire delivers them
+     (post-retransmission, post-dedup, in channel order), so a run over
+     a faulty wire
      replays exactly like a clean one: the log already contains the
      repaired, exactly-once FIFO stream the core consumed *)
   let open Shasta_runtime in
