@@ -547,9 +547,10 @@ let cmd =
                    sublayer.  SPEC is 'none', 'standard' (drop 1%, dup \
                    1%, reorder 2%) or comma-separated key=value pairs \
                    among drop, dup, reorder and delay (probabilities in \
-                   [0, 0.9]), seed, and delay-cycles, rto and max-retx \
-                   (non-negative; max-retx bounds per-channel \
-                   retransmissions), e.g. 'drop=0.05,seed=3'.  \
+                   [0, 0.9]), seed, delay-cycles and rto \
+                   (non-negative), and max-retx (0 only: the sublayer \
+                   retries until delivery, since a frame it gave up on \
+                   would never be re-sent), e.g. 'drop=0.05,seed=3'.  \
                    Deterministic per seed.")
   in
   let node_faults_t =

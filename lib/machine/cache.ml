@@ -52,6 +52,7 @@ let create ~size_bytes ~line_bytes =
     misses = 0 }
 
 let misses t = t.misses
+let line_shift t = t.line_shift
 
 let allocated_bytes t =
   let empty = Lazy.force empty in
@@ -65,16 +66,20 @@ let own_chunk t set =
   t.chunks.(set lsr t.chunk_bits) <- c;
   c
 
+(* Count a miss of [block] (in [set]) and fill it. *)
+let fill t block set =
+  t.misses <- t.misses + 1;
+  let c = t.chunks.(set lsr t.chunk_bits) in
+  let c = if c == Lazy.force empty then own_chunk t set else c in
+  c.(set land t.chunk_mask) <- block
+
 (* Probe and fill.  Returns true on hit. *)
 let access t addr =
   let block = addr asr t.line_shift in
   let set = block land t.set_mask in
-  let c = t.chunks.(set lsr t.chunk_bits) in
-  if c.(set land t.chunk_mask) = block then true
+  if t.chunks.(set lsr t.chunk_bits).(set land t.chunk_mask) = block then true
   else begin
-    t.misses <- t.misses + 1;
-    let c = if c == Lazy.force empty then own_chunk t set else c in
-    c.(set land t.chunk_mask) <- block;
+    fill t block set;
     false
   end
 
@@ -111,29 +116,29 @@ let alpha_hierarchy () =
     l2_miss_cycles = 50;
     on_miss = ignore }
 
-(* Extra cycles for a data access. *)
-let daccess h addr =
-  if access h.l1d addr then 0
+(* Extra cycles for an access to [l1] that missed it. *)
+let l1_miss h l1 addr =
+  h.on_miss l1;
+  if access h.l2 addr then h.l1_miss_cycles
   else begin
-    h.on_miss h.l1d;
-    if access h.l2 addr then h.l1_miss_cycles
-    else begin
-      h.on_miss h.l2;
-      h.l1_miss_cycles + h.l2_miss_cycles
-    end
+    h.on_miss h.l2;
+    h.l1_miss_cycles + h.l2_miss_cycles
+  end
+
+(* Extra cycles for a data access.  [access] written out, so an L1 hit
+   costs no further call. *)
+let daccess h addr =
+  let t = h.l1d in
+  let block = addr asr t.line_shift in
+  let set = block land t.set_mask in
+  if t.chunks.(set lsr t.chunk_bits).(set land t.chunk_mask) = block then 0
+  else begin
+    fill t block set;
+    l1_miss h t addr
   end
 
 (* Extra cycles for an instruction fetch. *)
-let iaccess h addr =
-  if access h.l1i addr then 0
-  else begin
-    h.on_miss h.l1i;
-    if access h.l2 addr then h.l1_miss_cycles
-    else begin
-      h.on_miss h.l2;
-      h.l1_miss_cycles + h.l2_miss_cycles
-    end
-  end
+let iaccess h addr = if access h.l1i addr then 0 else l1_miss h h.l1i addr
 
 let dinvalidate h ~addr ~len =
   invalidate_range h.l1d ~addr ~len;

@@ -16,6 +16,9 @@ val create : size_bytes:int -> line_bytes:int -> t
 
 val misses : t -> int
 
+val line_shift : t -> int
+(** log2 of the line size in bytes. *)
+
 val allocated_bytes : t -> int
 (** Bytes of tag storage allocated so far; 0 for a fresh cache. *)
 

@@ -22,18 +22,26 @@ type t = {
   (* pending fills, newest first; a page applies them oldest first when
      it materializes *)
   mutable fills : fill list;
-  (* the page the last access touched; pages are never freed, so the
-     entry cannot go stale *)
+  (* the page the last access touched, then a direct-mapped cache of
+     recent pages indexed by the low bits of the page number; pages are
+     never freed, so no entry can go stale *)
   mutable last_pno : int;
   mutable last_page : int array;
+  slot_pno : int array; (* min_int = empty *)
+  slot_page : int array array;
 }
 
 let page_bytes = 8192
 let page_longs = page_bytes / 4
 
+(* Check code alternates between state-table and data pages, which the
+   one-entry cache alone would send to the hash table on every switch. *)
+let slots = 64
+
 let create () =
   { pages = Hashtbl.create 1024; allocated_pages = 0; fills = [];
-    last_pno = min_int; last_page = [||] }
+    last_pno = min_int; last_page = [||];
+    slot_pno = Array.make slots min_int; slot_page = Array.make slots [||] }
 
 let set_byte_in pg off v =
   let i = off / 4 and shift = 8 * (off land 3) in
@@ -63,33 +71,47 @@ let rec apply_fills pg pno = function
     apply_fills pg pno older;
     fill_page pg pno f
 
-(* The page holding [addr], materialized on first touch.  Allocates only
-   when it materializes a page. *)
-let page t addr =
-  let pno = addr / page_bytes in
-  if pno = t.last_pno then t.last_page
-  else begin
-    let p =
-      match Hashtbl.find t.pages pno with
-      | p -> p
-      | exception Not_found ->
-        let p = Array.make page_longs 0 in
-        apply_fills p pno t.fills;
-        Hashtbl.add t.pages pno p;
-        t.allocated_pages <- t.allocated_pages + 1;
-        p
-    in
-    t.last_pno <- pno;
-    t.last_page <- p;
+(* Page [pno] from the table, materialized on first touch.  Allocates
+   only when it materializes a page. *)
+let find_page t pno =
+  match Hashtbl.find t.pages pno with
+  | p -> p
+  | exception Not_found ->
+    let p = Array.make page_longs 0 in
+    apply_fills p pno t.fills;
+    Hashtbl.add t.pages pno p;
+    t.allocated_pages <- t.allocated_pages + 1;
     p
-  end
+
+(* Page [pno] through the page cache. *)
+let slot_page t pno =
+  let s = pno land (slots - 1) in
+  let p =
+    if t.slot_pno.(s) = pno then t.slot_page.(s)
+    else begin
+      let p = find_page t pno in
+      t.slot_pno.(s) <- pno;
+      t.slot_page.(s) <- p;
+      p
+    end
+  in
+  t.last_pno <- pno;
+  t.last_page <- p;
+  p
+
+(* The page holding [addr]: the last page, else the page cache, else
+   the table.  Inlined, so a repeat of the last page costs no call. *)
+let[@inline] page t addr =
+  let pno = addr / page_bytes in
+  if pno = t.last_pno then t.last_page else slot_page t pno
 
 let allocated_bytes t = t.allocated_pages * page_bytes
 
-let check_align addr n what =
-  if addr land (n - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf "Memory: unaligned %s access at 0x%x" what addr)
+let unaligned addr what =
+  invalid_arg (Printf.sprintf "Memory: unaligned %s access at 0x%x" what addr)
+
+let[@inline] check_align addr n what =
+  if addr land (n - 1) <> 0 then unaligned addr what
 
 (* Raw longword pattern in [0, 2^32). *)
 let read_long_u t addr =
@@ -115,30 +137,34 @@ let write_byte t addr v =
   let lw = lw land lnot (0xFF lsl shift) lor ((v land 0xFF) lsl shift) in
   write_long_u t base lw
 
-(* Quadword as a sign-extended OCaml int (see module comment). *)
+(* Quadword as a sign-extended OCaml int (see module comment).  An
+   aligned quadword never crosses a page: both halves come from one
+   page lookup. *)
 let read_quad t addr =
   check_align addr 8 "quadword";
-  let lo = read_long_u t addr and hi = read_long_u t (addr + 4) in
-  (sext32 hi * 0x1_0000_0000) + lo
+  let pg = page t addr and i = addr mod page_bytes / 4 in
+  (sext32 pg.(i + 1) * 0x1_0000_0000) + pg.(i)
 
 let write_quad t addr v =
   check_align addr 8 "quadword";
-  write_long_u t addr (v land 0xFFFFFFFF);
-  write_long_u t (addr + 4) ((v asr 32) land 0xFFFFFFFF)
+  let pg = page t addr and i = addr mod page_bytes / 4 in
+  pg.(i) <- v land 0xFFFFFFFF;
+  pg.(i + 1) <- (v asr 32) land 0xFFFFFFFF
 
 (* Exact 64-bit pattern access, used for floating-point data.  Inlined
    so the float accessors below keep the pattern unboxed. *)
 let[@inline] read_quad_bits t addr =
   check_align addr 8 "quadword";
-  let lo = Int64.of_int (read_long_u t addr) in
-  let hi = Int64.of_int (read_long_u t (addr + 4)) in
-  Int64.logor (Int64.shift_left hi 32) lo
+  let pg = page t addr and i = addr mod page_bytes / 4 in
+  Int64.logor
+    (Int64.shift_left (Int64.of_int pg.(i + 1)) 32)
+    (Int64.of_int pg.(i))
 
 let[@inline] write_quad_bits t addr bits =
   check_align addr 8 "quadword";
-  write_long_u t addr Int64.(to_int (logand bits 0xFFFFFFFFL));
-  write_long_u t (addr + 4)
-    Int64.(to_int (logand (shift_right_logical bits 32) 0xFFFFFFFFL))
+  let pg = page t addr and i = addr mod page_bytes / 4 in
+  pg.(i) <- Int64.(to_int (logand bits 0xFFFFFFFFL));
+  pg.(i + 1) <- Int64.(to_int (logand (shift_right_logical bits 32) 0xFFFFFFFFL))
 
 let read_float t addr = Int64.float_of_bits (read_quad_bits t addr)
 let write_float t addr v = write_quad_bits t addr (Int64.bits_of_float v)

@@ -56,22 +56,118 @@ let not_taken ~backward =
   if backward then B_not_taken { backward = true }
   else B_not_taken { backward = false }
 
+(* --- decoded timing ----------------------------------------------------
+
+   Everything [issue] needs to know about an instruction under one
+   config is packed into one immediate int, computed once per
+   instruction when an executable is loaded:
+
+     bits  0-7   result latency (cycles)
+     bit   8     memory access (uses the single memory port)
+     bit   9     store (a D-cache miss stalls the port)
+     bits 10-17  control stall: FP-branch resolution or call overhead
+     bits 18-22  integer destination (31 = none)
+     bits 23-27  FP destination (31 = none)
+     bit  28     wide: the integer sources are a register mask
+     bits 29-33  integer source 1 (31 = none)   \
+     bits 34-38  integer source 2 (31 = none)    | narrow form
+     bits 39-43  FP source 1 (31 = none)         |
+     bits 44-48  FP source 2 (31 = none)        /
+     bits 29-59  integer source mask, bit r = register r (wide form)
+
+   Register 31 (integer and FP) reads as zero and is never written, so
+   it never waits and records nothing: it doubles as "none".  The wide
+   form carries any number of integer sources and no FP source; [jsr]'s
+   argument registers and a batch call's base registers take it. *)
+
+let lat_bits = 0xFF
+let mem_bit = 1 lsl 8
+let store_bit = 1 lsl 9
+let ctrl_shift = 10
+let idst_shift = 18
+let fdst_shift = 23
+let wide_bit = 1 lsl 28
+let isrc1_shift = 29
+let isrc2_shift = 34
+let fsrc1_shift = 39
+let fsrc2_shift = 44
+let imask_shift = 29
+let none = 31
+
+let result_latency config (i : Insn.t) =
+  match i with
+  | Ldl _ | Ldq _ | Ldq_u _ | Ldt _ -> config.load_latency
+  | Opi ((Sll | Srl | Sra), _, _, _) -> config.shift_latency
+  | Opi (Mulq, _, _, _) | Opi (Mull, _, _, _) -> config.mul_latency
+  | Opi ((Divq | Remq), _, _, _) -> config.div_latency
+  | Opf ((Divt | Sqrtt), _, _, _) -> config.fp_div_latency
+  | Opf _ | Cvtqt _ | Cvttq _ | Fmov _ -> config.fp_latency
+  | _ -> config.int_latency
+
+let byte_field what v =
+  if v < 0 || v > 0xFF then
+    invalid_arg (Printf.sprintf "Pipeline.decode: %s %d outside [0, 255]" what v);
+  v
+
+(* Source and destination registers come from [Insn.uses]/[fuses] and
+   [Insn.def]/[fdef], the lists the instrumenter and dataflow read. *)
+let decode config (i : Insn.t) =
+  let ctrl =
+    match i with
+    | Fbeq _ | Fbne _ -> config.fp_branch_cost
+    | Jsr _ | Ret -> config.call_cycles
+    | _ -> 0
+  in
+  let reg = function Some r -> r | None -> none in
+  (* register 31 in a narrow field already means "none" *)
+  let pair shift1 shift2 = function
+    | [] -> Some ((none lsl shift1) lor (none lsl shift2))
+    | [ a ] -> Some ((a lsl shift1) lor (none lsl shift2))
+    | [ a; b ] -> Some ((a lsl shift1) lor (b lsl shift2))
+    | _ -> None
+  in
+  let is = Insn.uses i and fs = Insn.fuses i in
+  let srcs =
+    match (pair isrc1_shift isrc2_shift is, pair fsrc1_shift fsrc2_shift fs) with
+    | Some a, Some b -> a lor b
+    | None, _ when fs = [] ->
+      List.fold_left
+        (fun m r -> if r < none then m lor (1 lsl (imask_shift + r)) else m)
+        wide_bit is
+    | _ ->
+      invalid_arg
+        "Pipeline.decode: more than two integer sources beside an FP source"
+  in
+  byte_field "latency" (result_latency config i)
+  lor (if Insn.is_mem i then mem_bit else 0)
+  lor (if Insn.is_store i then store_bit else 0)
+  lor (byte_field "control stall" ctrl lsl ctrl_shift)
+  lor (reg (Insn.def i) lsl idst_shift)
+  lor (reg (Insn.fdef i) lsl fdst_shift)
+  lor srcs
+
 type t = {
   config : config;
   caches : Cache.hierarchy option; (* None = ideal memory, used by Table 1 *)
+  iline_shift : int; (* log2 of the L1I line size *)
   ireg_ready : int array;
   freg_ready : int array;
   mutable cycle : int;
   mutable slots_used : int;
   mutable mem_used : bool;
   mutable insns : int;
+  mutable iline : int; (* L1I line of the last fetch, -1 = none *)
 }
 
 let create ?caches config =
   { config; caches;
+    iline_shift =
+      (match caches with
+       | Some (h : Cache.hierarchy) -> Cache.line_shift h.l1i
+       | None -> 0);
     ireg_ready = Array.make 32 0;
     freg_ready = Array.make 32 0;
-    cycle = 0; slots_used = 0; mem_used = false; insns = 0 }
+    cycle = 0; slots_used = 0; mem_used = false; insns = 0; iline = -1 }
 
 let cycle t = t.cycle
 let insns t = t.insns
@@ -82,7 +178,8 @@ let reset t =
   t.cycle <- 0;
   t.slots_used <- 0;
   t.mem_used <- false;
-  t.insns <- 0
+  t.insns <- 0;
+  t.iline <- -1
 
 (* Advance time by [n] stall cycles (handler entry, polling, ...). *)
 let stall t n =
@@ -99,16 +196,6 @@ let advance_to t when_ =
     t.mem_used <- false
   end
 
-let result_latency config (i : Insn.t) =
-  match i with
-  | Ldl _ | Ldq _ | Ldq_u _ | Ldt _ -> config.load_latency
-  | Opi ((Sll | Srl | Sra), _, _, _) -> config.shift_latency
-  | Opi (Mulq, _, _, _) | Opi (Mull, _, _, _) -> config.mul_latency
-  | Opi ((Divq | Remq), _, _, _) -> config.div_latency
-  | Opf ((Divt | Sqrtt), _, _, _) -> config.fp_div_latency
-  | Opf _ | Cvtqt _ | Cvttq _ | Fmov _ -> config.fp_latency
-  | _ -> config.int_latency
-
 (* Static prediction: backward branches predicted taken, forward
    branches predicted not-taken. *)
 let mispredicted info =
@@ -117,87 +204,60 @@ let mispredicted info =
   | B_taken { backward } -> not backward
   | B_not_taken { backward } -> backward
 
-(* Operand readiness and result recording match the instruction
-   directly: the same registers as [Insn.uses]/[fuses] and
-   [Insn.def]/[fdef], without building lists or options on the
-   per-instruction path.  Register 31 (integer and FP) reads as zero
-   and never waits. *)
-let iready t r acc =
-  if r < 31 && t.ireg_ready.(r) > acc then t.ireg_ready.(r) else acc
+(* The later of [acc] and the ready cycle of register [r] (a 5-bit
+   field, so in bounds of the 32-entry scoreboards); 31 never waits. *)
+let[@inline] iready t r acc =
+  if r < none && Array.unsafe_get t.ireg_ready r > acc then
+    Array.unsafe_get t.ireg_ready r
+  else acc
 
-let fready t f acc =
-  if f < 31 && t.freg_ready.(f) > acc then t.freg_ready.(f) else acc
+let[@inline] fready t f acc =
+  if f < none && Array.unsafe_get t.freg_ready f > acc then
+    Array.unsafe_get t.freg_ready f
+  else acc
 
-let rec ranges_ready t acc = function
-  | [] -> acc
-  | (r : Insn.range) :: rest -> ranges_ready t (iready t r.rbase acc) rest
+let rec mask_ready t m r acc =
+  if m = 0 then acc
+  else
+    mask_ready t (m lsr 1) (r + 1)
+      (if m land 1 <> 0 then iready t r acc else acc)
 
-(* Cycle at which every source operand of [i] is available. *)
-let operands_ready t (i : Insn.t) =
-  let now = t.cycle in
-  match i with
-  | Lab _ | Br _ | Ret | Poll | Batch_end -> now
-  | Opf (_, _, fa, fb) -> fready t fa (fready t fb now)
-  | Cvttq (f, _) | Fmov (_, f) | Fbeq (f, _) | Fbne (f, _) -> fready t f now
-  | Lda (_, _, b) | Ldl (_, _, b) | Ldq (_, _, b) | Ldq_u (_, _, b)
-  | Ldt (_, _, b) | Cvtqt (b, _) | Bc (_, b, _)
-  | Call_load_miss { base = b; _ } | Call_store_miss { base = b; _ } ->
-    iready t b now
-  | Opi (_, _, Reg ra, rb) | Extbl (_, ra, rb) | Stl (ra, _, rb)
-  | Stq (ra, _, rb) ->
-    iready t ra (iready t rb now)
-  | Opi (_, _, Imm _, rb) -> iready t rb now
-  | Stt (f, _, b) -> fready t f (iready t b now)
-  | Jsr _ ->
-    (* conservatively: the argument registers *)
-    iready t 16 (iready t 17 (iready t 18 (iready t 19 (iready t 20
-      (iready t 21 now)))))
-  | Call_batch_miss { ranges } -> ranges_ready t now ranges
-  | Rt_call rt ->
-    (match rt with
-     | Malloc { size; bsize; _ } -> iready t size (iready t bsize now)
-     | Malloc_priv { size; _ } -> iready t size now
-     | Lock r | Unlock r | Flag_set r | Flag_wait r | Print_int r ->
-       iready t r now
-     | Print_float f -> fready t f now
-     | Barrier | Rdcycle _ | Exit_thread -> now)
+(* Issue one instruction, decoded by [decode].  [iaddr] is its text
+   address (for the I-cache), [maddr] the data address of a memory
+   access (for the D-cache; ignored for every other instruction).
 
-(* Record when the register [i] writes becomes available. *)
-let set_result_ready t (i : Insn.t) at =
-  match i with
-  | Lda (d, _, _) | Opi (_, d, _, _) | Ldl (d, _, _) | Ldq (d, _, _)
-  | Ldq_u (d, _, _) | Extbl (d, _, _) | Cvttq (_, d)
-  | Call_load_miss { refill = Rint (d, _); _ }
-  | Rt_call (Malloc { dest = d; _ } | Malloc_priv { dest = d; _ } | Rdcycle d)
-    ->
-    if d < 31 then t.ireg_ready.(d) <- at
-  | Jsr _ -> t.ireg_ready.(Reg.rv) <- at
-  | Opf (_, d, _, _) | Ldt (d, _, _) | Cvtqt (_, d) | Fmov (d, _)
-  | Call_load_miss { refill = Rflt d; _ } ->
-    if d < 31 then t.freg_ready.(d) <- at
-  | _ -> ()
-
-(* Issue one instruction.  [iaddr] is its text address (for the I-cache),
-   [maddr] the data address of a memory access (for the D-cache; ignored
-   for every other instruction). *)
-let issue t (i : Insn.t) ~iaddr ~maddr ~branch =
+   A fetch from the L1I line of the previous fetch skips the cache:
+   that fetch left the line in L1I, only fetches write L1I (data-side
+   invalidations never touch it) and a hit changes no cache state, so
+   the skipped probe would have been a hit costing nothing. *)
+let issue t w ~iaddr ~maddr ~branch =
   let c = t.config in
   t.insns <- t.insns + 1;
   (* instruction fetch *)
   (match t.caches with
    | Some h ->
-     let extra = Cache.iaccess h iaddr in
-     if extra > 0 then stall t extra
+     let line = iaddr asr t.iline_shift in
+     if line <> t.iline then begin
+       t.iline <- line;
+       stall t (Cache.iaccess h iaddr)
+     end
    | None -> ());
   (* wait for source operands *)
-  advance_to t (operands_ready t i);
+  let now = t.cycle in
+  advance_to t
+    (if w land wide_bit = 0 then
+       fready t ((w lsr fsrc2_shift) land 31)
+         (fready t ((w lsr fsrc1_shift) land 31)
+            (iready t ((w lsr isrc2_shift) land 31)
+               (iready t ((w lsr isrc1_shift) land 31) now)))
+     else mask_ready t (w lsr imask_shift) 0 now);
   (* structural constraints: issue width, single memory port *)
   if t.slots_used >= c.issue_width then begin
     t.cycle <- t.cycle + 1;
     t.slots_used <- 0;
     t.mem_used <- false
   end;
-  let mem = Insn.is_mem i in
+  let mem = w land mem_bit <> 0 in
   if mem && t.mem_used then begin
     t.cycle <- t.cycle + 1;
     t.slots_used <- 0;
@@ -212,14 +272,15 @@ let issue t (i : Insn.t) ~iaddr ~maddr ~branch =
     | _ -> 0
   in
   (* record result availability *)
-  set_result_ready t i (t.cycle + result_latency c i + dextra);
+  let at = t.cycle + (w land lat_bits) + dextra in
+  let d = (w lsr idst_shift) land 31 in
+  if d < none then t.ireg_ready.(d) <- at;
+  let d = (w lsr fdst_shift) land 31 in
+  if d < none then t.freg_ready.(d) <- at;
   (* stores that miss stall the single memory port *)
-  if Insn.is_store i && dextra > 0 then stall t dextra;
-  (* control flow *)
-  (match i with
-   | Fbeq _ | Fbne _ -> stall t c.fp_branch_cost
-   | Jsr _ | Ret -> stall t c.call_cycles
-   | _ -> ());
+  if w land store_bit <> 0 then stall t dextra;
+  (* control flow: FP-branch resolution, call overhead *)
+  stall t ((w lsr ctrl_shift) land 0xFF);
   if mispredicted branch then stall t c.mispredict_cycles
   else
     match branch with

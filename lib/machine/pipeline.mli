@@ -37,6 +37,14 @@ val taken : backward:bool -> branch_info
 val not_taken : backward:bool -> branch_info
 (** Preallocated branch outcomes: no allocation per branch. *)
 
+val decode : config -> Shasta_isa.Insn.t -> int
+(** The instruction's timing under [config], packed into one immediate
+    int: result latency, memory and store bits, control stall (FP
+    branch or call), source and destination registers.  An executable
+    is decoded once when it is loaded; [issue] reads only the word.
+    Raises [Invalid_argument] if a latency or stall exceeds 255
+    cycles. *)
+
 type t
 
 val create : ?caches:Cache.hierarchy -> config -> t
@@ -44,7 +52,10 @@ val create : ?caches:Cache.hierarchy -> config -> t
 
 val cycle : t -> int
 val insns : t -> int
+
 val reset : t -> unit
+(** Back to cycle 0 with an empty scoreboard; also forgets the last
+    fetched I-cache line, so the next fetch probes the cache. *)
 
 val stall : t -> int -> unit
 (** Advance time by stall cycles (handler entry, polls, waiting). *)
@@ -52,15 +63,12 @@ val stall : t -> int -> unit
 val advance_to : t -> int -> unit
 (** Advance to an absolute cycle (message arrival); never goes back. *)
 
-val issue :
-  t ->
-  Shasta_isa.Insn.t ->
-  iaddr:int ->
-  maddr:int ->
-  branch:branch_info ->
-  unit
-(** Issue one instruction: waits for source operands (scoreboard),
-    respects issue width and the single memory port, charges I/D cache
-    misses, records result latency, and applies branch costs.  [maddr]
-    is the data address of a load or store; other instructions ignore
-    it.  Allocates nothing. *)
+val issue : t -> int -> iaddr:int -> maddr:int -> branch:branch_info -> unit
+(** [issue t (decode config i) ~iaddr ~maddr ~branch] issues one
+    instruction: waits for source operands (scoreboard), respects issue
+    width and the single memory port, charges I/D cache misses, records
+    result latency, and applies branch costs.  [maddr] is the data
+    address of a load or store; other instructions ignore it.  A fetch
+    from the same I-cache line as the previous fetch skips the probe,
+    which would hit.  The word must come from [decode] with the config
+    [t] was created with.  Allocates nothing. *)

@@ -68,9 +68,9 @@ type faults = {
   rto : int; (* base retransmission timeout; 0 = derive from profile *)
   max_retx : int; (* give up after this many retransmissions; 0 = retry
                      until the last of [max_attempts] tries, which
-                     always survives.  A bounded channel turns a
-                     persistent loss into a counted [net.timeout]
-                     instead of an unbounded stall. *)
+                     always survives.  Nothing re-sends an abandoned
+                     frame, so a run over a bounded channel can wedge;
+                     [faults_of_string] accepts only 0. *)
 }
 
 let no_faults =
@@ -85,7 +85,9 @@ let standard =
 (* "none" | "standard" | "drop=0.01,dup=0.01,reorder=0.02,delay=0.05,
    delay-cycles=2000,seed=3,rto=5000".  A value out of range is an error
    naming its key, never clamped: probabilities are finite and in
-   [0, 0.9], cycle counts and retransmission bounds non-negative. *)
+   [0, 0.9], cycle counts non-negative.  [max-retx] must be 0: a
+   bounded channel abandons frames that nothing re-sends, and the
+   protocol then waits forever for the lost reply or ack. *)
 let faults_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "" | "0" | "none" | "off" -> None
@@ -128,7 +130,11 @@ let faults_of_string s =
                f := { !f with delay_cycles = iv ~lo:0 () }
              | "seed" -> f := { !f with fseed = iv () }
              | "rto" -> f := { !f with rto = iv ~lo:0 () }
-             | "max-retx" | "max_retx" -> f := { !f with max_retx = iv ~lo:0 () }
+             | "max-retx" | "max_retx" ->
+               if int_of_string_opt v <> Some 0 then
+                 bad
+                   "0 (a frame abandoned after N retransmissions is never \
+                    re-sent, so the run would deadlock)"
              | _ -> invalid_arg ("Network.faults_of_string: unknown key " ^ k)))
       (String.split_on_char ',' spec);
     Some !f

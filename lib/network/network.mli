@@ -47,7 +47,8 @@ type faults = {
       (** give up on a frame after this many retransmissions, counting
           a [net.timeout] instead of stalling forever; 0 (the default)
           retries until the last of {!max_attempts} tries, which
-          always survives *)
+          always survives.  Nothing re-sends an abandoned frame, so
+          {!faults_of_string} accepts only 0. *)
 }
 
 val no_faults : faults
@@ -63,7 +64,9 @@ val faults_of_string : string -> faults option
     [delay-cycles], [seed], [rto], [max-retx].  Raises
     [Invalid_argument], naming the key, on a malformed spec or a value
     out of range: probabilities must be finite and in [0, 0.9],
-    [delay-cycles], [rto] and [max-retx] non-negative. *)
+    [delay-cycles] and [rto] non-negative, and [max-retx] 0 (a bounded
+    channel abandons frames that nothing re-sends, which deadlocks the
+    run). *)
 
 val describe_faults : faults -> string
 

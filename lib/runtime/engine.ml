@@ -210,9 +210,7 @@ and apply_mem state (node : Node.t) (op : T.memop) =
     Tables.make_pending node ~ls:(ls state) ~addr:block
       ~len:(block_len state block) ~shared
   | T.M_flag { block; keep } ->
-    Tables.flag_range node
-      ~skip:(fun a -> List.mem a keep)
-      ~addr:block ~len:(block_len state block)
+    Tables.flag_range node ~keep ~addr:block ~len:(block_len state block)
   | T.M_merge { block; written } ->
     (* merge the triggering reply's longwords, overlaying the node's own
        pending stores.  The reply data is consumed at most once per
@@ -225,9 +223,7 @@ and apply_mem state (node : Node.t) (op : T.memop) =
         d
       | None -> Tables.read_block node ~addr:block ~len:(block_len state block)
     in
-    let wtbl = Hashtbl.create 8 in
-    List.iter (fun (a, v) -> Hashtbl.replace wtbl a v) written;
-    Tables.merge_block_data node ~addr:block ~written:wtbl data
+    Tables.merge_block_data node ~addr:block ~written data
   | T.M_adopt { block; from } ->
     (* crash salvage: copy the block's bytes out of the dead node's
        frozen memory image (its pipeline never runs again, so the image

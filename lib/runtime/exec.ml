@@ -107,16 +107,16 @@ let return state (node : Node.t) =
 
 (* The per-instruction helpers below are top-level functions, not
    closures built per instruction: an ordinary instruction allocates
-   nothing. *)
-let issue (node : Node.t) ins ~iaddr =
-  Pipeline.issue node.pipe ins ~iaddr ~maddr:0 ~branch:Pipeline.B_none
+   nothing.  [w] is the instruction's decoded timing word. *)
+let issue (node : Node.t) w ~iaddr =
+  Pipeline.issue node.pipe w ~iaddr ~maddr:0 ~branch:Pipeline.B_none
 
-let issue_mem (node : Node.t) ins ~iaddr addr =
-  Pipeline.issue node.pipe ins ~iaddr ~maddr:addr ~branch:Pipeline.B_none
+let issue_mem (node : Node.t) w ~iaddr addr =
+  Pipeline.issue node.pipe w ~iaddr ~maddr:addr ~branch:Pipeline.B_none
 
-let branch (node : Node.t) ins ~iaddr ~idx ~taken tgt =
+let branch (node : Node.t) w ~iaddr ~idx ~taken tgt =
   let backward = tgt <= idx in
-  Pipeline.issue node.pipe ins ~iaddr ~maddr:0
+  Pipeline.issue node.pipe w ~iaddr ~maddr:0
     ~branch:
       (if taken then Pipeline.taken ~backward
        else Pipeline.not_taken ~backward);
@@ -138,80 +138,80 @@ let count_store (node : Node.t) addr =
    at index [idx] of [fp]; [pc_idx] already points past it. *)
 let exec_insn state (node : Node.t) (fp : Image.fproc) idx (ins : Insn.t)
     ~iaddr =
+  let w = fp.timing.(idx) in
   match ins with
-  | Lab _ -> ()
   | Lda (d, disp, b) ->
-    issue node ins ~iaddr;
+    issue node w ~iaddr;
     set_ireg node d (node.regs.(b) + disp)
   | Opi (op, d, operand, rb) ->
-    issue node ins ~iaddr;
+    issue node w ~iaddr;
     set_ireg node d (eval_iop op node.regs.(rb) (operand_value node operand))
   | Opf (op, fd, fa, fb) ->
-    issue node ins ~iaddr;
+    issue node w ~iaddr;
     set_freg node fd (eval_fop op node.fregs.(fa) node.fregs.(fb))
   | Ldl (d, disp, b) ->
     let addr = node.regs.(b) + disp in
-    issue_mem node ins ~iaddr addr;
+    issue_mem node w ~iaddr addr;
     set_ireg node d (Memory.read_long node.mem addr)
   | Ldq (d, disp, b) ->
     let addr = node.regs.(b) + disp in
-    issue_mem node ins ~iaddr addr;
+    issue_mem node w ~iaddr addr;
     count_load node addr;
     set_ireg node d (Memory.read_quad node.mem addr)
   | Ldq_u (d, disp, b) ->
     let addr = (node.regs.(b) + disp) land lnot 7 in
-    issue_mem node ins ~iaddr addr;
+    issue_mem node w ~iaddr addr;
     set_ireg node d (Memory.read_quad node.mem addr)
   | Extbl (d, ra, rb) ->
-    issue node ins ~iaddr;
+    issue node w ~iaddr;
     set_ireg node d
       ((node.regs.(ra) asr (8 * (node.regs.(rb) land 7))) land 0xFF)
   | Stl (r, disp, b) ->
     let addr = node.regs.(b) + disp in
-    issue_mem node ins ~iaddr addr;
+    issue_mem node w ~iaddr addr;
     Memory.write_long_u node.mem addr (node.regs.(r) land 0xFFFFFFFF)
   | Stq (r, disp, b) ->
     let addr = node.regs.(b) + disp in
-    issue_mem node ins ~iaddr addr;
+    issue_mem node w ~iaddr addr;
     count_store node addr;
     Memory.write_quad node.mem addr node.regs.(r)
   | Ldt (f, disp, b) ->
     let addr = node.regs.(b) + disp in
-    issue_mem node ins ~iaddr addr;
+    issue_mem node w ~iaddr addr;
     count_load node addr;
     set_freg node f (Memory.read_float node.mem addr)
   | Stt (f, disp, b) ->
     let addr = node.regs.(b) + disp in
-    issue_mem node ins ~iaddr addr;
+    issue_mem node w ~iaddr addr;
     count_store node addr;
     Memory.write_float node.mem addr node.fregs.(f)
   | Cvtqt (r, fd) ->
-    issue node ins ~iaddr;
+    issue node w ~iaddr;
     set_freg node fd (float_of_int node.regs.(r))
   | Cvttq (f, rd) ->
-    issue node ins ~iaddr;
+    issue node w ~iaddr;
     set_ireg node rd (int_of_float node.fregs.(f))
   | Fmov (fd, fs) ->
-    issue node ins ~iaddr;
+    issue node w ~iaddr;
     set_freg node fd node.fregs.(fs)
-  | Br _ -> branch node ins ~iaddr ~idx ~taken:true fp.target.(idx)
+  | Br _ -> branch node w ~iaddr ~idx ~taken:true fp.target.(idx)
   | Bc (c, r, _) ->
-    branch node ins ~iaddr ~idx ~taken:(eval_cond c node.regs.(r))
+    branch node w ~iaddr ~idx ~taken:(eval_cond c node.regs.(r))
       fp.target.(idx)
   | Fbeq (f, _) ->
-    branch node ins ~iaddr ~idx ~taken:(node.fregs.(f) = 0.0) fp.target.(idx)
+    branch node w ~iaddr ~idx ~taken:(node.fregs.(f) = 0.0) fp.target.(idx)
   | Fbne (f, _) ->
-    branch node ins ~iaddr ~idx ~taken:(node.fregs.(f) <> 0.0)
+    branch node w ~iaddr ~idx ~taken:(node.fregs.(f) <> 0.0)
       fp.target.(idx)
   | Jsr _ ->
-    issue node ins ~iaddr;
+    issue node w ~iaddr;
     node.call_stack <- (node.pc_proc, idx + 1) :: node.call_stack;
     node.pc_proc <- fp.callee.(idx);
     node.pc_idx <- 0
   | Ret ->
-    issue node ins ~iaddr;
+    issue node w ~iaddr;
     return state node
-  | Poll | Call_load_miss _ | Call_store_miss _ | Call_batch_miss _
+  | Lab _ | Poll | Call_load_miss _ | Call_store_miss _ | Call_batch_miss _
   | Batch_end | Rt_call _ ->
     assert false
 
@@ -235,25 +235,23 @@ let enter_runtime state (node : Node.t) (fp : Image.fproc) (ins : Insn.t) =
        a real processor the handler's return and the store are
        back-to-back instructions nothing can interleave). *)
     (if not store_done then
-       let rec find i =
-         if i >= Array.length fp.code then fun () -> ()
-         else
-           match fp.code.(i) with
-           | Lab _ -> find (i + 1)
-           | Stl (r, d, b) ->
-             fun () ->
-               Memory.write_long_u node.mem
-                 (node.regs.(b) + d)
-                 (node.regs.(r) land 0xFFFFFFFF)
-           | Stq (r, d, b) ->
-             fun () ->
-               Memory.write_quad node.mem (node.regs.(b) + d) node.regs.(r)
-           | Stt (f, d, b) ->
-             fun () ->
-               Memory.write_float node.mem (node.regs.(b) + d) node.fregs.(f)
-           | _ -> fun () -> ()
-       in
-       node.commit_store <- find node.pc_idx);
+       let k = fp.target.(node.pc_idx - 1) in
+       node.commit_store <-
+         (if k < 0 then fun () -> ()
+          else
+            match fp.code.(k) with
+            | Stl (r, d, b) ->
+              fun () ->
+                Memory.write_long_u node.mem
+                  (node.regs.(b) + d)
+                  (node.regs.(r) land 0xFFFFFFFF)
+            | Stq (r, d, b) ->
+              fun () ->
+                Memory.write_quad node.mem (node.regs.(b) + d) node.regs.(r)
+            | Stt (f, d, b) ->
+              fun () ->
+                Memory.write_float node.mem (node.regs.(b) + d) node.fregs.(f)
+            | _ -> fun () -> ()));
     Engine.store_miss state node ~addr ~bytes ~store_done;
     true
   | Call_batch_miss { ranges } ->
@@ -317,13 +315,16 @@ let step state (node : Node.t) =
   else begin
     let ins = fp.code.(idx) in
     node.pc_idx <- idx + 1;
-    if Insn.bytes ins > 0 then
-      node.counters.insns <- node.counters.insns + 1;
+    (* labels and batch ends occupy no text and are not counted *)
     match ins with
+    | Lab _ -> false
+    | Batch_end -> enter_runtime state node fp ins
     | Poll | Call_load_miss _ | Call_store_miss _ | Call_batch_miss _
-    | Batch_end | Rt_call _ ->
+    | Rt_call _ ->
+      node.counters.insns <- node.counters.insns + 1;
       enter_runtime state node fp ins
     | _ ->
+      node.counters.insns <- node.counters.insns + 1;
       exec_insn state node fp idx ins ~iaddr:(fp.base + fp.offset.(idx));
       false
   end

@@ -1,13 +1,18 @@
 (* Frozen executable: label and call targets resolved to indices so the
-   interpreter's hot loop never touches a hash table, plus text-layout
-   byte offsets for the I-cache model. *)
+   interpreter's hot loop never touches a hash table, each instruction's
+   timing decoded once for the pipeline model, plus text-layout byte
+   offsets for the I-cache model. *)
 
 open Shasta_isa
+open Shasta_machine
 
 type fproc = {
   fname : string;
   code : Insn.t array;
-  target : int array; (* branch target index, or -1 *)
+  timing : int array; (* [Pipeline.decode] of each instruction *)
+  target : int array;
+      (* branch target index; for a [Call_store_miss] that does not
+         perform its store, the index of the store it guards; else -1 *)
   callee : int array; (* callee procedure index for Jsr, or -1 *)
   offset : int array; (* byte offset of each instruction in the text *)
   base : int; (* text base address of this procedure *)
@@ -22,7 +27,17 @@ type t = {
   index : (string, int) Hashtbl.t;
 }
 
-let freeze (prog : Program.t) =
+(* The store a non-scheduled store check guards: the first instruction
+   after the check that is not a label, if it is a store; else -1. *)
+let rec guarded_store (code : Insn.t array) i =
+  if i >= Array.length code then -1
+  else
+    match code.(i) with
+    | Lab _ -> guarded_store code (i + 1)
+    | Stl _ | Stq _ | Stt _ -> i
+    | _ -> -1
+
+let freeze ~pipe (prog : Program.t) =
   ignore (Program.validate prog);
   let index = Hashtbl.create 16 in
   List.iteri (fun i (p : Program.proc) -> Hashtbl.add index p.pname i)
@@ -67,10 +82,14 @@ let freeze (prog : Program.t) =
             match insn with
             | Insn.Jsr callee_name ->
               callee.(i) <- Hashtbl.find index callee_name
+            | Insn.Call_store_miss { store_done = false; _ } ->
+              target.(i) <- guarded_store code (i + 1)
             | _ -> ())
           code;
         next_base := (base + !off + 63) land lnot 63;
-        { fname = p.pname; code; target; callee; offset; base; src })
+        { fname = p.pname; code;
+          timing = Array.map (Pipeline.decode pipe) code;
+          target; callee; offset; base; src })
       prog.procs
     |> Array.of_list
   in

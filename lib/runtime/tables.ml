@@ -66,13 +66,14 @@ let mark_private_exclusive (node : Node.t) ~ls ~addr ~len =
 (* --- flags ------------------------------------------------------------ *)
 
 (* Store the flag value into every longword of [addr, addr+len) except
-   those for which [skip] holds (pending written longwords must survive,
-   Section 4.1). *)
-let flag_range ?(skip = fun _ -> false) (node : Node.t) ~addr ~len =
+   those in [keep] (pending written longwords must survive, Section
+   4.1). *)
+let flag_range ?(keep = []) (node : Node.t) ~addr ~len =
   let n = len / 4 in
   for k = 0 to n - 1 do
     let a = addr + (4 * k) in
-    if not (skip a) then Memory.write_long_u node.mem a Layout.flag_pattern
+    if not (List.mem a keep) then
+      Memory.write_long_u node.mem a Layout.flag_pattern
   done;
   Cache.dinvalidate node.caches ~addr ~len
 
@@ -86,10 +87,10 @@ let make_shared (node : Node.t) ~ls ~addr ~len =
   set_state_range node ~ls ~addr ~len Layout.st_shared;
   set_excl_range node ~ls ~addr ~len false
 
-let make_invalid ?skip (node : Node.t) ~ls ~addr ~len =
+let make_invalid (node : Node.t) ~ls ~addr ~len =
   set_state_range node ~ls ~addr ~len Layout.st_invalid;
   set_excl_range node ~ls ~addr ~len false;
-  flag_range ?skip node ~addr ~len
+  flag_range node ~addr ~len
 
 let make_pending (node : Node.t) ~ls ~addr ~len ~shared =
   set_state_range node ~ls ~addr ~len
@@ -100,16 +101,24 @@ let make_pending (node : Node.t) ~ls ~addr ~len ~shared =
 let read_block (node : Node.t) ~addr ~len =
   Memory.blit_out node.mem ~addr ~nlongs:(len / 4)
 
+(* Write each (address, value) of [written] that lies in the block
+   [addr, addr+len). *)
+let rec overlay (node : Node.t) ~addr ~len = function
+  | [] -> ()
+  | (a, mine) :: rest ->
+    if a >= addr && a < addr + len && (a - addr) land 3 = 0 then
+      Memory.write_long_u node.mem a mine;
+    overlay node ~addr ~len rest
+
 (* Merge reply data into memory, then overlay the longwords the node
    wrote while the block was pending (non-stalling stores, Section 4.1:
-   "merge the reply data with the newly written data"). *)
-let merge_block_data (node : Node.t) ~addr ~(written : (int, int) Hashtbl.t)
+   "merge the reply data with the newly written data").  [written] holds
+   each address once, so the order of the overlay does not matter. *)
+let merge_block_data (node : Node.t) ~addr ~(written : (int * int) list)
     (data : int array) =
-  Array.iteri
-    (fun k v ->
-      let a = addr + (4 * k) in
-      match Hashtbl.find_opt written a with
-      | Some mine -> Memory.write_long_u node.mem a mine
-      | None -> Memory.write_long_u node.mem a v)
-    data;
-  Cache.dinvalidate node.caches ~addr ~len:(4 * Array.length data)
+  let len = 4 * Array.length data in
+  for k = 0 to Array.length data - 1 do
+    Memory.write_long_u node.mem (addr + (4 * k)) data.(k)
+  done;
+  overlay node ~addr ~len written;
+  Cache.dinvalidate node.caches ~addr ~len

@@ -212,6 +212,25 @@ let t_no_allocation_per_insn () =
     Alcotest.failf "%.2f minor words per instruction (%d insns)" per_insn
       insns
 
+(* The decoded timing is one immediate word per instruction: each
+   procedure's array costs its length plus a header, measured on the
+   KV service, the largest executable.  A boxed decode (a record per
+   instruction) fails here before it can grow the host heap. *)
+let t_decoded_timing_one_word () =
+  let prog =
+    Shasta_apps.Sht.program ~cfg:Shasta_apps.Apps.sht_test_cfg
+      ~wl:Shasta_apps.Apps.sht_test_wl ()
+  in
+  let state, _, _ = Api.prepare { (Api.default_spec prog) with nprocs = 1 } in
+  let fprocs = state.State.image.Image.fprocs in
+  let sum f = Array.fold_left (fun n fp -> n + f fp) 0 fprocs in
+  let insns = sum (fun (fp : Image.fproc) -> Array.length fp.code) in
+  let words = sum (fun (fp : Image.fproc) -> Obj.reachable_words (Obj.repr fp.timing)) in
+  Alcotest.(check bool) "a large image" true (insns > 1000);
+  if words > insns + Array.length fprocs then
+    Alcotest.failf "decoded timing: %d words for %d instructions in %d procedures"
+      words insns (Array.length fprocs)
+
 let () =
   Alcotest.run "exec"
     [ ( "semantics",
@@ -228,5 +247,7 @@ let () =
           Alcotest.test_case "div by zero" `Quick t_div_by_zero_detected ] );
       ( "hot path",
         [ Alcotest.test_case "no allocation per instruction" `Quick
-            t_no_allocation_per_insn ] )
+            t_no_allocation_per_insn;
+          Alcotest.test_case "decoded timing is one word per instruction"
+            `Quick t_decoded_timing_one_word ] )
     ]

@@ -195,6 +195,7 @@ let t_spec_rejects_out_of_range () =
           (String.starts_with ~prefix e))
     [ ("drop=2", "drop"); ("drop=nan", "drop"); ("drop=-0.5", "drop");
       ("dup=inf", "dup"); ("rto=-5", "rto"); ("max-retx=-1", "max-retx");
+      ("max-retx=1", "max-retx"); ("drop=0.05,max-retx=2", "max-retx");
       ("delay-cycles=-100,delay=0.5", "delay-cycles") ];
   match
     Network.faults_of_string "drop=0.9,delay=0,delay-cycles=0,rto=0,max-retx=0"

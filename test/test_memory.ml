@@ -219,6 +219,150 @@ let prop_fill_model ops =
       same_window m m' && same_window src src')
     (List.init n (fun i -> i + 1))
 
+(* The page cache against a plain reference: a table of longwords that
+   reads 0 where nothing was written.  Pages span more than the 64 cache
+   slots, and a third of the accesses go to pages 64 apart, which share
+   a slot.  Every read is checked as it happens; at the end every
+   longword an operation named is compared too.  The source memory of
+   [copy_pages] takes writes and fills only, so the pages that hold data
+   there are exactly the ones the reference marks. *)
+type pop =
+  | P_long of int * int
+  | P_quad of int * int
+  | P_float of int * float
+  | P_byte of int * int
+  | P_fill of int * int * int
+  | P_src_long of int * int
+  | P_src_fill of int * int * int
+  | P_copy of int * int (* first page, pages *)
+  | P_read of int
+
+let pop_gen =
+  let open QCheck2.Gen in
+  let page = oneof [ int_bound 199; map (fun k -> 5 + (64 * k)) (int_bound 3) ] in
+  let addr = map2 (fun p off -> (p * pb) + off) page (int_bound (pb - 1)) in
+  let fill k =
+    map3 (fun a l v -> k a l v) addr
+      (frequency
+         [ (2, int_bound 16); (2, int_bound 256); (1, int_range (pb - 8) (pb + 8)) ])
+      (int_bound 255)
+  in
+  let value = int_range (-(1 lsl 40)) (1 lsl 40) in
+  oneof
+    [ map2 (fun a v -> P_long (a land lnot 3, v land 0xFFFFFFFF)) addr value;
+      map2 (fun a v -> P_quad (a land lnot 7, v)) addr value;
+      map2 (fun a x -> P_float (a land lnot 7, x)) addr float;
+      map2 (fun a v -> P_byte (a, v)) addr (int_bound 255);
+      fill (fun a l v -> P_fill (a, l, v));
+      map2 (fun a v -> P_src_long (a land lnot 3, v land 0xFFFFFFFF)) addr value;
+      fill (fun a l v -> P_src_fill (a, l, v));
+      map2 (fun p n -> P_copy (p, n)) page (int_range 1 2);
+      map (fun a -> P_read a) addr ]
+
+(* the reference: longword index -> pattern, and the pages holding data *)
+type pref = { longs : (int, int) Hashtbl.t; held : (int, unit) Hashtbl.t }
+
+let ref_long r a = Option.value ~default:0 (Hashtbl.find_opt r.longs (a / 4))
+let ref_set r a v =
+  Hashtbl.replace r.longs (a / 4) v;
+  Hashtbl.replace r.held (a / pb) ()
+
+let ref_byte r a =
+  (ref_long r (a land lnot 3) lsr (8 * (a land 3))) land 0xFF
+
+let ref_set_byte r a v =
+  let base = a land lnot 3 and shift = 8 * (a land 3) in
+  ref_set r base (ref_long r base land lnot (0xFF lsl shift) lor (v lsl shift))
+
+let ref_fill r a len v = for b = a to a + len - 1 do ref_set_byte r b v done
+
+let prop_page_cache ops =
+  let m = Memory.create () and src = Memory.create () in
+  let rm = { longs = Hashtbl.create 64; held = Hashtbl.create 64 }
+  and rs = { longs = Hashtbl.create 64; held = Hashtbl.create 64 } in
+  let named = ref [] in
+  let name a = named := (a land lnot 3) :: !named in
+  let read_ok a =
+    let l = a land lnot 3 and q = a land lnot 7 in
+    let lo = ref_long rm q and hi = ref_long rm (q + 4) in
+    Memory.read_byte m a = ref_byte rm a
+    && Memory.read_long_u m l = ref_long rm l
+    && Memory.read_long m l = Memory.sext32 (ref_long rm l)
+    && Memory.read_quad m q = (Memory.sext32 hi * 0x1_0000_0000) + lo
+    && Memory.read_quad_bits m q
+       = Int64.(logor (shift_left (of_int hi) 32) (of_int lo))
+  in
+  List.for_all
+    (fun op ->
+      match op with
+      | P_long (a, v) ->
+        name a;
+        Memory.write_long_u m a v;
+        ref_set rm a v;
+        true
+      | P_quad (a, v) ->
+        name a;
+        name (a + 4);
+        Memory.write_quad m a v;
+        ref_set rm a (v land 0xFFFFFFFF);
+        ref_set rm (a + 4) ((v asr 32) land 0xFFFFFFFF);
+        Memory.read_quad m a = v
+      | P_float (a, x) ->
+        name a;
+        name (a + 4);
+        Memory.write_float m a x;
+        let bits = Int64.bits_of_float x in
+        ref_set rm a Int64.(to_int (logand bits 0xFFFFFFFFL));
+        ref_set rm (a + 4)
+          Int64.(to_int (logand (shift_right_logical bits 32) 0xFFFFFFFFL));
+        Int64.equal (Int64.bits_of_float (Memory.read_float m a)) bits
+      | P_byte (a, v) ->
+        name a;
+        Memory.write_byte m a v;
+        ref_set_byte rm a v;
+        true
+      | P_fill (a, len, v) ->
+        name a;
+        name (a + len);
+        Memory.fill_bytes m ~addr:a ~len v;
+        ref_fill rm a len v;
+        true
+      | P_src_long (a, v) ->
+        Memory.write_long_u src a v;
+        ref_set rs a v;
+        true
+      | P_src_fill (a, len, v) ->
+        Memory.fill_bytes src ~addr:a ~len v;
+        ref_fill rs a len v;
+        true
+      | P_copy (p, n) ->
+        Memory.copy_pages ~src ~dst:m ~addr:(p * pb) ~len:(n * pb);
+        for q = p to p + n - 1 do
+          if Hashtbl.mem rs.held q then
+            for k = 0 to (pb / 4) - 1 do
+              let a = (q * pb) + (4 * k) in
+              ref_set rm a (ref_long rs a)
+            done
+        done;
+        name (p * pb);
+        true
+      | P_read a ->
+        name a;
+        read_ok a)
+    ops
+  && List.for_all read_ok !named
+
+let print_pop = function
+  | P_long (a, v) -> Printf.sprintf "long 0x%x=%d" a v
+  | P_quad (a, v) -> Printf.sprintf "quad 0x%x=%d" a v
+  | P_float (a, x) -> Printf.sprintf "float 0x%x=%h" a x
+  | P_byte (a, v) -> Printf.sprintf "byte 0x%x=%d" a v
+  | P_fill (a, l, v) -> Printf.sprintf "fill 0x%x+%d=%d" a l v
+  | P_src_long (a, v) -> Printf.sprintf "src long 0x%x=%d" a v
+  | P_src_fill (a, l, v) -> Printf.sprintf "src fill 0x%x+%d=%d" a l v
+  | P_copy (p, n) -> Printf.sprintf "copy pages %d+%d" p n
+  | P_read a -> Printf.sprintf "read 0x%x" a
+
 let t_blit () =
   let m = Memory.create () in
   Memory.blit_in m ~addr:0x8000 [| 1; 2; 3; 4 |];
@@ -352,7 +496,12 @@ let () =
           Alcotest.test_case "alignment" `Quick t_unaligned_rejected;
           Alcotest.test_case "ldq_u" `Quick t_ldq_u_alignment;
           Alcotest.test_case "copy pages" `Quick t_copy_pages;
-          Alcotest.test_case "blit" `Quick t_blit ] );
+          Alcotest.test_case "blit" `Quick t_blit;
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~name:"page cache equals a longword table"
+               ~count:100 ~print:QCheck2.Print.(list print_pop)
+               QCheck2.Gen.(list_size (int_range 1 200) pop_gen)
+               prop_page_cache) ] );
       ( "fill",
         [ Alcotest.test_case "lazy" `Quick t_fill_lazy;
           Alcotest.test_case "materialized page" `Quick t_fill_materialized;

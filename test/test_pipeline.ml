@@ -8,10 +8,11 @@ open Shasta_machine
 let issue_seq ?(config = Pipeline.alpha_21064a) insns =
   let p = Pipeline.create config in
   List.iter
-    (fun i -> Pipeline.issue p i ~iaddr:0 ~maddr:0 ~branch:Pipeline.B_none)
+    (fun i -> Pipeline.issue p (Pipeline.decode config i) ~iaddr:0 ~maddr:0 ~branch:Pipeline.B_none)
     insns;
   Pipeline.cycle p
 
+let dec = Pipeline.decode Pipeline.alpha_21064a
 let add d a b : Insn.t = Opi (Addq, d, Reg a, b)
 let shift d a : Insn.t = Opi (Srl, d, Imm 6, a)
 
@@ -52,11 +53,11 @@ let t_single_memory_port () =
 
 let t_branch_prediction () =
   let p = Pipeline.create Pipeline.alpha_21064a in
-  Pipeline.issue p (Insn.Bc (Eq, 1, "x")) ~iaddr:0 ~maddr:0
+  Pipeline.issue p (dec (Insn.Bc (Eq, 1, "x"))) ~iaddr:0 ~maddr:0
     ~branch:(Pipeline.B_taken { backward = false });
   let mispredicted = Pipeline.cycle p in
   let p2 = Pipeline.create Pipeline.alpha_21064a in
-  Pipeline.issue p2 (Insn.Bc (Eq, 1, "x")) ~iaddr:0 ~maddr:0
+  Pipeline.issue p2 (dec (Insn.Bc (Eq, 1, "x"))) ~iaddr:0 ~maddr:0
     ~branch:(Pipeline.B_taken { backward = true });
   Alcotest.(check bool) "mispredict costs" true
     (mispredicted > Pipeline.cycle p2)
@@ -71,16 +72,16 @@ let t_fp_latency () =
 let t_caches_charge_misses () =
   let caches = Cache.alpha_hierarchy () in
   let p = Pipeline.create ~caches Pipeline.alpha_21064a in
-  Pipeline.issue p (Insn.Ldq (1, 0, 2)) ~iaddr:0 ~maddr:0x10000
+  Pipeline.issue p (dec (Insn.Ldq (1, 0, 2))) ~iaddr:0 ~maddr:0x10000
     ~branch:Pipeline.B_none;
-  Pipeline.issue p (add 3 1 4) ~iaddr:4 ~maddr:0 ~branch:Pipeline.B_none;
+  Pipeline.issue p (dec (add 3 1 4)) ~iaddr:4 ~maddr:0 ~branch:Pipeline.B_none;
   let cold = Pipeline.cycle p in
   Alcotest.(check bool) "cold miss costs more than the hit latency" true
     (cold > Pipeline.alpha_21064a.load_latency)
 
 let t_stall_resets_group () =
   let p = Pipeline.create Pipeline.alpha_21064a in
-  Pipeline.issue p (add 1 2 3) ~iaddr:0 ~maddr:0 ~branch:Pipeline.B_none;
+  Pipeline.issue p (dec (add 1 2 3)) ~iaddr:0 ~maddr:0 ~branch:Pipeline.B_none;
   Pipeline.stall p 10;
   Alcotest.(check int) "stall advances time" 10 (Pipeline.cycle p);
   Pipeline.advance_to p 5;
@@ -249,38 +250,82 @@ let gen_branch : Pipeline.branch_info QCheck2.Gen.t =
       Pipeline.taken ~backward:false; Pipeline.not_taken ~backward:true;
       Pipeline.not_taken ~backward:false ]
 
-(* Each step: instruction, branch outcome, data address.  Addresses
-   cover a few 32-byte lines over a span larger than the L1, so both
-   caches hit and miss. *)
+(* Fetch addresses: runs of fetches inside one 32-byte line, each then
+   crossing to another line.  The lines are neighbours, lines 16 KB
+   apart (same L1I set, so one evicts the other) and one 4 MB away (same
+   L2 set), and runs come back to lines fetched before. *)
+let gen_fetches =
+  QCheck2.Gen.(
+    map List.concat
+      (list_size (int_range 1 24)
+         (map2
+            (fun line k -> List.init k (fun j -> (line * 32) + (4 * ((line + j) mod 8))))
+            (oneofl [ 0; 1; 2; 3; 512; 513; 1024; 131072 ])
+            (int_range 1 10))))
+
+(* Each step: instruction, branch outcome, data address, fetch address.
+   Data addresses cover a few 32-byte lines over a span larger than the
+   L1, so both caches hit and miss. *)
 let gen_steps =
   QCheck2.Gen.(
-    list_size (int_range 1 60)
-      (triple gen_insn gen_branch (map (fun k -> k * 24) (int_bound 2000))))
+    map2
+      (fun steps fetches ->
+        let fetches = Array.of_list fetches in
+        List.mapi
+          (fun k (i, b, a) -> (i, b, a, fetches.(k mod Array.length fetches)))
+          steps)
+      (list_size (int_range 1 60)
+         (triple gen_insn gen_branch (map (fun k -> k * 24) (int_bound 2000))))
+      gen_fetches)
 
+(* The decoded issue path against the reference, which probes the
+   I-cache on every fetch: cycle after every step, and at the end the
+   instruction count and every cache's miss count. *)
 let prop_issue_matches_reference ~config steps =
   let caches = Cache.alpha_hierarchy () and ref_caches = Cache.alpha_hierarchy () in
   let p = Pipeline.create ~caches config in
   let r = Ref.create ~caches:ref_caches config in
-  (* a short loop of text: after the first pass, fetches hit and
-     operand waits decide the timing *)
   List.for_all
-    (fun (k, (i, branch, a)) ->
-      let iaddr = 4 * (k mod 32) in
-      Pipeline.issue p i ~iaddr ~maddr:a ~branch;
+    (fun (i, branch, a, iaddr) ->
+      Pipeline.issue p (Pipeline.decode config i) ~iaddr ~maddr:a ~branch;
       Ref.issue r i ~iaddr
         ~maddr:(if Insn.is_mem i then Some a else None)
         ~branch;
       Pipeline.cycle p = r.cycle)
-    (List.mapi (fun k step -> (k, step)) steps)
+    steps
+  && Pipeline.insns p = List.length steps
+  && List.for_all2
+       (fun c c' -> Cache.misses c = Cache.misses c')
+       [ caches.l1i; caches.l1d; caches.l2 ]
+       [ ref_caches.l1i; ref_caches.l1d; ref_caches.l2 ]
 
 let qtest name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:300
        ~print:(fun steps ->
          String.concat "; "
-           (List.map (fun (i, _, a) -> Printf.sprintf "%s@%d" (Asm.to_string i) a)
+           (List.map
+              (fun (i, _, a, iaddr) ->
+                Printf.sprintf "%s@%d<-%d" (Asm.to_string i) a iaddr)
               steps))
        gen prop)
+
+(* [reset] forgets the remembered I-cache line: after it, a fetch from
+   the line fetched before the reset probes the cache again.  (Dropping
+   the line from L1I by hand stands for a cache the pipeline no longer
+   knows the contents of.) *)
+let t_reset_forgets_line () =
+  let caches = Cache.alpha_hierarchy () in
+  let p = Pipeline.create ~caches Pipeline.alpha_21064a in
+  let nop = dec (add 1 2 3) in
+  Pipeline.issue p nop ~iaddr:0 ~maddr:0 ~branch:Pipeline.B_none;
+  Pipeline.issue p nop ~iaddr:4 ~maddr:0 ~branch:Pipeline.B_none;
+  Alcotest.(check int) "one cold miss for the line" 1 (Cache.misses caches.l1i);
+  Cache.invalidate_range caches.l1i ~addr:0 ~len:32;
+  Pipeline.reset p;
+  Pipeline.issue p nop ~iaddr:8 ~maddr:0 ~branch:Pipeline.B_none;
+  Alcotest.(check int) "the fetch after reset probes and misses" 2
+    (Cache.misses caches.l1i)
 
 let () =
   Alcotest.run "pipeline"
@@ -298,5 +343,7 @@ let () =
           Alcotest.test_case "branch prediction" `Quick t_branch_prediction;
           Alcotest.test_case "fp latency" `Quick t_fp_latency;
           Alcotest.test_case "cache misses" `Quick t_caches_charge_misses;
-          Alcotest.test_case "stalls" `Quick t_stall_resets_group ] )
+          Alcotest.test_case "stalls" `Quick t_stall_resets_group;
+          Alcotest.test_case "reset forgets the I-line" `Quick
+            t_reset_forgets_line ] )
     ]
