@@ -74,42 +74,54 @@ let count_accesses t =
 
 (* Verify structural sanity: labels unique within a procedure, every
    branch target defined in the same procedure, every Jsr target a known
-   procedure.  Raises [Invalid_argument] describing the first problem. *)
-let validate t =
-  let proc_names = List.map (fun p -> p.pname) t.procs in
-  if not (List.mem t.entry proc_names) then
+   procedure.  Returns each procedure's label table (label -> index of
+   the label in its body), in [procs] order.  Raises [Invalid_argument]
+   describing the first problem. *)
+let label_tables t =
+  let proc_names = Hashtbl.create 16 in
+  List.iter (fun p -> Hashtbl.replace proc_names p.pname ()) t.procs;
+  if not (Hashtbl.mem proc_names t.entry) then
     invalid_arg ("Program.validate: missing entry " ^ t.entry);
-  List.iter
+  List.map
     (fun p ->
-      let labels = Hashtbl.create 16 in
-      List.iter
-        (fun i ->
+      let nlabels =
+        List.fold_left
+          (fun n i -> match i with Insn.Lab _ -> n + 1 | _ -> n)
+          0 p.body
+      in
+      let labels = Hashtbl.create nlabels in
+      List.iteri
+        (fun k i ->
           match i with
           | Insn.Lab l ->
             if Hashtbl.mem labels l then
               invalid_arg
                 (Printf.sprintf "Program.validate: duplicate label %s in %s" l
                    p.pname);
-            Hashtbl.add labels l ()
+            Hashtbl.add labels l k
           | _ -> ())
         p.body;
+      let defined l =
+        if not (Hashtbl.mem labels l) then
+          invalid_arg
+            (Printf.sprintf "Program.validate: undefined label %s in %s" l
+               p.pname)
+      in
       List.iter
         (fun i ->
-          List.iter
-            (fun l ->
-              if not (Hashtbl.mem labels l) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Program.validate: undefined label %s in %s" l p.pname))
-            (Insn.branch_targets i);
+          List.iter defined (Insn.branch_targets i);
           match i with
           | Insn.Jsr callee ->
-            if not (List.mem callee proc_names) then
+            if not (Hashtbl.mem proc_names callee) then
               invalid_arg
                 (Printf.sprintf
                    "Program.validate: call to unknown procedure %s from %s"
                    callee p.pname)
           | _ -> ())
-        p.body)
-    t.procs;
+        p.body;
+      labels)
+    t.procs
+
+let validate t =
+  ignore (label_tables t);
   t

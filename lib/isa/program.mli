@@ -32,3 +32,7 @@ val count_accesses : t -> counts
 val validate : t -> t
 (** Check structural sanity (unique labels, defined branch targets,
     known callees, existing entry); raises [Invalid_argument]. *)
+
+val label_tables : t -> (string, int) Hashtbl.t list
+(** [validate]'s checks, returning each procedure's label table (label
+    to its index in the body), in [procs] order. *)

@@ -166,8 +166,13 @@ let[@inline] write_quad_bits t addr bits =
   pg.(i) <- Int64.(to_int (logand bits 0xFFFFFFFFL));
   pg.(i + 1) <- Int64.(to_int (logand (shift_right_logical bits 32) 0xFFFFFFFFL))
 
-let read_float t addr = Int64.float_of_bits (read_quad_bits t addr)
-let write_float t addr v = write_quad_bits t addr (Int64.bits_of_float v)
+(* Floats move between memory and a register file, where they stay
+   unboxed: neither accessor allocates. *)
+let read_float_into t addr (fregs : float array) f =
+  fregs.(f) <- Int64.float_of_bits (read_quad_bits t addr)
+
+let write_float_from t addr (fregs : float array) f =
+  write_quad_bits t addr (Int64.bits_of_float fregs.(f))
 
 (* Aligned quadword load used by the check code (ldq_u ignores the low
    three address bits, as on the Alpha). *)

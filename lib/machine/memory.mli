@@ -48,8 +48,13 @@ val read_quad_bits : t -> int -> int64
 (** Exact 64-bit pattern, used for floating-point data. *)
 
 val write_quad_bits : t -> int -> int64 -> unit
-val read_float : t -> int -> float
-val write_float : t -> int -> float -> unit
+
+val read_float_into : t -> int -> float array -> int -> unit
+(** [read_float_into t addr fregs f] loads the float at [addr] into
+    [fregs.(f)]; [write_float_from t addr fregs f] stores [fregs.(f)].
+    The float stays unboxed: neither allocates. *)
+
+val write_float_from : t -> int -> float array -> int -> unit
 
 (** {1 Bulk operations} *)
 

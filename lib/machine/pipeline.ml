@@ -7,7 +7,20 @@
    is sunk below the load), long FP compare/branch latency (why FP loads
    are checked through an extra integer load), and static branch
    prediction (backward taken / forward not-taken).  A register
-   scoreboard tracks result availability; issue is in order. *)
+   scoreboard tracks result availability; issue is in order.
+
+   [decode] packs everything the model needs to know about an
+   instruction into one int, once, when an executable is loaded; it is
+   the one source of latencies and registers.  The interpreter compiles
+   each instruction into a closure that calls the entry for the
+   instruction's [shape]: integer op, FP op, load, store or branch.
+   Each entry skips the steps its shape cannot need (the FP sources of
+   an integer op, the memory port and D-cache of a non-memory op,
+   branch prediction of a non-branch).  [issue] is the general entry,
+   for calls, returns, FP branches and conversions.  All of them are
+   built from the same inline steps (fetch, operand wait, issue group,
+   D-cache, retire, branch resolution), so each timing rule is written
+   once. *)
 
 open Shasta_isa
 
@@ -47,8 +60,8 @@ type branch_info =
   | B_taken of { backward : bool }
   | B_not_taken of { backward : bool }
 
-(* The four outcomes with a direction, preallocated so the interpreter's
-   branch path allocates nothing. *)
+(* The four outcomes with a direction, preallocated so an FP branch
+   allocates nothing. *)
 let taken ~backward =
   if backward then B_taken { backward = true } else B_taken { backward = false }
 
@@ -58,8 +71,8 @@ let not_taken ~backward =
 
 (* --- decoded timing ----------------------------------------------------
 
-   Everything [issue] needs to know about an instruction under one
-   config is packed into one immediate int, computed once per
+   Everything the issue entries need to know about an instruction under
+   one config is packed into one immediate int, computed once per
    instruction when an executable is loaded:
 
      bits  0-7   result latency (cycles)
@@ -172,6 +185,22 @@ let create ?caches config =
 let cycle t = t.cycle
 let insns t = t.insns
 
+type snapshot = {
+  s_cycle : int;
+  s_slots_used : int;
+  s_mem_used : bool;
+  s_insns : int;
+  s_iline : int;
+  s_ireg_ready : int array;
+  s_freg_ready : int array;
+}
+
+let snapshot t =
+  { s_cycle = t.cycle; s_slots_used = t.slots_used; s_mem_used = t.mem_used;
+    s_insns = t.insns; s_iline = t.iline;
+    s_ireg_ready = Array.copy t.ireg_ready;
+    s_freg_ready = Array.copy t.freg_ready }
+
 let reset t =
   Array.fill t.ireg_ready 0 32 0;
   Array.fill t.freg_ready 0 32 0;
@@ -196,14 +225,6 @@ let advance_to t when_ =
     t.mem_used <- false
   end
 
-(* Static prediction: backward branches predicted taken, forward
-   branches predicted not-taken. *)
-let mispredicted info =
-  match info with
-  | B_none -> false
-  | B_taken { backward } -> not backward
-  | B_not_taken { backward } -> backward
-
 (* The later of [acc] and the ready cycle of register [r] (a 5-bit
    field, so in bounds of the 32-entry scoreboards); 31 never waits. *)
 let[@inline] iready t r acc =
@@ -222,71 +243,146 @@ let rec mask_ready t m r acc =
     mask_ready t (m lsr 1) (r + 1)
       (if m land 1 <> 0 then iready t r acc else acc)
 
-(* Issue one instruction, decoded by [decode].  [iaddr] is its text
-   address (for the I-cache), [maddr] the data address of a memory
-   access (for the D-cache; ignored for every other instruction).
+(* --- the issue steps ----------------------------------------------------
 
-   A fetch from the L1I line of the previous fetch skips the cache:
-   that fetch left the line in L1I, only fetches write L1I (data-side
-   invalidations never touch it) and a hit changes no cache state, so
-   the skipped probe would have been a hit costing nothing. *)
-let issue t w ~iaddr ~maddr ~branch =
-  let c = t.config in
+   Every entry below is these steps in this order, each one skipped
+   where the instruction's shape makes it a no-op, so no timing rule is
+   written twice.
+
+   Fetch.  A fetch from the L1I line of the previous fetch skips the
+   cache: that fetch left the line in L1I, only fetches write L1I
+   (data-side invalidations never touch it) and a hit changes no cache
+   state, so the skipped probe would have been a hit costing nothing. *)
+let[@inline] fetch t iaddr =
   t.insns <- t.insns + 1;
-  (* instruction fetch *)
-  (match t.caches with
-   | Some h ->
-     let line = iaddr asr t.iline_shift in
-     if line <> t.iline then begin
-       t.iline <- line;
-       stall t (Cache.iaccess h iaddr)
-     end
-   | None -> ());
-  (* wait for source operands *)
-  let now = t.cycle in
+  match t.caches with
+  | Some h ->
+    let line = iaddr asr t.iline_shift in
+    if line <> t.iline then begin
+      t.iline <- line;
+      stall t (Cache.iaccess h iaddr)
+    end
+  | None -> ()
+
+(* Operand wait: issue no earlier than the narrow integer sources, then
+   the FP sources, are ready.  Waiting for the two kinds one after the
+   other lands where waiting for all four at once does. *)
+let[@inline] wait_int t w =
   advance_to t
-    (if w land wide_bit = 0 then
-       fready t ((w lsr fsrc2_shift) land 31)
-         (fready t ((w lsr fsrc1_shift) land 31)
-            (iready t ((w lsr isrc2_shift) land 31)
-               (iready t ((w lsr isrc1_shift) land 31) now)))
-     else mask_ready t (w lsr imask_shift) 0 now);
-  (* structural constraints: issue width, single memory port *)
-  if t.slots_used >= c.issue_width then begin
-    t.cycle <- t.cycle + 1;
-    t.slots_used <- 0;
-    t.mem_used <- false
-  end;
-  let mem = w land mem_bit <> 0 in
-  if mem && t.mem_used then begin
-    t.cycle <- t.cycle + 1;
-    t.slots_used <- 0;
-    t.mem_used <- false
-  end;
+    (iready t ((w lsr isrc2_shift) land 31)
+       (iready t ((w lsr isrc1_shift) land 31) t.cycle))
+
+let[@inline] wait_fp t w =
+  advance_to t
+    (fready t ((w lsr fsrc2_shift) land 31)
+       (fready t ((w lsr fsrc1_shift) land 31) t.cycle))
+
+(* Issue group: a full group starts the next cycle; so does a memory
+   access when the group's single memory port is taken. *)
+let[@inline] next_cycle t =
+  t.cycle <- t.cycle + 1;
+  t.slots_used <- 0;
+  t.mem_used <- false
+
+let[@inline] group t =
+  if t.slots_used >= t.config.issue_width then next_cycle t;
+  t.slots_used <- t.slots_used + 1
+
+let[@inline] group_mem t =
+  if t.slots_used >= t.config.issue_width then next_cycle t;
+  if t.mem_used then next_cycle t;
   t.slots_used <- t.slots_used + 1;
-  if mem then t.mem_used <- true;
-  (* data cache *)
-  let dextra =
-    match t.caches with
-    | Some h when mem -> Cache.daccess h maddr
-    | _ -> 0
-  in
-  (* record result availability *)
-  let at = t.cycle + (w land lat_bits) + dextra in
+  t.mem_used <- true
+
+(* D-cache: the extra cycles of a data access. *)
+let[@inline] dcache t maddr =
+  match t.caches with Some h -> Cache.daccess h maddr | None -> 0
+
+(* Retire: record when the destinations are ready, [extra] cycles of
+   D-cache miss past the result latency. *)
+let[@inline] retire_int t w extra =
   let d = (w lsr idst_shift) land 31 in
-  if d < none then t.ireg_ready.(d) <- at;
+  if d < none then t.ireg_ready.(d) <- t.cycle + (w land lat_bits) + extra
+
+let[@inline] retire_fp t w extra =
   let d = (w lsr fdst_shift) land 31 in
-  if d < none then t.freg_ready.(d) <- at;
-  (* stores that miss stall the single memory port *)
-  if w land store_bit <> 0 then stall t dextra;
+  if d < none then t.freg_ready.(d) <- t.cycle + (w land lat_bits) + extra
+
+(* Static prediction: backward branches predicted taken, forward
+   branches predicted not-taken.  A taken branch that was predicted
+   ends the issue group. *)
+let[@inline] resolve t ~taken ~backward =
+  if taken <> backward then stall t t.config.mispredict_cycles
+  else if taken then next_cycle t
+
+(* --- shape entries ------------------------------------------------------
+
+   Each takes a word [decode] made of an instruction of its shape (see
+   [shape]) and leaves the pipeline exactly as [issue] would. *)
+
+let alu t w ~iaddr =
+  fetch t iaddr;
+  wait_int t w;
+  group t;
+  retire_int t w 0
+
+let fop t w ~iaddr =
+  fetch t iaddr;
+  wait_fp t w;
+  group t;
+  retire_fp t w 0
+
+let load t w ~iaddr ~maddr =
+  fetch t iaddr;
+  wait_int t w;
+  group_mem t;
+  let extra = dcache t maddr in
+  retire_int t w extra;
+  retire_fp t w extra
+
+(* a store that misses stalls the single memory port *)
+let store t w ~iaddr ~maddr =
+  fetch t iaddr;
+  wait_int t w;
+  wait_fp t w;
+  group_mem t;
+  stall t (dcache t maddr)
+
+let branch t w ~iaddr ~taken ~backward =
+  fetch t iaddr;
+  wait_int t w;
+  group t;
+  resolve t ~taken ~backward
+
+(* The general entry: any decoded word.  [maddr] is the data address of
+   a memory access (ignored for every other instruction). *)
+let issue t w ~iaddr ~maddr ~branch =
+  fetch t iaddr;
+  if w land wide_bit = 0 then begin
+    wait_int t w;
+    wait_fp t w
+  end
+  else advance_to t (mask_ready t (w lsr imask_shift) 0 t.cycle);
+  let mem = w land mem_bit <> 0 in
+  if mem then group_mem t else group t;
+  let extra = if mem then dcache t maddr else 0 in
+  retire_int t w extra;
+  retire_fp t w extra;
+  if w land store_bit <> 0 then stall t extra;
   (* control flow: FP-branch resolution, call overhead *)
   stall t ((w lsr ctrl_shift) land 0xFF);
-  if mispredicted branch then stall t c.mispredict_cycles
-  else
-    match branch with
-    | B_taken _ ->
-      (* a taken branch ends the issue group *)
-      t.cycle <- t.cycle + 1;
-      t.slots_used <- 0;
-      t.mem_used <- false
-    | _ -> ()
+  match branch with
+  | B_none -> ()
+  | B_taken { backward } -> resolve t ~taken:true ~backward
+  | B_not_taken { backward } -> resolve t ~taken:false ~backward
+
+type shape = Alu | Fop | Load | Store | Branch | General
+
+let shape (i : Insn.t) =
+  match i with
+  | Lda _ | Opi _ | Extbl _ -> Alu
+  | Opf _ | Fmov _ -> Fop
+  | Ldl _ | Ldq _ | Ldq_u _ | Ldt _ -> Load
+  | Stl _ | Stq _ | Stt _ -> Store
+  | Br _ | Bc _ -> Branch
+  | _ -> General

@@ -5,7 +5,11 @@
     21064A's shift-use delay (why Figure 4 beats Figure 2), load-use
     delay (why the flag compare is sunk below the load), long FP
     compare/branch latency (why FP loads are checked through an extra
-    integer load), and static branch prediction. *)
+    integer load), and static branch prediction.
+
+    An instruction is decoded once ({!decode}) and then issued through
+    the entry its {!shape} names; {!issue} is the general entry, which
+    takes any decoded word.  Every entry allocates nothing. *)
 
 type config = {
   cpu_name : string;
@@ -53,6 +57,20 @@ val create : ?caches:Cache.hierarchy -> config -> t
 val cycle : t -> int
 val insns : t -> int
 
+type snapshot = {
+  s_cycle : int;
+  s_slots_used : int;  (** issue slots taken in the current group *)
+  s_mem_used : bool;  (** the group's memory port is taken *)
+  s_insns : int;
+  s_iline : int;  (** L1I line of the last fetch, -1 = none *)
+  s_ireg_ready : int array;  (** integer scoreboard: ready cycle per register *)
+  s_freg_ready : int array;  (** FP scoreboard *)
+}
+
+val snapshot : t -> snapshot
+(** A copy of everything issuing reads or writes besides the caches, for
+    checking that two ways of issuing agree. *)
+
 val reset : t -> unit
 (** Back to cycle 0 with an empty scoreboard; also forgets the last
     fetched I-cache line, so the next fetch probes the cache. *)
@@ -71,4 +89,29 @@ val issue : t -> int -> iaddr:int -> maddr:int -> branch:branch_info -> unit
     address of a load or store; other instructions ignore it.  A fetch
     from the same I-cache line as the previous fetch skips the probe,
     which would hit.  The word must come from [decode] with the config
-    [t] was created with.  Allocates nothing. *)
+    [t] was created with. *)
+
+(** {2 Shape entries}
+
+    Each leaves [t] exactly as {!issue} does on a word that [decode]
+    made of an instruction of its shape, and skips the steps that shape
+    cannot need. *)
+
+type shape =
+  | Alu  (** [lda], [opi], [extbl]: {!alu} *)
+  | Fop  (** [opf], [fmov]: {!fop} *)
+  | Load  (** [ldl], [ldq], [ldq_u], [ldt]: {!load} *)
+  | Store  (** [stl], [stq], [stt]: {!store} *)
+  | Branch  (** [br], [bc]: {!branch} *)
+  | General  (** everything else: {!issue} *)
+
+val shape : Shasta_isa.Insn.t -> shape
+(** The entry an instruction issues through. *)
+
+val alu : t -> int -> iaddr:int -> unit
+val fop : t -> int -> iaddr:int -> unit
+val load : t -> int -> iaddr:int -> maddr:int -> unit
+val store : t -> int -> iaddr:int -> maddr:int -> unit
+
+val branch : t -> int -> iaddr:int -> taken:bool -> backward:bool -> unit
+(** [backward]: the target is at or before the branch. *)

@@ -66,16 +66,11 @@ type faults = {
   delay : float; (* probability of [delay_cycles] of extra flight time *)
   delay_cycles : int;
   rto : int; (* base retransmission timeout; 0 = derive from profile *)
-  max_retx : int; (* give up after this many retransmissions; 0 = retry
-                     until the last of [max_attempts] tries, which
-                     always survives.  Nothing re-sends an abandoned
-                     frame, so a run over a bounded channel can wedge;
-                     [faults_of_string] accepts only 0. *)
 }
 
 let no_faults =
   { fseed = 1; drop = 0.0; dup = 0.0; reorder = 0.0; delay = 0.0;
-    delay_cycles = 2000; rto = 0; max_retx = 0 }
+    delay_cycles = 2000; rto = 0 }
 
 (* The standard fault matrix the test suite and benchmarks run under:
    1% loss, 1% duplication, 2% reordering — commodity-LAN weather. *)
@@ -155,9 +150,7 @@ type xmit = {
   backoff : int;
   duplicated : bool;
   reordered : bool;
-  timed_out : bool; (* retransmission budget exhausted: the frame was
-                       never delivered (only possible on a channel with
-                       [max_retx] > 0) *)
+  timed_out : bool; (* never delivered: the receiver was declared dead *)
 }
 
 let clean_xmit =
@@ -168,45 +161,28 @@ let clean_xmit =
    goes out at [now]; each dropped attempt is retransmitted after a
    timeout that doubles every time (exponential backoff).  Returns the
    arrival time of the first surviving copy and the fault summary.
-   Deterministic in [rng].  With [f.max_retx] = 0 there are at most
-   [max_attempts] tries, the last of which always survives (the model
-   never loses a frame for good — that would wedge the protocol, not
-   slow it).  With [f.max_retx] > 0 the sender gives up after that many
-   retransmissions and reports a timeout (arrival [-1], [timed_out]
-   set) instead of forcing the last attempt through; the coins drawn
-   before that point are the same. *)
+   Deterministic in [rng].  There are at most [max_attempts] tries, the
+   last of which always survives: the model never loses a frame for
+   good, which would wedge the protocol, not slow it. *)
 let max_attempts = 16
 
 let tx_plan (f : faults) rng ~now ~flight ~rto =
-  let max_retx = f.max_retx in
-  let cap = if max_retx > 0 then min max_retx (max_attempts - 1)
-    else max_attempts - 1 in
   let rec attempts k start backoff =
-    if k < cap && Random.State.float rng 1.0 < f.drop then
+    if k < max_attempts - 1 && Random.State.float rng 1.0 < f.drop then
       let timeout = rto * (1 lsl min k 10) in
       attempts (k + 1) (start + timeout) (backoff + timeout)
-    else if k >= cap && max_retx > 0 && k = cap
-            && Random.State.float rng 1.0 < f.drop then
-      (* the final allowed attempt was itself dropped: give up *)
-      (k + 1, start, backoff, true)
-    else (k, start, backoff, false)
+    else (k, start, backoff)
   in
-  let retx, start, backoff, timed_out = attempts 0 now 0 in
-  if timed_out then
-    (-1, { clean_xmit with retx; backoff; timed_out = true })
-  else begin
-    let arrival = start + flight in
-    let arrival =
-      if f.delay > 0.0 && Random.State.float rng 1.0 < f.delay then
-        arrival + f.delay_cycles
-      else arrival
-    in
-    let duplicated = f.dup > 0.0 && Random.State.float rng 1.0 < f.dup in
-    let reordered =
-      f.reorder > 0.0 && Random.State.float rng 1.0 < f.reorder
-    in
-    (arrival, { retx; backoff; duplicated; reordered; timed_out = false })
-  end
+  let retx, start, backoff = attempts 0 now 0 in
+  let arrival = start + flight in
+  let arrival =
+    if f.delay > 0.0 && Random.State.float rng 1.0 < f.delay then
+      arrival + f.delay_cycles
+    else arrival
+  in
+  let duplicated = f.dup > 0.0 && Random.State.float rng 1.0 < f.dup in
+  let reordered = f.reorder > 0.0 && Random.State.float rng 1.0 < f.reorder in
+  (arrival, { retx; backoff; duplicated; reordered; timed_out = false })
 
 (* ------------------------------------------------------------------ *)
 (* The interconnect                                                    *)
@@ -220,7 +196,7 @@ type fault_stats = {
   retxs : int;
   reorders : int;
   backoff_cycles : int;
-  timeouts : int; (* frames abandoned after [max_retx] retransmissions *)
+  timeouts : int; (* frames dropped because the receiver was dead *)
 }
 
 type 'a t = {
@@ -369,7 +345,6 @@ let send t ~src ~dst ~now ~payload_longs msg =
     start
   end
   else begin
-    (* the planned arrival, or -1 when the frame was abandoned *)
     let arrival =
       match t.faulty with
       | None -> start + flight
@@ -381,26 +356,24 @@ let send t ~src ~dst ~now ~payload_longs msg =
         let arrival, x = tx_plan f rngs.(c) ~now:start ~flight ~rto in
         let s = t.fstats in
         t.fstats <-
-          { drops = s.drops + x.retx;
+          { s with
+            drops = s.drops + x.retx;
             dups = (s.dups + if x.duplicated then 1 else 0);
             retxs = s.retxs + x.retx;
             reorders = (s.reorders + if x.reordered then 1 else 0);
-            backoff_cycles = s.backoff_cycles + x.backoff;
-            timeouts = (s.timeouts + if x.timed_out then 1 else 0) };
+            backoff_cycles = s.backoff_cycles + x.backoff };
         if x <> clean_xmit then t.on_fault ~src ~dst ~now x msg;
         arrival
     in
-    if arrival >= 0 then begin
-      (* point-to-point FIFO: never deliver before a previously sent
-         message on the same channel *)
-      let deliver = max arrival t.last_deliver.(c) in
-      t.last_deliver.(c) <- deliver;
-      t.seq <- t.seq + 1;
-      enqueue t ~dst c { deliver; seq = t.seq; msg };
-      t.sent <- t.sent + 1;
-      t.payload_longs <- t.payload_longs + payload_longs;
-      t.on_send ~src ~dst ~now msg
-    end;
+    (* point-to-point FIFO: never deliver before a previously sent
+       message on the same channel *)
+    let deliver = max arrival t.last_deliver.(c) in
+    t.last_deliver.(c) <- deliver;
+    t.seq <- t.seq + 1;
+    enqueue t ~dst c { deliver; seq = t.seq; msg };
+    t.sent <- t.sent + 1;
+    t.payload_longs <- t.payload_longs + payload_longs;
+    t.on_send ~src ~dst ~now msg;
     start
   end
 

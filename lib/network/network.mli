@@ -43,12 +43,6 @@ type faults = {
   delay : float;  (** probability of [delay_cycles] extra flight time *)
   delay_cycles : int;
   rto : int;  (** base retransmission timeout; 0 derives it from the profile *)
-  max_retx : int;
-      (** give up on a frame after this many retransmissions, counting
-          a [net.timeout] instead of stalling forever; 0 (the default)
-          retries until the last of {!max_attempts} tries, which
-          always survives.  Nothing re-sends an abandoned frame, so
-          {!faults_of_string} accepts only 0. *)
 }
 
 val no_faults : faults
@@ -64,9 +58,9 @@ val faults_of_string : string -> faults option
     [delay-cycles], [seed], [rto], [max-retx].  Raises
     [Invalid_argument], naming the key, on a malformed spec or a value
     out of range: probabilities must be finite and in [0, 0.9],
-    [delay-cycles] and [rto] non-negative, and [max-retx] 0 (a bounded
-    channel abandons frames that nothing re-sends, which deadlocks the
-    run). *)
+    [delay-cycles] and [rto] non-negative, and [max-retx] 0: the wire
+    retries a frame until a copy survives, because a bounded channel
+    would abandon frames that nothing re-sends and deadlock the run. *)
 
 val describe_faults : faults -> string
 
@@ -78,9 +72,8 @@ type xmit = {
       (** the frame would have overtaken an earlier one; the FIFO clamp
           delivers it in order *)
   timed_out : bool;
-      (** retransmission budget exhausted — the frame was abandoned
-          (only on a channel with [max_retx] > 0, or a send to a node
-          already declared dead) *)
+      (** the frame was dropped because its destination was already
+          declared dead *)
 }
 (** What the fault layer did to one logical send. *)
 
@@ -90,11 +83,8 @@ val tx_plan :
   faults -> Random.State.t -> now:int -> flight:int -> rto:int -> int * xmit
 (** Plan one frame's transmission over the faulty wire: returns the
     arrival time of the first surviving copy and the fault summary.
-    Deterministic in the RNG state.  With [max_retx = 0] there are at
-    most [max_attempts] tries, the last of which always survives.  With
-    [max_retx > 0] the sender gives up after [max_retx]
-    retransmissions: an arrival of [-1] with [timed_out] set means the
-    frame was abandoned. *)
+    Deterministic in the RNG state.  There are at most [max_attempts]
+    tries, the last of which always survives. *)
 
 (** {2 The interconnect} *)
 
@@ -106,8 +96,7 @@ type fault_stats = {
   retxs : int;
   reorders : int;
   backoff_cycles : int;
-  timeouts : int;  (** frames abandoned: retransmission budget exhausted
-                       or destination declared dead *)
+  timeouts : int;  (** frames dropped: destination declared dead *)
 }
 
 val zero_fault_stats : fault_stats

@@ -29,7 +29,10 @@ type phase_result = {
 
 let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
     () =
-  let image = Image.freeze ~pipe:config.pipe_config compiled.program in
+  let image =
+    Image.freeze ~pipe:config.pipe_config ~compile:Exec.compile
+      compiled.program
+  in
   let nodes =
     Array.init config.nprocs (fun id ->
       Node.create ~id ~pipe_config:config.pipe_config)

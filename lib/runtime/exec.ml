@@ -1,11 +1,16 @@
 (* Instruction interpreter with cycle accounting.
 
-   Executes the (instrumented) executable: real instructions go through
-   the pipeline/cache timing model and ordinary memory semantics — the
-   inline checks are just code — while the pseudo-instructions enter the
-   Shasta runtime (Engine).  The interpreter yields control back to the
-   scheduler whenever the node interacts with the outside world, blocks,
-   finishes, or exhausts its fuel, keeping cross-node timing causal. *)
+   Executes the (instrumented) executable as threaded code.
+   [Image.freeze] calls [compile] once per distinct instruction; the op
+   it returns is a closure holding the instruction's decoded operands,
+   branch target and [Pipeline.decode]d timing word.  A genuine
+   instruction's op issues through the pipeline entry of its
+   [Pipeline.shape] and then applies ordinary memory semantics (the
+   inline checks are just code); a pseudo-instruction's op enters the
+   Shasta runtime (Engine).  A step bumps the pc and calls the op at it.
+   The interpreter yields control back to the scheduler whenever the
+   node interacts with the outside world, blocks, finishes, or exhausts
+   its fuel, keeping cross-node timing causal. *)
 
 open Shasta_isa
 open Shasta_machine
@@ -49,7 +54,8 @@ let eval_iop (op : Insn.iop) src1 src2 =
     if Int64.unsigned_compare (Int64.of_int src1) (Int64.of_int src2) <= 0
     then 1 else 0
 
-let eval_fop (op : Insn.fop) a b =
+(* Inline, so a compiled FP op keeps its operands and result unboxed. *)
+let[@inline] eval_fop (op : Insn.fop) a b =
   match op with
   | Addt -> a +. b
   | Subt -> a -. b
@@ -71,11 +77,6 @@ let eval_cond (c : Insn.cond) v =
   | Lbs -> v land 1 = 1
   | Lbc -> v land 1 = 0
 
-(* Values for the paper's longword/quadword flag comparison. *)
-let operand_value (node : Node.t) = function
-  | Insn.Reg r -> node.regs.(r)
-  | Insn.Imm i -> i
-
 (* The work procedure returned or called exit: mark the thread done and
    report it, giving traces an end-of-track marker per node. *)
 let finish state (node : Node.t) =
@@ -83,17 +84,39 @@ let finish state (node : Node.t) =
   Engine.emit_at state.State.config.obs node ~time:(Node.time node)
     Shasta_obs.Event.Node_finished
 
-let set_ireg (node : Node.t) r v = if r <> Reg.zero then node.regs.(r) <- v
-let set_freg (node : Node.t) f v = if f <> Reg.fzero then node.fregs.(f) <- v
+let[@inline] set_ireg (node : Node.t) r v =
+  if r <> Reg.zero then node.regs.(r) <- v
 
-let refill_of state (node : Node.t) ~addr (r : Insn.refill) =
-  ignore state;
+let[@inline] set_freg (node : Node.t) f v =
+  if f <> Reg.fzero then node.fregs.(f) <- v
+
+(* FP register [f] <- the float at [addr]; register 31 discards it,
+   after the access. *)
+let load_freg (node : Node.t) f addr =
+  if f <> Reg.fzero then Memory.read_float_into node.mem addr node.fregs f
+  else ignore (Memory.read_quad_bits node.mem addr)
+
+let refill_of (node : Node.t) ~addr (r : Insn.refill) =
   match r with
   | Insn.Rint (d, Insn.Long) ->
     fun () -> set_ireg node d (Memory.read_long node.mem addr)
   | Insn.Rint (d, Insn.Quad) ->
     fun () -> set_ireg node d (Memory.read_quad node.mem addr)
-  | Insn.Rflt f -> fun () -> set_freg node f (Memory.read_float node.mem addr)
+  | Insn.Rflt f -> fun () -> load_freg node f addr
+
+(* The memory effect of the store a non-scheduled store check guards,
+   as of when it runs. *)
+let commit_of (link : Image.link) (node : Node.t) =
+  match link with
+  | Guards (Stl (r, d, b)) ->
+    fun () ->
+      Memory.write_long_u node.mem (node.regs.(b) + d)
+        (node.regs.(r) land 0xFFFFFFFF)
+  | Guards (Stq (r, d, b)) ->
+    fun () -> Memory.write_quad node.mem (node.regs.(b) + d) node.regs.(r)
+  | Guards (Stt (f, d, b)) ->
+    fun () -> Memory.write_float_from node.mem (node.regs.(b) + d) node.fregs f
+  | _ -> ignore
 
 (* Return to the caller of the current procedure, or finish the thread
    when the call stack is empty. *)
@@ -105,22 +128,8 @@ let return state (node : Node.t) =
     node.pc_proc <- p;
     node.pc_idx <- i
 
-(* The per-instruction helpers below are top-level functions, not
-   closures built per instruction: an ordinary instruction allocates
-   nothing.  [w] is the instruction's decoded timing word. *)
-let issue (node : Node.t) w ~iaddr =
-  Pipeline.issue node.pipe w ~iaddr ~maddr:0 ~branch:Pipeline.B_none
-
-let issue_mem (node : Node.t) w ~iaddr addr =
-  Pipeline.issue node.pipe w ~iaddr ~maddr:addr ~branch:Pipeline.B_none
-
-let branch (node : Node.t) w ~iaddr ~idx ~taken tgt =
-  let backward = tgt <= idx in
-  Pipeline.issue node.pipe w ~iaddr ~maddr:0
-    ~branch:
-      (if taken then Pipeline.taken ~backward
-       else Pipeline.not_taken ~backward);
-  if taken then node.pc_idx <- tgt
+let[@inline] count (node : Node.t) =
+  node.counters.insns <- node.counters.insns + 1
 
 let count_load (node : Node.t) addr =
   let c = node.counters in
@@ -134,221 +143,318 @@ let count_store (node : Node.t) addr =
   if addr >= Shasta.Layout.shared_base then
     c.dyn_stores_shared <- c.dyn_stores_shared + 1
 
-(* Execute one genuine instruction (not a runtime pseudo-instruction)
-   at index [idx] of [fp]; [pc_idx] already points past it. *)
-let exec_insn state (node : Node.t) (fp : Image.fproc) idx (ins : Insn.t)
-    ~iaddr =
-  let w = fp.timing.(idx) in
-  match ins with
+(* --- the compiler ------------------------------------------------------
+
+   One function per [Pipeline.shape], each returning the op of an
+   instruction of that shape.  An op holds the instruction's operands
+   and its decoded timing word [w], counts itself, issues through its
+   shape's pipeline entry and then applies its semantics.  An ordinary
+   instruction allocates nothing: FP values stay in unboxed arrays. *)
+
+let not_compiled what (i : Insn.t) =
+  invalid_arg (Printf.sprintf "Exec.compile: %s is not %s" (Asm.to_string i) what)
+
+let alu (i : Insn.t) w : State.op =
+  match i with
   | Lda (d, disp, b) ->
-    issue node w ~iaddr;
-    set_ireg node d (node.regs.(b) + disp)
-  | Opi (op, d, operand, rb) ->
-    issue node w ~iaddr;
-    set_ireg node d (eval_iop op node.regs.(rb) (operand_value node operand))
-  | Opf (op, fd, fa, fb) ->
-    issue node w ~iaddr;
-    set_freg node fd (eval_fop op node.fregs.(fa) node.fregs.(fb))
-  | Ldl (d, disp, b) ->
-    let addr = node.regs.(b) + disp in
-    issue_mem node w ~iaddr addr;
-    set_ireg node d (Memory.read_long node.mem addr)
-  | Ldq (d, disp, b) ->
-    let addr = node.regs.(b) + disp in
-    issue_mem node w ~iaddr addr;
-    count_load node addr;
-    set_ireg node d (Memory.read_quad node.mem addr)
-  | Ldq_u (d, disp, b) ->
-    let addr = (node.regs.(b) + disp) land lnot 7 in
-    issue_mem node w ~iaddr addr;
-    set_ireg node d (Memory.read_quad node.mem addr)
+    fun _ node iaddr ->
+      count node;
+      Pipeline.alu node.pipe w ~iaddr;
+      set_ireg node d (node.regs.(b) + disp);
+      false
+  | Opi (op, d, Reg a, b) ->
+    fun _ node iaddr ->
+      count node;
+      Pipeline.alu node.pipe w ~iaddr;
+      set_ireg node d (eval_iop op node.regs.(b) node.regs.(a));
+      false
+  | Opi (op, d, Imm n, b) ->
+    fun _ node iaddr ->
+      count node;
+      Pipeline.alu node.pipe w ~iaddr;
+      set_ireg node d (eval_iop op node.regs.(b) n);
+      false
   | Extbl (d, ra, rb) ->
-    issue node w ~iaddr;
-    set_ireg node d
-      ((node.regs.(ra) asr (8 * (node.regs.(rb) land 7))) land 0xFF)
-  | Stl (r, disp, b) ->
-    let addr = node.regs.(b) + disp in
-    issue_mem node w ~iaddr addr;
-    Memory.write_long_u node.mem addr (node.regs.(r) land 0xFFFFFFFF)
-  | Stq (r, disp, b) ->
-    let addr = node.regs.(b) + disp in
-    issue_mem node w ~iaddr addr;
-    count_store node addr;
-    Memory.write_quad node.mem addr node.regs.(r)
-  | Ldt (f, disp, b) ->
-    let addr = node.regs.(b) + disp in
-    issue_mem node w ~iaddr addr;
-    count_load node addr;
-    set_freg node f (Memory.read_float node.mem addr)
-  | Stt (f, disp, b) ->
-    let addr = node.regs.(b) + disp in
-    issue_mem node w ~iaddr addr;
-    count_store node addr;
-    Memory.write_float node.mem addr node.fregs.(f)
-  | Cvtqt (r, fd) ->
-    issue node w ~iaddr;
-    set_freg node fd (float_of_int node.regs.(r))
-  | Cvttq (f, rd) ->
-    issue node w ~iaddr;
-    set_ireg node rd (int_of_float node.fregs.(f))
+    fun _ node iaddr ->
+      count node;
+      Pipeline.alu node.pipe w ~iaddr;
+      set_ireg node d
+        ((node.regs.(ra) asr (8 * (node.regs.(rb) land 7))) land 0xFF);
+      false
+  | _ -> not_compiled "an integer op" i
+
+let fop (i : Insn.t) w : State.op =
+  match i with
+  | Opf (op, fd, fa, fb) ->
+    fun _ node iaddr ->
+      count node;
+      Pipeline.fop node.pipe w ~iaddr;
+      set_freg node fd (eval_fop op node.fregs.(fa) node.fregs.(fb));
+      false
   | Fmov (fd, fs) ->
-    issue node w ~iaddr;
-    set_freg node fd node.fregs.(fs)
-  | Br _ -> branch node w ~iaddr ~idx ~taken:true fp.target.(idx)
-  | Bc (c, r, _) ->
-    branch node w ~iaddr ~idx ~taken:(eval_cond c node.regs.(r))
-      fp.target.(idx)
-  | Fbeq (f, _) ->
-    branch node w ~iaddr ~idx ~taken:(node.fregs.(f) = 0.0) fp.target.(idx)
-  | Fbne (f, _) ->
-    branch node w ~iaddr ~idx ~taken:(node.fregs.(f) <> 0.0)
-      fp.target.(idx)
-  | Jsr _ ->
-    issue node w ~iaddr;
-    node.call_stack <- (node.pc_proc, idx + 1) :: node.call_stack;
-    node.pc_proc <- fp.callee.(idx);
-    node.pc_idx <- 0
-  | Ret ->
-    issue node w ~iaddr;
-    return state node
-  | Lab _ | Poll | Call_load_miss _ | Call_store_miss _ | Call_batch_miss _
-  | Batch_end | Rt_call _ ->
-    assert false
+    fun _ node iaddr ->
+      count node;
+      Pipeline.fop node.pipe w ~iaddr;
+      set_freg node fd node.fregs.(fs);
+      false
+  | _ -> not_compiled "an FP op" i
 
-(* Execute a runtime pseudo-instruction.  Returns [true] when the node
-   entered the runtime and must yield to the scheduler. *)
-let enter_runtime state (node : Node.t) (fp : Image.fproc) (ins : Insn.t) =
-  match ins with
-  | Poll ->
-    Engine.poll state node;
+let load (i : Insn.t) w : State.op =
+  match i with
+  | Ldl (d, disp, b) ->
+    fun _ node iaddr ->
+      count node;
+      let addr = node.regs.(b) + disp in
+      Pipeline.load node.pipe w ~iaddr ~maddr:addr;
+      set_ireg node d (Memory.read_long node.mem addr);
+      false
+  | Ldq (d, disp, b) ->
+    fun _ node iaddr ->
+      count node;
+      let addr = node.regs.(b) + disp in
+      Pipeline.load node.pipe w ~iaddr ~maddr:addr;
+      count_load node addr;
+      set_ireg node d (Memory.read_quad node.mem addr);
+      false
+  | Ldq_u (d, disp, b) ->
+    fun _ node iaddr ->
+      count node;
+      let addr = (node.regs.(b) + disp) land lnot 7 in
+      Pipeline.load node.pipe w ~iaddr ~maddr:addr;
+      set_ireg node d (Memory.read_quad node.mem addr);
+      false
+  | Ldt (f, disp, b) ->
+    fun _ node iaddr ->
+      count node;
+      let addr = node.regs.(b) + disp in
+      Pipeline.load node.pipe w ~iaddr ~maddr:addr;
+      count_load node addr;
+      load_freg node f addr;
+      false
+  | _ -> not_compiled "a load" i
+
+let store (i : Insn.t) w : State.op =
+  match i with
+  | Stl (r, disp, b) ->
+    fun _ node iaddr ->
+      count node;
+      let addr = node.regs.(b) + disp in
+      Pipeline.store node.pipe w ~iaddr ~maddr:addr;
+      Memory.write_long_u node.mem addr (node.regs.(r) land 0xFFFFFFFF);
+      false
+  | Stq (r, disp, b) ->
+    fun _ node iaddr ->
+      count node;
+      let addr = node.regs.(b) + disp in
+      Pipeline.store node.pipe w ~iaddr ~maddr:addr;
+      count_store node addr;
+      Memory.write_quad node.mem addr node.regs.(r);
+      false
+  | Stt (f, disp, b) ->
+    fun _ node iaddr ->
+      count node;
+      let addr = node.regs.(b) + disp in
+      Pipeline.store node.pipe w ~iaddr ~maddr:addr;
+      count_store node addr;
+      Memory.write_float_from node.mem addr node.fregs f;
+      false
+  | _ -> not_compiled "a store" i
+
+let branch (i : Insn.t) w (link : Image.link) : State.op =
+  match (i, link) with
+  | Br _, Target { target; backward } ->
+    fun _ node iaddr ->
+      count node;
+      Pipeline.branch node.pipe w ~iaddr ~taken:true ~backward;
+      node.pc_idx <- target;
+      false
+  | Bc (c, r, _), Target { target; backward } ->
+    fun _ node iaddr ->
+      count node;
+      let taken = eval_cond c node.regs.(r) in
+      Pipeline.branch node.pipe w ~iaddr ~taken ~backward;
+      if taken then node.pc_idx <- target;
+      false
+  | _ -> not_compiled "a linked branch" i
+
+(* Through the general [Pipeline.issue]. *)
+let general (i : Insn.t) w (link : Image.link) : State.op =
+  (* fbeq ([if_zero]) or fbne *)
+  let fp_branch ~if_zero f target backward : State.op =
+    let taken = Pipeline.taken ~backward
+    and not_taken = Pipeline.not_taken ~backward in
+    fun _ node iaddr ->
+      count node;
+      let t = (node.fregs.(f) = 0.0) = if_zero in
+      Pipeline.issue node.pipe w ~iaddr ~maddr:0
+        ~branch:(if t then taken else not_taken);
+      if t then node.pc_idx <- target;
+      false
+  in
+  match (i, link) with
+  | Cvtqt (r, fd), _ ->
+    fun _ node iaddr ->
+      count node;
+      Pipeline.issue node.pipe w ~iaddr ~maddr:0 ~branch:B_none;
+      set_freg node fd (float_of_int node.regs.(r));
+      false
+  | Cvttq (f, rd), _ ->
+    fun _ node iaddr ->
+      count node;
+      Pipeline.issue node.pipe w ~iaddr ~maddr:0 ~branch:B_none;
+      set_ireg node rd (int_of_float node.fregs.(f));
+      false
+  | Fbeq (f, _), Target { target; backward } ->
+    fp_branch ~if_zero:true f target backward
+  | Fbne (f, _), Target { target; backward } ->
+    fp_branch ~if_zero:false f target backward
+  | Jsr _, Callee callee ->
+    fun _ node iaddr ->
+      count node;
+      Pipeline.issue node.pipe w ~iaddr ~maddr:0 ~branch:B_none;
+      node.call_stack <- (node.pc_proc, node.pc_idx) :: node.call_stack;
+      node.pc_proc <- callee;
+      node.pc_idx <- 0;
+      false
+  | Ret, _ ->
+    fun state node iaddr ->
+      count node;
+      Pipeline.issue node.pipe w ~iaddr ~maddr:0 ~branch:B_none;
+      return state node;
+      false
+  | _ -> not_compiled "an instruction with a general op" i
+
+(* A runtime pseudo-instruction enters the Shasta runtime and yields to
+   the scheduler.  A batch end occupies no text and is not counted. *)
+let runtime (i : Insn.t) (link : Image.link) : State.op =
+  let call f : State.op =
+   fun state node _ ->
+    count node;
+    f state node;
     true
-  | Call_load_miss { base; disp; refill } ->
-    let addr = node.regs.(base) + disp in
-    Engine.load_miss state node ~addr ~refill:(refill_of state node ~addr refill);
-    true
-  | Call_store_miss { base; disp; ssize; store_done } ->
-    let addr = node.regs.(base) + disp in
-    let bytes = match ssize with Insn.Long -> 4 | Insn.Quad -> 8 in
-    (* A non-scheduled store executes only after the handler
-       returns; capture its effect so the engine can make it
-       visible at wake time, before serving queued requests (on
-       a real processor the handler's return and the store are
-       back-to-back instructions nothing can interleave). *)
-    (if not store_done then
-       let k = fp.target.(node.pc_idx - 1) in
-       node.commit_store <-
-         (if k < 0 then fun () -> ()
-          else
-            match fp.code.(k) with
-            | Stl (r, d, b) ->
-              fun () ->
-                Memory.write_long_u node.mem
-                  (node.regs.(b) + d)
-                  (node.regs.(r) land 0xFFFFFFFF)
-            | Stq (r, d, b) ->
-              fun () ->
-                Memory.write_quad node.mem (node.regs.(b) + d) node.regs.(r)
-            | Stt (f, d, b) ->
-              fun () ->
-                Memory.write_float node.mem (node.regs.(b) + d) node.fregs.(f)
-            | _ -> fun () -> ()));
-    Engine.store_miss state node ~addr ~bytes ~store_done;
-    true
-  | Call_batch_miss { ranges } ->
-    let accesses =
-      List.concat_map
-        (fun (r : Insn.range) ->
-          let base_val = node.regs.(r.rbase) in
-          List.map
-            (fun (a : Insn.access) ->
-              ( base_val + a.disp,
-                (match a.asize with Insn.Long -> 4 | Insn.Quad -> 8),
-                a.is_store ))
-            r.accesses)
-        ranges
-    in
-    Engine.batch_miss state node ~nranges:(List.length ranges) ~accesses;
-    true
+  in
+  match i with
   | Batch_end ->
-    if node.in_batch then begin
-      Engine.batch_end state node;
-      true
-    end
-    else false
-  | Rt_call rt ->
-    (match rt with
-     | Malloc { size; bsize; dest } ->
-       let ptr =
-         Alloc.g_malloc state node ~size:node.regs.(size)
-           ~bsize_req:node.regs.(bsize)
-       in
-       set_ireg node dest ptr
-     | Malloc_priv { size; dest } ->
-       let ptr = Alloc.p_malloc state node ~size:node.regs.(size) in
-       set_ireg node dest ptr
-     | Lock r -> Engine.rt_lock state node node.regs.(r)
-     | Unlock r -> Engine.rt_unlock state node node.regs.(r)
-     | Barrier -> Engine.rt_barrier state node
-     | Flag_set r -> Engine.rt_flag_set state node node.regs.(r)
-     | Flag_wait r -> Engine.rt_flag_wait state node node.regs.(r)
-     | Print_int r ->
-       Buffer.add_string state.State.output
-         (string_of_int node.regs.(r) ^ "\n")
-     | Print_float f ->
-       Buffer.add_string state.State.output
-         (Printf.sprintf "%.6g\n" node.fregs.(f))
-     | Rdcycle d -> set_ireg node d (Node.time node)
-     | Exit_thread -> finish state node);
-    true
-  | _ -> assert false
+    fun state node _ ->
+      if node.in_batch then begin
+        Engine.batch_end state node;
+        true
+      end
+      else false
+  | Poll -> call Engine.poll
+  | Call_load_miss { base; disp; refill } ->
+    call (fun state node ->
+      let addr = node.regs.(base) + disp in
+      Engine.load_miss state node ~addr ~refill:(refill_of node ~addr refill))
+  | Call_store_miss { base; disp; ssize; store_done } ->
+    let bytes = match ssize with Insn.Long -> 4 | Insn.Quad -> 8 in
+    call (fun state node ->
+      let addr = node.regs.(base) + disp in
+      (* A non-scheduled store executes only after the handler returns;
+         capture its effect so the engine can make it visible at wake
+         time, before serving queued requests (on a real processor the
+         handler's return and the store are back-to-back instructions
+         nothing can interleave). *)
+      if not store_done then node.commit_store <- commit_of link node;
+      Engine.store_miss state node ~addr ~bytes ~store_done)
+  | Call_batch_miss { ranges } ->
+    let nranges = List.length ranges in
+    call (fun state node ->
+      let accesses =
+        List.concat_map
+          (fun (r : Insn.range) ->
+            let base_val = node.regs.(r.rbase) in
+            List.map
+              (fun (a : Insn.access) ->
+                ( base_val + a.disp,
+                  (match a.asize with Insn.Long -> 4 | Insn.Quad -> 8),
+                  a.is_store ))
+              r.accesses)
+          ranges
+      in
+      Engine.batch_miss state node ~nranges ~accesses)
+  | Rt_call (Malloc { size; bsize; dest }) ->
+    call (fun state node ->
+      set_ireg node dest
+        (Alloc.g_malloc state node ~size:node.regs.(size)
+           ~bsize_req:node.regs.(bsize)))
+  | Rt_call (Malloc_priv { size; dest }) ->
+    call (fun state node ->
+      set_ireg node dest (Alloc.p_malloc state node ~size:node.regs.(size)))
+  | Rt_call (Lock r) ->
+    call (fun state node -> Engine.rt_lock state node node.regs.(r))
+  | Rt_call (Unlock r) ->
+    call (fun state node -> Engine.rt_unlock state node node.regs.(r))
+  | Rt_call Barrier -> call Engine.rt_barrier
+  | Rt_call (Flag_set r) ->
+    call (fun state node -> Engine.rt_flag_set state node node.regs.(r))
+  | Rt_call (Flag_wait r) ->
+    call (fun state node -> Engine.rt_flag_wait state node node.regs.(r))
+  | Rt_call (Print_int r) ->
+    call (fun state node ->
+      Buffer.add_string state.State.output
+        (string_of_int node.regs.(r) ^ "\n"))
+  | Rt_call (Print_float f) ->
+    call (fun state node ->
+      Buffer.add_string state.State.output
+        (Printf.sprintf "%.6g\n" node.fregs.(f)))
+  | Rt_call (Rdcycle d) ->
+    call (fun _ node -> set_ireg node d (Node.time node))
+  | Rt_call Exit_thread -> call finish
+  | _ -> not_compiled "a runtime call" i
 
-(* Advance a running node by one instruction.  Returns [true] when it
-   must yield to the scheduler. *)
-let step state (node : Node.t) =
-  let fp = state.State.image.Image.fprocs.(node.pc_proc) in
+let nop : State.op = fun _ _ _ -> false
+
+let compile (i : Insn.t) w (link : Image.link) : State.op =
+  match i with
+  | Lab _ -> nop
+  | Batch_end | Poll | Call_load_miss _ | Call_store_miss _
+  | Call_batch_miss _ | Rt_call _ ->
+    runtime i link
+  | _ ->
+    (match Pipeline.shape i with
+     | Alu -> alu i w
+     | Fop -> fop i w
+     | Load -> load i w
+     | Store -> store i w
+     | Branch -> branch i w link
+     | General -> general i w link)
+
+(* Advance a running node by one instruction: bump the pc, run the op.
+   Returns [true] when the node must yield to the scheduler. *)
+let[@inline] step state fprocs (node : Node.t) =
+  let fp = fprocs.(node.pc_proc) in
   let idx = node.pc_idx in
-  if idx >= Array.length fp.code then begin
+  if idx >= Array.length fp.Image.ops then begin
     (* fell off the end of a procedure: implicit return *)
     return state node;
     false
   end
   else begin
-    let ins = fp.code.(idx) in
     node.pc_idx <- idx + 1;
-    (* labels and batch ends occupy no text and are not counted *)
-    match ins with
-    | Lab _ -> false
-    | Batch_end -> enter_runtime state node fp ins
-    | Poll | Call_load_miss _ | Call_store_miss _ | Call_batch_miss _
-    | Rt_call _ ->
-      node.counters.insns <- node.counters.insns + 1;
-      enter_runtime state node fp ins
-    | _ ->
-      node.counters.insns <- node.counters.insns + 1;
-      exec_insn state node fp idx ins ~iaddr:(fp.base + fp.offset.(idx));
-      false
+    (* [addr] is as long as [ops] *)
+    (Array.unsafe_get fp.ops idx) state node (Array.unsafe_get fp.addr idx)
   end
+
+(* Top level, not a closure in [run]: entering the interpreter allocates
+   nothing either. *)
+let rec steps state fprocs (node : Node.t) fuel =
+  match node.status with
+  | Node.Running ->
+    if (not (step state fprocs node)) && fuel > 1 then
+      steps state fprocs node (fuel - 1)
+  | Node.Finished | Node.Crashed | Node.Waiting _ -> ()
 
 (* Execute [node] until it yields.  [fuel] bounds the instructions run
    before control returns to the scheduler even without interaction. *)
 let run state (node : Node.t) ~fuel =
-  let fuel = ref fuel and yielded = ref false in
-  (try
-     while not !yielded do
-       match node.status with
-       | Node.Finished | Node.Crashed | Node.Waiting _ -> yielded := true
-       | Node.Running ->
-         yielded := step state node;
-         decr fuel;
-         if !fuel <= 0 then yielded := true
-     done
-   with
+  let fprocs = state.State.image.Image.fprocs in
+  (try steps state fprocs node fuel with
    | Invalid_argument m | Failure m ->
      raise
        (Sim_error
           (Printf.sprintf "node %d at %s+%d: %s" node.id
-             state.State.image.Image.fprocs.(node.pc_proc).fname node.pc_idx
-             m)));
+             fprocs.(node.pc_proc).fname node.pc_idx m)));
   match node.status with
   | Node.Finished | Node.Crashed -> Y_done
   | Node.Waiting _ -> Y_blocked

@@ -17,7 +17,8 @@
      lease=CYCLES         liveness lease horizon (default 20000)
      seed=S               victim selection seed for [crash=*@...]
 
-   Retransmission bounds belong to the wire: --net-faults max-retx=N.
+   Retransmission belongs to the wire (--net-faults), which retries a
+   dropped frame until a copy survives.
    "none" parses to [None].  A spec with no crash/recover events is
    semantically OFF: the cluster must behave byte-identically to not
    passing --node-faults at all (goldens enforce this). *)

@@ -71,7 +71,7 @@ type pool = { mutable pool_page : int; mutable pool_used : int }
 
 type t = {
   config : config;
-  image : Image.t;
+  image : op Image.t;
   nodes : Node.t array;
   net : Message.t Shasta_network.Network.t;
   gran : Granularity.t;
@@ -99,6 +99,11 @@ type t = {
      simulated time reaches them *)
   mutable fault_queue : (int * Nodefaults.event) list;
 }
+
+(* One compiled instruction ([Exec.compile]): run it on a node whose pc
+   already points past it, given its text address; [true] when the node
+   entered the runtime and must yield to the scheduler. *)
+and op = t -> Node.t -> int -> bool
 
 let line_bytes t = 1 lsl t.config.line_shift
 

@@ -14,8 +14,7 @@
 
    - QCheck properties of the wire itself: the sender's transmission
      plan is deterministic in the RNG and respects the backoff
-     arithmetic; over the reliable, standard and bounded-retransmission
-     wires, with crashes and recoveries in between, the counted queue
+     arithmetic; over the reliable and standard wires, with crashes and recoveries in between, the counted queue
      answers match a channel scan and every channel delivers its
      messages once each, in send order, at non-decreasing times. *)
 
@@ -202,8 +201,7 @@ let t_spec_rejects_out_of_range () =
   with
   | Some f ->
     Alcotest.(check bool) "edges kept" true
-      (f.drop = 0.9 && f.delay = 0.0 && f.delay_cycles = 0 && f.rto = 0
-       && f.max_retx = 0)
+      (f.drop = 0.9 && f.delay = 0.0 && f.delay_cycles = 0 && f.rto = 0)
   | None -> Alcotest.fail "edge spec parsed as no faults"
 
 (* --- QCheck: transmission planning ------------------------------------ *)
@@ -230,8 +228,8 @@ let prop_tx_plan (seed, drop, dup, reorder, delay, now, flight, rto) =
   let arrival, x = plan () in
   (* deterministic in the RNG seed *)
   plan () = (arrival, x)
-  (* with no retransmission cap the frame is never abandoned; bounded
-     retries, the last attempt always survives *)
+  (* the frame is never abandoned: bounded retries, the last attempt
+     always survives *)
   && x.Network.retx >= 0
   && x.Network.retx < Network.max_attempts
   && (not x.Network.timed_out)
@@ -356,9 +354,5 @@ let () =
             ~count:300 net_ops_gen (prop_pending_counts None);
           Support.qtest "standard faults: counts match a channel scan"
             ~count:300 net_ops_gen
-            (prop_pending_counts (Some Network.standard));
-          Support.qtest "bounded retransmission: counts match a channel scan"
-            ~count:300 net_ops_gen
-            (prop_pending_counts
-               (Some { Network.standard with drop = 0.3; max_retx = 1 })) ] )
+            (prop_pending_counts (Some Network.standard)) ] )
     ]
