@@ -168,7 +168,6 @@ type t = {
   mutable cycle : int;
   mutable slots_used : int;
   mutable mem_used : bool;
-  mutable insns : int;
   mutable iline : int; (* L1I line of the last fetch, -1 = none *)
 }
 
@@ -180,16 +179,14 @@ let create ?caches config =
        | None -> 0);
     ireg_ready = Array.make 32 0;
     freg_ready = Array.make 32 0;
-    cycle = 0; slots_used = 0; mem_used = false; insns = 0; iline = -1 }
+    cycle = 0; slots_used = 0; mem_used = false; iline = -1 }
 
 let cycle t = t.cycle
-let insns t = t.insns
 
 type snapshot = {
   s_cycle : int;
   s_slots_used : int;
   s_mem_used : bool;
-  s_insns : int;
   s_iline : int;
   s_ireg_ready : int array;
   s_freg_ready : int array;
@@ -197,7 +194,7 @@ type snapshot = {
 
 let snapshot t =
   { s_cycle = t.cycle; s_slots_used = t.slots_used; s_mem_used = t.mem_used;
-    s_insns = t.insns; s_iline = t.iline;
+    s_iline = t.iline;
     s_ireg_ready = Array.copy t.ireg_ready;
     s_freg_ready = Array.copy t.freg_ready }
 
@@ -207,7 +204,6 @@ let reset t =
   t.cycle <- 0;
   t.slots_used <- 0;
   t.mem_used <- false;
-  t.insns <- 0;
   t.iline <- -1
 
 (* Advance time by [n] stall cycles (handler entry, polling, ...). *)
@@ -254,7 +250,6 @@ let rec mask_ready t m r acc =
    (data-side invalidations never touch it) and a hit changes no cache
    state, so the skipped probe would have been a hit costing nothing. *)
 let[@inline] fetch t iaddr =
-  t.insns <- t.insns + 1;
   match t.caches with
   | Some h ->
     let line = iaddr asr t.iline_shift in

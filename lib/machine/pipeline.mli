@@ -55,13 +55,11 @@ val create : ?caches:Cache.hierarchy -> config -> t
 (** Without [caches], memory is ideal (used for static cost studies). *)
 
 val cycle : t -> int
-val insns : t -> int
 
 type snapshot = {
   s_cycle : int;
   s_slots_used : int;  (** issue slots taken in the current group *)
   s_mem_used : bool;  (** the group's memory port is taken *)
-  s_insns : int;
   s_iline : int;  (** L1I line of the last fetch, -1 = none *)
   s_ireg_ready : int array;  (** integer scoreboard: ready cycle per register *)
   s_freg_ready : int array;  (** FP scoreboard *)

@@ -10,7 +10,8 @@
    node may issue its next scripted operation, and the head of any
    non-empty (src, dst) channel may be delivered (the network never
    reorders a pair, so per-pair FIFOs are exact).  A DFS over the move
-   graph with a visited set keyed on canonical state strings checks, at
+   graph with a visited set of compact keys (each state component's
+   canonical string interned once, see [Collapse]) checks, at
    every state, the core's structural invariants, invalidation-ack
    conservation against the in-flight messages, and flag/value
    coherence of the shadow memory; terminal states must be quiescent
@@ -708,29 +709,44 @@ let msg_into b (m : Message.t) =
     Buffer.add_char b '}'
   | _ -> ()
 
-(* The visited-set key, written into [b] (cleared first): the view's
-   canonical string plus everything else the closed system carries.
-   No [Printf] and no intermediate strings — the search renders one key
-   per transition, and the final [Buffer.contents] is its only
-   allocation. *)
-let key_into b (sys : sys) =
+(* The writers of the key's components.  Each renders one component in
+   full; [key] concatenates them, and the search interns each one on
+   its own (see [Collapse]).  No [Printf] and no intermediate strings. *)
+let chan_into b key q =
+  Buffer.add_string b "|c"; Keybuf.add_int b key; Buffer.add_char b ':';
+  List.iter (msg_into b) q
+
+let shadow_into b n m =
+  Buffer.add_string b "|m"; Keybuf.add_int b n; Buffer.add_char b ':';
+  Imap.iter
+    (fun blk v ->
+      Keybuf.add_hex b blk; Buffer.add_char b '='; Keybuf.add_int b v;
+      Buffer.add_char b ',')
+    m
+
+let lchan_into b key cs =
+  let chr = Buffer.add_char b and int = Keybuf.add_int b in
+  let frame f = chr '#'; int f.fseq; msg_into b f.fmsg; chr ';' in
+  Buffer.add_string b "|L"; int key; chr ':'; int cs.tx_next; chr '/';
+  int cs.rx_expected; chr '/'; int cs.budget; chr ':';
+  List.iter frame cs.wire;
+  chr '~';
+  List.iter (fun f -> chr '#'; int f.fseq; chr ';') cs.rx_buf;
+  chr '~';
+  List.iter frame cs.unacked
+
+(* The flat visited-set key: the view's canonical string plus everything
+   else the closed system carries. *)
+let key (sys : sys) =
+  let b = Buffer.create 1024 in
   let chr = Buffer.add_char b and str = Buffer.add_string b in
   let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
-  Buffer.clear b;
   T.canon_into b sys.v;
-  Imap.iter
-    (fun key q ->
-      str "|c"; int key; chr ':';
-      List.iter (msg_into b) q)
-    sys.chans;
+  Imap.iter (chan_into b) sys.chans;
   Imap.iter
     (fun n s -> str "|s"; int n; chr ':'; int (List.length s))
     sys.scripts;
-  Imap.iter
-    (fun n m ->
-      str "|m"; int n; chr ':';
-      Imap.iter (fun blk v -> hex blk; chr '='; int v; chr ',') m)
-    sys.shadow;
+  Imap.iter (shadow_into b) sys.shadow;
   Imap.iter (fun n v -> str "|r"; int n; chr ':'; int v) sys.regs;
   Imap.iter (fun n blk -> str "|p"; int n; chr ':'; hex blk) sys.pending_read;
   if sys.dropped then str "|D";
@@ -751,20 +767,170 @@ let key_into b (sys : sys) =
   if sys.crash_budget > 0 || sys.recover_budget > 0 then begin
     str "|X"; int sys.crash_budget; chr '/'; int sys.recover_budget
   end;
-  let frame f = chr '#'; int f.fseq; msg_into b f.fmsg; chr ';' in
-  Imap.iter
-    (fun key cs ->
-      str "|L"; int key; chr ':'; int cs.tx_next; chr '/';
-      int cs.rx_expected; chr '/'; int cs.budget; chr ':';
-      List.iter frame cs.wire;
-      chr '~';
-      List.iter (fun f -> chr '#'; int f.fseq; chr ';') cs.rx_buf;
-      chr '~';
-      List.iter frame cs.unacked)
-    sys.lchans;
+  Imap.iter (lchan_into b) sys.lchans;
   Buffer.contents b
 
-let key sys = key_into (Buffer.create 1024) sys
+(* The key the search stores: SPIN's COLLAPSE compression.  A state is
+   a fixed row of slots — the directory, each node's view, the rest of
+   the view, each (src, dst) channel, each node's shadow memory and
+   the refinement spec — and each slot holds the id of its component's
+   full rendering, interned once per search.  The scalars follow the
+   ids inline.  Ids stand for whole renderings, never digests, and the
+   row's layout is fixed, so two compact keys are equal exactly when
+   the flat [key]s are.
+
+   A move changes one or two components.  [child] reuses the parent's
+   id for every slot whose source value the child shares physically
+   ([T.step] keeps every node view it does not touch) and renders only
+   the others. *)
+module Collapse = struct
+  type t = {
+    nprocs : int;
+    ids : (string, int) Hashtbl.t; (* component rendering -> id *)
+    sbuf : Buffer.t; (* one component's rendering *)
+    kbuf : Buffer.t; (* the key being packed *)
+  }
+
+  let create nprocs =
+    { nprocs;
+      ids = Hashtbl.create 1024;
+      sbuf = Buffer.create 256;
+      kbuf = Buffer.create 64 }
+
+  (* Slot layout: 0 the directory, 1..P the node views, P+1 the rest
+     of the view, then P*P channels (src-major), then P shadows, then
+     the spec. *)
+  let chan_slot c k = c.nprocs + 2 + k
+  let shadow_slot c n = c.nprocs + 2 + (c.nprocs * c.nprocs) + n
+  let spec_slot c = c.nprocs + 2 + (c.nprocs * c.nprocs) + c.nprocs
+
+  (* The id of the rendering in [sbuf]. *)
+  let intern c =
+    let s = Buffer.contents c.sbuf in
+    match Hashtbl.find c.ids s with
+    | id -> id
+    | exception Not_found ->
+      let id = Hashtbl.length c.ids in
+      Hashtbl.add c.ids s id;
+      id
+
+  (* Re-intern each channel slot whose entry in [sm] (rendered by
+     [render]) is not physically its entry in the parent's [am]. *)
+  let fill_chans c ids ~fresh am sm render =
+    if fresh || sm != am then
+      for k = 0 to (c.nprocs * c.nprocs) - 1 do
+        let key = (k / c.nprocs * 1024) + (k mod c.nprocs) in
+        let same =
+          (not fresh)
+          &&
+          match Imap.find key sm with
+          | x -> (
+            match Imap.find key am with
+            | y -> x == y
+            | exception Not_found -> false)
+          | exception Not_found -> not (Imap.mem key am)
+        in
+        if not same then begin
+          Buffer.clear c.sbuf;
+          (match Imap.find key sm with
+           | x -> render c.sbuf key x
+           | exception Not_found -> ());
+          ids.(chan_slot c k) <- intern c
+        end
+      done
+
+  (* Fill [ids] for [s].  Unless [fresh], a slot whose source [s]
+     shares physically with its parent [a] keeps the id already in
+     [ids]. *)
+  let fill c ids ~fresh (a : sys) (s : sys) =
+    let b = c.sbuf and p = c.nprocs in
+    let set i = ids.(i) <- intern c in
+    let v = s.v and av = a.v in
+    if fresh || v != av then begin
+      if fresh || v.T.dir != av.T.dir then begin
+        Buffer.clear b; T.canon_dir_into b v; set 0
+      end;
+      for n = 0 to p - 1 do
+        let nv = T.node_view v ~node:n in
+        if fresh || nv != T.node_view av ~node:n then begin
+          Buffer.clear b; T.canon_node_into b n nv; set (n + 1)
+        end
+      done;
+      if fresh || not (T.rest_shared v av) then begin
+        Buffer.clear b; T.canon_rest_into b v; set (p + 1)
+      end
+    end;
+    (* a search runs one wire kind; the other map stays empty *)
+    (match s.lossy with
+     | None -> fill_chans c ids ~fresh a.chans s.chans chan_into
+     | Some _ -> fill_chans c ids ~fresh a.lchans s.lchans lchan_into);
+    if fresh || s.shadow != a.shadow then
+      for n = 0 to p - 1 do
+        let m = Imap.find n s.shadow in
+        if fresh || m != Imap.find n a.shadow then begin
+          Buffer.clear b; shadow_into b n m; set (shadow_slot c n)
+        end
+      done;
+    (* refinement is on for a whole search or off for all of it *)
+    match (s.refine, a.refine) with
+    | Some r, Some q when fresh || r.rspec != q.rspec ->
+      Buffer.clear b; Refine.canon_into b r.rspec; set (spec_slot c)
+    | None, _ when fresh -> Buffer.clear b; set (spec_slot c)
+    | _ -> ()
+
+  let slots c (s : sys) =
+    let ids = Array.make (spec_slot c + 1) 0 in
+    fill c ids ~fresh:true s s;
+    ids
+
+  let child c (a : sys) aids (s : sys) =
+    let ids = Array.copy aids in
+    fill c ids ~fresh:false a s;
+    ids
+
+  (* Unsigned LEB128, and zigzag for a signed value: every int packs in
+     full, so no two scalars share a packing. *)
+  let rec uint b n =
+    if n lsr 7 = 0 then Buffer.add_char b (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
+      uint b (n lsr 7)
+    end
+
+  let sint b n = uint b ((n lsl 1) lxor (n asr 62))
+
+  (* The compact key of [s] with slot ids [ids]: the ids, then per node
+     its script length, register and pending load (0 = absent), then
+     the flag bits, the stash and the adversary budgets. *)
+  let key c ids (s : sys) =
+    let b = c.kbuf in
+    Buffer.clear b;
+    for i = 0 to Array.length ids - 1 do
+      uint b ids.(i)
+    done;
+    for n = 0 to c.nprocs - 1 do
+      (match Imap.find n s.scripts with
+       | l -> uint b (List.length l + 1)
+       | exception Not_found -> uint b 0);
+      (match Imap.find n s.regs with
+       | r -> uint b 1; sint b r
+       | exception Not_found -> uint b 0);
+      match Imap.find n s.pending_read with
+      | blk -> uint b 1; sint b blk
+      | exception Not_found -> uint b 0
+    done;
+    let racy = match s.refine with Some r -> r.racy | None -> false in
+    uint b
+      (Bool.to_int s.dropped
+       lor (Bool.to_int racy lsl 1)
+       lor (Bool.to_int (Option.is_some s.stash) lsl 2));
+    (match s.stash with
+     | Some (n, blk, v) -> uint b n; sint b blk; sint b v
+     | None -> ());
+    sint b s.crash_budget;
+    sint b s.recover_budget;
+    Buffer.contents b
+end
 
 (* Invalidation-ack conservation: a node expecting [e] acks can never
    have received plus in flight more than [e]. *)
@@ -955,33 +1121,38 @@ let refine_update (sc : scenario) cfg (old_s : sys) (sys : sys) :
     let uops = ref r0.uops in
     let was = T.crashed_mask old_s.v and now = T.crashed_mask sys.v in
     let new_victims =
-      List.filter
-        (fun n -> now land (1 lsl n) <> 0 && was land (1 lsl n) = 0)
-        (List.init cfg.T.nprocs Fun.id)
+      if now = was then []
+      else
+        List.filter
+          (fun n -> now land (1 lsl n) <> 0 && was land (1 lsl n) = 0)
+          (List.init cfg.T.nprocs Fun.id)
     in
     (* 1. script consumption = operation issue *)
-    for n = 0 to cfg.T.nprocs - 1 do
-      if not (List.mem n new_victims) then begin
-        let remaining m =
-          match Imap.find_opt n m with Some l -> l | None -> []
-        in
-        let before = remaining old_s.scripts in
-        if List.length (remaining sys.scripts) < List.length before then begin
-          match List.hd before with
-          | Write (b, v) ->
-            commit (Refine.S_store { node = n; block = b; value = v })
-          | Write_reg_plus (b, k) ->
-            commit
-              (Refine.S_store
-                 { node = n; block = b; value = reg old_s ~node:n + k })
-          | Barrier ->
-            commit (Refine.S_barrier_arrive { node = n });
-            uops := Imap.add n Barrier !uops
-          | (Read _ | Lock _ | Unlock _ | Flag_set _ | Flag_wait _) as op ->
-            uops := Imap.add n op !uops
+    if sys.scripts != old_s.scripts then
+      for n = 0 to cfg.T.nprocs - 1 do
+        if not (List.mem n new_victims) then begin
+          let remaining m =
+            match Imap.find_opt n m with Some l -> l | None -> []
+          in
+          let before = remaining old_s.scripts
+          and after = remaining sys.scripts in
+          if after != before && List.length after < List.length before
+          then begin
+            match List.hd before with
+            | Write (b, v) ->
+              commit (Refine.S_store { node = n; block = b; value = v })
+            | Write_reg_plus (b, k) ->
+              commit
+                (Refine.S_store
+                   { node = n; block = b; value = reg old_s ~node:n + k })
+            | Barrier ->
+              commit (Refine.S_barrier_arrive { node = n });
+              uops := Imap.add n Barrier !uops
+            | (Read _ | Lock _ | Unlock _ | Flag_set _ | Flag_wait _) as op ->
+              uops := Imap.add n op !uops
+          end
         end
-      end
-    done;
+      done;
     (* 2. crash steps *)
     List.iter
       (fun v ->
@@ -998,28 +1169,30 @@ let refine_update (sc : scenario) cfg (old_s : sys) (sys : sys) :
         commit (Refine.S_crash { victim = v; held; admissible }))
       new_victims;
     (* 3. the commit of an earlier issue: its node runs again *)
-    for n = 0 to cfg.T.nprocs - 1 do
-      match Imap.find_opt n !uops with
-      | Some op when T.is_live sys.v ~node:n && running sys ~node:n ->
-        uops := Imap.remove n !uops;
-        (match op with
-         | Read b ->
-           commit
-             (Refine.S_load { node = n; block = b; value = reg sys ~node:n })
-         | Lock id -> commit (Refine.S_lock { node = n; id })
-         | Unlock id -> commit (Refine.S_unlock { node = n; id })
-         | Flag_set id -> commit (Refine.S_flag_set { node = n; id })
-         | Flag_wait id -> commit (Refine.S_flag_wait { node = n; id })
-         | Barrier ->
-           commit
-             (Refine.S_barrier_pass
-                { node = n; excused = T.halted_mask sys.v })
-         | Write _ | Write_reg_plus _ -> assert false)
-      | _ -> ()
-    done;
-    let r = { !r with uops = !uops } in
-    if !errs = [] then Ok { sys with refine = Some r }
-    else Error (!errs, render_commits r.rcommits)
+    if not (Imap.is_empty !uops) then
+      for n = 0 to cfg.T.nprocs - 1 do
+        match Imap.find_opt n !uops with
+        | Some op when T.is_live sys.v ~node:n && running sys ~node:n ->
+          uops := Imap.remove n !uops;
+          (match op with
+           | Read b ->
+             commit
+               (Refine.S_load { node = n; block = b; value = reg sys ~node:n })
+           | Lock id -> commit (Refine.S_lock { node = n; id })
+           | Unlock id -> commit (Refine.S_unlock { node = n; id })
+           | Flag_set id -> commit (Refine.S_flag_set { node = n; id })
+           | Flag_wait id -> commit (Refine.S_flag_wait { node = n; id })
+           | Barrier ->
+             commit
+               (Refine.S_barrier_pass
+                  { node = n; excused = T.halted_mask sys.v })
+           | Write _ | Write_reg_plus _ -> assert false)
+        | _ -> ()
+      done;
+    if !errs <> [] then Error (!errs, render_commits !r.rcommits)
+    else if !r == r0 && !uops == r0.uops && sys.refine == old_s.refine then
+      Ok sys (* a stuttering move *)
+    else Ok { sys with refine = Some { !r with uops = !uops } }
 
 let commits_of (sys : sys) =
   match sys.refine with Some r -> render_commits r.rcommits | None -> []
@@ -1153,11 +1326,11 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
     ?refine ?base ?(max_states = 1_000_000) (sc : scenario) =
   let cfg = cfg_of ?base sc in
   let visited = Hashtbl.create 4096 in
-  let kbuf = Buffer.create 1024 in
+  let c = Collapse.create cfg.T.nprocs in
   let states = ref 0 and transitions = ref 0 and terminals = ref 0 in
   let max_depth = ref 0 and truncated = ref false in
   let violation = ref None in
-  let rec dfs sys path depth =
+  let rec dfs sys ids path depth =
     if !violation <> None then ()
     else begin
       if depth > !max_depth then max_depth := depth;
@@ -1204,12 +1377,13 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
                   in
                   if !violation = None then begin
                     incr transitions;
-                    let key = key_into kbuf sys' in
+                    let ids' = Collapse.child c sys ids sys' in
+                    let key = Collapse.key c ids' sys' in
                     if not (Hashtbl.mem visited key) then begin
                       Hashtbl.add visited key ();
                       incr states;
                       if !states >= max_states then truncated := true
-                      else dfs sys' (label :: path) (depth + 1)
+                      else dfs sys' ids' (label :: path) (depth + 1)
                     end
                   end
                 end
@@ -1218,9 +1392,10 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
     end
   in
   let sys0 = init_sys ?lossy ?crash ?recover ?refine ?base sc in
-  Hashtbl.add visited (key_into kbuf sys0) ();
+  let ids0 = Collapse.slots c sys0 in
+  Hashtbl.add visited (Collapse.key c ids0 sys0) ();
   states := 1;
-  dfs sys0 [] 0;
+  dfs sys0 ids0 [] 0;
   { states = !states;
     transitions = !transitions;
     terminals = !terminals;
@@ -1242,14 +1417,17 @@ let fuzz_seeds ~seed ~runs =
   let master = Shasta_prng.Prng.of_list [ seed ] in
   List.init runs (fun _ -> Shasta_prng.Prng.bits63 master)
 
-let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
-    ~seed ~runs (sc : scenario) =
+(* [fuzz]'s walks; [visit parent s] sees every state the walks reach,
+   with the state it was reached from ([None] for a walk's start). *)
+let walk ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
+    ?(visit = fun _ _ -> ()) ~seed ~runs (sc : scenario) =
   let cfg = cfg_of ?base sc in
   let violation = ref None in
   let total_steps = ref 0 in
   let run_one rs =
     let rng = Shasta_prng.Prng.create rs in
     let sys = ref (init_sys ?lossy ?crash ?recover ?refine ?base sc) in
+    visit None !sys;
     let path = ref [] in
     let continue = ref true in
     while !continue && !violation = None do
@@ -1280,6 +1458,7 @@ let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
              let sys' = next () in
              (match refine_update sc cfg !sys sys' with
               | Ok sys' ->
+                visit (Some !sys) sys';
                 sys := sys';
                 path := label :: !path;
                 incr total_steps
@@ -1303,6 +1482,22 @@ let fuzz ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
     (fun rs -> if !violation = None then run_one rs)
     (fuzz_seeds ~seed ~runs);
   (!total_steps, !violation)
+
+let fuzz ?injection ?lossy ?crash ?recover ?refine ?base ~seed ~runs sc =
+  walk ?injection ?lossy ?crash ?recover ?refine ?base ~seed ~runs sc
+
+let compact_keys ?lossy ?crash ?recover ?refine ~seed ~runs sc =
+  let c = Collapse.create sc.nprocs in
+  let ids = ref [||] and out = ref [] in
+  let visit parent s =
+    (ids :=
+       match parent with
+       | Some a -> Collapse.child c a !ids s
+       | None -> Collapse.slots c s);
+    out := (key s, Collapse.key c !ids s) :: !out
+  in
+  ignore (walk ?lossy ?crash ?recover ?refine ~visit ~seed ~runs sc);
+  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* Scenarios                                                            *)

@@ -114,12 +114,18 @@ val moves :
     counterexample.) *)
 
 val key : sys -> string
-(** The visited-set key: equal keys <=> the search treats the systems
-    as one state.  It covers the view ([T.canon]), every in-flight
-    message including a data reply's payload longwords, scripts
-    remaining, shadow memory, registers, the lossy sublayer, the
-    adversary budgets and the refinement spec state.  The search keeps
-    the full key, never a digest, so no collision can prune a state. *)
+(** The flat visited-set key: equal keys <=> the search treats the
+    systems as one state.  It covers the view ([T.canon]), every
+    in-flight message including a data reply's payload longwords,
+    scripts remaining, shadow memory, registers, the lossy sublayer,
+    the adversary budgets and the refinement spec state.  The search
+    stores a compact form of it: each component (the directory, each
+    node's view, the rest of the view, each channel, each node's shadow
+    memory, the spec) is interned once per search, and a state is the
+    row of its components' ids plus its scalars packed in full.  Ids
+    stand for whole renderings, never digests, so two compact keys are
+    equal exactly when the flat keys are and no collision can prune a
+    state. *)
 
 type violation = {
   verr : string list;
@@ -176,6 +182,21 @@ val fuzz :
   int * violation option
 (** Seeded random walks; returns total steps taken and the first
     violation, if any. *)
+
+val compact_keys :
+  ?lossy:int ->
+  ?crash:int ->
+  ?recover:int ->
+  ?refine:bool ->
+  seed:int ->
+  runs:int ->
+  scenario ->
+  (string * string) list
+(** Every state [fuzz]'s walks reach, in order, as its flat [key] and
+    the compact key [check_exhaustive] would store for it, built the
+    way the search builds it: from the parent's component ids, with
+    only the components the move replaced rendered again.  For tests
+    of the compression. *)
 
 (* Built-in scenarios (blocks with distinct homes when nprocs > 1). *)
 val read_sharing : nprocs:int -> scenario

@@ -1970,96 +1970,104 @@ let quiescent_invariants (cfg : cfg) (v : view) : string list =
    shapes depend on insertion order.)  Equal strings <=> equal views;
    used for visited-state deduplication in the model checker and for
    comparing a replayed trace against the live run.  Written straight
-   into the caller's buffer with no [Printf]: the checker renders one
-   key per explored transition. *)
-let canon_into b (v : view) =
+   into the caller's buffer with no [Printf].  The string is three
+   parts, written by [canon_dir_into], one [canon_node_into] per node
+   and [canon_rest_into]: the model checker interns each part on its
+   own and re-renders only the parts a move changed. *)
+let canon_dir_into b (v : view) =
+  let chr = Buffer.add_char b in
+  let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
+  (* full-map sets print as the historical hex/decimal masks so default
+     configurations stay byte-identical to the seed traces; other
+     representations use Nodeset's canonical rendering *)
+  Imap.iter
+    (fun blk (e : dirent) ->
+      chr 'D'; hex blk; chr ':'; int e.owner; chr ',';
+      Ns.to_buffer b e.sharers; chr ';')
+    v.dir
+
+let canon_node_into b id (n : nview) =
+  let chr = Buffer.add_char b and str = Buffer.add_string b in
+  let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
+  let bool x = str (if x then "true" else "false") in
+  chr 'N'; int id; chr '{';
+  Imap.iter
+    (fun blk l ->
+      chr 'l'; hex blk; chr '=';
+      chr
+        (match l with
+         | L_invalid -> 'i'
+         | L_shared -> 's'
+         | L_exclusive -> 'e'
+         | L_pending_invalid -> 'p'
+         | L_pending_shared -> 'q');
+      chr ';')
+    n.lines;
+  Imap.iter
+    (fun blk (p : pend) ->
+      chr 'p'; hex blk; chr '=';
+      chr
+        (match p.pkind with
+         | P_read -> 'r'
+         | P_readex -> 'x'
+         | P_upgrade -> 'u');
+      bool p.invalidated; chr '[';
+      Imap.iter (fun a w -> hex a; chr ':'; hex w; chr ',') p.written;
+      str "];")
+    n.pending;
+  Imap.iter
+    (fun blk (a : ackst) ->
+      chr 'a'; hex blk; chr '='; int a.got; chr '/';
+      (match a.expected with Some e -> int e | None -> chr '?');
+      chr ';')
+    n.acks;
+  chr 'u'; int n.unacked; chr ';';
+  Imap.iter
+    (fun blk msgs ->
+      chr 'w'; hex blk; str "=[";
+      List.iter (fun m -> Message.describe_into b m; chr ';') msgs;
+      str "];")
+    n.waiters;
+  List.iter
+    (function
+      | D_inv blk -> str "di"; hex blk; chr ';'
+      | D_downgrade blk -> str "dd"; hex blk; chr ';')
+    n.deferred;
+  if n.in_batch then str "B;";
+  (match n.nstat with
+   | N_running -> ()
+   | N_waiting (W_blocks bs) ->
+     str "Wb";
+     List.iteri (fun i x -> if i > 0 then chr ','; hex x) bs;
+     chr ';'
+   | N_waiting W_release -> str "Wr;"
+   | N_waiting W_sync -> str "Ws;");
+  (match n.resume with
+   | R_none -> ()
+   | R_refill -> str "Rf;"
+   | R_store_retry { addr; block } ->
+     str "Rs"; hex addr; chr ','; hex block; chr ';'
+   | R_store_commit { then_release } -> str "Rc"; bool then_release; chr ';'
+   | R_then_release -> str "Rr;"
+   | R_done -> str "Rd;"
+   | R_lock_acquired id -> str "Rl"; int id; chr ';'
+   | R_unlock id -> str "Ru"; int id; chr ';'
+   | R_barrier_enter -> str "Rb;"
+   | R_barrier_passed -> str "Rp;"
+   | R_flag_set id -> str "Rg"; int id; chr ';'
+   | R_flag_woken id -> str "Rw"; int id; chr ';');
+  if n.sync_signal then str "S;";
+  chr '}'
+
+let canon_rest_into b (v : view) =
   let chr = Buffer.add_char b and str = Buffer.add_string b in
   let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
   let bool x = str (if x then "true" else "false") in
   let ints = List.iteri (fun i x -> if i > 0 then chr ','; int x) in
-  (* full-map sets print as the historical hex/decimal masks so default
-     configurations stay byte-identical to the seed traces; other
-     representations use Nodeset's canonical rendering *)
   let ns_hex = Ns.to_buffer b in
   let ns_dec ns =
     match Ns.as_bits ns with Some m -> int m | None -> Ns.to_buffer b ns
   in
-  Imap.iter
-    (fun blk (e : dirent) ->
-      chr 'D'; hex blk; chr ':'; int e.owner; chr ','; ns_hex e.sharers;
-      chr ';')
-    v.dir;
-  Imap.iter
-    (fun id (n : nview) ->
-      chr 'N'; int id; chr '{';
-      Imap.iter
-        (fun blk l ->
-          chr 'l'; hex blk; chr '=';
-          chr
-            (match l with
-             | L_invalid -> 'i'
-             | L_shared -> 's'
-             | L_exclusive -> 'e'
-             | L_pending_invalid -> 'p'
-             | L_pending_shared -> 'q');
-          chr ';')
-        n.lines;
-      Imap.iter
-        (fun blk (p : pend) ->
-          chr 'p'; hex blk; chr '=';
-          chr
-            (match p.pkind with
-             | P_read -> 'r'
-             | P_readex -> 'x'
-             | P_upgrade -> 'u');
-          bool p.invalidated; chr '[';
-          Imap.iter (fun a w -> hex a; chr ':'; hex w; chr ',') p.written;
-          str "];")
-        n.pending;
-      Imap.iter
-        (fun blk (a : ackst) ->
-          chr 'a'; hex blk; chr '='; int a.got; chr '/';
-          (match a.expected with Some e -> int e | None -> chr '?');
-          chr ';')
-        n.acks;
-      chr 'u'; int n.unacked; chr ';';
-      Imap.iter
-        (fun blk msgs ->
-          chr 'w'; hex blk; str "=[";
-          List.iter (fun m -> Message.describe_into b m; chr ';') msgs;
-          str "];")
-        n.waiters;
-      List.iter
-        (function
-          | D_inv blk -> str "di"; hex blk; chr ';'
-          | D_downgrade blk -> str "dd"; hex blk; chr ';')
-        n.deferred;
-      if n.in_batch then str "B;";
-      (match n.nstat with
-       | N_running -> ()
-       | N_waiting (W_blocks bs) ->
-         str "Wb";
-         List.iteri (fun i x -> if i > 0 then chr ','; hex x) bs;
-         chr ';'
-       | N_waiting W_release -> str "Wr;"
-       | N_waiting W_sync -> str "Ws;");
-      (match n.resume with
-       | R_none -> ()
-       | R_refill -> str "Rf;"
-       | R_store_retry { addr; block } ->
-         str "Rs"; hex addr; chr ','; hex block; chr ';'
-       | R_store_commit { then_release } -> str "Rc"; bool then_release; chr ';'
-       | R_then_release -> str "Rr;"
-       | R_done -> str "Rd;"
-       | R_lock_acquired id -> str "Rl"; int id; chr ';'
-       | R_unlock id -> str "Ru"; int id; chr ';'
-       | R_barrier_enter -> str "Rb;"
-       | R_barrier_passed -> str "Rp;"
-       | R_flag_set id -> str "Rg"; int id; chr ';'
-       | R_flag_woken id -> str "Rw"; int id; chr ';');
-      if n.sync_signal then str "S;";
-      chr '}')
-    v.nodes;
   Imap.iter
     (fun id (l : lockst) ->
       chr 'L'; int id; chr ':';
@@ -2091,6 +2099,19 @@ let canon_into b (v : view) =
       (fun page (who, k) -> hex page; chr ':'; int who; chr '*'; int k; chr ',')
       v.heat
   end
+
+(* Physical equality of every field [canon_rest_into] reads: a view
+   that shares them all with [v] renders the same rest. *)
+let rest_shared (v : view) (w : view) =
+  v.locks == w.locks && v.flags == w.flags
+  && v.barrier_arrived == w.barrier_arrived
+  && v.crashed == w.crashed && v.halted == w.halted
+  && v.brelease == w.brelease && v.homes == w.homes && v.heat == w.heat
+
+let canon_into b (v : view) =
+  canon_dir_into b v;
+  Imap.iter (canon_node_into b) v.nodes;
+  canon_rest_into b v
 
 let canon (v : view) : string =
   let b = Buffer.create 1024 in

@@ -211,4 +211,15 @@ val quiescent_invariants : cfg -> view -> string list
 val canon_into : Buffer.t -> view -> unit
 val canon : view -> string
 
+(* The three parts of [canon_into], which writes [canon_dir_into], then
+   [canon_node_into] for each node in id order, then [canon_rest_into].
+   The model checker interns each part on its own. *)
+val canon_dir_into : Buffer.t -> view -> unit
+val canon_node_into : Buffer.t -> int -> nview -> unit
+val canon_rest_into : Buffer.t -> view -> unit
+
+val rest_shared : view -> view -> bool
+(** Every field [canon_rest_into] reads is physically shared between
+    the two views, so both render the same rest. *)
+
 val string_of_wait : wait -> string

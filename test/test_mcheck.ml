@@ -700,6 +700,42 @@ let t_key_covers_reply_payload () =
     (T.canon (Mcheck.view a)) (T.canon (Mcheck.view b));
   Alcotest.(check bool) "different keys" false (Mcheck.key a = Mcheck.key b)
 
+(* The compact keys the search stores agree with the flat keys: on
+   random walks over the refine, lossy and crash families, two reached
+   states have equal compact keys exactly when their [Mcheck.key]s are
+   equal.  Walks restart at the initial state and revisit, so both
+   directions are exercised. *)
+let compact_gen =
+  Gen.(triple (oneofl [ 2; 3 ]) (int_bound 2) (int_bound 1_000_000))
+
+let prop_compact_keys_agree (nprocs, family, seed) =
+  let runs = 12 in
+  let scs, keys =
+    match family with
+    | 0 ->
+      ( Mcheck.refine_scenarios ~nprocs,
+        fun sc -> Mcheck.compact_keys ~refine:true ~seed ~runs sc )
+    | 1 ->
+      ( Mcheck.refine_scenarios ~nprocs,
+        fun sc -> Mcheck.compact_keys ~refine:true ~lossy:2 ~seed ~runs sc )
+    | _ ->
+      ( Mcheck.crash_scenarios ~nprocs,
+        fun sc -> Mcheck.compact_keys ~crash:1 ~recover:1 ~seed ~runs sc )
+  in
+  List.for_all
+    (fun sc ->
+      let of_flat = Hashtbl.create 64 and of_compact = Hashtbl.create 64 in
+      let agree tbl k v =
+        match Hashtbl.find_opt tbl k with
+        | Some v' -> v = v'
+        | None -> Hashtbl.add tbl k v; true
+      in
+      List.for_all
+        (fun (flat, compact) ->
+          agree of_flat flat compact && agree of_compact compact flat)
+        (keys sc))
+    scs
+
 (* Exact state counts of every P=2 scenario: a key change that merges
    or splits states fails here.  The crash rows count the states the
    reply payload distinguishes. *)
@@ -733,10 +769,11 @@ let t_state_counts () =
   expect "crash 1/recover 1" crash_family [ 66; 44; 226; 145; 124 ]
     (Mcheck.check_exhaustive ~crash:1 ~recover:1)
 
-(* The checker's per-transition path renders its key into one reused
-   buffer and builds no display string: a lossy refinement run stays
-   under 1,200 minor words per transition (it measures ~730; Printf on
-   that path costs ~2,000 more). *)
+(* The checker's per-transition path re-renders only the components a
+   move changed and builds no display string: a lossy refinement run
+   stays under 600 minor words per transition (it measures ~400;
+   rendering the whole flat key per transition measured ~715, and
+   Printf on that path costs ~2,000 more). *)
 let t_checker_allocation () =
   let sc = Mcheck.lock_increment ~nprocs:2 in
   let before = Gc.minor_words () in
@@ -744,7 +781,7 @@ let t_checker_allocation () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) "clean" true (r.Mcheck.violation = None);
   let per = words /. float_of_int r.Mcheck.transitions in
-  if per > 1200.0 then
+  if per > 600.0 then
     Alcotest.failf "%.0f minor words per transition (%d transitions)" per
       r.Mcheck.transitions
 
@@ -881,6 +918,8 @@ let () =
             `Quick t_canon_live_view;
           Alcotest.test_case "reply payload is in the key" `Quick
             t_key_covers_reply_payload;
+          qtest "compact keys agree with flat keys on random walks"
+            ~count:30 compact_gen prop_compact_keys_agree;
           Alcotest.test_case "state counts at P=2" `Quick t_state_counts;
           Alcotest.test_case "checker allocation per transition" `Quick
             t_checker_allocation ] );
