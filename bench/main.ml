@@ -622,13 +622,13 @@ let section_messages () =
 let section_faults () =
   Table.section
     "Unreliable network: overhead of the reliable-delivery sublayer\n\
-     (standard fault matrix: drop 1%, dup 1%, reorder 2%)";
+     (standard fault matrix: drop 1%)";
   let np = if !quick then 2 else 4 in
   let faults = Shasta_network.Network.standard in
   let t =
     Table.create
       [ "application"; "clean cycles"; "faulty cycles"; "overhead";
-        "retx"; "dup"; "reorder"; "backoff cyc" ]
+        "retx"; "backoff cyc" ]
   in
   List.iter
     (fun (e : Shasta_apps.Apps.entry) ->
@@ -660,24 +660,22 @@ let section_faults () =
         ~what:
           (Printf.sprintf "faults: %s output differs under faulty wire" e.name)
         (canon clean_r.Api.phase.output = canon r.Api.phase.output);
-      let fs = Shasta_network.Network.fault_stats r.state.State.net in
+      (* whole-run counts, the init phase's retransmissions included *)
+      let total = Metrics.counter_total (Obs.metrics (State.obs r.state)) in
+      let retx = total Obs.c_net_retx and backoff = total Obs.c_net_backoff in
       emit_bench
         (Api.bench_record ~workload:("faults-" ^ e.name) spec r
            ~extra:
-             [ ("retx", Benchjson.Int fs.retxs); ("dups", Benchjson.Int fs.dups);
-               ("reorders", Benchjson.Int fs.reorders);
-               ("backoff", Benchjson.Int fs.backoff_cycles) ]);
-      Table.addf t "%s\t%d\t%d\t%s\t%d\t%d\t%d\t%d" e.name clean faulty
-        (Table.f2 (Table.ratio faulty clean))
-        fs.Shasta_network.Network.retxs fs.dups fs.reorders fs.backoff_cycles)
+             [ ("retx", Benchjson.Int retx);
+               ("backoff", Benchjson.Int backoff) ]);
+      Table.addf t "%s\t%d\t%d\t%s\t%d\t%d" e.name clean faulty
+        (Table.f2 (Table.ratio faulty clean)) retx backoff)
     Shasta_apps.Apps.all;
   Table.print t;
   print_string
     "Both runs compute identical results; the only cost of the faulty\n\
      wire is time: retransmission timeouts (exponential backoff) on\n\
-     dropped frames.  Reordering and duplication cost nothing: a\n\
-     reordered frame is delivered when channel order would deliver it\n\
-     anyway, and duplicates are discarded at the receiver.\n"
+     dropped frames.\n"
 
 (* ------------------------------------------------------------------ *)
 (* perf trajectory: every seed app at P=1/2/4/8                        *)

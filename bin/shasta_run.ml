@@ -18,10 +18,10 @@ module Mcheck = Shasta_mcheck.Mcheck
    scenarios and verify invariants, quiescence and the data oracles.
    With --lossy N the channels become the unreliable wire under the
    reliable-delivery sublayer, with an adversarial per-channel fault
-   budget of N drop/dup/reorder moves.  With --inject drop-ack, the
-   routing layer drops the first invalidation acknowledgement; with
+   budget of N drop, duplicate and swap moves.  With --inject drop-ack,
+   the routing layer drops the first invalidation acknowledgement; with
    --inject no-dedup, the sublayer's receiver-side dedup is removed so
-   retransmitted/duplicated frames hit the protocol twice.  Success
+   retransmitted and duplicate frames hit the protocol twice.  Success
    under an injection inverts: the checker must FIND the violation and
    print its counterexample trace. *)
 let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
@@ -311,18 +311,14 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
           perf.Shasta_obs.Perf.phases));
   Printf.printf "messages    : %d (%d payload longwords)\n" r.phase.msgs_sent
     r.phase.payload_longs;
-  (match faults with
-   | Some _ ->
-     let fs = Shasta_network.Network.fault_stats r.state.State.net in
-     Printf.printf
-       "net faults  : %d dropped (retransmitted), %d duplicated, \
-        %d reordered, %d backoff cycles\n"
-       fs.Shasta_network.Network.drops fs.dups fs.reorders fs.backoff_cycles
-   | None -> ());
+  (* whole-run counts, the init phase's retransmissions included *)
+  let total = Obs.Metrics.counter_total (Obs.metrics obs) in
+  if faults <> None then
+    Printf.printf
+      "net faults  : %d dropped (retransmitted), %d backoff cycles\n"
+      (total Obs.c_net_retx) (total Obs.c_net_backoff);
   (match nfaults with
    | Some nf when not (Nodefaults.is_off nf) ->
-     let m = Obs.metrics obs in
-     let total c = Obs.Metrics.counter_total m c in
      Printf.printf
        "node faults : %d crashed, %d recovered, %d lock leases taken over, \
         %d directory entries rebuilt\n"
@@ -544,10 +540,9 @@ let cmd =
     Arg.(value & opt net_faults_c None
          & info [ "net-faults" ] ~docv:"SPEC"
              ~doc:"Make the wire unreliable beneath the reliable-delivery \
-                   sublayer.  SPEC is 'none', 'standard' (drop 1%, dup \
-                   1%, reorder 2%) or comma-separated key=value pairs \
-                   among drop, dup, reorder and delay (probabilities in \
-                   [0, 0.9]), seed, delay-cycles and rto \
+                   sublayer.  SPEC is 'none', 'standard' (drop 1%) or \
+                   comma-separated key=value pairs among drop and delay \
+                   (probabilities in [0, 0.9]), seed, delay-cycles and rto \
                    (non-negative), and max-retx (0 only: the sublayer \
                    retries until delivery, since a frame it gave up on \
                    would never be re-sent), e.g. 'drop=0.05,seed=3'.  \
@@ -695,7 +690,8 @@ let cmd =
          & info [ "lossy" ] ~docv:"BUDGET"
              ~doc:"With --check: model-check over the unreliable wire \
                    under the reliable-delivery sublayer, giving the \
-                   adversary BUDGET drop/dup/reorder moves per channel.")
+                   adversary BUDGET drop, duplicate and swap moves per \
+                   channel.")
   in
   let crash_t =
     Arg.(value & opt count_c 0

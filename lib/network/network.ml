@@ -12,19 +12,17 @@
    time, clamp it to the channel's previous delivery (the per-channel
    FIFO point), and queue it.  On the reliable wire the paper assumes,
    the arrival is the send overhead plus the flight time.  On an
-   optional UNRELIABLE wire ([faults]: commodity interconnects drop,
-   duplicate, delay and reorder packets) the arrival is planned by the
-   sender half of a reliable-delivery sublayer ([tx_plan]): each
-   dropped attempt is retransmitted after a timeout that doubles every
-   time.  The fault coins come from a per-channel seeded stream, so the
-   same seed and send sequence give the same faults and faulty runs
-   replay.  The receiver half needs no state: a frame planned to
-   overtake an earlier one on its channel is delivered when that one
-   is, which is what the FIFO clamp gives every frame anyway, and a
-   duplicate copy is discarded on arrival.  So reordering and
-   duplication are counted but cost nothing; the protocol sees only
+   optional UNRELIABLE wire ([faults]: commodity interconnects drop
+   and delay packets) the arrival is planned by the sender half of a
+   reliable-delivery sublayer ([tx_plan]): each dropped attempt is
+   retransmitted after a timeout that doubles every time.  The fault
+   coins come from a per-channel seeded stream, so the same seed and
+   send sequence give the same faults and faulty runs replay.  The
+   receiver half needs no state: the FIFO clamp already delivers every
+   frame in channel order, exactly once.  So the protocol sees only
    retransmission stalls and extra delay, which the observability taps
-   attribute ([on_fault]). *)
+   count and attribute ([on_fault]); the wire keeps no tally of its
+   own. *)
 
 type profile = {
   net_name : string;
@@ -61,25 +59,21 @@ let profile_of_string = function
 type faults = {
   fseed : int; (* per-channel RNG seed component *)
   drop : float; (* per-transmission-attempt loss probability *)
-  dup : float; (* probability the delivered frame also arrives twice *)
-  reorder : float; (* probability a frame would overtake an earlier one *)
   delay : float; (* probability of [delay_cycles] of extra flight time *)
   delay_cycles : int;
   rto : int; (* base retransmission timeout; 0 = derive from profile *)
 }
 
 let no_faults =
-  { fseed = 1; drop = 0.0; dup = 0.0; reorder = 0.0; delay = 0.0;
-    delay_cycles = 2000; rto = 0 }
+  { fseed = 1; drop = 0.0; delay = 0.0; delay_cycles = 2000; rto = 0 }
 
 (* The standard fault matrix the test suite and benchmarks run under:
-   1% loss, 1% duplication, 2% reordering — commodity-LAN weather. *)
-let standard =
-  { no_faults with drop = 0.01; dup = 0.01; reorder = 0.02 }
+   1% loss — commodity-LAN weather. *)
+let standard = { no_faults with drop = 0.01 }
 
-(* "none" | "standard" | "drop=0.01,dup=0.01,reorder=0.02,delay=0.05,
-   delay-cycles=2000,seed=3,rto=5000".  A value out of range is an error
-   naming its key, never clamped: probabilities are finite and in
+(* "none" | "standard" | "drop=0.01,delay=0.05,delay-cycles=2000,
+   seed=3,rto=5000".  An unknown key, or a value out of range, is an
+   error naming its key, never clamped: probabilities are finite and in
    [0, 0.9], cycle counts non-negative.  [max-retx] must be 0: a
    bounded channel abandons frames that nothing re-sends, and the
    protocol then waits forever for the lost reply or ack. *)
@@ -118,8 +112,6 @@ let faults_of_string s =
             in
             (match k with
              | "drop" -> f := { !f with drop = fv () }
-             | "dup" -> f := { !f with dup = fv () }
-             | "reorder" -> f := { !f with reorder = fv () }
              | "delay" -> f := { !f with delay = fv () }
              | "delay-cycles" | "delay_cycles" ->
                f := { !f with delay_cycles = iv ~lo:0 () }
@@ -135,27 +127,16 @@ let faults_of_string s =
     Some !f
 
 let describe_faults f =
-  Printf.sprintf
-    "drop=%.3f dup=%.3f reorder=%.3f delay=%.3f seed=%d" f.drop f.dup
-    f.reorder f.delay f.fseed
+  Printf.sprintf "drop=%.3f delay=%.3f seed=%d" f.drop f.delay f.fseed
 
 (* What the fault layer did to one logical send: [retx] dropped
    transmission attempts (each one retransmitted after a timeout),
-   [backoff] total cycles spent waiting for those timeouts,
-   [duplicated] a second copy also reached the receiver (and was
-   discarded there), [reordered] the frame would have overtaken an
-   earlier one on its channel (the FIFO clamp delivers it in order). *)
+   [backoff] total cycles spent waiting for those timeouts. *)
 type xmit = {
   retx : int;
   backoff : int;
-  duplicated : bool;
-  reordered : bool;
   timed_out : bool; (* never delivered: the receiver was declared dead *)
 }
-
-let clean_xmit =
-  { retx = 0; backoff = 0; duplicated = false; reordered = false;
-    timed_out = false }
 
 (* Plan the transmission of one frame over the faulty wire.  Attempt 0
    goes out at [now]; each dropped attempt is retransmitted after a
@@ -180,24 +161,13 @@ let tx_plan (f : faults) rng ~now ~flight ~rto =
       arrival + f.delay_cycles
     else arrival
   in
-  let duplicated = f.dup > 0.0 && Random.State.float rng 1.0 < f.dup in
-  let reordered = f.reorder > 0.0 && Random.State.float rng 1.0 < f.reorder in
-  (arrival, { retx; backoff; duplicated; reordered; timed_out = false })
+  (arrival, { retx; backoff; timed_out = false })
 
 (* ------------------------------------------------------------------ *)
 (* The interconnect                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type 'a queued = { deliver : int; seq : int; msg : 'a }
-
-type fault_stats = {
-  drops : int;
-  dups : int;
-  retxs : int;
-  reorders : int;
-  backoff_cycles : int;
-  timeouts : int; (* frames dropped because the receiver was dead *)
-}
 
 type 'a t = {
   profile : profile;
@@ -226,7 +196,6 @@ type 'a t = {
   (* the unreliable wire's spec and its per-channel fault coin streams,
      seeded (fseed, src, dst); [None] on the paper's reliable wire *)
   faulty : (faults * Random.State.t array) option;
-  mutable fstats : fault_stats;
   (* node-level liveness: [dead.(n)] marks a node declared crashed
      (sends to it are dropped and counted as timeouts; nothing is
      queued).  A per-node array, not an int bitmask, so liveness scales
@@ -248,10 +217,6 @@ type 'a t = {
 let no_tap ~src:_ ~dst:_ ~now:_ _ = ()
 let no_fault_tap ~src:_ ~dst:_ ~now:_ _ _ = ()
 
-let zero_fault_stats =
-  { drops = 0; dups = 0; retxs = 0; reorders = 0; backoff_cycles = 0;
-    timeouts = 0 }
-
 let create ?faults ~nprocs profile =
   let nchan = nprocs * nprocs in
   { profile; nprocs;
@@ -270,7 +235,6 @@ let create ?faults ~nprocs profile =
             Array.init nchan (fun c ->
               Random.State.make [| f.fseed; c / nprocs; c mod nprocs |]) ))
         faults;
-    fstats = zero_fault_stats;
     dead = Array.make nprocs false;
     last_activity = Array.make nprocs 0;
     on_send = no_tap; on_recv = no_tap; on_fault = no_fault_tap }
@@ -334,14 +298,13 @@ let send t ~src ~dst ~now ~payload_longs msg =
   if t.dead.(dst) then begin
     (* the receiver has been declared crashed: nothing will ever
        acknowledge, so the sublayer's retransmissions are futile — drop
-       the frame on the floor and account it as a timeout.  (The
+       the frame on the floor and report it to the fault tap as a
+       timeout.  (The
        protocol layer routes around detected-dead nodes; this is the
        safety net underneath it.)  Not counted in [sent]: the frame
        never reached the wire, keeping event-derived totals equal to
        [stats]. *)
-    t.fstats <- { t.fstats with timeouts = t.fstats.timeouts + 1 };
-    let x = { clean_xmit with timed_out = true } in
-    t.on_fault ~src ~dst ~now x msg;
+    t.on_fault ~src ~dst ~now { retx = 0; backoff = 0; timed_out = true } msg;
     start
   end
   else begin
@@ -354,15 +317,7 @@ let send t ~src ~dst ~now ~payload_longs msg =
           else 4 * (p.send_overhead + p.wire_latency + p.recv_overhead)
         in
         let arrival, x = tx_plan f rngs.(c) ~now:start ~flight ~rto in
-        let s = t.fstats in
-        t.fstats <-
-          { s with
-            drops = s.drops + x.retx;
-            dups = (s.dups + if x.duplicated then 1 else 0);
-            retxs = s.retxs + x.retx;
-            reorders = (s.reorders + if x.reordered then 1 else 0);
-            backoff_cycles = s.backoff_cycles + x.backoff };
-        if x <> clean_xmit then t.on_fault ~src ~dst ~now x msg;
+        if x.retx > 0 then t.on_fault ~src ~dst ~now x msg;
         arrival
     in
     (* point-to-point FIFO: never deliver before a previously sent
@@ -434,8 +389,6 @@ let queued t =
   List.rev !acc
 
 let stats t = (t.sent, t.payload_longs)
-
-let fault_stats t = t.fstats
 
 (* ------------------------------------------------------------------ *)
 (* Node-level liveness                                                 *)

@@ -5,13 +5,13 @@
 
     Every send plans its frame's arrival time and clamps it to the
     channel's previous delivery.  The wire may optionally be made
-    unreliable ([faults]): seeded, per-channel deterministic drop /
-    duplicate / reorder / delay, with the arrival planned by sender-side
-    retransmission with timeout and exponential backoff ({!tx_plan}).
-    The protocol above still observes exactly-once per-channel-FIFO
-    delivery; drops and delays cost retransmission stalls, which the
-    fault tap attributes, while reordering and duplication are counted
-    but cost nothing. *)
+    unreliable ([faults]): seeded, per-channel deterministic drop and
+    delay, with the arrival planned by sender-side retransmission with
+    timeout and exponential backoff ({!tx_plan}).  The protocol above
+    still observes exactly-once per-channel-FIFO delivery; drops and
+    delays cost retransmission stalls, which the fault tap reports.
+    The wire keeps no fault tally of its own: the tap's listener (the
+    observability registry) is the one count. *)
 
 type profile = {
   net_name : string;
@@ -35,11 +35,6 @@ val profile_of_string : string -> profile
 type faults = {
   fseed : int;  (** per-channel RNG seed component *)
   drop : float;  (** per-transmission-attempt loss probability *)
-  dup : float;  (** probability a delivered frame also arrives twice *)
-  reorder : float;
-      (** probability a frame would overtake an earlier one on its
-          channel; counted, but free: the FIFO clamp delivers it when
-          it would have been delivered anyway *)
   delay : float;  (** probability of [delay_cycles] extra flight time *)
   delay_cycles : int;
   rto : int;  (** base retransmission timeout; 0 derives it from the profile *)
@@ -50,27 +45,23 @@ val no_faults : faults
     reliable one (timing included). *)
 
 val standard : faults
-(** The standard fault matrix: drop 1%, dup 1%, reorder 2%. *)
+(** The standard fault matrix: drop 1%. *)
 
 val faults_of_string : string -> faults option
-(** ["none"], ["standard"], or a comma-separated
-    [key=value] spec with keys [drop], [dup], [reorder], [delay],
-    [delay-cycles], [seed], [rto], [max-retx].  Raises
-    [Invalid_argument], naming the key, on a malformed spec or a value
-    out of range: probabilities must be finite and in [0, 0.9],
-    [delay-cycles] and [rto] non-negative, and [max-retx] 0: the wire
-    retries a frame until a copy survives, because a bounded channel
-    would abandon frames that nothing re-sends and deadlock the run. *)
+(** ["none"], ["standard"], or a comma-separated [key=value] spec with
+    keys [drop], [delay], [delay-cycles], [seed], [rto], [max-retx].
+    Raises [Invalid_argument], naming the key, on a malformed spec, an
+    unknown key or a value out of range: probabilities must be finite
+    and in [0, 0.9], [delay-cycles] and [rto] non-negative, and
+    [max-retx] 0: the wire retries a frame until a copy survives,
+    because a bounded channel would abandon frames that nothing re-sends
+    and deadlock the run. *)
 
 val describe_faults : faults -> string
 
 type xmit = {
   retx : int;  (** dropped transmission attempts, each retransmitted *)
   backoff : int;  (** total cycles spent waiting for timeouts *)
-  duplicated : bool;  (** a second copy arrived and was discarded *)
-  reordered : bool;
-      (** the frame would have overtaken an earlier one; the FIFO clamp
-          delivers it in order *)
   timed_out : bool;
       (** the frame was dropped because its destination was already
           declared dead *)
@@ -89,17 +80,6 @@ val tx_plan :
 (** {2 The interconnect} *)
 
 type 'a t
-
-type fault_stats = {
-  drops : int;
-  dups : int;
-  retxs : int;
-  reorders : int;
-  backoff_cycles : int;
-  timeouts : int;  (** frames dropped: destination declared dead *)
-}
-
-val zero_fault_stats : fault_stats
 
 val create : ?faults:faults -> nprocs:int -> profile -> 'a t
 (** Without [?faults] the wire is the paper's reliable interconnect and
@@ -120,14 +100,14 @@ val set_fault_tap :
   on_fault:(src:int -> dst:int -> now:int -> xmit -> 'a -> unit) ->
   unit
 (** [on_fault] fires at send time whenever the fault layer perturbed a
-    frame (dropped an attempt, duplicated or reordered it, or abandoned
-    it). *)
+    frame: dropped (and retransmitted) an attempt, or discarded it
+    because its destination was declared dead. *)
 
 val send : 'a t -> src:int -> dst:int -> now:int -> payload_longs:int ->
   'a -> int
 (** Queue a message; returns the time at which the sender is done (the
-    caller charges it to the sending node).  Delivery never reorders a
-    channel, faults or not. *)
+    caller charges it to the sending node).  Each channel delivers in
+    send order, faults or not. *)
 
 val multicast :
   'a t -> src:int -> now:int -> payload_longs:('a -> int) ->
@@ -167,10 +147,6 @@ val queued : 'a t -> (int * int * int * 'a) list
 
 val stats : 'a t -> int * int
 (** (messages sent, payload longwords) since creation. *)
-
-val fault_stats : 'a t -> fault_stats
-(** Cumulative fault-layer activity since creation; all zero when the
-    wire is reliable. *)
 
 (** {2 Node-level liveness} *)
 

@@ -41,14 +41,11 @@ let c_finished = "runtime.threads_finished"
 let c_spans = "span.matched"
 
 (* Fault-layer activity under --net-faults: dropped transmission
-   attempts, discarded duplicate arrivals, retransmissions (== drops:
-   every dropped attempt is retransmitted), reorderings (delivered in
-   channel order anyway), and total cycles spent waiting out
-   retransmission timeouts. *)
-let c_net_drop = "net.drop"
-let c_net_dup = "net.dup"
+   attempts (each one retransmitted), total cycles spent waiting out
+   retransmission timeouts, and frames discarded because their receiver
+   was declared dead.  The wire keeps no tally of its own: these are
+   the one count. *)
 let c_net_retx = "net.retx"
-let c_net_reorder = "net.reorder"
 let c_net_backoff = "net.backoff_cycles"
 let c_net_timeout = "net.timeout"
 
@@ -95,10 +92,7 @@ type cells = {
   polls : Metrics.counter;
   finished : Metrics.counter;
   spans : Metrics.counter;
-  net_drop : Metrics.counter;
-  net_dup : Metrics.counter;
   net_retx : Metrics.counter;
-  net_reorder : Metrics.counter;
   net_backoff : Metrics.counter;
   net_timeout : Metrics.counter;
   node_crash : Metrics.counter;
@@ -131,9 +125,8 @@ let create ~nprocs () =
       store_reissues = c c_store_reissues; stalls = c c_stalls;
       locks = c c_locks; barriers = c c_barriers; flag_sets = c c_flag_sets;
       flag_wakes = c c_flag_wakes; polls = c c_polls;
-      finished = c c_finished; spans = c c_spans; net_drop = c c_net_drop;
-      net_dup = c c_net_dup; net_retx = c c_net_retx;
-      net_reorder = c c_net_reorder; net_backoff = c c_net_backoff;
+      finished = c c_finished; spans = c c_spans; net_retx = c c_net_retx;
+      net_backoff = c c_net_backoff;
       net_timeout = c c_net_timeout; node_crash = c c_node_crash;
       node_recover = c c_node_recover; lease_takeover = c c_lease_takeover;
       dir_rebuild = c c_dir_rebuild; home_migrate = c c_home_migrate;
@@ -197,14 +190,11 @@ let count_event t ~node (ev : Event.t) =
   | Store_reissue _ -> incr c.store_reissues ~node
   | Node_finished -> incr c.finished ~node
   | Span _ -> incr c.spans ~node
-  | Net_fault { retx; backoff; duplicated; reordered; timed_out; _ } ->
+  | Net_fault { retx; backoff; timed_out; _ } ->
     if retx > 0 then begin
-      Metrics.bump c.net_drop ~node retx;
       Metrics.bump c.net_retx ~node retx;
       Metrics.bump c.net_backoff ~node backoff
     end;
-    if duplicated then incr c.net_dup ~node;
-    if reordered then incr c.net_reorder ~node;
     if timed_out then incr c.net_timeout ~node
   | Node_crash _ -> incr c.node_crash ~node
   | Node_recover _ -> incr c.node_recover ~node

@@ -91,25 +91,15 @@ val c_polls : string
 val c_finished : string
 val c_spans : string
 
-val c_net_drop : string
-(** Transmission attempts lost by the faulty wire (each retransmitted). *)
-
-val c_net_dup : string
-(** Duplicate arrivals discarded by receiver-side dedup. *)
-
 val c_net_retx : string
-(** Retransmissions after dropped attempts (== [c_net_drop]). *)
-
-val c_net_reorder : string
-(** Frames that would have overtaken an earlier one on their channel;
-    the FIFO clamp delivers them in order, at no cost. *)
+(** Transmission attempts lost by the faulty wire, each retransmitted. *)
 
 val c_net_backoff : string
 (** Total cycles spent waiting out retransmission timeouts. *)
 
 val c_net_timeout : string
-(** Frames abandoned: retransmission budget exhausted ([max_retx]) or
-    destination already declared dead. *)
+(** Frames discarded because their destination was already declared
+    dead. *)
 
 val c_node_crash : string
 (** Nodes halted by the crash injector. *)

@@ -108,11 +108,9 @@ let chrome_args (ev : Event.t) =
     [ kv "\"id\":%d" id ]
   | Batch_run { nranges; waited } ->
     [ kv "\"nranges\":%d" nranges; kv "\"waited\":%d" waited ]
-  | Net_fault { dst; retx; backoff; duplicated; reordered; timed_out; _ } ->
+  | Net_fault { dst; retx; backoff; timed_out; _ } ->
     [ kv "\"dst\":%d" dst; kv "\"retx\":%d" retx;
-      kv "\"backoff\":%d" backoff;
-      kv "\"dup\":%b" duplicated; kv "\"reorder\":%b" reordered;
-      kv "\"timeout\":%b" timed_out ]
+      kv "\"backoff\":%d" backoff; kv "\"timeout\":%b" timed_out ]
   | Node_crash { victim } | Node_recover { victim } ->
     [ kv "\"victim\":%d" victim ]
   | Lease_takeover { id; from } ->

@@ -1765,18 +1765,19 @@ let invariants (cfg : cfg) (v : view) : string list =
         err "block 0x%x: owner %d missing from sharer set %s" block
           e.owner (Ns.to_string e.sharers))
     v.dir;
-  (* single-writer: at most one node holds an exclusive copy of a block *)
-  let excl = Hashtbl.create 16 in
+  (* single-writer: at most one node holds an exclusive copy of a block;
+     [excl] maps each exclusively held block to its first holder *)
+  let excl = ref Imap.empty in
   Imap.iter
     (fun id (n : nview) ->
       Imap.iter
         (fun block l ->
           if l = L_exclusive then begin
-            (match Hashtbl.find_opt excl block with
+            (match Imap.find_opt block !excl with
              | Some other ->
                err "block 0x%x: exclusive at both node %d and node %d" block
                  other id
-             | None -> Hashtbl.add excl block id);
+             | None -> excl := Imap.add block id !excl);
             if not (Imap.mem block v.dir) then
               err "block 0x%x: exclusive at node %d but not in directory"
                 block id

@@ -15,7 +15,7 @@ type spec = {
   net : Shasta_network.Network.profile;
   net_faults : Shasta_network.Network.faults option;
       (* None = the paper's reliable wire; Some f injects seeded
-         drop/dup/reorder/delay under the reliable-delivery sublayer *)
+         drop/delay under the reliable-delivery sublayer *)
   node_faults : Nodefaults.t option;
       (* None (or an event-free spec) = no crash injection; Some s
          halts/restarts nodes per the schedule with lease-based

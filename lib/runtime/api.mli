@@ -13,9 +13,9 @@ type spec = {
   net : Shasta_network.Network.profile;
   net_faults : Shasta_network.Network.faults option;
       (** [None] = the paper's reliable wire; [Some f] injects seeded
-          drop/dup/reorder/delay beneath the reliable-delivery
-          sublayer (the protocol still sees exactly-once FIFO
-          delivery, only slower) *)
+          drop/delay beneath the reliable-delivery sublayer (the
+          protocol still sees exactly-once FIFO delivery, only
+          slower) *)
   node_faults : Nodefaults.t option;
       (** [None] (or an event-free spec) = no crash injection; [Some s]
           halts/restarts nodes per the schedule, with lease-based

@@ -105,7 +105,6 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
       Engine.emit_at obs nodes.(src) ~time:now
         (Ev.Net_fault
            { dst; kind = M.kind_name msg; retx = x.retx; backoff = x.backoff;
-             duplicated = x.duplicated; reordered = x.reordered;
              timed_out = x.timed_out }));
   (* hardware cache misses bump counters resolved here, once *)
   let l1i = Obs.counter obs "cache.l1i.misses"

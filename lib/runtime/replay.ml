@@ -12,11 +12,10 @@
 
    The recording point sits ABOVE the transport: message inputs are
    logged when the engine pops them from [Network.recv], which is after
-   the wire has retransmitted drops, discarded duplicates and delivered
-   reordered frames in channel order.  So a run over a faulty
-   wire ([--net-faults]) replays exactly like a clean one — the log
-   already contains the repaired, exactly-once per-channel-FIFO stream
-   the protocol consumed, and the fault layer needs no re-simulation.
+   the wire has retransmitted drops.  So a run over a faulty wire
+   ([--net-faults]) replays exactly like a clean one — the log already
+   contains the repaired, exactly-once per-channel-FIFO stream the
+   protocol consumed, and the fault layer needs no re-simulation.
 
    Structural invariants are checked after every replayed step. *)
 

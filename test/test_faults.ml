@@ -1,16 +1,12 @@
 (* Fault-injection suite.
 
    - the fault-matrix soak: every pinned workload runs under each row
-     of a fault matrix (drop-only, dup-only, reorder-only, combined) at
-     several seeds, and must still reproduce the uninstrumented
-     single-node ground-truth output — retransmission makes a lossy
-     wire invisible to the protocol, faults only cost cycles.  The
-     fault counters must move when faults are on and stay at zero when
-     they are off.
-
-   - reordering and duplication are free: a wire that only reorders
-     and duplicates runs in exactly the clean run's cycles and
-     messages, while its counters still move.
+     of a fault matrix (drop-only, drop and delay combined) at several
+     seeds, and must still reproduce the uninstrumented single-node
+     ground-truth output — retransmission makes a lossy wire invisible
+     to the protocol, faults only cost cycles.  The registry's fault
+     counters must move when faults are on and stay at zero when they
+     are off, and must equal the sums of the fault events a sink saw.
 
    - QCheck properties of the wire itself: the sender's transmission
      plan is deterministic in the RNG and respects the backoff
@@ -23,30 +19,23 @@ module Network = Shasta_network.Network
 open Shasta_runtime
 
 (* Probabilities are deliberately higher than [Network.standard] (5%
-   vs 1-2%) so the counter assertions below can't go flaky: at test
-   sizes a 1% coin may simply never fire for one kind on one seed, so
-   we also aggregate counters across seeds before asserting. *)
+   vs 1%) so the counter assertions below can't go flaky: at test
+   sizes a 1% coin may simply never fire on one seed, so we also
+   aggregate counters across seeds before asserting. *)
 let matrix =
   [ ("drop", { Network.no_faults with drop = 0.05 });
-    ("dup", { Network.no_faults with dup = 0.05 });
-    ("reorder", { Network.no_faults with reorder = 0.05 });
-    ("combined",
-     { Network.no_faults with drop = 0.02; dup = 0.02; reorder = 0.02;
-       delay = 0.02 })
-  ]
+    ("combined", { Network.no_faults with drop = 0.02; delay = 0.02 }) ]
 
 let seeds = [ 1; 2; 3 ]
 
-let add_stats (a : Network.fault_stats) (b : Network.fault_stats) =
-  { Network.drops = a.drops + b.drops;
-    dups = a.dups + b.dups;
-    retxs = a.retxs + b.retxs;
-    reorders = a.reorders + b.reorders;
-    backoff_cycles = a.backoff_cycles + b.backoff_cycles;
-    timeouts = a.timeouts + b.timeouts }
+(* A whole-run registry count: the fault tap is the only writer of
+   net.*, and the wire keeps no tally of its own. *)
+let net_total (r : Api.result) c =
+  Shasta_obs.Obs.(Metrics.counter_total (metrics (State.obs r.Api.state)) c)
 
 (* Run one workload under one fault row at one seed; the data oracle is
-   the ground-truth output.  Returns the wire's fault counters. *)
+   the ground-truth output.  Returns the run's retransmissions and
+   backoff cycles. *)
 let soak_one ?(canon = Fun.id) name nprocs make expected (f : Network.faults)
     seed =
   let faults = { f with fseed = seed } in
@@ -55,7 +44,8 @@ let soak_one ?(canon = Fun.id) name nprocs make expected (f : Network.faults)
     (Printf.sprintf "%s output (seed %d, %s)" name seed
        (Network.describe_faults faults))
     expected (canon got);
-  Network.fault_stats r.Api.state.State.net
+  ( net_total r Shasta_obs.Obs.c_net_retx,
+    net_total r Shasta_obs.Obs.c_net_backoff )
 
 (* The KV service reports per-operation latencies, and the wire's
    timing legally moves both them and the shard-handoff placement (a
@@ -81,70 +71,62 @@ let t_soak (name, nprocs, make) () =
   in
   List.iter
     (fun (row, f) ->
-      let total =
+      let retx, backoff =
         List.fold_left
-          (fun acc seed ->
-            add_stats acc (soak_one ~canon name nprocs make expected f seed))
-          Network.zero_fault_stats seeds
+          (fun (retx, backoff) seed ->
+            let r, b = soak_one ~canon name nprocs make expected f seed in
+            (retx + r, backoff + b))
+          (0, 0) seeds
       in
-      (* the matrix row must actually have exercised its fault kind
-         (aggregated across seeds so a single quiet run can't flake) *)
+      (* the matrix row must actually have dropped frames (aggregated
+         across seeds so a single quiet run can't flake) *)
       let nonzero what n =
         Alcotest.(check bool)
           (Printf.sprintf "%s/%s: %s fired across seeds" name row what)
           true (n > 0)
       in
-      match row with
-      | "drop" ->
-        nonzero "retx" total.Network.retxs;
-        nonzero "backoff" total.Network.backoff_cycles
-      | "dup" -> nonzero "dup" total.Network.dups
-      | "reorder" -> nonzero "reorder" total.Network.reorders
-      | _ ->
-        nonzero "any fault"
-          (total.Network.retxs + total.Network.dups + total.Network.reorders))
+      nonzero "retx" retx;
+      nonzero "backoff" backoff)
     matrix
 
-(* With faults off the counters must be exactly zero — both the wire's
-   own statistics and the observability registry's net.* counters. *)
+(* With faults off the registry's fault counters must be exactly zero. *)
 let t_counters_zero_when_off () =
   let _, nprocs, make = List.hd Support.golden_runs in
-  let obs = Shasta_obs.Obs.create ~nprocs () in
-  let _, r = Support.run ~nprocs ~obs (make ()) in
-  let s = Network.fault_stats r.Api.state.State.net in
-  Alcotest.(check bool) "wire stats zero" true (s = Network.zero_fault_stats);
-  let m = Shasta_obs.Obs.metrics obs in
+  let _, r = Support.run ~nprocs (make ()) in
   List.iter
-    (fun c ->
-      Alcotest.(check int) (c ^ " zero")
-        0
-        (Shasta_obs.Obs.Metrics.counter_total m c))
-    [ Shasta_obs.Obs.c_net_drop; Shasta_obs.Obs.c_net_dup;
-      Shasta_obs.Obs.c_net_retx; Shasta_obs.Obs.c_net_reorder;
-      Shasta_obs.Obs.c_net_backoff; Shasta_obs.Obs.c_net_timeout;
+    (fun c -> Alcotest.(check int) (c ^ " zero") 0 (net_total r c))
+    [ Shasta_obs.Obs.c_net_retx; Shasta_obs.Obs.c_net_backoff;
+      Shasta_obs.Obs.c_net_timeout;
       Shasta_obs.Obs.c_node_crash; Shasta_obs.Obs.c_node_recover;
       Shasta_obs.Obs.c_lease_takeover; Shasta_obs.Obs.c_dir_rebuild ]
 
-(* With faults on, the registry counters mirror the wire's statistics:
-   the fault tap is the only writer of net.*, so the two must agree. *)
-let t_counters_match_wire () =
+(* With faults on, the registry's net.* counters are exactly the sums
+   of the fault events a sink attached to the same run received: the
+   Obs mapping from [Net_fault] to counters loses and invents nothing. *)
+let t_counters_match_events () =
   let _, nprocs, make = List.hd Support.golden_runs in
   let obs = Shasta_obs.Obs.create ~nprocs () in
+  let retx = ref 0 and backoff = ref 0 and timeouts = ref 0 in
+  Shasta_obs.Obs.attach obs
+    { Shasta_obs.Sink.on_record =
+        (fun r ->
+          match r.Shasta_obs.Event.ev with
+          | Net_fault f ->
+            retx := !retx + f.retx;
+            backoff := !backoff + f.backoff;
+            if f.timed_out then incr timeouts
+          | _ -> ());
+      flush = ignore };
   let faults = { Network.standard with drop = 0.05; fseed = 7 } in
   let expected = Support.ground_truth (make ()) in
   let got, r = Support.run ~nprocs ~obs ~net_faults:faults (make ()) in
   Alcotest.(check string) "output under faults" expected got;
-  let s = Network.fault_stats r.Api.state.State.net in
-  Alcotest.(check bool) "some faults fired" true (s.Network.retxs > 0);
-  let m = Shasta_obs.Obs.metrics obs in
-  let total c = Shasta_obs.Obs.Metrics.counter_total m c in
-  Alcotest.(check int) "net.retx" s.Network.retxs (total Shasta_obs.Obs.c_net_retx);
-  Alcotest.(check int) "net.drop" s.Network.drops (total Shasta_obs.Obs.c_net_drop);
-  Alcotest.(check int) "net.dup" s.Network.dups (total Shasta_obs.Obs.c_net_dup);
-  Alcotest.(check int) "net.reorder" s.Network.reorders
-    (total Shasta_obs.Obs.c_net_reorder);
-  Alcotest.(check int) "net.backoff_cycles" s.Network.backoff_cycles
-    (total Shasta_obs.Obs.c_net_backoff)
+  Alcotest.(check bool) "some faults fired" true (!retx > 0);
+  Alcotest.(check int) "net.retx" !retx (net_total r Shasta_obs.Obs.c_net_retx);
+  Alcotest.(check int) "net.backoff_cycles" !backoff
+    (net_total r Shasta_obs.Obs.c_net_backoff);
+  Alcotest.(check int) "net.timeout" !timeouts
+    (net_total r Shasta_obs.Obs.c_net_timeout)
 
 (* Seeded faults are deterministic: same spec, same run, same cycle
    count and same fault counters. *)
@@ -152,50 +134,32 @@ let t_faults_deterministic () =
   let _, nprocs, make = List.hd Support.golden_runs in
   let go () =
     let _, r = Support.run ~nprocs ~net_faults:Network.standard (make ()) in
-    (r.Api.phase.Cluster.wall_cycles, Network.fault_stats r.Api.state.State.net)
+    ( r.Api.phase.Cluster.wall_cycles,
+      net_total r Shasta_obs.Obs.c_net_retx,
+      net_total r Shasta_obs.Obs.c_net_backoff )
   in
   let a = go () and b = go () in
   Alcotest.(check bool) "identical cycles and counters" true (a = b)
 
-(* Reordering and duplication cost nothing: a reordered frame is
-   delivered when the FIFO clamp would deliver it anyway, and a
-   duplicate is discarded on arrival.  Same cycles, same messages as
-   the clean run; only the counters move. *)
-let t_reorder_dup_free () =
-  let nprocs = 8 in
-  let make () = Shasta_apps.Apps.((find "ocean").make Test) in
-  let _, clean = Support.run ~nprocs (make ()) in
-  let obs = Shasta_obs.Obs.create ~nprocs () in
-  let faults = { Network.no_faults with reorder = 0.5; dup = 0.5 } in
-  let _, r = Support.run ~nprocs ~obs ~net_faults:faults (make ()) in
-  Alcotest.(check int) "wall cycles" clean.Api.phase.Cluster.wall_cycles
-    r.Api.phase.Cluster.wall_cycles;
-  Alcotest.(check int) "messages" clean.Api.phase.Cluster.msgs_sent
-    r.Api.phase.Cluster.msgs_sent;
-  let total =
-    Shasta_obs.Obs.Metrics.counter_total (Shasta_obs.Obs.metrics obs)
-  in
-  Alcotest.(check bool) "net.reorder fired" true
-    (total Shasta_obs.Obs.c_net_reorder > 0);
-  Alcotest.(check bool) "net.dup fired" true
-    (total Shasta_obs.Obs.c_net_dup > 0)
-
-(* A fault spec value out of range is rejected with a message naming
-   its key, never clamped into range or silently dropped; the range's
-   edges parse as given. *)
+(* A fault spec with an unknown key (there is no dup or reorder coin)
+   or a value out of range is rejected with a message naming its key,
+   never clamped into range or silently dropped; the range's edges
+   parse as given. *)
 let t_spec_rejects_out_of_range () =
   List.iter
     (fun (spec, key) ->
       match Network.faults_of_string spec with
       | _ -> Alcotest.failf "%s: accepted" spec
       | exception Invalid_argument e ->
-        let prefix = "Network.faults_of_string: " ^ key ^ " needs" in
+        let p = "Network.faults_of_string: " in
         Alcotest.(check bool) (spec ^ " names " ^ key) true
-          (String.starts_with ~prefix e))
+          (String.starts_with ~prefix:(p ^ key ^ " needs") e
+           || e = p ^ "unknown key " ^ key))
     [ ("drop=2", "drop"); ("drop=nan", "drop"); ("drop=-0.5", "drop");
-      ("dup=inf", "dup"); ("rto=-5", "rto"); ("max-retx=-1", "max-retx");
+      ("delay=inf", "delay"); ("rto=-5", "rto"); ("max-retx=-1", "max-retx");
       ("max-retx=1", "max-retx"); ("drop=0.05,max-retx=2", "max-retx");
-      ("delay-cycles=-100,delay=0.5", "delay-cycles") ];
+      ("delay-cycles=-100,delay=0.5", "delay-cycles"); ("dup=0.01", "dup");
+      ("reorder=0.01", "reorder") ];
   match
     Network.faults_of_string "drop=0.9,delay=0,delay-cycles=0,rto=0,max-retx=0"
   with
@@ -210,18 +174,14 @@ let tx_gen =
   let open QCheck2.Gen in
   int_range 1 1_000_000 >>= fun seed ->
   float_bound_inclusive 0.5 >>= fun drop ->
-  float_bound_inclusive 0.3 >>= fun dup ->
-  float_bound_inclusive 0.3 >>= fun reorder ->
   float_bound_inclusive 0.3 >>= fun delay ->
   int_range 0 100_000 >>= fun now ->
   int_range 1 5_000 >>= fun flight ->
   int_range 1 10_000 >>= fun rto ->
-  return (seed, drop, dup, reorder, delay, now, flight, rto)
+  return (seed, drop, delay, now, flight, rto)
 
-let prop_tx_plan (seed, drop, dup, reorder, delay, now, flight, rto) =
-  let f =
-    { Network.no_faults with drop; dup; reorder; delay; delay_cycles = 2000 }
-  in
+let prop_tx_plan (seed, drop, delay, now, flight, rto) =
+  let f = { Network.no_faults with drop; delay; delay_cycles = 2000 } in
   let plan () =
     Network.tx_plan f (Random.State.make [| seed |]) ~now ~flight ~rto
   in
@@ -339,11 +299,9 @@ let () =
           Support.golden_runs );
       ( "counters",
         [ Alcotest.test_case "zero when off" `Quick t_counters_zero_when_off;
-          Alcotest.test_case "registry matches wire" `Quick
-            t_counters_match_wire;
+          Alcotest.test_case "registry matches events" `Quick
+            t_counters_match_events;
           Alcotest.test_case "deterministic" `Quick t_faults_deterministic;
-          Alcotest.test_case "reordering and duplication are free" `Quick
-            t_reorder_dup_free;
           Alcotest.test_case "spec rejects out-of-range values" `Quick
             t_spec_rejects_out_of_range ] );
       ( "sublayer",

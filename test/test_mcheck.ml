@@ -804,10 +804,9 @@ let t_replay_reproduces () =
 
 let t_replay_under_faults () =
   (* the engine records protocol inputs AFTER the wire delivers them
-     (post-retransmission, post-dedup, in channel order), so a run over
-     a faulty wire
-     replays exactly like a clean one: the log already contains the
-     repaired, exactly-once FIFO stream the core consumed *)
+     (post-retransmission, in channel order), so a run over a faulty
+     wire replays exactly like a clean one: the log already contains
+     the repaired, exactly-once FIFO stream the core consumed *)
   let open Shasta_runtime in
   let prog = Shasta_apps.Lu.program ~n:16 ~bs:4 () in
   let spec =
@@ -819,8 +818,9 @@ let t_replay_under_faults () =
   state.State.record_inputs <- true;
   let _ = Cluster.run_app state in
   Alcotest.(check bool) "faults actually fired" true
-    ((Shasta_network.Network.fault_stats state.State.net)
-       .Shasta_network.Network.retxs > 0);
+    (Shasta_obs.Obs.(
+       Metrics.counter_total (metrics (State.obs state)) c_net_retx)
+     > 0);
   let r = Replay.replay state in
   Alcotest.(check bool) "steps recorded" true (r.Replay.steps > 0);
   Alcotest.(check bool) "replay ok under net faults" true (Replay.ok r)
