@@ -1,10 +1,10 @@
 (* Sparse simulated memory.
 
-   Memory is a table of 8 KB pages, each an array of 32-bit longword
-   patterns (stored as non-negative OCaml ints in [0, 2^32)).  The
-   longword is the unit Shasta cares about: the flag value of the load
-   miss check (Section 3.2 of the paper) is written into every longword
-   of an invalid line, so longword granularity must be primitive.
+   Memory is a table of 8 KB pages, each a [Bytes.t] in little-endian
+   byte order, as on the Alpha.  Every accessor is one load or store of
+   its own width: the state table is read a byte at a time, the flag
+   value of the load miss check (Section 3.2 of the paper) a longword
+   at a time, data a quadword at a time.
 
    Quadword integer values are represented as OCaml ints carrying the
    sign-extended 64-bit value; values outside [-2^62, 2^62) are not
@@ -17,7 +17,7 @@
 type fill = { f_addr : int; f_len : int; f_byte : int }
 
 type t = {
-  pages : (int, int array) Hashtbl.t;
+  pages : (int, Bytes.t) Hashtbl.t;
   mutable allocated_pages : int;
   (* pending fills, newest first; a page applies them oldest first when
      it materializes *)
@@ -26,41 +26,29 @@ type t = {
      recent pages indexed by the low bits of the page number; pages are
      never freed, so no entry can go stale *)
   mutable last_pno : int;
-  mutable last_page : int array;
+  mutable last_page : Bytes.t;
   slot_pno : int array; (* min_int = empty *)
-  slot_page : int array array;
+  slot_page : Bytes.t array;
 }
 
 let page_bytes = 8192
-let page_longs = page_bytes / 4
 
 (* Check code alternates between state-table and data pages, which the
    one-entry cache alone would send to the hash table on every switch. *)
 let slots = 64
 
 let create () =
-  { pages = Hashtbl.create 1024; allocated_pages = 0; fills = [];
-    last_pno = min_int; last_page = [||];
-    slot_pno = Array.make slots min_int; slot_page = Array.make slots [||] }
+  { pages = Hashtbl.create 16; allocated_pages = 0; fills = [];
+    last_pno = min_int; last_page = Bytes.empty;
+    slot_pno = Array.make slots min_int;
+    slot_page = Array.make slots Bytes.empty }
 
-let set_byte_in pg off v =
-  let i = off / 4 and shift = 8 * (off land 3) in
-  pg.(i) <- pg.(i) land lnot (0xFF lsl shift) lor (v lsl shift)
-
-(* Apply fill [f] to page [pg] (number [pno]): whole longwords with one
-   [Array.fill], byte read-modify-write only at unaligned edges. *)
+(* Apply fill [f] to page [pg] (number [pno]). *)
 let fill_page pg pno f =
   let pstart = pno * page_bytes in
   let lo = max f.f_addr pstart - pstart
   and hi = min (f.f_addr + f.f_len) (pstart + page_bytes) - pstart in
-  if lo < hi then begin
-    (* [lo, wlo) and [whi, hi) are the edges; [wlo, whi) whole longwords *)
-    let wlo = min hi ((lo + 3) land lnot 3) in
-    let whi = max wlo (hi land lnot 3) in
-    for off = lo to wlo - 1 do set_byte_in pg off f.f_byte done;
-    Array.fill pg (wlo / 4) ((whi - wlo) / 4) (f.f_byte * 0x01010101);
-    for off = whi to hi - 1 do set_byte_in pg off f.f_byte done
-  end
+  if lo < hi then Bytes.unsafe_fill pg lo (hi - lo) (Char.unsafe_chr f.f_byte)
 
 (* [fills] is newest first: recurse before applying, so the oldest fill
    lands first.  Top level and closure-free, so a page's first touch
@@ -77,7 +65,7 @@ let find_page t pno =
   match Hashtbl.find t.pages pno with
   | p -> p
   | exception Not_found ->
-    let p = Array.make page_longs 0 in
+    let p = Bytes.make page_bytes '\000' in
     apply_fills p pno t.fills;
     Hashtbl.add t.pages pno p;
     t.allocated_pages <- t.allocated_pages + 1;
@@ -105,6 +93,10 @@ let[@inline] page t addr =
   let pno = addr / page_bytes in
   if pno = t.last_pno then t.last_page else slot_page t pno
 
+(* [addr]'s offset in its page.  A negative address off a page boundary
+   gives a negative offset, which the accessors' bounds checks refuse. *)
+let[@inline] off addr = addr mod page_bytes
+
 let allocated_bytes t = t.allocated_pages * page_bytes
 
 let unaligned addr what =
@@ -116,55 +108,41 @@ let[@inline] check_align addr n what =
 (* Raw longword pattern in [0, 2^32). *)
 let read_long_u t addr =
   check_align addr 4 "longword";
-  (page t addr).(addr mod page_bytes / 4)
+  Int32.to_int (Bytes.get_int32_le (page t addr) (off addr)) land 0xFFFFFFFF
 
 let write_long_u t addr v =
   check_align addr 4 "longword";
-  (page t addr).(addr mod page_bytes / 4) <- v land 0xFFFFFFFF
+  Bytes.set_int32_le (page t addr) (off addr) (Int32.of_int v)
 
 (* Sign-extended longword, as the ldl instruction sees it. *)
 let sext32 v = if v land 0x80000000 <> 0 then v - 0x1_0000_0000 else v
-let read_long t addr = sext32 (read_long_u t addr)
 
-let read_byte t addr =
-  let lw = read_long_u t (addr land lnot 3) in
-  (lw lsr (8 * (addr land 3))) land 0xFF
+let read_long t addr =
+  check_align addr 4 "longword";
+  Int32.to_int (Bytes.get_int32_le (page t addr) (off addr))
 
-let write_byte t addr v =
-  let base = addr land lnot 3 in
-  let shift = 8 * (addr land 3) in
-  let lw = read_long_u t base in
-  let lw = lw land lnot (0xFF lsl shift) lor ((v land 0xFF) lsl shift) in
-  write_long_u t base lw
+let read_byte t addr = Bytes.get_uint8 (page t addr) (off addr)
+let write_byte t addr v = Bytes.set_uint8 (page t addr) (off addr) v
 
 (* Quadword as a sign-extended OCaml int (see module comment).  An
-   aligned quadword never crosses a page: both halves come from one
-   page lookup. *)
+   aligned quadword never crosses a page. *)
 let read_quad t addr =
   check_align addr 8 "quadword";
-  let pg = page t addr and i = addr mod page_bytes / 4 in
-  (sext32 pg.(i + 1) * 0x1_0000_0000) + pg.(i)
+  Int64.to_int (Bytes.get_int64_le (page t addr) (off addr))
 
 let write_quad t addr v =
   check_align addr 8 "quadword";
-  let pg = page t addr and i = addr mod page_bytes / 4 in
-  pg.(i) <- v land 0xFFFFFFFF;
-  pg.(i + 1) <- (v asr 32) land 0xFFFFFFFF
+  Bytes.set_int64_le (page t addr) (off addr) (Int64.of_int v)
 
 (* Exact 64-bit pattern access, used for floating-point data.  Inlined
    so the float accessors below keep the pattern unboxed. *)
 let[@inline] read_quad_bits t addr =
   check_align addr 8 "quadword";
-  let pg = page t addr and i = addr mod page_bytes / 4 in
-  Int64.logor
-    (Int64.shift_left (Int64.of_int pg.(i + 1)) 32)
-    (Int64.of_int pg.(i))
+  Bytes.get_int64_le (page t addr) (off addr)
 
 let[@inline] write_quad_bits t addr bits =
   check_align addr 8 "quadword";
-  let pg = page t addr and i = addr mod page_bytes / 4 in
-  pg.(i) <- Int64.(to_int (logand bits 0xFFFFFFFFL));
-  pg.(i + 1) <- Int64.(to_int (logand (shift_right_logical bits 32) 0xFFFFFFFFL))
+  Bytes.set_int64_le (page t addr) (off addr) bits
 
 (* Floats move between memory and a register file, where they stay
    unboxed: neither accessor allocates. *)
@@ -220,12 +198,16 @@ let copy_pages ~src ~dst ~addr ~len =
       src.pages []
   in
   List.iter
-    (fun (pstart, pg) -> Array.blit pg 0 (page dst pstart) 0 page_longs)
+    (fun (pstart, pg) -> Bytes.blit pg 0 (page dst pstart) 0 page_bytes)
     to_copy
 
 (* Bulk copy of [nlongs] longwords starting at [addr] (both 4-aligned). *)
 let blit_out t ~addr ~nlongs =
-  Array.init nlongs (fun i -> read_long_u t (addr + (4 * i)))
+  let a = Array.make nlongs 0 in
+  for i = 0 to nlongs - 1 do
+    a.(i) <- read_long_u t (addr + (4 * i))
+  done;
+  a
 
 let blit_in t ~addr longs =
   Array.iteri (fun i v -> write_long_u t (addr + (4 * i)) v) longs

@@ -1,8 +1,10 @@
 (** Sparse simulated memory.
 
-    A table of 8 KB pages of 32-bit longword patterns.  The longword is
-    primitive because the Shasta flag technique (paper Section 3.2)
-    stores the -253 flag value into every longword of an invalid line.
+    A table of 8 KB pages of bytes in little-endian order, as on the
+    Alpha.  Every access is one load or store of its width: the checks
+    read the state table a byte at a time, and the flag technique
+    (paper Section 3.2) stores the -253 flag value into every longword
+    of an invalid line.
 
     Quadword integers are OCaml ints carrying the sign-extended 64-bit
     value (values outside [-2^62, 2^62) wrap; simulated programs keep
@@ -15,7 +17,8 @@ val create : unit -> t
 val page_bytes : int
 
 val allocated_bytes : t -> int
-(** Bytes of backing store materialized so far. *)
+(** Bytes of simulated memory materialized so far; each materialized
+    page costs its 8 KB of host heap. *)
 
 (** {1 Longwords} *)
 

@@ -371,6 +371,146 @@ let print_pop = function
   | P_copy (p, n) -> Printf.sprintf "copy pages %d+%d" p n
   | P_read a -> Printf.sprintf "read 0x%x" a
 
+(* Memory against one little-endian byte array.  Writes of every width
+   and fills land in the model byte by byte; every read, at every width,
+   must equal the model's bytes assembled low byte first, as on the
+   Alpha.  Addresses span three pages and both halves of each, so a
+   wrong page mask aliases bytes the model keeps apart.  [copy_pages]
+   copies the source pages that hold data: those a write or fill
+   touched (the source is never read). *)
+type lop =
+  | L_byte of int * int
+  | L_long of int * int
+  | L_quad of int * int
+  | L_float of int * float
+  | L_fill of int * int * int
+  | L_src_quad of int * int
+  | L_src_fill of int * int * int
+  | L_copy of int * int (* first page, pages *)
+  | L_read of int
+
+let lop_gen =
+  let open QCheck2.Gen in
+  let addr = int_bound (window - 1) in
+  let fill k =
+    map3
+      (fun a l v -> k a (min l (window - a)) v)
+      addr
+      (oneof [ int_bound 16; int_bound 256; int_range (pb - 8) (pb + 8) ])
+      (int_bound 255)
+  in
+  let long =
+    oneof
+      [ return Shasta.Layout.flag_pattern; int_bound 0xFFFF;
+        map (fun v -> v land 0xFFFFFFFF) int ]
+  in
+  let quad =
+    oneof [ return (-253); int_range (-1000) 1000; int; return min_int;
+            return max_int ]
+  in
+  oneof
+    [ map2 (fun a v -> L_byte (a, v)) addr (int_bound 255);
+      map2 (fun a v -> L_long (a land lnot 3, v)) addr long;
+      map2 (fun a v -> L_quad (a land lnot 7, v)) addr quad;
+      map2 (fun a x -> L_float (a land lnot 7, x)) addr float;
+      fill (fun a l v -> L_fill (a, l, v));
+      map2 (fun a v -> L_src_quad (a land lnot 7, v)) addr quad;
+      fill (fun a l v -> L_src_fill (a, l, v));
+      map2
+        (fun p n -> L_copy (p, min n (window_pages - p)))
+        (int_bound (window_pages - 1)) (int_range 1 window_pages);
+      map (fun a -> L_read a) addr ]
+
+let print_lop = function
+  | L_byte (a, v) -> Printf.sprintf "byte 0x%x=%d" a v
+  | L_long (a, v) -> Printf.sprintf "long 0x%x=0x%x" a v
+  | L_quad (a, v) -> Printf.sprintf "quad 0x%x=%d" a v
+  | L_float (a, x) -> Printf.sprintf "float 0x%x=%h" a x
+  | L_fill (a, l, v) -> Printf.sprintf "fill 0x%x+%d=%d" a l v
+  | L_src_quad (a, v) -> Printf.sprintf "src quad 0x%x=%d" a v
+  | L_src_fill (a, l, v) -> Printf.sprintf "src fill 0x%x+%d=%d" a l v
+  | L_copy (p, n) -> Printf.sprintf "copy pages %d+%d" p n
+  | L_read a -> Printf.sprintf "read 0x%x" a
+
+(* [n] model bytes from [a], low byte first, as an Int64 *)
+let le_get model a n =
+  let r = ref 0L in
+  for i = n - 1 downto 0 do
+    let b = Char.code (Bytes.get model (a + i)) in
+    r := Int64.(logor (shift_left !r 8) (of_int b))
+  done;
+  !r
+
+let le_set model a n (v : int64) =
+  for i = 0 to n - 1 do
+    Bytes.set model (a + i)
+      (Char.chr Int64.(to_int (logand (shift_right_logical v (8 * i)) 0xFFL)))
+  done
+
+let prop_le_model ops =
+  let m = Memory.create () and src = Memory.create () in
+  let model = Bytes.make window '\000' and smodel = Bytes.make window '\000' in
+  let held = Array.make window_pages false in
+  let hold a len = for q = a / pb to (a + len - 1) / pb do held.(q) <- true done in
+  let read_ok a =
+    let l = a land lnot 3 and q = a land lnot 7 in
+    let long = Int64.to_int (le_get model l 4) and quad = le_get model q 8 in
+    Memory.read_byte m a = Int64.to_int (le_get model a 1)
+    && Memory.read_long_u m l = long
+    && Memory.read_long m l = Memory.sext32 long
+    && Memory.read_quad m q = Int64.to_int quad
+    && Memory.read_quad_unaligned m a = Int64.to_int quad
+    && Int64.equal (Memory.read_quad_bits m q) quad
+    && Int64.equal (Int64.bits_of_float (read_float m q)) quad
+    && Memory.blit_out m ~addr:q ~nlongs:2
+       = [| Int64.to_int (le_get model q 4);
+            Int64.to_int (le_get model (q + 4) 4) |]
+  in
+  List.for_all
+    (fun op ->
+      match op with
+      | L_byte (a, v) ->
+        Memory.write_byte m a v;
+        le_set model a 1 (Int64.of_int v);
+        true
+      | L_long (a, v) ->
+        Memory.write_long_u m a v;
+        le_set model a 4 (Int64.of_int v);
+        true
+      | L_quad (a, v) ->
+        Memory.write_quad m a v;
+        le_set model a 8 (Int64.of_int v);
+        true
+      | L_float (a, x) ->
+        write_float m a x;
+        le_set model a 8 (Int64.bits_of_float x);
+        true
+      | L_fill (a, len, v) ->
+        Memory.fill_bytes m ~addr:a ~len v;
+        Bytes.fill model a len (Char.chr v);
+        true
+      | L_src_quad (a, v) ->
+        Memory.write_quad src a v;
+        le_set smodel a 8 (Int64.of_int v);
+        hold a 8;
+        true
+      | L_src_fill (a, len, v) ->
+        Memory.fill_bytes src ~addr:a ~len v;
+        Bytes.fill smodel a len (Char.chr v);
+        if len > 0 then hold a len;
+        true
+      | L_copy (p, n) ->
+        Memory.copy_pages ~src ~dst:m ~addr:(p * pb) ~len:(n * pb);
+        for q = p to p + n - 1 do
+          if held.(q) then Bytes.blit smodel (q * pb) model (q * pb) pb
+        done;
+        true
+      | L_read a -> read_ok a)
+    ops
+  &&
+  let rec go a = a >= window || (read_ok a && go (a + 1)) in
+  go 0
+
 let t_blit () =
   let m = Memory.create () in
   Memory.blit_in m ~addr:0x8000 [| 1; 2; 3; 4 |];
@@ -509,7 +649,12 @@ let () =
             (QCheck2.Test.make ~name:"page cache equals a longword table"
                ~count:100 ~print:QCheck2.Print.(list print_pop)
                QCheck2.Gen.(list_size (int_range 1 200) pop_gen)
-               prop_page_cache) ] );
+               prop_page_cache);
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~name:"equals a little-endian byte array"
+               ~count:100 ~print:QCheck2.Print.(list print_lop)
+               QCheck2.Gen.(list_size (int_range 1 100) lop_gen)
+               prop_le_model) ] );
       ( "fill",
         [ Alcotest.test_case "lazy" `Quick t_fill_lazy;
           Alcotest.test_case "materialized page" `Quick t_fill_materialized;

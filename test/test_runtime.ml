@@ -352,16 +352,18 @@ let t_home_policies () =
 (* Cold start at the 64-node config: the private regions' exclusive bits
    read as set, yet building the cluster materializes almost nothing (the
    exclusive table is filled lazily, page by page, on first touch; an
-   eager fill left 49 pages per node), and no cache has tag storage yet. *)
+   eager fill left 49 pages per node), and no cache has tag storage yet.
+   After the run, each node's memory costs the host little more than
+   its materialized pages. *)
 let t_create_footprint () =
   let prog = Shasta_apps.Lu.program ~n:48 ~bs:8 () in
-  let state, _, _ =
-    Api.prepare
-      { (Api.default_spec prog) with
-        nprocs = 64;
-        dir_mode = Shasta_protocol.Nodeset.Limited 4;
-        scalable_sync = true }
+  let spec =
+    { (Api.default_spec prog) with
+      nprocs = 64;
+      dir_mode = Shasta_protocol.Nodeset.Limited 4;
+      scalable_sync = true }
   in
+  let state, _, _ = Api.prepare spec in
   let module M = Shasta_machine.Memory in
   Array.iter
     (fun (n : Node.t) ->
@@ -390,7 +392,22 @@ let t_create_footprint () =
             1
             ((M.read_byte mem (a lsr (ls + 3)) lsr ((a lsr ls) land 7)) land 1))
         [ static_base; static_limit - 64; stack_limit; stack_top - 64 ])
-    [ 0; 63 ]
+    [ 0; 63 ];
+  (* Host heap after a run: a page is its 1,024 words of bytes, a
+     padding word and a header; the rest (the 64-slot page cache, a
+     page table still at 16 buckets, its cells and the pending fills)
+     is 204 words per node here. *)
+  let r = Api.run spec in
+  Array.iter
+    (fun (n : Node.t) ->
+      let pages = M.allocated_bytes n.mem / M.page_bytes in
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d: %d pages in at most %d words" n.id pages
+           ((pages * ((M.page_bytes / 8) + 2)) + 256))
+        true
+        (Obj.reachable_words (Obj.repr n.mem)
+         <= (pages * ((M.page_bytes / 8) + 2)) + 256))
+    r.state.nodes
 
 (* Every deadlock names its nodes: a run cut off by the event budget
    says where each node was. *)
