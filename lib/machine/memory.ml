@@ -210,4 +210,6 @@ let blit_out t ~addr ~nlongs =
   a
 
 let blit_in t ~addr longs =
-  Array.iteri (fun i v -> write_long_u t (addr + (4 * i)) v) longs
+  for i = 0 to Array.length longs - 1 do
+    write_long_u t (addr + (4 * i)) longs.(i)
+  done

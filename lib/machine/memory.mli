@@ -31,6 +31,9 @@ val read_long : t -> int -> int
 (** Sign-extended longword, as the [ldl] instruction sees it. *)
 
 val sext32 : int -> int
+(** Sign-extend an unsigned 32-bit value: how [ldl] and the
+    interpreter's longword arithmetic ([addl], [subl], [mull]) read
+    one. *)
 
 (** {1 Bytes} *)
 

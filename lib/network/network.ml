@@ -332,18 +332,6 @@ let send t ~src ~dst ~now ~payload_longs msg =
     start
   end
 
-(* Multicast fan-out: one message per (dst, msg) pair, each send
-   starting at the cycle the previous one finished — byte-identical to
-   the equivalent sequence of [send] calls (there is no hardware
-   multicast in the modeled interconnects; what the engine saves is the
-   per-message bookkeeping, and the caller gets the fan-out width in
-   one place to observe). *)
-let multicast t ~src ~now ~payload_longs pairs =
-  List.fold_left
-    (fun now (dst, msg) ->
-      send t ~src ~dst ~now ~payload_longs:(payload_longs msg) msg)
-    now pairs
-
 let next_arrival t ~dst = t.earliest.(dst)
 
 (* Pop the earliest message for [dst] with arrival <= [now].  Ties are

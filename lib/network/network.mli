@@ -109,16 +109,6 @@ val send : 'a t -> src:int -> dst:int -> now:int -> payload_longs:int ->
     caller charges it to the sending node).  Each channel delivers in
     send order, faults or not. *)
 
-val multicast :
-  'a t -> src:int -> now:int -> payload_longs:('a -> int) ->
-  (int * 'a) list -> int
-(** Queue one message per (dst, msg) pair in list order, each send
-    starting where the previous left the sender.  Byte-identical in
-    timing and delivery to the equivalent sequence of {!send} calls;
-    returns the time the sender is done with the whole fan-out.  The
-    invalidation path uses this so the fan-out width is observable in
-    one place. *)
-
 val next_arrival : 'a t -> dst:int -> int
 (** Earliest arrival time among the frames queued for [dst], [max_int]
     when none: a per-destination value kept at push, pop and

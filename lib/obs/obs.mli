@@ -50,6 +50,23 @@ val count_send : t -> node:int -> longs:int -> unit
 val count_recv : t -> node:int -> unit
 (** Count one network delivery, as an {!Event.Msg_recv} would. *)
 
+(** The registry count of each event the protocol core reports, apart
+    from its record. *)
+type tally =
+  | Miss_read | Miss_write | Miss_upgrade | Miss_false | Invalidated
+  | Downgraded | Store_reissue | Batch_run | Lock_acquired
+  | Barrier_passed | Flag_raised | Flag_woken | Lease_takeover
+  | Dir_rebuild | Home_migrated
+
+val count : t -> node:int -> tally -> unit
+(** Count one event of the named class exactly as emitting its record
+    would, without building it: the protocol engine's path when
+    nothing is {!recording}. *)
+
+val count_stall :
+  t -> node:int -> Event.stall_reason -> cycles:int -> unit
+(** Count one stall of [cycles], as an {!Event.Stall} would. *)
+
 val counter : t -> string -> Metrics.counter
 (** Resolve a registry counter once, for a hot path with no event. *)
 

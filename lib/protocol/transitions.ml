@@ -9,11 +9,13 @@
    over an immutable [view].  Inputs are miss-check outcomes, protocol
    messages and sync ops; effects (network sends, pipeline charges,
    state-table writes, observability events, blocking/waking) come back
-   as an ordered [action] list for the runtime interpreter
-   ([Engine]) to apply against Pipeline/Network/Memory.  The ordering
-   contract is strict: applying the actions left to right reproduces the
-   exact effect order of the historical monolithic engine, so event
-   streams and cycle counts are byte-for-byte identical.
+   as an ordered [action] list.  [step_into] runs the same step and
+   passes each action, in the same order, to a caller's sink instead:
+   that is how the runtime interpreter ([Engine]) applies them against
+   Pipeline/Network/Memory.  The ordering contract is strict: applying
+   the actions in order reproduces the exact effect order of the
+   historical monolithic engine, so event streams and cycle counts are
+   byte-for-byte identical.
 
    Because the core is pure it can also be driven without a machine
    underneath: [lib/mcheck] explores all interleavings of small
@@ -253,28 +255,32 @@ type input =
 
 (* The stepping node's view is loaded into [me] once per step and each
    update replaces it ([c.me <- { c.me with ... }]: no closure, no map
-   insert).  [v.nodes] keeps the value [me] was loaded from ([stored])
-   until [store_me] writes [me] back, once, at the end of the step.
+   insert).  [v.nodes] keeps the value [me] was loaded from until
+   [store_me] writes [me] back, once, at the end of the step.
    Only crash recovery reads or rewrites other nodes' entries, through
-   [node_view_at] and [map_nodes], which see the current [me]. *)
+   [node_view_at] and [map_nodes], which see the current [me].
+
+   Each action goes to [sink] the moment the core decides it; [step]'s
+   sink is the [collect] marker, for which [act] conses onto [racc]
+   instead of calling it, so neither entry allocates a closure. *)
 type ctx = {
   cfg : cfg;
   node : int; (* the stepping node: all actions target it *)
   mutable v : view;
   mutable me : nview; (* the stepping node's current view *)
-  mutable stored : nview; (* its entry in [v.nodes] *)
-  mutable racc : action list; (* reverse accumulation *)
+  sink : action -> unit;
+  mutable racc : action list; (* [collect]'s actions, newest first *)
 }
 
-let act c a = c.racc <- a :: c.racc
+let collect (_ : action) = ()
+
+let act c a = if c.sink == collect then c.racc <- a :: c.racc else c.sink a
 
 let nv c = c.me
 
 let store_me c =
-  if c.me != c.stored then begin
-    c.v <- { c.v with nodes = Imap.add c.node c.me c.v.nodes };
-    c.stored <- c.me
-  end
+  if c.me != Imap.find c.node c.v.nodes then
+    c.v <- { c.v with nodes = Imap.add c.node c.me c.v.nodes }
 
 (* Any node's view as of now: [me] for the stepping node. *)
 let node_view_at c n = if n = c.node then c.me else Imap.find n c.v.nodes
@@ -283,8 +289,7 @@ let node_view_at c n = if n = c.node then c.me else Imap.find n c.v.nodes
 let map_nodes c f =
   store_me c;
   c.v <- { c.v with nodes = Imap.mapi f c.v.nodes };
-  c.me <- Imap.find c.node c.v.nodes;
-  c.stored <- c.me
+  c.me <- Imap.find c.node c.v.nodes
 
 let set_line c block l =
   c.me <- { c.me with lines = Imap.add block l c.me.lines }
@@ -1689,9 +1694,10 @@ let node_recover c ~victim =
 (* The transition function                                              *)
 (* ------------------------------------------------------------------ *)
 
-let step (cfg : cfg) (v : view) ~node (input : input) : action list * view =
+(* One step on a fresh context: the body both entries share. *)
+let run (cfg : cfg) (v : view) ~node sink (input : input) =
   let me = Imap.find node v.nodes in
-  let c = { cfg; node; v; me; stored = me; racc = [] } in
+  let c = { cfg; node; v; me; sink; racc = [] } in
   (match input with
    | I_msg msg -> handle c msg
    | I_load_miss { addr; block } -> load_miss c ~addr ~block
@@ -1709,6 +1715,12 @@ let step (cfg : cfg) (v : view) ~node (input : input) : action list * view =
    | I_node_crash { victim; lost } -> node_crash c ~victim ~lost
    | I_node_recover victim -> node_recover c ~victim);
   store_me c;
+  c
+
+let step_into cfg v ~node input sink = (run cfg v ~node sink input).v
+
+let step cfg v ~node input =
+  let c = run cfg v ~node collect input in
   (List.rev c.racc, c.v)
 
 (* ------------------------------------------------------------------ *)

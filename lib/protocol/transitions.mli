@@ -1,11 +1,12 @@
 (* Pure protocol transition core.
 
    [step] is the entire Shasta coherence/synchronization protocol as a
-   pure function over an immutable [view]; the runtime engine interprets
-   the returned [action] list against Pipeline/Network/Memory, and the
-   model checker ([lib/mcheck]) and the deterministic-replay driver
-   (shasta_run --replay) drive [step] directly.  Types are transparent
-   so checkers can build and inspect views. *)
+   pure function over an immutable [view].  The runtime engine applies
+   the [action]s that [step_into] streams to it against
+   Pipeline/Network/Memory; deterministic replay (shasta_run
+   --replay) streams them into a sink that discards them;
+   the model checker ([lib/mcheck]) takes [step]'s list.  Types are
+   transparent so checkers can build and inspect views. *)
 
 module Imap : Map.S with type key = int
 
@@ -166,6 +167,13 @@ val init : cfg -> view
    included: miss inputs name only the address and block, and the core
    reads the node's line state from its own view. *)
 val step : cfg -> view -> node:int -> input -> action list * view
+
+(* [step] with its actions streamed: [step_into cfg v ~node input sink]
+   passes each action to [sink], in [step]'s list order, as the core
+   decides it, and returns the same view.  No list is built.  The core
+   is done with an action once it has passed it on, so [sink] may apply
+   it at once; [sink] must not step the core again. *)
+val step_into : cfg -> view -> node:int -> input -> (action -> unit) -> view
 
 val home_of : cfg -> int -> int
 (* Natural (round-robin) home of a block, ignoring overrides. *)

@@ -73,6 +73,7 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
       inputs_rev = [];
       fault_queue = [] }
   in
+  Engine.attach state;
   (* Wire the interconnect and cache-model taps into the observability
      subsystem: every network send/delivery becomes a typed event when
      a sink or profiler records (only a registry bump otherwise), every

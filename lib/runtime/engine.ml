@@ -11,10 +11,13 @@
      drained network messages, batched access lists with their
      historical iteration orders, store values the core cannot read
      itself) — the core reads line states from its own view;
-   - applies the returned action list IN ORDER against
-     Pipeline/Network/Memory/Tables and the observability subsystem,
-     which reproduces the old monolithic engine's effect order — and
-     therefore its event stream and cycle counts — exactly;
+   - applies each action IN ORDER, as [Transitions.step_into] streams
+     it into the node's sink, against Pipeline/Network/Memory/Tables
+     and the observability subsystem, which reproduces the old
+     monolithic engine's effect order — and therefore its event stream
+     and cycle counts — exactly.  No action list is built, and an
+     event record only when a sink or profiler will read it: otherwise
+     an event is one registry bump;
    - records every (node, input) pair when [state.record_inputs] is
      set, enabling deterministic replay through the pure core alone.
 
@@ -107,6 +110,25 @@ let ev_of (e : T.ev) : Ev.t =
   | T.E_dir_rebuild { block; from } -> Ev.Dir_rebuild { block; from }
   | T.E_home_migrated { page; to_ } -> Ev.Home_migrated { page; to_ }
 
+(* What [ev_of e]'s record would add to the registry. *)
+let tally_of (e : T.ev) : Obs.tally =
+  match e with
+  | T.E_miss (T.MK_read, _) -> Miss_read
+  | T.E_miss (T.MK_write, _) -> Miss_write
+  | T.E_miss (T.MK_upgrade, _) -> Miss_upgrade
+  | T.E_false_miss _ -> Miss_false
+  | T.E_invalidated _ -> Invalidated
+  | T.E_downgraded _ -> Downgraded
+  | T.E_store_reissue _ -> Store_reissue
+  | T.E_batch_run _ -> Batch_run
+  | T.E_lock_acquired _ -> Lock_acquired
+  | T.E_barrier_passed -> Barrier_passed
+  | T.E_flag_raised _ -> Flag_raised
+  | T.E_flag_woken _ -> Flag_woken
+  | T.E_lease_takeover _ -> Lease_takeover
+  | T.E_dir_rebuild _ -> Dir_rebuild
+  | T.E_home_migrated _ -> Home_migrated
+
 (* Data replies leave the core with an empty payload: read the block out
    of this node's memory at apply time.  No memory action can intervene
    between the core's send point and this apply point, so the data is
@@ -126,44 +148,13 @@ let stall_reason = function
   | T.W_release -> Ev.Wait_release
   | T.W_sync -> Ev.Wait_sync
 
-let rec step state (node : Node.t) (input : T.input) =
-  if state.State.record_inputs then
-    state.State.inputs_rev <- (node.id, input) :: state.State.inputs_rev;
-  let acts, v = T.step state.State.tcfg state.State.proto ~node:node.id input in
-  state.State.proto <- v;
-  apply_all state node acts
-
-(* Maximal runs of invalidation sends — the home's fan-out for one
-   request over the sharer set — go to the interconnect as one
-   multicast (timing-identical to the individual sends) and feed the
-   dir.fanout histogram with the run's width. *)
-and apply_all state (node : Node.t) acts =
-  match acts with
-  | [] -> ()
-  | T.A_send { dst; msg = { kind = Coh (Inv _); _ } as msg } :: rest ->
-    let rec split acc = function
-      | T.A_send { dst; msg = { kind = Coh (Inv _); _ } as msg } :: rest ->
-        split ((dst, msg) :: acc) rest
-      | l -> (List.rev acc, l)
-    in
-    let pairs, rest = split [ (dst, msg) ] rest in
-    let now = Pipeline.cycle node.pipe in
-    let done_at =
-      Shasta_network.Network.multicast state.State.net ~src:node.id ~now
-        ~payload_longs:Message.payload_longs pairs
-    in
-    charge node (done_at - now);
-    Obs.observe (Obs.fanout state.State.config.obs) ~node:node.id
-      (List.length pairs);
-    apply_all state node rest
-  | a :: rest ->
-    apply state node a;
-    apply_all state node rest
-
-and apply state (node : Node.t) (a : T.action) =
+let rec apply state (node : Node.t) (a : T.action) =
+  let obs = state.State.config.obs in
   match a with
   | T.A_charge c -> charge node (cost_cycles c)
-  | T.A_emit e -> emit state node (ev_of e)
+  | T.A_emit e ->
+    if Obs.recording obs then emit state node (ev_of e)
+    else Obs.count obs ~node:node.id (tally_of e)
   | T.A_send { dst; msg } ->
     let msg = fill_data state node msg in
     (* the network's send tap reports the message to the observability
@@ -179,7 +170,7 @@ and apply state (node : Node.t) (a : T.action) =
     (* local delivery: the core charged the handler cost and handled the
        message inline; it never reaches the network taps, so count it
        here *)
-    Obs.incr (Obs.msg_local state.State.config.obs) ~node:node.id
+    Obs.incr (Obs.msg_local obs) ~node:node.id
   | T.A_mem op -> apply_mem state node op
   | T.A_block w ->
     node.status <- Waiting w;
@@ -187,11 +178,13 @@ and apply state (node : Node.t) (a : T.action) =
   | T.A_stall w ->
     let stalled = Pipeline.cycle node.pipe - node.wait_started in
     node.counters.stall_cycles <- node.counters.stall_cycles + stalled;
-    emit state node
-      (Ev.Stall
-         { reason = stall_reason w;
-           started = node.wait_started;
-           cycles = stalled });
+    if Obs.recording obs then
+      emit state node
+        (Ev.Stall
+           { reason = stall_reason w;
+             started = node.wait_started;
+             cycles = stalled })
+    else Obs.count_stall obs ~node:node.id (stall_reason w) ~cycles:stalled;
     node.status <- Running
   | T.A_refill -> node.refill ()
   | T.A_commit_store ->
@@ -233,6 +226,48 @@ and apply_mem state (node : Node.t) (op : T.memop) =
     let data = Tables.read_block victim ~addr:block ~len in
     Memory.blit_in node.mem ~addr:block data;
     Cache.dinvalidate node.caches ~addr:block ~len
+
+(* A maximal run of invalidation sends — the home's fan-out for one
+   request over the sharer set — goes out back to back, each send
+   starting where the previous one left the sender, with nothing
+   charged in between.  [flush] charges the whole run once and feeds
+   the dir.fanout histogram its width, at the first action after the
+   run or at the end of the step. *)
+let flush state (node : Node.t) =
+  if node.fan_n > 0 then begin
+    charge node (node.fan_done - Pipeline.cycle node.pipe);
+    Obs.observe (Obs.fanout state.State.config.obs) ~node:node.id node.fan_n;
+    node.fan_n <- 0
+  end
+
+let act state (node : Node.t) (a : T.action) =
+  match a with
+  | T.A_send { dst; msg = { kind = Coh (Inv _); _ } as msg } ->
+    let now =
+      if node.fan_n = 0 then Pipeline.cycle node.pipe else node.fan_done
+    in
+    node.fan_done <-
+      Shasta_network.Network.send state.State.net ~src:node.id ~dst ~now
+        ~payload_longs:(Message.payload_longs msg)
+        msg;
+    node.fan_n <- node.fan_n + 1
+  | a ->
+    flush state node;
+    apply state node a
+
+(* Build every node's sink once, when the cluster is created. *)
+let attach state =
+  Array.iter (fun (n : Node.t) -> n.act <- act state n) state.State.nodes
+
+(* One protocol step: the core streams its actions into the node's
+   sink, which applies each as it arrives.  No action reads
+   [state.proto], so the view is stored once the step is done. *)
+let step state (node : Node.t) (input : T.input) =
+  if state.State.record_inputs then
+    state.State.inputs_rev <- (node.id, input) :: state.State.inputs_rev;
+  state.State.proto <-
+    T.step_into state.State.tcfg state.State.proto ~node:node.id input node.act;
+  flush state node
 
 (* ------------------------------------------------------------------ *)
 (* Message delivery                                                     *)

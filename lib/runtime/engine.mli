@@ -3,9 +3,10 @@
 
    Every entry point builds a [Transitions.input] from what the machine
    observed (miss addresses, drained messages, stored longwords; the
-   core reads line states from its own view), runs the pure [step] to
-   completion, and applies the returned actions in order
-   against Pipeline/Network/Memory and the observability subsystem.
+   core reads line states from its own view), runs the pure step to
+   completion, and applies each action in order, as the core streams
+   it, against Pipeline/Network/Memory and the observability
+   subsystem.
    When [state.record_inputs] is set, every input is also logged for
    deterministic replay ([Replay]). *)
 
@@ -14,6 +15,10 @@ val emit_at :
 (** Report an event at [time], attributed to the node's current code
     site.  The site record is built only when a sink or profiler is
     attached. *)
+
+val attach : State.t -> unit
+(** Build each node's action sink ([Node.act]).  Run once, when the
+    cluster is created, before the first protocol step. *)
 
 (* -- inline miss handlers (called from the interpreter pseudo-ops) -- *)
 

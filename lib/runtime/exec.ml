@@ -19,8 +19,6 @@ exception Sim_error of string
 
 type yield = Y_running | Y_blocked | Y_done
 
-let sext32 v = if v land 0x80000000 <> 0 then v - 0x1_0000_0000 else v
-
 let eval_iop (op : Insn.iop) src1 src2 =
   match op with
   | Addq -> src1 + src2
@@ -35,9 +33,9 @@ let eval_iop (op : Insn.iop) src1 src2 =
     if src2 = 0 then raise (Sim_error "integer remainder by zero");
     src1 - (src2 * (let q = abs src1 / abs src2 in
                     if src1 >= 0 = (src2 >= 0) then q else -q))
-  | Addl -> sext32 ((src1 + src2) land 0xFFFFFFFF)
-  | Subl -> sext32 ((src1 - src2) land 0xFFFFFFFF)
-  | Mull -> sext32 (src1 * src2 land 0xFFFFFFFF)
+  | Addl -> Memory.sext32 ((src1 + src2) land 0xFFFFFFFF)
+  | Subl -> Memory.sext32 ((src1 - src2) land 0xFFFFFFFF)
+  | Mull -> Memory.sext32 (src1 * src2 land 0xFFFFFFFF)
   | And_ -> src1 land src2
   | Or_ -> src1 lor src2
   | Xor_ -> src1 lxor src2

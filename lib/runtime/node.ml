@@ -62,6 +62,13 @@ type t = {
   mutable reply_data : int array option;
       (* longwords of the Data_reply currently being applied (consumed
          by the first M_merge action of the step) *)
+  mutable act : Shasta_protocol.Transitions.action -> unit;
+      (* the engine's sink for this node's streamed protocol actions,
+         built once per cluster ([Engine.attach]) *)
+  mutable fan_n : int;
+  mutable fan_done : int;
+      (* the engine's open run of invalidation sends: how many went
+         out, and the cycle the last one left the sender *)
   (* mirrors of transition-core state the interpreter layers read *)
   mutable in_batch : bool;
   mutable batch_stores : (int * int) list; (* absolute addr, byte size *)
@@ -85,6 +92,9 @@ let create ~id ~pipe_config =
     commit_store = (fun () -> ());
     wait_started = 0;
     reply_data = None;
+    act = (fun _ -> invalid_arg "Node: no action sink attached");
+    fan_n = 0;
+    fan_done = 0;
     in_batch = false;
     batch_stores = [];
     priv_brk = Shasta.Layout.static_limit + 0x0800_0000 (* 0x1800_0000 *);

@@ -59,6 +59,13 @@ type t = {
   mutable reply_data : int array option;
       (* longwords of the Data_reply currently being applied (consumed
          by the first M_merge action of the step) *)
+  mutable act : Shasta_protocol.Transitions.action -> unit;
+      (* the engine's sink for this node's streamed protocol actions,
+         built once per cluster ([Engine.attach]) *)
+  mutable fan_n : int;
+  mutable fan_done : int;
+      (* the engine's open run of invalidation sends: how many went
+         out, and the cycle the last one left the sender *)
   (* mirrors of transition-core state the interpreter layers read *)
   mutable in_batch : bool;
   mutable batch_stores : (int * int) list; (* absolute addr, byte size *)

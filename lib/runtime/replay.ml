@@ -8,7 +8,8 @@
    view the live run left behind — [canon]-equal, not merely similar.
    A divergence means the core consulted state outside its inputs, i.e.
    a hidden side channel: precisely the bug class the refactor is meant
-   to exclude.
+   to exclude.  Only views are compared, so the actions stream into a
+   sink that discards them.
 
    The recording point sits ABOVE the transport: message inputs are
    logged when the engine pops them from [Network.recv], which is after
@@ -38,7 +39,7 @@ let replay (state : State.t) =
   let failures = ref [] in
   List.iter
     (fun (node, input) ->
-      v := snd (T.step cfg !v ~node input);
+      v := T.step_into cfg !v ~node input ignore;
       incr steps;
       match T.invariants cfg !v with
       | [] -> ()

@@ -3,8 +3,9 @@
    The protocol's own state — directory, pending/ack bookkeeping, lock,
    flag and barrier objects — lives in the immutable
    [Shasta_protocol.Transitions.view] held in [proto]; the engine
-   threads it through the pure [Transitions.step] and applies the
-   returned actions against the machine structures kept here. *)
+   threads it through the pure core ([Transitions.step_into]) and
+   applies the actions the core streams against the machine structures
+   kept here. *)
 
 open Shasta_machine
 open Shasta_protocol

@@ -79,6 +79,84 @@ let t_step_sharing () =
   Alcotest.(check bool) "I_set_home keeps the node map" true
     (v'.T.nodes == v.T.nodes)
 
+(* The protocol inputs of a test-size app run at [nprocs], recorded
+   from a live run. *)
+let recorded ?(opts = Shasta.Opts.full) ?net_faults ?node_faults ~nprocs app =
+  let open Shasta_runtime in
+  let prog = (Shasta_apps.Apps.find app).make Shasta_apps.Apps.Test in
+  let spec =
+    { (Api.default_spec prog) with
+      nprocs; opts = Some opts; net_faults; node_faults }
+  in
+  let state, _, _ = Api.prepare spec in
+  state.State.record_inputs <- true;
+  ignore (Cluster.run_app state);
+  (state.State.tcfg, List.rev state.State.inputs_rev)
+
+(* [step_into] streams exactly [step]'s list: folded over the recorded
+   inputs of five runs (crash and recovery, a faulty wire, basic store
+   checks, an 8-node all-to-all, batches), every step's streamed
+   actions equal its list element for element, and the two views are
+   [canon]-equal.  The runs between them take every input kind that
+   needs one, local deliveries and invalidation runs of width >= 2. *)
+let t_step_into_equals_step () =
+  let module T = Transitions in
+  let runs =
+    [ ( "sht crash+recover",
+        recorded ~nprocs:4 "sht"
+          ~node_faults:
+            (Option.get
+               (Shasta_runtime.Nodefaults.of_string
+                  "crash=2@40000,recover=2@120000,lease=3000")) );
+      ( "lu net faults",
+        recorded ~nprocs:4 "lu" ~net_faults:Shasta_network.Network.standard );
+      ( "radix no-sched",
+        recorded ~nprocs:4 "radix"
+          ~opts:{ Shasta.Opts.full with schedule = false } );
+      ("fft P=8", recorded ~nprocs:8 "fft");
+      ("barnes", recorded ~nprocs:4 "barnes") ]
+  in
+  let seen = Hashtbl.create 16 in
+  let see k = Hashtbl.replace seen k () in
+  List.iter
+    (fun (name, (cfg, inputs)) ->
+      ignore
+        (List.fold_left
+           (fun (i, v) (node, input) ->
+             let acts, v1 = T.step cfg v ~node input in
+             let streamed = ref [] in
+             let v2 =
+               T.step_into cfg v ~node input (fun a ->
+                 streamed := a :: !streamed)
+             in
+             if List.rev !streamed <> acts then
+               Alcotest.failf "%s, step %d: streamed actions differ" name i;
+             if not (String.equal (T.canon v1) (T.canon v2)) then
+               Alcotest.failf "%s, step %d: views differ" name i;
+             (match input with
+              | T.I_batch_miss _ -> see "batch miss"
+              | T.I_store_miss { store_done = false; _ } -> see "basic store"
+              | T.I_node_crash _ -> see "crash"
+              | T.I_node_recover _ -> see "recover"
+              | _ -> ());
+             ignore
+               (List.fold_left
+                  (fun run a ->
+                    match a with
+                    | T.A_send { msg = { kind = Coh (Inv _); _ }; _ } ->
+                      if run >= 1 then see "inv run";
+                      run + 1
+                    | T.A_local _ -> see "local"; 0
+                    | _ -> 0)
+                  0 acts);
+             (i + 1, v1))
+           (0, T.init cfg) inputs))
+    runs;
+  List.iter
+    (fun k ->
+      if not (Hashtbl.mem seen k) then Alcotest.failf "no run covers: %s" k)
+    [ "batch miss"; "basic store"; "crash"; "recover"; "inv run"; "local" ]
+
 (* A basic (non-scheduled) store check calls the handler before the
    store runs.  n0 holds a shared copy, a batch store upgrades it, and
    a basic store to the pending line stalls; the upgrade ack's step
@@ -291,6 +369,8 @@ let () =
       ( "step",
         [ Alcotest.test_case "allocation per step" `Quick t_step_allocation;
           Alcotest.test_case "unchanged views shared" `Quick t_step_sharing;
+          Alcotest.test_case "streamed actions equal the list" `Quick
+            t_step_into_equals_step;
           Alcotest.test_case "stalled store retries in-step" `Quick
             t_store_retry_in_step;
           Alcotest.test_case "miss outside the directory is false" `Quick

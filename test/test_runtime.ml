@@ -430,6 +430,72 @@ let t_deadlock_names_nodes () =
     Alcotest.(check bool) ("n0 diagnosed: " ^ d) true (has "n0:");
     Alcotest.(check bool) ("n1 diagnosed: " ^ d) true (has "n1:")
 
+(* --- the engine's per-step path ---------------------------------------- *)
+
+(* The sht test preset's run at P=4: the node-fault schedule of the
+   crash+recover smoke run, or none. *)
+let sht_spec ?node_faults ?obs () =
+  let prog = (Shasta_apps.Apps.find "sht").make Shasta_apps.Apps.Test in
+  let node_faults =
+    Option.map
+      (fun s -> Option.get (Nodefaults.of_string s))
+      node_faults
+  in
+  { (Api.default_spec prog) with nprocs = 4; node_faults; obs }
+
+let crash_recover = "crash=2@40000,recover=2@120000,lease=3000"
+
+(* The engine applies the core's actions as they stream, with no action
+   list and no event record when nothing records: the whole sht run,
+   interpreter included, allocates under 123 minor words per protocol
+   step (it measures ~119.8; building the list and every event record
+   measured ~143.6). *)
+let t_engine_step_allocation () =
+  let state, _, _ = Api.prepare (sht_spec ()) in
+  state.State.record_inputs <- true;
+  let before = Gc.minor_words () in
+  ignore (Cluster.run_app state);
+  let words = Float.sub (Gc.minor_words ()) before in
+  let steps = List.length state.State.inputs_rev in
+  let per = Float.div words (float_of_int steps) in
+  if per > 123.0 then
+    Alcotest.failf "%.1f minor words per protocol step (%d steps)" per steps
+
+(* Counting without the record is counting with it: a run's registry
+   dump is the same whether or not a sink is attached. *)
+let t_registry_without_recording () =
+  let dump run =
+    let quiet = Shasta_obs.Obs.create ~nprocs:4 () in
+    let traced = Shasta_obs.Obs.create ~nprocs:4 () in
+    Shasta_obs.Obs.attach traced
+      { Shasta_obs.Sink.on_record = ignore; flush = ignore };
+    run quiet;
+    run traced;
+    Alcotest.(check bool) "a sink records" true
+      (Shasta_obs.Obs.recording traced);
+    let m = Shasta_obs.Obs.metrics quiet in
+    ( (fun c -> Shasta_obs.Metrics.counter_total m c),
+      Shasta_obs.Metrics.to_csv m,
+      Shasta_obs.Metrics.to_csv (Shasta_obs.Obs.metrics traced) )
+  in
+  let lu obs =
+    let prog = (Shasta_apps.Apps.find "lu").make Shasta_apps.Apps.Test in
+    ignore
+      (Support.run ~nprocs:4 ~net_faults:Shasta_network.Network.standard ~obs
+         prog)
+  in
+  let total, quiet, traced = dump lu in
+  Alcotest.(check bool) "the wire retransmits" true
+    (total Shasta_obs.Obs.c_net_retx > 0);
+  Alcotest.(check string) "lu -p 4 --net-faults standard" quiet traced;
+  let total, quiet, traced =
+    dump (fun obs ->
+      ignore (Api.run (sht_spec ~node_faults:crash_recover ~obs ())))
+  in
+  Alcotest.(check (pair int int)) "one crash, one recovery" (1, 1)
+    (total Shasta_obs.Obs.c_node_crash, total Shasta_obs.Obs.c_node_recover);
+  Alcotest.(check string) "sht crash+recover" quiet traced
+
 (* --- the scheduler's tournament tree ---------------------------------- *)
 
 (* Random re-key sequences over 1 to 70 keys (powers of two and not),
@@ -512,6 +578,11 @@ let () =
       ( "deadlock",
         [ Alcotest.test_case "budget names the nodes" `Quick
             t_deadlock_names_nodes ] );
+      ( "engine",
+        [ Alcotest.test_case "allocation per protocol step" `Quick
+            t_engine_step_allocation;
+          Alcotest.test_case "registry without recording" `Quick
+            t_registry_without_recording ] );
       ( "scheduler",
         [ Support.qtest "tree winner is the argmin, ties to lowest"
             ~count:1000 mintree_gen prop_mintree_argmin;
