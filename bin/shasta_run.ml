@@ -35,17 +35,13 @@ let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
     failwith "--crash needs the reliable wire (drop --lossy)";
   if recover > 0 && crash = 0 then
     failwith "--recover needs --crash N (nothing to restart otherwise)";
-  (* exhaustive enumeration only stays tractable on tiny configs *)
-  let np = max 2 (min nprocs 3) in
-  if np <> nprocs then
-    Printf.printf "(clamped to %d processors for exhaustive search)\n" np;
   (* the CLI's --dir-mode/--sync select the configuration every
      scenario runs over (scale scenarios still pin their own) *)
   let base =
     { Shasta_protocol.Transitions.default_cfg with
-      nprocs = np; dmode; scalable_sync }
+      nprocs; dmode; scalable_sync }
   in
-  Printf.printf "== model check: %d processors, %s%s%s%s%s%s\n" np
+  Printf.printf "== model check: %d processors, %s%s%s%s%s%s\n" nprocs
     (match injection with
      | Mcheck.No_injection -> "no fault injection"
      | Mcheck.Drop_first_inv_ack -> "dropping first invalidation ack"
@@ -65,7 +61,7 @@ let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
          (Shasta_protocol.Nodeset.mode_name dmode)
          (if scalable_sync then "scalable" else "central")
      else "");
-  let scenario_set ~nprocs =
+  let scenario_set =
     if injection = Mcheck.Store_past_release then
       (* the mutation defers a store under a held lock: the directed
          release-order scenario isolates it (other lock scenarios'
@@ -86,7 +82,7 @@ let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
         (fun sc ->
           Mcheck.run_scenario ~injection ?lossy ?crash ?recover ~refine ~base
             stdout sc)
-        (scenario_set ~nprocs:np)
+        scenario_set
   in
   let states = List.fold_left (fun a (r : Mcheck.result) -> a + r.states) 0 results in
   let transitions =
@@ -114,7 +110,7 @@ let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
           incr fuzz_violations;
           Mcheck.pp_violation stdout v
         | None -> ())
-      (scenario_set ~nprocs:np)
+      scenario_set
   end;
   let found = List.length violations + !fuzz_violations > 0 in
   match injection with
@@ -455,10 +451,21 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
   end
 
 (* --check runs the pure core at release consistency under round-robin
-   homes, and must have something to run: a flag it would silently
-   ignore is a usage error naming that flag. *)
-let check_usage ~sc ~home_policy ~fuzz_only ~fuzz_runs =
-  if sc then Some "--check models release consistency only; drop --sc"
+   homes, at the processor count given, and must have something to run:
+   a flag it would silently ignore, or a count it would have to change,
+   is a usage error naming that flag.  Each extra processor multiplies
+   the explored states by about ten, so the search stops at
+   [max_check_procs]. *)
+let max_check_procs = 5
+
+let check_usage ~nprocs ~sc ~home_policy ~fuzz_only ~fuzz_runs =
+  if nprocs < 2 || nprocs > max_check_procs then
+    Some
+      (Printf.sprintf
+         "--check explores 2 to %d processors (each one more costs about \
+          10x in states); got --procs %d"
+         max_check_procs nprocs)
+  else if sc then Some "--check models release consistency only; drop --sc"
   else if home_policy <> State.Round_robin then
     Some "--check models round-robin homes only; drop --home-policy"
   else if fuzz_only && fuzz_runs = 0 then
@@ -663,9 +670,11 @@ let cmd =
              ~doc:"Model-check the protocol core: exhaustively enumerate \
                    every interleaving of small built-in scenarios and \
                    verify coherence invariants, quiescence and data \
-                   oracles.  Exits non-zero on a violation.  The \
-                   checker models release consistency under round-robin \
-                   homes: --sc and --home-policy are usage errors.")
+                   oracles.  Exits non-zero on a violation.  It checks \
+                   --procs processors, 2 to 5; other counts are usage \
+                   errors.  The checker models release consistency \
+                   under round-robin homes: --sc and --home-policy are \
+                   usage errors.")
   in
   let inject_t =
     Arg.(value
@@ -851,7 +860,9 @@ let cmd =
     try
       if list then `Ok (list_apps ())
       else if check then
-        match check_usage ~sc ~home_policy ~fuzz_only ~fuzz_runs with
+        match
+          check_usage ~nprocs:procs ~sc ~home_policy ~fuzz_only ~fuzz_runs
+        with
         | Some e -> `Error (true, e)
         | None ->
           `Ok

@@ -9,10 +9,10 @@
    over an immutable [view].  Inputs are miss-check outcomes, protocol
    messages and sync ops; effects (network sends, pipeline charges,
    state-table writes, observability events, blocking/waking) come back
-   as an ordered [action] list.  [step_into] runs the same step and
-   passes each action, in the same order, to a caller's sink instead:
-   that is how the runtime interpreter ([Engine]) applies them against
-   Pipeline/Network/Memory.  The ordering contract is strict: applying
+   as an ordered [action] list.  A [stepper], one per node, runs the
+   same step and passes each action, in the same order, to a caller's
+   sink instead: that is how the runtime interpreter ([Engine]) applies
+   them against Pipeline/Network/Memory.  The ordering contract is strict: applying
    the actions in order reproduces the exact effect order of the
    historical monolithic engine, so event streams and cycle counts are
    byte-for-byte identical.
@@ -84,10 +84,15 @@ type nstatus = N_running | N_waiting of wait
 type deferred = D_inv of int | D_downgrade of int
 
 type nview = {
-  lines : line Imap.t; (* block base -> state (absent = invalid) *)
+  lines : line Imap.t;
+    (* block base -> settled state (absent = invalid).  Never a pending
+       state: a block with a [pending] entry reads pending-shared (an
+       upgrade) or pending-invalid off that entry, whatever [lines]
+       still holds for it *)
   pending : pend Imap.t; (* block base -> pending request *)
-  acks : ackst Imap.t; (* block base -> outstanding invalidation acks *)
-  unacked : int; (* #blocks with incomplete invalidation acks *)
+  acks : ackst Imap.t;
+    (* block base -> outstanding invalidation acks; its size is the
+       node's count of unacknowledged blocks *)
   waiters : Message.t list Imap.t; (* deferred fwd requests, head oldest *)
   deferred : deferred list; (* head newest, as in the engine *)
   in_batch : bool;
@@ -100,9 +105,12 @@ type dirent = { owner : int; sharers : Ns.t (* node set, incl. owner *) }
 type lockst = { holder : int option; lq : int list (* head next *) }
 type flagst = { fset : bool; fwaiters : int list (* head oldest *) }
 
-type view = {
-  dir : dirent Imap.t; (* block base -> directory entry *)
-  nodes : nview Imap.t;
+(* The view is split by how often a step changes a field: [dir] and
+   [nodes] change on most steps and sit at top level, so copying the
+   view costs 4 words; the eight fields that change only on sync,
+   crash and placement steps share one [rest] record, which a step
+   that leaves them alone passes on untouched. *)
+type rest = {
   locks : lockst Imap.t;
   flags : flagst Imap.t;
   barrier_arrived : Ns.t; (* nodes waiting at the barrier (exact) *)
@@ -121,6 +129,12 @@ type view = {
                       sync) *)
 }
 
+type view = {
+  dir : dirent Imap.t; (* block base -> directory entry *)
+  nodes : nview Imap.t;
+  rest : rest;
+}
+
 type cfg = {
   nprocs : int; (* homes: (block / Granularity.page_bytes) mod nprocs *)
   sc : bool; (* sequential consistency (stalling stores) *)
@@ -136,7 +150,7 @@ let default_cfg =
     migrate = false }
 
 let empty_nview =
-  { lines = Imap.empty; pending = Imap.empty; acks = Imap.empty; unacked = 0;
+  { lines = Imap.empty; pending = Imap.empty; acks = Imap.empty;
     waiters = Imap.empty; deferred = []; in_batch = false; nstat = N_running;
     resume = R_none; sync_signal = false }
 
@@ -146,9 +160,11 @@ let init (cfg : cfg) : view =
     nodes := Imap.add n empty_nview !nodes
   done;
   let e = Ns.exact_empty ~nprocs:cfg.nprocs in
-  { dir = Imap.empty; nodes = !nodes; locks = Imap.empty; flags = Imap.empty;
-    barrier_arrived = e; crashed = e; halted = e;
-    homes = Imap.empty; heat = Imap.empty; brelease = e }
+  { dir = Imap.empty; nodes = !nodes;
+    rest =
+      { locks = Imap.empty; flags = Imap.empty; barrier_arrived = e;
+        crashed = e; halted = e; homes = Imap.empty; heat = Imap.empty;
+        brelease = e } }
 
 (* ------------------------------------------------------------------ *)
 (* Actions and inputs                                                   *)
@@ -262,7 +278,9 @@ type input =
 
    Each action goes to [sink] the moment the core decides it; [step]'s
    sink is the [collect] marker, for which [act] conses onto [racc]
-   instead of calling it, so neither entry allocates a closure. *)
+   instead of calling it, so neither entry allocates a closure.  The
+   context is a node's [stepper]: built once, loaded at the start of
+   each step and emptied at its end. *)
 type ctx = {
   cfg : cfg;
   node : int; (* the stepping node: all actions target it *)
@@ -291,8 +309,13 @@ let map_nodes c f =
   c.v <- { c.v with nodes = Imap.mapi f c.v.nodes };
   c.me <- Imap.find c.node c.v.nodes
 
+let set_rest c r = c.v <- { c.v with rest = r }
+
+(* A settled state only: a pending block's state is its [pending]
+   entry's. *)
 let set_line c block l =
-  c.me <- { c.me with lines = Imap.add block l c.me.lines }
+  let lines = Imap.add block l c.me.lines in
+  if lines != c.me.lines then c.me <- { c.me with lines }
 
 let home_of (cfg : cfg) block = block / Granularity.page_bytes mod cfg.nprocs
 
@@ -301,9 +324,9 @@ let home_of (cfg : cfg) block = block / Granularity.page_bytes mod cfg.nprocs
    home.  Default runs carry an empty override map, so routing — and
    traces — are unchanged. *)
 let eff_home (cfg : cfg) (v : view) block =
-  if Imap.is_empty v.homes then home_of cfg block
+  if Imap.is_empty v.rest.homes then home_of cfg block
   else
-    match Imap.find_opt (block / Granularity.page_bytes) v.homes with
+    match Imap.find_opt (block / Granularity.page_bytes) v.rest.homes with
     | Some h -> h
     | None -> home_of cfg block
 
@@ -320,27 +343,34 @@ let is_sharer (e : dirent) node = Ns.mem e.sharers node
 
 let sharer_list (e : dirent) = Ns.to_list e.sharers
 
-let line_of (n : nview) block =
-  match Imap.find_opt block n.lines with Some l -> l | None -> L_invalid
+(* The state a pending block reads: an upgrade keeps its copy. *)
+let pending_line (p : pend) =
+  if p.pkind = P_upgrade then L_pending_shared else L_pending_invalid
 
-(* Emit a table/memory effect and mirror the resulting line state. *)
+let line_of (n : nview) block =
+  match Imap.find_opt block n.pending with
+  | Some p -> pending_line p
+  | None -> (
+    match Imap.find_opt block n.lines with Some l -> l | None -> L_invalid)
+
+(* Emit a table/memory effect and mirror the resulting settled line
+   state ([M_make_pending]'s state is the pending entry the caller
+   adds). *)
 let mem_op c (op : memop) =
   act c (A_mem op);
   match op with
   | M_make_exclusive b -> set_line c b L_exclusive
   | M_make_shared b -> set_line c b L_shared
   | M_make_invalid b -> set_line c b L_invalid
-  | M_make_pending { block; shared } ->
-    set_line c block (if shared then L_pending_shared else L_pending_invalid)
-  | M_flag _ | M_merge _ | M_adopt _ -> ()
+  | M_make_pending _ | M_flag _ | M_merge _ | M_adopt _ -> ()
 
-let is_crashed (v : view) node = Ns.mem v.crashed node
+let is_crashed (v : view) node = Ns.mem v.rest.crashed node
 
 (* Effective home: the natural home, or — while it is down — its ring
    successor among the live nodes.  Identity whenever no node is
    crashed, so fault-free runs route (and trace) exactly as before. *)
 let route (cfg : cfg) (v : view) h =
-  if Ns.is_empty v.crashed then h
+  if Ns.is_empty v.rest.crashed then h
   else begin
     let rec go k =
       let n = (h + k) mod cfg.nprocs in
@@ -351,7 +381,7 @@ let route (cfg : cfg) (v : view) h =
 
 let wait_sat (n : nview) = function
   | W_blocks bs -> List.for_all (fun b -> not (Imap.mem b n.pending)) bs
-  | W_release -> Imap.is_empty n.pending && n.unacked = 0
+  | W_release -> Imap.is_empty n.pending && Imap.is_empty n.acks
   | W_sync -> n.sync_signal
 
 (* A sharer set holding exactly one node, in the configured directory
@@ -380,24 +410,27 @@ let tree_children (cfg : cfg) n =
 
 (* Every node in [p]'s subtree has arrived or is excused as halted. *)
 let subtree_complete (cfg : cfg) (v : view) p =
+  let r = v.rest in
   let rec go n =
-    (Ns.mem v.barrier_arrived n || Ns.mem v.halted n)
+    (Ns.mem r.barrier_arrived n || Ns.mem r.halted n)
     && List.for_all go (tree_children cfg n)
   in
   go p
 
 (* [p]'s subtree still contains nodes the current release wave owes. *)
 let subtree_has_release (cfg : cfg) (v : view) p =
-  let rec go n = Ns.mem v.brelease n || List.exists go (tree_children cfg n) in
+  let r = v.rest in
+  let rec go n = Ns.mem r.brelease n || List.exists go (tree_children cfg n) in
   go p
 
 (* The barrier completes when every node has arrived or halted. *)
 let barrier_complete (cfg : cfg) (v : view) =
-  (not (Ns.is_empty v.barrier_arrived))
+  let r = v.rest in
+  (not (Ns.is_empty r.barrier_arrived))
   &&
   let rec go n =
     n >= cfg.nprocs
-    || ((Ns.mem v.barrier_arrived n || Ns.mem v.halted n) && go (n + 1))
+    || ((Ns.mem r.barrier_arrived n || Ns.mem r.halted n) && go (n + 1))
   in
   go 0
 
@@ -413,18 +446,20 @@ let heat_bump c ~block ~requester =
   if c.cfg.migrate && requester <> c.node then begin
     let page = block / Granularity.page_bytes in
     let streak =
-      match Imap.find_opt page c.v.heat with
+      match Imap.find_opt page c.v.rest.heat with
       | Some (last, k) when last = requester -> k + 1
       | _ -> 1
     in
     if streak >= migrate_threshold then begin
       act c (A_emit (E_home_migrated { page; to_ = requester }));
-      c.v <-
-        { c.v with
-          homes = Imap.add page requester c.v.homes;
-          heat = Imap.remove page c.v.heat }
+      set_rest c
+        { c.v.rest with
+          homes = Imap.add page requester c.v.rest.homes;
+          heat = Imap.remove page c.v.rest.heat }
     end
-    else c.v <- { c.v with heat = Imap.add page (requester, streak) c.v.heat }
+    else
+      set_rest c
+        { c.v.rest with heat = Imap.add page (requester, streak) c.v.rest.heat }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -445,9 +480,12 @@ let false_miss c addr =
    private regions are marked exclusive), so a miss there is a false
    one. *)
 let miss_line c block =
-  match Imap.find_opt block c.me.lines with
-  | Some l -> l
-  | None -> if Imap.mem block c.v.dir then L_invalid else L_exclusive
+  match Imap.find_opt block c.me.pending with
+  | Some p -> pending_line p
+  | None -> (
+    match Imap.find_opt block c.me.lines with
+    | Some l -> l
+    | None -> if Imap.mem block c.v.dir then L_invalid else L_exclusive)
 
 let add_written c block stored =
   match Imap.find_opt block (nv c).pending with
@@ -539,8 +577,9 @@ and dispatch c = function
          combine triggers up the tree *)
       act c (A_charge Sync_local);
       block_on c W_sync R_barrier_passed;
-      c.v <-
-        { c.v with barrier_arrived = Ns.add c.v.barrier_arrived c.node };
+      set_rest c
+        { c.v.rest with
+          barrier_arrived = Ns.add c.v.rest.barrier_arrived c.node };
       tree_barrier_check c
     end
     else
@@ -570,10 +609,7 @@ and dispatch c = function
 (* ------------------------------------------------------------------ *)
 
 and finish_acks c block =
-  c.me <-
-    { c.me with
-      acks = Imap.remove block c.me.acks;
-      unacked = c.me.unacked - 1 };
+  c.me <- { c.me with acks = Imap.remove block c.me.acks };
   flush_waiters c block
 
 and register_acks c block expected =
@@ -582,8 +618,8 @@ and register_acks c block expected =
     if expected > 0 then
       c.me <-
         { c.me with
-          acks = Imap.add block { got = 0; expected = Some expected } c.me.acks;
-          unacked = c.me.unacked + 1 }
+          acks =
+            Imap.add block { got = 0; expected = Some expected } c.me.acks }
     else flush_waiters c block
   | Some a ->
     c.me <-
@@ -593,7 +629,7 @@ and register_acks c block expected =
 
 and recv_inv_ack c block =
   if
-    Ns.mem c.v.halted c.node
+    Ns.mem c.v.rest.halted c.node
     && (not (Imap.mem block (nv c).acks))
     && not (Imap.mem block (nv c).pending)
   then
@@ -602,16 +638,15 @@ and recv_inv_ack c block =
        [complete_data_reply]).  A LIVE node may legitimately see acks
        before its reply registers the expected count, but then its
        request is still pending — a recovered node's is not, and a
-       provisional entry here would count unacked forever. *)
+       provisional entry here would stay unacked forever. *)
     ()
   else begin
-  let a, unacked =
+  let a =
     match Imap.find_opt block (nv c).acks with
-    | Some a -> (a, c.me.unacked)
-    | None -> ({ got = 0; expected = None }, c.me.unacked + 1)
+    | Some a -> { a with got = a.got + 1 }
+    | None -> { got = 1; expected = None }
   in
-  let a = { a with got = a.got + 1 } in
-  c.me <- { c.me with acks = Imap.add block a c.me.acks; unacked };
+  c.me <- { c.me with acks = Imap.add block a c.me.acks };
   match a.expected with
   | Some e when a.got >= e -> finish_acks c block
   | _ -> ()
@@ -840,7 +875,7 @@ and apply_inv c ~block ~requester =
 
 and complete_data_reply c ~block ~exclusive ~acks =
   match Imap.find_opt block (nv c).pending with
-  | None when Ns.mem c.v.halted c.node ->
+  | None when Ns.mem c.v.rest.halted c.node ->
     (* a reply to a request that died with this node's crash: the
        purge only covers frames to/from the victim, so a forward
        between two LIVE nodes naming it as requester can still produce
@@ -880,7 +915,7 @@ and complete_data_reply c ~block ~exclusive ~acks =
 
 and complete_upgrade_ack c ~block ~acks =
   match Imap.find_opt block (nv c).pending with
-  | None when Ns.mem c.v.halted c.node ->
+  | None when Ns.mem c.v.rest.halted c.node ->
     (* late ack to a request that died with this node's crash; see
        [complete_data_reply] *)
     ()
@@ -900,18 +935,20 @@ and complete_upgrade_ack c ~block ~acks =
 (* ------------------------------------------------------------------ *)
 
 and lock_of c id =
-  match Imap.find_opt id c.v.locks with
+  match Imap.find_opt id c.v.rest.locks with
   | Some l -> l
   | None -> { holder = None; lq = [] }
 
-and set_lock c id l = c.v <- { c.v with locks = Imap.add id l c.v.locks }
+and set_lock c id l =
+  set_rest c { c.v.rest with locks = Imap.add id l c.v.rest.locks }
 
 and flag_of c id =
-  match Imap.find_opt id c.v.flags with
+  match Imap.find_opt id c.v.rest.flags with
   | Some f -> f
   | None -> { fset = false; fwaiters = [] }
 
-and set_flag c id f = c.v <- { c.v with flags = Imap.add id f c.v.flags }
+and set_flag c id f =
+  set_rest c { c.v.rest with flags = Imap.add id f c.v.rest.flags }
 
 and grant_lock c ~to_ ~id =
   if to_ = c.node then begin
@@ -937,7 +974,8 @@ and home_unlock c ~id =
   | [] -> set_lock c id { l with holder = None }
 
 and home_barrier_arrive c ~who =
-  c.v <- { c.v with barrier_arrived = Ns.add c.v.barrier_arrived who };
+  set_rest c
+    { c.v.rest with barrier_arrived = Ns.add c.v.rest.barrier_arrived who };
   barrier_maybe_release c
 
 (* Release when every node has either arrived or halted: a crashed
@@ -946,9 +984,9 @@ and home_barrier_arrive c ~who =
    crashes the condition is exactly the old "all arrived" count. *)
 and barrier_maybe_release c =
   if barrier_complete c.cfg c.v then begin
-    let arrived = c.v.barrier_arrived in
-    c.v <-
-      { c.v with barrier_arrived = Ns.exact_empty ~nprocs:c.cfg.nprocs };
+    let arrived = c.v.rest.barrier_arrived in
+    set_rest c
+      { c.v.rest with barrier_arrived = Ns.exact_empty ~nprocs:c.cfg.nprocs };
     for n = 0 to c.cfg.nprocs - 1 do
       if Ns.mem arrived n then
         if n = c.node then begin
@@ -998,9 +1036,9 @@ and tree_barrier_check c =
 
 and tree_maybe_release c =
   if barrier_complete c.cfg c.v then begin
-    let arrived = c.v.barrier_arrived in
-    c.v <-
-      { c.v with
+    let arrived = c.v.rest.barrier_arrived in
+    set_rest c
+      { c.v.rest with
         barrier_arrived = Ns.exact_empty ~nprocs:c.cfg.nprocs;
         brelease = arrived };
     tree_release_fan c 0
@@ -1020,8 +1058,8 @@ and tree_release_fan c n =
 (* The stepping node consumes its own release (if owed) and forwards
    the wave into its child subtrees. *)
 and tree_release_self c =
-  if Ns.mem c.v.brelease c.node then begin
-    c.v <- { c.v with brelease = Ns.remove c.v.brelease c.node };
+  if Ns.mem c.v.rest.brelease c.node then begin
+    set_rest c { c.v.rest with brelease = Ns.remove c.v.rest.brelease c.node };
     c.me <- { c.me with sync_signal = true }
   end;
   List.iter (tree_release_fan c) (tree_children c.cfg c.node);
@@ -1121,14 +1159,7 @@ and store_miss c ~addr ~block ~store_done ~stored =
        memory outside the directory: false miss *)
     false_miss c addr
   | L_pending_invalid | L_pending_shared ->
-    if not (Imap.mem block (nv c).pending) then
-      (* [invariants] rules this out; retrying would never end *)
-      invalid_arg
-        (Printf.sprintf
-           "Transitions: pending line without pending entry at node %d \
-            block 0x%x"
-           c.node block)
-    else if store_done then add_written c block stored
+    if store_done then add_written c block stored
     else block_on c (W_blocks [ block ]) (R_store_retry { addr; block })
   | (L_shared | L_invalid) as st ->
     (if st = L_shared then begin
@@ -1357,7 +1388,7 @@ let alloc c ~owner ~blocks =
     blocks
 
 let set_home c ~page ~home =
-  c.v <- { c.v with homes = Imap.add page home c.v.homes }
+  set_rest c { c.v.rest with homes = Imap.add page home c.v.rest.homes }
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery                                                       *)
@@ -1583,14 +1614,14 @@ let recover_locks c ~victim =
         | [] -> set_lock c id { holder = None; lq = [] }
       end
       | _ -> if lq <> l.lq then set_lock c id { l with lq })
-    c.v.locks
+    c.v.rest.locks
 
 let recover_flags c ~victim =
   Imap.iter
     (fun id (f : flagst) ->
       let fw = List.filter (fun n -> n <> victim) f.fwaiters in
       if fw <> f.fwaiters then set_flag c id { f with fwaiters = fw })
-    c.v.flags
+    c.v.rest.flags
 
 (* Forwarded requests parked in live nodes' service queues on behalf of
    a now-dead requester would be answered into the void; drop them. *)
@@ -1615,18 +1646,22 @@ let drop_dead_waiters c ~victim =
    pick the lowest such node), so the victim's entry is never [me]. *)
 let node_crash c ~victim ~lost =
   assert (victim <> c.node);
-  if not (Ns.mem c.v.crashed victim) then begin
+  if not (Ns.mem c.v.rest.crashed victim) then begin
     let vv = node_view_at c victim in
+    let r = c.v.rest in
     c.v <-
       { c.v with
-        crashed = Ns.add c.v.crashed victim;
-        halted = Ns.add c.v.halted victim;
-        (* a victim that had already arrived at the barrier is excused
-           via [halted], not counted as arrived — the masks must stay
-           disjoint.  A victim still owed a tree release needs none. *)
-        barrier_arrived = Ns.remove c.v.barrier_arrived victim;
-        brelease = Ns.remove c.v.brelease victim;
-        nodes = Imap.add victim empty_nview c.v.nodes };
+        nodes = Imap.add victim empty_nview c.v.nodes;
+        rest =
+          { r with
+            crashed = Ns.add r.crashed victim;
+            halted = Ns.add r.halted victim;
+            (* a victim that had already arrived at the barrier is
+               excused via [halted], not counted as arrived — the masks
+               must stay disjoint.  A victim still owed a tree release
+               needs none. *)
+            barrier_arrived = Ns.remove r.barrier_arrived victim;
+            brelease = Ns.remove r.brelease victim } };
     (* (block, requester) pairs the re-dispatch below will answer with
        salvaged data: forwards to the victim as owner (on the wire or
        parked in its service queue) and data replies it had sent *)
@@ -1688,16 +1723,26 @@ let node_crash c ~victim ~lost =
   end
 
 let node_recover c ~victim =
-  c.v <- { c.v with crashed = Ns.remove c.v.crashed victim }
+  set_rest c { c.v.rest with crashed = Ns.remove c.v.rest.crashed victim }
 
 (* ------------------------------------------------------------------ *)
 (* The transition function                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One step on a fresh context: the body both entries share. *)
-let run (cfg : cfg) (v : view) ~node sink (input : input) =
-  let me = Imap.find node v.nodes in
-  let c = { cfg; node; v; me; sink; racc = [] } in
+(* The view every stepper holds between steps, so that none keeps a
+   past view alive. *)
+let idle = init default_cfg
+
+type stepper = ctx
+
+let stepper cfg ~node sink =
+  { cfg; node; v = idle; me = empty_nview; sink; racc = [] }
+
+(* One step: load the context, run the input to completion, write the
+   stepping node back, and empty the context again. *)
+let step_with c v (input : input) =
+  c.v <- v;
+  c.me <- Imap.find c.node v.nodes;
   (match input with
    | I_msg msg -> handle c msg
    | I_load_miss { addr; block } -> load_miss c ~addr ~block
@@ -1715,13 +1760,15 @@ let run (cfg : cfg) (v : view) ~node sink (input : input) =
    | I_node_crash { victim; lost } -> node_crash c ~victim ~lost
    | I_node_recover victim -> node_recover c ~victim);
   store_me c;
-  c
-
-let step_into cfg v ~node input sink = (run cfg v ~node sink input).v
+  let v = c.v in
+  c.v <- idle;
+  c.me <- empty_nview;
+  v
 
 let step cfg v ~node input =
-  let c = run cfg v ~node collect input in
-  (List.rev c.racc, c.v)
+  let c = stepper cfg ~node collect in
+  let v = step_with c v input in
+  (List.rev c.racc, v)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors (engine, tests, model checker)                             *)
@@ -1737,8 +1784,8 @@ let dir_fold f v acc = Imap.fold (fun b e a -> f b e a) v.dir acc
 (* Int-mask views of the crash sets, for callers that mirror them into
    program-visible cells; meaningful only for nodes below the int
    width (crash injection targets small configurations). *)
-let crashed_mask (v : view) = Ns.to_mask v.crashed
-let halted_mask (v : view) = Ns.to_mask v.halted
+let crashed_mask (v : view) = Ns.to_mask v.rest.crashed
+let halted_mask (v : view) = Ns.to_mask v.rest.halted
 let is_live (v : view) ~node = not (is_crashed v node)
 let home_for (cfg : cfg) (v : view) block = eff_home cfg v block
 
@@ -1748,7 +1795,7 @@ let home_for (cfg : cfg) (v : view) block = eff_home cfg v block
 let locks_held_by (v : view) ~node =
   Imap.fold
     (fun id (l : lockst) acc -> if l.holder = Some node then id :: acc else acc)
-    v.locks []
+    v.rest.locks []
   |> List.sort compare
 
 let sharer_count (e : dirent) = Ns.cardinal e.sharers
@@ -1762,6 +1809,7 @@ let sharer_count (e : dirent) = Ns.cardinal e.sharers
    violation strings; [] means the view is consistent. *)
 let invariants (cfg : cfg) (v : view) : string list =
   let errs = ref [] in
+  let r = v.rest in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let out_of_range ns =
     List.exists (fun x -> x < 0 || x >= cfg.nprocs) (Ns.to_list ns)
@@ -1778,13 +1826,14 @@ let invariants (cfg : cfg) (v : view) : string list =
           e.owner (Ns.to_string e.sharers))
     v.dir;
   (* single-writer: at most one node holds an exclusive copy of a block;
-     [excl] maps each exclusively held block to its first holder *)
+     [excl] maps each exclusively held block to its first holder.  A
+     pending entry wins over the settled state [lines] still holds *)
   let excl = ref Imap.empty in
   Imap.iter
     (fun id (n : nview) ->
       Imap.iter
         (fun block l ->
-          if l = L_exclusive then begin
+          if l = L_exclusive && not (Imap.mem block n.pending) then begin
             (match Imap.find_opt block !excl with
              | Some other ->
                err "block 0x%x: exclusive at both node %d and node %d" block
@@ -1793,12 +1842,12 @@ let invariants (cfg : cfg) (v : view) : string list =
             if not (Imap.mem block v.dir) then
               err "block 0x%x: exclusive at node %d but not in directory"
                 block id
-          end)
+          end;
+          (* a pending state lives only in the pending entry *)
+          if l = L_pending_invalid || l = L_pending_shared then
+            err "node %d block 0x%x: pending state stored as a settled line"
+              id block)
         n.lines;
-      (* ack-count conservation *)
-      if Imap.cardinal n.acks <> n.unacked then
-        err "node %d: unacked=%d but %d ack entries" id n.unacked
-          (Imap.cardinal n.acks);
       Imap.iter
         (fun block (a : ackst) ->
           if a.got < 0 then err "node %d block 0x%x: negative acks" id block;
@@ -1811,22 +1860,6 @@ let invariants (cfg : cfg) (v : view) : string list =
             err "node %d block 0x%x: nonpositive expected acks %d" id block e
           | _ -> ())
         n.acks;
-      (* pending lines and pending entries agree *)
-      Imap.iter
-        (fun block l ->
-          let pl = l = L_pending_invalid || l = L_pending_shared in
-          if pl && not (Imap.mem block n.pending) then
-            err "node %d block 0x%x: pending line without pending entry" id
-              block)
-        n.lines;
-      Imap.iter
-        (fun block _ ->
-          match line_of n block with
-          | L_pending_invalid | L_pending_shared -> ()
-          | _ ->
-            err "node %d block 0x%x: pending entry but line not pending" id
-              block)
-        n.pending;
       (* deferred requests only wait on a genuinely busy block *)
       Imap.iter
         (fun block msgs ->
@@ -1846,45 +1879,45 @@ let invariants (cfg : cfg) (v : view) : string list =
         err "node %d: waiting with no resume" id
       | _ -> ())
     v.nodes;
-  if out_of_range v.barrier_arrived then
+  if out_of_range r.barrier_arrived then
     err "barrier_arrived %s has members beyond %d procs"
-      (Ns.to_string v.barrier_arrived) cfg.nprocs;
-  if not (Ns.disjoint v.barrier_arrived v.halted) then
+      (Ns.to_string r.barrier_arrived) cfg.nprocs;
+  if not (Ns.disjoint r.barrier_arrived r.halted) then
     err "barrier_arrived %s includes halted nodes %s"
-      (Ns.to_string v.barrier_arrived) (Ns.to_string v.halted);
+      (Ns.to_string r.barrier_arrived) (Ns.to_string r.halted);
   (* centralized sync releases atomically with the completing arrival;
      the combining tree releases when the trigger wave reaches the
      root, so the condition may transiently hold there *)
   if (not cfg.scalable_sync) && barrier_complete cfg v then
     err "barrier_arrived %s: release condition met but not released"
-      (Ns.to_string v.barrier_arrived);
-  if (not cfg.scalable_sync) && not (Ns.is_empty v.brelease) then
+      (Ns.to_string r.barrier_arrived);
+  if (not cfg.scalable_sync) && not (Ns.is_empty r.brelease) then
     err "brelease %s nonempty under centralized sync"
-      (Ns.to_string v.brelease);
+      (Ns.to_string r.brelease);
   (* a node owed a release has not been woken, so it cannot have
      re-arrived; and crash strikes victims from the wave *)
-  if not (Ns.disjoint v.brelease v.barrier_arrived) then
-    err "brelease %s overlaps barrier_arrived %s" (Ns.to_string v.brelease)
-      (Ns.to_string v.barrier_arrived);
-  if not (Ns.disjoint v.brelease v.crashed) then
-    err "brelease %s includes crashed nodes" (Ns.to_string v.brelease);
+  if not (Ns.disjoint r.brelease r.barrier_arrived) then
+    err "brelease %s overlaps barrier_arrived %s" (Ns.to_string r.brelease)
+      (Ns.to_string r.barrier_arrived);
+  if not (Ns.disjoint r.brelease r.crashed) then
+    err "brelease %s includes crashed nodes" (Ns.to_string r.brelease);
   (* crash-mask sanity: crashed ⊆ halted ⊆ procs, and no dead node may
      appear in post-recovery protocol state *)
-  if out_of_range v.halted then
-    err "halted set %s has members beyond %d procs" (Ns.to_string v.halted)
+  if out_of_range r.halted then
+    err "halted set %s has members beyond %d procs" (Ns.to_string r.halted)
       cfg.nprocs;
-  if not (Ns.subset v.crashed v.halted) then
+  if not (Ns.subset r.crashed r.halted) then
     err "crashed set %s not contained in halted set %s"
-      (Ns.to_string v.crashed) (Ns.to_string v.halted);
-  if not (Ns.is_empty v.crashed) then
+      (Ns.to_string r.crashed) (Ns.to_string r.halted);
+  if not (Ns.is_empty r.crashed) then
     Imap.iter
       (fun block (e : dirent) ->
-        if Ns.mem v.crashed e.owner then
+        if Ns.mem r.crashed e.owner then
           err "block 0x%x: owner %d is crashed" block e.owner;
         (* exact sets must have been scrubbed by recovery; inexact
            supersets may re-cover a dead node (sends to it are
            suppressed), so only the exact claim is checkable *)
-        if Ns.is_exact e.sharers && not (Ns.disjoint e.sharers v.crashed)
+        if Ns.is_exact e.sharers && not (Ns.disjoint e.sharers r.crashed)
         then
           err "block 0x%x: crashed nodes in sharer set %s" block
             (Ns.to_string e.sharers))
@@ -1894,27 +1927,27 @@ let invariants (cfg : cfg) (v : view) : string list =
       (match l.holder with
        | Some h when h < 0 || h >= cfg.nprocs ->
          err "lock %d: holder %d out of range" id h
-       | Some h when Ns.mem v.crashed h ->
+       | Some h when Ns.mem r.crashed h ->
          err "lock %d: holder %d is crashed (missed takeover)" id h
        | None when l.lq <> [] ->
          err "lock %d: free but %d queued requesters" id (List.length l.lq)
        | _ -> ());
-      if List.exists (Ns.mem v.crashed) l.lq then
+      if List.exists (Ns.mem r.crashed) l.lq then
         err "lock %d: crashed node still queued" id;
       let sorted = List.sort_uniq compare l.lq in
       if List.length sorted <> List.length l.lq then
         err "lock %d: duplicate queued requester" id)
-    v.locks;
+    r.locks;
   Imap.iter
     (fun id (f : flagst) ->
-      if List.exists (Ns.mem v.crashed) f.fwaiters then
+      if List.exists (Ns.mem r.crashed) f.fwaiters then
         err "flag %d: crashed node still waiting" id)
-    v.flags;
+    r.flags;
   Imap.iter
     (fun page h ->
       if h < 0 || h >= cfg.nprocs then
         err "page %d: home override %d out of range" page h)
-    v.homes;
+    r.homes;
   List.rev !errs
 
 (* Additional properties of QUIESCENT views: no requests in flight, all
@@ -1929,8 +1962,9 @@ let quiescent_invariants (cfg : cfg) (v : view) : string list =
       if not (Imap.is_empty n.pending) then
         err "node %d: %d pending blocks at quiescence" id
           (Imap.cardinal n.pending);
-      if n.unacked <> 0 then
-        err "node %d: %d unacked blocks at quiescence" id n.unacked;
+      if not (Imap.is_empty n.acks) then
+        err "node %d: %d unacked blocks at quiescence" id
+          (Imap.cardinal n.acks);
       if not (Imap.is_empty n.waiters) then
         err "node %d: deferred requests at quiescence" id;
       if n.in_batch then err "node %d: still in a batch at quiescence" id;
@@ -1938,8 +1972,9 @@ let quiescent_invariants (cfg : cfg) (v : view) : string list =
       | N_waiting _ -> err "node %d: still waiting at quiescence" id
       | N_running -> ())
     v.nodes;
-  if not (Ns.is_empty v.brelease) then
-    err "release wave %s undelivered at quiescence" (Ns.to_string v.brelease);
+  if not (Ns.is_empty v.rest.brelease) then
+    err "release wave %s undelivered at quiescence"
+      (Ns.to_string v.rest.brelease);
   Imap.iter
     (fun block (e : dirent) ->
       (* inexact sharer sets are supersets by design: membership without
@@ -2003,19 +2038,35 @@ let canon_node_into b id (n : nview) =
   let chr = Buffer.add_char b and str = Buffer.add_string b in
   let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
   let bool x = str (if x then "true" else "false") in
+  let line blk l =
+    chr 'l'; hex blk; chr '=';
+    chr
+      (match l with
+       | L_invalid -> 'i'
+       | L_shared -> 's'
+       | L_exclusive -> 'e'
+       | L_pending_invalid -> 'p'
+       | L_pending_shared -> 'q');
+    chr ';'
+  in
   chr 'N'; int id; chr '{';
-  Imap.iter
-    (fun blk l ->
-      chr 'l'; hex blk; chr '=';
-      chr
-        (match l with
-         | L_invalid -> 'i'
-         | L_shared -> 's'
-         | L_exclusive -> 'e'
-         | L_pending_invalid -> 'p'
-         | L_pending_shared -> 'q');
-      chr ';')
-    n.lines;
+  (* every block's [line_of] state in block order: a pending entry wins
+     over [lines], and prints even where [lines] has no binding *)
+  if Imap.is_empty n.pending then Imap.iter line n.lines
+  else begin
+    let next = ref (Imap.to_seq n.pending ()) in
+    (* print the pending blocks up to [k]; true when [k] is one *)
+    let rec upto k =
+      match !next with
+      | Seq.Cons ((pb, p), rest) when pb <= k ->
+        line pb (pending_line p);
+        next := rest ();
+        pb = k || upto k
+      | _ -> false
+    in
+    Imap.iter (fun blk l -> if not (upto blk) then line blk l) n.lines;
+    ignore (upto max_int)
+  end;
   Imap.iter
     (fun blk (p : pend) ->
       chr 'p'; hex blk; chr '=';
@@ -2034,7 +2085,7 @@ let canon_node_into b id (n : nview) =
       (match a.expected with Some e -> int e | None -> chr '?');
       chr ';')
     n.acks;
-  chr 'u'; int n.unacked; chr ';';
+  chr 'u'; int (Imap.cardinal n.acks); chr ';';
   Imap.iter
     (fun blk msgs ->
       chr 'w'; hex blk; str "=[";
@@ -2073,6 +2124,7 @@ let canon_node_into b id (n : nview) =
   chr '}'
 
 let canon_rest_into b (v : view) =
+  let r = v.rest in
   let chr = Buffer.add_char b and str = Buffer.add_string b in
   let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
   let bool x = str (if x then "true" else "false") in
@@ -2086,40 +2138,36 @@ let canon_rest_into b (v : view) =
       chr 'L'; int id; chr ':';
       (match l.holder with Some h -> int h | None -> chr '-');
       str ",["; ints l.lq; str "];")
-    v.locks;
+    r.locks;
   Imap.iter
     (fun id (f : flagst) ->
       chr 'F'; int id; chr ':'; bool f.fset; str ",[";
       ints f.fwaiters; str "];")
-    v.flags;
+    r.flags;
   chr 'B';
-  ns_dec v.barrier_arrived;
-  if not (Ns.is_empty v.halted) then begin
-    str ";X"; ns_hex v.crashed; chr ','; ns_hex v.halted
+  ns_dec r.barrier_arrived;
+  if not (Ns.is_empty r.halted) then begin
+    str ";X"; ns_hex r.crashed; chr ','; ns_hex r.halted
   end;
   (* scaling-layer state prints only when populated, so default-config
      strings stay byte-identical to the seed *)
-  if not (Ns.is_empty v.brelease) then begin
-    str ";R"; ns_dec v.brelease
+  if not (Ns.is_empty r.brelease) then begin
+    str ";R"; ns_dec r.brelease
   end;
-  if not (Imap.is_empty v.homes) then begin
+  if not (Imap.is_empty r.homes) then begin
     str ";H";
-    Imap.iter (fun page h -> hex page; chr ':'; int h; chr ',') v.homes
+    Imap.iter (fun page h -> hex page; chr ':'; int h; chr ',') r.homes
   end;
-  if not (Imap.is_empty v.heat) then begin
+  if not (Imap.is_empty r.heat) then begin
     str ";h";
     Imap.iter
       (fun page (who, k) -> hex page; chr ':'; int who; chr '*'; int k; chr ',')
-      v.heat
+      r.heat
   end
 
-(* Physical equality of every field [canon_rest_into] reads: a view
-   that shares them all with [v] renders the same rest. *)
-let rest_shared (v : view) (w : view) =
-  v.locks == w.locks && v.flags == w.flags
-  && v.barrier_arrived == w.barrier_arrived
-  && v.crashed == w.crashed && v.halted == w.halted
-  && v.brelease == w.brelease && v.homes == w.homes && v.heat == w.heat
+(* [canon_rest_into] reads only [rest]: a view that shares it with [v]
+   renders the same rest. *)
+let rest_shared (v : view) (w : view) = v.rest == w.rest
 
 let canon_into b (v : view) =
   canon_dir_into b v;

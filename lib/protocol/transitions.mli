@@ -1,12 +1,19 @@
 (* Pure protocol transition core.
 
    [step] is the entire Shasta coherence/synchronization protocol as a
-   pure function over an immutable [view].  The runtime engine applies
-   the [action]s that [step_into] streams to it against
-   Pipeline/Network/Memory; deterministic replay (shasta_run
-   --replay) streams them into a sink that discards them;
-   the model checker ([lib/mcheck]) takes [step]'s list.  Types are
-   transparent so checkers can build and inspect views. *)
+   pure function over an immutable [view].  The runtime engine keeps a
+   [stepper] per node, which streams each step's [action]s into the
+   engine's sink to be applied against Pipeline/Network/Memory;
+   deterministic replay (shasta_run --replay) steps through steppers
+   whose sink discards them; the model checker ([lib/mcheck]) takes
+   [step]'s list.  Types are transparent so checkers can build and
+   inspect views.
+
+   Each protocol fact is stored once.  A pending block's line state is
+   read off its [pending] entry ([P_upgrade] reads pending-shared, the
+   other kinds pending-invalid), so [lines] only ever holds settled
+   states; a node's count of unacknowledged blocks is the size of its
+   [acks]. *)
 
 module Imap : Map.S with type key = int
 
@@ -45,9 +52,10 @@ type deferred = D_inv of int | D_downgrade of int
 
 type nview = {
   lines : line Imap.t;
+    (* settled states only (absent = invalid): a block with a [pending]
+       entry reads that entry's state, whatever [lines] holds for it *)
   pending : pend Imap.t;
-  acks : ackst Imap.t;
-  unacked : int;
+  acks : ackst Imap.t; (* blocks with incomplete invalidation acks *)
   waiters : Message.t list Imap.t;
   deferred : deferred list;
   in_batch : bool;
@@ -60,9 +68,10 @@ type dirent = { owner : int; sharers : Nodeset.t }
 type lockst = { holder : int option; lq : int list }
 type flagst = { fset : bool; fwaiters : int list }
 
-type view = {
-  dir : dirent Imap.t;
-  nodes : nview Imap.t;
+(* The fields of a view that change only on sync, crash and placement
+   steps, kept in one record so a step that leaves them alone shares
+   it. *)
+type rest = {
   locks : lockst Imap.t;
   flags : flagst Imap.t;
   barrier_arrived : Nodeset.t; (* nodes waiting at the barrier (exact) *)
@@ -73,6 +82,12 @@ type view = {
   homes : int Imap.t; (* page -> home override (placement/migration) *)
   heat : (int * int) Imap.t; (* page -> (last remote requester, streak) *)
   brelease : Nodeset.t; (* tree barrier: nodes the release wave owes *)
+}
+
+type view = {
+  dir : dirent Imap.t; (* changes on most steps *)
+  nodes : nview Imap.t; (* changes on most steps *)
+  rest : rest;
 }
 
 type cfg = {
@@ -168,12 +183,19 @@ val init : cfg -> view
    reads the node's line state from its own view. *)
 val step : cfg -> view -> node:int -> input -> action list * view
 
-(* [step] with its actions streamed: [step_into cfg v ~node input sink]
-   passes each action to [sink], in [step]'s list order, as the core
-   decides it, and returns the same view.  No list is built.  The core
-   is done with an action once it has passed it on, so [sink] may apply
-   it at once; [sink] must not step the core again. *)
-val step_into : cfg -> view -> node:int -> input -> (action -> unit) -> view
+(* [step] with its actions streamed, through a step context built once
+   per node.  [stepper cfg ~node sink] is that context;
+   [step_with s v input] runs [node]'s step from [v], passes each action
+   to [sink], in [step]'s list order, as the core decides it, and
+   returns the same view as [step].  No list and no context is built
+   per step.  The core is done with an action once it has passed it on,
+   so [sink] may apply it at once; [sink] must not step the core again.
+   Between steps a stepper holds one idle view shared by all steppers,
+   never a past view. *)
+type stepper
+
+val stepper : cfg -> node:int -> (action -> unit) -> stepper
+val step_with : stepper -> view -> input -> view
 
 val home_of : cfg -> int -> int
 (* Natural (round-robin) home of a block, ignoring overrides. *)
@@ -227,7 +249,7 @@ val canon_node_into : Buffer.t -> int -> nview -> unit
 val canon_rest_into : Buffer.t -> view -> unit
 
 val rest_shared : view -> view -> bool
-(** Every field [canon_rest_into] reads is physically shared between
-    the two views, so both render the same rest. *)
+(** The two views share their [rest] record physically, so both render
+    the same rest. *)
 
 val string_of_wait : wait -> string

@@ -11,13 +11,15 @@
      drained network messages, batched access lists with their
      historical iteration orders, store values the core cannot read
      itself) — the core reads line states from its own view;
-   - applies each action IN ORDER, as [Transitions.step_into] streams
-     it into the node's sink, against Pipeline/Network/Memory/Tables
-     and the observability subsystem, which reproduces the old
-     monolithic engine's effect order — and therefore its event stream
-     and cycle counts — exactly.  No action list is built, and an
-     event record only when a sink or profiler will read it: otherwise
-     an event is one registry bump;
+   - steps the core through the node's [Transitions.stepper], a step
+     context built once per node ([attach]), and applies each action
+     IN ORDER, as the stepper streams it into the node's [sink], against
+     Pipeline/Network/Memory/Tables and the observability subsystem,
+     which reproduces the old monolithic engine's effect order — and
+     therefore its event stream and cycle counts — exactly.  No action
+     list and no step context is built per step, and an event record
+     only when a sink or profiler will read it: otherwise an event is
+     one registry bump;
    - records every (node, input) pair when [state.record_inputs] is
      set, enabling deterministic replay through the pure core alone.
 
@@ -240,7 +242,7 @@ let flush state (node : Node.t) =
     node.fan_n <- 0
   end
 
-let act state (node : Node.t) (a : T.action) =
+let sink state (node : Node.t) (a : T.action) =
   match a with
   | T.A_send { dst; msg = { kind = Coh (Inv _); _ } as msg } ->
     let now =
@@ -255,18 +257,21 @@ let act state (node : Node.t) (a : T.action) =
     flush state node;
     apply state node a
 
-(* Build every node's sink once, when the cluster is created. *)
+(* Build every node's stepper, over its sink, once, when the cluster is
+   created. *)
 let attach state =
-  Array.iter (fun (n : Node.t) -> n.act <- act state n) state.State.nodes
+  Array.iter
+    (fun (n : Node.t) ->
+      n.stepper <- T.stepper state.State.tcfg ~node:n.id (sink state n))
+    state.State.nodes
 
-(* One protocol step: the core streams its actions into the node's
-   sink, which applies each as it arrives.  No action reads
+(* One protocol step: the node's stepper streams the core's actions into
+   its sink, which applies each as it arrives.  No action reads
    [state.proto], so the view is stored once the step is done. *)
 let step state (node : Node.t) (input : T.input) =
   if state.State.record_inputs then
     state.State.inputs_rev <- (node.id, input) :: state.State.inputs_rev;
-  state.State.proto <-
-    T.step_into state.State.tcfg state.State.proto ~node:node.id input node.act;
+  state.State.proto <- T.step_with node.stepper state.State.proto input;
   flush state node
 
 (* ------------------------------------------------------------------ *)

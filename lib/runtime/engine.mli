@@ -4,9 +4,9 @@
    Every entry point builds a [Transitions.input] from what the machine
    observed (miss addresses, drained messages, stored longwords; the
    core reads line states from its own view), runs the pure step to
-   completion, and applies each action in order, as the core streams
-   it, against Pipeline/Network/Memory and the observability
-   subsystem.
+   completion through the node's [Transitions.stepper], and applies
+   each action in order, as the stepper streams it, against
+   Pipeline/Network/Memory and the observability subsystem.
    When [state.record_inputs] is set, every input is also logged for
    deterministic replay ([Replay]). *)
 
@@ -16,9 +16,14 @@ val emit_at :
     site.  The site record is built only when a sink or profiler is
     attached. *)
 
+val sink : State.t -> Node.t -> Shasta_protocol.Transitions.action -> unit
+(** Apply one action the node's step streamed.  A run of invalidation
+    sends is charged once, at the next other action or at the step's
+    end. *)
+
 val attach : State.t -> unit
-(** Build each node's action sink ([Node.act]).  Run once, when the
-    cluster is created, before the first protocol step. *)
+(** Build each node's [Node.stepper] over its [sink].  Run once, when
+    the cluster is created, before the first protocol step. *)
 
 (* -- inline miss handlers (called from the interpreter pseudo-ops) -- *)
 

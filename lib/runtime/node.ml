@@ -62,9 +62,9 @@ type t = {
   mutable reply_data : int array option;
       (* longwords of the Data_reply currently being applied (consumed
          by the first M_merge action of the step) *)
-  mutable act : Shasta_protocol.Transitions.action -> unit;
-      (* the engine's sink for this node's streamed protocol actions,
-         built once per cluster ([Engine.attach]) *)
+  mutable stepper : Shasta_protocol.Transitions.stepper;
+      (* this node's protocol step context, streaming into the engine's
+         action sink; built once per cluster ([Engine.attach]) *)
   mutable fan_n : int;
   mutable fan_done : int;
       (* the engine's open run of invalidation sends: how many went
@@ -92,7 +92,10 @@ let create ~id ~pipe_config =
     commit_store = (fun () -> ());
     wait_started = 0;
     reply_data = None;
-    act = (fun _ -> invalid_arg "Node: no action sink attached");
+    stepper =
+      Shasta_protocol.Transitions.(
+        stepper default_cfg ~node:id (fun _ ->
+          invalid_arg "Node: no protocol stepper attached"));
     fan_n = 0;
     fan_done = 0;
     in_batch = false;

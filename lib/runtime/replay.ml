@@ -8,8 +8,9 @@
    view the live run left behind — [canon]-equal, not merely similar.
    A divergence means the core consulted state outside its inputs, i.e.
    a hidden side channel: precisely the bug class the refactor is meant
-   to exclude.  Only views are compared, so the actions stream into a
-   sink that discards them.
+   to exclude.  Only views are compared, so each node's
+   [Transitions.stepper] streams its actions into a sink that discards
+   them, as the engine's steppers stream into theirs.
 
    The recording point sits ABOVE the transport: message inputs are
    logged when the engine pops them from [Network.recv], which is after
@@ -34,12 +35,15 @@ let ok r = r.invariant_failures = [] && not r.mismatch
 let replay (state : State.t) =
   let cfg = state.State.tcfg in
   let inputs = List.rev state.State.inputs_rev in
+  let steppers =
+    Array.init cfg.T.nprocs (fun node -> T.stepper cfg ~node ignore)
+  in
   let v = ref (T.init cfg) in
   let steps = ref 0 in
   let failures = ref [] in
   List.iter
     (fun (node, input) ->
-      v := T.step_into cfg !v ~node input ignore;
+      v := T.step_with steppers.(node) !v input;
       incr steps;
       match T.invariants cfg !v with
       | [] -> ()

@@ -3,7 +3,7 @@
    The protocol's own state — directory, pending/ack bookkeeping, lock,
    flag and barrier objects — lives in the immutable
    [Shasta_protocol.Transitions.view] held in [proto]; the engine
-   threads it through the pure core ([Transitions.step_into]) and
+   threads it through the pure core (each node's [Transitions.stepper]) and
    applies the actions the core streams against the machine structures
    kept here. *)
 
