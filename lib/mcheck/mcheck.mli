@@ -198,21 +198,45 @@ val compact_keys :
     only the components the move replaced rendered again.  For tests
     of the compression. *)
 
-(* Built-in scenarios (blocks with distinct homes when nprocs > 1). *)
+(* Built-in scenarios (blocks with distinct homes when nprocs > 1).
+   Each doc names the nodes whose scripts act and gives the states
+   [check_exhaustive] visits with no options (reliable wire, no
+   refinement, no crash) at P=2, 3 and 4; a scenario with a fixed node
+   count gives its one count. *)
+
 val read_sharing : nprocs:int -> scenario
+(** n0 writes the block, then every node passes a barrier and reads
+    it.  18 / 76 / 330 states. *)
+
 val write_race : nprocs:int -> scenario
+(** n0 and n1 each write the block once, unsynchronized; the other
+    nodes run no script and add no state.  12 states at every P. *)
+
 val lock_increment : nprocs:int -> scenario
+(** Every node increments the block under lock 0.  64 / 568 / 4,780
+    states. *)
+
 val flag_handoff : scenario
+(** Two nodes: n0 writes the block and sets flag 0; n1 waits on the
+    flag and reads.  13 states. *)
+
 val barrier_exchange : scenario
+(** Two nodes: n0 and n1 each write a block (distinct homes), pass a
+    barrier and read the other's.  43 states. *)
+
 val upgrade_race : nprocs:int -> scenario
+(** n0 writes the block, passes a barrier and writes it again under
+    lock 0; the other nodes pass the barrier and read it, racing that
+    upgrade.  36 / 226 / 1,554 states. *)
 
 val release_order : scenario
-(** The directed refinement scenario: a flag-published block updated
-    again inside a critical section, read twice under the same lock by
-    the consumer.  DRF, and its data oracle tolerates every final
-    outcome — the [Store_past_release] injection is invisible to all
-    pre-refinement checks here, and exactly the stale lock-section
-    read diverges from the spec. *)
+(** The directed refinement scenario, on two nodes: n0 publishes the
+    block under flag 0 and updates it again inside a critical section;
+    n1 waits on the flag and reads the block twice under the same lock.
+    DRF, and its data oracle tolerates every final outcome — the
+    [Store_past_release] injection is invisible to all pre-refinement
+    checks here, and exactly the stale lock-section read diverges from
+    the spec.  100 states. *)
 
 val scenarios : nprocs:int -> scenario list
 
@@ -227,15 +251,30 @@ val crash_scenarios : nprocs:int -> scenario list
     obligation). *)
 
 (* Scaling scenarios: the limited-pointer directory and the scalable
-   synchronization path. *)
+   synchronization path.  State counts as above. *)
 val lp_overflow : nprocs:int -> scenario
-(** One limited pointer + [nprocs] sharers: the entry overflows to
-    broadcast; the oracle proves the superset never misses a sharer. *)
+(** One limited pointer + [nprocs] sharers: n0 writes the block, every
+    node passes a barrier and reads it, and n0 writes it again; the
+    entry overflows to broadcast, and the oracle proves the superset
+    never misses a sharer.  27 / 217 / 3,069 states. *)
 
 val queue_lock : nprocs:int -> scenario
+(** [lock_increment]'s scripts (every node) under the queue lock.
+    62 / 546 / 4,612 states. *)
+
 val tree_barrier : scenario
+(** [barrier_exchange]'s two nodes under the combining-tree barrier.
+    52 states. *)
+
 val scalable_mix : nprocs:int -> scenario
+(** Every node increments the block under the queue lock, then passes
+    the tree barrier.  116 / 1,806 / 28,908 states. *)
+
 val scale_scenarios : nprocs:int -> scenario list
+(** [lp_overflow], then lp-home-stale — four nodes whatever [nprocs]:
+    n3 writes the block and n0 only passes the barrier, after which n1
+    and n2 read it (197 states) — then [queue_lock], [tree_barrier]
+    and [scalable_mix]. *)
 
 val pp_violation : out_channel -> violation -> unit
 

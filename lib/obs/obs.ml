@@ -167,59 +167,31 @@ let count_send t ~node ~longs =
 
 let count_recv t ~node = incr t.cells.msg_recv ~node
 
-(* The registry count of each event the protocol core reports, named
-   apart from its record: an emit site that nobody records for counts
-   through [count] or [count_stall] and builds no {!Event.t}. *)
-type tally =
-  | Miss_read | Miss_write | Miss_upgrade | Miss_false | Invalidated
-  | Downgraded | Store_reissue | Batch_run | Lock_acquired
-  | Barrier_passed | Flag_raised | Flag_woken | Lease_takeover
-  | Dir_rebuild | Home_migrated
-
-let count t ~node k =
-  let c = t.cells in
-  incr ~node
-    (match k with
-     | Miss_read -> c.miss_read
-     | Miss_write -> c.miss_write
-     | Miss_upgrade -> c.miss_upgrade
-     | Miss_false -> c.miss_false
-     | Invalidated -> c.invals
-     | Downgraded -> c.downgrades
-     | Store_reissue -> c.store_reissues
-     | Batch_run -> c.miss_batch
-     | Lock_acquired -> c.locks
-     | Barrier_passed -> c.barriers
-     | Flag_raised -> c.flag_sets
-     | Flag_woken -> c.flag_wakes
-     | Lease_takeover -> c.lease_takeover
-     | Dir_rebuild -> c.dir_rebuild
-     | Home_migrated -> c.home_migrate)
-
 let count_stall t ~node (reason : Event.stall_reason) ~cycles =
   let c = t.cells in
   incr c.stalls ~node;
   observe c.stall ~node cycles;
   if reason = Wait_miss then observe c.miss_latency ~node cycles
 
+(* The one map from an event to the registry cells it bumps. *)
 let count_event t ~node (ev : Event.t) =
   let c = t.cells in
   match ev with
   | Msg_send { longs; _ } -> count_send t ~node ~longs
   | Msg_recv _ -> count_recv t ~node
-  | Miss { kind = Read; _ } -> count t ~node Miss_read
-  | Miss { kind = Write; _ } -> count t ~node Miss_write
-  | Miss { kind = Upgrade; _ } -> count t ~node Miss_upgrade
-  | False_miss _ -> count t ~node Miss_false
-  | Invalidated _ -> count t ~node Invalidated
-  | Downgraded _ -> count t ~node Downgraded
+  | Miss { kind = Read; _ } -> incr c.miss_read ~node
+  | Miss { kind = Write; _ } -> incr c.miss_write ~node
+  | Miss { kind = Upgrade; _ } -> incr c.miss_upgrade ~node
+  | False_miss _ -> incr c.miss_false ~node
+  | Invalidated _ -> incr c.invals ~node
+  | Downgraded _ -> incr c.downgrades ~node
   | Stall { reason; cycles; _ } -> count_stall t ~node reason ~cycles
-  | Lock_acquired _ -> count t ~node Lock_acquired
-  | Barrier_passed -> count t ~node Barrier_passed
-  | Flag_raised _ -> count t ~node Flag_raised
-  | Flag_woken _ -> count t ~node Flag_woken
-  | Batch_run _ -> count t ~node Batch_run
-  | Store_reissue _ -> count t ~node Store_reissue
+  | Lock_acquired _ -> incr c.locks ~node
+  | Barrier_passed -> incr c.barriers ~node
+  | Flag_raised _ -> incr c.flag_sets ~node
+  | Flag_woken _ -> incr c.flag_wakes ~node
+  | Batch_run _ -> incr c.miss_batch ~node
+  | Store_reissue _ -> incr c.store_reissues ~node
   | Node_finished -> incr c.finished ~node
   | Span _ -> incr c.spans ~node
   | Net_fault { retx; backoff; timed_out; _ } ->
@@ -230,9 +202,9 @@ let count_event t ~node (ev : Event.t) =
     if timed_out then incr c.net_timeout ~node
   | Node_crash _ -> incr c.node_crash ~node
   | Node_recover _ -> incr c.node_recover ~node
-  | Lease_takeover _ -> count t ~node Lease_takeover
-  | Dir_rebuild _ -> count t ~node Dir_rebuild
-  | Home_migrated _ -> count t ~node Home_migrated
+  | Lease_takeover _ -> incr c.lease_takeover ~node
+  | Dir_rebuild _ -> incr c.dir_rebuild ~node
+  | Home_migrated _ -> incr c.home_migrate ~node
 
 let emit t ?site ~node ~time ev =
   count_event t ~node ev;

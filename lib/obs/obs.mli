@@ -4,7 +4,13 @@
     Create one [t] per simulated cluster (the [State.config] carries
     it), attach zero or more sinks, and read the registry after the
     run.  With no sinks attached, [emit] only bumps registry counters
-    — cheap enough to leave on unconditionally. *)
+    — cheap enough to leave on unconditionally.
+
+    One map, inside [emit], takes each {!Event.t} constructor to the
+    registry cells it bumps; the protocol core's events arrive through
+    [emit] as the core built them.  [count_send], [count_recv] and
+    [count_stall] are that map's arms for the three events the runtime
+    would otherwise build only to count. *)
 
 module Event = Event
 module Metrics = Metrics
@@ -49,19 +55,6 @@ val count_send : t -> node:int -> longs:int -> unit
 
 val count_recv : t -> node:int -> unit
 (** Count one network delivery, as an {!Event.Msg_recv} would. *)
-
-(** The registry count of each event the protocol core reports, apart
-    from its record. *)
-type tally =
-  | Miss_read | Miss_write | Miss_upgrade | Miss_false | Invalidated
-  | Downgraded | Store_reissue | Batch_run | Lock_acquired
-  | Barrier_passed | Flag_raised | Flag_woken | Lease_takeover
-  | Dir_rebuild | Home_migrated
-
-val count : t -> node:int -> tally -> unit
-(** Count one event of the named class exactly as emitting its record
-    would, without building it: the protocol engine's path when
-    nothing is {!recording}. *)
 
 val count_stall :
   t -> node:int -> Event.stall_reason -> cycles:int -> unit

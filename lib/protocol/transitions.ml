@@ -9,13 +9,15 @@
    over an immutable [view].  Inputs are miss-check outcomes, protocol
    messages and sync ops; effects (network sends, pipeline charges,
    state-table writes, observability events, blocking/waking) come back
-   as an ordered [action] list.  A [stepper], one per node, runs the
-   same step and passes each action, in the same order, to a caller's
-   sink instead: that is how the runtime interpreter ([Engine]) applies
-   them against Pipeline/Network/Memory.  The ordering contract is strict: applying
-   the actions in order reproduces the exact effect order of the
-   historical monolithic engine, so event streams and cycle counts are
-   byte-for-byte identical.
+   as an ordered [action] list; an event is already the
+   [Shasta_obs.Event.t] the engine hands to [Obs.emit].  A [stepper],
+   one per node, runs the same step and passes each action, in the same
+   order, to a caller's sink instead: that is how the runtime
+   interpreter ([Engine]) applies them against Pipeline/Network/Memory.
+   The ordering contract is strict: applying the actions in order
+   reproduces the exact effect order of the historical monolithic
+   engine, so event streams and cycle counts are byte-for-byte
+   identical.
 
    Because the core is pure it can also be driven without a machine
    underneath: [lib/mcheck] explores all interleavings of small
@@ -31,6 +33,7 @@
 
 module Imap = Map.Make (Int)
 module Ns = Nodeset
+module Ev = Shasta_obs.Event
 
 (* ------------------------------------------------------------------ *)
 (* State                                                                *)
@@ -123,7 +126,7 @@ type rest = {
   homes : int Imap.t; (* page -> home override (policy-driven placement
                          and hot-page migration); absent = round-robin *)
   heat : (int * int) Imap.t; (* page -> (last remote requester, streak)
-                                — only populated under [cfg.migrate] *)
+                                — only populated under [Migrate] *)
   brelease : Ns.t; (* combining-tree barrier: nodes the current release
                       wave still has to reach (empty under centralized
                       sync) *)
@@ -135,19 +138,28 @@ type view = {
   rest : rest;
 }
 
+(* Release: the paper's RC protocol (non-stalling stores, releases wait
+   for acks).  Sequential: stores and batch misses stall until
+   ownership and every invalidation ack arrive (Section 4.3). *)
+type consistency = Release | Sequential
+
+(* Round_robin is the paper's default (Section 2.1); the runtime
+   installs First_touch homes through [I_set_home]; Migrate moves a
+   page's directory home to a persistently remote requester. *)
+type home_policy = Round_robin | First_touch | Migrate
+
 type cfg = {
   nprocs : int; (* homes: (block / Granularity.page_bytes) mod nprocs *)
-  sc : bool; (* sequential consistency (stalling stores) *)
+  consistency : consistency;
   dmode : Ns.mode; (* directory organization for sharer sets *)
   scalable_sync : bool; (* MCS-style queue locks + combining-tree
                            barrier instead of centralized home sync *)
-  migrate : bool; (* migrate a page's home to a persistently remote
-                     requester (directory-entry migration) *)
+  home_policy : home_policy;
 }
 
 let default_cfg =
-  { nprocs = 1; sc = false; dmode = Ns.Full; scalable_sync = false;
-    migrate = false }
+  { nprocs = 1; consistency = Release; dmode = Ns.Full;
+    scalable_sync = false; home_policy = Round_robin }
 
 let empty_nview =
   { lines = Imap.empty; pending = Imap.empty; acks = Imap.empty;
@@ -178,28 +190,6 @@ type cost =
   | False_miss
   | Batch_record of int (* nranges *)
 
-type miss_kind = MK_read | MK_write | MK_upgrade
-
-(* Observability events, mirrored to Shasta_obs.Event by the engine. *)
-type ev =
-  | E_miss of miss_kind * int (* access addr *)
-  | E_false_miss of int
-  | E_invalidated of { block : int; requester : int }
-  | E_downgraded of { block : int; requester : int }
-  | E_store_reissue of int
-  | E_batch_run of { nranges : int; waited : int }
-  | E_lock_acquired of int
-  | E_barrier_passed
-  | E_flag_raised of int
-  | E_flag_woken of int
-  | E_lease_takeover of { id : int; from : int }
-    (* a lock held by crashed node [from] was reclaimed for its waiters *)
-  | E_dir_rebuild of { block : int; from : int }
-    (* a directory entry involving crashed node [from] was repaired *)
-  | E_home_migrated of { page : int; to_ : int }
-    (* hot-page migration: the page's directory home moved to a
-       persistently remote requester *)
-
 (* State-table / memory effects, applied by the interpreter via Tables
    (block length resolution lives there). *)
 type memop =
@@ -222,7 +212,9 @@ type memop =
 
 type action =
   | A_charge of cost
-  | A_emit of ev
+  | A_emit of Ev.t
+    (* one of the protocol's own events (misses, invalidations, sync,
+       recovery, migration); the engine reports messages and stalls *)
   | A_send of { dst : int; msg : Message.t }
     (* Data_reply is sent with [data = [||]]: the interpreter reads the
        block out of node memory at apply time (no memory effect can
@@ -434,7 +426,7 @@ let barrier_complete (cfg : cfg) (v : view) =
   in
   go 0
 
-(* Hot-page home migration (under [cfg.migrate]): count consecutive
+(* Hot-page home migration (under [Migrate]): count consecutive
    remote requests for a page from the same node at its current home; a
    run of [migrate_threshold] moves the page's directory home to that
    requester.  In-flight requests to the old home still resolve there —
@@ -443,7 +435,7 @@ let barrier_complete (cfg : cfg) (v : view) =
 let migrate_threshold = 8
 
 let heat_bump c ~block ~requester =
-  if c.cfg.migrate && requester <> c.node then begin
+  if c.cfg.home_policy = Migrate && requester <> c.node then begin
     let page = block / Granularity.page_bytes in
     let streak =
       match Imap.find_opt page c.v.rest.heat with
@@ -451,7 +443,7 @@ let heat_bump c ~block ~requester =
       | _ -> 1
     in
     if streak >= migrate_threshold then begin
-      act c (A_emit (E_home_migrated { page; to_ = requester }));
+      act c (A_emit (Ev.Home_migrated { page; to_ = requester }));
       set_rest c
         { c.v.rest with
           homes = Imap.add page requester c.v.rest.homes;
@@ -472,7 +464,7 @@ let heat_bump c ~block ~requester =
    is handed back to the interpreter mid-step. *)
 
 let false_miss c addr =
-  act c (A_emit (E_false_miss addr));
+  act c (A_emit (Ev.False_miss { addr }));
   act c (A_charge False_miss)
 
 (* The line a miss finds.  Memory outside the directory is never shared:
@@ -554,7 +546,7 @@ and dispatch c = function
     act c A_commit_store;
     if then_release then block_on c W_release R_done
   | R_then_release -> block_on c W_release R_done
-  | R_lock_acquired id -> act c (A_emit (E_lock_acquired id))
+  | R_lock_acquired id -> act c (A_emit (Ev.Lock_acquired { id }))
   | R_unlock id ->
     if c.cfg.scalable_sync then begin
       (* MCS-style queue lock: the releaser reads the queue itself and
@@ -593,16 +585,16 @@ and dispatch c = function
         send c ~dst:bh ~addr:0 (Message.Sync Barrier_arrive);
         block_on c W_sync R_barrier_passed
       end
-  | R_barrier_passed -> act c (A_emit E_barrier_passed)
+  | R_barrier_passed -> act c (A_emit Ev.Barrier_passed)
   | R_flag_set id ->
-    act c (A_emit (E_flag_raised id));
+    act c (A_emit (Ev.Flag_raised { id }));
     let h = route c.cfg c.v (id mod c.cfg.nprocs) in
     if h = c.node then begin
       act c (A_charge Sync_local);
       home_flag_set c ~id
     end
     else send c ~dst:h ~addr:id (Message.Sync Flag_set_msg)
-  | R_flag_woken id -> act c (A_emit (E_flag_woken id))
+  | R_flag_woken id -> act c (A_emit (Ev.Flag_woken { id }))
 
 (* ------------------------------------------------------------------ *)
 (* Invalidation-ack bookkeeping                                         *)
@@ -810,7 +802,7 @@ and owner_fwd_read c ~requester ~block =
       { Message.src = c.node; addr = block;
         kind = Coh (Fwd_read { requester }) }
   else begin
-    act c (A_emit (E_downgraded { block; requester }));
+    act c (A_emit (Ev.Downgraded { addr = block; requester }));
     send c ~dst:requester ~addr:block
       (Message.Coh (Data_reply { data = [||]; exclusive = false; acks = 0 }));
     let n = nv c in
@@ -854,7 +846,7 @@ and owner_fwd_readex c ~requester ~block ~acks =
 (* ------------------------------------------------------------------ *)
 
 and apply_inv c ~block ~requester =
-  act c (A_emit (E_invalidated { block; requester }));
+  act c (A_emit (Ev.Invalidated { addr = block; requester }));
   send c ~dst:requester ~addr:block (Message.Coh Inv_ack);
   let n = nv c in
   if n.in_batch then
@@ -1163,18 +1155,18 @@ and store_miss c ~addr ~block ~store_done ~stored =
     else block_on c (W_blocks [ block ]) (R_store_retry { addr; block })
   | (L_shared | L_invalid) as st ->
     (if st = L_shared then begin
-       act c (A_emit (E_miss (MK_upgrade, addr)));
+       act c (A_emit (Ev.Miss { kind = Ev.Upgrade; addr }));
        start_pending c block P_upgrade;
        if store_done then add_written c block stored;
        issue_request c block (Message.Coh Upgrade_req)
      end
      else begin
-       act c (A_emit (E_miss (MK_write, addr)));
+       act c (A_emit (Ev.Miss { kind = Ev.Write; addr }));
        start_pending c block P_readex;
        if store_done then add_written c block stored;
        issue_request c block (Message.Coh Readex_req)
      end);
-    if c.cfg.sc then
+    if c.cfg.consistency = Sequential then
       (* sequential consistency: the store completes — ownership AND all
          invalidation acknowledgements — before execution continues *)
       block_on c (W_blocks [ block ])
@@ -1207,7 +1199,7 @@ let load_miss c ~addr ~block =
        act c A_refill
      | _ -> block_on c (W_blocks [ block ]) R_refill)
   | L_invalid ->
-    act c (A_emit (E_miss (MK_read, addr)));
+    act c (A_emit (Ev.Miss { kind = Ev.Read; addr }));
     start_pending c block P_read;
     issue_request c block (Message.Coh Read_req);
     block_on c (W_blocks [ block ]) R_refill
@@ -1235,11 +1227,11 @@ let batch_miss c ~nranges ~blocks =
         | L_pending_shared ->
           if pending_invalidated then waits := block :: !waits
         | L_shared ->
-          act c (A_emit (E_miss (MK_upgrade, block)));
+          act c (A_emit (Ev.Miss { kind = Ev.Upgrade; addr = block }));
           start_pending c block P_upgrade;
           issue_request c block (Message.Coh Upgrade_req)
         | L_invalid ->
-          act c (A_emit (E_miss (MK_write, block)));
+          act c (A_emit (Ev.Miss { kind = Ev.Write; addr = block }));
           start_pending c block P_readex;
           issue_request c block (Message.Coh Readex_req);
           waits := block :: !waits
@@ -1251,14 +1243,14 @@ let batch_miss c ~nranges ~blocks =
           if pending_invalidated then waits := block :: !waits
         | L_pending_invalid -> waits := block :: !waits
         | L_invalid ->
-          act c (A_emit (E_miss (MK_read, block)));
+          act c (A_emit (Ev.Miss { kind = Ev.Read; addr = block }));
           start_pending c block P_read;
           issue_request c block (Message.Coh Read_req);
           waits := block :: !waits
       end)
     blocks;
-  act c (A_emit (E_batch_run { nranges; waited = List.length !waits }));
-  if c.cfg.sc then begin
+  act c (A_emit (Ev.Batch_run { nranges; waited = List.length !waits }));
+  if c.cfg.consistency = Sequential then begin
     (* Section 4.3: under SC the handler waits for ALL requests,
        including exclusive ones and their acknowledgements *)
     let all = List.rev_map fst blocks in
@@ -1297,14 +1289,14 @@ let apply_deferred c ~order ~values =
            if not (Imap.is_empty written) then begin
              (* the batch stored into a block invalidated under it: keep
                 the stored longwords, reissue the store miss *)
-             act c (A_emit (E_store_reissue block));
+             act c (A_emit (Ev.Store_reissue { addr = block }));
              mem_op c
                (M_flag
                   { block; keep = List.map fst (Imap.bindings written) });
              start_pending c block P_readex;
              add_written c block (Imap.bindings written);
              issue_request c block (Message.Coh Readex_req) ~emit:(fun () ->
-               act c (A_emit (E_miss (MK_write, block))))
+               act c (A_emit (Ev.Miss { kind = Ev.Write; addr = block })))
            end
            else mem_op c (M_make_invalid block))
       | D_downgrade block ->
@@ -1313,11 +1305,11 @@ let apply_deferred c ~order ~values =
           (* an outstanding request already covers this block *)
           ()
         else if not (Imap.is_empty written) then begin
-          act c (A_emit (E_store_reissue block));
+          act c (A_emit (Ev.Store_reissue { addr = block }));
           start_pending c block P_upgrade;
           add_written c block (Imap.bindings written);
           issue_request c block (Message.Coh Upgrade_req) ~emit:(fun () ->
-            act c (A_emit (E_miss (MK_upgrade, block))))
+            act c (A_emit (Ev.Miss { kind = Ev.Upgrade; addr = block })))
         end
         else mem_op c (M_make_shared block))
     order
@@ -1353,7 +1345,7 @@ let rt_lock c id =
     match l.holder with
     | None ->
       set_lock c id { l with holder = Some c.node };
-      act c (A_emit (E_lock_acquired id))
+      act c (A_emit (Ev.Lock_acquired { id }))
     | Some _ ->
       set_lock c id { l with lq = l.lq @ [ c.node ] };
       block_on c W_sync (R_lock_acquired id)
@@ -1372,7 +1364,7 @@ let rt_flag_wait c id =
       set_flag c id { f with fwaiters = f.fwaiters @ [ c.node ] };
       block_on c W_sync (R_flag_woken id)
     end
-    else act c (A_emit (E_flag_woken id))
+    else act c (A_emit (Ev.Flag_woken { id }))
   end
   else begin
     send c ~dst:h ~addr:id (Message.Sync Flag_wait_req);
@@ -1524,7 +1516,7 @@ let recover_directory c ~victim ~served =
         |> List.sort_uniq compare
       in
       if e.owner = victim then begin
-        act c (A_emit (E_dir_rebuild { block; from = victim }));
+        act c (A_emit (Ev.Dir_rebuild { block; from = victim }));
         (* nodes about to receive salvaged data hold valid copies the
            rebuilt entry must cover (a no-op for exact sets, which
            already contain them) *)
@@ -1593,7 +1585,7 @@ let recover_directory c ~victim ~served =
              end)
       end
       else if sharers <> e.sharers then begin
-        act c (A_emit (E_dir_rebuild { block; from = victim }));
+        act c (A_emit (Ev.Dir_rebuild { block; from = victim }));
         set_dir c block { e with sharers }
       end)
     c.v.dir
@@ -1606,7 +1598,7 @@ let recover_locks c ~victim =
       | Some h when h = victim -> begin
         (* lease takeover: the dead holder never unlocks; grant the
            next waiter so the queue makes progress *)
-        act c (A_emit (E_lease_takeover { id; from = victim }));
+        act c (A_emit (Ev.Lease_takeover { id; from = victim }));
         match lq with
         | next :: rest ->
           set_lock c id { holder = Some next; lq = rest };

@@ -90,12 +90,21 @@ type view = {
   rest : rest;
 }
 
+(* Release consistency (the paper's protocol) or sequential consistency
+   (stalling stores and batch misses). *)
+type consistency = Release | Sequential
+
+(* Home assignment for shared pages: the paper's round-robin default,
+   first-touch (home = allocating node), or round-robin with hot-page
+   directory-home migration at run time. *)
+type home_policy = Round_robin | First_touch | Migrate
+
 type cfg = {
   nprocs : int;  (* homes: (block / Granularity.page_bytes) mod nprocs *)
-  sc : bool;
+  consistency : consistency;
   dmode : Nodeset.mode; (* directory organization for sharer sets *)
   scalable_sync : bool; (* queue locks + combining-tree barrier *)
-  migrate : bool; (* hot-page directory-home migration *)
+  home_policy : home_policy; (* the core reads only [Migrate] *)
 }
 
 val default_cfg : cfg
@@ -108,23 +117,6 @@ type cost =
   | Sync_local
   | False_miss
   | Batch_record of int
-
-type miss_kind = MK_read | MK_write | MK_upgrade
-
-type ev =
-  | E_miss of miss_kind * int
-  | E_false_miss of int
-  | E_invalidated of { block : int; requester : int }
-  | E_downgraded of { block : int; requester : int }
-  | E_store_reissue of int
-  | E_batch_run of { nranges : int; waited : int }
-  | E_lock_acquired of int
-  | E_barrier_passed
-  | E_flag_raised of int
-  | E_flag_woken of int
-  | E_lease_takeover of { id : int; from : int }
-  | E_dir_rebuild of { block : int; from : int }
-  | E_home_migrated of { page : int; to_ : int }
 
 type memop =
   | M_make_exclusive of int
@@ -140,7 +132,11 @@ type memop =
 
 type action =
   | A_charge of cost
-  | A_emit of ev
+  | A_emit of Shasta_obs.Event.t
+    (* only the protocol's own kinds: [Miss], [False_miss],
+       [Invalidated], [Downgraded], [Store_reissue], [Batch_run], the
+       four sync kinds, [Lease_takeover], [Dir_rebuild] and
+       [Home_migrated] *)
   | A_send of { dst : int; msg : Message.t }
   | A_local of Message.t
   | A_mem of memop

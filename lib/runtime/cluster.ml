@@ -48,10 +48,9 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
   in
   let tcfg =
     { Shasta_protocol.Transitions.nprocs = config.nprocs;
-      sc = (config.consistency = State.Sequential);
-      dmode = config.dir_mode;
+      consistency = config.consistency; dmode = config.dir_mode;
       scalable_sync = config.scalable_sync;
-      migrate = (config.home_policy = State.Migrate) }
+      home_policy = config.home_policy }
   in
   let state =
     { State.config; image; nodes;

@@ -17,9 +17,10 @@
      Pipeline/Network/Memory/Tables and the observability subsystem,
      which reproduces the old monolithic engine's effect order — and
      therefore its event stream and cycle counts — exactly.  No action
-     list and no step context is built per step, and an event record
-     only when a sink or profiler will read it: otherwise an event is
-     one registry bump;
+     list and no step context is built per step.  The core's events are
+     already [Shasta_obs.Event.t] values and go to [Obs.emit] as they
+     are; the record around one is built only when a sink or profiler
+     will read it, otherwise the event is one registry bump;
    - records every (node, input) pair when [state.record_inputs] is
      set, enabling deterministic replay through the pure core alone.
 
@@ -92,45 +93,6 @@ let cost_cycles (c : T.cost) =
   | T.False_miss -> costs.false_miss
   | T.Batch_record n -> costs.batch_record * n
 
-let ev_of (e : T.ev) : Ev.t =
-  match e with
-  | T.E_miss (T.MK_read, addr) -> Ev.Miss { kind = Ev.Read; addr }
-  | T.E_miss (T.MK_write, addr) -> Ev.Miss { kind = Ev.Write; addr }
-  | T.E_miss (T.MK_upgrade, addr) -> Ev.Miss { kind = Ev.Upgrade; addr }
-  | T.E_false_miss addr -> Ev.False_miss { addr }
-  | T.E_invalidated { block; requester } ->
-    Ev.Invalidated { addr = block; requester }
-  | T.E_downgraded { block; requester } ->
-    Ev.Downgraded { addr = block; requester }
-  | T.E_store_reissue addr -> Ev.Store_reissue { addr }
-  | T.E_batch_run { nranges; waited } -> Ev.Batch_run { nranges; waited }
-  | T.E_lock_acquired id -> Ev.Lock_acquired { id }
-  | T.E_barrier_passed -> Ev.Barrier_passed
-  | T.E_flag_raised id -> Ev.Flag_raised { id }
-  | T.E_flag_woken id -> Ev.Flag_woken { id }
-  | T.E_lease_takeover { id; from } -> Ev.Lease_takeover { id; from }
-  | T.E_dir_rebuild { block; from } -> Ev.Dir_rebuild { block; from }
-  | T.E_home_migrated { page; to_ } -> Ev.Home_migrated { page; to_ }
-
-(* What [ev_of e]'s record would add to the registry. *)
-let tally_of (e : T.ev) : Obs.tally =
-  match e with
-  | T.E_miss (T.MK_read, _) -> Miss_read
-  | T.E_miss (T.MK_write, _) -> Miss_write
-  | T.E_miss (T.MK_upgrade, _) -> Miss_upgrade
-  | T.E_false_miss _ -> Miss_false
-  | T.E_invalidated _ -> Invalidated
-  | T.E_downgraded _ -> Downgraded
-  | T.E_store_reissue _ -> Store_reissue
-  | T.E_batch_run _ -> Batch_run
-  | T.E_lock_acquired _ -> Lock_acquired
-  | T.E_barrier_passed -> Barrier_passed
-  | T.E_flag_raised _ -> Flag_raised
-  | T.E_flag_woken _ -> Flag_woken
-  | T.E_lease_takeover _ -> Lease_takeover
-  | T.E_dir_rebuild _ -> Dir_rebuild
-  | T.E_home_migrated _ -> Home_migrated
-
 (* Data replies leave the core with an empty payload: read the block out
    of this node's memory at apply time.  No memory action can intervene
    between the core's send point and this apply point, so the data is
@@ -154,9 +116,7 @@ let rec apply state (node : Node.t) (a : T.action) =
   let obs = state.State.config.obs in
   match a with
   | T.A_charge c -> charge node (cost_cycles c)
-  | T.A_emit e ->
-    if Obs.recording obs then emit state node (ev_of e)
-    else Obs.count obs ~node:node.id (tally_of e)
+  | T.A_emit e -> emit state node e
   | T.A_send { dst; msg } ->
     let msg = fill_data state node msg in
     (* the network's send tap reports the message to the observability

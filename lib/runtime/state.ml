@@ -10,22 +10,15 @@
 open Shasta_machine
 open Shasta_protocol
 
-type consistency = Release | Sequential
+type consistency = Transitions.consistency = Release | Sequential
 
-(* Home-assignment policy for shared pages.  Round_robin is the
-   paper's default (Section 2.1); First_touch homes each page at the
-   allocating node; Migrate starts round-robin and moves a page's
-   directory home to a node that keeps missing on it remotely. *)
-type home_policy = Round_robin | First_touch | Migrate
+type home_policy = Transitions.home_policy =
+  | Round_robin | First_touch | Migrate
 
 type config = {
   nprocs : int;
   line_shift : int;
   consistency : consistency;
-      (* Release: the paper's aggressive RC protocol (non-stalling
-         stores, releases wait for acks).  Sequential: stores and batch
-         misses stall until ownership and all invalidation
-         acknowledgements arrive (Section 4.3's comparison point). *)
   pipe_config : Pipeline.config;
   net_profile : Shasta_network.Network.profile;
   net_faults : Shasta_network.Network.faults option;

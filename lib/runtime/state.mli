@@ -10,12 +10,11 @@
 open Shasta_machine
 open Shasta_protocol
 
-type consistency = Release | Sequential
+(* The protocol knobs, defined once by the core. *)
+type consistency = Transitions.consistency = Release | Sequential
 
-type home_policy = Round_robin | First_touch | Migrate
-(** Home assignment for shared pages: the paper's round-robin default,
-    first-touch (home = allocating node), or round-robin with hot-page
-    directory-home migration at run time. *)
+type home_policy = Transitions.home_policy =
+  | Round_robin | First_touch | Migrate
 
 type config = {
   nprocs : int;

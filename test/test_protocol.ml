@@ -2,6 +2,7 @@
    message metadata, network ordering. *)
 
 open Shasta_protocol
+module Ev = Shasta_obs.Event
 
 (* --- directory homes ------------------------------------------------ *)
 
@@ -94,6 +95,18 @@ let recorded ?(opts = Shasta.Opts.full) ?net_faults ?node_faults ~nprocs app =
   ignore (Cluster.run_app state);
   (state.State.tcfg, List.rev state.State.inputs_rev)
 
+(* The events the protocol core may emit.  The engine reports the
+   others (messages, stalls, faults, crashes, lifecycle) itself, so a
+   core emit of one would be counted twice in the registry. *)
+let protocol_event : Ev.t -> bool = function
+  | Miss _ | False_miss _ | Invalidated _ | Downgraded _ | Store_reissue _
+  | Batch_run _ | Lock_acquired _ | Barrier_passed | Flag_raised _
+  | Flag_woken _ | Lease_takeover _ | Dir_rebuild _ | Home_migrated _ ->
+    true
+  | Msg_send _ | Msg_recv _ | Stall _ | Node_finished | Span _ | Net_fault _
+  | Node_crash _ | Node_recover _ ->
+    false
+
 (* A stepper streams exactly [step]'s list: folded over the recorded
    inputs of five runs (crash and recovery, a faulty wire, basic store
    checks, an 8-node all-to-all, batches) through one reused stepper
@@ -102,7 +115,7 @@ let recorded ?(opts = Shasta.Opts.full) ?net_faults ?node_faults ~nprocs app =
    interleave the nodes, so each stepper steps again after other nodes
    have moved the view on.  The runs between them take every input
    kind that needs one, local deliveries and invalidation runs of
-   width >= 2. *)
+   width >= 2.  Every event the core emits is a {!protocol_event}. *)
 let t_stepper_equals_step () =
   let module T = Transitions in
   let runs =
@@ -153,6 +166,11 @@ let t_stepper_equals_step () =
                       if run >= 1 then see "inv run";
                       run + 1
                     | T.A_local _ -> see "local"; 0
+                    | T.A_emit e ->
+                      if not (protocol_event e) then
+                        Alcotest.failf "%s, step %d: the core emitted %s"
+                          name i (Ev.describe e);
+                      0
                     | _ -> 0)
                   0 acts);
              (i + 1, v1))
@@ -204,7 +222,7 @@ let t_store_retry_in_step () =
   in
   let tag = function
     | T.A_stall _ -> Some "stall"
-    | T.A_emit (T.E_false_miss _) -> Some "false miss"
+    | T.A_emit (Ev.False_miss _) -> Some "false miss"
     | T.A_commit_store -> Some "commit store"
     | _ -> None
   in
@@ -224,7 +242,9 @@ let t_miss_outside_directory () =
   let module T = Transitions in
   let cfg = { T.default_cfg with nprocs = 2 } in
   let v = T.init cfg in
-  let false_miss = [ T.A_emit (T.E_false_miss 0x40); T.A_charge T.False_miss ] in
+  let false_miss =
+    [ T.A_emit (Ev.False_miss { addr = 0x40 }); T.A_charge T.False_miss ]
+  in
   let acts, _ =
     T.step cfg v ~node:0 (T.I_load_miss { addr = 0x40; block = 0x40 })
   in
