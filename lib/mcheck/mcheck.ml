@@ -54,7 +54,15 @@
    script position, so final values are unknowable; structural and
    liveness obligations still apply in full.  Crash moves require the
    reliable wire (the runtime layers crash detection above the
-   delivery sublayer, so the combination is not modeled). *)
+   delivery sublayer, so the combination is not modeled).
+
+   Like Shasta's inline checks, the per-state checks pay only when they
+   fail: the invariants, ack conservation and flag coherence build no
+   list or string for a passing state; the component writers
+   fold the buffer through top-level functions; and a move that commits
+   no spec step (most moves) leaves the refinement bookkeeping without
+   allocating.  Each transition still pays for [enabled]'s move
+   closures and [T.step]'s action list. *)
 
 open Shasta_protocol
 module T = Transitions
@@ -237,9 +245,9 @@ let init_sys ?lossy ?(crash = 0) ?(recover = 0) ?(refine = false) ?base
 (* ------------------------------------------------------------------ *)
 
 let shadow_get (sys : sys) ~node ~block =
-  match Imap.find_opt block (Imap.find node sys.shadow) with
-  | Some v -> v
-  | None -> marker
+  match Imap.find block (Imap.find node sys.shadow) with
+  | v -> v
+  | exception Not_found -> marker
 
 let shadow_set (sys : sys) ~node ~block v =
   { sys with
@@ -705,35 +713,54 @@ let msg_into b (m : Message.t) =
   match m.Message.kind with
   | Message.Coh (Data_reply { data; _ }) ->
     Buffer.add_char b '{';
-    Array.iter (fun w -> Keybuf.add_int b w; Buffer.add_char b ',') data;
+    for i = 0 to Array.length data - 1 do
+      Keybuf.add_int b data.(i); Buffer.add_char b ','
+    done;
     Buffer.add_char b '}'
   | _ -> ()
 
 (* The writers of the key's components.  Each renders one component in
    full; [key] concatenates them, and the search interns each one on
-   its own (see [Collapse]).  No [Printf] and no intermediate strings. *)
+   its own (see [Collapse]).  No [Printf], no intermediate strings and
+   no closures: lists recurse, maps fold the buffer through a top-level
+   writer. *)
+let rec msgs_into b = function [] -> () | m :: l -> msg_into b m; msgs_into b l
+
 let chan_into b key q =
   Buffer.add_string b "|c"; Keybuf.add_int b key; Buffer.add_char b ':';
-  List.iter (msg_into b) q
+  msgs_into b q
+
+let shadow_entry_into blk v b =
+  Keybuf.add_hex b blk; Buffer.add_char b '='; Keybuf.add_int b v;
+  Buffer.add_char b ',';
+  b
 
 let shadow_into b n m =
   Buffer.add_string b "|m"; Keybuf.add_int b n; Buffer.add_char b ':';
-  Imap.iter
-    (fun blk v ->
-      Keybuf.add_hex b blk; Buffer.add_char b '='; Keybuf.add_int b v;
-      Buffer.add_char b ',')
-    m
+  ignore (Imap.fold shadow_entry_into m b)
+
+let rec frames_into b = function
+  | [] -> ()
+  | f :: l ->
+    Buffer.add_char b '#'; Keybuf.add_int b f.fseq; msg_into b f.fmsg;
+    Buffer.add_char b ';'; frames_into b l
+
+let rec seqs_into b = function
+  | [] -> ()
+  | f :: l ->
+    Buffer.add_char b '#'; Keybuf.add_int b f.fseq; Buffer.add_char b ';';
+    seqs_into b l
 
 let lchan_into b key cs =
-  let chr = Buffer.add_char b and int = Keybuf.add_int b in
-  let frame f = chr '#'; int f.fseq; msg_into b f.fmsg; chr ';' in
-  Buffer.add_string b "|L"; int key; chr ':'; int cs.tx_next; chr '/';
-  int cs.rx_expected; chr '/'; int cs.budget; chr ':';
-  List.iter frame cs.wire;
-  chr '~';
-  List.iter (fun f -> chr '#'; int f.fseq; chr ';') cs.rx_buf;
-  chr '~';
-  List.iter frame cs.unacked
+  Buffer.add_string b "|L"; Keybuf.add_int b key; Buffer.add_char b ':';
+  Keybuf.add_int b cs.tx_next; Buffer.add_char b '/';
+  Keybuf.add_int b cs.rx_expected; Buffer.add_char b '/';
+  Keybuf.add_int b cs.budget; Buffer.add_char b ':';
+  frames_into b cs.wire;
+  Buffer.add_char b '~';
+  seqs_into b cs.rx_buf;
+  Buffer.add_char b '~';
+  frames_into b cs.unacked
 
 (* The flat visited-set key: the view's canonical string plus everything
    else the closed system carries. *)
@@ -844,20 +871,19 @@ module Collapse = struct
      [ids]. *)
   let fill c ids ~fresh (a : sys) (s : sys) =
     let b = c.sbuf and p = c.nprocs in
-    let set i = ids.(i) <- intern c in
     let v = s.v and av = a.v in
     if fresh || v != av then begin
       if fresh || v.T.dir != av.T.dir then begin
-        Buffer.clear b; T.canon_dir_into b v; set 0
+        Buffer.clear b; T.canon_dir_into b v; ids.(0) <- intern c
       end;
       for n = 0 to p - 1 do
         let nv = T.node_view v ~node:n in
         if fresh || nv != T.node_view av ~node:n then begin
-          Buffer.clear b; T.canon_node_into b n nv; set (n + 1)
+          Buffer.clear b; T.canon_node_into b n nv; ids.(n + 1) <- intern c
         end
       done;
       if fresh || not (T.rest_shared v av) then begin
-        Buffer.clear b; T.canon_rest_into b v; set (p + 1)
+        Buffer.clear b; T.canon_rest_into b v; ids.(p + 1) <- intern c
       end
     end;
     (* a search runs one wire kind; the other map stays empty *)
@@ -868,14 +894,15 @@ module Collapse = struct
       for n = 0 to p - 1 do
         let m = Imap.find n s.shadow in
         if fresh || m != Imap.find n a.shadow then begin
-          Buffer.clear b; shadow_into b n m; set (shadow_slot c n)
+          Buffer.clear b; shadow_into b n m; ids.(shadow_slot c n) <- intern c
         end
       done;
     (* refinement is on for a whole search or off for all of it *)
     match (s.refine, a.refine) with
     | Some r, Some q when fresh || r.rspec != q.rspec ->
-      Buffer.clear b; Refine.canon_into b r.rspec; set (spec_slot c)
-    | None, _ when fresh -> Buffer.clear b; set (spec_slot c)
+      Buffer.clear b; Refine.canon_into b r.rspec;
+      ids.(spec_slot c) <- intern c
+    | None, _ when fresh -> Buffer.clear b; ids.(spec_slot c) <- intern c
     | _ -> ()
 
   let slots c (s : sys) =
@@ -932,55 +959,83 @@ module Collapse = struct
     Buffer.contents b
 end
 
+(* Invalidation acknowledgements for [block] among queued messages, and
+   among sublayer frames. *)
+let rec acks_in block = function
+  | [] -> 0
+  | (m : Message.t) :: q -> (
+    match m.kind with
+    | Message.Coh Message.Inv_ack when m.addr = block -> 1 + acks_in block q
+    | _ -> acks_in block q)
+
+let rec frame_acks_in block = function
+  | [] -> 0
+  | f :: q -> (
+    match f.fmsg.Message.kind with
+    | Message.Coh Message.Inv_ack when f.fmsg.Message.addr = block ->
+      1 + frame_acks_in block q
+    | _ -> frame_acks_in block q)
+
+(* The acks for [block] in flight to [node], over every channel into
+   it.  Lossy mode: each unacked frame is delivered up exactly once
+   eventually (dedup discards extra copies), so the undelivered acks
+   are exactly the unacked ack frames.  Under Retransmit_no_dedup,
+   stale copies still on the wire deliver on top of that and push
+   [got] past [expected] — which is precisely the violation
+   [check_ack_conservation] reports. *)
+let acks_in_flight cfg (sys : sys) ~node ~block =
+  let n = ref 0 in
+  for src = 0 to cfg.T.nprocs - 1 do
+    let key = (src * 1024) + node in
+    (match Imap.find key sys.chans with
+     | q -> n := !n + acks_in block q
+     | exception Not_found -> ());
+    match Imap.find key sys.lchans with
+    | cs -> n := !n + frame_acks_in block cs.unacked
+    | exception Not_found -> ()
+  done;
+  !n
+
+let ack_errs cfg (sys : sys) node block (a : T.ackst) errs =
+  match a.T.expected with
+  | None -> errs
+  | Some e ->
+    let in_flight = acks_in_flight cfg sys ~node ~block in
+    if a.T.got + in_flight > e then
+      Printf.sprintf
+        "node %d block 0x%x: %d acks received + %d in flight > %d expected"
+        node block a.T.got in_flight e
+      :: errs
+    else errs
+
 (* Invalidation-ack conservation: a node expecting [e] acks can never
    have received plus in flight more than [e]. *)
 let check_ack_conservation cfg (sys : sys) =
   let errs = ref [] in
   for node = 0 to cfg.T.nprocs - 1 do
-    let nv = T.node_view sys.v ~node in
-    Imap.iter
-      (fun block (a : T.ackst) ->
-        match a.T.expected with
-        | None -> ()
-        | Some e ->
-          let is_ack (m : Message.t) =
-            m.Message.kind = Message.Coh Message.Inv_ack
-            && m.Message.addr = block
-          in
-          let in_flight =
-            Imap.fold
-              (fun key q acc ->
-                if key mod 1024 = node then
-                  acc + List.length (List.filter is_ack q)
-                else acc)
-              sys.chans 0
-          in
-          (* lossy mode: each unacked frame is delivered up exactly
-             once eventually (dedup discards extra copies), so the
-             undelivered acks are exactly the unacked ack frames.
-             Under Retransmit_no_dedup, stale copies still on the wire
-             deliver on top of that and push [got] past [expected] —
-             which is precisely the violation this check reports. *)
-          let in_flight =
-            Imap.fold
-              (fun key cs acc ->
-                if key mod 1024 = node then
-                  acc
-                  + List.length
-                      (List.filter (fun f -> is_ack f.fmsg) cs.unacked)
-                else acc)
-              sys.lchans in_flight
-          in
-          if a.T.got + in_flight > e then
-            errs :=
-              Printf.sprintf
-                "node %d block 0x%x: %d acks received + %d in flight > %d \
-                 expected"
-                node block a.T.got in_flight e
-              :: !errs)
-      nv.T.acks
+    let acks = (T.node_view sys.v ~node).T.acks in
+    if not (Imap.is_empty acks) then
+      errs := Imap.fold (ack_errs cfg sys node) acks !errs
   done;
   !errs
+
+let rec flag_errs (sys : sys) node errs = function
+  | [] -> errs
+  | block :: blocks ->
+    let v = shadow_get sys ~node ~block in
+    let errs =
+      match T.line_state sys.v ~node ~block with
+      | T.L_shared | T.L_exclusive when v = marker ->
+        Printf.sprintf "node %d block 0x%x: valid line holds flag value" node
+          block
+        :: errs
+      | T.L_invalid when v <> marker ->
+        Printf.sprintf "node %d block 0x%x: invalid line holds unflagged data"
+          node block
+        :: errs
+      | _ -> errs
+    in
+    flag_errs sys node errs blocks
 
 (* Flag/value coherence of the shadow memory: a valid line is never
    flagged; an invalid line with no pending store of its own is always
@@ -992,27 +1047,7 @@ let check_flag_coherence cfg blocks (sys : sys) =
     (* an ever-crashed node's shadow memory is its frozen crash image:
        unflagged bytes under emptied (invalid) line state is exactly
        what salvage reads from, not a coherence violation *)
-    if halted land (1 lsl node) = 0 then
-      List.iter
-      (fun block ->
-        let st = T.line_state sys.v ~node ~block in
-        let v = shadow_get sys ~node ~block in
-        match st with
-        | T.L_shared | T.L_exclusive ->
-          if v = marker then
-            errs :=
-              Printf.sprintf "node %d block 0x%x: valid line holds flag value"
-                node block
-              :: !errs
-        | T.L_invalid ->
-          if v <> marker then
-            errs :=
-              Printf.sprintf
-                "node %d block 0x%x: invalid line holds unflagged data" node
-                block
-              :: !errs
-        | T.L_pending_invalid | T.L_pending_shared -> ())
-      blocks
+    if halted land (1 lsl node) = 0 then errs := flag_errs sys node !errs blocks
   done;
   !errs
 
@@ -1084,115 +1119,139 @@ let render_commits rcommits =
    A race in a DRF scenario is itself a violation; in a racy scenario
    it sets the sticky [racy] bit and later divergences are excused
    (the spec resynchronizes via [Refine.force]) — SC is only promised
-   to race-free programs. *)
-let refine_update (sc : scenario) cfg (old_s : sys) (sys : sys) :
-    (sys, string list * string list) Stdlib.result =
-  match old_s.refine with
-  | None -> Ok sys
-  | Some r0 ->
-    let r = ref r0 in
-    let errs = ref [] in
-    let commit sst =
-      let racer, races = Refine.observe !r.racer sst in
-      let racy = !r.racy || races <> [] in
-      if sc.drf then
-        List.iter
-          (fun m -> errs := !errs @ [ "race in a DRF scenario: " ^ m ])
-          races;
-      match Refine.step !r.rspec sst with
-      | Ok sp ->
+   to race-free programs.
+
+   A violation raises [Refinement] with the errors and the rendered
+   commits.  Most moves stutter, and a stuttering move returns [sys]
+   itself without allocating: the commit machinery is built only for a
+   move that commits. *)
+exception Refinement of string list * string list
+
+let script_of (scripts : op list Imap.t) n =
+  match Imap.find n scripts with l -> l | exception Not_found -> []
+
+(* [n] issued its next scripted operation in the move. *)
+let issued (old_s : sys) (sys : sys) n =
+  let before = script_of old_s.scripts n and after = script_of sys.scripts n in
+  after != before && List.length after < List.length before
+
+(* No node in [n, nprocs) issues an operation or runs again with one
+   uncommitted. *)
+let rec stutters cfg (old_s : sys) (sys : sys) uops n =
+  n >= cfg.T.nprocs
+  || (not (sys.scripts != old_s.scripts && issued old_s sys n))
+     && (not
+           (Imap.mem n uops && T.is_live sys.v ~node:n && running sys ~node:n))
+     && stutters cfg old_s sys uops (n + 1)
+
+(* The move [old_s] -> [sys] commits: the full abstraction step. *)
+let commit_move (sc : scenario) cfg (old_s : sys) (sys : sys) r0 ~was ~now =
+  let r = ref r0 in
+  let errs = ref [] in
+  let commit sst =
+    let racer, races = Refine.observe !r.racer sst in
+    let racy = !r.racy || races <> [] in
+    if sc.drf then
+      List.iter
+        (fun m -> errs := !errs @ [ "race in a DRF scenario: " ^ m ])
+        races;
+    match Refine.step !r.rspec sst with
+    | Ok sp ->
+      r :=
+        { !r with rspec = sp; racer; racy;
+          rcommits = (sst, Agrees) :: !r.rcommits }
+    | Error e ->
+      if (not sc.drf) && racy then
         r :=
-          { !r with rspec = sp; racer; racy;
-            rcommits = (sst, Agrees) :: !r.rcommits }
-      | Error e ->
-        if (not sc.drf) && racy then
-          r :=
-            { !r with
-              rspec = Refine.force !r.rspec sst;
-              racer;
-              racy;
-              rcommits = (sst, Excused) :: !r.rcommits }
-        else begin
-          errs := !errs @ [ "refinement: " ^ e ];
-          r :=
-            { !r with racer; racy; rcommits = (sst, Diverges) :: !r.rcommits }
-        end
-    in
-    let uops = ref r0.uops in
+          { !r with
+            rspec = Refine.force !r.rspec sst;
+            racer;
+            racy;
+            rcommits = (sst, Excused) :: !r.rcommits }
+      else begin
+        errs := !errs @ [ "refinement: " ^ e ];
+        r :=
+          { !r with racer; racy; rcommits = (sst, Diverges) :: !r.rcommits }
+      end
+  in
+  let uops = ref r0.uops in
+  let new_victims =
+    if now = was then []
+    else
+      List.filter
+        (fun n -> now land (1 lsl n) <> 0 && was land (1 lsl n) = 0)
+        (List.init cfg.T.nprocs Fun.id)
+  in
+  (* 1. script consumption = operation issue *)
+  if sys.scripts != old_s.scripts then
+    for n = 0 to cfg.T.nprocs - 1 do
+      if (not (List.mem n new_victims)) && issued old_s sys n then begin
+        match List.hd (script_of old_s.scripts n) with
+        | Write (b, v) ->
+          commit (Refine.S_store { node = n; block = b; value = v })
+        | Write_reg_plus (b, k) ->
+          commit
+            (Refine.S_store
+               { node = n; block = b; value = reg old_s ~node:n + k })
+        | Barrier ->
+          commit (Refine.S_barrier_arrive { node = n });
+          uops := Imap.add n Barrier !uops
+        | (Read _ | Lock _ | Unlock _ | Flag_set _ | Flag_wait _) as op ->
+          uops := Imap.add n op !uops
+      end
+    done;
+  (* 2. crash steps *)
+  List.iter
+    (fun v ->
+      uops := Imap.remove v !uops;
+      let held = Refine.held_locks !r.rspec v in
+      let admissible =
+        List.filter_map
+          (fun b ->
+            match Refine.writer_of !r.rspec b with
+            | Some w when w = v -> Some (b, present_values cfg sys b)
+            | _ -> None)
+          sc.blocks
+      in
+      commit (Refine.S_crash { victim = v; held; admissible }))
+    new_victims;
+  (* 3. the commit of an earlier issue: its node runs again *)
+  if not (Imap.is_empty !uops) then
+    for n = 0 to cfg.T.nprocs - 1 do
+      match Imap.find_opt n !uops with
+      | Some op when T.is_live sys.v ~node:n && running sys ~node:n ->
+        uops := Imap.remove n !uops;
+        (match op with
+         | Read b ->
+           commit
+             (Refine.S_load { node = n; block = b; value = reg sys ~node:n })
+         | Lock id -> commit (Refine.S_lock { node = n; id })
+         | Unlock id -> commit (Refine.S_unlock { node = n; id })
+         | Flag_set id -> commit (Refine.S_flag_set { node = n; id })
+         | Flag_wait id -> commit (Refine.S_flag_wait { node = n; id })
+         | Barrier ->
+           commit
+             (Refine.S_barrier_pass
+                { node = n; excused = T.halted_mask sys.v })
+         | Write _ | Write_reg_plus _ -> assert false)
+      | _ -> ()
+    done;
+  if !errs <> [] then raise (Refinement (!errs, render_commits !r.rcommits))
+  else if !r == r0 && !uops == r0.uops && sys.refine == old_s.refine then
+    sys
+  else { sys with refine = Some { !r with uops = !uops } }
+
+let refine_update (sc : scenario) cfg (old_s : sys) (sys : sys) =
+  match old_s.refine with
+  | None -> sys
+  | Some r0 ->
     let was = T.crashed_mask old_s.v and now = T.crashed_mask sys.v in
-    let new_victims =
-      if now = was then []
-      else
-        List.filter
-          (fun n -> now land (1 lsl n) <> 0 && was land (1 lsl n) = 0)
-          (List.init cfg.T.nprocs Fun.id)
-    in
-    (* 1. script consumption = operation issue *)
-    if sys.scripts != old_s.scripts then
-      for n = 0 to cfg.T.nprocs - 1 do
-        if not (List.mem n new_victims) then begin
-          let remaining m =
-            match Imap.find_opt n m with Some l -> l | None -> []
-          in
-          let before = remaining old_s.scripts
-          and after = remaining sys.scripts in
-          if after != before && List.length after < List.length before
-          then begin
-            match List.hd before with
-            | Write (b, v) ->
-              commit (Refine.S_store { node = n; block = b; value = v })
-            | Write_reg_plus (b, k) ->
-              commit
-                (Refine.S_store
-                   { node = n; block = b; value = reg old_s ~node:n + k })
-            | Barrier ->
-              commit (Refine.S_barrier_arrive { node = n });
-              uops := Imap.add n Barrier !uops
-            | (Read _ | Lock _ | Unlock _ | Flag_set _ | Flag_wait _) as op ->
-              uops := Imap.add n op !uops
-          end
-        end
-      done;
-    (* 2. crash steps *)
-    List.iter
-      (fun v ->
-        uops := Imap.remove v !uops;
-        let held = Refine.held_locks !r.rspec v in
-        let admissible =
-          List.filter_map
-            (fun b ->
-              match Refine.writer_of !r.rspec b with
-              | Some w when w = v -> Some (b, present_values cfg sys b)
-              | _ -> None)
-            sc.blocks
-        in
-        commit (Refine.S_crash { victim = v; held; admissible }))
-      new_victims;
-    (* 3. the commit of an earlier issue: its node runs again *)
-    if not (Imap.is_empty !uops) then
-      for n = 0 to cfg.T.nprocs - 1 do
-        match Imap.find_opt n !uops with
-        | Some op when T.is_live sys.v ~node:n && running sys ~node:n ->
-          uops := Imap.remove n !uops;
-          (match op with
-           | Read b ->
-             commit
-               (Refine.S_load { node = n; block = b; value = reg sys ~node:n })
-           | Lock id -> commit (Refine.S_lock { node = n; id })
-           | Unlock id -> commit (Refine.S_unlock { node = n; id })
-           | Flag_set id -> commit (Refine.S_flag_set { node = n; id })
-           | Flag_wait id -> commit (Refine.S_flag_wait { node = n; id })
-           | Barrier ->
-             commit
-               (Refine.S_barrier_pass
-                  { node = n; excused = T.halted_mask sys.v })
-           | Write _ | Write_reg_plus _ -> assert false)
-        | _ -> ()
-      done;
-    if !errs <> [] then Error (!errs, render_commits !r.rcommits)
-    else if !r == r0 && !uops == r0.uops && sys.refine == old_s.refine then
-      Ok sys (* a stuttering move *)
-    else Ok { sys with refine = Some { !r with uops = !uops } }
+    if
+      now land lnot was = 0
+      && sys.refine == old_s.refine
+      && stutters cfg old_s sys r0.uops 0
+    then sys
+    else commit_move sc cfg old_s sys r0 ~was ~now
 
 let commits_of (sys : sys) =
   match sys.refine with Some r -> render_commits r.rcommits | None -> []
@@ -1365,9 +1424,8 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
                 in
                 if !violation = None then begin
                   let sys' =
-                    match refine_update sc cfg sys sys' with
-                    | Ok sys' -> sys'
-                    | Error (errs, commits) ->
+                    try refine_update sc cfg sys sys'
+                    with Refinement (errs, commits) ->
                       violation :=
                         Some
                           { verr = errs;
@@ -1455,21 +1513,20 @@ let walk ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
             List.nth ms (Shasta_prng.Prng.int rng (List.length ms))
           in
           (try
-             let sys' = next () in
-             (match refine_update sc cfg !sys sys' with
-              | Ok sys' ->
-                visit (Some !sys) sys';
-                sys := sys';
-                path := label :: !path;
-                incr total_steps
-              | Error (errs, commits) ->
-                violation :=
-                  Some
-                    { verr = errs;
-                      vtrace = trace (label :: !path);
-                      vcommits = commits };
-                continue := false)
-           with Unexpected e | Failure e | Invalid_argument e ->
+             let sys' = refine_update sc cfg !sys (next ()) in
+             visit (Some !sys) sys';
+             sys := sys';
+             path := label :: !path;
+             incr total_steps
+           with
+           | Refinement (errs, commits) ->
+             violation :=
+               Some
+                 { verr = errs;
+                   vtrace = trace (label :: !path);
+                   vcommits = commits };
+             continue := false
+           | Unexpected e | Failure e | Invalid_argument e ->
              violation :=
                Some
                  { verr = [ e ];

@@ -215,21 +215,55 @@ let force sp (st : sstep) =
     | S_crash { victim; held; admissible } ->
       apply_crash sp ~victim ~held ~admissible)
 
+(* The writers [canon_into] folds the buffer through: a render builds
+   no closure. *)
+let rec vals_into b = function
+  | [] -> ()
+  | [ v ] -> Keybuf.add_int b v
+  | v :: l -> Keybuf.add_int b v; Buffer.add_char b ','; vals_into b l
+
+let mem_into blk vs b =
+  Buffer.add_char b 'm'; Keybuf.add_hex b blk; Buffer.add_string b "={";
+  vals_into b vs; Buffer.add_char b '}';
+  b
+
+let writer_into blk w b =
+  Buffer.add_char b 'w'; Keybuf.add_hex b blk; Buffer.add_char b ':';
+  Keybuf.add_int b w;
+  b
+
+let lock_into id h b =
+  Buffer.add_char b 'l'; Keybuf.add_int b id; Buffer.add_char b ':';
+  Keybuf.add_int b h;
+  b
+
+let rec flags_into b = function
+  | [] -> ()
+  | id :: l -> Buffer.add_char b 'f'; Keybuf.add_int b id; flags_into b l
+
+let arrived_into ep m b =
+  Buffer.add_char b 'a'; Keybuf.add_int b ep; Buffer.add_char b ':';
+  Keybuf.add_hex b m;
+  b
+
+let done_into ep m b =
+  Buffer.add_char b 'd'; Keybuf.add_int b ep; Buffer.add_char b ':';
+  Keybuf.add_hex b m;
+  b
+
+let pass_into n k b =
+  Buffer.add_char b 'p'; Keybuf.add_int b n; Buffer.add_char b ':';
+  Keybuf.add_int b k;
+  b
+
 let canon_into b sp =
-  let chr = Buffer.add_char b and int = Keybuf.add_int b in
-  let hex = Keybuf.add_hex b in
-  Imap.iter
-    (fun blk vs ->
-      chr 'm'; hex blk; Buffer.add_string b "={";
-      List.iteri (fun i v -> if i > 0 then chr ','; int v) vs;
-      chr '}')
-    sp.smem;
-  Imap.iter (fun blk w -> chr 'w'; hex blk; chr ':'; int w) sp.swriter;
-  Imap.iter (fun id h -> chr 'l'; int id; chr ':'; int h) sp.slocks;
-  List.iter (fun id -> chr 'f'; int id) sp.sflags;
-  Imap.iter (fun ep m -> chr 'a'; int ep; chr ':'; hex m) sp.sarr;
-  Imap.iter (fun ep m -> chr 'd'; int ep; chr ':'; hex m) sp.sdone;
-  Imap.iter (fun n k -> chr 'p'; int n; chr ':'; int k) sp.spass
+  let b = Imap.fold mem_into sp.smem b in
+  let b = Imap.fold writer_into sp.swriter b in
+  let b = Imap.fold lock_into sp.slocks b in
+  flags_into b sp.sflags;
+  let b = Imap.fold arrived_into sp.sarr b in
+  let b = Imap.fold done_into sp.sdone b in
+  ignore (Imap.fold pass_into sp.spass b)
 
 let canon sp =
   let b = Buffer.create 128 in

@@ -72,37 +72,37 @@ let kind_name m =
 (* Display form, e.g. ["[0] data_reply(excl,a1,4B) @0x2000"]: counterexample
    traces and the model checker's visited-set keys. *)
 let describe_into b m =
-  let str = Buffer.add_string b and int = Keybuf.add_int b in
   Buffer.add_char b '[';
-  int m.src;
-  str "] ";
+  Keybuf.add_int b m.src;
+  Buffer.add_string b "] ";
   (match m.kind with
    | Coh (Fwd_read { requester }) ->
-     str "fwd_read(r";
-     int requester;
+     Buffer.add_string b "fwd_read(r";
+     Keybuf.add_int b requester;
      Buffer.add_char b ')'
    | Coh (Fwd_readex { requester; acks }) ->
-     str "fwd_readex(r";
-     int requester;
-     str ",a";
-     int acks;
+     Buffer.add_string b "fwd_readex(r";
+     Keybuf.add_int b requester;
+     Buffer.add_string b ",a";
+     Keybuf.add_int b acks;
      Buffer.add_char b ')'
    | Coh (Data_reply { exclusive; acks; data }) ->
-     str (if exclusive then "data_reply(excl,a" else "data_reply(shared,a");
-     int acks;
+     Buffer.add_string b
+       (if exclusive then "data_reply(excl,a" else "data_reply(shared,a");
+     Keybuf.add_int b acks;
      Buffer.add_char b ',';
-     int (4 * Array.length data);
-     str "B)"
+     Keybuf.add_int b (4 * Array.length data);
+     Buffer.add_string b "B)"
    | Coh (Upgrade_ack { acks }) ->
-     str "upgrade_ack(a";
-     int acks;
+     Buffer.add_string b "upgrade_ack(a";
+     Keybuf.add_int b acks;
      Buffer.add_char b ')'
    | Coh (Inv { requester }) ->
-     str "inv(ack->";
-     int requester;
+     Buffer.add_string b "inv(ack->";
+     Keybuf.add_int b requester;
      Buffer.add_char b ')'
-   | _ -> str (kind_name m));
-  str " @0x";
+   | _ -> Buffer.add_string b (kind_name m));
+  Buffer.add_string b " @0x";
   Keybuf.add_hex b m.addr
 
 let describe m =

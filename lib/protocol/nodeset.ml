@@ -149,10 +149,55 @@ let remove t x =
 
 let singleton mode ~nprocs x = add (empty mode ~nprocs) x
 
+(* [true] when some member of [t] lies outside [0, n).  Builds no
+   list: the invariant checker probes every sharer set per state. *)
+let rec list_beyond n = function
+  | [] -> false
+  | x :: l -> x < 0 || x >= n || list_beyond n l
+
+let rec range_beyond x m excl =
+  x < m && ((not (List.mem x excl)) || range_beyond (x + 1) m excl)
+
+let beyond t n =
+  match t with
+  | Bits m -> n < Sys.int_size && m lsr n <> 0
+  | Ptrs { ps; _ } -> list_beyond n ps
+  | Bcast { n = m; excl } -> range_beyond (max n 0) m excl
+
 (* --- relations ------------------------------------------------------- *)
 
-let subset a b = List.for_all (mem b) (to_list a)
-let disjoint a b = not (List.exists (mem b) (to_list a))
+(* Some member [x] of the walked set has [mem b x = v], found in place
+   with no list and no closure: the invariant checker relates the crash
+   and barrier masks on every state. *)
+let rec bits_find b v m =
+  m <> 0
+  &&
+  let low = m land -m in
+  mem b (ntz low) = v || bits_find b v (m lxor low)
+
+let rec list_find b v = function
+  | [] -> false
+  | x :: l -> mem b x = v || list_find b v l
+
+let rec range_find b v x n excl =
+  x < n
+  && (((not (List.mem x excl)) && mem b x = v) || range_find b v (x + 1) n excl)
+
+let find a b v =
+  match a with
+  | Bits m -> bits_find b v m
+  | Ptrs { ps; _ } -> list_find b v ps
+  | Bcast { n; excl } -> range_find b v 0 n excl
+
+let subset a b =
+  match (a, b) with
+  | Bits x, Bits y -> x land lnot y = 0
+  | _ -> not (find a b false)
+
+let disjoint a b =
+  match (a, b) with
+  | Bits x, Bits y -> x land y = 0
+  | _ -> not (find a b true)
 
 (* --- representation probes ------------------------------------------ *)
 
@@ -161,31 +206,28 @@ let is_exact = function
   | Bits _ | Ptrs _ -> true
   | Bcast _ -> false
 
-let as_bits = function Bits m -> Some m | _ -> None
-
 (* Collapse to an int bitmask (members must fit below [Sys.int_size]). *)
-let to_mask t = fold (fun x m -> m lor (1 lsl x)) t 0
+let to_mask t =
+  match t with Bits m -> m | _ -> fold (fun x m -> m lor (1 lsl x)) t 0
 
 (* Canonical rendering: equal strings <=> structurally equal values.
    The leading character disambiguates representations so the model
    checker's visited set never conflates them. *)
+(* Comma-separated, then the closing parenthesis. *)
+let rec ints_into b = function
+  | [] -> Buffer.add_char b ')'
+  | [ x ] -> Keybuf.add_int b x; Buffer.add_char b ')'
+  | x :: l -> Keybuf.add_int b x; Buffer.add_char b ','; ints_into b l
+
 let to_buffer b t =
-  let ints l =
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char b ',';
-        Keybuf.add_int b x)
-      l;
-    Buffer.add_char b ')'
-  in
   match t with
   | Bits m -> Keybuf.add_hex b m
   | Ptrs { ps; _ } ->
     Buffer.add_string b "P(";
-    ints ps
+    ints_into b ps
   | Bcast { excl; _ } ->
     Buffer.add_string b "*(-";
-    ints excl
+    ints_into b excl
 
 let to_string t =
   let b = Buffer.create 16 in

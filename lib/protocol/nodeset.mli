@@ -43,14 +43,16 @@ val to_list : t -> int list
 
 val subset : t -> t -> bool
 val disjoint : t -> t -> bool
+(** Neither builds a list: two full maps compare as masks, any other
+    pair walks the first set's members in place. *)
+
+val beyond : t -> int -> bool
+(** [beyond t n]: some member lies outside [0, n), found without
+    building a list. *)
 
 val is_exact : t -> bool
 (** [false] when membership may be over-approximated (an overflowed
     broadcast). *)
-
-val as_bits : t -> int option
-(** [Some mask] for the full-map representation — the canonical-string
-    fast path that keeps default-mode traces byte-identical. *)
 
 val to_mask : t -> int
 (** Collapse to an int bitmask; members must be below [Sys.int_size]. *)

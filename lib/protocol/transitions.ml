@@ -1796,210 +1796,259 @@ let sharer_count (e : dirent) = Ns.cardinal e.sharers
 (* Invariants                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Properties that hold in EVERY reachable view, including mid-protocol
-   (requests and invalidations in flight).  Returns human-readable
-   violation strings; [] means the view is consistent. *)
-let invariants (cfg : cfg) (v : view) : string list =
-  let errs = ref [] in
-  let r = v.rest in
-  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let out_of_range ns =
-    List.exists (fun x -> x < 0 || x >= cfg.nprocs) (Ns.to_list ns)
+(* The invariant walk's one accumulator: the violations so far, newest
+   first, and the node and directory entry being walked.  Every walk is
+   an [Imap.fold] over one of the top-level functions below, which
+   thread it, and a message is formatted only in a failing branch: a
+   passing check allocates this record and nothing else of its own. *)
+type walk = {
+  wcfg : cfg;
+  wv : view;
+  mutable errs : string list;
+  mutable id : int; (* the node being walked *)
+  mutable nv : nview; (* its view *)
+  mutable blk : int; (* the directory entry being walked *)
+  mutable ent : dirent;
+}
+
+let no_entry = { owner = -1; sharers = Ns.Bits 0 }
+
+let err w fmt = Printf.ksprintf (fun s -> w.errs <- s :: w.errs) fmt
+
+let dir_ok block (e : dirent) w =
+  let procs = w.wcfg.nprocs in
+  if e.owner < 0 || e.owner >= procs then
+    err w "block 0x%x: owner %d out of range" block e.owner;
+  if Ns.beyond e.sharers procs then
+    err w "block 0x%x: sharer set %s beyond %d procs" block
+      (Ns.to_string e.sharers) procs;
+  if not (Ns.mem e.sharers e.owner) then
+    err w "block 0x%x: owner %d missing from sharer set %s" block e.owner
+      (Ns.to_string e.sharers);
+  w
+
+(* Single-writer: at most one node holds an exclusive copy of a block.
+   A pending entry wins over the settled state [lines] still holds. *)
+let holds_exclusive (n : nview) block =
+  (match Imap.find block n.lines with
+   | l -> l = L_exclusive
+   | exception Not_found -> false)
+  && not (Imap.mem block n.pending)
+
+(* The lowest-numbered node in [k, id) that holds [block] exclusive, or
+   -1: the first holder a walk in node order meets. *)
+let rec exclusive_below nodes block k id =
+  if k >= id then -1
+  else
+    match Imap.find k nodes with
+    | n when holds_exclusive n block -> k
+    | _ -> exclusive_below nodes block (k + 1) id
+    | exception Not_found -> exclusive_below nodes block (k + 1) id
+
+let line_ok block l w =
+  if l = L_exclusive && not (Imap.mem block w.nv.pending) then begin
+    let other = exclusive_below w.wv.nodes block 0 w.id in
+    if other >= 0 then
+      err w "block 0x%x: exclusive at both node %d and node %d" block other
+        w.id;
+    if not (Imap.mem block w.wv.dir) then
+      err w "block 0x%x: exclusive at node %d but not in directory" block w.id
+  end;
+  (* a pending state lives only in the pending entry *)
+  if l = L_pending_invalid || l = L_pending_shared then
+    err w "node %d block 0x%x: pending state stored as a settled line" w.id
+      block;
+  w
+
+let ack_ok block (a : ackst) w =
+  if a.got < 0 then err w "node %d block 0x%x: negative acks" w.id block;
+  (match a.expected with
+   | Some e when a.got >= e ->
+     err w "node %d block 0x%x: %d acks received, %d expected — entry \
+            should have completed"
+       w.id block a.got e
+   | Some e when e <= 0 ->
+     err w "node %d block 0x%x: nonpositive expected acks %d" w.id block e
+   | _ -> ());
+  w
+
+(* deferred requests only wait on a genuinely busy block *)
+let waiters_ok block msgs w =
+  (match msgs with
+   | [] -> err w "node %d block 0x%x: empty waiter queue entry" w.id block
+   | _ ->
+     if (not (Imap.mem block w.nv.pending)) && not (Imap.mem block w.nv.acks)
+     then
+       err w "node %d block 0x%x: %d deferred requests but block not busy"
+         w.id block (List.length msgs));
+  w
+
+let node_ok id (n : nview) w =
+  w.id <- id;
+  w.nv <- n;
+  let w = Imap.fold line_ok n.lines w in
+  let w = Imap.fold ack_ok n.acks w in
+  let w = Imap.fold waiters_ok n.waiters w in
+  (* a waiting node's wait really is unsatisfied *)
+  (match n.nstat with
+   | N_waiting c when wait_sat n c ->
+     err w "node %d: waiting on a satisfied condition" id
+   | N_waiting _ when n.resume = R_none ->
+     err w "node %d: waiting with no resume" id
+   | _ -> ());
+  w
+
+(* exact sets must have been scrubbed by recovery; inexact supersets
+   may re-cover a dead node (sends to it are suppressed), so only the
+   exact claim is checkable *)
+let crashed_dir_ok block (e : dirent) w =
+  let crashed = w.wv.rest.crashed in
+  if Ns.mem crashed e.owner then
+    err w "block 0x%x: owner %d is crashed" block e.owner;
+  if Ns.is_exact e.sharers && not (Ns.disjoint e.sharers crashed) then
+    err w "block 0x%x: crashed nodes in sharer set %s" block
+      (Ns.to_string e.sharers);
+  w
+
+let rec any_in ns = function [] -> false | x :: l -> Ns.mem ns x || any_in ns l
+let rec has_dup = function [] -> false | x :: l -> List.mem x l || has_dup l
+
+let lock_ok id (l : lockst) w =
+  let crashed = w.wv.rest.crashed in
+  (match l.holder with
+   | Some h when h < 0 || h >= w.wcfg.nprocs ->
+     err w "lock %d: holder %d out of range" id h
+   | Some h when Ns.mem crashed h ->
+     err w "lock %d: holder %d is crashed (missed takeover)" id h
+   | None when l.lq <> [] ->
+     err w "lock %d: free but %d queued requesters" id (List.length l.lq)
+   | _ -> ());
+  if any_in crashed l.lq then err w "lock %d: crashed node still queued" id;
+  if has_dup l.lq then err w "lock %d: duplicate queued requester" id;
+  w
+
+let flag_ok id (f : flagst) w =
+  if any_in w.wv.rest.crashed f.fwaiters then
+    err w "flag %d: crashed node still waiting" id;
+  w
+
+let home_ok page h w =
+  if h < 0 || h >= w.wcfg.nprocs then
+    err w "page %d: home override %d out of range" page h;
+  w
+
+(* The walk behind [invariants], its violations newest first. *)
+let walk_invariants (cfg : cfg) (v : view) =
+  let w =
+    { wcfg = cfg; wv = v; errs = []; id = 0; nv = empty_nview; blk = 0;
+      ent = no_entry }
   in
-  Imap.iter
-    (fun block (e : dirent) ->
-      if e.owner < 0 || e.owner >= cfg.nprocs then
-        err "block 0x%x: owner %d out of range" block e.owner;
-      if out_of_range e.sharers then
-        err "block 0x%x: sharer set %s beyond %d procs" block
-          (Ns.to_string e.sharers) cfg.nprocs;
-      if not (Ns.mem e.sharers e.owner) then
-        err "block 0x%x: owner %d missing from sharer set %s" block
-          e.owner (Ns.to_string e.sharers))
-    v.dir;
-  (* single-writer: at most one node holds an exclusive copy of a block;
-     [excl] maps each exclusively held block to its first holder.  A
-     pending entry wins over the settled state [lines] still holds *)
-  let excl = ref Imap.empty in
-  Imap.iter
-    (fun id (n : nview) ->
-      Imap.iter
-        (fun block l ->
-          if l = L_exclusive && not (Imap.mem block n.pending) then begin
-            (match Imap.find_opt block !excl with
-             | Some other ->
-               err "block 0x%x: exclusive at both node %d and node %d" block
-                 other id
-             | None -> excl := Imap.add block id !excl);
-            if not (Imap.mem block v.dir) then
-              err "block 0x%x: exclusive at node %d but not in directory"
-                block id
-          end;
-          (* a pending state lives only in the pending entry *)
-          if l = L_pending_invalid || l = L_pending_shared then
-            err "node %d block 0x%x: pending state stored as a settled line"
-              id block)
-        n.lines;
-      Imap.iter
-        (fun block (a : ackst) ->
-          if a.got < 0 then err "node %d block 0x%x: negative acks" id block;
-          match a.expected with
-          | Some e when a.got >= e ->
-            err "node %d block 0x%x: %d acks received, %d expected — entry \
-                 should have completed"
-              id block a.got e
-          | Some e when e <= 0 ->
-            err "node %d block 0x%x: nonpositive expected acks %d" id block e
-          | _ -> ())
-        n.acks;
-      (* deferred requests only wait on a genuinely busy block *)
-      Imap.iter
-        (fun block msgs ->
-          if msgs = [] then
-            err "node %d block 0x%x: empty waiter queue entry" id block
-          else if
-            (not (Imap.mem block n.pending)) && not (Imap.mem block n.acks)
-          then
-            err "node %d block 0x%x: %d deferred requests but block not busy"
-              id block (List.length msgs))
-        n.waiters;
-      (* a waiting node's wait really is unsatisfied *)
-      match n.nstat with
-      | N_waiting w when wait_sat n w ->
-        err "node %d: waiting on a satisfied condition" id
-      | N_waiting _ when n.resume = R_none ->
-        err "node %d: waiting with no resume" id
-      | _ -> ())
-    v.nodes;
-  if out_of_range r.barrier_arrived then
-    err "barrier_arrived %s has members beyond %d procs"
-      (Ns.to_string r.barrier_arrived) cfg.nprocs;
+  let r = v.rest and procs = cfg.nprocs in
+  let w = Imap.fold dir_ok v.dir w in
+  let w = Imap.fold node_ok v.nodes w in
+  if Ns.beyond r.barrier_arrived procs then
+    err w "barrier_arrived %s has members beyond %d procs"
+      (Ns.to_string r.barrier_arrived) procs;
   if not (Ns.disjoint r.barrier_arrived r.halted) then
-    err "barrier_arrived %s includes halted nodes %s"
+    err w "barrier_arrived %s includes halted nodes %s"
       (Ns.to_string r.barrier_arrived) (Ns.to_string r.halted);
   (* centralized sync releases atomically with the completing arrival;
      the combining tree releases when the trigger wave reaches the
      root, so the condition may transiently hold there *)
   if (not cfg.scalable_sync) && barrier_complete cfg v then
-    err "barrier_arrived %s: release condition met but not released"
+    err w "barrier_arrived %s: release condition met but not released"
       (Ns.to_string r.barrier_arrived);
   if (not cfg.scalable_sync) && not (Ns.is_empty r.brelease) then
-    err "brelease %s nonempty under centralized sync"
+    err w "brelease %s nonempty under centralized sync"
       (Ns.to_string r.brelease);
   (* a node owed a release has not been woken, so it cannot have
      re-arrived; and crash strikes victims from the wave *)
   if not (Ns.disjoint r.brelease r.barrier_arrived) then
-    err "brelease %s overlaps barrier_arrived %s" (Ns.to_string r.brelease)
+    err w "brelease %s overlaps barrier_arrived %s" (Ns.to_string r.brelease)
       (Ns.to_string r.barrier_arrived);
   if not (Ns.disjoint r.brelease r.crashed) then
-    err "brelease %s includes crashed nodes" (Ns.to_string r.brelease);
+    err w "brelease %s includes crashed nodes" (Ns.to_string r.brelease);
   (* crash-mask sanity: crashed ⊆ halted ⊆ procs, and no dead node may
      appear in post-recovery protocol state *)
-  if out_of_range r.halted then
-    err "halted set %s has members beyond %d procs" (Ns.to_string r.halted)
-      cfg.nprocs;
+  if Ns.beyond r.halted procs then
+    err w "halted set %s has members beyond %d procs" (Ns.to_string r.halted)
+      procs;
   if not (Ns.subset r.crashed r.halted) then
-    err "crashed set %s not contained in halted set %s"
+    err w "crashed set %s not contained in halted set %s"
       (Ns.to_string r.crashed) (Ns.to_string r.halted);
-  if not (Ns.is_empty r.crashed) then
-    Imap.iter
-      (fun block (e : dirent) ->
-        if Ns.mem r.crashed e.owner then
-          err "block 0x%x: owner %d is crashed" block e.owner;
-        (* exact sets must have been scrubbed by recovery; inexact
-           supersets may re-cover a dead node (sends to it are
-           suppressed), so only the exact claim is checkable *)
-        if Ns.is_exact e.sharers && not (Ns.disjoint e.sharers r.crashed)
-        then
-          err "block 0x%x: crashed nodes in sharer set %s" block
-            (Ns.to_string e.sharers))
-      v.dir;
-  Imap.iter
-    (fun id (l : lockst) ->
-      (match l.holder with
-       | Some h when h < 0 || h >= cfg.nprocs ->
-         err "lock %d: holder %d out of range" id h
-       | Some h when Ns.mem r.crashed h ->
-         err "lock %d: holder %d is crashed (missed takeover)" id h
-       | None when l.lq <> [] ->
-         err "lock %d: free but %d queued requesters" id (List.length l.lq)
-       | _ -> ());
-      if List.exists (Ns.mem r.crashed) l.lq then
-        err "lock %d: crashed node still queued" id;
-      let sorted = List.sort_uniq compare l.lq in
-      if List.length sorted <> List.length l.lq then
-        err "lock %d: duplicate queued requester" id)
-    r.locks;
-  Imap.iter
-    (fun id (f : flagst) ->
-      if List.exists (Ns.mem r.crashed) f.fwaiters then
-        err "flag %d: crashed node still waiting" id)
-    r.flags;
-  Imap.iter
-    (fun page h ->
-      if h < 0 || h >= cfg.nprocs then
-        err "page %d: home override %d out of range" page h)
-    r.homes;
-  List.rev !errs
+  let w =
+    if Ns.is_empty r.crashed then w else Imap.fold crashed_dir_ok v.dir w
+  in
+  let w = Imap.fold lock_ok r.locks w in
+  let w = Imap.fold flag_ok r.flags w in
+  Imap.fold home_ok r.homes w
+
+(* Properties that hold in EVERY reachable view, including mid-protocol
+   (requests and invalidations in flight).  Returns human-readable
+   violation strings; [] means the view is consistent. *)
+let invariants (cfg : cfg) (v : view) : string list =
+  List.rev (walk_invariants cfg v).errs
+
+let quiescent_node_ok id (n : nview) w =
+  if not (Imap.is_empty n.pending) then
+    err w "node %d: %d pending blocks at quiescence" id
+      (Imap.cardinal n.pending);
+  if not (Imap.is_empty n.acks) then
+    err w "node %d: %d unacked blocks at quiescence" id (Imap.cardinal n.acks);
+  if not (Imap.is_empty n.waiters) then
+    err w "node %d: deferred requests at quiescence" id;
+  if n.in_batch then err w "node %d: still in a batch at quiescence" id;
+  (match n.nstat with
+   | N_waiting _ -> err w "node %d: still waiting at quiescence" id
+   | N_running -> ());
+  w
+
+(* Inexact sharer sets are supersets by design: membership without a
+   valid copy is the cost of the representation, but a valid copy
+   OUTSIDE the set — or a wrong owner — is still a bug in every mode. *)
+let agrees_ok id (n : nview) w =
+  let block = w.blk and e = w.ent in
+  let l = line_of n block in
+  let valid = l = L_shared || l = L_exclusive in
+  if Ns.is_exact e.sharers && is_sharer e id && not valid then
+    err w "block 0x%x: node %d in sharer set but line %s" block id
+      (match l with
+       | L_invalid -> "invalid"
+       | L_pending_invalid -> "pending-invalid"
+       | L_pending_shared -> "pending-shared"
+       | _ -> "?");
+  if valid && not (is_sharer e id) then
+    err w "block 0x%x: node %d holds a valid copy but is not in the sharer \
+           set"
+      block id;
+  if l = L_exclusive then begin
+    if e.owner <> id then
+      err w "block 0x%x: exclusive at node %d but directory owner is %d" block
+        id e.owner;
+    if Ns.is_exact e.sharers && sharer_count e <> 1 then
+      err w "block 0x%x: exclusive at node %d with %d sharers" block id
+        (sharer_count e)
+  end;
+  w
+
+let dir_agrees_ok block (e : dirent) w =
+  w.blk <- block;
+  w.ent <- e;
+  Imap.fold agrees_ok w.wv.nodes w
 
 (* Additional properties of QUIESCENT views: no requests in flight, all
    nodes running (the driver must separately ensure no messages are in
    transit).  Here the directory must agree exactly with the line
-   states. *)
+   states.  The result lists the [invariants] violations last first,
+   then these in order. *)
 let quiescent_invariants (cfg : cfg) (v : view) : string list =
-  let errs = ref (invariants cfg v) in
-  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  Imap.iter
-    (fun id (n : nview) ->
-      if not (Imap.is_empty n.pending) then
-        err "node %d: %d pending blocks at quiescence" id
-          (Imap.cardinal n.pending);
-      if not (Imap.is_empty n.acks) then
-        err "node %d: %d unacked blocks at quiescence" id
-          (Imap.cardinal n.acks);
-      if not (Imap.is_empty n.waiters) then
-        err "node %d: deferred requests at quiescence" id;
-      if n.in_batch then err "node %d: still in a batch at quiescence" id;
-      match n.nstat with
-      | N_waiting _ -> err "node %d: still waiting at quiescence" id
-      | N_running -> ())
-    v.nodes;
+  let w = walk_invariants cfg v in
+  w.errs <- List.rev w.errs;
+  let w = Imap.fold quiescent_node_ok v.nodes w in
   if not (Ns.is_empty v.rest.brelease) then
-    err "release wave %s undelivered at quiescence"
+    err w "release wave %s undelivered at quiescence"
       (Ns.to_string v.rest.brelease);
-  Imap.iter
-    (fun block (e : dirent) ->
-      (* inexact sharer sets are supersets by design: membership without
-         a valid copy is the cost of the representation, but a valid
-         copy OUTSIDE the set — or a wrong owner — is still a bug in
-         every mode *)
-      let exact = Ns.is_exact e.sharers in
-      Imap.iter
-        (fun id n ->
-          let l = line_of n block in
-          let valid = l = L_shared || l = L_exclusive in
-          if exact && is_sharer e id && not valid then
-            err "block 0x%x: node %d in sharer set but line %s" block id
-              (match l with
-               | L_invalid -> "invalid"
-               | L_pending_invalid -> "pending-invalid"
-               | L_pending_shared -> "pending-shared"
-               | _ -> "?");
-          if valid && not (is_sharer e id) then
-            err "block 0x%x: node %d holds a valid copy but is not in the \
-                 sharer set"
-              block id;
-          if l = L_exclusive then begin
-            if e.owner <> id then
-              err "block 0x%x: exclusive at node %d but directory owner is %d"
-                block id e.owner;
-            if exact && sharer_count e <> 1 then
-              err "block 0x%x: exclusive at node %d with %d sharers" block id
-                (sharer_count e)
-          end)
-        v.nodes)
-    v.dir;
-  List.rev !errs
+  List.rev (Imap.fold dir_agrees_ok v.dir w).errs
 
 (* ------------------------------------------------------------------ *)
 (* Canonical serialization                                              *)
@@ -2010,160 +2059,221 @@ let quiescent_invariants (cfg : cfg) (v : view) : string list =
    shapes depend on insertion order.)  Equal strings <=> equal views;
    used for visited-state deduplication in the model checker and for
    comparing a replayed trace against the live run.  Written straight
-   into the caller's buffer with no [Printf].  The string is three
+   into the caller's buffer with no [Printf] and no closure: the map
+   walks fold the buffer through the top-level writers below, so a
+   render allocates only what the buffer grows by (and a [merge] cursor
+   for a node with pending blocks).  The string is three
    parts, written by [canon_dir_into], one [canon_node_into] per node
    and [canon_rest_into]: the model checker interns each part on its
    own and re-renders only the parts a move changed. *)
-let canon_dir_into b (v : view) =
-  let chr = Buffer.add_char b in
-  let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
-  (* full-map sets print as the historical hex/decimal masks so default
-     configurations stay byte-identical to the seed traces; other
-     representations use Nodeset's canonical rendering *)
-  Imap.iter
-    (fun blk (e : dirent) ->
-      chr 'D'; hex blk; chr ':'; int e.owner; chr ',';
-      Ns.to_buffer b e.sharers; chr ';')
-    v.dir
+
+let add_bool b x = Buffer.add_string b (if x then "true" else "false")
+
+(* Comma-separated. *)
+let rec ints_into b = function
+  | [] -> ()
+  | [ x ] -> Keybuf.add_int b x
+  | x :: l -> Keybuf.add_int b x; Buffer.add_char b ','; ints_into b l
+
+let rec hexes_into b = function
+  | [] -> ()
+  | [ x ] -> Keybuf.add_hex b x
+  | x :: l -> Keybuf.add_hex b x; Buffer.add_char b ','; hexes_into b l
+
+(* Full-map sets print as the historical hex/decimal masks so default
+   configurations stay byte-identical to the seed traces; other
+   representations use Nodeset's canonical rendering. *)
+let dir_into blk (e : dirent) b =
+  Buffer.add_char b 'D'; Keybuf.add_hex b blk; Buffer.add_char b ':';
+  Keybuf.add_int b e.owner; Buffer.add_char b ',';
+  Ns.to_buffer b e.sharers; Buffer.add_char b ';';
+  b
+
+let canon_dir_into b (v : view) = ignore (Imap.fold dir_into v.dir b)
+
+let line_into blk l b =
+  Buffer.add_char b 'l'; Keybuf.add_hex b blk; Buffer.add_char b '=';
+  Buffer.add_char b
+    (match l with
+     | L_invalid -> 'i'
+     | L_shared -> 's'
+     | L_exclusive -> 'e'
+     | L_pending_invalid -> 'p'
+     | L_pending_shared -> 'q');
+  Buffer.add_char b ';';
+  b
+
+(* A node's settled lines merged with its pending entries in block
+   order: [lo] is the last block printed, [upto] the next line's. *)
+type merge = {
+  mb : Buffer.t;
+  mpend : pend Imap.t;
+  mutable lo : int;
+  mutable upto : int;
+}
+
+let pending_upto pb p m =
+  if pb > m.lo && pb <= m.upto then ignore (line_into pb (pending_line p) m.mb);
+  m
+
+(* a pending entry wins over [lines] *)
+let merged_line_into blk l m =
+  m.upto <- blk;
+  let m = Imap.fold pending_upto m.mpend m in
+  if not (Imap.mem blk m.mpend) then ignore (line_into blk l m.mb);
+  m.lo <- blk;
+  m
+
+let written_into a w b =
+  Keybuf.add_hex b a; Buffer.add_char b ':'; Keybuf.add_hex b w;
+  Buffer.add_char b ',';
+  b
+
+let pend_into blk (p : pend) b =
+  Buffer.add_char b 'p'; Keybuf.add_hex b blk; Buffer.add_char b '=';
+  Buffer.add_char b
+    (match p.pkind with P_read -> 'r' | P_readex -> 'x' | P_upgrade -> 'u');
+  add_bool b p.invalidated; Buffer.add_char b '[';
+  let b = Imap.fold written_into p.written b in
+  Buffer.add_string b "];";
+  b
+
+let ack_into blk (a : ackst) b =
+  Buffer.add_char b 'a'; Keybuf.add_hex b blk; Buffer.add_char b '=';
+  Keybuf.add_int b a.got; Buffer.add_char b '/';
+  (match a.expected with
+   | Some e -> Keybuf.add_int b e
+   | None -> Buffer.add_char b '?');
+  Buffer.add_char b ';';
+  b
+
+let rec msgs_into b = function
+  | [] -> ()
+  | m :: l -> Message.describe_into b m; Buffer.add_char b ';'; msgs_into b l
+
+let waiter_into blk msgs b =
+  Buffer.add_char b 'w'; Keybuf.add_hex b blk; Buffer.add_string b "=[";
+  msgs_into b msgs; Buffer.add_string b "];";
+  b
+
+let rec deferred_into b = function
+  | [] -> ()
+  | D_inv blk :: l ->
+    Buffer.add_string b "di"; Keybuf.add_hex b blk; Buffer.add_char b ';';
+    deferred_into b l
+  | D_downgrade blk :: l ->
+    Buffer.add_string b "dd"; Keybuf.add_hex b blk; Buffer.add_char b ';';
+    deferred_into b l
 
 let canon_node_into b id (n : nview) =
-  let chr = Buffer.add_char b and str = Buffer.add_string b in
-  let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
-  let bool x = str (if x then "true" else "false") in
-  let line blk l =
-    chr 'l'; hex blk; chr '=';
-    chr
-      (match l with
-       | L_invalid -> 'i'
-       | L_shared -> 's'
-       | L_exclusive -> 'e'
-       | L_pending_invalid -> 'p'
-       | L_pending_shared -> 'q');
-    chr ';'
-  in
-  chr 'N'; int id; chr '{';
+  Buffer.add_char b 'N'; Keybuf.add_int b id; Buffer.add_char b '{';
   (* every block's [line_of] state in block order: a pending entry wins
      over [lines], and prints even where [lines] has no binding *)
-  if Imap.is_empty n.pending then Imap.iter line n.lines
+  if Imap.is_empty n.pending then ignore (Imap.fold line_into n.lines b)
   else begin
-    let next = ref (Imap.to_seq n.pending ()) in
-    (* print the pending blocks up to [k]; true when [k] is one *)
-    let rec upto k =
-      match !next with
-      | Seq.Cons ((pb, p), rest) when pb <= k ->
-        line pb (pending_line p);
-        next := rest ();
-        pb = k || upto k
-      | _ -> false
+    let m =
+      Imap.fold merged_line_into n.lines
+        { mb = b; mpend = n.pending; lo = min_int; upto = min_int }
     in
-    Imap.iter (fun blk l -> if not (upto blk) then line blk l) n.lines;
-    ignore (upto max_int)
+    m.upto <- max_int;
+    ignore (Imap.fold pending_upto n.pending m)
   end;
-  Imap.iter
-    (fun blk (p : pend) ->
-      chr 'p'; hex blk; chr '=';
-      chr
-        (match p.pkind with
-         | P_read -> 'r'
-         | P_readex -> 'x'
-         | P_upgrade -> 'u');
-      bool p.invalidated; chr '[';
-      Imap.iter (fun a w -> hex a; chr ':'; hex w; chr ',') p.written;
-      str "];")
-    n.pending;
-  Imap.iter
-    (fun blk (a : ackst) ->
-      chr 'a'; hex blk; chr '='; int a.got; chr '/';
-      (match a.expected with Some e -> int e | None -> chr '?');
-      chr ';')
-    n.acks;
-  chr 'u'; int (Imap.cardinal n.acks); chr ';';
-  Imap.iter
-    (fun blk msgs ->
-      chr 'w'; hex blk; str "=[";
-      List.iter (fun m -> Message.describe_into b m; chr ';') msgs;
-      str "];")
-    n.waiters;
-  List.iter
-    (function
-      | D_inv blk -> str "di"; hex blk; chr ';'
-      | D_downgrade blk -> str "dd"; hex blk; chr ';')
-    n.deferred;
-  if n.in_batch then str "B;";
+  let b = Imap.fold pend_into n.pending b in
+  let b = Imap.fold ack_into n.acks b in
+  Buffer.add_char b 'u'; Keybuf.add_int b (Imap.cardinal n.acks);
+  Buffer.add_char b ';';
+  let b = Imap.fold waiter_into n.waiters b in
+  deferred_into b n.deferred;
+  if n.in_batch then Buffer.add_string b "B;";
   (match n.nstat with
    | N_running -> ()
    | N_waiting (W_blocks bs) ->
-     str "Wb";
-     List.iteri (fun i x -> if i > 0 then chr ','; hex x) bs;
-     chr ';'
-   | N_waiting W_release -> str "Wr;"
-   | N_waiting W_sync -> str "Ws;");
+     Buffer.add_string b "Wb"; hexes_into b bs; Buffer.add_char b ';'
+   | N_waiting W_release -> Buffer.add_string b "Wr;"
+   | N_waiting W_sync -> Buffer.add_string b "Ws;");
   (match n.resume with
    | R_none -> ()
-   | R_refill -> str "Rf;"
+   | R_refill -> Buffer.add_string b "Rf;"
    | R_store_retry { addr; block } ->
-     str "Rs"; hex addr; chr ','; hex block; chr ';'
-   | R_store_commit { then_release } -> str "Rc"; bool then_release; chr ';'
-   | R_then_release -> str "Rr;"
-   | R_done -> str "Rd;"
-   | R_lock_acquired id -> str "Rl"; int id; chr ';'
-   | R_unlock id -> str "Ru"; int id; chr ';'
-   | R_barrier_enter -> str "Rb;"
-   | R_barrier_passed -> str "Rp;"
-   | R_flag_set id -> str "Rg"; int id; chr ';'
-   | R_flag_woken id -> str "Rw"; int id; chr ';');
-  if n.sync_signal then str "S;";
-  chr '}'
+     Buffer.add_string b "Rs"; Keybuf.add_hex b addr; Buffer.add_char b ',';
+     Keybuf.add_hex b block; Buffer.add_char b ';'
+   | R_store_commit { then_release } ->
+     Buffer.add_string b "Rc"; add_bool b then_release; Buffer.add_char b ';'
+   | R_then_release -> Buffer.add_string b "Rr;"
+   | R_done -> Buffer.add_string b "Rd;"
+   | R_lock_acquired id ->
+     Buffer.add_string b "Rl"; Keybuf.add_int b id; Buffer.add_char b ';'
+   | R_unlock id ->
+     Buffer.add_string b "Ru"; Keybuf.add_int b id; Buffer.add_char b ';'
+   | R_barrier_enter -> Buffer.add_string b "Rb;"
+   | R_barrier_passed -> Buffer.add_string b "Rp;"
+   | R_flag_set id ->
+     Buffer.add_string b "Rg"; Keybuf.add_int b id; Buffer.add_char b ';'
+   | R_flag_woken id ->
+     Buffer.add_string b "Rw"; Keybuf.add_int b id; Buffer.add_char b ';');
+  if n.sync_signal then Buffer.add_string b "S;";
+  Buffer.add_char b '}'
+
+let lock_into id (l : lockst) b =
+  Buffer.add_char b 'L'; Keybuf.add_int b id; Buffer.add_char b ':';
+  (match l.holder with
+   | Some h -> Keybuf.add_int b h
+   | None -> Buffer.add_char b '-');
+  Buffer.add_string b ",["; ints_into b l.lq; Buffer.add_string b "];";
+  b
+
+let flag_into id (f : flagst) b =
+  Buffer.add_char b 'F'; Keybuf.add_int b id; Buffer.add_char b ':';
+  add_bool b f.fset; Buffer.add_string b ",["; ints_into b f.fwaiters;
+  Buffer.add_string b "];";
+  b
+
+let home_into page h b =
+  Keybuf.add_hex b page; Buffer.add_char b ':'; Keybuf.add_int b h;
+  Buffer.add_char b ',';
+  b
+
+let heat_into page (who, k) b =
+  Keybuf.add_hex b page; Buffer.add_char b ':'; Keybuf.add_int b who;
+  Buffer.add_char b '*'; Keybuf.add_int b k; Buffer.add_char b ',';
+  b
+
+(* A full-map barrier mask prints in decimal. *)
+let ns_dec_into b = function
+  | Ns.Bits m -> Keybuf.add_int b m
+  | ns -> Ns.to_buffer b ns
 
 let canon_rest_into b (v : view) =
   let r = v.rest in
-  let chr = Buffer.add_char b and str = Buffer.add_string b in
-  let int = Keybuf.add_int b and hex = Keybuf.add_hex b in
-  let bool x = str (if x then "true" else "false") in
-  let ints = List.iteri (fun i x -> if i > 0 then chr ','; int x) in
-  let ns_hex = Ns.to_buffer b in
-  let ns_dec ns =
-    match Ns.as_bits ns with Some m -> int m | None -> Ns.to_buffer b ns
-  in
-  Imap.iter
-    (fun id (l : lockst) ->
-      chr 'L'; int id; chr ':';
-      (match l.holder with Some h -> int h | None -> chr '-');
-      str ",["; ints l.lq; str "];")
-    r.locks;
-  Imap.iter
-    (fun id (f : flagst) ->
-      chr 'F'; int id; chr ':'; bool f.fset; str ",[";
-      ints f.fwaiters; str "];")
-    r.flags;
-  chr 'B';
-  ns_dec r.barrier_arrived;
+  let b = Imap.fold lock_into r.locks b in
+  let b = Imap.fold flag_into r.flags b in
+  Buffer.add_char b 'B';
+  ns_dec_into b r.barrier_arrived;
   if not (Ns.is_empty r.halted) then begin
-    str ";X"; ns_hex r.crashed; chr ','; ns_hex r.halted
+    Buffer.add_string b ";X"; Ns.to_buffer b r.crashed;
+    Buffer.add_char b ','; Ns.to_buffer b r.halted
   end;
   (* scaling-layer state prints only when populated, so default-config
      strings stay byte-identical to the seed *)
   if not (Ns.is_empty r.brelease) then begin
-    str ";R"; ns_dec r.brelease
+    Buffer.add_string b ";R"; ns_dec_into b r.brelease
   end;
   if not (Imap.is_empty r.homes) then begin
-    str ";H";
-    Imap.iter (fun page h -> hex page; chr ':'; int h; chr ',') r.homes
+    Buffer.add_string b ";H"; ignore (Imap.fold home_into r.homes b)
   end;
   if not (Imap.is_empty r.heat) then begin
-    str ";h";
-    Imap.iter
-      (fun page (who, k) -> hex page; chr ':'; int who; chr '*'; int k; chr ',')
-      r.heat
+    Buffer.add_string b ";h"; ignore (Imap.fold heat_into r.heat b)
   end
 
 (* [canon_rest_into] reads only [rest]: a view that shares it with [v]
    renders the same rest. *)
 let rest_shared (v : view) (w : view) = v.rest == w.rest
 
+let node_into id n b = canon_node_into b id n; b
+
 let canon_into b (v : view) =
   canon_dir_into b v;
-  Imap.iter (canon_node_into b) v.nodes;
+  ignore (Imap.fold node_into v.nodes b);
   canon_rest_into b v
 
 let canon (v : view) : string =

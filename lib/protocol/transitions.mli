@@ -227,13 +227,16 @@ val sharer_count : dirent -> int
 
 (* Invariant checking: [] means consistent.  [invariants] holds in every
    reachable view; [quiescent_invariants] additionally requires all
-   activity drained. *)
+   activity drained, and lists [invariants]' violations last first
+   before its own.  A passing check formats nothing and builds no list
+   or closure of its own. *)
 val invariants : cfg -> view -> string list
 val quiescent_invariants : cfg -> view -> string list
 
 (* Canonical string: equal strings <=> equal views (map-shape
    independent).  Visited-set keys and replay comparison.  [canon_into]
-   appends the same bytes to a caller's buffer without [Printf]. *)
+   appends the same bytes to a caller's buffer without [Printf] or
+   closures. *)
 val canon_into : Buffer.t -> view -> unit
 val canon : view -> string
 

@@ -60,6 +60,27 @@ let case_gen =
   in
   case
 
+(* Two sets over the same processors, each in its own organization, so
+   every pairing of full maps, exact pointers and overflowed broadcasts
+   comes up. *)
+let pair_gen =
+  let mode =
+    Gen.oneof
+      [ Gen.pure Ns.Full;
+        Gen.map (fun k -> Ns.Limited k) (Gen.int_range 1 3) ]
+  in
+  Gen.bind (Gen.int_range 1 16) (fun nprocs ->
+    let op =
+      Gen.map2
+        (fun add n -> if add then Add n else Remove n)
+        Gen.bool
+        (Gen.int_bound (nprocs - 1))
+    in
+    let ops = Gen.list_size (Gen.int_range 0 24) op in
+    Gen.map2
+      (fun (ma, a) (mb, b) -> ((ma, nprocs, a), (mb, nprocs, b)))
+      (Gen.pair mode ops) (Gen.pair mode ops))
+
 let print_case (mode, nprocs, ops) =
   Printf.sprintf "%s P=%d [%s]" (show_mode mode) nprocs
     (String.concat "; " (List.map show_op ops))
@@ -113,6 +134,19 @@ let prop_remove_exact (mode, nprocs, ops) =
 let prop_overflow_superset (_, nprocs, ops) =
   let s, model = apply_ops (Ns.Limited 1) ~nprocs ops in
   IntSet.for_all (fun x -> Ns.mem s x) model
+
+(* [subset], [disjoint] and [beyond] walk the sets in place; each
+   equals its definition over [to_list]. *)
+let prop_relations_reference (ca, cb) =
+  let mode_a, nprocs, ops_a = ca and mode_b, _, ops_b = cb in
+  let a, _ = apply_ops mode_a ~nprocs ops_a in
+  let b, _ = apply_ops mode_b ~nprocs ops_b in
+  let la = Ns.to_list a in
+  Ns.subset a b = List.for_all (Ns.mem b) la
+  && Ns.disjoint a b = not (List.exists (Ns.mem b) la)
+  && List.for_all
+       (fun n -> Ns.beyond a n = List.exists (fun x -> x < 0 || x >= n) la)
+       (List.init (nprocs + 2) Fun.id)
 
 (* --- directed cases -------------------------------------------------- *)
 
@@ -212,7 +246,11 @@ let () =
           qtest "limited-pointer overflow is a superset" ~print:print_case
             case_gen prop_overflow_superset;
           qtest "to_string matches the Printf reference" ~print:print_case
-            case_gen prop_to_string_reference ] );
+            case_gen prop_to_string_reference;
+          qtest "subset, disjoint and beyond match their list definitions"
+            ~count:500
+            ~print:(fun (a, b) -> print_case a ^ " / " ^ print_case b)
+            pair_gen prop_relations_reference ] );
       ( "directed",
         [ Alcotest.test_case "limited overflow step" `Quick
             t_limited_overflow_step;
