@@ -162,7 +162,7 @@ let replay_run spec app =
 type kv_opts = {
   kv : bool;
   kv_ops : int;
-  kv_mix : string;
+  kv_mix : Shasta_workload.Workload.mix;
   kv_theta : float;
   kv_keys : int option;
   kv_seed : int;
@@ -184,7 +184,7 @@ let kv_workload size kvo =
   in
   let wl =
     W.spec ~nkeys ~ops:kvo.kv_ops ~quanta
-      ~mix:(W.mix_of_string kvo.kv_mix)
+      ~mix:kvo.kv_mix
       ~dist ~seed:kvo.kv_seed ()
   in
   (wl, Shasta_apps.Sht.default_cfg ~nkeys)
@@ -516,6 +516,17 @@ let int_at_least ~docv lo =
 let count_c = int_at_least ~docv:"N" 0
 let positive_c = int_at_least ~docv:"N" 1
 
+(* The registered application names, so an unknown one is a usage error
+   that lists them. *)
+let app_c =
+  Arg.enum
+    (List.map (fun (e : Shasta_apps.Apps.entry) -> (e.name, e.name))
+       Shasta_apps.Apps.all)
+
+let kv_mix_c =
+  let module W = Shasta_workload.Workload in
+  parsed ~docv:"MIX" W.mix_of_string W.mix_name
+
 let dir_mode_c =
   let module Ns = Shasta_protocol.Nodeset in
   Arg.conv ~docv:"MODE"
@@ -524,7 +535,8 @@ let dir_mode_c =
 
 let cmd =
   let app_t =
-    Arg.(value & opt string "lu" & info [ "app"; "a" ] ~doc:"Workload name.")
+    Arg.(value & opt app_c "lu"
+         & info [ "app"; "a" ] ~doc:"Workload name (see --list).")
   in
   let size_t =
     Arg.(value
@@ -537,7 +549,8 @@ let cmd =
          & info [ "size" ] ~doc:"Problem size: test, small or large.")
   in
   let procs_t =
-    Arg.(value & opt int 4 & info [ "procs"; "p" ] ~doc:"Processor count.")
+    Arg.(value & opt positive_c 4
+         & info [ "procs"; "p" ] ~doc:"Processor count.")
   in
   let net_t =
     Arg.(value & opt net_c ("mc", Shasta_network.Network.memory_channel)
@@ -753,7 +766,7 @@ let cmd =
              ~doc:"Total run-phase operations across all nodes.")
   in
   let kv_mix_t =
-    Arg.(value & opt string "b"
+    Arg.(value & opt kv_mix_c Shasta_workload.Workload.B
          & info [ "kv-mix" ] ~docv:"MIX"
              ~doc:"Operation mix: a (50/50 read/update), b (95/5), c \
                    (read-only), e (95/5 scan/insert) or m \
@@ -766,7 +779,7 @@ let cmd =
                    selects the uniform distribution).")
   in
   let kv_keys_t =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_c) None
          & info [ "kv-keys" ] ~docv:"N"
              ~doc:"Key-space size (default picked by --size).")
   in

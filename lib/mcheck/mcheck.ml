@@ -61,8 +61,10 @@
    list or string for a passing state; the component writers
    fold the buffer through top-level functions; and a move that commits
    no spec step (most moves) leaves the refinement bookkeeping without
-   allocating.  Each transition still pays for [enabled]'s move
-   closures and [T.step]'s action list. *)
+   allocating.  A step streams its actions through one [T.stepper] per
+   node into a reused buffer, and the move builds one closed system
+   from them.  Each transition still pays for [enabled]'s move
+   closures. *)
 
 open Shasta_protocol
 module T = Transitions
@@ -244,37 +246,83 @@ let init_sys ?lossy ?(crash = 0) ?(recover = 0) ?(refine = false) ?base
 (* Applying a step's actions to the closed system                       *)
 (* ------------------------------------------------------------------ *)
 
-let shadow_get (sys : sys) ~node ~block =
-  match Imap.find block (Imap.find node sys.shadow) with
+let shadow_find shadow ~node ~block =
+  match Imap.find block (Imap.find node shadow) with
   | v -> v
   | exception Not_found -> marker
 
+let shadow_get (sys : sys) ~node ~block = shadow_find sys.shadow ~node ~block
+
+let shadow_add shadow ~node ~block v =
+  Imap.add node (Imap.add block v (Imap.find node shadow)) shadow
+
 let shadow_set (sys : sys) ~node ~block v =
-  { sys with
-    shadow =
-      Imap.add node (Imap.add block v (Imap.find node sys.shadow)) sys.shadow }
+  { sys with shadow = shadow_add sys.shadow ~node ~block v }
 
 (* Does [node] hold a pending store to [block]'s longword in [v]?  Such
    longwords keep the node's own value through invalidation (the
    written-longword merge of Section 4.1). *)
 let has_written v ~node ~block =
   let nv = T.node_view v ~node in
-  match Imap.find_opt block nv.T.pending with
-  | Some p -> Imap.mem block p.T.written
-  | None -> false
+  match Imap.find block nv.T.pending with
+  | p -> Imap.mem block p.T.written
+  | exception Not_found -> false
 
 exception Unexpected of string
 
-(* Apply one action.  [v'] is the post-step view (consulted for pending
-   written-longword state); [reply] holds the data of the message being
-   delivered, consumed by the first merge, like the engine's
-   [node.reply_data]. *)
-let apply_action ~inj ~(reply : int array option ref) v' node sys
-    (a : T.action) =
+(* The actions of the step being applied, oldest first. *)
+type actbuf = { mutable acts : T.action array; mutable n : int }
+
+let push b a =
+  if b.n = Array.length b.acts then begin
+    let acts = Array.make (2 * b.n) T.A_refill in
+    Array.blit b.acts 0 acts 0 b.n;
+    b.acts <- acts
+  end;
+  b.acts.(b.n) <- a;
+  b.n <- b.n + 1
+
+(* A search's stepping machinery, built once per search: one
+   [T.stepper] per node, whose sink pushes each action into [buf].
+   Between steps the buffer holds at most the last step's actions. *)
+type runner = {
+  cfg : T.cfg;
+  inj : injection;
+  buf : actbuf;
+  steppers : T.stepper array;
+}
+
+(* The parts of the closed system a step's actions change.  The actions
+   are applied to a fresh staging record once the step has returned,
+   since the merge of a pending store ([has_written]) reads the
+   post-step view, and the successor is built from it once.  The record
+   is young, so its field writes pay no write barrier beyond the
+   minor-heap test. *)
+type stage = {
+  mutable st_chans : Message.t list Imap.t;
+  mutable st_shadow : int Imap.t Imap.t;
+  mutable st_regs : int Imap.t;
+  mutable st_pending_read : int Imap.t;
+  mutable st_dropped : bool;
+  mutable st_lchans : chanst Imap.t;
+  mutable st_reply : int array option;
+    (* the data of the message being delivered, consumed by the first
+       merge, like the engine's [node.reply_data] *)
+}
+
+let runner cfg inj =
+  let buf = { acts = Array.make 32 T.A_refill; n = 0 } in
+  { cfg; inj; buf;
+    steppers =
+      Array.init cfg.T.nprocs (fun node -> T.stepper cfg ~node (push buf)) }
+
+(* Apply one action to [st].  [v'] is the post-step view (consulted for
+   pending written-longword state). *)
+let apply_action ~inj ~lossy st v' node (a : T.action) =
   match a with
-  | T.A_charge _ | T.A_emit _ -> sys
-  | T.A_local _ -> sys
-  | T.A_block _ | T.A_stall _ -> sys (* node status lives in the view *)
+  | T.A_charge _ | T.A_emit _ -> ()
+  | T.A_local _ -> ()
+  | T.A_block _ | T.A_stall _ -> () (* node status lives in the view *)
   | T.A_send { dst; msg } ->
     let msg =
       match msg.Message.kind with
@@ -284,7 +332,9 @@ let apply_action ~inj ~(reply : int array option ref) v' node sys
           Message.kind =
             Message.Coh
               (Data_reply
-                 { data = [| shadow_get sys ~node ~block:msg.Message.addr |];
+                 { data =
+                     [| shadow_find st.st_shadow ~node
+                          ~block:msg.Message.addr |];
                    exclusive;
                    acks }) }
       | _ -> msg
@@ -293,25 +343,27 @@ let apply_action ~inj ~(reply : int array option ref) v' node sys
       (match inj with
        | Drop_first_inv_ack -> msg.Message.kind = Message.Coh Message.Inv_ack
        | No_injection | Retransmit_no_dedup | Store_past_release -> false)
-      && not sys.dropped
+      && not st.st_dropped
     in
     (* Drop_first_inv_ack loses the message ABOVE the sublayer — it is
        never sequence-numbered, so retransmission cannot recover it:
        the protocol-layer bug stays detectable even on a lossy wire *)
-    if drop then { sys with dropped = true }
+    if drop then st.st_dropped <- true
     else begin
       let key = (node * 1024) + dst in
-      match sys.lossy with
+      match lossy with
       | None ->
         let q =
-          match Imap.find_opt key sys.chans with Some q -> q | None -> []
+          match Imap.find key st.st_chans with
+          | q -> q
+          | exception Not_found -> []
         in
-        { sys with chans = Imap.add key (q @ [ msg ]) sys.chans }
+        st.st_chans <- Imap.add key (q @ [ msg ]) st.st_chans
       | Some budget ->
         let cs =
-          match Imap.find_opt key sys.lchans with
-          | Some cs -> cs
-          | None ->
+          match Imap.find key st.st_lchans with
+          | cs -> cs
+          | exception Not_found ->
             { tx_next = 0; rx_expected = 0; wire = []; rx_buf = [];
               unacked = []; budget }
         in
@@ -322,44 +374,63 @@ let apply_action ~inj ~(reply : int array option ref) v' node sys
             wire = cs.wire @ [ f ];
             unacked = cs.unacked @ [ f ] }
         in
-        { sys with lchans = Imap.add key cs sys.lchans }
+        st.st_lchans <- Imap.add key cs st.st_lchans
     end
   | T.A_mem op -> (
     match op with
-    | T.M_make_exclusive _ | T.M_make_shared _ | T.M_make_pending _ -> sys
+    | T.M_make_exclusive _ | T.M_make_shared _ | T.M_make_pending _ -> ()
     | T.M_make_invalid b | T.M_flag { block = b; _ } ->
-      if has_written v' ~node ~block:b then sys
-      else shadow_set sys ~node ~block:b marker
+      if not (has_written v' ~node ~block:b) then
+        st.st_shadow <- shadow_add st.st_shadow ~node ~block:b marker
     | T.M_merge { block; written } ->
       let base =
-        match !reply with
+        match st.st_reply with
         | Some d when Array.length d > 0 ->
-          reply := None;
+          st.st_reply <- None;
           d.(0)
-        | _ -> shadow_get sys ~node ~block
+        | _ -> shadow_find st.st_shadow ~node ~block
       in
       let value =
         match List.assoc_opt block written with Some v -> v | None -> base
       in
-      shadow_set sys ~node ~block value
+      st.st_shadow <- shadow_add st.st_shadow ~node ~block value
     | T.M_adopt { block; from } ->
       (* crash salvage: copy the dead node's (frozen) shadow value *)
-      shadow_set sys ~node ~block (shadow_get sys ~node:from ~block))
+      st.st_shadow <-
+        shadow_add st.st_shadow ~node ~block
+          (shadow_find st.st_shadow ~node:from ~block))
   | T.A_refill -> (
-    match Imap.find_opt node sys.pending_read with
-    | Some b ->
-      { sys with
-        regs = Imap.add node (shadow_get sys ~node ~block:b) sys.regs;
-        pending_read = Imap.remove node sys.pending_read }
-    | None -> sys)
+    match Imap.find node st.st_pending_read with
+    | b ->
+      st.st_regs <-
+        Imap.add node (shadow_find st.st_shadow ~node ~block:b) st.st_regs;
+      st.st_pending_read <- Imap.remove node st.st_pending_read
+    | exception Not_found -> ())
   | T.A_commit_store ->
     raise (Unexpected "A_commit_store under non-stalling stores")
 
-let run_step cfg ~inj ?reply (sys : sys) node input =
-  let acts, v' = T.step cfg sys.v ~node input in
-  let sys = { sys with v = v' } in
-  let reply = ref reply in
-  List.fold_left (apply_action ~inj ~reply v' node) sys acts
+(* Step [node] through its stepper, then apply the step's actions in
+   order to one staging record and build the successor once. *)
+let run_step rn ?reply (sys : sys) node input =
+  let b = rn.buf in
+  b.n <- 0;
+  let v' = T.step_with rn.steppers.(node) sys.v input in
+  let st =
+    { st_chans = sys.chans; st_shadow = sys.shadow; st_regs = sys.regs;
+      st_pending_read = sys.pending_read; st_dropped = sys.dropped;
+      st_lchans = sys.lchans; st_reply = reply }
+  in
+  for i = 0 to b.n - 1 do
+    apply_action ~inj:rn.inj ~lossy:sys.lossy st v' node b.acts.(i)
+  done;
+  { sys with
+    v = v';
+    chans = st.st_chans;
+    shadow = st.st_shadow;
+    regs = st.st_regs;
+    pending_read = st.st_pending_read;
+    dropped = st.st_dropped;
+    lchans = st.st_lchans }
 
 (* ------------------------------------------------------------------ *)
 (* Moves                                                                *)
@@ -375,7 +446,7 @@ let running (sys : sys) ~node =
    the line is exclusive.  Stores are non-stalling (release consistency,
    Section 4.1): the value goes to shadow memory immediately and the
    miss input carries it as the written longword. *)
-let issue cfg ~inj (sys : sys) node op rest =
+let issue rn (sys : sys) node op rest =
   let sys = { sys with scripts = Imap.add node rest sys.scripts } in
   match op with
   | Read b ->
@@ -383,7 +454,7 @@ let issue cfg ~inj (sys : sys) node op rest =
       { sys with regs = Imap.add node (shadow_get sys ~node ~block:b) sys.regs }
     else
       let sys = { sys with pending_read = Imap.add node b sys.pending_read } in
-      run_step cfg ~inj sys node (T.I_load_miss { addr = b; block = b })
+      run_step rn sys node (T.I_load_miss { addr = b; block = b })
   | Write (b, _) | Write_reg_plus (b, _) ->
     let value =
       match op with
@@ -392,7 +463,7 @@ let issue cfg ~inj (sys : sys) node op rest =
       | _ -> assert false
     in
     if
-      inj = Store_past_release && (not sys.dropped)
+      rn.inj = Store_past_release && (not sys.dropped)
       && T.locks_held_by sys.v ~node <> []
     then
       (* the mutation: the store's program-order slot is consumed but
@@ -404,20 +475,20 @@ let issue cfg ~inj (sys : sys) node op rest =
       let sys = shadow_set sys ~node ~block:b value in
       if st = T.L_exclusive then sys
       else
-        run_step cfg ~inj sys node
+        run_step rn sys node
           (T.I_store_miss
              { addr = b;
                block = b;
                store_done = true;
                stored = [ (b, value) ] })
     end
-  | Lock id -> run_step cfg ~inj sys node (T.I_lock id)
-  | Unlock id -> run_step cfg ~inj sys node (T.I_unlock id)
-  | Flag_set id -> run_step cfg ~inj sys node (T.I_flag_set id)
-  | Flag_wait id -> run_step cfg ~inj sys node (T.I_flag_wait id)
-  | Barrier -> run_step cfg ~inj sys node T.I_barrier
+  | Lock id -> run_step rn sys node (T.I_lock id)
+  | Unlock id -> run_step rn sys node (T.I_unlock id)
+  | Flag_set id -> run_step rn sys node (T.I_flag_set id)
+  | Flag_wait id -> run_step rn sys node (T.I_flag_wait id)
+  | Barrier -> run_step rn sys node T.I_barrier
 
-let deliver cfg ~inj (sys : sys) key =
+let deliver rn (sys : sys) key =
   match Imap.find key sys.chans with
   | [] -> assert false
   | msg :: rest ->
@@ -432,17 +503,17 @@ let deliver cfg ~inj (sys : sys) key =
       | Message.Coh (Data_reply { data; _ }) -> Some data
       | _ -> None
     in
-    run_step cfg ~inj ?reply sys dst (T.I_msg msg)
+    run_step rn ?reply sys dst (T.I_msg msg)
 
 (* --- lossy mode: the sublayer's receive path and the adversary ------ *)
 
-let deliver_up cfg ~inj sys ~dst (msg : Message.t) =
+let deliver_up rn sys ~dst (msg : Message.t) =
   let reply =
     match msg.Message.kind with
     | Message.Coh (Data_reply { data; _ }) -> Some data
     | _ -> None
   in
-  run_step cfg ~inj ?reply sys dst (T.I_msg msg)
+  run_step rn ?reply sys dst (T.I_msg msg)
 
 let has_fseq fseq frames = List.exists (fun g -> g.fseq = fseq) frames
 let drop_fseq fseq frames = List.filter (fun g -> g.fseq <> fseq) frames
@@ -452,7 +523,7 @@ let drop_fseq fseq frames = List.filter (fun g -> g.fseq <> fseq) frames
    expected frame is delivered up together with everything consecutive
    it unblocks.  Under [Retransmit_no_dedup] the duplicate check is
    gone and stale frames hit the protocol again. *)
-let lossy_deliver cfg ~inj (sys : sys) key =
+let lossy_deliver rn (sys : sys) key =
   let cs = Imap.find key sys.lchans in
   match cs.wire with
   | [] -> assert false
@@ -462,7 +533,7 @@ let lossy_deliver cfg ~inj (sys : sys) key =
     let is_dup = f.fseq < cs.rx_expected || has_fseq f.fseq cs.rx_buf in
     if is_dup then
       let sys = { sys with lchans = Imap.add key cs sys.lchans } in
-      if inj = Retransmit_no_dedup then deliver_up cfg ~inj sys ~dst f.fmsg
+      if rn.inj = Retransmit_no_dedup then deliver_up rn sys ~dst f.fmsg
       else sys
     else if f.fseq > cs.rx_expected then
       let rx_buf =
@@ -489,8 +560,8 @@ let lossy_deliver cfg ~inj (sys : sys) key =
       let cs, unblocked = flush cs [] in
       let sys = { sys with lchans = Imap.add key cs sys.lchans } in
       List.fold_left
-        (fun sys m -> deliver_up cfg ~inj sys ~dst m)
-        (deliver_up cfg ~inj sys ~dst f.fmsg)
+        (fun sys m -> deliver_up rn sys ~dst m)
+        (deliver_up rn sys ~dst f.fmsg)
         unblocked
     end
 
@@ -511,7 +582,7 @@ let chan_label key = Printf.sprintf "%d->%d" (key / 1024) (key mod 1024)
    costs one unit of the channel's budget; retransmission is free and
    enabled exactly while a frame is lost, so no terminal state can
    leave a frame undelivered (eventual delivery). *)
-let lossy_moves cfg ~inj (sys : sys) key (cs : chanst) =
+let lossy_moves rn (sys : sys) key (cs : chanst) =
   let upd cs' = { sys with lchans = Imap.add key cs' sys.lchans } in
   let delivers =
     match cs.wire with
@@ -519,7 +590,7 @@ let lossy_moves cfg ~inj (sys : sys) key (cs : chanst) =
       [ ( (fun () ->
             Printf.sprintf "deliver %s: #%d %s" (chan_label key) f.fseq
               (Message.describe f.fmsg)),
-          fun () -> lossy_deliver cfg ~inj sys key ) ]
+          fun () -> lossy_deliver rn sys key ) ]
     | [] -> []
   in
   let faults =
@@ -565,7 +636,7 @@ let lossy_moves cfg ~inj (sys : sys) key (cs : chanst) =
    and feed the purged frames to the lowest surviving node's
    [I_node_crash] step — the same consistent cut the runtime's crash
    detector takes with [Network.mark_dead]. *)
-let crash_node cfg ~inj (sys : sys) victim =
+let crash_node rn (sys : sys) victim =
   let purged = ref [] in
   let chans =
     Imap.filter
@@ -594,23 +665,23 @@ let crash_node cfg ~inj (sys : sys) victim =
     in
     go 0
   in
-  run_step cfg ~inj sys coord (T.I_node_crash { victim; lost = !purged })
+  run_step rn sys coord (T.I_node_crash { victim; lost = !purged })
 
-let crash_moves cfg ~inj (sys : sys) =
+let crash_moves rn (sys : sys) =
   let crashes =
     if sys.crash_budget <= 0 then []
     else
       let live =
         List.filter
           (fun n -> T.is_live sys.v ~node:n)
-          (List.init cfg.T.nprocs Fun.id)
+          (List.init rn.cfg.T.nprocs Fun.id)
       in
       if List.length live < 2 then []
       else
         List.map
           (fun v ->
             ( (fun () -> Printf.sprintf "crash n%d" v),
-              fun () -> crash_node cfg ~inj sys v ))
+              fun () -> crash_node rn sys v ))
           live
   in
   let recovers =
@@ -623,10 +694,10 @@ let crash_moves cfg ~inj (sys : sys) =
             Some
               ( (fun () -> Printf.sprintf "recover n%d" v),
                 fun () ->
-                  run_step cfg ~inj
+                  run_step rn
                     { sys with recover_budget = sys.recover_budget - 1 }
                     v (T.I_node_recover v) ))
-        (List.init cfg.T.nprocs Fun.id)
+        (List.init rn.cfg.T.nprocs Fun.id)
   in
   crashes @ recovers
 
@@ -634,7 +705,7 @@ let crash_moves cfg ~inj (sys : sys) =
    released every lock, the withheld store may fire at any point — an
    ordinary store miss, indistinguishable from a legal one to every
    structural check, but committed out of program order. *)
-let stash_moves cfg ~inj (sys : sys) =
+let stash_moves rn (sys : sys) =
   match sys.stash with
   | Some (node, b, value)
     when T.is_live sys.v ~node && running sys ~node
@@ -648,7 +719,7 @@ let stash_moves cfg ~inj (sys : sys) =
           let sys = shadow_set sys ~node ~block:b value in
           if st = T.L_exclusive then sys
           else
-            run_step cfg ~inj sys node
+            run_step rn sys node
               (T.I_store_miss
                  { addr = b;
                    block = b;
@@ -659,14 +730,14 @@ let stash_moves cfg ~inj (sys : sys) =
 (* Every enabled move as (label, successor).  Labels are thunks: the
    search forces them only to print a counterexample, so no display
    string is built per transition. *)
-let enabled cfg ~inj (sys : sys) =
+let enabled rn (sys : sys) =
   let issues =
     Imap.fold
       (fun node script acc ->
         match script with
         | op :: rest when running sys ~node ->
           ( (fun () -> Printf.sprintf "n%d: %s" node (string_of_op op)),
-            fun () -> issue cfg ~inj sys node op rest )
+            fun () -> issue rn sys node op rest )
           :: acc
         | _ -> acc)
       sys.scripts []
@@ -679,23 +750,25 @@ let enabled cfg ~inj (sys : sys) =
           ( (fun () ->
               Printf.sprintf "deliver %d->%d: %s" (key / 1024) (key mod 1024)
                 (Message.describe msg)),
-            fun () -> deliver cfg ~inj sys key )
+            fun () -> deliver rn sys key )
           :: acc
         | _ -> acc)
       sys.chans []
   in
   let lossy_all =
     Imap.fold
-      (fun key cs acc -> List.rev_append (lossy_moves cfg ~inj sys key cs) acc)
+      (fun key cs acc -> List.rev_append (lossy_moves rn sys key cs) acc)
       sys.lchans []
   in
   List.rev_append issues
     (List.rev_append lossy_all (List.rev delivers))
-  @ stash_moves cfg ~inj sys
-  @ crash_moves cfg ~inj sys
+  @ stash_moves rn sys
+  @ crash_moves rn sys
 
 let moves cfg ~inj sys =
-  List.map (fun (label, next) -> (label (), next)) (enabled cfg ~inj sys)
+  List.map
+    (fun (label, next) -> (label (), next))
+    (enabled (runner cfg inj) sys)
 
 (* Oldest-first display trace of a newest-first path of label thunks. *)
 let trace path = List.rev_map (fun label -> label ()) path
@@ -808,8 +881,8 @@ let key (sys : sys) =
 
    A move changes one or two components.  [child] reuses the parent's
    id for every slot whose source value the child shares physically
-   ([T.step] keeps every node view it does not touch) and renders only
-   the others. *)
+   (a step keeps every node view it does not change, its own included)
+   and renders only the others. *)
 module Collapse = struct
   type t = {
     nprocs : int;
@@ -1384,6 +1457,7 @@ type result = {
 let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
     ?refine ?base ?(max_states = 1_000_000) (sc : scenario) =
   let cfg = cfg_of ?base sc in
+  let rn = runner cfg injection in
   let visited = Hashtbl.create 4096 in
   let c = Collapse.create cfg.T.nprocs in
   let states = ref 0 and transitions = ref 0 and terminals = ref 0 in
@@ -1398,7 +1472,7 @@ let check_exhaustive ?(injection = No_injection) ?lossy ?crash ?recover
         violation :=
           Some { verr = errs; vtrace = trace path; vcommits = commits_of sys }
       | [] -> (
-        let ms = enabled cfg ~inj:injection sys in
+        let ms = enabled rn sys in
         match ms with
         | [] -> (
           incr terminals;
@@ -1480,6 +1554,7 @@ let fuzz_seeds ~seed ~runs =
 let walk ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
     ?(visit = fun _ _ -> ()) ~seed ~runs (sc : scenario) =
   let cfg = cfg_of ?base sc in
+  let rn = runner cfg injection in
   let violation = ref None in
   let total_steps = ref 0 in
   let run_one rs =
@@ -1497,7 +1572,7 @@ let walk ?(injection = No_injection) ?lossy ?crash ?recover ?refine ?base
              { verr = errs; vtrace = trace !path; vcommits = commits_of !sys };
          continue := false);
       if !continue then
-        match enabled cfg ~inj:injection !sys with
+        match enabled rn !sys with
         | [] ->
           (match check_terminal sc cfg !sys with
            | [] -> ()

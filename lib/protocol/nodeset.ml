@@ -164,6 +164,27 @@ let beyond t n =
   | Ptrs { ps; _ } -> list_beyond n ps
   | Bcast { n = m; excl } -> range_beyond (max n 0) m excl
 
+(* The least member at or above [x], or -1 when there is none: a walk
+   over the members in ascending order that builds no list and no
+   closure (the home's invalidation fan-out). *)
+let rec list_next x = function
+  | [] -> -1
+  | y :: l -> if y >= x then y else list_next x l
+
+let rec range_next x n excl =
+  if x >= n then -1
+  else if List.mem x excl then range_next (x + 1) n excl
+  else x
+
+let next t x =
+  let x = max x 0 in
+  match t with
+  | Bits m ->
+    let m = if x >= Sys.int_size then 0 else m land (-1 lsl x) in
+    if m = 0 then -1 else ntz (m land -m)
+  | Ptrs { ps; _ } -> list_next x ps
+  | Bcast { n; excl } -> range_next x n excl
+
 (* --- relations ------------------------------------------------------- *)
 
 (* Some member [x] of the walked set has [mem b x = v], found in place

@@ -50,6 +50,11 @@ val beyond : t -> int -> bool
 (** [beyond t n]: some member lies outside [0, n), found without
     building a list. *)
 
+val next : t -> int -> int
+(** [next t x]: the least member at or above [x], or [-1] when there is
+    none.  Walking [next t 0], [next t (m + 1)], ... visits the members
+    in ascending order without building a list. *)
+
 val is_exact : t -> bool
 (** [false] when membership may be over-approximated (an overflowed
     broadcast). *)

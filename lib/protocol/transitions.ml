@@ -13,7 +13,10 @@
    [Shasta_obs.Event.t] the engine hands to [Obs.emit].  A [stepper],
    one per node, runs the same step and passes each action, in the same
    order, to a caller's sink instead: that is how the runtime
-   interpreter ([Engine]) applies them against Pipeline/Network/Memory.
+   interpreter ([Engine]) applies them against Pipeline/Network/Memory,
+   and how the model checker and replay step the core.  [step]'s list
+   remains for the tests, perfbench's traced replay and the checker's
+   initial state.
    The ordering contract is strict: applying the actions in order
    reproduces the exact effect order of the historical monolithic
    engine, so event streams and cycle counts are byte-for-byte
@@ -22,8 +25,8 @@
    Because the core is pure it can also be driven without a machine
    underneath: [lib/mcheck] explores all interleavings of small
    configurations against the invariants below, and the recorded input
-   trace of a real run can be re-fed through [step] to reproduce the
-   final view deterministically (shasta_run --replay).
+   trace of a real run can be re-fed through the steppers to reproduce
+   the final view deterministically (shasta_run --replay).
 
    Two host artifacts are passed IN as inputs rather than recomputed,
    to keep bit-exact fidelity with the old engine: the per-block
@@ -261,23 +264,38 @@ type input =
 (* Step context                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The stepping node's view is loaded into [me] once per step and each
-   update replaces it ([c.me <- { c.me with ... }]: no closure, no map
-   insert).  [v.nodes] keeps the value [me] was loaded from until
-   [store_me] writes [me] back, once, at the end of the step.
+(* The stepping node's nine fields are loaded into the context once
+   per step, and each update is one field write: no record copy, no
+   closure, no map insert.  [v.nodes] keeps the entry they were loaded
+   from ([loaded]) until [store_me] writes the node back, once, at the
+   end of the step.  It builds one [nview] then, and only if some field
+   is no longer physically the one it loaded: a step that leaves the
+   node alone returns its entry, and the node map, unchanged.
    Only crash recovery reads or rewrites other nodes' entries, through
-   [node_view_at] and [map_nodes], which see the current [me].
+   [node_view_at] and [map_nodes], which see the current fields.
 
    Each action goes to [sink] the moment the core decides it; [step]'s
    sink is the [collect] marker, for which [act] conses onto [racc]
    instead of calling it, so neither entry allocates a closure.  The
    context is a node's [stepper]: built once, loaded at the start of
-   each step and emptied at its end. *)
+   each step, and given the idle view back at its end.  It keeps the
+   node's fields, which the next load compares instead of rewriting:
+   they are the node's own state as of its last step, never another
+   node's or a whole past view. *)
 type ctx = {
   cfg : cfg;
   node : int; (* the stepping node: all actions target it *)
   mutable v : view;
-  mutable me : nview; (* the stepping node's current view *)
+  mutable loaded : nview; (* the stepping node's entry in [v.nodes] *)
+  mutable me_lines : line Imap.t;
+  mutable me_pending : pend Imap.t;
+  mutable me_acks : ackst Imap.t;
+  mutable me_waiters : Message.t list Imap.t;
+  mutable me_deferred : deferred list;
+  mutable me_in_batch : bool;
+  mutable me_nstat : nstatus;
+  mutable me_resume : resume;
+  mutable me_sync_signal : bool;
   sink : action -> unit;
   mutable racc : action list; (* [collect]'s actions, newest first *)
 }
@@ -286,28 +304,60 @@ let collect (_ : action) = ()
 
 let act c a = if c.sink == collect then c.racc <- a :: c.racc else c.sink a
 
-let nv c = c.me
+(* Load [n] as the stepping node's entry and current fields.  A field
+   that already holds [n]'s value is not written again: a pointer write
+   into the long-lived context pays a write barrier, and a node's
+   fields are usually still the ones its last step left. *)
+let load_me c (n : nview) =
+  c.loaded <- n;
+  if c.me_lines != n.lines then c.me_lines <- n.lines;
+  if c.me_pending != n.pending then c.me_pending <- n.pending;
+  if c.me_acks != n.acks then c.me_acks <- n.acks;
+  if c.me_waiters != n.waiters then c.me_waiters <- n.waiters;
+  if c.me_deferred != n.deferred then c.me_deferred <- n.deferred;
+  c.me_in_batch <- n.in_batch;
+  if c.me_nstat != n.nstat then c.me_nstat <- n.nstat;
+  if c.me_resume != n.resume then c.me_resume <- n.resume;
+  c.me_sync_signal <- n.sync_signal
+
+(* The stepping node's view as of now: its loaded entry itself while
+   every field is physically the one loaded. *)
+let me c =
+  let n = c.loaded in
+  if
+    c.me_lines == n.lines && c.me_pending == n.pending && c.me_acks == n.acks
+    && c.me_waiters == n.waiters && c.me_deferred == n.deferred
+    && c.me_in_batch == n.in_batch && c.me_nstat == n.nstat
+    && c.me_resume == n.resume && c.me_sync_signal == n.sync_signal
+  then n
+  else
+    { lines = c.me_lines; pending = c.me_pending; acks = c.me_acks;
+      waiters = c.me_waiters; deferred = c.me_deferred;
+      in_batch = c.me_in_batch; nstat = c.me_nstat; resume = c.me_resume;
+      sync_signal = c.me_sync_signal }
 
 let store_me c =
-  if c.me != Imap.find c.node c.v.nodes then
-    c.v <- { c.v with nodes = Imap.add c.node c.me c.v.nodes }
+  let n = me c in
+  if n != c.loaded then begin
+    c.v <- { c.v with nodes = Imap.add c.node n c.v.nodes };
+    c.loaded <- n
+  end
 
-(* Any node's view as of now: [me] for the stepping node. *)
-let node_view_at c n = if n = c.node then c.me else Imap.find n c.v.nodes
+(* Any node's view as of now: the current fields for the stepping
+   node. *)
+let node_view_at c n = if n = c.node then me c else Imap.find n c.v.nodes
 
 (* Rewrite every node's entry with [f], the stepping node's included. *)
 let map_nodes c f =
   store_me c;
   c.v <- { c.v with nodes = Imap.mapi f c.v.nodes };
-  c.me <- Imap.find c.node c.v.nodes
+  load_me c (Imap.find c.node c.v.nodes)
 
 let set_rest c r = c.v <- { c.v with rest = r }
 
 (* A settled state only: a pending block's state is its [pending]
    entry's. *)
-let set_line c block l =
-  let lines = Imap.add block l c.me.lines in
-  if lines != c.me.lines then c.me <- { c.me with lines }
+let set_line c block l = c.me_lines <- Imap.add block l c.me_lines
 
 let home_of (cfg : cfg) block = block / Granularity.page_bytes mod cfg.nprocs
 
@@ -318,14 +368,14 @@ let home_of (cfg : cfg) block = block / Granularity.page_bytes mod cfg.nprocs
 let eff_home (cfg : cfg) (v : view) block =
   if Imap.is_empty v.rest.homes then home_of cfg block
   else
-    match Imap.find_opt (block / Granularity.page_bytes) v.rest.homes with
-    | Some h -> h
-    | None -> home_of cfg block
+    match Imap.find (block / Granularity.page_bytes) v.rest.homes with
+    | h -> h
+    | exception Not_found -> home_of cfg block
 
 let dir_entry_exn c block =
-  match Imap.find_opt block c.v.dir with
-  | Some e -> e
-  | None ->
+  match Imap.find block c.v.dir with
+  | e -> e
+  | exception Not_found ->
     invalid_arg
       (Printf.sprintf "Directory.entry: unallocated block 0x%x" block)
 
@@ -333,17 +383,18 @@ let set_dir c block e = c.v <- { c.v with dir = Imap.add block e c.v.dir }
 
 let is_sharer (e : dirent) node = Ns.mem e.sharers node
 
-let sharer_list (e : dirent) = Ns.to_list e.sharers
-
 (* The state a pending block reads: an upgrade keeps its copy. *)
 let pending_line (p : pend) =
   if p.pkind = P_upgrade then L_pending_shared else L_pending_invalid
 
-let line_of (n : nview) block =
-  match Imap.find_opt block n.pending with
-  | Some p -> pending_line p
-  | None -> (
-    match Imap.find_opt block n.lines with Some l -> l | None -> L_invalid)
+(* The state of [block] at a node with these [pending] and [lines]
+   maps.  The step and the invariants share it, and it allocates
+   nothing. *)
+let line_of pending lines block =
+  match Imap.find block pending with
+  | p -> pending_line p
+  | exception Not_found -> (
+    match Imap.find block lines with l -> l | exception Not_found -> L_invalid)
 
 (* Emit a table/memory effect and mirror the resulting settled line
    state ([M_make_pending]'s state is the pending entry the caller
@@ -371,10 +422,36 @@ let route (cfg : cfg) (v : view) h =
     go 0
   end
 
-let wait_sat (n : nview) = function
-  | W_blocks bs -> List.for_all (fun b -> not (Imap.mem b n.pending)) bs
-  | W_release -> Imap.is_empty n.pending && Imap.is_empty n.acks
-  | W_sync -> n.sync_signal
+let rec none_pending pending = function
+  | [] -> true
+  | b :: bs -> (not (Imap.mem b pending)) && none_pending pending bs
+
+(* A wait is satisfied at a node with these [pending], [acks] and
+   [sync_signal]: the step and the invariants share it, and it
+   allocates nothing. *)
+let wait_sat pending acks sync_signal = function
+  | W_blocks bs -> none_pending pending bs
+  | W_release -> Imap.is_empty pending && Imap.is_empty acks
+  | W_sync -> sync_signal
+
+(* An owner defers a forwarded request while [block] has acks
+   outstanding or a request pending, unless that request is an upgrade
+   no invalidation has overtaken (the owner still holds the data). *)
+let owner_busy acks pending block =
+  Imap.mem block acks
+  ||
+  match Imap.find block pending with
+  | p -> not (p.pkind = P_upgrade && not p.invalidated)
+  | exception Not_found -> false
+
+(* [ds] without its [D_inv block] entries; [ds] itself when it has
+   none. *)
+let rec without_inv block = function
+  | [] -> []
+  | D_inv b :: ds when b = block -> without_inv block ds
+  | d :: ds as all ->
+    let ds' = without_inv block ds in
+    if ds' == ds then all else d :: ds'
 
 (* A sharer set holding exactly one node, in the configured directory
    organization (the full-map default yields the historical [1 lsl n]). *)
@@ -400,31 +477,36 @@ let tree_children (cfg : cfg) n =
   in
   go (tree_fanout - 1) []
 
-(* Every node in [p]'s subtree has arrived or is excused as halted. *)
-let subtree_complete (cfg : cfg) (v : view) p =
-  let r = v.rest in
-  let rec go n =
-    (Ns.mem r.barrier_arrived n || Ns.mem r.halted n)
-    && List.for_all go (tree_children cfg n)
-  in
-  go p
+let arrived (r : rest) n = Ns.mem r.barrier_arrived n || Ns.mem r.halted n
 
-(* [p]'s subtree still contains nodes the current release wave owes. *)
-let subtree_has_release (cfg : cfg) (v : view) p =
-  let r = v.rest in
-  let rec go n = Ns.mem r.brelease n || List.exists go (tree_children cfg n) in
-  go p
+(* Every node in [n]'s subtree has arrived or is excused as halted.
+   [children_complete] walks the children [base + i], [i] below
+   [tree_fanout], in [tree_children]'s order. *)
+let rec subtree_complete nprocs (r : rest) n =
+  arrived r n && children_complete nprocs r ((tree_fanout * n) + 1) 0
 
-(* The barrier completes when every node has arrived or halted. *)
-let barrier_complete (cfg : cfg) (v : view) =
-  let r = v.rest in
-  (not (Ns.is_empty r.barrier_arrived))
-  &&
-  let rec go n =
-    n >= cfg.nprocs
-    || ((Ns.mem r.barrier_arrived n || Ns.mem r.halted n) && go (n + 1))
-  in
-  go 0
+and children_complete nprocs r base i =
+  i >= tree_fanout || base + i >= nprocs
+  || subtree_complete nprocs r (base + i)
+     && children_complete nprocs r base (i + 1)
+
+(* [n]'s subtree still contains nodes the current release wave owes. *)
+let rec subtree_has_release nprocs (r : rest) n =
+  Ns.mem r.brelease n
+  || children_have_release nprocs r ((tree_fanout * n) + 1) 0
+
+and children_have_release nprocs r base i =
+  i < tree_fanout && base + i < nprocs
+  && (subtree_has_release nprocs r (base + i)
+      || children_have_release nprocs r base (i + 1))
+
+let rec all_arrived nprocs r n =
+  n >= nprocs || (arrived r n && all_arrived nprocs r (n + 1))
+
+(* The barrier completes when every node has arrived or halted.  The
+   step and the invariants share it, and it allocates nothing. *)
+let barrier_complete nprocs (r : rest) =
+  (not (Ns.is_empty r.barrier_arrived)) && all_arrived nprocs r 0
 
 (* Hot-page home migration (under [Migrate]): count consecutive
    remote requests for a page from the same node at its current home; a
@@ -472,22 +554,22 @@ let false_miss c addr =
    private regions are marked exclusive), so a miss there is a false
    one. *)
 let miss_line c block =
-  match Imap.find_opt block c.me.pending with
-  | Some p -> pending_line p
-  | None -> (
-    match Imap.find_opt block c.me.lines with
-    | Some l -> l
-    | None -> if Imap.mem block c.v.dir then L_invalid else L_exclusive)
+  match Imap.find block c.me_pending with
+  | p -> pending_line p
+  | exception Not_found -> (
+    match Imap.find block c.me_lines with
+    | l -> l
+    | exception Not_found ->
+      if Imap.mem block c.v.dir then L_invalid else L_exclusive)
 
 let add_written c block stored =
-  match Imap.find_opt block (nv c).pending with
-  | None -> ()
-  | Some p ->
+  match Imap.find block c.me_pending with
+  | exception Not_found -> ()
+  | p ->
     let written =
       List.fold_left (fun w (a, v) -> Imap.add a v w) p.written stored
     in
-    c.me <-
-      { c.me with pending = Imap.add block { p with written } c.me.pending }
+    c.me_pending <- Imap.add block { p with written } c.me_pending
 
 let rec send c ~dst ~addr kind =
   let msg = { Message.src = c.node; addr; kind } in
@@ -504,30 +586,31 @@ let rec send c ~dst ~addr kind =
   else act c (A_send { dst; msg })
 
 and block_on c w r =
-  if wait_sat (nv c) w then begin
+  if wait_sat c.me_pending c.me_acks c.me_sync_signal w then begin
     (match w with
-     | W_sync -> c.me <- { c.me with sync_signal = false }
+     | W_sync -> c.me_sync_signal <- false
      | _ -> ());
     (* satisfied on entry: run the continuation with no stall event *)
     dispatch c r
   end
   else begin
-    c.me <- { c.me with nstat = N_waiting w; resume = r };
+    c.me_nstat <- N_waiting w;
+    c.me_resume <- r;
     act c (A_block w)
   end
 
 and check_wake c =
-  let n = nv c in
-  match n.nstat with
+  match c.me_nstat with
   | N_running -> ()
   | N_waiting w ->
-    if wait_sat n w then begin
+    if wait_sat c.me_pending c.me_acks c.me_sync_signal w then begin
       (match w with
-       | W_sync -> c.me <- { c.me with sync_signal = false }
+       | W_sync -> c.me_sync_signal <- false
        | _ -> ());
       act c (A_stall w);
-      let r = (nv c).resume in
-      c.me <- { c.me with nstat = N_running; resume = R_none };
+      let r = c.me_resume in
+      c.me_nstat <- N_running;
+      c.me_resume <- R_none;
       dispatch c r
     end
 
@@ -541,7 +624,7 @@ and dispatch c = function
        the node running, the store commits — before the rest of this
        step serves any queued request *)
     store_miss c ~addr ~block ~store_done:false ~stored:[];
-    if (nv c).nstat = N_running then act c A_commit_store
+    if c.me_nstat = N_running then act c A_commit_store
   | R_store_commit { then_release } ->
     act c A_commit_store;
     if then_release then block_on c W_release R_done
@@ -601,29 +684,25 @@ and dispatch c = function
 (* ------------------------------------------------------------------ *)
 
 and finish_acks c block =
-  c.me <- { c.me with acks = Imap.remove block c.me.acks };
+  c.me_acks <- Imap.remove block c.me_acks;
   flush_waiters c block
 
 and register_acks c block expected =
-  match Imap.find_opt block (nv c).acks with
-  | None ->
+  match Imap.find block c.me_acks with
+  | exception Not_found ->
     if expected > 0 then
-      c.me <-
-        { c.me with
-          acks =
-            Imap.add block { got = 0; expected = Some expected } c.me.acks }
+      c.me_acks <-
+        Imap.add block { got = 0; expected = Some expected } c.me_acks
     else flush_waiters c block
-  | Some a ->
-    c.me <-
-      { c.me with
-        acks = Imap.add block { a with expected = Some expected } c.me.acks };
+  | a ->
+    c.me_acks <- Imap.add block { a with expected = Some expected } c.me_acks;
     if a.got >= expected then finish_acks c block
 
 and recv_inv_ack c block =
   if
     Ns.mem c.v.rest.halted c.node
-    && (not (Imap.mem block (nv c).acks))
-    && not (Imap.mem block (nv c).pending)
+    && (not (Imap.mem block c.me_acks))
+    && not (Imap.mem block c.me_pending)
   then
     (* a late ack for a request that died with this node's crash (an
        Inv between two live nodes still names the dead requester; see
@@ -634,11 +713,11 @@ and recv_inv_ack c block =
     ()
   else begin
   let a =
-    match Imap.find_opt block (nv c).acks with
-    | Some a -> { a with got = a.got + 1 }
-    | None -> { got = 1; expected = None }
+    match Imap.find block c.me_acks with
+    | a -> { a with got = a.got + 1 }
+    | exception Not_found -> { got = 1; expected = None }
   in
-  c.me <- { c.me with acks = Imap.add block a c.me.acks };
+  c.me_acks <- Imap.add block a c.me_acks;
   match a.expected with
   | Some e when a.got >= e -> finish_acks c block
   | _ -> ()
@@ -647,14 +726,18 @@ and recv_inv_ack c block =
 (* Service requests that were deferred while the block was pending or
    had outstanding acks. *)
 and flush_waiters c block =
-  let n = nv c in
-  if (not (Imap.mem block n.pending)) && not (Imap.mem block n.acks) then begin
-    match Imap.find_opt block n.waiters with
-    | None -> ()
-    | Some msgs ->
-      c.me <- { c.me with waiters = Imap.remove block c.me.waiters };
-      List.iter (fun msg -> handle c msg) msgs
+  if (not (Imap.mem block c.me_pending)) && not (Imap.mem block c.me_acks)
+  then begin
+    match Imap.find block c.me_waiters with
+    | exception Not_found -> ()
+    | msgs ->
+      c.me_waiters <- Imap.remove block c.me_waiters;
+      handle_all c msgs
   end
+
+and handle_all c = function
+  | [] -> ()
+  | msg :: msgs -> handle c msg; handle_all c msgs
 
 (* ------------------------------------------------------------------ *)
 (* Request issue (requester side)                                       *)
@@ -668,12 +751,10 @@ and issue_request ?(emit = ignore) c block kind =
   send c ~dst:(route c.cfg c.v (eff_home c.cfg c.v block)) ~addr:block kind
 
 and start_pending c block pkind =
-  c.me <-
-    { c.me with
-      pending =
-        Imap.add block
-          { pkind; written = Imap.empty; invalidated = false }
-          c.me.pending };
+  c.me_pending <-
+    Imap.add block
+      { pkind; written = Imap.empty; invalidated = false }
+      c.me_pending;
   mem_op c (M_make_pending { block; shared = pkind = P_upgrade })
 
 (* ------------------------------------------------------------------ *)
@@ -713,30 +794,13 @@ and home_readex c ~requester ~block =
        can re-cover a crashed node (a broadcast overflow covers every
        node), so the fan-out filters the dead: a suppressed Inv must
        not be counted either, or the requester waits on a ghost ack *)
-    let others =
-      List.filter (fun s -> s <> requester && not (is_crashed c.v s))
-        (sharer_list e)
-    in
     set_dir c block { e with sharers = ns_singleton c.cfg requester };
-    List.iter
-      (fun s ->
-        send c ~dst:s ~addr:block (Message.Coh (Inv { requester })))
-      others;
-    send c ~dst:requester ~addr:block
-      (Message.Coh (Upgrade_ack { acks = List.length others }))
+    let acks = send_invs c ~block ~requester ~skip:requester e.sharers 0 0 in
+    send c ~dst:requester ~addr:block (Message.Coh (Upgrade_ack { acks }))
   end
   else begin
-    let others =
-      List.filter
-        (fun s -> s <> requester && s <> o && not (is_crashed c.v s))
-        (sharer_list e)
-    in
-    let nacks = List.length others in
     set_dir c block { owner = requester; sharers = ns_singleton c.cfg requester };
-    List.iter
-      (fun s ->
-        send c ~dst:s ~addr:block (Message.Coh (Inv { requester })))
-      others;
+    let nacks = send_invs c ~block ~requester ~skip:o e.sharers 0 0 in
     if o = h then
       owner_fwd_readex c ~requester ~block ~acks:nacks
     else
@@ -755,49 +819,49 @@ and home_upgrade c ~requester ~block =
      which refetches the data *)
   if Ns.is_exact e.sharers && is_sharer e requester then begin
     heat_bump c ~block ~requester;
-    let others =
-      List.filter (fun s -> s <> requester && not (is_crashed c.v s))
-        (sharer_list e)
-    in
     set_dir c block { owner = requester; sharers = ns_singleton c.cfg requester };
-    List.iter
-      (fun s ->
-        send c ~dst:s ~addr:block (Message.Coh (Inv { requester })))
-      others;
-    send c ~dst:requester ~addr:block
-      (Message.Coh (Upgrade_ack { acks = List.length others }))
+    let acks = send_invs c ~block ~requester ~skip:requester e.sharers 0 0 in
+    send c ~dst:requester ~addr:block (Message.Coh (Upgrade_ack { acks }))
   end
   else
     (* an invalidation raced ahead of the upgrade: the requester's copy
        is gone, so convert to a read-exclusive (Section 2.1) *)
     home_readex c ~requester ~block
 
+(* The invalidation fan-out: an [Inv] for [block] to each member of
+   [sharers] from [s] on, in ascending order, but [requester], [skip]
+   and crashed nodes (an inexact superset can re-cover a dead node, and
+   a suppressed [Inv] must not be counted, or the requester waits on a
+   ghost ack).  Returns [k] plus the number sent. *)
+and send_invs c ~block ~requester ~skip sharers s k =
+  let s = Ns.next sharers s in
+  if s < 0 then k
+  else if s = requester || s = skip || is_crashed c.v s then
+    send_invs c ~block ~requester ~skip sharers (s + 1) k
+  else begin
+    send c ~dst:s ~addr:block (Message.Coh (Inv { requester }));
+    send_invs c ~block ~requester ~skip sharers (s + 1) (k + 1)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Owner-side handlers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-and owner_busy (n : nview) block =
-  Imap.mem block n.acks
-  ||
-  match Imap.find_opt block n.pending with
-  | None -> false
-  | Some p -> not (p.pkind = P_upgrade && not p.invalidated)
-
 and enqueue_waiter c block msg =
   let q =
-    match Imap.find_opt block c.me.waiters with Some q -> q | None -> []
+    match Imap.find block c.me_waiters with q -> q | exception Not_found -> []
   in
-  c.me <- { c.me with waiters = Imap.add block (q @ [ msg ]) c.me.waiters }
+  c.me_waiters <- Imap.add block (q @ [ msg ]) c.me_waiters
 
 and owner_fwd_read c ~requester ~block =
-  if requester = c.node && Imap.mem block (nv c).pending then
+  if requester = c.node && Imap.mem block c.me_pending then
     (* post-crash only: recovery salvaged the dead owner's bytes into
        this node and named it owner while its own read request was still
        in flight to the home — the forward arriving back here IS the
        data grant, served from the salvaged copy (queueing it behind the
        pending entry would deadlock on itself) *)
     complete_data_reply c ~block ~exclusive:false ~acks:0
-  else if owner_busy (nv c) block then
+  else if owner_busy c.me_acks c.me_pending block then
     enqueue_waiter c block
       { Message.src = c.node; addr = block;
         kind = Coh (Fwd_read { requester }) }
@@ -805,40 +869,34 @@ and owner_fwd_read c ~requester ~block =
     act c (A_emit (Ev.Downgraded { addr = block; requester }));
     send c ~dst:requester ~addr:block
       (Message.Coh (Data_reply { data = [||]; exclusive = false; acks = 0 }));
-    let n = nv c in
-    if n.in_batch then
-      c.me <- { c.me with deferred = D_downgrade block :: c.me.deferred }
-    else if not (Imap.mem block n.pending) then
+    if c.me_in_batch then c.me_deferred <- D_downgrade block :: c.me_deferred
+    else if not (Imap.mem block c.me_pending) then
       (* a pending upgrade keeps its pending-shared state bytes *)
       mem_op c (M_make_shared block)
   end
 
 and owner_fwd_readex c ~requester ~block ~acks =
-  if requester = c.node && Imap.mem block (nv c).pending then
+  if requester = c.node && Imap.mem block c.me_pending then
     (* see owner_fwd_read: self-forward after crash recovery *)
     complete_data_reply c ~block ~exclusive:true ~acks
-  else if owner_busy (nv c) block then
+  else if owner_busy c.me_acks c.me_pending block then
     enqueue_waiter c block
       { Message.src = c.node; addr = block;
         kind = Coh (Fwd_readex { requester; acks }) }
   else begin
     send c ~dst:requester ~addr:block
       (Message.Coh (Data_reply { data = [||]; exclusive = true; acks }));
-    let n = nv c in
-    if n.in_batch then
-      c.me <- { c.me with deferred = D_inv block :: c.me.deferred }
+    if c.me_in_batch then c.me_deferred <- D_inv block :: c.me_deferred
     else
-      match Imap.find_opt block n.pending with
-      | Some p ->
+      match Imap.find block c.me_pending with
+      | p ->
         (* our own upgrade is in flight and will be converted by the
            home; treat this like an invalidation racing it *)
-        c.me <-
-          { c.me with
-            pending =
-              Imap.add block { p with invalidated = true } c.me.pending };
+        c.me_pending <-
+          Imap.add block { p with invalidated = true } c.me_pending;
         mem_op c
           (M_flag { block; keep = List.map fst (Imap.bindings p.written) })
-      | None -> mem_op c (M_make_invalid block)
+      | exception Not_found -> mem_op c (M_make_invalid block)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -848,26 +906,22 @@ and owner_fwd_readex c ~requester ~block ~acks =
 and apply_inv c ~block ~requester =
   act c (A_emit (Ev.Invalidated { addr = block; requester }));
   send c ~dst:requester ~addr:block (Message.Coh Inv_ack);
-  let n = nv c in
-  if n.in_batch then
-    c.me <- { c.me with deferred = D_inv block :: c.me.deferred }
-  else if line_of n block = L_exclusive then
+  if c.me_in_batch then c.me_deferred <- D_inv block :: c.me_deferred
+  else if line_of c.me_pending c.me_lines block = L_exclusive then
     (* stale invalidation: it targeted a sharer copy we have since
        replaced by exclusive ownership; nothing beyond the ack *)
     ()
   else
-    match Imap.find_opt block n.pending with
-    | Some p ->
-      c.me <-
-        { c.me with
-          pending = Imap.add block { p with invalidated = true } c.me.pending };
+    match Imap.find block c.me_pending with
+    | p ->
+      c.me_pending <- Imap.add block { p with invalidated = true } c.me_pending;
       mem_op c
         (M_flag { block; keep = List.map fst (Imap.bindings p.written) })
-    | None -> mem_op c (M_make_invalid block)
+    | exception Not_found -> mem_op c (M_make_invalid block)
 
 and complete_data_reply c ~block ~exclusive ~acks =
-  match Imap.find_opt block (nv c).pending with
-  | None when Ns.mem c.v.rest.halted c.node ->
+  match Imap.find block c.me_pending with
+  | exception Not_found when Ns.mem c.v.rest.halted c.node ->
     (* a reply to a request that died with this node's crash: the
        purge only covers frames to/from the victim, so a forward
        between two LIVE nodes naming it as requester can still produce
@@ -875,22 +929,17 @@ and complete_data_reply c ~block ~exclusive ~acks =
        the dead request's promise, so dropping the reply is consistent;
        the recovered node's program is gone and nothing awaits it. *)
     ()
-  | None ->
+  | exception Not_found ->
     invalid_arg
       (Printf.sprintf "Engine: stray data reply at node %d block 0x%x"
          c.node block)
-  | Some p ->
+  | p ->
     mem_op c (M_merge { block; written = Imap.bindings p.written });
-    c.me <- { c.me with pending = Imap.remove block c.me.pending };
+    c.me_pending <- Imap.remove block c.me_pending;
     mem_op c (if exclusive then M_make_exclusive block else M_make_shared block);
     if exclusive then
       (* any deferred invalidation of this block predates our ownership *)
-      c.me <-
-        { c.me with
-          deferred =
-            List.filter
-              (function D_inv b -> b <> block | _ -> true)
-              c.me.deferred };
+      c.me_deferred <- without_inv block c.me_deferred;
     (* the node's own stalled access must consume the reply (the refill
        runs) BEFORE deferred forwarded requests are serviced *)
     check_wake c;
@@ -906,17 +955,17 @@ and complete_data_reply c ~block ~exclusive ~acks =
     check_wake c
 
 and complete_upgrade_ack c ~block ~acks =
-  match Imap.find_opt block (nv c).pending with
-  | None when Ns.mem c.v.rest.halted c.node ->
+  match Imap.mem block c.me_pending with
+  | false when Ns.mem c.v.rest.halted c.node ->
     (* late ack to a request that died with this node's crash; see
        [complete_data_reply] *)
     ()
-  | None ->
+  | false ->
     invalid_arg
       (Printf.sprintf "Engine: stray upgrade ack at node %d block 0x%x"
          c.node block)
-  | Some _ ->
-    c.me <- { c.me with pending = Imap.remove block c.me.pending };
+  | true ->
+    c.me_pending <- Imap.remove block c.me_pending;
     mem_op c (M_make_exclusive block);
     check_wake c;
     register_acks c block acks;
@@ -927,24 +976,24 @@ and complete_upgrade_ack c ~block ~acks =
 (* ------------------------------------------------------------------ *)
 
 and lock_of c id =
-  match Imap.find_opt id c.v.rest.locks with
-  | Some l -> l
-  | None -> { holder = None; lq = [] }
+  match Imap.find id c.v.rest.locks with
+  | l -> l
+  | exception Not_found -> { holder = None; lq = [] }
 
 and set_lock c id l =
   set_rest c { c.v.rest with locks = Imap.add id l c.v.rest.locks }
 
 and flag_of c id =
-  match Imap.find_opt id c.v.rest.flags with
-  | Some f -> f
-  | None -> { fset = false; fwaiters = [] }
+  match Imap.find id c.v.rest.flags with
+  | f -> f
+  | exception Not_found -> { fset = false; fwaiters = [] }
 
 and set_flag c id f =
   set_rest c { c.v.rest with flags = Imap.add id f c.v.rest.flags }
 
 and grant_lock c ~to_ ~id =
   if to_ = c.node then begin
-    c.me <- { c.me with sync_signal = true };
+    c.me_sync_signal <- true;
     check_wake c
   end
   else send c ~dst:to_ ~addr:id (Message.Sync Lock_grant)
@@ -975,14 +1024,14 @@ and home_barrier_arrive c ~who =
    ([halted] is monotone — recovered nodes stay excused too).  With no
    crashes the condition is exactly the old "all arrived" count. *)
 and barrier_maybe_release c =
-  if barrier_complete c.cfg c.v then begin
+  if barrier_complete c.cfg.nprocs c.v.rest then begin
     let arrived = c.v.rest.barrier_arrived in
     set_rest c
       { c.v.rest with barrier_arrived = Ns.exact_empty ~nprocs:c.cfg.nprocs };
     for n = 0 to c.cfg.nprocs - 1 do
       if Ns.mem arrived n then
         if n = c.node then begin
-          c.me <- { c.me with sync_signal = true };
+          c.me_sync_signal <- true;
           check_wake c
         end
         else send c ~dst:n ~addr:0 (Message.Sync Barrier_release)
@@ -1020,14 +1069,14 @@ and live_ancestor c n =
 and tree_barrier_check c =
   let m = c.node in
   if m = tree_root_duty c then tree_maybe_release c
-  else if subtree_complete c.cfg c.v m then begin
+  else if subtree_complete c.cfg.nprocs c.v.rest m then begin
     let p = live_ancestor c m in
     if p = m then tree_maybe_release c
     else send c ~dst:p ~addr:0 (Message.Sync Barrier_arrive)
   end
 
 and tree_maybe_release c =
-  if barrier_complete c.cfg c.v then begin
+  if barrier_complete c.cfg.nprocs c.v.rest then begin
     let arrived = c.v.rest.barrier_arrived in
     set_rest c
       { c.v.rest with
@@ -1040,7 +1089,7 @@ and tree_maybe_release c =
    holds owed nodes: to [n] itself when live, else recursively to its
    children's subtrees. *)
 and tree_release_fan c n =
-  if subtree_has_release c.cfg c.v n then begin
+  if subtree_has_release c.cfg.nprocs c.v.rest n then begin
     if is_crashed c.v n then
       List.iter (tree_release_fan c) (tree_children c.cfg n)
     else if n = c.node then tree_release_self c
@@ -1052,14 +1101,14 @@ and tree_release_fan c n =
 and tree_release_self c =
   if Ns.mem c.v.rest.brelease c.node then begin
     set_rest c { c.v.rest with brelease = Ns.remove c.v.rest.brelease c.node };
-    c.me <- { c.me with sync_signal = true }
+    c.me_sync_signal <- true
   end;
   List.iter (tree_release_fan c) (tree_children c.cfg c.node);
   check_wake c
 
 and wake_flag_waiter c ~to_ ~id =
   if to_ = c.node then begin
-    c.me <- { c.me with sync_signal = true };
+    c.me_sync_signal <- true;
     check_wake c
   end
   else send c ~dst:to_ ~addr:id (Message.Sync Flag_wake)
@@ -1110,7 +1159,7 @@ and handle c (msg : Message.t) =
     home_lock_req c ~requester:msg.src ~id:msg.addr;
     check_wake c
   | Sync Lock_grant ->
-    c.me <- { c.me with sync_signal = true };
+    c.me_sync_signal <- true;
     check_wake c
   | Sync Unlock_msg ->
     home_unlock c ~id:msg.addr;
@@ -1124,7 +1173,7 @@ and handle c (msg : Message.t) =
     check_wake c
   | Sync Barrier_release ->
     (if c.cfg.scalable_sync then tree_release_self c
-     else c.me <- { c.me with sync_signal = true });
+     else c.me_sync_signal <- true);
     check_wake c
   | Sync Flag_set_msg ->
     home_flag_set c ~id:msg.addr;
@@ -1133,7 +1182,7 @@ and handle c (msg : Message.t) =
     home_flag_wait c ~requester:msg.src ~id:msg.addr;
     check_wake c
   | Sync Flag_wake ->
-    c.me <- { c.me with sync_signal = true };
+    c.me_sync_signal <- true;
     check_wake c
 
 (* ------------------------------------------------------------------ *)
@@ -1183,21 +1232,19 @@ let load_miss c ~addr ~block =
   | L_pending_shared ->
     (* pending-shared loads proceed — the node has a copy — unless an
        invalidation overtook the upgrade and flagged this longword *)
-    (match Imap.find_opt block (nv c).pending with
-     | Some p
-       when p.invalidated && not (Imap.mem (addr land lnot 3) p.written) ->
+    (match Imap.find block c.me_pending with
+     | p when p.invalidated && not (Imap.mem (addr land lnot 3) p.written) ->
        block_on c (W_blocks [ block ]) R_refill
-     | _ ->
+     | _ | (exception Not_found) ->
        false_miss c addr;
        act c A_refill)
   | L_pending_invalid ->
-    (match Imap.find_opt block (nv c).pending with
-     | Some p
-       when (not p.invalidated) && Imap.mem (addr land lnot 3) p.written ->
+    (match Imap.find block c.me_pending with
+     | p when (not p.invalidated) && Imap.mem (addr land lnot 3) p.written ->
        (* load from a longword this node itself stored while pending:
           valid section of the line (Section 4.1) *)
        act c A_refill
-     | _ -> block_on c (W_blocks [ block ]) R_refill)
+     | _ | (exception Not_found) -> block_on c (W_blocks [ block ]) R_refill)
   | L_invalid ->
     act c (A_emit (Ev.Miss { kind = Ev.Read; addr }));
     start_pending c block P_read;
@@ -1210,13 +1257,13 @@ let load_miss c ~addr ~block =
    sees the state at entry. *)
 let batch_miss c ~nranges ~blocks =
   act c (A_charge (Batch_record nranges));
-  c.me <- { c.me with in_batch = true };
+  c.me_in_batch <- true;
   let waits = ref [] in
   List.iter
     (fun (block, need_excl) ->
       let st = miss_line c block in
       let pending_invalidated =
-        match Imap.find_opt block (nv c).pending with
+        match Imap.find_opt block c.me_pending with
         | Some p -> p.invalidated
         | None -> false
       in
@@ -1262,7 +1309,7 @@ let batch_miss c ~nranges ~blocks =
    [order] is the deduped application order; [values] the longword
    values of the batch's stores (addr, owning block, value). *)
 let apply_deferred c ~order ~values =
-  c.me <- { c.me with deferred = [] };
+  c.me_deferred <- [];
   let written_for block =
     List.fold_left
       (fun m (a, b, v) -> if b = block then Imap.add a v m else m)
@@ -1273,17 +1320,15 @@ let apply_deferred c ~order ~values =
       match d with
       | D_inv block ->
         let written = written_for block in
-        (match Imap.find_opt block (nv c).pending with
+        (match Imap.find_opt block c.me_pending with
          | Some p ->
            (* a request is already outstanding: fold the invalidation
               into it rather than issuing a duplicate *)
            let w = Imap.union (fun _ _ v -> Some v) p.written written in
-           c.me <-
-             { c.me with
-               pending =
-                 Imap.add block
-                   { p with written = w; invalidated = true }
-                   c.me.pending };
+           c.me_pending <-
+             Imap.add block
+               { p with written = w; invalidated = true }
+               c.me_pending;
            mem_op c (M_flag { block; keep = List.map fst (Imap.bindings w) })
          | None ->
            if not (Imap.is_empty written) then begin
@@ -1301,7 +1346,7 @@ let apply_deferred c ~order ~values =
            else mem_op c (M_make_invalid block))
       | D_downgrade block ->
         let written = written_for block in
-        if Imap.mem block (nv c).pending then
+        if Imap.mem block c.me_pending then
           (* an outstanding request already covers this block *)
           ()
         else if not (Imap.is_empty written) then begin
@@ -1315,21 +1360,19 @@ let apply_deferred c ~order ~values =
     order
 
 let batch_end c ~values ~order =
-  if (nv c).in_batch then begin
+  if c.me_in_batch then begin
     (* transfer batched store longwords into still-pending blocks *)
     List.iter
       (fun (a, block, v) ->
-        match Imap.find_opt block (nv c).pending with
+        match Imap.find_opt block c.me_pending with
         | Some p ->
-          c.me <-
-            { c.me with
-              pending =
-                Imap.add block
-                  { p with written = Imap.add a v p.written }
-                  c.me.pending }
+          c.me_pending <-
+            Imap.add block
+              { p with written = Imap.add a v p.written }
+              c.me_pending
         | None -> ())
       values;
-    c.me <- { c.me with in_batch = false };
+    c.me_in_batch <- false;
     apply_deferred c ~order ~values
   end
 
@@ -1409,7 +1452,7 @@ let set_home c ~page ~home =
    adopt must not clobber them: re-apply them over the adopted image. *)
 let salvage_adopt c ~victim ~block =
   act c (A_mem (M_adopt { block; from = victim }));
-  match Imap.find_opt block (nv c).pending with
+  match Imap.find_opt block c.me_pending with
   | Some p when not (Imap.is_empty p.written) ->
     mem_op c (M_merge { block; written = Imap.bindings p.written })
   | _ -> ()
@@ -1426,7 +1469,7 @@ let redispatch c ~victim ((dst : int), (msg : Message.t)) =
          could carry them; if this node holds no copy of its own,
          re-flag the line so the salvage buffer is not mistaken for
          coherent data *)
-      if line_of (nv c) block = L_invalid then
+      if line_of c.me_pending c.me_lines block = L_invalid then
         mem_op c (M_make_invalid block)
     end
   in
@@ -1531,7 +1574,10 @@ let recover_directory c ~victim ~served =
               Ns.mem sharers n
               && not (is_crashed c.v n)
               &&
-              match line_of (node_view_at c n) block with
+              match
+                let n = node_view_at c n in
+                line_of n.pending n.lines block
+              with
               | L_shared | L_exclusive -> true
               | _ -> false
             then Some n
@@ -1571,11 +1617,11 @@ let recover_directory c ~victim ~served =
              set_dir c block { owner = n; sharers };
              (* the adopted bytes were staging only — the pending
                 sharer's data arrives via its re-dispatched reply *)
-             if line_of (nv c) block = L_invalid then
+             if line_of c.me_pending c.me_lines block = L_invalid then
                mem_op c (M_make_invalid block)
            | None ->
              let cset = ns_singleton c.cfg c.node in
-             if Imap.mem block (nv c).pending then
+             if Imap.mem block c.me_pending then
                (* our own request is in flight: the re-dispatched (or
                   self-forwarded) reply completes it against this entry *)
                set_dir c block { owner = c.node; sharers = cset }
@@ -1728,13 +1774,18 @@ let idle = init default_cfg
 type stepper = ctx
 
 let stepper cfg ~node sink =
-  { cfg; node; v = idle; me = empty_nview; sink; racc = [] }
+  let n = empty_nview in
+  { cfg; node; v = idle; loaded = n; me_lines = n.lines;
+    me_pending = n.pending; me_acks = n.acks; me_waiters = n.waiters;
+    me_deferred = n.deferred; me_in_batch = n.in_batch; me_nstat = n.nstat;
+    me_resume = n.resume; me_sync_signal = n.sync_signal; sink; racc = [] }
 
 (* One step: load the context, run the input to completion, write the
-   stepping node back, and empty the context again. *)
+   stepping node back, and put the idle view back.  The node's fields
+   stay for the next step's load to compare. *)
 let step_with c v (input : input) =
   c.v <- v;
-  c.me <- Imap.find c.node v.nodes;
+  load_me c (Imap.find c.node v.nodes);
   (match input with
    | I_msg msg -> handle c msg
    | I_load_miss { addr; block } -> load_miss c ~addr ~block
@@ -1754,7 +1805,6 @@ let step_with c v (input : input) =
   store_me c;
   let v = c.v in
   c.v <- idle;
-  c.me <- empty_nview;
   v
 
 let step cfg v ~node input =
@@ -1768,7 +1818,9 @@ let step cfg v ~node input =
 
 let node_view (v : view) ~node = Imap.find node v.nodes
 let deferred_of v ~node = (node_view v ~node).deferred
-let line_state v ~node ~block = line_of (node_view v ~node) block
+let line_state v ~node ~block =
+  let n = node_view v ~node in
+  line_of n.pending n.lines block
 let in_batch v ~node = (node_view v ~node).in_batch
 let dir_entry v ~block = Imap.find_opt block v.dir
 let dir_fold f v acc = Imap.fold (fun b e a -> f b e a) v.dir acc
@@ -1891,7 +1943,7 @@ let node_ok id (n : nview) w =
   let w = Imap.fold waiters_ok n.waiters w in
   (* a waiting node's wait really is unsatisfied *)
   (match n.nstat with
-   | N_waiting c when wait_sat n c ->
+   | N_waiting c when wait_sat n.pending n.acks n.sync_signal c ->
      err w "node %d: waiting on a satisfied condition" id
    | N_waiting _ when n.resume = R_none ->
      err w "node %d: waiting with no resume" id
@@ -1955,7 +2007,7 @@ let walk_invariants (cfg : cfg) (v : view) =
   (* centralized sync releases atomically with the completing arrival;
      the combining tree releases when the trigger wave reaches the
      root, so the condition may transiently hold there *)
-  if (not cfg.scalable_sync) && barrier_complete cfg v then
+  if (not cfg.scalable_sync) && barrier_complete procs r then
     err w "barrier_arrived %s: release condition met but not released"
       (Ns.to_string r.barrier_arrived);
   if (not cfg.scalable_sync) && not (Ns.is_empty r.brelease) then
@@ -2008,7 +2060,7 @@ let quiescent_node_ok id (n : nview) w =
    OUTSIDE the set — or a wrong owner — is still a bug in every mode. *)
 let agrees_ok id (n : nview) w =
   let block = w.blk and e = w.ent in
-  let l = line_of n block in
+  let l = line_of n.pending n.lines block in
   let valid = l = L_shared || l = L_exclusive in
   if Ns.is_exact e.sharers && is_sharer e id && not valid then
     err w "block 0x%x: node %d in sharer set but line %s" block id

@@ -5,9 +5,11 @@
    [stepper] per node, which streams each step's [action]s into the
    engine's sink to be applied against Pipeline/Network/Memory;
    deterministic replay (shasta_run --replay) steps through steppers
-   whose sink discards them; the model checker ([lib/mcheck]) takes
-   [step]'s list.  Types are transparent so checkers can build and
-   inspect views.
+   whose sink discards them; the model checker ([lib/mcheck]) steps
+   through one stepper per node and applies the buffered actions after
+   each step.  [step]'s list remains only for the tests, perfbench's
+   traced replay and the checker's initial state.  Types are
+   transparent so checkers can build and inspect views.
 
    Each protocol fact is stored once.  A pending block's line state is
    read off its [pending] entry ([P_upgrade] reads pending-shared, the
@@ -186,8 +188,11 @@ val step : cfg -> view -> node:int -> input -> action list * view
    returns the same view as [step].  No list and no context is built
    per step.  The core is done with an action once it has passed it on,
    so [sink] may apply it at once; [sink] must not step the core again.
-   Between steps a stepper holds one idle view shared by all steppers,
-   never a past view. *)
+   Between steps a stepper holds one idle view shared by all steppers
+   and [node]'s own fields as its last step left them, never a past
+   view.  A step that leaves every field of [node]'s
+   [nview] physically as it found it returns that entry, and the node
+   map, physically unchanged. *)
 type stepper
 
 val stepper : cfg -> node:int -> (action -> unit) -> stepper
@@ -222,7 +227,6 @@ val locks_held_by : view -> node:int -> int list
 (** Lock ids whose holder is [node], ascending. *)
 
 val is_sharer : dirent -> int -> bool
-val sharer_list : dirent -> int list
 val sharer_count : dirent -> int
 
 (* Invariant checking: [] means consistent.  [invariants] holds in every

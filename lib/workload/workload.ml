@@ -38,7 +38,10 @@ let mix_of_string s =
   | "c" -> C
   | "e" -> E
   | "m" -> M
-  | s -> invalid_arg ("Workload.mix_of_string: unknown mix " ^ s)
+  | s ->
+    invalid_arg
+      ("Workload.mix_of_string: unknown mix " ^ s
+     ^ " (expected a, b, c, e or m)")
 
 let mix_name = function A -> "a" | B -> "b" | C -> "c" | E -> "e" | M -> "m"
 

@@ -783,10 +783,13 @@ let t_state_counts () =
 (* The checker's per-transition path re-renders only the components a
    move changed and builds no display string, and a passing check, a
    render and a stuttering refinement step allocate nothing: a lossy
-   refinement run stays under 198.6 minor words per transition (it
-   measures ~189.2; closures in the invariants, the renderers and the
-   refinement bookkeeping measured ~377.9, rendering the whole flat key
-   per transition ~715, and Printf on that path costs ~2,000 more). *)
+   refinement run stays under 174.7 minor words per transition (it
+   measures ~169.6, each step streamed through one stepper per node and
+   its actions applied into one staging record; [Transitions.step]'s
+   list and a closed-system copy per action measured ~189.2, closures
+   in the invariants, the renderers and the refinement bookkeeping
+   ~377.9, rendering the whole flat key per transition ~715, and Printf
+   on that path costs ~2,000 more). *)
 let t_checker_allocation () =
   let sc = Mcheck.lock_increment ~nprocs:2 in
   let before = Gc.minor_words () in
@@ -794,7 +797,7 @@ let t_checker_allocation () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) "clean" true (r.Mcheck.violation = None);
   let per = words /. float_of_int r.Mcheck.transitions in
-  if per > 198.6 then
+  if per > 174.7 then
     Alcotest.failf "%.0f minor words per transition (%d transitions)" per
       r.Mcheck.transitions
 

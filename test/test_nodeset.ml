@@ -148,6 +148,17 @@ let prop_relations_reference (ca, cb) =
        (fun n -> Ns.beyond a n = List.exists (fun x -> x < 0 || x >= n) la)
        (List.init (nprocs + 2) Fun.id)
 
+(* [next] steps through the members in ascending order: from every
+   start it finds the least member at or above it. *)
+let prop_next_reference (mode, nprocs, ops) =
+  let s, _ = apply_ops mode ~nprocs ops in
+  let l = Ns.to_list s in
+  List.for_all
+    (fun x ->
+      Ns.next s x
+      = match List.find_opt (fun m -> m >= x) l with Some m -> m | None -> -1)
+    (List.init (nprocs + 2) (fun x -> x - 1))
+
 (* --- directed cases -------------------------------------------------- *)
 
 let t_limited_overflow_step () =
@@ -250,7 +261,9 @@ let () =
           qtest "subset, disjoint and beyond match their list definitions"
             ~count:500
             ~print:(fun (a, b) -> print_case a ^ " / " ^ print_case b)
-            pair_gen prop_relations_reference ] );
+            pair_gen prop_relations_reference;
+          qtest "next matches its list definition" ~print:print_case case_gen
+            prop_next_reference ] );
       ( "directed",
         [ Alcotest.test_case "limited overflow step" `Quick
             t_limited_overflow_step;

@@ -35,29 +35,37 @@ let sht_inputs =
      ignore (Cluster.run_app state);
      (state.State.tcfg, List.rev state.State.inputs_rev, state.State.proto))
 
-(* A step allocates only the protocol state it changes: replaying the
+(* A step allocates only the protocol state it changes.  Replaying the
    recorded run through [step] lands on the live view at under 101.8
-   minor words per step (it measures ~98.8; writing each pending state
-   into [lines] too, with an 11-word view, cost ~111.9, line states
-   carried in the miss inputs ~113.4, a count action beside every miss,
-   lock and barrier event ~119, and re-inserting the stepping node into
-   the node map on every update ~141). *)
+   minor words per step (it measures ~96.6, a fresh 16-word step context
+   and the action list included; a copy of the stepping node's view
+   behind every update of it measured ~98.8, writing each pending state
+   into [lines] too, with an 11-word view, ~111.9, line states carried
+   in the miss inputs ~113.4, a count action beside every miss, lock and
+   barrier event ~119, and re-inserting the stepping node into the node
+   map on every update ~141).  Through one reused stepper per node, the
+   path the engine and [Replay] take, it stays under 61.7 (it measures
+   ~59.9: no context and no list per step). *)
 let t_step_allocation () =
   let module T = Transitions in
   let cfg, inputs, live = Lazy.force sht_inputs in
   let steps = List.length inputs in
-  let v0 = T.init cfg in
-  let before = Gc.minor_words () in
-  let v =
-    List.fold_left (fun v (node, input) -> snd (T.step cfg v ~node input))
-      v0 inputs
+  let steppers =
+    Array.init cfg.nprocs (fun node -> T.stepper cfg ~node ignore)
   in
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool) "replay lands on the live view" true
-    (String.equal (T.canon v) (T.canon live));
-  let per = words /. float_of_int steps in
-  if per > 101.8 then
-    Alcotest.failf "%.1f minor words per step (%d steps)" per steps
+  let replay path bound step =
+    let before = Gc.minor_words () in
+    let v = List.fold_left step (T.init cfg) inputs in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) (path ^ " lands on the live view") true
+      (String.equal (T.canon v) (T.canon live));
+    let per = words /. float_of_int steps in
+    if per > bound then
+      Alcotest.failf "%s: %.1f minor words per step (%d steps)" path per steps
+  in
+  replay "step" 101.8 (fun v (node, input) -> snd (T.step cfg v ~node input));
+  replay "stepper" 61.7 (fun v (node, input) ->
+    T.step_with steppers.(node) v input)
 
 (* A step shares every entry it does not change: other nodes' views are
    the input's, and a step that leaves the stepping node alone returns
@@ -81,12 +89,48 @@ let t_step_sharing () =
   Alcotest.(check bool) "I_set_home keeps the node map" true
     (v'.T.nodes == v.T.nodes)
 
+(* A step that leaves every field of the stepping node physically as it
+   found it returns that node's entry, and the node map, physically
+   unchanged: the stepper builds a view only when a field changed.
+   Over the recorded sht run through one stepper per node, 8,140 of the
+   22,530 steps are such steps. *)
+let t_unchanged_node_shared () =
+  let module T = Transitions in
+  let cfg, inputs, _ = Lazy.force sht_inputs in
+  let steppers =
+    Array.init cfg.nprocs (fun node -> T.stepper cfg ~node ignore)
+  in
+  let same (a : T.nview) (b : T.nview) =
+    a.lines == b.lines && a.pending == b.pending && a.acks == b.acks
+    && a.waiters == b.waiters && a.deferred == b.deferred
+    && a.in_batch == b.in_batch && a.nstat == b.nstat
+    && a.resume == b.resume && a.sync_signal == b.sync_signal
+  in
+  let unchanged = ref 0 in
+  ignore
+    (List.fold_left
+       (fun (i, v) (node, input) ->
+         let n = T.node_view v ~node in
+         let v' = T.step_with steppers.(node) v input in
+         let n' = T.node_view v' ~node in
+         if same n n' then begin
+           incr unchanged;
+           if n' != n then
+             Alcotest.failf "step %d: n%d's view rebuilt with no field changed"
+               i node;
+           if v'.T.nodes != v.T.nodes then
+             Alcotest.failf "step %d: node map rebuilt with no field changed" i
+         end;
+         (i + 1, v'))
+       (0, T.init cfg) inputs);
+  if !unchanged = 0 then Alcotest.fail "no step left its node unchanged"
+
 (* A passing check allocates only its accumulator: folded over the
    recorded sht run through one stepper per node, [invariants] holds
-   after every step at under 64 minor words per call (it measures
-   ~12.9, the walk's record and [wait_sat]'s and [barrier_complete]'s
-   closures, which [step] shares; a closure per map walk, a map of exclusive holders and
-   [Nodeset.to_list] per range probe cost ~13,184). *)
+   after every step at under 8.2 minor words per call (it measures 8.0,
+   the walk's record; the closures of [wait_sat] and [barrier_complete],
+   which [step] shares, cost ~12.9, and a closure per map walk, a map of
+   exclusive holders and [Nodeset.to_list] per range probe ~13,184). *)
 let t_invariants_allocation () =
   let module T = Transitions in
   let cfg, inputs, _ = Lazy.force sht_inputs in
@@ -104,7 +148,7 @@ let t_invariants_allocation () =
        (T.init cfg) inputs);
   let calls = List.length inputs in
   let per = !words /. float_of_int calls in
-  if per > 64.0 then
+  if per > 8.2 then
     Alcotest.failf "%.1f minor words per call (%d calls)" per calls
 
 (* The protocol inputs of a test-size app run at [nprocs], recorded
@@ -119,7 +163,7 @@ let recorded ?(opts = Shasta.Opts.full) ?net_faults ?node_faults ~nprocs app =
   let state, _, _ = Api.prepare spec in
   state.State.record_inputs <- true;
   ignore (Cluster.run_app state);
-  (state.State.tcfg, List.rev state.State.inputs_rev)
+  (state.State.tcfg, List.rev state.State.inputs_rev, state.State.proto)
 
 (* The events the protocol core may emit.  The engine reports the
    others (messages, stalls, faults, crashes, lifecycle) itself, so a
@@ -137,7 +181,9 @@ let protocol_event : Ev.t -> bool = function
    inputs of five runs (crash and recovery, a faulty wire, basic store
    checks, an 8-node all-to-all, batches) through one reused stepper
    per node, every step's streamed actions equal its list element for
-   element, and the two views are [canon]-equal.  The recorded inputs
+   element, the two views are [canon]-equal, and the last lands on the
+   live run's view (a stepper that kept a field of its last step, or
+   lost one, would leave one of these).  The recorded inputs
    interleave the nodes, so each stepper steps again after other nodes
    have moved the view on.  The runs between them take every input
    kind that needs one, local deliveries and invalidation runs of
@@ -162,45 +208,48 @@ let t_stepper_equals_step () =
   let seen = Hashtbl.create 16 in
   let see k = Hashtbl.replace seen k () in
   List.iter
-    (fun (name, ((cfg : T.cfg), inputs)) ->
+    (fun (name, ((cfg : T.cfg), inputs, live)) ->
       let streamed = ref [] in
       let steppers =
         Array.init cfg.nprocs (fun node ->
           T.stepper cfg ~node (fun a -> streamed := a :: !streamed))
       in
-      ignore
-        (List.fold_left
-           (fun (i, v) (node, input) ->
-             let acts, v1 = T.step cfg v ~node input in
-             streamed := [];
-             let v2 = T.step_with steppers.(node) v input in
-             if List.rev !streamed <> acts then
-               Alcotest.failf "%s, step %d: streamed actions differ" name i;
-             if not (String.equal (T.canon v1) (T.canon v2)) then
-               Alcotest.failf "%s, step %d: views differ" name i;
-             (match input with
-              | T.I_batch_miss _ -> see "batch miss"
-              | T.I_store_miss { store_done = false; _ } -> see "basic store"
-              | T.I_node_crash _ -> see "crash"
-              | T.I_node_recover _ -> see "recover"
-              | _ -> ());
-             ignore
-               (List.fold_left
-                  (fun run a ->
-                    match a with
-                    | T.A_send { msg = { kind = Coh (Inv _); _ }; _ } ->
-                      if run >= 1 then see "inv run";
-                      run + 1
-                    | T.A_local _ -> see "local"; 0
-                    | T.A_emit e ->
-                      if not (protocol_event e) then
-                        Alcotest.failf "%s, step %d: the core emitted %s"
-                          name i (Ev.describe e);
-                      0
-                    | _ -> 0)
-                  0 acts);
-             (i + 1, v1))
-           (0, T.init cfg) inputs))
+      let _, v =
+        List.fold_left
+          (fun (i, v) (node, input) ->
+            let acts, v1 = T.step cfg v ~node input in
+            streamed := [];
+            let v2 = T.step_with steppers.(node) v input in
+            if List.rev !streamed <> acts then
+              Alcotest.failf "%s, step %d: streamed actions differ" name i;
+            if not (String.equal (T.canon v1) (T.canon v2)) then
+              Alcotest.failf "%s, step %d: views differ" name i;
+            (match input with
+             | T.I_batch_miss _ -> see "batch miss"
+             | T.I_store_miss { store_done = false; _ } -> see "basic store"
+             | T.I_node_crash _ -> see "crash"
+             | T.I_node_recover _ -> see "recover"
+             | _ -> ());
+            ignore
+              (List.fold_left
+                 (fun run a ->
+                   match a with
+                   | T.A_send { msg = { kind = Coh (Inv _); _ }; _ } ->
+                     if run >= 1 then see "inv run";
+                     run + 1
+                   | T.A_local _ -> see "local"; 0
+                   | T.A_emit e ->
+                     if not (protocol_event e) then
+                       Alcotest.failf "%s, step %d: the core emitted %s"
+                         name i (Ev.describe e);
+                     0
+                   | _ -> 0)
+                 0 acts);
+            (i + 1, v1))
+          (0, T.init cfg) inputs
+      in
+      if not (String.equal (T.canon v) (T.canon live)) then
+        Alcotest.failf "%s: the replay misses the live view" name)
     runs;
   List.iter
     (fun k ->
@@ -682,7 +731,9 @@ let () =
           Alcotest.test_case "miss outside the directory is false" `Quick
             t_miss_outside_directory;
           Alcotest.test_case "crash drops coordinator waiters" `Quick
-            t_crash_drops_coordinator_waiters ]
+            t_crash_drops_coordinator_waiters;
+          Alcotest.test_case "unchanged node returned as found" `Quick
+            t_unchanged_node_shared ]
       );
       ( "invariants",
         [ Alcotest.test_case "each check's text and order" `Quick
