@@ -1550,7 +1550,8 @@ let recover_directory c ~victim ~served =
       (* requesters the re-dispatch pass will definitely answer with
          data salvaged from the victim (purged forwards addressed to it,
          replies it had already sent, forwards parked in its service
-         queue) — the only nodes recovery may promise data to *)
+         queue) — the only nodes recovery may promise data to — and the
+         targets of its purged invalidations, whose copies stay valid *)
       let svd =
         List.filter_map
           (fun (b, n) ->
@@ -1702,7 +1703,9 @@ let node_crash c ~victim ~lost =
             brelease = Ns.remove r.brelease victim } };
     (* (block, requester) pairs the re-dispatch below will answer with
        salvaged data: forwards to the victim as owner (on the wire or
-       parked in its service queue) and data replies it had sent *)
+       parked in its service queue) and data replies it had sent; and
+       the targets of its own purged invalidations, whose copies stay
+       valid *)
     let served =
       let of_frame acc ((dst : int), (m : Message.t)) =
         if dst = victim && m.src <> victim then
@@ -1714,6 +1717,11 @@ let node_crash c ~victim ~lost =
         else if m.src = victim && dst <> victim then
           match m.kind with
           | Message.Coh (Data_reply _) -> (m.addr, dst) :: acc
+          (* an invalidation the victim sent for its own request: the
+             purge leaves [dst]'s copy valid, so the rebuilt entry must
+             keep [dst] a sharer *)
+          | Message.Coh (Inv { requester }) when requester = victim ->
+            (m.addr, dst) :: acc
           | _ -> acc
         else acc
       in

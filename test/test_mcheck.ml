@@ -226,6 +226,33 @@ let t_crash_exhaustive_clean () =
         (Mcheck.crash_scenarios ~nprocs:2))
     [ (1, None, "crash"); (1, Some 1, "crash+recover") ]
 
+(* Regression, exhaustively at P=3: a home that crashes with its own
+   invalidations still on the wire leaves their targets holding valid
+   copies, so the rebuilt entry must keep them as sharers.  Both
+   scenarios reached "holds a valid copy but is not in the sharer set"
+   before recovery counted the purged invalidations. *)
+let t_crash_purged_inv_p3 () =
+  let names = [ "lock-increment"; "upgrade-race" ] in
+  let scs =
+    List.filter
+      (fun (sc : Mcheck.scenario) -> List.mem sc.sname names)
+      (Mcheck.crash_scenarios ~nprocs:3)
+  in
+  Alcotest.(check int) "both scenarios found" (List.length names)
+    (List.length scs);
+  List.iter
+    (fun (sc : Mcheck.scenario) ->
+      let r = Mcheck.check_exhaustive ~crash:1 sc in
+      Alcotest.(check bool)
+        (sc.sname ^ " P=3 crash explored fully")
+        false r.truncated;
+      match r.violation with
+      | None -> ()
+      | Some v ->
+        Mcheck.pp_violation stderr v;
+        Alcotest.fail (sc.sname ^ " P=3 crash: violation"))
+    scs
+
 let t_crash_fuzz_clean () =
   List.iter
     (fun sc ->
@@ -777,7 +804,7 @@ let t_state_counts () =
     (Mcheck.check_exhaustive ~refine:true);
   expect "refine+lossy:2" family [ 643; 748; 5267; 341; 5063; 2955; 9821 ]
     (Mcheck.check_exhaustive ~refine:true ~lossy:2);
-  expect "crash 1/recover 1" crash_family [ 66; 44; 226; 145; 124 ]
+  expect "crash 1/recover 1" crash_family [ 66; 44; 228; 145; 124 ]
     (Mcheck.check_exhaustive ~crash:1 ~recover:1)
 
 (* The checker's per-transition path re-renders only the components a
@@ -909,6 +936,8 @@ let () =
       ( "crash",
         [ Alcotest.test_case "scenarios clean at P=2 (exhaustive)" `Quick
             t_crash_exhaustive_clean;
+          Alcotest.test_case "purged invalidations kept as sharers (P=3)"
+            `Quick t_crash_purged_inv_p3;
           Alcotest.test_case "scenarios clean at P=3 (fuzz)" `Quick
             t_crash_fuzz_clean;
           Alcotest.test_case "crash after barrier arrival excused" `Quick
