@@ -27,14 +27,6 @@ module Mcheck = Shasta_mcheck.Mcheck
 let model_check nprocs inject fuzz_seed fuzz_runs lossy crash recover
     fuzz_only scale refine dmode scalable_sync =
   let injection = Option.value inject ~default:Mcheck.No_injection in
-  (match (injection, lossy) with
-   | Mcheck.Retransmit_no_dedup, None ->
-     failwith "--inject no-dedup needs --lossy N (it is a sublayer bug)"
-   | _ -> ());
-  if crash > 0 && lossy <> None then
-    failwith "--crash needs the reliable wire (drop --lossy)";
-  if recover > 0 && crash = 0 then
-    failwith "--recover needs --crash N (nothing to restart otherwise)";
   (* the CLI's --dir-mode/--sync select the configuration every
      scenario runs over (scale scenarios still pin their own) *)
   let base =
@@ -452,13 +444,14 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
 
 (* --check runs the pure core at release consistency under round-robin
    homes, at the processor count given, and must have something to run:
-   a flag it would silently ignore, or a count it would have to change,
-   is a usage error naming that flag.  Each extra processor multiplies
-   the explored states by about ten, so the search stops at
-   [max_check_procs]. *)
+   a flag it would silently ignore, a count it would have to change, or
+   a pair of flags it cannot combine, is a usage error naming the flags.
+   Each extra processor multiplies the explored states by about ten, so
+   the search stops at [max_check_procs]. *)
 let max_check_procs = 5
 
-let check_usage ~nprocs ~sc ~home_policy ~fuzz_only ~fuzz_runs =
+let check_usage ~nprocs ~sc ~home_policy ~fuzz_only ~fuzz_runs ~inject
+    ~lossy ~crash ~recover =
   if nprocs < 2 || nprocs > max_check_procs then
     Some
       (Printf.sprintf
@@ -470,6 +463,12 @@ let check_usage ~nprocs ~sc ~home_policy ~fuzz_only ~fuzz_runs =
     Some "--check models round-robin homes only; drop --home-policy"
   else if fuzz_only && fuzz_runs = 0 then
     Some "--check --fuzz-only with --fuzz-runs 0 checks nothing"
+  else if inject = Some Mcheck.Retransmit_no_dedup && lossy = None then
+    Some "--inject no-dedup needs --lossy N (it is a sublayer bug)"
+  else if crash > 0 && lossy <> None then
+    Some "--crash needs the reliable wire (drop --lossy)"
+  else if recover > 0 && crash = 0 then
+    Some "--recover needs --crash N (nothing to restart otherwise)"
   else None
 
 let list_apps () =
@@ -526,6 +525,21 @@ let app_c =
 let kv_mix_c =
   let module W = Shasta_workload.Workload in
   parsed ~docv:"MIX" W.mix_of_string W.mix_name
+
+(* A Zipfian skew below 1; zero or a negative value selects the uniform
+   distribution, so only NaN, the infinities and values from 1 up are
+   refused. *)
+let kv_theta_c =
+  Arg.conv ~docv:"THETA"
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some t when Float.is_finite t && t < 1.0 -> Ok t
+        | _ ->
+          Error
+            (`Msg
+               (Printf.sprintf "a finite number below 1 is required, got %S"
+                  s))),
+      Format.pp_print_float )
 
 let dir_mode_c =
   let module Ns = Shasta_protocol.Nodeset in
@@ -773,10 +787,10 @@ let cmd =
                    (40/40/10/10 read/update/delete/scan).")
   in
   let kv_theta_t =
-    Arg.(value & opt float 0.99
+    Arg.(value & opt kv_theta_c 0.99
          & info [ "kv-theta" ] ~docv:"THETA"
-             ~doc:"Zipfian skew of the key popularity (0 or negative \
-                   selects the uniform distribution).")
+             ~doc:"Zipfian skew of the key popularity, below 1 (0 or \
+                   negative selects the uniform distribution).")
   in
   let kv_keys_t =
     Arg.(value & opt (some positive_c) None
@@ -875,6 +889,7 @@ let cmd =
       else if check then
         match
           check_usage ~nprocs:procs ~sc ~home_policy ~fuzz_only ~fuzz_runs
+            ~inject ~lossy ~crash ~recover
         with
         | Some e -> `Error (true, e)
         | None ->

@@ -30,6 +30,8 @@ let create ~line_bytes () =
     invalid_arg "Granularity.create: line size must be a power of two";
   { line_bytes; block_of_page = Hashtbl.create 64 }
 
+let line_bytes t = t.line_bytes
+
 let round_up v m = (v + m - 1) / m * m
 
 (* Round a block-size request to a legal value: a multiple of the line
@@ -54,9 +56,9 @@ let set_page_block t ~page ~block_bytes =
   Hashtbl.replace t.block_of_page page block_bytes
 
 let block_bytes_at t addr =
-  match Hashtbl.find_opt t.block_of_page (addr / page_bytes) with
-  | Some b -> b
-  | None -> t.line_bytes
+  match Hashtbl.find t.block_of_page (addr / page_bytes) with
+  | b -> b
+  | exception Not_found -> t.line_bytes
 
 (* Base address of the block containing [addr]. *)
 let block_base t addr =

@@ -7,12 +7,13 @@ val page_bytes : int
     assigned round-robin per page (Section 2.1), shared memory handed
     out in whole pages.  The only definition of the page size. *)
 
-type t = {
-  line_bytes : int;
-  block_of_page : (int, int) Hashtbl.t;
-}
+type t
+(** The base line size and the block size of every page assigned one;
+    a page not assigned one uses the line size. *)
 
 val create : line_bytes:int -> unit -> t
+
+val line_bytes : t -> int
 
 val legalize : line_bytes:int -> int -> int
 (** Round a block-size request to a legal value: a power-of-two multiple
@@ -24,6 +25,9 @@ val heuristic_block : t -> size:int -> int
     sharing. *)
 
 val set_page_block : t -> page:int -> block_bytes:int -> unit
+(** Assign [page] its block size.  Assigning the size it already has is
+    a no-op; any other size raises [Invalid_argument]. *)
+
 val block_bytes_at : t -> int -> int
 val block_base : t -> int -> int
 val lines_per_block : t -> int -> int

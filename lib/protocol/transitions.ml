@@ -34,7 +34,7 @@
    invalidations (both historically OCaml-Hashtbl orders), and the
    memory values of batched stores (the core holds no data memory). *)
 
-module Imap = Map.Make (Int)
+module Imap = Imap
 module Ns = Nodeset
 module Ev = Shasta_obs.Event
 

@@ -17,7 +17,13 @@
    states; a node's count of unacknowledged blocks is the size of its
    [acks]. *)
 
-module Imap : Map.S with type key = int
+(** The core's ordered int maps (block, page, node and lock tables).
+    Traversals run in increasing key order, and an operation that
+    changes nothing returns its argument physically ([add] of the bound
+    value, [remove] of an absent key, a [filter] that keeps all): the
+    steppers and the checker compare maps with [==] to skip rewrites.
+    See [imap.mli]. *)
+module Imap = Imap
 
 type line = L_invalid | L_shared | L_exclusive | L_pending_invalid
           | L_pending_shared

@@ -37,10 +37,7 @@ let init_range state ~owner ~base ~len ~bsize =
   let first_page = base / Granularity.page_bytes
   and last_page = (base + len - 1) / Granularity.page_bytes in
   for page = first_page to last_page do
-    (match Hashtbl.find_opt state.State.gran.Granularity.block_of_page page with
-     | Some b when b <> bsize -> failwith "Alloc: page block-size conflict"
-     | Some _ -> ()
-     | None -> Granularity.set_page_block state.State.gran ~page ~block_bytes:bsize)
+    Granularity.set_page_block state.State.gran ~page ~block_bytes:bsize
   done;
   (* first-touch placement: the freshly allocated pages are homed at
      the allocating node instead of the round-robin default.  Under the
@@ -67,7 +64,7 @@ let g_malloc state (node : Node.t) ~size ~bsize_req =
   if size <= 0 then failwith "g_malloc: non-positive size";
   Shasta_machine.Pipeline.stall node.pipe Costs.default.malloc_base;
   let gran = state.State.gran in
-  let line_bytes = gran.line_bytes in
+  let line_bytes = Granularity.line_bytes gran in
   let bsize =
     match state.State.config.fixed_block with
     | Some b -> Granularity.legalize ~line_bytes b

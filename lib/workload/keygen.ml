@@ -9,7 +9,7 @@ type zipf = {
 
 let zipf ~n ~theta =
   if n <= 0 then invalid_arg "Keygen.zipf: n must be positive";
-  if theta < 0.0 || theta >= 1.0 then
+  if not (theta >= 0.0 && theta < 1.0) then
     invalid_arg "Keygen.zipf: theta must be in [0, 1)";
   let cdf = Array.make (n + 1) 0.0 in
   let h = ref 0.0 in

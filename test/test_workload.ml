@@ -41,6 +41,16 @@ let t_zipf_draw () =
     prev := r
   done
 
+(* Every theta outside [0, 1) is refused, NaN included: a NaN skew
+   used to pass the guard and build an all-NaN CDF. *)
+let t_zipf_rejects () =
+  List.iter
+    (fun theta ->
+      match Keygen.zipf ~n:16 ~theta with
+      | _ -> Alcotest.failf "theta %h accepted" theta
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; 1.0; 1.5; Float.infinity; -0.5; Float.neg_infinity ]
+
 let quantile_table_ok ~n ~theta ~quanta =
   let t = Keygen.quantile_table ~n ~theta ~quanta in
   Array.length t = quanta + 1
@@ -194,6 +204,8 @@ let () =
     [ ( "keygen",
         [ Alcotest.test_case "zipf pmf" `Quick t_zipf_pmf;
           Alcotest.test_case "zipf draw" `Quick t_zipf_draw;
+          Alcotest.test_case "zipf rejects theta outside [0, 1)" `Quick
+            t_zipf_rejects;
           Alcotest.test_case "quantile table" `Quick t_quantile_table;
           t_quantile_table_prop;
           t_prng_int_prop ] );
