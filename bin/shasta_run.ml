@@ -191,11 +191,7 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
     show_asm replay dmode home_policy scalable_sync kvo =
   let entry = Shasta_apps.Apps.find app in
   let kv_wl =
-    if kvo.kv || kvo.bench_out <> None then begin
-      if app <> "sht" then
-        failwith "--kv drives the sharded hash table; use --app sht";
-      Some (kv_workload size kvo)
-    end
+    if kvo.kv || kvo.bench_out <> None then Some (kv_workload size kvo)
     else None
   in
   let prog =
@@ -790,7 +786,10 @@ let cmd =
     Arg.(value & opt kv_theta_c 0.99
          & info [ "kv-theta" ] ~docv:"THETA"
              ~doc:"Zipfian skew of the key popularity, below 1 (0 or \
-                   negative selects the uniform distribution).")
+                   negative selects the uniform distribution).  Write a \
+                   negative value with an equals sign, as \
+                   $(b,--kv-theta=-0.5): a separate $(b,-0.5) reads as \
+                   an option.")
   in
   let kv_keys_t =
     Arg.(value & opt (some positive_c) None
@@ -896,6 +895,13 @@ let cmd =
           `Ok
             (model_check procs inject fuzz_seed fuzz_runs lossy crash
                recover fuzz_only scale_check refine dir_mode sync)
+      else if (kvo.kv || kvo.bench_out <> None) && app <> "sht" then
+        `Error
+          ( true,
+            Printf.sprintf
+              "%s drives the sharded hash table; use --app sht, not --app %s"
+              (if kvo.kv then "--kv" else "--bench-out")
+              app )
       else
         `Ok
           (run app size procs net net_faults node_faults cpu line

@@ -20,9 +20,15 @@
    crash recovery, which must strike a dead node from every set): it
    carries an explicit exclusion list.
 
-   All list components are kept sorted, so structurally equal values
-   denote equal sets reached by any operation order — required by the
-   model checker's canonical-string state dedup. *)
+   The masks that must stay exact whatever the mode (barrier arrivals,
+   crashed, halted) are one int mask up to [max_bits] nodes and a word
+   mask above: an immutable array of 32-bit words whose length is fixed
+   by nprocs, so membership stays O(1) at any P.
+
+   All list components are kept sorted and word masks are never
+   trimmed, so structurally equal values denote equal sets reached by
+   any operation order — required by the model checker's
+   canonical-string state dedup. *)
 
 (* Bits usable in one int mask: one bit reserved for the sign, one kept
    free so [(1 lsl n) - 1] style arithmetic in callers can never hit
@@ -34,10 +40,12 @@ type mode = Full | Limited of int
 type t =
   | Bits of int (* exact bitmask *)
   | Ptrs of { k : int; n : int; ps : int list }
-    (* exact sorted pointer list, |ps| <= k; k = max_int doubles as the
-       unbounded exact fallback for nprocs beyond [max_bits] *)
+    (* exact sorted pointer list, |ps| <= k *)
   | Bcast of { n : int; excl : int list }
     (* limited-pointer overflow: {0..n-1} minus the sorted exclusions *)
+  | Words of int array
+    (* exact mask beyond [max_bits] nodes: node x is bit
+       [x land word_mask] of word [x lsr word_shift]; never mutated *)
 
 (* --- bit iteration (popcount-style, no O(nprocs) scan) -------------- *)
 
@@ -67,6 +75,101 @@ let popcount m =
   let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
   go m 0
 
+(* --- word masks ------------------------------------------------------ *)
+
+(* A node's word and bit are a shift and a mask away.  The word-mask
+   arms below all call these out-of-line helpers, so the [Bits] arms
+   the small-P paths run stay as compact as before. *)
+let word_shift = 5
+let word_mask = (1 lsl word_shift) - 1
+
+let[@inline never] words_mem a x =
+  let i = x lsr word_shift in
+  i < Array.length a && a.(i) land (1 lsl (x land word_mask)) <> 0
+
+let[@inline never] words_cardinal a =
+  let c = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    c := !c + popcount a.(i)
+  done;
+  !c
+
+(* No member in the words from [i] on. *)
+let rec words_zero_from a i =
+  i >= Array.length a || (a.(i) = 0 && words_zero_from a (i + 1))
+
+let[@inline never] words_iter f a =
+  for i = 0 to Array.length a - 1 do
+    let m = ref a.(i) and base = i lsl word_shift in
+    while !m <> 0 do
+      let low = !m land (- !m) in
+      f (base + ntz low);
+      m := !m lxor low
+    done
+  done
+
+(* [add] and [remove] copy the words, and return the set itself when
+   they would change nothing. *)
+let[@inline never] words_add t a x =
+  if words_mem a x then t
+  else begin
+    let a = Array.copy a and i = x lsr word_shift in
+    a.(i) <- a.(i) lor (1 lsl (x land word_mask));
+    Words a
+  end
+
+let[@inline never] words_remove t a x =
+  if not (words_mem a x) then t
+  else begin
+    let a = Array.copy a and i = x lsr word_shift in
+    a.(i) <- a.(i) land lnot (1 lsl (x land word_mask));
+    Words a
+  end
+
+(* Some member at or above [n] ([n >= 0]). *)
+let[@inline never] words_beyond a n =
+  let i = n lsr word_shift in
+  i < Array.length a
+  && (a.(i) lsr (n land word_mask) <> 0 || not (words_zero_from a (i + 1)))
+
+(* The least member in the words from [i] on, or -1. *)
+let rec words_first_from a i =
+  if i >= Array.length a then -1
+  else
+    let m = a.(i) in
+    if m = 0 then words_first_from a (i + 1)
+    else (i lsl word_shift) + ntz (m land -m)
+
+(* The least member at or above [x] ([x >= 0]), or -1. *)
+let[@inline never] words_next a x =
+  let i = x lsr word_shift in
+  if i >= Array.length a then -1
+  else
+    let m = a.(i) land (-1 lsl (x land word_mask)) in
+    if m <> 0 then (i lsl word_shift) + ntz (m land -m)
+    else words_first_from a (i + 1)
+
+(* Word [i] of a mask, 0 past its end. *)
+let word_at a i = if i < Array.length a then a.(i) else 0
+
+let rec words_subset_from x y i =
+  i >= Array.length x
+  || (x.(i) land lnot (word_at y i) = 0 && words_subset_from x y (i + 1))
+
+let rec words_disjoint_from x y i =
+  i >= Array.length x
+  || (x.(i) land word_at y i = 0 && words_disjoint_from x y (i + 1))
+
+(* Low word first, in hex, comma-separated, then the closing
+   parenthesis.  The word count is fixed by nprocs, so equal sets over
+   the same nodes render equal. *)
+let[@inline never] words_into b a =
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Keybuf.add_hex b a.(i)
+  done;
+  Buffer.add_char b ')'
+
 (* --- sorted-list helpers -------------------------------------------- *)
 
 let rec sorted_insert x = function
@@ -83,10 +186,11 @@ let empty mode ~nprocs =
   | Limited k -> Ptrs { k; n = nprocs; ps = [] }
 
 (* An exact set regardless of directory mode — for the masks that must
-   never over-approximate (barrier arrivals, crashed, halted). *)
+   never over-approximate (barrier arrivals, crashed, halted): one int
+   mask up to [max_bits] nodes, a word mask above. *)
 let exact_empty ~nprocs =
   if nprocs <= max_bits then Bits 0
-  else Ptrs { k = max_int; n = nprocs; ps = [] }
+  else Words (Array.make (((nprocs - 1) lsr word_shift) + 1) 0)
 
 (* --- queries --------------------------------------------------------- *)
 
@@ -95,18 +199,21 @@ let mem t x =
   | Bits m -> m land (1 lsl x) <> 0
   | Ptrs { ps; _ } -> List.mem x ps
   | Bcast { n; excl } -> x >= 0 && x < n && not (List.mem x excl)
+  | Words a -> words_mem a x
 
 let cardinal t =
   match t with
   | Bits m -> popcount m
   | Ptrs { ps; _ } -> List.length ps
   | Bcast { n; excl } -> n - List.length excl
+  | Words a -> words_cardinal a
 
 let is_empty t =
   match t with
   | Bits m -> m = 0
   | Ptrs { ps; _ } -> ps = []
   | Bcast _ -> cardinal t = 0
+  | Words a -> words_zero_from a 0
 
 (* Members in ascending order. *)
 let iter f t =
@@ -117,6 +224,7 @@ let iter f t =
     for x = 0 to n - 1 do
       if not (List.mem x excl) then f x
     done
+  | Words a -> words_iter f a
 
 let fold f t acc =
   let acc = ref acc in
@@ -137,6 +245,7 @@ let add t x =
   | Bcast { n; excl } ->
     if List.mem x excl then Bcast { n; excl = List.filter (( <> ) x) excl }
     else t
+  | Words a -> words_add t a x
 
 let remove t x =
   match t with
@@ -146,6 +255,7 @@ let remove t x =
     if x >= 0 && x < n && not (List.mem x excl) then
       Bcast { n; excl = sorted_insert x excl }
     else t
+  | Words a -> words_remove t a x
 
 let singleton mode ~nprocs x = add (empty mode ~nprocs) x
 
@@ -163,6 +273,7 @@ let beyond t n =
   | Bits m -> n < Sys.int_size && m lsr n <> 0
   | Ptrs { ps; _ } -> list_beyond n ps
   | Bcast { n = m; excl } -> range_beyond (max n 0) m excl
+  | Words a -> words_beyond a (max n 0)
 
 (* The least member at or above [x], or -1 when there is none: a walk
    over the members in ascending order that builds no list and no
@@ -184,17 +295,23 @@ let next t x =
     if m = 0 then -1 else ntz (m land -m)
   | Ptrs { ps; _ } -> list_next x ps
   | Bcast { n; excl } -> range_next x n excl
+  | Words a -> words_next a x
 
 (* --- relations ------------------------------------------------------- *)
 
 (* Some member [x] of the walked set has [mem b x = v], found in place
    with no list and no closure: the invariant checker relates the crash
-   and barrier masks on every state. *)
-let rec bits_find b v m =
+   and barrier masks on every state.  [bits_find] walks the members
+   [base + i] of one word's set bits [i]. *)
+let rec bits_find b v base m =
   m <> 0
   &&
   let low = m land -m in
-  mem b (ntz low) = v || bits_find b v (m lxor low)
+  mem b (base + ntz low) = v || bits_find b v base (m lxor low)
+
+let rec words_find b v a i =
+  i < Array.length a
+  && (bits_find b v (i lsl word_shift) a.(i) || words_find b v a (i + 1))
 
 let rec list_find b v = function
   | [] -> false
@@ -206,25 +323,28 @@ let rec range_find b v x n excl =
 
 let find a b v =
   match a with
-  | Bits m -> bits_find b v m
+  | Bits m -> bits_find b v 0 m
   | Ptrs { ps; _ } -> list_find b v ps
   | Bcast { n; excl } -> range_find b v 0 n excl
+  | Words a -> words_find b v a 0
 
 let subset a b =
   match (a, b) with
   | Bits x, Bits y -> x land lnot y = 0
+  | Words x, Words y -> words_subset_from x y 0
   | _ -> not (find a b false)
 
 let disjoint a b =
   match (a, b) with
   | Bits x, Bits y -> x land y = 0
+  | Words x, Words y -> words_disjoint_from x y 0
   | _ -> not (find a b true)
 
 (* --- representation probes ------------------------------------------ *)
 
 (* [true] when membership is exact (no over-approximation possible). *)
 let is_exact = function
-  | Bits _ | Ptrs _ -> true
+  | Bits _ | Ptrs _ | Words _ -> true
   | Bcast _ -> false
 
 (* Collapse to an int bitmask (members must fit below [Sys.int_size]). *)
@@ -249,6 +369,9 @@ let to_buffer b t =
   | Bcast { excl; _ } ->
     Buffer.add_string b "*(-";
     ints_into b excl
+  | Words a ->
+    Buffer.add_string b "W(";
+    words_into b a
 
 let to_string t =
   let b = Buffer.create 16 in

@@ -6,7 +6,9 @@
     overflow-to-broadcast.  An overflowed set may over-approximate
     membership (supersets only — the protocol absorbs spurious
     invalidations), but [remove] is always exact, which crash recovery
-    relies on.
+    relies on.  The masks that must never over-approximate (barrier
+    arrivals, crashed, halted) are exact in every mode: one int mask up
+    to [max_bits] nodes, a fixed-length word mask above.
 
     Values are canonical: structurally equal values denote equal sets
     regardless of the operation order that built them. *)
@@ -17,6 +19,7 @@ type t =
   | Bits of int
   | Ptrs of { k : int; n : int; ps : int list }
   | Bcast of { n : int; excl : int list }
+  | Words of int array
 
 val max_bits : int
 (** Capacity of one int bitmask (Sys.int_size - 2). *)
@@ -24,7 +27,11 @@ val max_bits : int
 val empty : mode -> nprocs:int -> t
 val exact_empty : nprocs:int -> t
 (** An exact (never over-approximating) empty set, regardless of mode —
-    for barrier/crash masks. *)
+    for barrier/crash masks: [Bits 0] up to [max_bits] nodes, beyond
+    that a [Words] mask with a bit per node, so [mem], [add] and [remove]
+    never walk a list at any P.  A word mask is never mutated; [add]
+    and [remove] copy it, and raise [Invalid_argument] on a node it
+    has no bit for. *)
 
 val singleton : mode -> nprocs:int -> int -> t
 val add : t -> int -> t
@@ -43,8 +50,9 @@ val to_list : t -> int list
 
 val subset : t -> t -> bool
 val disjoint : t -> t -> bool
-(** Neither builds a list: two full maps compare as masks, any other
-    pair walks the first set's members in place. *)
+(** Neither builds a list: two full maps, or two word masks, compare
+    word by word; any other pair walks the first set's members in
+    place. *)
 
 val beyond : t -> int -> bool
 (** [beyond t n]: some member lies outside [0, n), found without
@@ -64,7 +72,8 @@ val to_mask : t -> int
 
 val to_buffer : Buffer.t -> t -> unit
 (** Append the canonical rendering (equal strings <=> equal values),
-    without [Printf]: the full map prints as its hex mask. *)
+    without [Printf]: the full map prints as its hex mask, a word mask
+    as [W(] and its hex words, low word first. *)
 
 val to_string : t -> string
 (** [to_buffer] into a fresh string. *)

@@ -467,21 +467,11 @@ let ns_singleton (cfg : cfg) node =
 let tree_fanout = 4
 let tree_parent n = (n - 1) / tree_fanout
 
-let tree_children (cfg : cfg) n =
-  let base = (tree_fanout * n) + 1 in
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let k = base + i in
-      go (i - 1) (if k < cfg.nprocs then k :: acc else acc)
-  in
-  go (tree_fanout - 1) []
-
 let arrived (r : rest) n = Ns.mem r.barrier_arrived n || Ns.mem r.halted n
 
 (* Every node in [n]'s subtree has arrived or is excused as halted.
-   [children_complete] walks the children [base + i], [i] below
-   [tree_fanout], in [tree_children]'s order. *)
+   [children_complete] walks [n]'s children [base + i], [i] below
+   [tree_fanout] and [base + i] below nprocs, in ascending order. *)
 let rec subtree_complete nprocs (r : rest) n =
   arrived r n && children_complete nprocs r ((tree_fanout * n) + 1) 0
 
@@ -1090,8 +1080,7 @@ and tree_maybe_release c =
    children's subtrees. *)
 and tree_release_fan c n =
   if subtree_has_release c.cfg.nprocs c.v.rest n then begin
-    if is_crashed c.v n then
-      List.iter (tree_release_fan c) (tree_children c.cfg n)
+    if is_crashed c.v n then tree_release_children c n
     else if n = c.node then tree_release_self c
     else send c ~dst:n ~addr:0 (Message.Sync Barrier_release)
   end
@@ -1103,8 +1092,17 @@ and tree_release_self c =
     set_rest c { c.v.rest with brelease = Ns.remove c.v.rest.brelease c.node };
     c.me_sync_signal <- true
   end;
-  List.iter (tree_release_fan c) (tree_children c.cfg c.node);
+  tree_release_children c c.node;
   check_wake c
+
+(* [tree_release_fan] into each of [n]'s child subtrees, ascending. *)
+and tree_release_children c n = tree_release_from c ((tree_fanout * n) + 1) 0
+
+and tree_release_from c base i =
+  if i < tree_fanout && base + i < c.cfg.nprocs then begin
+    tree_release_fan c (base + i);
+    tree_release_from c base (i + 1)
+  end
 
 and wake_flag_waiter c ~to_ ~id =
   if to_ = c.node then begin
@@ -1510,8 +1508,7 @@ let redispatch c ~victim ((dst : int), (msg : Message.t)) =
       | Sync Barrier_release ->
         (* tree mode: the victim would have forwarded the wave into its
            subtree — do it on its behalf *)
-        if c.cfg.scalable_sync then
-          List.iter (tree_release_fan c) (tree_children c.cfg victim)
+        if c.cfg.scalable_sync then tree_release_children c victim
       | Sync Lock_grant | Sync Flag_wake -> ()
   end
   else begin

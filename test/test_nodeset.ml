@@ -10,7 +10,10 @@
      over-approximation is sound while under-approximation would lose a
      sharer;
    - the structural accessors (mem / cardinal / iter / to_list /
-     is_empty) are mutually consistent and [iter] ascends.
+     is_empty) are mutually consistent and [iter] ascends;
+   - the word masks that hold exact sets above [max_bits] nodes agree
+     with a bool-array model in every operation, render canonically
+     and are never mutated.
 
    Directed tests pin the limited-pointer overflow step, exact removal
    via exclusion lists, and the nprocs-vs-capacity validation (including the runtime config error
@@ -240,10 +243,109 @@ let ref_to_string (t : Ns.t) =
   | Ns.Bits m -> Printf.sprintf "%x" m
   | Ns.Ptrs { ps; _ } -> Printf.sprintf "P(%s)" (ints ps)
   | Ns.Bcast { excl; _ } -> Printf.sprintf "*(-%s)" (ints excl)
+  | Ns.Words a ->
+    Printf.sprintf "W(%s)"
+      (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%x") a)))
 
 let prop_to_string_reference (mode, nprocs, ops) =
   let s, _ = apply_ops mode ~nprocs ops in
   Ns.to_string s = ref_to_string s
+
+(* --- word masks (exact sets above [max_bits] nodes) ------------------- *)
+
+(* Three programs over one node count beyond an int mask: [a] and [b]
+   run on [exact_empty], [c] on limited pointers (which may overflow to
+   broadcast), so both the word-by-word and the member-walking paths of
+   [subset]/[disjoint] come up.  Half the time [b] first re-adds [a]'s
+   final members in descending order, so equal sets reached by
+   different programs are common. *)
+let words_gen =
+  Gen.bind (Gen.oneofl [ 62; 64; 100; 130 ]) (fun n ->
+    let op =
+      Gen.map2
+        (fun add x -> if add then Add x else Remove x)
+        Gen.bool (Gen.int_bound (n - 1))
+    in
+    let ops = Gen.list_size (Gen.int_range 0 40) op in
+    Gen.map4
+      (fun a b c same -> (n, a, b, c, same))
+      ops (Gen.list_size (Gen.int_range 0 2) op) ops Gen.bool)
+
+let print_words (n, a, b, c, same) =
+  let ops l = String.concat "; " (List.map show_op l) in
+  Printf.sprintf "P=%d a=[%s] b=[%s]%s c=[%s]" n (ops a) (ops b)
+    (if same then " after a's members" else "")
+    (ops c)
+
+(* Run [ops] from [s0] against a bool-array model, keeping every
+   intermediate set with a copy of its model. *)
+let run_words s0 init ops =
+  let model = Array.copy init in
+  let s, snaps =
+    List.fold_left
+      (fun (s, snaps) op ->
+        let s =
+          match op with
+          | Add x -> model.(x) <- true; Ns.add s x
+          | Remove x -> model.(x) <- false; Ns.remove s x
+        in
+        (s, (s, Array.copy model) :: snaps))
+      (s0, [ (s0, Array.copy init) ])
+      ops
+  in
+  (s, model, snaps)
+
+let model_list m =
+  List.filter (fun x -> m.(x)) (List.init (Array.length m) Fun.id)
+
+let prop_words_model (n, ops_a, ops_b, ops_c, same) =
+  let empty = Ns.exact_empty ~nprocs:n in
+  let none = Array.make n false in
+  let a, ma, snaps = run_words empty none ops_a in
+  let b0, mb0 =
+    if same then
+      let b0, mb0, _ =
+        run_words empty none (List.rev_map (fun x -> Add x) (model_list ma))
+      in
+      (b0, mb0)
+    else (empty, none)
+  in
+  let b, mb, _ = run_words b0 mb0 ops_b in
+  let c, _ = apply_ops (Ns.Limited 2) ~nprocs:n ops_c in
+  let la = model_list ma and lb = model_list mb and lc = Ns.to_list c in
+  let iterated = ref [] in
+  Ns.iter (fun x -> iterated := x :: !iterated) a;
+  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+  let next_ref x =
+    match List.find_opt (fun m -> m >= x) la with Some m -> m | None -> -1
+  in
+  (match a with Ns.Words _ -> true | _ -> false)
+  && Ns.is_exact a
+  && List.for_all (fun x -> Ns.mem a x = (x >= 0 && x < n && ma.(x)))
+       (range (-2) (n + 40))
+  && Ns.cardinal a = List.length la
+  && Ns.is_empty a = (la = [])
+  && List.rev !iterated = la
+  && Ns.to_list a = la
+  && Ns.fold (fun _ k -> k + 1) a 0 = List.length la
+  && List.for_all (fun x -> Ns.next a x = next_ref x) (range (-2) (n + 40))
+  && List.for_all
+       (fun k -> Ns.beyond a k = List.exists (fun x -> x >= k) la)
+       (range (-2) (n + 40))
+  (* word by word against a second word mask *)
+  && Ns.subset a b = List.for_all (fun x -> mb.(x)) la
+  && Ns.disjoint a b = not (List.exists (fun x -> mb.(x)) la)
+  && Ns.subset b a = List.for_all (fun x -> ma.(x)) lb
+  (* member walks against another representation, both ways round *)
+  && Ns.subset a c = List.for_all (Ns.mem c) la
+  && Ns.disjoint a c = not (List.exists (Ns.mem c) la)
+  && Ns.subset c a = List.for_all (Ns.mem a) lc
+  && Ns.disjoint c a = not (List.exists (Ns.mem a) lc)
+  (* canonical: equal strings exactly when the members are equal *)
+  && (Ns.to_string a = Ns.to_string b) = (la = lb)
+  && Ns.to_string a = ref_to_string a
+  (* never mutated: every intermediate set still holds its members *)
+  && List.for_all (fun (s, m) -> Ns.to_list s = model_list m) snaps
 
 let () =
   Alcotest.run "nodeset"
@@ -263,7 +365,9 @@ let () =
             ~print:(fun (a, b) -> print_case a ^ " / " ^ print_case b)
             pair_gen prop_relations_reference;
           qtest "next matches its list definition" ~print:print_case case_gen
-            prop_next_reference ] );
+            prop_next_reference;
+          qtest "word masks above max_bits agree with a bool-array model"
+            ~count:500 ~print:print_words words_gen prop_words_model ] );
       ( "directed",
         [ Alcotest.test_case "limited overflow step" `Quick
             t_limited_overflow_step;
