@@ -4,21 +4,27 @@
 
    Loads both files through Benchjson (JSON Lines, one record per
    workload/nprocs/line/opts configuration), runs the gate — every
-   simulated metric on exact equality — prints a delta table, and exits
-   1 when any metric regressed or a baseline record disappeared.  All policy lives in {!Shasta_obs.Benchjson.gate};
+   simulated metric on exact equality — prints a delta table on stdout,
+   and exits 1 when any metric regressed or a baseline record
+   disappeared, with the failing checks on stderr.  A file that does not
+   parse exits 2.  All policy lives in {!Shasta_obs.Benchjson.gate};
    this binary is argument parsing and rendering. *)
 
 module B = Shasta_obs.Benchjson
 
 (* display-only rendering: floats get trimmed to readable precision
-   (the files themselves keep full round-trip precision) *)
-let num_opt_str = function
+   (the files themselves keep full round-trip precision), and a trace
+   hash is shown in hex, as `md5sum | cut -c1-15` prints it *)
+let num_opt_str ?(metric = "") = function
   | None -> "-"
+  | Some (B.Int i) when metric = "trace_hash" -> Printf.sprintf "%015x" i
   | Some (B.Int i) -> string_of_int i
   | Some (B.Float f) -> Printf.sprintf "%.5g" f
 
 let delta_str (c : B.check) =
   match (c.c_base, c.c_cand) with
+  | Some _, Some _ when c.c_metric = "trace_hash" ->
+    if c.c_ok then "=" else "differs"
   | Some b, Some cv ->
     let b = match b with B.Int i -> float_of_int i | B.Float f -> f in
     let v = match cv with B.Int i -> float_of_int i | B.Float f -> f in
@@ -49,18 +55,31 @@ let print_table checks ~verbose =
   line [ "------"; "------"; "--------"; "---------"; "-----"; "------" ];
   List.iter
     (fun (c : B.check) ->
+      let num = num_opt_str ~metric:c.c_metric in
       line
-        [ c.c_key; c.c_metric; num_opt_str c.c_base; num_opt_str c.c_cand;
-          delta_str c; B.status_str c.c_status ])
+        [ c.c_key; c.c_metric; num c.c_base; num c.c_cand; delta_str c;
+          B.status_str c.c_status ])
     rows;
   let hidden = List.length checks - List.length rows in
   if hidden > 0 then
     Printf.printf "  (%d passing metric(s) not shown; --verbose prints all)\n"
       hidden
 
-let run baseline candidate verbose =
-  let base = B.load_file baseline in
-  let cand = B.load_file candidate in
+(* A trace hash pins the P=N event trace of a test-size run; the
+   command that finds its first differing line, run in both trees. *)
+let trace_hint base (c : B.check) =
+  match List.find_opt (fun r -> B.key_str r = c.c_key) base with
+  | Some r ->
+    let w = r.B.workload in
+    Printf.eprintf
+      "    to find the first differing line, run in the baseline's tree \
+       and in this one\n\
+      \      shasta_run -a %s --size test -p %d --trace 2>%s.trace\n\
+      \    and diff the two %s.trace files\n"
+      w r.B.nprocs w w
+  | None -> ()
+
+let gate ~baseline ~candidate base cand verbose =
   let checks, ok = B.gate ~baseline:base ~candidate:cand in
   Printf.printf
     "bench_gate: %s (baseline, %d record(s)) vs %s (%d record(s))\n\n"
@@ -76,16 +95,25 @@ let run baseline candidate verbose =
     0
   end
   else begin
-    Printf.printf "FAIL: %d regression(s) out of %d metric(s) checked\n"
+    flush stdout;
+    Printf.eprintf "FAIL: %d regression(s) out of %d metric(s) checked\n"
       (List.length regressions) (List.length checks);
     List.iter
       (fun (c : B.check) ->
-        Printf.printf "  %s %s: %s (baseline %s, candidate %s)\n" c.B.c_key
-          c.B.c_metric c.B.c_note (num_opt_str c.B.c_base)
-          (num_opt_str c.B.c_cand))
+        let num = num_opt_str ~metric:c.B.c_metric in
+        Printf.eprintf "  %s %s: %s (baseline %s, candidate %s)\n" c.B.c_key
+          c.B.c_metric c.B.c_note (num c.B.c_base) (num c.B.c_cand);
+        if c.B.c_metric = "trace_hash" then trace_hint base c)
       regressions;
     1
   end
+
+let run baseline candidate verbose =
+  match (B.load_file baseline, B.load_file candidate) with
+  | base, cand -> gate ~baseline ~candidate base cand verbose
+  | exception (Failure m | Sys_error m) ->
+    Printf.eprintf "bench_gate: %s\n" m;
+    2
 
 open Cmdliner
 
@@ -114,12 +142,14 @@ let cmd =
       `P
         "Compares every record of the baseline against the candidate (matched \
          on workload/nprocs/line/opts). Every metric — cycles, messages, \
-         misses and per-workload extras — is simulated, deterministic and \
-         must match exactly. Exits 1 on any regression or missing record.";
+         misses and per-workload extras such as a run's trace hash — is \
+         simulated, deterministic and must match exactly. Exits 1 on any \
+         regression or missing record, with the failing checks on stderr, \
+         and 2 when a file does not parse.";
       `S Manpage.s_examples;
       `Pre
         "  dune exec bench/main.exe -- --quick --json-out BENCH_quick.json\n\
-        \  dune exec bin/bench_gate.exe -- \\\n\
+        \  dune exec bin/bench_gate.exe -- \\\\\n\
         \    --baseline bench/baseline/BENCH_seed.json BENCH_quick.json" ]
   in
   Cmd.v

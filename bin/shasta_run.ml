@@ -438,6 +438,15 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
     close_out oc
   end
 
+(* The first scheduled node fault whose victim is not one of the run's
+   [nprocs] nodes, wildcard victims resolved as the run resolves them. *)
+let fault_out_of_range ~nprocs = function
+  | None -> None
+  | Some nf ->
+    List.find_opt
+      (fun (e : Nodefaults.event) -> e.node >= nprocs)
+      (Nodefaults.resolve nf ~nprocs).events
+
 (* --check runs the pure core at release consistency under round-robin
    homes, at the processor count given, and must have something to run:
    a flag it would silently ignore, a count it would have to change, or
@@ -902,13 +911,28 @@ let cmd =
               "%s drives the sharded hash table; use --app sht, not --app %s"
               (if kvo.kv then "--kv" else "--bench-out")
               app )
+      else if no_instrument && procs > 1 then
+        `Error
+          ( true,
+            Printf.sprintf
+              "--no-instrument runs the original binary on one node; use \
+               -p 1, not -p %d"
+              procs )
       else
-        `Ok
-          (run app size procs net net_faults node_faults cpu line
-             no_instrument no_sched no_flag no_excl no_batch poll no_range
-             fixed_block sc trace trace_out metrics metrics_csv profile
-             profile_out flame_out top show_asm replay dir_mode home_policy
-             sync kvo)
+        match fault_out_of_range ~nprocs:procs node_faults with
+        | Some e ->
+          `Error
+            ( true,
+              Printf.sprintf
+                "--node-faults: node %d out of range for %d processor(s)"
+                e.node procs )
+        | None ->
+          `Ok
+            (run app size procs net net_faults node_faults cpu line
+               no_instrument no_sched no_flag no_excl no_batch poll no_range
+               fixed_block sc trace trace_out metrics metrics_csv profile
+               profile_out flame_out top show_asm replay dir_mode home_policy
+               sync kvo)
     with
     | Failure e | Invalid_argument e ->
       prerr_endline ("shasta_run: " ^ e);

@@ -272,11 +272,15 @@ let parse line =
   try of_fields (parse_object line)
   with Malformed m -> failwith ("Benchjson.parse: " ^ m)
 
-(* A whole BENCH file: JSON Lines, blank lines ignored. *)
+(* A whole BENCH file: JSON Lines, blank lines ignored.  A malformed
+   line fails with its 1-based line number. *)
 let load_string contents =
   String.split_on_char '\n' contents
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map parse
+  |> List.mapi (fun i l -> (i + 1, l))
+  |> List.filter (fun (_, l) -> String.trim l <> "")
+  |> List.map (fun (n, l) ->
+    try of_fields (parse_object l)
+    with Malformed m -> failwith (Printf.sprintf "line %d: %s" n m))
 
 let load_file path =
   let ic = open_in path in
@@ -284,7 +288,7 @@ let load_file path =
   let contents = really_input_string ic len in
   close_in ic;
   try load_string contents
-  with Failure m -> failwith (Printf.sprintf "Benchjson.load_file %s: %s" path m)
+  with Failure m -> failwith (Printf.sprintf "%s: %s" path m)
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate                                                     *)
@@ -325,7 +329,11 @@ let check_record (base : t) (cand : t) =
             c_ok = false; c_status = Missing;
             c_note = "metric missing from candidate" }
         | Some cv ->
-          let ok = num_value bv = num_value cv in
+          let ok =
+            match (bv, cv) with
+            | Int b, Int c -> b = c (* a trace hash has 60 bits *)
+            | _ -> num_value bv = num_value cv
+          in
           { c_key = k; c_metric = name; c_base = Some bv; c_cand = Some cv;
             c_ok = ok;
             c_status = (if ok then Ok else Regression);

@@ -59,9 +59,12 @@ val parse : string -> t
     other than {!schema_version}. *)
 
 val load_string : string -> t list
-(** Parse a whole BENCH file (JSON Lines; blank lines are ignored). *)
+(** Parse a whole BENCH file (JSON Lines; blank lines are ignored).
+    @raise Failure ["line N: message"] on the first malformed line. *)
 
 val load_file : string -> t list
+(** [load_string] of a file's contents.
+    @raise Failure ["PATH: line N: message"] on a malformed line. *)
 
 (** {2 Regression gate} *)
 

@@ -2,7 +2,7 @@
    generator whose whole state is one 64-bit word advanced by the
    golden-ratio increment.  Chosen over [Random] because its output is
    fixed by the algorithm alone — bit-identical everywhere, forever —
-   which is what golden traces and replay demand. *)
+   which is what the pinned trace hashes and replay demand. *)
 
 type t = { mutable s : int64 }
 

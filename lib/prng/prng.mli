@@ -2,7 +2,7 @@
     that needs reproducible randomness: the workload generator's key
     streams, the model checker's interleaving fuzzer.
 
-    Replay and golden traces must stay bit-identical across runs and
+    Replay and pinned traces must stay bit-identical across runs and
     OCaml versions, so nothing here touches [Random] (whose algorithm
     changed across releases) or any global state: a [t] is a single
     mutable 64-bit cell advanced by the splitmix64 finalizer. *)

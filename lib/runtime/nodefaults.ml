@@ -21,7 +21,7 @@
    dropped frame until a copy survives.
    "none" parses to [None].  A spec with no crash/recover events is
    semantically OFF: the cluster must behave byte-identically to not
-   passing --node-faults at all (goldens enforce this). *)
+   passing --node-faults at all (test_crash compares the two traces). *)
 
 type what =
   | Crash

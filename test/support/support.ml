@@ -34,12 +34,12 @@ let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
 
-(* --- canonical event traces and their digests ----------------------- *)
+(* --- canonical event traces ------------------------------------------ *)
 
 (* Run with a text sink attached and return the canonical trace: every
    emitted event rendered by [Sink.line], in emission order.  This is
-   the byte-exact protocol behaviour of the run — the golden-trace
-   suite digests it to pin workloads down across refactors. *)
+   the byte-exact protocol behaviour of the run; the P=4 throughput
+   rows of the seed BENCH baseline pin it by hash. *)
 let run_trace ?(opts = Some Shasta.Opts.full) ?(nprocs = 1) ?net ?net_faults
     ?node_faults prog =
   let obs = Shasta_obs.Obs.create ~nprocs () in
@@ -51,32 +51,26 @@ let run_trace ?(opts = Some Shasta.Opts.full) ?(nprocs = 1) ?net ?net_faults
   let out, r = run ~opts ~nprocs ?net ?net_faults ?node_faults ~obs prog in
   (List.rev !lines, out, r)
 
-(* Digest a trace in fixed-size chunks so a mismatch can be narrowed to
-   its first diverging window without storing the full golden text. *)
-let chunk_lines = 64
-
-let digest_chunks lines =
-  let rec go acc chunk n = function
-    | [] ->
-      let acc =
-        if chunk = [] then acc
-        else Digest.to_hex (Digest.string (String.concat "\n" (List.rev chunk)))
-             :: acc
-      in
-      List.rev acc
-    | l :: rest ->
-      if n = chunk_lines then
-        go
-          (Digest.to_hex (Digest.string (String.concat "\n" (List.rev chunk)))
-           :: acc)
-          [ l ] 1 rest
-      else go acc (l :: chunk) (n + 1) rest
+(* A fault layer that is switched on but can never fire must not move a
+   single event: run [make ()] without the layer and with it, and fail
+   at the first trace line where the two runs differ. *)
+let check_same_trace ?net_faults ?node_faults ~nprocs make =
+  let base, out0, _ = run_trace ~nprocs (make ()) in
+  let got, out1, _ = run_trace ~nprocs ?net_faults ?node_faults (make ()) in
+  Alcotest.(check string) "output identical" out0 out1;
+  let rec first_diff k = function
+    | a :: base, b :: got when a = b -> first_diff (k + 1) (base, got)
+    | a :: _, b :: _ ->
+      Alcotest.failf "trace diverges at line %d:\n  -%s\n  +%s" k a b
+    | _ -> ()
   in
-  (List.length lines, go [] [] 0 lines)
+  first_diff 0 (base, got);
+  Alcotest.(check int) "trace length identical" (List.length base)
+    (List.length got)
 
-(* The workloads pinned by the golden-trace suite, with the exact specs
-   the digests were generated under (fault-free default network). *)
-let golden_runs =
+(* The four P=4 workloads the fault suites run: the soak, the counter
+   checks and the identity checks, each on the default network. *)
+let pinned_runs =
   [ ("lu", 4, fun () -> Shasta_apps.Lu.program ~n:16 ~bs:4 ());
     ("fft", 4, fun () -> Shasta_apps.Fft.program ~n:64 ());
     ("radix", 4, fun () -> Shasta_apps.Radix.program ~nkeys:1024 ~max_bits:16 ());

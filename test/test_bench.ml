@@ -106,6 +106,17 @@ let test_gate_extra_exact () =
   let c = [ base_record ~extra:[ ("errors", B.Int 1) ] () ] in
   Alcotest.(check bool) "extra metrics gate exactly" false (gate_ok b c)
 
+(* A trace hash has 60 bits, more than a float holds exactly: hashes
+   that differ in the last bit still fail the gate. *)
+let test_gate_trace_hash_exact () =
+  let hash h = [ base_record ~extra:[ ("trace_hash", B.Int h) ] () ] in
+  let h = 0x49b3fbe0867b29d in
+  Alcotest.(check bool) "a float cannot tell them apart" true
+    (float_of_int h = float_of_int (h + 1));
+  Alcotest.(check bool) "last-bit difference fails" false
+    (gate_ok (hash h) (hash (h + 1)));
+  Alcotest.(check bool) "equal hashes pass" true (gate_ok (hash h) (hash h))
+
 let test_gate_missing_and_new () =
   let b = [ base_record (); base_record ~workload:"fft" () ] in
   let only_lu = [ base_record () ] in
@@ -204,6 +215,16 @@ let test_non_flat_rejected () =
   rejected "nested object" (head ^ ", \"gc\": {\"minor_words\": 1.0}}");
   rejected "array" (head ^ ", \"xs\": [1, 2]}")
 
+(* A malformed line of a whole file is reported with its 1-based line
+   number, blank lines counted. *)
+let test_load_names_line () =
+  let good = B.emit (base_record ()) in
+  match B.load_string (good ^ "\n\n" ^ String.sub good 0 20) with
+  | _ -> Alcotest.fail "truncated file accepted"
+  | exception Failure m ->
+    Alcotest.(check bool) ("line 3 named: " ^ m) true
+      (String.starts_with ~prefix:"line 3: " m)
+
 let () =
   Alcotest.run "bench"
     [ ( "roundtrip",
@@ -219,6 +240,8 @@ let () =
           Alcotest.test_case "sim regression (+/-1 cycle)" `Quick
             test_gate_sim_regression;
           Alcotest.test_case "extra metrics exact" `Quick test_gate_extra_exact;
+          Alcotest.test_case "trace hash exact to the last bit" `Quick
+            test_gate_trace_hash_exact;
           Alcotest.test_case "missing/new records" `Quick
             test_gate_missing_and_new ] );
       ( "kv",
@@ -230,4 +253,6 @@ let () =
             test_schema_future_rejected;
           Alcotest.test_case "schema 1 rejected" `Quick test_schema_1_rejected;
           Alcotest.test_case "non-flat value rejected" `Quick
-            test_non_flat_rejected ] ) ]
+            test_non_flat_rejected;
+          Alcotest.test_case "malformed line named" `Quick
+            test_load_names_line ] ) ]

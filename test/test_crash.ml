@@ -8,8 +8,8 @@
 
    - Zero-schedule identity: a --node-faults spec with no events must
      leave the canonical event trace byte-identical to a run without
-     the layer at all (the golden suite pins the absent case; this
-     pins Some-but-empty against it).
+     the layer at all (the seed BENCH baseline pins the absent case by
+     trace hash; this pins Some-but-empty against it).
 
    - Live crash runs: a lock held by a crashed node is reclaimed by
      lease takeover so waiters progress; the P=4 KV service survives a
@@ -72,21 +72,10 @@ let t_spec_parse () =
 (* ------------------------------------------------------------------ *)
 
 let t_zero_schedule_identity () =
-  let _, nprocs, make = List.hd Support.golden_runs in
-  let base, out0, _ = Support.run_trace ~nprocs (make ()) in
+  let _, nprocs, make = List.hd Support.pinned_runs in
   let spec = Option.get (Nodefaults.of_string "lease=777") in
   Alcotest.(check bool) "event-free spec is off" true (Nodefaults.is_off spec);
-  let got, out1, _ =
-    Support.run_trace ~nprocs ~node_faults:spec (make ())
-  in
-  Alcotest.(check string) "output identical" out0 out1;
-  Alcotest.(check int) "trace length identical" (List.length base)
-    (List.length got);
-  List.iteri
-    (fun k (a, b) ->
-      if a <> b then
-        Alcotest.failf "trace diverges at line %d:\n  -%s\n  +%s" k a b)
-    (List.combine base got)
+  Support.check_same_trace ~nprocs ~node_faults:spec make
 
 (* ------------------------------------------------------------------ *)
 (* Lock-lease takeover: a crashed holder's lock is reclaimed           *)

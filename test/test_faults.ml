@@ -8,6 +8,10 @@
      counters must move when faults are on and stay at zero when they
      are off, and must equal the sums of the fault events a sink saw.
 
+   - sublayer identity: a faulty wire whose fault probabilities are
+     all zero gives each pinned workload the same event trace, line
+     for line, as the plain wire.
+
    - QCheck properties of the wire itself: the sender's transmission
      plan is deterministic in the RNG and respects the backoff
      arithmetic; over the reliable and standard wires, with crashes and recoveries in between, the counted queue
@@ -91,7 +95,7 @@ let t_soak (name, nprocs, make) () =
 
 (* With faults off the registry's fault counters must be exactly zero. *)
 let t_counters_zero_when_off () =
-  let _, nprocs, make = List.hd Support.golden_runs in
+  let _, nprocs, make = List.hd Support.pinned_runs in
   let _, r = Support.run ~nprocs (make ()) in
   List.iter
     (fun c -> Alcotest.(check int) (c ^ " zero") 0 (net_total r c))
@@ -104,7 +108,7 @@ let t_counters_zero_when_off () =
    of the fault events a sink attached to the same run received: the
    Obs mapping from [Net_fault] to counters loses and invents nothing. *)
 let t_counters_match_events () =
-  let _, nprocs, make = List.hd Support.golden_runs in
+  let _, nprocs, make = List.hd Support.pinned_runs in
   let obs = Shasta_obs.Obs.create ~nprocs () in
   let retx = ref 0 and backoff = ref 0 and timeouts = ref 0 in
   Shasta_obs.Obs.attach obs
@@ -128,10 +132,17 @@ let t_counters_match_events () =
   Alcotest.(check int) "net.timeout" !timeouts
     (net_total r Shasta_obs.Obs.c_net_timeout)
 
+(* [Some no_faults] vs [None]: a faulty wire with zero fault
+   probabilities plans every arrival through the fault coins, yet must
+   not move a single event: same messages, same delivery cycles, same
+   trace bytes. *)
+let t_sublayer_identity (_, nprocs, make) () =
+  Support.check_same_trace ~nprocs ~net_faults:Network.no_faults make
+
 (* Seeded faults are deterministic: same spec, same run, same cycle
    count and same fault counters. *)
 let t_faults_deterministic () =
-  let _, nprocs, make = List.hd Support.golden_runs in
+  let _, nprocs, make = List.hd Support.pinned_runs in
   let go () =
     let _, r = Support.run ~nprocs ~net_faults:Network.standard (make ()) in
     ( r.Api.phase.Cluster.wall_cycles,
@@ -290,13 +301,25 @@ let prop_pending_counts faults (nprocs, ops) =
       ok && consistent ())
     ops
 
+(* The identity cases run as a suite of their own: Alcotest pads every
+   group name to the longest one in a suite and cuts the test names to
+   fit the line, so the long "sublayer-identity" group would shorten the
+   printed names of the QCheck cases below. *)
 let () =
+  Alcotest.run ~and_exit:false "faults-identity"
+    [ ( "sublayer-identity",
+        List.map
+          (fun ((name, _, _) as g) ->
+            Alcotest.test_case (name ^ " under no_faults") `Quick
+              (t_sublayer_identity g))
+          Support.pinned_runs ) ];
+  print_newline ();
   Alcotest.run "faults"
     [ ( "soak",
         List.map
           (fun ((name, _, _) as g) ->
             Alcotest.test_case name `Slow (t_soak g))
-          Support.golden_runs );
+          Support.pinned_runs );
       ( "counters",
         [ Alcotest.test_case "zero when off" `Quick t_counters_zero_when_off;
           Alcotest.test_case "registry matches events" `Quick
