@@ -1039,8 +1039,7 @@ let section_scaling () =
        if !quick then Shasta_apps.Ocean.program ~n:18 ~iters:2 ()
        else Shasta_apps.Ocean.program ~n:34 ~iters:4 ()) ];
   Table.print t;
-  (* 4. home policies at P=16: round-robin vs first-touch vs run-time
-     migration *)
+  (* 4. home policies at P=16: round-robin vs first-touch *)
   let t =
     Table.create [ "lu @P=16"; "policy"; "cycles"; "msgs" ]
   in
@@ -1051,8 +1050,7 @@ let section_scaling () =
       Table.addf t "%s\t%s\t%d\t%d" "lu" pname r.Api.phase.wall_cycles
         r.Api.phase.msgs_sent)
     [ ("rr", State.Round_robin);
-      ("first-touch", State.First_touch);
-      ("migrate", State.Migrate) ];
+      ("first-touch", State.First_touch) ];
   Table.print t;
   print_string
     "The full map stops at 61 nodes (its int-bitmask capacity); limited\n\
@@ -1062,8 +1060,9 @@ let section_scaling () =
      per-node sync hot-spot at P=32 (gated above): queue locks hand\n\
      contended locks peer-to-peer and the combining tree spreads the\n\
      home's P-wide barrier fan over log-depth combining nodes.\n\
-     Placement policies cut remote-home traffic on allocator-owned\n\
-     data.\n"
+     First-touch homes each page at the first node to allocate on it\n\
+     (a page's home never moves once set), cutting remote-home traffic\n\
+     on allocator-owned data.\n"
 
 (* ------------------------------------------------------------------ *)
 (* bechamel microbenchmarks of the instrumenter itself                  *)

@@ -120,14 +120,14 @@ open Cmdliner
 let baseline =
   Arg.(
     required
-    & opt (some file) None
+    & opt (some non_dir_file) None
     & info [ "baseline" ] ~docv:"FILE"
         ~doc:"Baseline BENCH_*.json file (JSON Lines, Benchjson schema).")
 
 let candidate =
   Arg.(
     required
-    & pos 0 (some file) None
+    & pos 0 (some non_dir_file) None
     & info [] ~docv:"CANDIDATE" ~doc:"Candidate BENCH_*.json file to gate.")
 
 let verbose =

@@ -182,23 +182,24 @@ let kv_workload size kvo =
   (wl, Shasta_apps.Sht.default_cfg ~nkeys)
 
 let home_policies =
-  [ ("rr", State.Round_robin); ("first-touch", State.First_touch);
-    ("migrate", State.Migrate) ]
+  [ ("rr", State.Round_robin); ("first-touch", State.First_touch) ]
 
-let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
-    no_instrument no_sched no_flag no_excl no_batch poll no_range fixed_block
-    sc trace trace_out metrics metrics_csv profile profile_out flame_out top
-    show_asm replay dmode home_policy scalable_sync kvo =
-  let entry = Shasta_apps.Apps.find app in
+(* The program a run executes: the KV workload's sharded hash table
+   under --kv or --bench-out, else the registered app at [size]. *)
+let program app size kvo =
   let kv_wl =
     if kvo.kv || kvo.bench_out <> None then Some (kv_workload size kvo)
     else None
   in
-  let prog =
-    match kv_wl with
-    | Some (wl, cfg) -> Shasta_apps.Sht.program ~cfg ~wl ()
-    | None -> entry.make size
-  in
+  match kv_wl with
+  | Some (wl, cfg) -> (kv_wl, Shasta_apps.Sht.program ~cfg ~wl ())
+  | None -> (kv_wl, (Shasta_apps.Apps.find app).make size)
+
+let run app (kv_wl, prog) nprocs (net_name, net) faults nfaults pipe
+    line_bytes no_instrument no_sched no_flag no_excl no_batch poll no_range
+    fixed_block sc trace trace_out metrics metrics_csv profile profile_out
+    flame_out top show_asm replay dmode home_policy scalable_sync kvo =
+  let entry = Shasta_apps.Apps.find app in
   let opts =
     if no_instrument then None
     else
@@ -438,13 +439,29 @@ let run app size nprocs (net_name, net) faults nfaults pipe line_bytes
     close_out oc
   end
 
-(* The first scheduled node fault whose victim is not one of the run's
-   [nprocs] nodes, wildcard victims resolved as the run resolves them. *)
-let fault_out_of_range ~nprocs = function
+(* The usage error for the first scheduled node fault whose victim the
+   run cannot take, wildcard victims resolved as the run resolves them:
+   one that is not among the run's [nprocs] nodes, or, when the program
+   declares a [__crashed] mask, one past the mask's [Sys.int_size]
+   bits. *)
+let node_fault_error ~nprocs prog = function
   | None -> None
   | Some nf ->
-    List.find_opt
-      (fun (e : Nodefaults.event) -> e.node >= nprocs)
+    let masked = List.mem_assoc "__crashed" prog.Shasta_minic.Ast.globals in
+    List.find_map
+      (fun (e : Nodefaults.event) ->
+        if e.node >= nprocs then
+          Some
+            (Printf.sprintf
+               "--node-faults: node %d out of range for %d processor(s)"
+               e.node nprocs)
+        else if masked && e.node >= Sys.int_size then
+          Some
+            (Printf.sprintf
+               "--node-faults: node %d does not fit the program's \
+                %d-bit __crashed mask"
+               e.node Sys.int_size)
+        else None)
       (Nodefaults.resolve nf ~nprocs).events
 
 (* --check runs the pure core at release consistency under round-robin
@@ -853,9 +870,8 @@ let cmd =
     Arg.(value & opt (enum home_policies) State.Round_robin
          & info [ "home-policy" ] ~docv:"POLICY"
              ~doc:"Home assignment: rr (pages round-robin across nodes, \
-                   the default), first-touch (pages homed at the \
-                   allocating node) or migrate (a page's home follows \
-                   sustained remote access at run time).")
+                   the default) or first-touch (each page homed at \
+                   the first node to allocate on it).")
   in
   let sync_t =
     Arg.(value & opt (enum [ ("central", false); ("scalable", true) ]) false
@@ -919,16 +935,12 @@ let cmd =
                -p 1, not -p %d"
               procs )
       else
-        match fault_out_of_range ~nprocs:procs node_faults with
-        | Some e ->
-          `Error
-            ( true,
-              Printf.sprintf
-                "--node-faults: node %d out of range for %d processor(s)"
-                e.node procs )
+        let prog = program app size kvo in
+        match node_fault_error ~nprocs:procs (snd prog) node_faults with
+        | Some e -> `Error (true, e)
         | None ->
           `Ok
-            (run app size procs net net_faults node_faults cpu line
+            (run app prog procs net net_faults node_faults cpu line
                no_instrument no_sched no_flag no_excl no_batch poll no_range
                fixed_block sc trace trace_out metrics metrics_csv profile
                profile_out flame_out top show_asm replay dir_mode home_policy

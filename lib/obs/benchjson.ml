@@ -284,9 +284,13 @@ let load_string contents =
 
 let load_file path =
   let ic = open_in path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
+  let contents =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        try In_channel.input_all ic
+        with Sys_error m -> raise (Sys_error (path ^ ": " ^ m)))
+  in
   try load_string contents
   with Failure m -> failwith (Printf.sprintf "%s: %s" path m)
 

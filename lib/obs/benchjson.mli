@@ -64,7 +64,8 @@ val load_string : string -> t list
 
 val load_file : string -> t list
 (** [load_string] of a file's contents.
-    @raise Failure ["PATH: line N: message"] on a malformed line. *)
+    @raise Failure ["PATH: line N: message"] on a malformed line.
+    @raise Sys_error ["PATH: message"] when the file cannot be read. *)
 
 (** {2 Regression gate} *)
 

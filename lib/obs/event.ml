@@ -75,10 +75,6 @@ type t =
   | Dir_rebuild of { block : int; from : int }
       (* a directory entry owned by (or homed on) crashed node [from]
          was reconstructed from surviving sharer state *)
-  | Home_migrated of { page : int; to_ : int }
-      (* hot-page home migration (--home-policy migrate): directory
-         requests for [page] now go to [to_], the node whose repeated
-         remote misses earned it the entry *)
 
 type record = { node : int; time : int; ev : t; site : site option }
 
@@ -118,8 +114,6 @@ let describe = function
     Printf.sprintf "lease-takeover %d (from n%d)" id from
   | Dir_rebuild { block; from } ->
     Printf.sprintf "dir-rebuild @0x%x (from n%d)" block from
-  | Home_migrated { page; to_ } ->
-    Printf.sprintf "home-migrate page %d -> n%d" page to_
 
 (* Short name used as the Chrome trace_event [name] field. *)
 let chrome_name = function
@@ -143,4 +137,3 @@ let chrome_name = function
   | Node_recover _ -> "node-recover"
   | Lease_takeover _ -> "lease-takeover"
   | Dir_rebuild _ -> "dir-rebuild"
-  | Home_migrated _ -> "home-migrate"

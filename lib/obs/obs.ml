@@ -58,9 +58,6 @@ let c_node_recover = "node.recover"
 let c_lease_takeover = "lease.takeover"
 let c_dir_rebuild = "dir.rebuild"
 
-(* Hot-page directory-home migrations under --home-policy migrate. *)
-let c_home_migrate = "dir.home_migrate"
-
 let h_payload = "msg.payload_longs"
 let h_stall = "stall.cycles"
 let h_miss_latency = "miss.latency_cycles"
@@ -99,7 +96,6 @@ type cells = {
   node_recover : Metrics.counter;
   lease_takeover : Metrics.counter;
   dir_rebuild : Metrics.counter;
-  home_migrate : Metrics.counter;
   payload : Metrics.histogram;
   stall : Metrics.histogram;
   miss_latency : Metrics.histogram;
@@ -129,7 +125,7 @@ let create ~nprocs () =
       net_backoff = c c_net_backoff;
       net_timeout = c c_net_timeout; node_crash = c c_node_crash;
       node_recover = c c_node_recover; lease_takeover = c c_lease_takeover;
-      dir_rebuild = c c_dir_rebuild; home_migrate = c c_home_migrate;
+      dir_rebuild = c c_dir_rebuild;
       payload = h h_payload; stall = h h_stall;
       miss_latency = h h_miss_latency; fanout = h h_fanout }
   in
@@ -204,7 +200,6 @@ let count_event t ~node (ev : Event.t) =
   | Node_recover _ -> incr c.node_recover ~node
   | Lease_takeover _ -> incr c.lease_takeover ~node
   | Dir_rebuild _ -> incr c.dir_rebuild ~node
-  | Home_migrated _ -> incr c.home_migrate ~node
 
 let emit t ?site ~node ~time ev =
   count_event t ~node ev;

@@ -123,9 +123,6 @@ val c_lease_takeover : string
 val c_dir_rebuild : string
 (** Directory entries reconstructed after a crash. *)
 
-val c_home_migrate : string
-(** Hot-page directory-home migrations ([--home-policy migrate]). *)
-
 val h_payload : string
 val h_stall : string
 val h_miss_latency : string

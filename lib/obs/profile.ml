@@ -39,18 +39,53 @@ let fresh_site () =
 
 let site_misses s = s.n_read + s.n_write + s.n_upgrade
 
+(* --- node sets ------------------------------------------------------ *)
+
+(* A set of node ids below [nprocs], one bit each, in words: node x is
+   bit [x land word_mask] of word [x lsr word_shift], the layout of
+   [Nodeset]'s word masks.  One int has no bit for node 63 and up.  A
+   block's sets only grow, so [nodes_add] updates in place. *)
+type nodes = int array
+
+let word_shift = 5
+let word_mask = (1 lsl word_shift) - 1
+let nodes_create nprocs = Array.make ((nprocs + word_mask) lsr word_shift) 0
+
+let nodes_add (s : nodes) x =
+  let i = x lsr word_shift in
+  s.(i) <- s.(i) lor (1 lsl (x land word_mask))
+
+let popcount m =
+  let rec go m k = if m = 0 then k else go (m land (m - 1)) (k + 1) in
+  go m 0
+
+(* Members of [a] or [b], two sets over the same nodes. *)
+let union_cardinal (a : nodes) (b : nodes) =
+  let k = ref 0 in
+  Array.iteri (fun i w -> k := !k + popcount (w lor b.(i))) a;
+  !k
+
+let cardinal s = union_cardinal s s
+
+(* Some member of [a] outside [b]. *)
+let exceeds (a : nodes) (b : nodes) =
+  let r = ref false in
+  Array.iteri (fun i w -> if w land lnot b.(i) <> 0 then r := true) a;
+  !r
+
 type block_stats = {
-  mutable readers : int; (* node bitmask of read-missing nodes *)
-  mutable writers : int; (* node bitmask of write/upgrade-missing nodes *)
+  readers : nodes; (* read-missing nodes *)
+  writers : nodes; (* write/upgrade-missing nodes *)
   mutable invals : int;
   mutable pingpong : int; (* invalidations whose requester changed *)
   mutable last_req : int;
-  word_writers : (int, int) Hashtbl.t; (* longword offset -> node mask *)
-  word_readers : (int, int) Hashtbl.t;
+  word_writers : (int, nodes) Hashtbl.t; (* longword offset -> nodes *)
+  word_readers : (int, nodes) Hashtbl.t;
 }
 
-let fresh_block () =
-  { readers = 0; writers = 0; invals = 0; pingpong = 0; last_req = -1;
+let fresh_block nprocs =
+  { readers = nodes_create nprocs; writers = nodes_create nprocs;
+    invals = 0; pingpong = 0; last_req = -1;
     word_writers = Hashtbl.create 8; word_readers = Hashtbl.create 8 }
 
 type span = {
@@ -101,7 +136,7 @@ let block_cell t base =
   match Hashtbl.find_opt t.blocks base with
   | Some b -> b
   | None ->
-    let b = fresh_block () in
+    let b = fresh_block t.nprocs in
     Hashtbl.add t.blocks base b;
     b
 
@@ -111,9 +146,13 @@ let bump_stack t (site : Event.site) =
   | Some r -> incr r
   | None -> Hashtbl.add t.stacks key (ref 1)
 
-let mask_or tbl key bit =
-  let prev = match Hashtbl.find_opt tbl key with Some m -> m | None -> 0 in
-  Hashtbl.replace tbl key (prev lor bit)
+let word_add t tbl word node =
+  match Hashtbl.find_opt tbl word with
+  | Some s -> nodes_add s node
+  | None ->
+    let s = nodes_create t.nprocs in
+    nodes_add s node;
+    Hashtbl.add tbl word s
 
 (* --- span matching -------------------------------------------------- *)
 
@@ -175,11 +214,11 @@ let feed t (r : Event.record) =
     let word = (addr - base) lsr 2 in
     (match kind with
      | Event.Read ->
-       b.readers <- b.readers lor (1 lsl node);
-       mask_or b.word_readers word (1 lsl node)
+       nodes_add b.readers node;
+       word_add t b.word_readers word node
      | Event.Write | Event.Upgrade ->
-       b.writers <- b.writers lor (1 lsl node);
-       mask_or b.word_writers word (1 lsl node))
+       nodes_add b.writers node;
+       word_add t b.word_writers word node)
   | False_miss _ ->
     (match r.site with
      | Some site ->
@@ -244,30 +283,26 @@ let unmatched t =
 
 (* --- false sharing -------------------------------------------------- *)
 
-let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1)
-
 (* True sharing shows as a longword-level conflict: some longword is
    written by two nodes, or read by a node that did not write it while
-   another wrote it.  A block with invalidation traffic, several nodes
-   involved, and no such longword is a false-sharing suspect. *)
+   another wrote it (a longword's writer set is never empty).  A block
+   with invalidation traffic, several nodes involved, and no such
+   longword is a false-sharing suspect. *)
 let block_truly_shared (b : block_stats) =
   Hashtbl.fold
-    (fun word wmask acc ->
+    (fun word writers acc ->
       acc
-      || popcount wmask >= 2
+      || cardinal writers >= 2
       ||
-      let rmask =
-        match Hashtbl.find_opt b.word_readers word with
-        | Some m -> m
-        | None -> 0
-      in
-      wmask <> 0 && rmask land lnot wmask <> 0)
+      match Hashtbl.find_opt b.word_readers word with
+      | Some readers -> exceeds readers writers
+      | None -> false)
     b.word_writers false
 
 let is_suspect (b : block_stats) =
   b.invals >= 2
-  && popcount (b.readers lor b.writers) >= 2
-  && b.writers <> 0
+  && union_cardinal b.readers b.writers >= 2
+  && cardinal b.writers > 0
   && not (block_truly_shared b)
 
 let false_sharing_suspects t =
@@ -322,8 +357,8 @@ let report ?(top = 10) t ~name_site =
         if i < top then
           Table.add_row ct
             [ Printf.sprintf "0x%x" base;
-              string_of_int (popcount b.readers);
-              string_of_int (popcount b.writers);
+              string_of_int (cardinal b.readers);
+              string_of_int (cardinal b.writers);
               string_of_int b.invals; string_of_int b.pingpong;
               (if is_suspect b then "false-sharing suspect"
                else if block_truly_shared b then "true sharing"

@@ -23,15 +23,21 @@ type site_stats = {
 val site_misses : site_stats -> int
 (** [n_read + n_write + n_upgrade]. *)
 
+type nodes
+(** A set of node ids, one bit for each id below the profiler's
+    [nprocs]. *)
+
+val cardinal : nodes -> int
+
 type block_stats = {
-  mutable readers : int; (** node bitmask *)
-  mutable writers : int; (** node bitmask *)
+  readers : nodes; (** read-missing nodes *)
+  writers : nodes; (** write/upgrade-missing nodes *)
   mutable invals : int;
   mutable pingpong : int;
       (** invalidations whose requester differs from the previous one *)
   mutable last_req : int;
-  word_writers : (int, int) Hashtbl.t; (** longword offset -> node mask *)
-  word_readers : (int, int) Hashtbl.t;
+  word_writers : (int, nodes) Hashtbl.t; (** longword offset -> nodes *)
+  word_readers : (int, nodes) Hashtbl.t;
 }
 
 type span = {
@@ -45,7 +51,8 @@ type span = {
 type t
 
 val create : ?nprocs:int -> ?block_of:(int -> int) -> unit -> t
-(** [block_of] maps a data address to the base used for contention
+(** Events must come from nodes below [nprocs] (default 1).
+    [block_of] maps a data address to the base used for contention
     grouping (default: 64-byte lines). *)
 
 val feed : t -> Event.record -> unit
@@ -70,8 +77,6 @@ val span_metrics : t -> Metrics.t
 
 val unmatched : t -> (int * int * string * int) list
 (** Requests never answered: (node, addr, kind, send time). *)
-
-val popcount : int -> int
 
 val block_truly_shared : block_stats -> bool
 val is_suspect : block_stats -> bool

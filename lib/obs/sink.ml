@@ -117,8 +117,6 @@ let chrome_args (ev : Event.t) =
     [ kv "\"id\":%d" id; kv "\"from\":%d" from ]
   | Dir_rebuild { block; from } ->
     [ kv "\"block\":\"0x%x\"" block; kv "\"from\":%d" from ]
-  | Home_migrated { page; to_ } ->
-    [ kv "\"page\":%d" page; kv "\"to\":%d" to_ ]
   | Barrier_passed | Node_finished -> []
 
 let chrome_record (r : Event.record) =

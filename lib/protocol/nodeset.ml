@@ -347,9 +347,17 @@ let is_exact = function
   | Bits _ | Ptrs _ | Words _ -> true
   | Bcast _ -> false
 
-(* Collapse to an int bitmask (members must fit below [Sys.int_size]). *)
-let to_mask t =
-  match t with Bits m -> m | _ -> fold (fun x m -> m lor (1 lsl x)) t 0
+(* Collapse to an int bitmask.  A member at or past [Sys.int_size] has
+   no bit ([1 lsl 63] is 0, and wider shifts wrap onto low bits), so it
+   is refused rather than dropped. *)
+let mask_bit x m =
+  if x >= Sys.int_size then
+    invalid_arg
+      (Printf.sprintf "Nodeset.to_mask: node %d has no bit in a %d-bit mask"
+         x Sys.int_size);
+  m lor (1 lsl x)
+
+let to_mask t = match t with Bits m -> m | _ -> fold mask_bit t 0
 
 (* Canonical rendering: equal strings <=> structurally equal values.
    The leading character disambiguates representations so the model

@@ -68,7 +68,8 @@ val is_exact : t -> bool
     broadcast). *)
 
 val to_mask : t -> int
-(** Collapse to an int bitmask; members must be below [Sys.int_size]. *)
+(** Collapse to an int bitmask.  Raises [Invalid_argument] naming the
+    node when a member is not below [Sys.int_size]. *)
 
 val to_buffer : Buffer.t -> t -> unit
 (** Append the canonical rendering (equal strings <=> equal values),

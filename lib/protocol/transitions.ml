@@ -113,7 +113,7 @@ type flagst = { fset : bool; fwaiters : int list (* head oldest *) }
 
 (* The view is split by how often a step changes a field: [dir] and
    [nodes] change on most steps and sit at top level, so copying the
-   view costs 4 words; the eight fields that change only on sync,
+   view costs 4 words; the seven fields that change only on sync,
    crash and placement steps share one [rest] record, which a step
    that leaves them alone passes on untouched. *)
 type rest = {
@@ -126,10 +126,8 @@ type rest = {
                     resumes protocol duties (crashed bit cleared) but
                     its program died with it, so barriers treat it as
                     permanently arrived. *)
-  homes : int Imap.t; (* page -> home override (policy-driven placement
-                         and hot-page migration); absent = round-robin *)
-  heat : (int * int) Imap.t; (* page -> (last remote requester, streak)
-                                — only populated under [Migrate] *)
+  homes : int Imap.t; (* page -> home override (first-touch placement),
+                         written once per page; absent = round-robin *)
   brelease : Ns.t; (* combining-tree barrier: nodes the current release
                       wave still has to reach (empty under centralized
                       sync) *)
@@ -146,23 +144,17 @@ type view = {
    ownership and every invalidation ack arrive (Section 4.3). *)
 type consistency = Release | Sequential
 
-(* Round_robin is the paper's default (Section 2.1); the runtime
-   installs First_touch homes through [I_set_home]; Migrate moves a
-   page's directory home to a persistently remote requester. *)
-type home_policy = Round_robin | First_touch | Migrate
-
 type cfg = {
   nprocs : int; (* homes: (block / Granularity.page_bytes) mod nprocs *)
   consistency : consistency;
   dmode : Ns.mode; (* directory organization for sharer sets *)
   scalable_sync : bool; (* MCS-style queue locks + combining-tree
                            barrier instead of centralized home sync *)
-  home_policy : home_policy;
 }
 
 let default_cfg =
   { nprocs = 1; consistency = Release; dmode = Ns.Full;
-    scalable_sync = false; home_policy = Round_robin }
+    scalable_sync = false }
 
 let empty_nview =
   { lines = Imap.empty; pending = Imap.empty; acks = Imap.empty;
@@ -178,7 +170,7 @@ let init (cfg : cfg) : view =
   { dir = Imap.empty; nodes = !nodes;
     rest =
       { locks = Imap.empty; flags = Imap.empty; barrier_arrived = e;
-        crashed = e; halted = e; homes = Imap.empty; heat = Imap.empty;
+        crashed = e; halted = e; homes = Imap.empty;
         brelease = e } }
 
 (* ------------------------------------------------------------------ *)
@@ -217,7 +209,7 @@ type action =
   | A_charge of cost
   | A_emit of Ev.t
     (* one of the protocol's own events (misses, invalidations, sync,
-       recovery, migration); the engine reports messages and stalls *)
+       recovery); the engine reports messages and stalls *)
   | A_send of { dst : int; msg : Message.t }
     (* Data_reply is sent with [data = [||]]: the interpreter reads the
        block out of node memory at apply time (no memory effect can
@@ -362,9 +354,9 @@ let set_line c block l = c.me_lines <- Imap.add block l c.me_lines
 let home_of (cfg : cfg) block = block / Granularity.page_bytes mod cfg.nprocs
 
 (* Effective home under placement policies: the homes override when one
-   was installed (first-touch, migration), else the natural round-robin
-   home.  Default runs carry an empty override map, so routing — and
-   traces — are unchanged. *)
+   was installed (first-touch), else the natural round-robin home.
+   Default runs carry an empty override map, so routing — and traces —
+   are unchanged. *)
 let eff_home (cfg : cfg) (v : view) block =
   if Imap.is_empty v.rest.homes then home_of cfg block
   else
@@ -497,34 +489,6 @@ let rec all_arrived nprocs r n =
    step and the invariants share it, and it allocates nothing. *)
 let barrier_complete nprocs (r : rest) =
   (not (Ns.is_empty r.barrier_arrived)) && all_arrived nprocs r 0
-
-(* Hot-page home migration (under [Migrate]): count consecutive
-   remote requests for a page from the same node at its current home; a
-   run of [migrate_threshold] moves the page's directory home to that
-   requester.  In-flight requests to the old home still resolve there —
-   every node can serve any page's directory, the home only names where
-   requests are SENT — so migration is race-free. *)
-let migrate_threshold = 8
-
-let heat_bump c ~block ~requester =
-  if c.cfg.home_policy = Migrate && requester <> c.node then begin
-    let page = block / Granularity.page_bytes in
-    let streak =
-      match Imap.find_opt page c.v.rest.heat with
-      | Some (last, k) when last = requester -> k + 1
-      | _ -> 1
-    in
-    if streak >= migrate_threshold then begin
-      act c (A_emit (Ev.Home_migrated { page; to_ = requester }));
-      set_rest c
-        { c.v.rest with
-          homes = Imap.add page requester c.v.rest.homes;
-          heat = Imap.remove page c.v.rest.heat }
-    end
-    else
-      set_rest c
-        { c.v.rest with heat = Imap.add page (requester, streak) c.v.rest.heat }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Messaging, blocking, waking                                          *)
@@ -752,7 +716,6 @@ and start_pending c block pkind =
 (* ------------------------------------------------------------------ *)
 
 and home_read c ~requester ~block =
-  heat_bump c ~block ~requester;
   let e = dir_entry_exn c block in
   let h = c.node in
   (* membership in an inexact sharer superset does not prove the home's
@@ -774,7 +737,6 @@ and home_read c ~requester ~block =
       (Message.Coh (Fwd_read { requester }))
 
 and home_readex c ~requester ~block =
-  heat_bump c ~block ~requester;
   let e = dir_entry_exn c block in
   let h = c.node in
   let o = e.owner in
@@ -808,7 +770,6 @@ and home_upgrade c ~requester ~block =
      demand exact membership and otherwise convert to a read-exclusive,
      which refetches the data *)
   if Ns.is_exact e.sharers && is_sharer e requester then begin
-    heat_bump c ~block ~requester;
     set_dir c block { owner = requester; sharers = ns_singleton c.cfg requester };
     let acks = send_invs c ~block ~requester ~skip:requester e.sharers 0 0 in
     send c ~dst:requester ~addr:block (Message.Coh (Upgrade_ack { acks }))
@@ -1420,8 +1381,12 @@ let alloc c ~owner ~blocks =
       set_line c block L_exclusive)
     blocks
 
+(* A page's home is written once: a page that already has one keeps it,
+   so first-touch means the first allocation on the page, and no page's
+   home moves while requests for it may be in flight to the old one. *)
 let set_home c ~page ~home =
-  set_rest c { c.v.rest with homes = Imap.add page home c.v.rest.homes }
+  if not (Imap.mem page c.v.rest.homes) then
+    set_rest c { c.v.rest with homes = Imap.add page home c.v.rest.homes }
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery                                                       *)
@@ -2290,11 +2255,6 @@ let home_into page h b =
   Buffer.add_char b ',';
   b
 
-let heat_into page (who, k) b =
-  Keybuf.add_hex b page; Buffer.add_char b ':'; Keybuf.add_int b who;
-  Buffer.add_char b '*'; Keybuf.add_int b k; Buffer.add_char b ',';
-  b
-
 (* A full-map barrier mask prints in decimal. *)
 let ns_dec_into b = function
   | Ns.Bits m -> Keybuf.add_int b m
@@ -2317,9 +2277,6 @@ let canon_rest_into b (v : view) =
   end;
   if not (Imap.is_empty r.homes) then begin
     Buffer.add_string b ";H"; ignore (Imap.fold home_into r.homes b)
-  end;
-  if not (Imap.is_empty r.heat) then begin
-    Buffer.add_string b ";h"; ignore (Imap.fold heat_into r.heat b)
   end
 
 (* [canon_rest_into] reads only [rest]: a view that shares it with [v]

@@ -87,8 +87,8 @@ type rest = {
   halted : Nodeset.t; (* ever-crashed nodes (monotone): a recovered
                          node serves the protocol again but its program
                          is gone, so barriers excuse it permanently *)
-  homes : int Imap.t; (* page -> home override (placement/migration) *)
-  heat : (int * int) Imap.t; (* page -> (last remote requester, streak) *)
+  homes : int Imap.t; (* page -> home override (first-touch placement),
+                         written once per page *)
   brelease : Nodeset.t; (* tree barrier: nodes the release wave owes *)
 }
 
@@ -102,22 +102,16 @@ type view = {
    (stalling stores and batch misses). *)
 type consistency = Release | Sequential
 
-(* Home assignment for shared pages: the paper's round-robin default,
-   first-touch (home = allocating node), or round-robin with hot-page
-   directory-home migration at run time. *)
-type home_policy = Round_robin | First_touch | Migrate
-
 type cfg = {
   nprocs : int;  (* homes: (block / Granularity.page_bytes) mod nprocs *)
   consistency : consistency;
   dmode : Nodeset.mode; (* directory organization for sharer sets *)
   scalable_sync : bool; (* queue locks + combining-tree barrier *)
-  home_policy : home_policy; (* the core reads only [Migrate] *)
 }
 
 val default_cfg : cfg
 (** One node, release consistency, full-map directory, centralized
-    sync, no migration: the base every configuration overrides. *)
+    sync: the base every configuration overrides. *)
 
 type cost =
   | Request_issue
@@ -143,8 +137,7 @@ type action =
   | A_emit of Shasta_obs.Event.t
     (* only the protocol's own kinds: [Miss], [False_miss],
        [Invalidated], [Downgraded], [Store_reissue], [Batch_run], the
-       four sync kinds, [Lease_takeover], [Dir_rebuild] and
-       [Home_migrated] *)
+       four sync kinds, [Lease_takeover] and [Dir_rebuild] *)
   | A_send of { dst : int; msg : Message.t }
   | A_local of Message.t
   | A_mem of memop
@@ -169,7 +162,8 @@ type input =
   | I_alloc of { owner : int; blocks : int list }
   | I_set_home of { page : int; home : int }
     (* install a home-placement override for [page] (first-touch
-       policy) *)
+       policy).  Homes are written once: for a page that already has
+       an override this input leaves the view unchanged *)
   | I_node_crash of { victim : int; lost : (int * Message.t) list }
     (* stepped at a surviving coordinator: marks [victim] dead,
        reconstructs directory entries it owned, reclaims its locks by

@@ -40,9 +40,10 @@ let init_range state ~owner ~base ~len ~bsize =
     Granularity.set_page_block state.State.gran ~page ~block_bytes:bsize
   done;
   (* first-touch placement: the freshly allocated pages are homed at
-     the allocating node instead of the round-robin default.  Under the
-     other policies no override is installed and the protocol view
-     stays byte-identical to the seed. *)
+     the allocating node instead of the round-robin default; a pooled
+     page keeps the home of its first allocation (the core writes a
+     page's home once).  Under round-robin no override is installed and
+     the protocol view stays byte-identical to the seed. *)
   (if state.State.config.home_policy = State.First_touch then
      for page = first_page to last_page do
        Engine.set_home state ~page ~home:owner

@@ -49,8 +49,7 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
   let tcfg =
     { Shasta_protocol.Transitions.nprocs = config.nprocs;
       consistency = config.consistency; dmode = config.dir_mode;
-      scalable_sync = config.scalable_sync;
-      home_policy = config.home_policy }
+      scalable_sync = config.scalable_sync }
   in
   let state =
     { State.config; image; nodes;

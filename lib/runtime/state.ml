@@ -12,8 +12,11 @@ open Shasta_protocol
 
 type consistency = Transitions.consistency = Release | Sequential
 
-type home_policy = Transitions.home_policy =
-  | Round_robin | First_touch | Migrate
+(* Home assignment for shared pages: the paper's round-robin default
+   (Section 2.1), or first-touch, which homes each page at the node
+   that allocates on it first.  Only [Alloc] reads it; the protocol core
+   sees the placements as [I_set_home] inputs. *)
+type home_policy = Round_robin | First_touch
 
 type config = {
   nprocs : int;

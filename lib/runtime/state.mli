@@ -10,11 +10,12 @@
 open Shasta_machine
 open Shasta_protocol
 
-(* The protocol knobs, defined once by the core. *)
+(* The consistency knob, defined once by the core. *)
 type consistency = Transitions.consistency = Release | Sequential
 
-type home_policy = Transitions.home_policy =
-  | Round_robin | First_touch | Migrate
+(* Home assignment for shared pages: the paper's round-robin default,
+   or first-touch (home = the first node to allocate on the page). *)
+type home_policy = Round_robin | First_touch
 
 type config = {
   nprocs : int;

@@ -225,6 +225,16 @@ let test_load_names_line () =
     Alcotest.(check bool) ("line 3 named: " ^ m) true
       (String.starts_with ~prefix:"line 3: " m)
 
+(* A path that opens but cannot be read (a directory) is reported with
+   the path, not as a bare system error. *)
+let test_load_names_unreadable () =
+  let dir = Filename.current_dir_name in
+  match B.load_file dir with
+  | _ -> Alcotest.fail "directory loaded as a BENCH file"
+  | exception Sys_error m ->
+    Alcotest.(check bool) ("path named: " ^ m) true
+      (String.starts_with ~prefix:(dir ^ ": ") m)
+
 let () =
   Alcotest.run "bench"
     [ ( "roundtrip",
@@ -255,4 +265,6 @@ let () =
           Alcotest.test_case "non-flat value rejected" `Quick
             test_non_flat_rejected;
           Alcotest.test_case "malformed line named" `Quick
-            test_load_names_line ] ) ]
+            test_load_names_line;
+          Alcotest.test_case "unreadable file named" `Quick
+            test_load_names_unreadable ] ) ]

@@ -614,10 +614,6 @@ let ref_canon (v : T.view) : string =
     pf ";H";
     T.Imap.iter (fun page h -> pf "%x:%d," page h) r.T.homes
   end;
-  if not (T.Imap.is_empty r.T.heat) then begin
-    pf ";h";
-    T.Imap.iter (fun page (who, k) -> pf "%x:%d*%d," page who k) r.T.heat
-  end;
   Buffer.contents b
 
 (* The shared int writers agree with Printf's %d and %x, negatives and
@@ -690,22 +686,20 @@ let prop_canon_matches_reference (nprocs, family, seed) =
       walk (init sc))
     scs
 
-(* A live run under hot-page migration (radix, where migration fires)
-   populates the placement and heat maps the checker's scenarios never
-   reach. *)
+(* A live run under first-touch placement (radix) populates the homes
+   map, which the checker's scenarios never reach. *)
 let t_canon_live_view () =
   let open Shasta_runtime in
   let prog = (Shasta_apps.Apps.find "radix").make Shasta_apps.Apps.Test in
   let spec =
-    { (Api.default_spec prog) with nprocs = 4; home_policy = State.Migrate }
+    { (Api.default_spec prog) with
+      nprocs = 4; home_policy = State.First_touch }
   in
   let state, _, _ = Api.prepare spec in
   let _ = Cluster.run_app state in
   let v = state.State.proto in
   Alcotest.(check bool) "homes populated" false
     (T.Imap.is_empty v.T.rest.T.homes);
-  Alcotest.(check bool) "heat populated" false
-    (T.Imap.is_empty v.T.rest.T.heat);
   Alcotest.(check string) "canon matches the reference" (ref_canon v)
     (T.canon v)
 

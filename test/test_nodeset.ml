@@ -190,7 +190,15 @@ let t_singleton_masks () =
     [ Ns.Full; Ns.Limited 1 ];
   (* full-map singletons are the historical one-hot masks *)
   Alcotest.(check int) "one-hot" (1 lsl 3)
-    (Ns.to_mask (Ns.singleton Ns.Full ~nprocs:8 3))
+    (Ns.to_mask (Ns.singleton Ns.Full ~nprocs:8 3));
+  (* an int mask has bits for nodes 0..62 only: node 63 is refused,
+     not dropped *)
+  let wide = Ns.exact_empty ~nprocs:64 in
+  Alcotest.(check int) "node 62 is the top bit" min_int
+    (Ns.to_mask (Ns.add wide 62));
+  match Ns.to_mask (Ns.add wide 63) with
+  | m -> Alcotest.failf "node 63 collapsed to mask %d" m
+  | exception Invalid_argument _ -> ()
 
 let t_capacity_validation () =
   (match Ns.validate Ns.Full ~nprocs:8 with

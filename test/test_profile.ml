@@ -63,6 +63,27 @@ let test_site_totals () =
          | _ -> true)
        records)
 
+(* --- false sharing -------------------------------------------------- *)
+
+(* At 64 nodes the sharing verdict still counts node 63: nodes 1 and 63
+   write different longwords of one block and two invalidations with
+   different requesters follow, so the block is a false-sharing
+   suspect with two writers. *)
+let test_suspect_node_63 () =
+  let prof = Profile.create ~nprocs:64 () in
+  let feed node ev =
+    Profile.feed prof { Event.node; time = 0; ev; site = None }
+  in
+  feed 1 (Event.Miss { kind = Event.Write; addr = 0x1000 });
+  feed 63 (Event.Miss { kind = Event.Write; addr = 0x1004 });
+  feed 63 (Event.Invalidated { addr = 0x1000; requester = 63 });
+  feed 1 (Event.Invalidated { addr = 0x1004; requester = 1 });
+  match Profile.false_sharing_suspects prof with
+  | [ (base, b) ] ->
+    Alcotest.(check int) "block" 0x1000 base;
+    Alcotest.(check int) "writers" 2 (Profile.cardinal b.Profile.writers)
+  | l -> Alcotest.failf "%d suspects, expected 1" (List.length l)
+
 (* --- transaction spans ---------------------------------------------- *)
 
 let is_request = function
@@ -170,6 +191,9 @@ let () =
     [ ( "attribution",
         [ Alcotest.test_case "site totals equal registry counters" `Quick
             test_site_totals ] );
+      ( "sharing",
+        [ Alcotest.test_case "false-sharing suspect at node 63" `Quick
+            test_suspect_node_63 ] );
       ( "spans",
         [ Alcotest.test_case "span accounting vs stream" `Quick
             test_span_accounting;

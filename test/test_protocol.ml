@@ -18,6 +18,21 @@ let t_dir_homes () =
   Alcotest.(check int) "other pages stay round robin" 1
     (T.home_for cfg v 8192)
 
+(* A page's home is written once: a second placement for a homed page
+   (a later allocation on a pooled page) leaves its home, and the
+   view's placement state, as they were. *)
+let t_dir_home_written_once () =
+  let module T = Transitions in
+  let cfg = { T.default_cfg with nprocs = 4 } in
+  let set page home v =
+    T.step cfg v ~node:0 (T.I_set_home { page; home })
+  in
+  let _, v = set 2 3 (T.init cfg) in
+  let acts, w = set 2 1 v in
+  Alcotest.(check int) "first placement kept" 3 (T.home_for cfg w (2 * 8192));
+  Alcotest.(check int) "no actions" 0 (List.length acts);
+  Alcotest.(check bool) "placement state shared" true (v.T.rest == w.T.rest)
+
 (* --- the per-step allocation path ----------------------------------- *)
 
 (* The protocol inputs of the sht test preset at P=4, recorded from a
@@ -171,7 +186,7 @@ let recorded ?(opts = Shasta.Opts.full) ?net_faults ?node_faults ~nprocs app =
 let protocol_event : Ev.t -> bool = function
   | Miss _ | False_miss _ | Invalidated _ | Downgraded _ | Store_reissue _
   | Batch_run _ | Lock_acquired _ | Barrier_passed | Flag_raised _
-  | Flag_woken _ | Lease_takeover _ | Dir_rebuild _ | Home_migrated _ ->
+  | Flag_woken _ | Lease_takeover _ | Dir_rebuild _ ->
     true
   | Msg_send _ | Msg_recv _ | Stall _ | Node_finished | Span _ | Net_fault _
   | Node_crash _ | Node_recover _ ->
@@ -720,7 +735,9 @@ let t_net_next_arrival () =
 let () =
   Alcotest.run "protocol"
     [ ( "directory",
-        [ Alcotest.test_case "homes" `Quick t_dir_homes ] );
+        [ Alcotest.test_case "homes" `Quick t_dir_homes;
+          Alcotest.test_case "home written once" `Quick
+            t_dir_home_written_once ] );
       ( "step",
         [ Alcotest.test_case "allocation per step" `Quick t_step_allocation;
           Alcotest.test_case "unchanged views shared" `Quick t_step_sharing;
