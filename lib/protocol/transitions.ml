@@ -402,8 +402,10 @@ let mem_op c (op : memop) =
 let is_crashed (v : view) node = Ns.mem v.rest.crashed node
 
 (* Effective home: the natural home, or — while it is down — its ring
-   successor among the live nodes.  Identity whenever no node is
-   crashed, so fault-free runs route (and trace) exactly as before. *)
+   successor among the live nodes.  A page's home is fixed, so no
+   crash-time rewrite can move a dead home's duties: routing does.
+   Identity whenever no node is crashed, so fault-free runs route (and
+   trace) exactly as before. *)
 let route (cfg : cfg) (v : view) h =
   if Ns.is_empty v.rest.crashed then h
   else begin
@@ -459,6 +461,9 @@ let ns_singleton (cfg : cfg) node =
 let tree_fanout = 4
 let tree_parent n = (n - 1) / tree_fanout
 
+(* A halted node's program never reaches a barrier again, so it counts
+   as arrived at every episode (an arrival written at crash time would
+   cover only the current one, which resets [barrier_arrived]). *)
 let arrived (r : rest) n = Ns.mem r.barrier_arrived n || Ns.mem r.halted n
 
 (* Every node in [n]'s subtree has arrived or is excused as halted.
@@ -528,7 +533,8 @@ let add_written c block stored =
 let rec send c ~dst ~addr kind =
   let msg = { Message.src = c.node; addr; kind } in
   if is_crashed c.v dst then
-    (* crash-stop: the frame would be purged at the dead node's door
+    (* crash-stop: a handler may still answer a node that died after
+       asking.  The frame would be purged at the dead node's door
        anyway; suppressing it here keeps replay exact *)
     ()
   else if dst = c.node then begin
@@ -653,19 +659,6 @@ and register_acks c block expected =
     if a.got >= expected then finish_acks c block
 
 and recv_inv_ack c block =
-  if
-    Ns.mem c.v.rest.halted c.node
-    && (not (Imap.mem block c.me_acks))
-    && not (Imap.mem block c.me_pending)
-  then
-    (* a late ack for a request that died with this node's crash (an
-       Inv between two live nodes still names the dead requester; see
-       [complete_data_reply]).  A LIVE node may legitimately see acks
-       before its reply registers the expected count, but then its
-       request is still pending — a recovered node's is not, and a
-       provisional entry here would stay unacked forever. *)
-    ()
-  else begin
   let a =
     match Imap.find block c.me_acks with
     | a -> { a with got = a.got + 1 }
@@ -675,7 +668,6 @@ and recv_inv_ack c block =
   match a.expected with
   | Some e when a.got >= e -> finish_acks c block
   | _ -> ()
-  end
 
 (* Service requests that were deferred while the block was pending or
    had outstanding acks. *)
@@ -781,9 +773,9 @@ and home_upgrade c ~requester ~block =
 
 (* The invalidation fan-out: an [Inv] for [block] to each member of
    [sharers] from [s] on, in ascending order, but [requester], [skip]
-   and crashed nodes (an inexact superset can re-cover a dead node, and
-   a suppressed [Inv] must not be counted, or the requester waits on a
-   ghost ack).  Returns [k] plus the number sent. *)
+   and crashed nodes (an inexact superset can re-cover a dead node that
+   recovery removed, and a suppressed [Inv] must not be counted, or the
+   requester waits on a ghost ack).  Returns [k] plus the number sent. *)
 and send_invs c ~block ~requester ~skip sharers s k =
   let s = Ns.next sharers s in
   if s < 0 then k
@@ -826,11 +818,10 @@ and owner_fwd_read c ~requester ~block =
       mem_op c (M_make_shared block)
   end
 
+(* Never a self-forward: [home_readex] forwards only to an owner other
+   than the requester, and recovery re-sends a forward unchanged. *)
 and owner_fwd_readex c ~requester ~block ~acks =
-  if requester = c.node && Imap.mem block c.me_pending then
-    (* see owner_fwd_read: self-forward after crash recovery *)
-    complete_data_reply c ~block ~exclusive:true ~acks
-  else if owner_busy c.me_acks c.me_pending block then
+  if owner_busy c.me_acks c.me_pending block then
     enqueue_waiter c block
       { Message.src = c.node; addr = block;
         kind = Coh (Fwd_readex { requester; acks }) }
@@ -872,14 +863,6 @@ and apply_inv c ~block ~requester =
 
 and complete_data_reply c ~block ~exclusive ~acks =
   match Imap.find block c.me_pending with
-  | exception Not_found when Ns.mem c.v.rest.halted c.node ->
-    (* a reply to a request that died with this node's crash: the
-       purge only covers frames to/from the victim, so a forward
-       between two LIVE nodes naming it as requester can still produce
-       a reply after it recovers.  Directory recovery already removed
-       the dead request's promise, so dropping the reply is consistent;
-       the recovered node's program is gone and nothing awaits it. *)
-    ()
   | exception Not_found ->
     invalid_arg
       (Printf.sprintf "Engine: stray data reply at node %d block 0x%x"
@@ -906,21 +889,15 @@ and complete_data_reply c ~block ~exclusive ~acks =
     check_wake c
 
 and complete_upgrade_ack c ~block ~acks =
-  match Imap.mem block c.me_pending with
-  | false when Ns.mem c.v.rest.halted c.node ->
-    (* late ack to a request that died with this node's crash; see
-       [complete_data_reply] *)
-    ()
-  | false ->
+  if not (Imap.mem block c.me_pending) then
     invalid_arg
       (Printf.sprintf "Engine: stray upgrade ack at node %d block 0x%x"
-         c.node block)
-  | true ->
-    c.me_pending <- Imap.remove block c.me_pending;
-    mem_op c (M_make_exclusive block);
-    check_wake c;
-    register_acks c block acks;
-    check_wake c
+         c.node block);
+  c.me_pending <- Imap.remove block c.me_pending;
+  mem_op c (M_make_exclusive block);
+  check_wake c;
+  register_acks c block acks;
+  check_wake c
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization (home side)                                          *)
@@ -1005,7 +982,8 @@ and barrier_maybe_release c =
 and tree_root_duty c = route c.cfg c.v 0
 
 (* Nearest live proper ancestor of [n]; the structural root's duties
-   fall to its route target. *)
+   fall to its route target.  The tree is static, so a dead interior
+   node is routed around, here and in [tree_release_fan]. *)
 and live_ancestor c n =
   let rec go n =
     if n = 0 then tree_root_duty c
@@ -1090,6 +1068,15 @@ and handle c (msg : Message.t) =
   act c (A_charge Message_handle);
   let block = msg.addr in
   match msg.kind with
+  | (Coh (Data_reply _) | Coh Inv_ack) when Ns.mem c.v.rest.halted c.node ->
+    (* The door rule: a halted node's requests died with it, and it
+       holds no pending entry or ack count ([halted_ok]), so a reply or
+       ack reaching it is late and dropped.  One can still come after
+       recovery, from a forward or invalidation between two live nodes
+       that names it as requester (the purge covers only the victim's
+       channels).  An [Upgrade_ack] cannot: only the home sends one,
+       straight to the requester. *)
+    ()
   | Coh Read_req ->
     home_read c ~requester:msg.src ~block;
     check_wake c
@@ -1441,8 +1428,7 @@ let redispatch c ~victim ((dst : int), (msg : Message.t)) =
        receivers never key on [src] for these kinds) *)
     if live dst then act c (A_send { dst; msg })
   in
-  if msg.src = victim && dst = victim then ()
-  else if dst = victim then begin
+  if dst = victim then begin
     (* a frame the dead node will never receive: requests addressed to
        it as home run at the coordinator (which now routes for it);
        forwards to it as owner are answered from its salvaged memory;
@@ -1663,63 +1649,53 @@ let node_crash c ~victim ~lost =
                needs none. *)
             barrier_arrived = Ns.remove r.barrier_arrived victim;
             brelease = Ns.remove r.brelease victim } };
+    (* The frames recovery re-drives, as (destination, message): the
+       forwards parked in the victim's service queue, then the purged
+       ones.  A parked forward is one lost on the wire to the victim,
+       but parked under the victim's own [src], which re-dispatch would
+       drop as a dead node's request: it is re-attributed to the
+       coordinator. *)
+    let parked =
+      Imap.fold
+        (fun _ q acc ->
+          List.fold_left
+            (fun acc (m : Message.t) ->
+              let m = if m.src = victim then { m with src = c.node } else m in
+              (victim, m) :: acc)
+            acc q)
+        vv.waiters []
+    in
+    let frames = List.rev_append parked lost in
     (* (block, requester) pairs the re-dispatch below will answer with
-       salvaged data: forwards to the victim as owner (on the wire or
-       parked in its service queue) and data replies it had sent; and
-       the targets of its own purged invalidations, whose copies stay
-       valid *)
+       salvaged data: forwards to the victim as owner and data replies
+       it had sent; and the targets of its own purged invalidations,
+       whose copies stay valid *)
     let served =
-      let of_frame acc ((dst : int), (m : Message.t)) =
-        if dst = victim && m.src <> victim then
-          match m.kind with
-          | Message.Coh (Fwd_read { requester })
-          | Message.Coh (Fwd_readex { requester; _ }) ->
-            (m.addr, requester) :: acc
-          | _ -> acc
-        else if m.src = victim && dst <> victim then
-          match m.kind with
-          | Message.Coh (Data_reply _) -> (m.addr, dst) :: acc
-          (* an invalidation the victim sent for its own request: the
-             purge leaves [dst]'s copy valid, so the rebuilt entry must
-             keep [dst] a sharer *)
-          | Message.Coh (Inv { requester }) when requester = victim ->
-            (m.addr, dst) :: acc
-          | _ -> acc
-        else acc
-      in
-      let acc =
-        Imap.fold
-          (fun _ q acc ->
-            List.fold_left
-              (fun acc (m : Message.t) ->
-                (* parked under the victim's own [src]; see re-dispatch *)
-                let m =
-                  if m.src = victim then { m with src = c.node } else m
-                in
-                of_frame acc (victim, m))
-              acc q)
-          vv.waiters []
-      in
-      List.fold_left of_frame acc lost
+      List.fold_left
+        (fun acc ((dst : int), (m : Message.t)) ->
+          if dst = victim && m.src <> victim then
+            match m.kind with
+            | Message.Coh (Fwd_read { requester })
+            | Message.Coh (Fwd_readex { requester; _ }) ->
+              (m.addr, requester) :: acc
+            | _ -> acc
+          else if m.src = victim && dst <> victim then
+            match m.kind with
+            | Message.Coh (Data_reply _) -> (m.addr, dst) :: acc
+            (* an invalidation the victim sent for its own request: the
+               purge leaves [dst]'s copy valid, so the rebuilt entry
+               must keep [dst] a sharer *)
+            | Message.Coh (Inv { requester }) when requester = victim ->
+              (m.addr, dst) :: acc
+            | _ -> acc
+          else acc)
+        [] frames
     in
     recover_directory c ~victim ~served;
     recover_locks c ~victim;
     recover_flags c ~victim;
     drop_dead_waiters c ~victim;
-    (* forwarded requests parked in the victim's own service queue are
-       indistinguishable from forwards lost on the wire to it — except
-       that [enqueue_waiter] parked them under the victim's own [src],
-       which re-dispatch would mistake for a dead node's request and
-       drop; re-attribute them to the coordinator *)
-    Imap.iter
-      (fun _ q ->
-        List.iter
-          (fun (m : Message.t) ->
-            let m = if m.src = victim then { m with src = c.node } else m in
-            redispatch c ~victim (victim, m))
-          q)
-      vv.waiters;
-    List.iter (redispatch c ~victim) lost;
+    List.iter (redispatch c ~victim) frames;
     (* the victim will never arrive at the barrier: its absence may be
        what the current episode was waiting on.  The coordinator holds
        the global view, so in tree mode it performs the root's
@@ -1932,6 +1908,22 @@ let crashed_dir_ok block (e : dirent) w =
       (Ns.to_string e.sharers);
   w
 
+(* The door rule's premise (see [handle]): a halted node restarts from
+   an empty view, and with no program only home and owner duties. *)
+let halted_ok id (n : nview) w =
+  if
+    Ns.mem w.wv.rest.halted id
+    && not
+         (Imap.is_empty n.pending && Imap.is_empty n.acks
+          && Imap.is_empty n.waiters && n.deferred = [] && (not n.in_batch)
+          && n.nstat = N_running)
+  then
+    err w
+      "node %d: halted but holds a pending entry, ack count, deferred work, \
+       batch or wait"
+      id;
+  w
+
 let rec any_in ns = function [] -> false | x :: l -> Ns.mem ns x || any_in ns l
 let rec has_dup = function [] -> false | x :: l -> List.mem x l || has_dup l
 
@@ -2001,6 +1993,7 @@ let walk_invariants (cfg : cfg) (v : view) =
   let w =
     if Ns.is_empty r.crashed then w else Imap.fold crashed_dir_ok v.dir w
   in
+  let w = if Ns.is_empty r.halted then w else Imap.fold halted_ok v.nodes w in
   let w = Imap.fold lock_ok r.locks w in
   let w = Imap.fold flag_ok r.flags w in
   Imap.fold home_ok r.homes w

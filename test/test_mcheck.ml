@@ -335,7 +335,8 @@ let t_scale_exhaustive_clean () =
    bless its stale copy and leave two exclusive holders.  Regression
    for the rule that [home_upgrade] demands exact membership.  Kept out
    of the scale family: the crash adversary hits a recovery hole at
-   P=3 that is not fixed yet, and the lossy one exceeds the budget. *)
+   P=3 that is not fixed yet (its row in the known-holes ledger below),
+   and the lossy one exceeds the budget. *)
 let lp_upgrade_stale =
   let b0 = 0 in
   { Mcheck.sname = "lp-upgrade-stale";
@@ -362,6 +363,56 @@ let t_upgrade_guard () =
          Alcotest.fail ("lp-upgrade-stale " ^ tag ^ ": violation"));
       Alcotest.(check int) (tag ^ " states") states r.Mcheck.states)
     [ (false, 886); (true, 1292) ]
+
+(* --- known holes ------------------------------------------------------ *)
+
+(* The ledger of known crash-recovery counterexamples (ROADMAP item 1),
+   one row each: the exhaustive search's configuration, the scenario and
+   the exact first violation it finds.  A fix flips its row's text to
+   [None], and a change that moves a hole fails here with the new text.
+   The limited:2 upgrade-race row at P=3 is a clean neighbour of the P=4
+   hole. *)
+let known_holes =
+  let limited k =
+    { T.default_cfg with dmode = Shasta_protocol.Nodeset.Limited k }
+  in
+  let refine_upgrade =
+    "refinement: n2 load 0x0 observed 9 but the serial memory holds {1}"
+  in
+  let flag_value = "node 2 block 0x0: valid line holds flag value" in
+  let stale_recovery =
+    "refinement: n1 load 0x0 observed 1 but the serial memory holds {2}"
+  in
+  (* (configuration, base, refine, recover, scenario, first violation) *)
+  [ ("P=3 --refine --crash 1", T.default_cfg, true, None,
+     Mcheck.upgrade_race ~nprocs:3, Some refine_upgrade);
+    ("P=3 --scale --crash 1", T.default_cfg, false, None,
+     Mcheck.lp_overflow ~nprocs:3, Some flag_value);
+    ("P=3 --refine --scale --crash 1 --recover 1", T.default_cfg, true,
+     Some 1, Mcheck.queue_lock ~nprocs:3, Some stale_recovery);
+    ("P=3 --refine --scale --crash 1 --recover 1", T.default_cfg, true,
+     Some 1, Mcheck.scalable_mix ~nprocs:3, Some stale_recovery);
+    ("P=4 --dir-mode limited:2 --crash 1", limited 2, false, None,
+     Mcheck.upgrade_race ~nprocs:4,
+     Some "block 0x0: node 3 in sharer set but line invalid");
+    ("P=3 --dir-mode limited:2 --crash 1", limited 2, false, None,
+     Mcheck.upgrade_race ~nprocs:3, None);
+    ("P=3 --dir-mode limited:1 --crash 1", limited 1, false, None,
+     Mcheck.lock_increment ~nprocs:3, Some flag_value);
+    ("P=3 --dir-mode limited:1 --crash 1", limited 1, false, None,
+     Mcheck.upgrade_race ~nprocs:3, Some flag_value);
+    ("P=3 --crash 1", T.default_cfg, false, None, lp_upgrade_stale,
+     Some "block 0x0: exclusive at both node 0 and node 1") ]
+
+let t_known_holes () =
+  List.iter
+    (fun (config, base, refine, recover, sc, expected) ->
+      let r = Mcheck.check_exhaustive ~base ~refine ~crash:1 ?recover sc in
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s %s" config sc.Mcheck.sname)
+        expected
+        (Option.map (fun (v : Mcheck.violation) -> List.hd v.verr) r.violation))
+    known_holes
 
 let t_scale_lossy_exhaustive_clean () =
   List.iter
@@ -935,7 +986,8 @@ let () =
           Alcotest.test_case "scenarios clean at P=3 (fuzz)" `Quick
             t_crash_fuzz_clean;
           Alcotest.test_case "crash after barrier arrival excused" `Quick
-            t_crash_after_barrier_arrival ] );
+            t_crash_after_barrier_arrival;
+          Alcotest.test_case "known holes ledger" `Quick t_known_holes ] );
       ( "scale",
         [ Alcotest.test_case "scale scenarios clean at P=2,3" `Quick
             t_scale_exhaustive_clean;

@@ -377,6 +377,35 @@ let t_crash_drops_coordinator_waiters () =
   Alcotest.(check bool) "the dead owner's block is claimed" true
     (T.line_state v ~node:0 ~block:0x80 = T.L_exclusive)
 
+(* The door rule: a recovered node (halted, no longer crashed) drops a
+   late data reply or invalidation ack for a request that died with it.
+   Its view stays as it was, and the message costs only its handling
+   charge.  A node that never halted still rejects a stray reply. *)
+let t_halted_door () =
+  let module T = Transitions in
+  let cfg = { T.default_cfg with nprocs = 3 } in
+  let v = T.init cfg in
+  let halted = Nodeset.add (Nodeset.exact_empty ~nprocs:3) 1 in
+  let v = { v with T.rest = { v.T.rest with halted } } in
+  let late kind = T.I_msg { Message.src = 2; addr = 0x40; kind = Coh kind } in
+  List.iter
+    (fun (name, kind) ->
+      let acts, w = T.step cfg v ~node:1 (late kind) in
+      Alcotest.(check bool) (name ^ ": only the handling charge") true
+        (acts = [ T.A_charge Message_handle ]);
+      Alcotest.(check string) (name ^ ": view unchanged") (T.canon v)
+        (T.canon w);
+      Alcotest.(check (list string)) (name ^ ": invariants") []
+        (T.invariants cfg w))
+    [ ("data reply", Data_reply { data = [||]; exclusive = true; acks = 1 });
+      ("inv ack", Inv_ack) ];
+  match
+    T.step cfg (T.init cfg) ~node:1
+      (late (Data_reply { data = [||]; exclusive = false; acks = 0 }))
+  with
+  | _ -> Alcotest.fail "a live node accepted a stray data reply"
+  | exception Invalid_argument _ -> ()
+
 (* --- invariant messages ---------------------------------------------- *)
 
 (* Every check in [invariants] and [quiescent_invariants], each given
@@ -540,6 +569,19 @@ let t_invariant_messages () =
       ( "crashed but not halted", full,
         rest (fun r -> { r with crashed = set [ 1 ] }) base,
         [ "crashed set 2 not contained in halted set 0" ], [] );
+      ( "halted nodes with requests or waits", full,
+        base
+        |> node 1 (fun n ->
+             { n with pending = T.Imap.singleton 0x80 (pend T.P_read) })
+        |> node 2 (fun n ->
+             { n with nstat = N_waiting W_sync; resume = R_barrier_passed })
+        |> rest (fun r -> { r with halted = set [ 1; 2 ] }),
+        [ "node 1: halted but holds a pending entry, ack count, deferred \
+           work, batch or wait";
+          "node 2: halted but holds a pending entry, ack count, deferred \
+           work, batch or wait" ],
+        [ "node 1: 1 pending blocks at quiescence";
+          "node 2: still waiting at quiescence" ] );
       ( "crashed owner and sharer", full,
         base
         |> dir 0x80 (ent ~sharers:(set [ 1; 2 ]) 1)
@@ -749,6 +791,8 @@ let () =
             t_miss_outside_directory;
           Alcotest.test_case "crash drops coordinator waiters" `Quick
             t_crash_drops_coordinator_waiters;
+          Alcotest.test_case "halted node drops late completions" `Quick
+            t_halted_door;
           Alcotest.test_case "unchanged node returned as found" `Quick
             t_unchanged_node_shared ]
       );
