@@ -208,9 +208,12 @@ let init_sys ?lossy ?(crash = 0) ?(recover = 0) ?(refine = false) ?base
     invalid_arg "mcheck: the crash adversary needs the reliable wire";
   let cfg = cfg_of ?base sc in
   let v0 = T.init cfg in
-  (* every block starts exclusively owned by node 0 (the allocator) *)
-  let _, v =
-    T.step cfg v0 ~node:0 (T.I_alloc { owner = 0; blocks = sc.blocks })
+  (* every block starts exclusively owned by node 0 (the allocator);
+     the shadow memory below is seeded directly, so the step's actions
+     are dropped *)
+  let v =
+    T.step_with (T.stepper cfg ~node:0 ignore) v0
+      (T.I_alloc { owner = 0; blocks = sc.blocks })
   in
   let shadow =
     List.init sc.nprocs (fun n ->

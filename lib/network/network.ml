@@ -132,11 +132,7 @@ let describe_faults f =
 (* What the fault layer did to one logical send: [retx] dropped
    transmission attempts (each one retransmitted after a timeout),
    [backoff] total cycles spent waiting for those timeouts. *)
-type xmit = {
-  retx : int;
-  backoff : int;
-  timed_out : bool; (* never delivered: the receiver was declared dead *)
-}
+type xmit = { retx : int; backoff : int }
 
 (* Plan the transmission of one frame over the faulty wire.  Attempt 0
    goes out at [now]; each dropped attempt is retransmitted after a
@@ -161,7 +157,7 @@ let tx_plan (f : faults) rng ~now ~flight ~rto =
       arrival + f.delay_cycles
     else arrival
   in
-  (arrival, { retx; backoff; timed_out = false })
+  (arrival, { retx; backoff })
 
 (* ------------------------------------------------------------------ *)
 (* The interconnect                                                    *)
@@ -196,13 +192,8 @@ type 'a t = {
   (* the unreliable wire's spec and its per-channel fault coin streams,
      seeded (fseed, src, dst); [None] on the paper's reliable wire *)
   faulty : (faults * Random.State.t array) option;
-  (* node-level liveness: [dead.(n)] marks a node declared crashed
-     (sends to it are dropped and counted as timeouts; nothing is
-     queued).  A per-node array, not an int bitmask, so liveness scales
-     past the int width like the rest of the node sets.
-     [last_activity] is the implicit heartbeat stream — the last cycle
-     each node put a frame on the wire. *)
-  dead : bool array;
+  (* the implicit heartbeat stream: the last cycle each node put a
+     frame on the wire *)
   last_activity : int array;
   (* observability taps: called on every send (at the sender's time)
      and every delivery (at arrival time).  The network itself stays
@@ -235,7 +226,6 @@ let create ?faults ~nprocs profile =
             Array.init nchan (fun c ->
               Random.State.make [| f.fseed; c / nprocs; c mod nprocs |]) ))
         faults;
-    dead = Array.make nprocs false;
     last_activity = Array.make nprocs 0;
     on_send = no_tap; on_recv = no_tap; on_fault = no_fault_tap }
 
@@ -295,42 +285,28 @@ let send t ~src ~dst ~now ~payload_longs msg =
   let start = now + p.send_overhead in
   let flight = p.wire_latency + (p.per_longword * payload_longs) in
   t.last_activity.(src) <- max t.last_activity.(src) now;
-  if t.dead.(dst) then begin
-    (* the receiver has been declared crashed: nothing will ever
-       acknowledge, so the sublayer's retransmissions are futile — drop
-       the frame on the floor and report it to the fault tap as a
-       timeout.  (The
-       protocol layer routes around detected-dead nodes; this is the
-       safety net underneath it.)  Not counted in [sent]: the frame
-       never reached the wire, keeping event-derived totals equal to
-       [stats]. *)
-    t.on_fault ~src ~dst ~now { retx = 0; backoff = 0; timed_out = true } msg;
-    start
-  end
-  else begin
-    let arrival =
-      match t.faulty with
-      | None -> start + flight
-      | Some (f, rngs) ->
-        let rto =
-          if f.rto > 0 then f.rto
-          else 4 * (p.send_overhead + p.wire_latency + p.recv_overhead)
-        in
-        let arrival, x = tx_plan f rngs.(c) ~now:start ~flight ~rto in
-        if x.retx > 0 then t.on_fault ~src ~dst ~now x msg;
-        arrival
-    in
-    (* point-to-point FIFO: never deliver before a previously sent
-       message on the same channel *)
-    let deliver = max arrival t.last_deliver.(c) in
-    t.last_deliver.(c) <- deliver;
-    t.seq <- t.seq + 1;
-    enqueue t ~dst c { deliver; seq = t.seq; msg };
-    t.sent <- t.sent + 1;
-    t.payload_longs <- t.payload_longs + payload_longs;
-    t.on_send ~src ~dst ~now msg;
-    start
-  end
+  let arrival =
+    match t.faulty with
+    | None -> start + flight
+    | Some (f, rngs) ->
+      let rto =
+        if f.rto > 0 then f.rto
+        else 4 * (p.send_overhead + p.wire_latency + p.recv_overhead)
+      in
+      let arrival, x = tx_plan f rngs.(c) ~now:start ~flight ~rto in
+      if x.retx > 0 then t.on_fault ~src ~dst ~now x msg;
+      arrival
+  in
+  (* point-to-point FIFO: never deliver before a previously sent
+     message on the same channel *)
+  let deliver = max arrival t.last_deliver.(c) in
+  t.last_deliver.(c) <- deliver;
+  t.seq <- t.seq + 1;
+  enqueue t ~dst c { deliver; seq = t.seq; msg };
+  t.sent <- t.sent + 1;
+  t.payload_longs <- t.payload_longs + payload_longs;
+  t.on_send ~src ~dst ~now msg;
+  start
 
 let next_arrival t ~dst = t.earliest.(dst)
 
@@ -384,16 +360,15 @@ let stats t = (t.sent, t.payload_longs)
 
 let last_activity t ~node = t.last_activity.(node)
 
-let mark_live t ~node = t.dead.(node) <- false
-
 (* Declare [node] crashed: every frame still queued to or from it is
    removed from the wire and returned (in global send order, so the
-   caller's recovery handling is deterministic and replayable), the
+   caller's recovery handling is deterministic and replayable), and the
    FIFO points of those channels are reset (a recovered node's traffic
-   is not held behind purged frames), and future sends to the node are
-   dropped and counted as timeouts until [mark_live]. *)
+   is not held behind purged frames).  The wire keeps no record of the
+   death: the protocol above sends nothing to a node it knows crashed,
+   and a frame that did reach such a node would stay queued until the
+   scheduler reported the run deadlocked. *)
 let mark_dead t ~node =
-  t.dead.(node) <- true;
   let lost = ref [] in
   for other = 0 to t.nprocs - 1 do
     List.iter

@@ -62,9 +62,6 @@ val describe_faults : faults -> string
 type xmit = {
   retx : int;  (** dropped transmission attempts, each retransmitted *)
   backoff : int;  (** total cycles spent waiting for timeouts *)
-  timed_out : bool;
-      (** the frame was dropped because its destination was already
-          declared dead *)
 }
 (** What the fault layer did to one logical send. *)
 
@@ -99,15 +96,15 @@ val set_fault_tap :
   'a t ->
   on_fault:(src:int -> dst:int -> now:int -> xmit -> 'a -> unit) ->
   unit
-(** [on_fault] fires at send time whenever the fault layer perturbed a
-    frame: dropped (and retransmitted) an attempt, or discarded it
-    because its destination was declared dead. *)
+(** [on_fault] fires at send time whenever the fault layer dropped
+    (and retransmitted) an attempt of a frame. *)
 
 val send : 'a t -> src:int -> dst:int -> now:int -> payload_longs:int ->
   'a -> int
 (** Queue a message; returns the time at which the sender is done (the
     caller charges it to the sending node).  Each channel delivers in
-    send order, faults or not. *)
+    send order, faults or not.  Every frame is queued, whatever its
+    destination: the wire does not know which nodes are dead. *)
 
 val next_arrival : 'a t -> dst:int -> int
 (** Earliest arrival time among the frames queued for [dst], [max_int]
@@ -145,11 +142,9 @@ val last_activity : 'a t -> node:int -> int
     (piggybacked) heartbeat stream the crash detector watches. *)
 
 val mark_dead : 'a t -> node:int -> (int * int * 'a) list
-(** Declare [node] crashed.  Every frame still queued to or from it is
-    removed from the wire and returned as [(src, dst, msg)] in global
-    send order (deterministic, so recovery handling replays); the FIFO
-    points of the purged channels are reset; until {!mark_live},
-    sends addressed to the node are dropped and counted as timeouts. *)
-
-val mark_live : 'a t -> node:int -> unit
-(** Clear the dead bit set by {!mark_dead} (node recovery). *)
+(** Purge a crashed [node] off the wire.  Every frame still queued to
+    or from it is removed and returned as [(src, dst, msg)] in global
+    send order (deterministic, so recovery handling replays), and the
+    FIFO points of the purged channels are reset.  Nothing else is
+    recorded: which nodes are dead is the protocol's fact, and a later
+    frame addressed to [node] is queued like any other. *)

@@ -54,15 +54,12 @@ type t =
       (* a matched protocol transaction (request to reply), synthesized
          by the profiler and drained into sinks at flush; [record.time]
          is the span's start *)
-  | Net_fault of
-      { dst : int; kind : string; retx : int; backoff : int;
-        timed_out : bool }
+  | Net_fault of { dst : int; kind : string; retx : int; backoff : int }
       (* the fault layer perturbed one logical send: [retx] attempts
-         were dropped and retransmitted ([backoff] cycles of timeout),
-         or the frame was discarded because its receiver had been
-         declared dead ([timed_out]).  Emitted at the sender's time
-         with the sender's site, so retransmission stalls attribute to
-         the code that paid for them. *)
+         were dropped and retransmitted ([backoff] cycles of timeout).
+         Emitted at the sender's time with the sender's site, so
+         retransmission stalls attribute to the code that paid for
+         them. *)
   | Node_crash of { victim : int }
       (* crash-marker: the injector halted [victim]; stamped with the
          crash cycle so recovery cost is measurable from the trace *)
@@ -103,11 +100,10 @@ let describe = function
   | Node_finished -> "finished"
   | Span { kind; addr; dur } ->
     Printf.sprintf "span %s @0x%x %d cyc" kind addr dur
-  | Net_fault { dst; kind; retx; backoff; timed_out } ->
-    Printf.sprintf "net-fault -> n%d %s%s%s" dst kind
+  | Net_fault { dst; kind; retx; backoff } ->
+    Printf.sprintf "net-fault -> n%d %s%s" dst kind
       (if retx > 0 then Printf.sprintf " retx=%d (+%d cyc)" retx backoff
        else "")
-      (if timed_out then " timeout" else "")
   | Node_crash { victim } -> Printf.sprintf "node-crash n%d" victim
   | Node_recover { victim } -> Printf.sprintf "node-recover n%d" victim
   | Lease_takeover { id; from } ->

@@ -41,13 +41,11 @@ let c_finished = "runtime.threads_finished"
 let c_spans = "span.matched"
 
 (* Fault-layer activity under --net-faults: dropped transmission
-   attempts (each one retransmitted), total cycles spent waiting out
-   retransmission timeouts, and frames discarded because their receiver
-   was declared dead.  The wire keeps no tally of its own: these are
-   the one count. *)
+   attempts (each one retransmitted) and total cycles spent waiting out
+   retransmission timeouts.  The wire keeps no tally of its own: these
+   are the one count. *)
 let c_net_retx = "net.retx"
 let c_net_backoff = "net.backoff_cycles"
-let c_net_timeout = "net.timeout"
 
 (* Node-level fault tolerance under --node-faults: injected halts and
    restarts, lock/flag leases reclaimed from dead holders, and
@@ -91,7 +89,6 @@ type cells = {
   spans : Metrics.counter;
   net_retx : Metrics.counter;
   net_backoff : Metrics.counter;
-  net_timeout : Metrics.counter;
   node_crash : Metrics.counter;
   node_recover : Metrics.counter;
   lease_takeover : Metrics.counter;
@@ -122,8 +119,7 @@ let create ~nprocs () =
       locks = c c_locks; barriers = c c_barriers; flag_sets = c c_flag_sets;
       flag_wakes = c c_flag_wakes; polls = c c_polls;
       finished = c c_finished; spans = c c_spans; net_retx = c c_net_retx;
-      net_backoff = c c_net_backoff;
-      net_timeout = c c_net_timeout; node_crash = c c_node_crash;
+      net_backoff = c c_net_backoff; node_crash = c c_node_crash;
       node_recover = c c_node_recover; lease_takeover = c c_lease_takeover;
       dir_rebuild = c c_dir_rebuild;
       payload = h h_payload; stall = h h_stall;
@@ -190,12 +186,11 @@ let count_event t ~node (ev : Event.t) =
   | Store_reissue _ -> incr c.store_reissues ~node
   | Node_finished -> incr c.finished ~node
   | Span _ -> incr c.spans ~node
-  | Net_fault { retx; backoff; timed_out; _ } ->
+  | Net_fault { retx; backoff; _ } ->
     if retx > 0 then begin
       Metrics.bump c.net_retx ~node retx;
       Metrics.bump c.net_backoff ~node backoff
-    end;
-    if timed_out then incr c.net_timeout ~node
+    end
   | Node_crash _ -> incr c.node_crash ~node
   | Node_recover _ -> incr c.node_recover ~node
   | Lease_takeover _ -> incr c.lease_takeover ~node

@@ -107,10 +107,6 @@ val c_net_retx : string
 val c_net_backoff : string
 (** Total cycles spent waiting out retransmission timeouts. *)
 
-val c_net_timeout : string
-(** Frames discarded because their destination was already declared
-    dead. *)
-
 val c_node_crash : string
 (** Nodes halted by the crash injector. *)
 

@@ -108,9 +108,9 @@ let chrome_args (ev : Event.t) =
     [ kv "\"id\":%d" id ]
   | Batch_run { nranges; waited } ->
     [ kv "\"nranges\":%d" nranges; kv "\"waited\":%d" waited ]
-  | Net_fault { dst; retx; backoff; timed_out; _ } ->
+  | Net_fault { dst; retx; backoff; _ } ->
     [ kv "\"dst\":%d" dst; kv "\"retx\":%d" retx;
-      kv "\"backoff\":%d" backoff; kv "\"timeout\":%b" timed_out ]
+      kv "\"backoff\":%d" backoff ]
   | Node_crash { victim } | Node_recover { victim } ->
     [ kv "\"victim\":%d" victim ]
   | Lease_takeover { id; from } ->

@@ -28,11 +28,13 @@
    trace of a real run can be re-fed through the steppers to reproduce
    the final view deterministically (shasta_run --replay).
 
-   Two host artifacts are passed IN as inputs rather than recomputed,
-   to keep bit-exact fidelity with the old engine: the per-block
-   iteration order of a batch miss and the dedup order of deferred
-   invalidations (both historically OCaml-Hashtbl orders), and the
-   memory values of batched stores (the core holds no data memory). *)
+   Two host artifacts are passed IN as inputs rather than recomputed:
+   the per-block iteration order of a batch miss (historically an
+   OCaml-Hashtbl order, kept for bit-exact fidelity with the old
+   engine), and the memory values of batched stores (the core holds no
+   data memory).  The dedup order of deferred invalidations is the
+   core's own: [apply_deferred] folds them through a Hashtbl, whose
+   iteration order the trace hashes pin. *)
 
 module Imap = Imap
 module Ns = Nodeset
@@ -232,8 +234,7 @@ type input =
   | I_batch_miss of
       { nranges : int; blocks : (int * bool) list (* block, need_excl *) }
   | I_batch_end of
-      { values : (int * int * int) list; (* longword addr, block, value *)
-        order : deferred list (* deduped, in application order *) }
+      { values : (int * int * int) list (* longword addr, block, value *) }
   | I_lock of int
   | I_unlock of int
   | I_barrier
@@ -267,13 +268,12 @@ type input =
    [node_view_at] and [map_nodes], which see the current fields.
 
    Each action goes to [sink] the moment the core decides it; [step]'s
-   sink is the [collect] marker, for which [act] conses onto [racc]
-   instead of calling it, so neither entry allocates a closure.  The
-   context is a node's [stepper]: built once, loaded at the start of
-   each step, and given the idle view back at its end.  It keeps the
-   node's fields, which the next load compares instead of rewriting:
-   they are the node's own state as of its last step, never another
-   node's or a whole past view. *)
+   sink conses it onto a local list.  The context is a node's
+   [stepper]: built once, loaded at the start of each step, and given
+   the idle view back at its end.  It keeps the node's fields, which
+   the next load compares instead of rewriting: they are the node's
+   own state as of its last step, never another node's or a whole
+   past view. *)
 type ctx = {
   cfg : cfg;
   node : int; (* the stepping node: all actions target it *)
@@ -289,12 +289,9 @@ type ctx = {
   mutable me_resume : resume;
   mutable me_sync_signal : bool;
   sink : action -> unit;
-  mutable racc : action list; (* [collect]'s actions, newest first *)
 }
 
-let collect (_ : action) = ()
-
-let act c a = if c.sink == collect then c.racc <- a :: c.racc else c.sink a
+let act c a = c.sink a
 
 (* Load [n] as the stepping node's entry and current fields.  A field
    that already holds [n]'s value is not written again: a pointer write
@@ -534,8 +531,9 @@ let rec send c ~dst ~addr kind =
   let msg = { Message.src = c.node; addr; kind } in
   if is_crashed c.v dst then
     (* crash-stop: a handler may still answer a node that died after
-       asking.  The frame would be purged at the dead node's door
-       anyway; suppressing it here keeps replay exact *)
+       asking.  This is the one guard: the wire keeps no record of dead
+       nodes, so a frame sent to one would stay queued and the run
+       would end in a deadlock *)
     ()
   else if dst = c.node then begin
     (* local delivery: handled immediately at local handler cost *)
@@ -1252,17 +1250,28 @@ let batch_miss c ~nranges ~blocks =
   else if !waits <> [] then block_on c (W_blocks !waits) R_done
 
 (* Deferred invalidations/downgrades at Batch_end (Section 4.3).
-   [order] is the deduped application order; [values] the longword
-   values of the batch's stores (addr, owning block, value). *)
-let apply_deferred c ~order ~values =
+   Several forwarded requests may have been served during one batch:
+   they fold to one action per block (an invalidation dominates a
+   downgrade), applied in the fold table's order, which the trace
+   hashes pin.  [values] are the longword values of the batch's stores
+   (addr, owning block, value). *)
+let apply_deferred c ~values =
+  let strongest = Hashtbl.create 8 in
+  List.iter
+    (fun d ->
+      let block = match d with D_inv b | D_downgrade b -> b in
+      match (Hashtbl.find_opt strongest block, d) with
+      | Some (D_inv _), _ -> ()
+      | _, d -> Hashtbl.replace strongest block d)
+    c.me_deferred;
   c.me_deferred <- [];
   let written_for block =
     List.fold_left
       (fun m (a, b, v) -> if b = block then Imap.add a v m else m)
       Imap.empty values
   in
-  List.iter
-    (fun d ->
+  Hashtbl.iter
+    (fun _ d ->
       match d with
       | D_inv block ->
         let written = written_for block in
@@ -1303,9 +1312,9 @@ let apply_deferred c ~order ~values =
             act c (A_emit (Ev.Miss { kind = Ev.Upgrade; addr = block })))
         end
         else mem_op c (M_make_shared block))
-    order
+    strongest
 
-let batch_end c ~values ~order =
+let batch_end c ~values =
   if c.me_in_batch then begin
     (* transfer batched store longwords into still-pending blocks *)
     List.iter
@@ -1319,7 +1328,7 @@ let batch_end c ~values ~order =
         | None -> ())
       values;
     c.me_in_batch <- false;
-    apply_deferred c ~order ~values
+    apply_deferred c ~values
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1467,18 +1476,16 @@ let redispatch c ~victim ((dst : int), (msg : Message.t)) =
        protocol obligations (replies, acks, grants, forwards it issued
        as home) are re-driven; its own unfinished requests die with it *)
     match msg.kind with
-    | Coh (Data_reply { data; exclusive; acks }) ->
-      (* a captured reply carries its own bytes — re-send it verbatim.
-         Re-serving from the victim's frozen image is wrong here: if
-         the victim was itself a coordinator that salvaged these bytes
-         for an earlier crash, it re-flagged its staging buffer after
-         sending, so under back-to-back crashes its image holds the
-         flag marker while the data survives only in this frame.
-         Salvage remains the fallback for a reply whose payload was
-         never filled in. *)
-      if Array.length data > 0 then resend ~dst msg
-      else reply_from_salvage ~requester:dst ~exclusive ~acks
-    | Coh (Upgrade_ack _) | Coh Inv_ack -> resend ~dst msg
+    | Coh (Data_reply _) | Coh (Upgrade_ack _) | Coh Inv_ack ->
+      (* a captured reply carries its own bytes: the engine fills the
+         payload at send time and the checker at enqueue time, so it is
+         re-sent verbatim.  Re-serving from the victim's frozen image
+         would be wrong: if the victim was itself a coordinator that
+         salvaged these bytes for an earlier crash, it re-flagged its
+         staging buffer after sending, so under back-to-back crashes
+         its image holds the flag marker while the data survives only
+         in this frame. *)
+      resend ~dst msg
     | Coh (Inv { requester }) -> if live requester then resend ~dst msg
     | Coh (Fwd_read { requester }) | Coh (Fwd_readex { requester; _ }) ->
       if live requester then resend ~dst msg
@@ -1724,7 +1731,7 @@ let stepper cfg ~node sink =
   { cfg; node; v = idle; loaded = n; me_lines = n.lines;
     me_pending = n.pending; me_acks = n.acks; me_waiters = n.waiters;
     me_deferred = n.deferred; me_in_batch = n.in_batch; me_nstat = n.nstat;
-    me_resume = n.resume; me_sync_signal = n.sync_signal; sink; racc = [] }
+    me_resume = n.resume; me_sync_signal = n.sync_signal; sink }
 
 (* One step: load the context, run the input to completion, write the
    stepping node back, and put the idle view back.  The node's fields
@@ -1738,7 +1745,7 @@ let step_with c v (input : input) =
    | I_store_miss { addr; block; store_done; stored } ->
      store_miss c ~addr ~block ~store_done ~stored
    | I_batch_miss { nranges; blocks } -> batch_miss c ~nranges ~blocks
-   | I_batch_end { values; order } -> batch_end c ~values ~order
+   | I_batch_end { values } -> batch_end c ~values
    | I_lock id -> rt_lock c id
    | I_unlock id -> block_on c W_release (R_unlock id)
    | I_barrier -> block_on c W_release R_barrier_enter
@@ -1754,20 +1761,19 @@ let step_with c v (input : input) =
   v
 
 let step cfg v ~node input =
-  let c = stepper cfg ~node collect in
+  let acts = ref [] in
+  let c = stepper cfg ~node (fun a -> acts := a :: !acts) in
   let v = step_with c v input in
-  (List.rev c.racc, v)
+  (List.rev !acts, v)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors (engine, tests, model checker)                             *)
 (* ------------------------------------------------------------------ *)
 
 let node_view (v : view) ~node = Imap.find node v.nodes
-let deferred_of v ~node = (node_view v ~node).deferred
 let line_state v ~node ~block =
   let n = node_view v ~node in
   line_of n.pending n.lines block
-let in_batch v ~node = (node_view v ~node).in_batch
 let dir_entry v ~block = Imap.find_opt block v.dir
 let dir_fold f v acc = Imap.fold (fun b e a -> f b e a) v.dir acc
 

@@ -152,8 +152,7 @@ type input =
   | I_store_miss of
       { addr : int; block : int; store_done : bool; stored : (int * int) list }
   | I_batch_miss of { nranges : int; blocks : (int * bool) list }
-  | I_batch_end of
-      { values : (int * int * int) list; order : deferred list }
+  | I_batch_end of { values : (int * int * int) list }
   | I_lock of int
   | I_unlock of int
   | I_barrier
@@ -214,9 +213,7 @@ val tree_fanout : int
 
 (* Accessors *)
 val node_view : view -> node:int -> nview
-val deferred_of : view -> node:int -> deferred list
 val line_state : view -> node:int -> block:int -> line
-val in_batch : view -> node:int -> bool
 val dir_entry : view -> block:int -> dirent option
 val dir_fold : (int -> dirent -> 'a -> 'a) -> view -> 'a -> 'a
 val crashed_mask : view -> int

@@ -103,8 +103,8 @@ let create ~(config : State.config) ~(compiled : Shasta_minic.Compile.compiled)
     ~on_fault:(fun ~src ~dst ~now (x : Shasta_network.Network.xmit) msg ->
       Engine.emit_at obs nodes.(src) ~time:now
         (Ev.Net_fault
-           { dst; kind = M.kind_name msg; retx = x.retx; backoff = x.backoff;
-             timed_out = x.timed_out }));
+           { dst; kind = M.kind_name msg; retx = x.retx;
+             backoff = x.backoff }));
   (* hardware cache misses bump counters resolved here, once *)
   let l1i = Obs.counter obs "cache.l1i.misses"
   and l1d = Obs.counter obs "cache.l1d.misses"
@@ -163,11 +163,7 @@ let diagnose (state : State.t) =
        | Node.Running -> "run"
        | Node.Finished -> "done"
        | Node.Crashed -> "crashed"
-       | Node.Waiting (Node.W_blocks bs) ->
-         Printf.sprintf "blocks[%s]"
-           (String.concat "," (List.map (Printf.sprintf "0x%x") bs))
-       | Node.Waiting Node.W_release -> "release"
-       | Node.Waiting Node.W_sync -> "sync"))
+       | Node.Waiting w -> Shasta_protocol.Transitions.string_of_wait w))
   |> String.concat " "
 
 let deadlock state why = raise (Deadlock (why ^ diagnose state))
@@ -258,7 +254,6 @@ let fire_fault (state : State.t) (at, (e : Nodefaults.event)) =
             not (f.node = e.node && f.what = Nodefaults.Detect))
           state.fault_queue;
       Engine.node_recover state victim ~victim:e.node;
-      Shasta_network.Network.mark_live state.net ~node:e.node;
       Pipeline.advance_to victim.pipe at;
       (* protocol duties only: the node serves home/owner traffic again
          but its program died with the crash *)

@@ -362,22 +362,8 @@ let batch_end state (node : Node.t) =
             (longword_cover node ~addr ~bytes))
         node.batch_stores
     in
-    (* several forwarded requests may have been served during one batch;
-       fold them to one action per block (an invalidation dominates a
-       downgrade).  The fold order of this table is historical behavior
-       too, so the deduped order is input, not recomputed in the core. *)
-    let ds = T.deferred_of state.State.proto ~node:node.id in
-    let strongest = Hashtbl.create 8 in
-    List.iter
-      (fun d ->
-        let block = match d with T.D_inv b | T.D_downgrade b -> b in
-        match (Hashtbl.find_opt strongest block, d) with
-        | Some (T.D_inv _), _ -> ()
-        | _, d -> Hashtbl.replace strongest block d)
-      ds;
-    let order = List.rev (Hashtbl.fold (fun _ d acc -> d :: acc) strongest []) in
     node.in_batch <- false;
-    step state node (T.I_batch_end { values; order });
+    step state node (T.I_batch_end { values });
     node.batch_stores <- []
   end
 

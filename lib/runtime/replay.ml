@@ -3,7 +3,7 @@
    When [state.record_inputs] is set, the engine logs every
    (node, input) pair it feeds to [Transitions.step].  Because the core
    is pure and the recorded inputs carry every machine-derived value the
-   core consumed (stored longwords, batch iteration orders), folding
+   core consumed (stored longwords, a batch miss's block order), folding
    [step] over the log from the initial view must land on exactly the
    view the live run left behind — [canon]-equal, not merely similar.
    A divergence means the core consulted state outside its inputs, i.e.

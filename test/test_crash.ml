@@ -17,7 +17,8 @@
      crash-aware final sweep) with its data outcome matching the
      [Sht.shadow ~dead] oracle; crash followed by recovery rejoins the
      node to protocol duty; recorded crash inputs replay exactly
-     through the pure core; runs are deterministic.
+     through the pure core; runs are deterministic; no message is ever
+     sent to a node the protocol view lists as crashed.
 
    The exact detection time (the liveness lease counted from the
    victim's last send) is pinned by the [kv-crash*] rows of the seed
@@ -251,6 +252,53 @@ let t_crash_deterministic () =
   Alcotest.(check string) "same output" o1 o2;
   Alcotest.(check int) "same wall cycles" w1 w2
 
+(* The protocol view is the one record of a detected-dead node: the
+   wire queues every frame, so a frame addressed to a crashed node
+   would stay in flight until the scheduler reported a deadlock.  The
+   crash workloads above run again with a sink that fails on any
+   message sent to a node the view lists as crashed.  The engine stores
+   a step's view when the step is done, so each send is checked against
+   the view before its step: a node the step itself declares dead is
+   not yet listed, which can hide a violation but never invent one. *)
+let t_no_send_to_crashed () =
+  let mid = Lazy.force mid_run in
+  List.iter
+    (fun (label, nprocs, prog, spec) ->
+      let node_faults = Nodefaults.of_string spec in
+      let state, _, _ =
+        Api.prepare { (Api.default_spec prog) with nprocs; node_faults }
+      in
+      let sends = ref 0 in
+      Obs.attach state.State.config.obs
+        { Shasta_obs.Sink.on_record =
+            (fun r ->
+              match r.Shasta_obs.Event.ev with
+              | Msg_send { dst; kind; block; _ } ->
+                incr sends;
+                if
+                  not
+                    (Shasta_protocol.Transitions.is_live state.State.proto
+                       ~node:dst)
+                then
+                  Alcotest.failf "%s: n%d sent %s @0x%x to crashed n%d" label
+                    r.node kind block dst
+              | _ -> ());
+          flush = ignore };
+      ignore (Cluster.run_app state);
+      Alcotest.(check bool) (label ^ ": messages checked") true (!sends > 0))
+    [ ("lock takeover", 4, locked_prog (), "crash=1@60000,lease=5000");
+      ("kv crash", nprocs, kv_prog (),
+       Printf.sprintf "crash=2@%d,lease=3000" mid);
+      ("kv crash+recover", nprocs, kv_prog (),
+       Printf.sprintf "crash=2@%d,recover=2@%d,lease=3000" mid (mid * 3 / 2));
+      ("kv wildcard", nprocs, kv_prog (),
+       Printf.sprintf "crash=*@%d,seed=11,lease=3000" mid);
+      (* early in the parallel phase, a survivor still owes the victim
+         an answer (an invalidation's ack) when the crash is detected *)
+      ("kv early crash", nprocs, kv_prog (), "crash=2@20000,lease=3000");
+      ("kv early crash+recover", nprocs, kv_prog (),
+       "crash=1@20000,recover=1@30000,lease=3000") ]
+
 (* --- scaling scenarios under the crash adversary (PR-9 gap) --------- *)
 
 (* The scale family (limited-pointer overflow, the stale-home trap,
@@ -358,7 +406,9 @@ let () =
           Alcotest.test_case "crash then recover" `Quick t_kv_crash_recover;
           Alcotest.test_case "wildcard victim" `Quick t_kv_crash_wildcard;
           Alcotest.test_case "replay through pure core" `Quick t_crash_replay;
-          Alcotest.test_case "deterministic" `Quick t_crash_deterministic
+          Alcotest.test_case "deterministic" `Quick t_crash_deterministic;
+          Alcotest.test_case "no send to a crashed node" `Quick
+            t_no_send_to_crashed
         ] );
       ( "scale",
         [ Alcotest.test_case "scale scenarios clean under crash/recover"

@@ -100,7 +100,6 @@ let t_counters_zero_when_off () =
   List.iter
     (fun c -> Alcotest.(check int) (c ^ " zero") 0 (net_total r c))
     [ Shasta_obs.Obs.c_net_retx; Shasta_obs.Obs.c_net_backoff;
-      Shasta_obs.Obs.c_net_timeout;
       Shasta_obs.Obs.c_node_crash; Shasta_obs.Obs.c_node_recover;
       Shasta_obs.Obs.c_lease_takeover; Shasta_obs.Obs.c_dir_rebuild ]
 
@@ -110,15 +109,14 @@ let t_counters_zero_when_off () =
 let t_counters_match_events () =
   let _, nprocs, make = List.hd Support.pinned_runs in
   let obs = Shasta_obs.Obs.create ~nprocs () in
-  let retx = ref 0 and backoff = ref 0 and timeouts = ref 0 in
+  let retx = ref 0 and backoff = ref 0 in
   Shasta_obs.Obs.attach obs
     { Shasta_obs.Sink.on_record =
         (fun r ->
           match r.Shasta_obs.Event.ev with
           | Net_fault f ->
             retx := !retx + f.retx;
-            backoff := !backoff + f.backoff;
-            if f.timed_out then incr timeouts
+            backoff := !backoff + f.backoff
           | _ -> ());
       flush = ignore };
   let faults = { Network.standard with drop = 0.05; fseed = 7 } in
@@ -128,9 +126,7 @@ let t_counters_match_events () =
   Alcotest.(check bool) "some faults fired" true (!retx > 0);
   Alcotest.(check int) "net.retx" !retx (net_total r Shasta_obs.Obs.c_net_retx);
   Alcotest.(check int) "net.backoff_cycles" !backoff
-    (net_total r Shasta_obs.Obs.c_net_backoff);
-  Alcotest.(check int) "net.timeout" !timeouts
-    (net_total r Shasta_obs.Obs.c_net_timeout)
+    (net_total r Shasta_obs.Obs.c_net_backoff)
 
 (* [Some no_faults] vs [None]: a faulty wire with zero fault
    probabilities plans every arrival through the fault coins, yet must
@@ -203,7 +199,6 @@ let prop_tx_plan (seed, drop, delay, now, flight, rto) =
      always survives *)
   && x.Network.retx >= 0
   && x.Network.retx < Network.max_attempts
-  && (not x.Network.timed_out)
   (* the frame arrives after its (possibly backed-off) flight *)
   && arrival >= now + flight + x.Network.backoff
   (* backoff is exactly the sum of the doubling timeouts *)
@@ -220,7 +215,6 @@ type net_op =
   | Send of int * int * int (* src, dst, payload longwords *)
   | Recv of int
   | Dead of int
-  | Live of int
 
 let net_ops_gen =
   let open QCheck2.Gen in
@@ -230,8 +224,7 @@ let net_ops_gen =
     frequency
       [ (6, map3 (fun s d p -> Send (s, d, p)) node node (int_bound 16));
         (4, map (fun d -> Recv d) node);
-        (1, map (fun n -> Dead n) node);
-        (1, map (fun n -> Live n) node) ]
+        (1, map (fun n -> Dead n) node) ]
   in
   (* some gaps shorter than the flight-time spread of payload sizes, so
      a later, shorter frame could overtake an earlier, longer one *)
@@ -239,7 +232,7 @@ let net_ops_gen =
   list_size (int_range 1 120) (pair op gap) >>= fun ops ->
   return (nprocs, ops)
 
-(* After every step — send, recv, mark_dead, mark_live — the counted
+(* After every step — send, recv, mark_dead — the counted
    answers equal a brute-force scan of all channels ([Network.queued]),
    including the earliest arrival the scheduler keys nodes by
    ([max_int] when nothing is queued, so a stale cached time on an
@@ -293,9 +286,6 @@ let prop_pending_counts faults (nprocs, ops) =
              in_order && t = List.fold_left min max_int arrived)
         | Dead n ->
           ignore (Network.mark_dead net ~node:n);
-          true
-        | Live n ->
-          Network.mark_live net ~node:n;
           true
       in
       ok && consistent ())

@@ -366,12 +366,13 @@ let t_upgrade_guard () =
 
 (* --- known holes ------------------------------------------------------ *)
 
-(* The ledger of known crash-recovery counterexamples (ROADMAP item 1),
-   one row each: the exhaustive search's configuration, the scenario and
+(* The ledger of known counterexamples (ROADMAP items 1 and 2), one
+   row each: the exhaustive search's configuration, the scenario and
    the exact first violation it finds.  A fix flips its row's text to
    [None], and a change that moves a hole fails here with the new text.
-   The limited:2 upgrade-race row at P=3 is a clean neighbour of the P=4
-   hole. *)
+   The P=4 limited:2 upgrade-race hole needs no crash: its crash row
+   finds the fault-free violation.  The limited:2 upgrade-race row at
+   P=3 is a clean neighbour of it. *)
 let known_holes =
   let limited k =
     { T.default_cfg with dmode = Shasta_protocol.Nodeset.Limited k }
@@ -383,31 +384,44 @@ let known_holes =
   let stale_recovery =
     "refinement: n1 load 0x0 observed 1 but the serial memory holds {2}"
   in
-  (* (configuration, base, refine, recover, scenario, first violation) *)
-  [ ("P=3 --refine --crash 1", T.default_cfg, true, None,
+  let lp_sharer = "block 0x0: node 3 in sharer set but line invalid" in
+  let flag_value_n1 = "node 1 block 0x0: valid line holds flag value" in
+  (* (configuration, base, refine, crash, recover, scenario, first
+     violation) *)
+  [ ("P=3 --refine --crash 1", T.default_cfg, true, 1, None,
      Mcheck.upgrade_race ~nprocs:3, Some refine_upgrade);
-    ("P=3 --scale --crash 1", T.default_cfg, false, None,
+    ("P=3 --scale --crash 1", T.default_cfg, false, 1, None,
      Mcheck.lp_overflow ~nprocs:3, Some flag_value);
-    ("P=3 --refine --scale --crash 1 --recover 1", T.default_cfg, true,
+    ("P=3 --refine --scale --crash 1 --recover 1", T.default_cfg, true, 1,
      Some 1, Mcheck.queue_lock ~nprocs:3, Some stale_recovery);
-    ("P=3 --refine --scale --crash 1 --recover 1", T.default_cfg, true,
+    ("P=3 --refine --scale --crash 1 --recover 1", T.default_cfg, true, 1,
      Some 1, Mcheck.scalable_mix ~nprocs:3, Some stale_recovery);
-    ("P=4 --dir-mode limited:2 --crash 1", limited 2, false, None,
-     Mcheck.upgrade_race ~nprocs:4,
-     Some "block 0x0: node 3 in sharer set but line invalid");
-    ("P=3 --dir-mode limited:2 --crash 1", limited 2, false, None,
+    ("P=4 --dir-mode limited:2 --crash 1", limited 2, false, 1, None,
+     Mcheck.upgrade_race ~nprocs:4, Some lp_sharer);
+    ("P=3 --dir-mode limited:2 --crash 1", limited 2, false, 1, None,
      Mcheck.upgrade_race ~nprocs:3, None);
-    ("P=3 --dir-mode limited:1 --crash 1", limited 1, false, None,
+    ("P=3 --dir-mode limited:1 --crash 1", limited 1, false, 1, None,
      Mcheck.lock_increment ~nprocs:3, Some flag_value);
-    ("P=3 --dir-mode limited:1 --crash 1", limited 1, false, None,
+    ("P=3 --dir-mode limited:1 --crash 1", limited 1, false, 1, None,
      Mcheck.upgrade_race ~nprocs:3, Some flag_value);
-    ("P=3 --crash 1", T.default_cfg, false, None, lp_upgrade_stale,
-     Some "block 0x0: exclusive at both node 0 and node 1") ]
+    ("P=3 --crash 1", T.default_cfg, false, 1, None, lp_upgrade_stale,
+     Some "block 0x0: exclusive at both node 0 and node 1");
+    ("P=4 --dir-mode limited:2", limited 2, false, 0, None,
+     Mcheck.upgrade_race ~nprocs:4, Some lp_sharer);
+    ("P=4 --refine --dir-mode limited:2", limited 2, true, 0, None,
+     Mcheck.upgrade_race ~nprocs:4, Some lp_sharer);
+    ("P=3 --crash 2 --recover 1", T.default_cfg, false, 2, Some 1,
+     Mcheck.read_sharing ~nprocs:3, Some flag_value_n1);
+    ("P=3 --crash 2 --recover 1", T.default_cfg, false, 2, Some 1,
+     Mcheck.lock_increment ~nprocs:3,
+     Some "node 2: 1 unacked blocks at quiescence");
+    ("P=3 --crash 2 --recover 1", T.default_cfg, false, 2, Some 1,
+     Mcheck.upgrade_race ~nprocs:3, Some flag_value_n1) ]
 
 let t_known_holes () =
   List.iter
-    (fun (config, base, refine, recover, sc, expected) ->
-      let r = Mcheck.check_exhaustive ~base ~refine ~crash:1 ?recover sc in
+    (fun (config, base, refine, crash, recover, sc, expected) ->
+      let r = Mcheck.check_exhaustive ~base ~refine ~crash ?recover sc in
       Alcotest.(check (option string))
         (Printf.sprintf "%s %s" config sc.Mcheck.sname)
         expected

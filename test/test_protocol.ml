@@ -299,7 +299,7 @@ let t_store_retry_in_step () =
   Alcotest.(check bool) "n0 shares the block" true
     (T.line_state !v ~node:0 ~block:b = T.L_shared);
   ignore (step 0 (T.I_batch_miss { nranges = 1; blocks = [ (b, true) ] }));
-  ignore (step 0 (T.I_batch_end { values = []; order = [] }));
+  ignore (step 0 (T.I_batch_end { values = [] }));
   ignore
     (step 0
        (T.I_store_miss { addr = b; block = b; store_done = false; stored = [] }));
