@@ -1,10 +1,16 @@
 (* Sparse simulated memory.
 
-   Memory is a table of 8 KB pages, each a [Bytes.t] in little-endian
-   byte order, as on the Alpha.  Every accessor is one load or store of
-   its own width: the state table is read a byte at a time, the flag
-   value of the load miss check (Section 3.2 of the paper) a longword
-   at a time, data a quadword at a time.
+   Memory is a table of 2 KB host pages, each a [Bytes.t] in
+   little-endian byte order, as on the Alpha.  A page is materialized
+   when an access first touches it, so a node's host heap follows what
+   it touches.  2 KB is the smallest power of two that OCaml allocates
+   straight in the major heap: a 2048-byte [Bytes.t] is 257 words, and
+   a block of 256 words or fewer starts in the minor heap, which a
+   later collection copies.  The host page is unrelated to the 8 KB
+   coherence page of [Granularity].  Every accessor is one load or
+   store of its own width: the state table is read a byte at a time,
+   the flag value of the load miss check (Section 3.2 of the paper) a
+   longword at a time, data a quadword at a time.
 
    Quadword integer values are represented as OCaml ints carrying the
    sign-extended 64-bit value; values outside [-2^62, 2^62) are not
@@ -12,9 +18,12 @@
    inside that range (addresses are < 2^40).  Floating-point data takes
    the Int64 path and is exact. *)
 
-(* A byte fill of [f_addr, f_addr + f_len) still owed to the pages of
-   that range that were not materialized when it was made. *)
-type fill = { f_addr : int; f_len : int; f_byte : int }
+(* A fill of [f_addr, f_addr + f_len) still owed to the pages of that
+   range that were not materialized when it was made.  The byte at
+   address [a] gets byte [a land 3] of the longword pattern [f_pat]; a
+   byte fill repeats its byte four times, a longword fill is 4-aligned
+   at both ends. *)
+type fill = { f_addr : int; f_len : int; f_pat : int }
 
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
@@ -31,11 +40,20 @@ type t = {
   slot_page : Bytes.t array;
 }
 
-let page_bytes = 8192
+let page_bytes = 2048
 
 (* Check code alternates between state-table and data pages, which the
    one-entry cache alone would send to the hash table on every switch. *)
-let slots = 64
+let slot_bits = 6
+let slots = 1 lsl slot_bits
+
+(* A page's slot: the top bits of its number times 2^63 / golden ratio,
+   rounded to odd (Fibonacci hashing; the literal wraps to a negative
+   int, which multiplies the same modulo 2^63).  The static, stack,
+   shared, state-table and exclusive-table regions start at powers of
+   two, so the low bits of their page numbers agree: indexed by those
+   bits, the first page of every region would share one slot. *)
+let[@inline] slot_of pno = (pno * 0x4F1BBCDCBFA53E0B) lsr (63 - slot_bits)
 
 let create () =
   { pages = Hashtbl.create 16; allocated_pages = 0; fills = [];
@@ -48,7 +66,17 @@ let fill_page pg pno f =
   let pstart = pno * page_bytes in
   let lo = max f.f_addr pstart - pstart
   and hi = min (f.f_addr + f.f_len) (pstart + page_bytes) - pstart in
-  if lo < hi then Bytes.unsafe_fill pg lo (hi - lo) (Char.unsafe_chr f.f_byte)
+  if lo < hi then begin
+    let b = f.f_pat land 0xFF in
+    if f.f_pat = b * 0x01010101 then
+      Bytes.unsafe_fill pg lo (hi - lo) (Char.unsafe_chr b)
+    else
+      (* a longword fill: [lo] and [hi] are 4-aligned, since the fill
+         and every page boundary are *)
+      for k = 0 to ((hi - lo) / 4) - 1 do
+        Bytes.set_int32_le pg (lo + (4 * k)) (Int32.of_int f.f_pat)
+      done
+  end
 
 (* [fills] is newest first: recurse before applying, so the oldest fill
    lands first.  Top level and closure-free, so a page's first touch
@@ -73,7 +101,7 @@ let find_page t pno =
 
 (* Page [pno] through the page cache. *)
 let slot_page t pno =
-  let s = pno land (slots - 1) in
+  let s = slot_of pno in
   let p =
     if t.slot_pno.(s) = pno then t.slot_page.(s)
     else begin
@@ -98,6 +126,8 @@ let[@inline] page t addr =
 let[@inline] off addr = addr mod page_bytes
 
 let allocated_bytes t = t.allocated_pages * page_bytes
+
+let materialized t addr = Hashtbl.mem t.pages (addr / page_bytes)
 
 let unaligned addr what =
   invalid_arg (Printf.sprintf "Memory: unaligned %s access at 0x%x" what addr)
@@ -156,20 +186,45 @@ let write_float_from t addr (fregs : float array) f =
    three address bits, as on the Alpha). *)
 let read_quad_unaligned t addr = read_quad t (addr land lnot 7)
 
-(* Every byte of [addr, addr+len) reads as [v], exactly as after a
-   [write_byte] loop: materialized pages are filled now, the others when
-   they materialize. *)
-let fill_bytes t ~addr ~len v =
+(* Fill [addr, addr+len) with the pattern [pat]: materialized pages are
+   filled now, the others when they materialize. *)
+let fill t ~addr ~len pat =
   if len > 0 then begin
-    let f = { f_addr = addr; f_len = len; f_byte = v land 0xFF } in
-    let pending = ref false in
-    for pno = addr / page_bytes to (addr + len - 1) / page_bytes do
-      match Hashtbl.find t.pages pno with
-      | pg -> fill_page pg pno f
-      | exception Not_found -> pending := true
-    done;
-    if !pending then t.fills <- f :: t.fills
+    let f = { f_addr = addr; f_len = len; f_pat = pat } in
+    let first = addr / page_bytes and last = (addr + len - 1) / page_bytes in
+    let filled = ref 0 in
+    let fill_one pno pg =
+      if pno >= first && pno <= last then begin
+        fill_page pg pno f;
+        incr filled
+      end
+    in
+    (* Visit the range or the table, whichever is smaller: the exclusive
+       table of a node's private regions spans 192 pages, and a fresh
+       node has materialized almost none. *)
+    if last - first < Hashtbl.length t.pages then
+      for pno = first to last do
+        match Hashtbl.find t.pages pno with
+        | pg -> fill_one pno pg
+        | exception Not_found -> ()
+      done
+    else Hashtbl.iter fill_one t.pages;
+    if !filled <= last - first then t.fills <- f :: t.fills
   end
+
+(* Every byte of [addr, addr+len) reads as [v], exactly as after a
+   [write_byte] loop. *)
+let fill_bytes t ~addr ~len v = fill t ~addr ~len ((v land 0xFF) * 0x01010101)
+
+(* Every longword of [addr, addr+len) reads as [v], exactly as after a
+   [write_long_u] loop. *)
+let fill_longs t ~addr ~len v =
+  check_align addr 4 "longword";
+  if len land 3 <> 0 then
+    invalid_arg
+      (Printf.sprintf "Memory.fill_longs: length %d is not a multiple of 4"
+         len);
+  fill t ~addr ~len (v land 0xFFFFFFFF)
 
 (* Materialize every page of [t] that a pending fill owes inside the
    page-aligned range [addr, addr+len).  Closure-free, so a copy out of

@@ -1,10 +1,11 @@
 (** Sparse simulated memory.
 
-    A table of 8 KB pages of bytes in little-endian order, as on the
-    Alpha.  Every access is one load or store of its width: the checks
-    read the state table a byte at a time, and the flag technique
-    (paper Section 3.2) stores the -253 flag value into every longword
-    of an invalid line.
+    A table of 2 KB host pages of bytes in little-endian order, as on
+    the Alpha, each materialized when an access first touches it.  The
+    host page is unrelated to the 8 KB coherence page.  Every access is
+    one load or store of its width: the checks read the state table a
+    byte at a time, and the flag technique (paper Section 3.2) stores
+    the -253 flag value into every longword of an invalid line.
 
     Quadword integers are OCaml ints carrying the sign-extended 64-bit
     value (values outside [-2^62, 2^62) wrap; simulated programs keep
@@ -18,7 +19,11 @@ val page_bytes : int
 
 val allocated_bytes : t -> int
 (** Bytes of simulated memory materialized so far; each materialized
-    page costs its 8 KB of host heap. *)
+    page costs its [page_bytes] of host heap. *)
+
+val materialized : t -> int -> bool
+(** Whether the page holding the address is materialized.  Asking
+    materializes nothing. *)
 
 (** {1 Longwords} *)
 
@@ -70,6 +75,13 @@ val fill_bytes : t -> addr:int -> len:int -> int -> unit
     Pages already materialized are filled at once; for the rest the
     range is kept as a pending fill that each page applies, oldest fill
     first, when it materializes. *)
+
+val fill_longs : t -> addr:int -> len:int -> int -> unit
+(** [fill_longs t ~addr ~len v]: as {!fill_bytes}, for a [write_long_u]
+    loop storing the 32-bit pattern [v] into every longword of
+    [addr, addr+len).  [addr] and [len] must be multiples of 4.  The
+    allocator flags a new object this way on the nodes that do not own
+    it, so a node pays host memory only for the pages it touches. *)
 
 val copy_pages : src:t -> dst:t -> addr:int -> len:int -> unit
 (** Copy every page of [src] overlapping the page-aligned range that

@@ -80,10 +80,17 @@ let hist_cells t ?(bounds = default_bounds) name =
     t.hist_order <- name :: t.hist_order;
     h
 
+(* The first bucket whose bound is >= [v], or the overflow bucket: a
+   binary search, since [v <= bounds.(i)] is false then true along the
+   increasing bounds. *)
 let bucket_of bounds v =
-  let n = Array.length bounds in
-  let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
-  go 0
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if v <= Array.unsafe_get bounds mid then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length bounds)
 
 let record h v =
   let b = bucket_of h.bounds v in

@@ -1,16 +1,16 @@
 (* Host-side performance counters.
 
-   Everything else in the registry measures the *simulated* machine;
-   this module measures the simulator itself: monotonic wall time
-   (bechamel's clock — immune to NTP steps) and a per-phase breakdown
-   (compile / load / run / drain).  A [t] is an accumulator: [phase]
-   times a closure and charges it to a named bucket, [report] closes
-   the measurement.  The clock is injectable so tests can drive
+   The metrics registry measures the *simulated* machine; this module
+   measures the simulator itself: monotonic wall time (bechamel's
+   clock — immune to NTP steps) and a per-phase breakdown (compile /
+   load / run / drain).  A [t] is an accumulator: [phase] times a
+   closure and charges it to a named bucket, [report] closes the
+   measurement.  The clock is injectable so tests can drive
    deterministic timings.
 
-   Host numbers are machine-dependent by nature, so they never enter a
-   BENCH record; the perfbench suite and the `host :` line of
-   shasta_run report them. *)
+   Host numbers are machine-dependent by nature, so they enter neither
+   the registry nor a BENCH record; the perfbench suite and the
+   `host :` line of shasta_run report them. *)
 
 type t = {
   clock : unit -> float;  (* monotonic seconds *)
@@ -42,15 +42,3 @@ let phase t name f =
   Fun.protect ~finally:(fun () -> add_phase t name (t.clock () -. start)) f
 
 let report t = { wall_s = t.clock () -. t.t0; phases = t.phases }
-
-(* Fold a report into the metrics registry (node 0 — host metrics have
-   no per-node meaning) so `--metrics` dumps and CSV exports carry the
-   host numbers next to the simulated ones.  Times in microseconds:
-   the registry stores ints. *)
-let us s = int_of_float (s *. 1e6)
-
-let publish m r =
-  Metrics.add m ~node:0 "perf.wall_us" (us r.wall_s);
-  List.iter
-    (fun (name, s) -> Metrics.add m ~node:0 ("perf." ^ name ^ "_us") (us s))
-    r.phases

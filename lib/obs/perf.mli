@@ -27,7 +27,3 @@ val add_phase : t -> string -> float -> unit
     as a closure). *)
 
 val report : t -> report
-
-val publish : Metrics.t -> report -> unit
-(** Fold the report into the registry as node-0 counters
-    ([perf.wall_us], [perf.<phase>_us]). *)

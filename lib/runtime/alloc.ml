@@ -57,7 +57,7 @@ let init_range state ~owner ~base ~len ~bsize =
   Array.iter
     (fun (n : Node.t) ->
       if n.id = owner then Tables.make_exclusive n ~ls ~addr:base ~len
-      else Tables.make_invalid n ~ls ~addr:base ~len)
+      else Tables.make_invalid_fresh n ~ls ~addr:base ~len)
     state.State.nodes;
   state.State.allocations <- (base, len) :: state.State.allocations
 

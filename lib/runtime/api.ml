@@ -84,8 +84,9 @@ let run ?(init_proc = "appinit") ?(work_proc = "work") spec =
 (* [run] under host-side measurement: the whole pipeline inside one
    {!Shasta_obs.Perf} accumulator — "compile" covers MiniC compilation,
    instrumentation and cluster construction, "load"/"run"/"drain" are
-   charged by [Cluster.run_app].  The report is folded into the result
-   state's metrics registry (node-0 [perf.*] counters) and returned. *)
+   charged by [Cluster.run_app].  The report is returned beside the
+   result and stays out of the metrics registry, which holds only
+   simulated counts. *)
 let run_measured ?(init_proc = "appinit") ?(work_proc = "work") ?clock spec =
   let perf = Shasta_obs.Perf.create ?clock () in
   let state, inst_stats, program =
@@ -93,7 +94,6 @@ let run_measured ?(init_proc = "appinit") ?(work_proc = "work") ?clock spec =
   in
   let phase = Cluster.run_app ~init_proc ~work_proc ~perf state in
   let report = Shasta_obs.Perf.report perf in
-  Shasta_obs.Perf.publish (Shasta_obs.Obs.metrics (State.obs state)) report;
   ({ phase; inst_stats; program; state }, report)
 
 (* Total inline-check misses of the timed phase — the [misses] field of

@@ -72,8 +72,9 @@ val run_measured :
   result * Shasta_obs.Perf.report
 (** [run] wrapped in a {!Shasta_obs.Perf} measurement: host wall time
     broken into compile / load / run / drain phases.  The report is
-    also folded into the result state's metrics registry as node-0
-    [perf.*] counters.  [clock] is injectable for tests. *)
+    not added to the result state's metrics registry, so [--metrics]
+    shows the same simulated counts on every run.  [clock] is
+    injectable for tests. *)
 
 val phase_misses : Cluster.phase_result -> int
 (** Total inline-check misses (read + write + upgrade) of the timed

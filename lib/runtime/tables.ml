@@ -92,6 +92,17 @@ let make_invalid (node : Node.t) ~ls ~addr ~len =
   set_excl_range node ~ls ~addr ~len false;
   flag_range node ~addr ~len
 
+(* [make_invalid] for a range the allocator has just handed to another
+   node (Section 4.2): the same states, and the same flags as a pending
+   fill, so a page this node never touches is never materialized.  The
+   protocol's own invalidations stay eager, so the pending fills grow
+   with allocations only, not with run time. *)
+let make_invalid_fresh (node : Node.t) ~ls ~addr ~len =
+  set_state_range node ~ls ~addr ~len Layout.st_invalid;
+  set_excl_range node ~ls ~addr ~len false;
+  Memory.fill_longs node.mem ~addr ~len Layout.flag_pattern;
+  Cache.dinvalidate node.caches ~addr ~len
+
 let make_pending (node : Node.t) ~ls ~addr ~len ~shared =
   set_state_range node ~ls ~addr ~len
     (if shared then Layout.st_pending_shared else Layout.st_pending_invalid);

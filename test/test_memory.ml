@@ -1,6 +1,6 @@
 (* Memory model tests: longword/quadword/byte aliasing, sign extension,
    float bit patterns, the flag value, page copying, bulk fills against a
-   [write_byte] loop, plus cache model behaviour. *)
+   [write_byte] or [write_long_u] loop, plus cache model behaviour. *)
 
 open Shasta_machine
 
@@ -161,14 +161,72 @@ let t_copy_pending () =
   check_bytes "copied fill" dst ~addr:(pb + 4) ~len:8 0x77;
   Alcotest.(check int) "whole page copied" 0 (Memory.read_quad dst (pb + 16))
 
+(* Longword fills: the flag pattern's bytes differ, so a fill that
+   lands a byte off, or fills bytes with one value, shows. *)
+let flag = Shasta.Layout.flag_pattern
+
+let t_fill_longs_lazy () =
+  let m = Memory.create () in
+  Memory.fill_longs m ~addr:(pb - 8) ~len:(pb + 16) flag;
+  Alcotest.(check int) "no page materialized" 0 (Memory.allocated_bytes m);
+  Alcotest.(check bool) "second page pending" false
+    (Memory.materialized m (pb + 4));
+  Alcotest.(check int) "head" (-253) (Memory.read_long m (pb - 8));
+  Alcotest.(check int) "page two" (-253) (Memory.read_long m pb);
+  Alcotest.(check bool) "read materializes" true (Memory.materialized m pb);
+  Alcotest.(check int) "tail" (-253) (Memory.read_long m (2 * pb + 4));
+  Alcotest.(check int) "past the end" 0 (Memory.read_long m (2 * pb + 8));
+  Alcotest.(check int) "low byte" 0x03 (Memory.read_byte m pb);
+  Alcotest.(check int) "high byte" 0xFF (Memory.read_byte m (pb + 3));
+  Alcotest.(check int) "three pages" (3 * pb) (Memory.allocated_bytes m)
+
+let t_fill_longs_materialized () =
+  (* a materialized page takes the fill at once; a write after it and a
+     byte fill over it land on top *)
+  let m = Memory.create () in
+  Memory.write_quad m 0 (-1);
+  Memory.fill_longs m ~addr:4 ~len:8 flag;
+  Alcotest.(check int) "before the fill" 0xFFFFFFFF (Memory.read_long_u m 0);
+  Alcotest.(check int) "filled" flag (Memory.read_long_u m 4);
+  Memory.fill_bytes m ~addr:9 ~len:1 0x00;
+  Alcotest.(check int) "byte over the pattern" 0xFFFF0003
+    (Memory.read_long_u m 8);
+  Alcotest.(check int) "one page" pb (Memory.allocated_bytes m)
+
+let t_fill_longs_unaligned () =
+  let m = Memory.create () in
+  Alcotest.check_raises "unaligned address"
+    (Invalid_argument "Memory: unaligned longword access at 0x2")
+    (fun () -> Memory.fill_longs m ~addr:2 ~len:8 flag);
+  Alcotest.check_raises "odd length"
+    (Invalid_argument "Memory.fill_longs: length 6 is not a multiple of 4")
+    (fun () -> Memory.fill_longs m ~addr:4 ~len:6 flag)
+
+let t_copy_pending_longs () =
+  (* a pending longword fill in the source copies as its pattern, behind
+     an older byte fill and under a newer one *)
+  let src = Memory.create () and dst = Memory.create () in
+  Memory.fill_bytes src ~addr:0 ~len:(2 * pb) 0x11;
+  Memory.fill_longs src ~addr:(pb - 4) ~len:12 flag;
+  Memory.fill_bytes src ~addr:(pb + 6) ~len:1 0x22;
+  Memory.copy_pages ~src ~dst ~addr:0 ~len:(2 * pb);
+  Alcotest.(check int) "older fill" 0x11111111 (Memory.read_long_u dst (pb - 8));
+  Alcotest.(check int) "pattern" flag (Memory.read_long_u dst (pb - 4));
+  Alcotest.(check int) "across the page" flag (Memory.read_long_u dst pb);
+  Alcotest.(check int) "newer byte" 0xFF22FF03 (Memory.read_long_u dst (pb + 4));
+  Alcotest.(check int) "past the pattern" 0x11111111
+    (Memory.read_long_u dst (pb + 8))
+
 (* The model test: the same operations on a memory that fills with
-   [fill_bytes] and one that fills with a [write_byte] loop.  Every
+   [fill_bytes] and [fill_longs] and one that fills with a [write_byte]
+   or [write_long_u] loop.  Every
    prefix of the sequence is replayed on fresh memories and compared
    over the whole window, so no comparison read materializes a page the
    later operations would have found lazy. *)
 
 type op =
   | Fill of int * int * int
+  | Fill_long of int * int * int
   | Long of int * int
   | Byte of int * int
   | Read of int
@@ -188,8 +246,17 @@ let op_gen =
   let fill k =
     map3 (fun a l v -> k a (min l (window - a)) v) addr len (int_bound 255)
   in
+  let long_fill k =
+    map3
+      (fun a l v ->
+        let a = a land lnot 3 in
+        k a (min (l land lnot 3) (window - a)) v)
+      addr len
+      (oneof [ return Shasta.Layout.flag_pattern; int_bound 0xFFFFFFFF ])
+  in
   oneof
     [ fill (fun a l v -> Fill (a, l, v));
+      long_fill (fun a l v -> Fill_long (a, l, v));
       fill (fun a l v -> Src_fill (a, l, v));
       map2 (fun a v -> Long (a land lnot 3, v)) addr (int_bound 0x3FFFFFFF);
       map2 (fun a v -> Byte (a, v)) addr (int_bound 255);
@@ -197,8 +264,15 @@ let op_gen =
       map2 (fun p n -> Copy (p, n)) (int_bound (window_pages - 1))
         (int_range 1 window_pages) ]
 
-let apply ~fill (m, src) = function
+(* The [write_long_u] loop [fill_longs] must equal. *)
+let long_loop m ~addr ~len v =
+  for k = 0 to (len / 4) - 1 do
+    Memory.write_long_u m (addr + (4 * k)) v
+  done
+
+let apply ~fill ~fill_long (m, src) = function
   | Fill (addr, len, v) -> fill m ~addr ~len v
+  | Fill_long (addr, len, v) -> fill_long m ~addr ~len v
   | Src_fill (addr, len, v) -> fill src ~addr ~len v
   | Long (a, v) -> Memory.write_long_u m a v
   | Byte (a, v) -> Memory.write_byte m a v
@@ -206,9 +280,9 @@ let apply ~fill (m, src) = function
   | Copy (p, n) ->
     Memory.copy_pages ~src ~dst:m ~addr:(p * pb) ~len:(n * pb)
 
-let replay ~fill ops =
+let replay ~fill ~fill_long ops =
   let mems = (Memory.create (), Memory.create ()) in
-  List.iter (apply ~fill mems) ops;
+  List.iter (apply ~fill ~fill_long mems) ops;
   mems
 
 let same_window a b =
@@ -222,15 +296,17 @@ let prop_fill_model ops =
   List.for_all
     (fun k ->
       let prefix = List.filteri (fun i _ -> i < k) ops in
-      let m, src = replay ~fill:Memory.fill_bytes prefix in
-      let m', src' = replay ~fill:write_loop prefix in
+      let m, src =
+        replay ~fill:Memory.fill_bytes ~fill_long:Memory.fill_longs prefix
+      in
+      let m', src' = replay ~fill:write_loop ~fill_long:long_loop prefix in
       same_window m m' && same_window src src')
     (List.init n (fun i -> i + 1))
 
 (* The page cache against a plain reference: a table of longwords that
-   reads 0 where nothing was written.  Pages span more than the 64 cache
-   slots, and a third of the accesses go to pages 64 apart, which share
-   a slot.  Every read is checked as it happens; at the end every
+   reads 0 where nothing was written.  Pages span 200, more than the 64
+   cache slots, so pages share slots, and a third of the accesses go to
+   four pages, so the same pages recur.  Every read is checked as it happens; at the end every
    longword an operation named is compared too.  The source memory of
    [copy_pages] takes writes and fills only, so the pages that hold data
    there are exactly the ones the reference marks. *)
@@ -384,8 +460,10 @@ type lop =
   | L_quad of int * int
   | L_float of int * float
   | L_fill of int * int * int
+  | L_fill_long of int * int * int
   | L_src_quad of int * int
   | L_src_fill of int * int * int
+  | L_src_fill_long of int * int * int
   | L_copy of int * int (* first page, pages *)
   | L_read of int
 
@@ -404,6 +482,15 @@ let lop_gen =
       [ return Shasta.Layout.flag_pattern; int_bound 0xFFFF;
         map (fun v -> v land 0xFFFFFFFF) int ]
   in
+  let long_fill k =
+    map3
+      (fun a l v ->
+        let a = a land lnot 3 in
+        k a (min (l land lnot 3) (window - a)) v)
+      addr
+      (oneof [ int_bound 16; int_bound 256; int_range (pb - 8) (pb + 8) ])
+      long
+  in
   let quad =
     oneof [ return (-253); int_range (-1000) 1000; int; return min_int;
             return max_int ]
@@ -414,8 +501,10 @@ let lop_gen =
       map2 (fun a v -> L_quad (a land lnot 7, v)) addr quad;
       map2 (fun a x -> L_float (a land lnot 7, x)) addr float;
       fill (fun a l v -> L_fill (a, l, v));
+      long_fill (fun a l v -> L_fill_long (a, l, v));
       map2 (fun a v -> L_src_quad (a land lnot 7, v)) addr quad;
       fill (fun a l v -> L_src_fill (a, l, v));
+      long_fill (fun a l v -> L_src_fill_long (a, l, v));
       map2
         (fun p n -> L_copy (p, min n (window_pages - p)))
         (int_bound (window_pages - 1)) (int_range 1 window_pages);
@@ -427,8 +516,11 @@ let print_lop = function
   | L_quad (a, v) -> Printf.sprintf "quad 0x%x=%d" a v
   | L_float (a, x) -> Printf.sprintf "float 0x%x=%h" a x
   | L_fill (a, l, v) -> Printf.sprintf "fill 0x%x+%d=%d" a l v
+  | L_fill_long (a, l, v) -> Printf.sprintf "fill longs 0x%x+%d=0x%x" a l v
   | L_src_quad (a, v) -> Printf.sprintf "src quad 0x%x=%d" a v
   | L_src_fill (a, l, v) -> Printf.sprintf "src fill 0x%x+%d=%d" a l v
+  | L_src_fill_long (a, l, v) ->
+    Printf.sprintf "src fill longs 0x%x+%d=0x%x" a l v
   | L_copy (p, n) -> Printf.sprintf "copy pages %d+%d" p n
   | L_read a -> Printf.sprintf "read 0x%x" a
 
@@ -452,6 +544,11 @@ let prop_le_model ops =
   let model = Bytes.make window '\000' and smodel = Bytes.make window '\000' in
   let held = Array.make window_pages false in
   let hold a len = for q = a / pb to (a + len - 1) / pb do held.(q) <- true done in
+  let model_longs model a len v =
+    for k = 0 to (len / 4) - 1 do
+      le_set model (a + (4 * k)) 4 (Int64.of_int v)
+    done
+  in
   let read_ok a =
     let l = a land lnot 3 and q = a land lnot 7 in
     let long = Int64.to_int (le_get model l 4) and quad = le_get model q 8 in
@@ -489,6 +586,10 @@ let prop_le_model ops =
         Memory.fill_bytes m ~addr:a ~len v;
         Bytes.fill model a len (Char.chr v);
         true
+      | L_fill_long (a, len, v) ->
+        Memory.fill_longs m ~addr:a ~len v;
+        model_longs model a len v;
+        true
       | L_src_quad (a, v) ->
         Memory.write_quad src a v;
         le_set smodel a 8 (Int64.of_int v);
@@ -497,6 +598,11 @@ let prop_le_model ops =
       | L_src_fill (a, len, v) ->
         Memory.fill_bytes src ~addr:a ~len v;
         Bytes.fill smodel a len (Char.chr v);
+        if len > 0 then hold a len;
+        true
+      | L_src_fill_long (a, len, v) ->
+        Memory.fill_longs src ~addr:a ~len v;
+        model_longs smodel a len v;
         if len > 0 then hold a len;
         true
       | L_copy (p, n) ->
@@ -661,6 +767,13 @@ let () =
           Alcotest.test_case "write after fill" `Quick t_fill_then_write;
           Alcotest.test_case "oldest first" `Quick t_fill_order;
           Alcotest.test_case "copy pending" `Quick t_copy_pending;
+          Alcotest.test_case "longwords lazy" `Quick t_fill_longs_lazy;
+          Alcotest.test_case "longwords on a materialized page" `Quick
+            t_fill_longs_materialized;
+          Alcotest.test_case "longwords unaligned" `Quick
+            t_fill_longs_unaligned;
+          Alcotest.test_case "copy pending longwords" `Quick
+            t_copy_pending_longs;
           QCheck_alcotest.to_alcotest
             (QCheck2.Test.make ~name:"equals a write_byte loop" ~count:100
                QCheck2.Gen.(list_size (int_range 1 12) op_gen)

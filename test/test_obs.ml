@@ -87,6 +87,33 @@ let test_histogram_buckets () =
   Alcotest.(check int) "node 0 count" 5 (Metrics.hist m "h" 0).Metrics.n;
   Alcotest.(check int) "node 1 count" 1 (Metrics.hist m "h" 1).Metrics.n
 
+(* [bucket_of]'s binary search against the linear scan it replaced:
+   the first bound >= v, or the overflow bucket.  Bounds are any
+   non-decreasing array, the default or a custom [?bounds], values
+   fall inside, on and outside them. *)
+let linear_bucket bounds v =
+  let n = Array.length bounds in
+  let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
+  go 0
+
+let bucket_gen =
+  QCheck2.Gen.(
+    pair
+      (oneof
+         [ return Metrics.default_bounds;
+           map
+             (fun l -> Array.of_list (List.sort compare l))
+             (list_size (int_bound 20) (int_range (-50) 2000)) ])
+      (int_range (-100) 2_000_000))
+
+let prop_bucket_linear (bounds, v) =
+  Metrics.bucket_of bounds v = linear_bucket bounds v
+  && Array.for_all
+       (fun b ->
+         Metrics.bucket_of bounds b = linear_bucket bounds b
+         && Metrics.bucket_of bounds (b + 1) = linear_bucket bounds (b + 1))
+       bounds
+
 let test_copy_sub () =
   let m = Metrics.create ~nprocs:2 in
   Metrics.add m ~node:0 "c" 5;
@@ -221,7 +248,9 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "histogram buckets" `Quick
             test_histogram_buckets;
-          Alcotest.test_case "copy/sub deltas" `Quick test_copy_sub ] );
+          Alcotest.test_case "copy/sub deltas" `Quick test_copy_sub;
+          Test_support.Support.qtest "bucket_of equals the linear scan"
+            ~count:500 bucket_gen prop_bucket_linear ] );
       ( "properties",
         [ Test_support.Support.qtest "event stream matches Network.stats" ~count:20
             params_gen prop_stream_consistent;

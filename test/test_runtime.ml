@@ -337,28 +337,29 @@ let t_home_policies () =
   Alcotest.(check bool) "first-touch moves the run time" true
     (ft.Cluster.wall_cycles <> rr.Cluster.wall_cycles)
 
+(* The LU of the 64-node `scale` workload. *)
+let lu64_spec () =
+  { (Api.default_spec (Shasta_apps.Lu.program ~n:48 ~bs:8 ())) with
+    nprocs = 64;
+    dir_mode = Shasta_protocol.Nodeset.Limited 4;
+    scalable_sync = true }
+
 (* Cold start at the 64-node config: the private regions' exclusive bits
    read as set, yet building the cluster materializes almost nothing (the
    exclusive table is filled lazily, page by page, on first touch; an
-   eager fill left 49 pages per node), and no cache has tag storage yet.
+   eager fill left 392 KB per node), and no cache has tag storage yet.
    After the run, each node's memory costs the host little more than
    its materialized pages. *)
 let t_create_footprint () =
-  let prog = Shasta_apps.Lu.program ~n:48 ~bs:8 () in
-  let spec =
-    { (Api.default_spec prog) with
-      nprocs = 64;
-      dir_mode = Shasta_protocol.Nodeset.Limited 4;
-      scalable_sync = true }
-  in
+  let spec = lu64_spec () in
   let state, _, _ = Api.prepare spec in
   let module M = Shasta_machine.Memory in
   Array.iter
     (fun (n : Node.t) ->
       Alcotest.(check bool)
-        (Printf.sprintf "node %d: at most 2 pages" n.id)
+        (Printf.sprintf "node %d: at most 16 KB" n.id)
         true
-        (M.allocated_bytes n.mem <= 2 * M.page_bytes);
+        (M.allocated_bytes n.mem <= 16 * 1024);
       let h = n.caches in
       List.iter
         (fun (name, c) ->
@@ -381,10 +382,10 @@ let t_create_footprint () =
             ((M.read_byte mem (a lsr (ls + 3)) lsr ((a lsr ls) land 7)) land 1))
         [ static_base; static_limit - 64; stack_limit; stack_top - 64 ])
     [ 0; 63 ];
-  (* Host heap after a run: a page is its 1,024 words of bytes, a
-     padding word and a header; the rest (the 64-slot page cache, a
-     page table still at 16 buckets, its cells and the pending fills)
-     is 204 words per node here. *)
+  (* Host heap after a run: a page is its 256 words of bytes, a
+     padding word and a header; the rest (the 64-slot page cache, the
+     page table, its cells and the pending fills) is at most 228 words
+     per node here. *)
   let r = Api.run spec in
   Array.iter
     (fun (n : Node.t) ->
@@ -395,6 +396,41 @@ let t_create_footprint () =
         true
         (Obj.reachable_words (Obj.repr n.mem)
          <= (pages * ((M.page_bytes / 8) + 2)) + 256))
+    r.state.nodes
+
+(* The allocator flags a new object on every node but its owner as a
+   pending fill.  In the 64-node LU only nodes 0..35 own one of the
+   6x6 blocks, and node 0 allocates the matrix, so nodes 36..63 never
+   touch it: after the run they hold no page of any shared
+   allocation, while every block owner holds some. *)
+let t_idle_nodes_shared_pages () =
+  let r = Api.run (lu64_spec ()) in
+  let module M = Shasta_machine.Memory in
+  let allocs = r.state.allocations in
+  Alcotest.(check bool) "the run allocated shared data" true (allocs <> []);
+  let shared_pages (n : Node.t) =
+    List.fold_left
+      (fun acc (base, len) ->
+        let pages = ref acc in
+        let a = ref (base - (base mod M.page_bytes)) in
+        while !a < base + len do
+          if M.materialized n.mem !a then incr pages;
+          a := !a + M.page_bytes
+        done;
+        !pages)
+      0 allocs
+  in
+  Array.iter
+    (fun (n : Node.t) ->
+      let pages = shared_pages n in
+      if n.id >= 36 then
+        Alcotest.(check int)
+          (Printf.sprintf "node %d owns no block: no shared page" n.id)
+          0 pages
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d owns a block: %d shared pages" n.id pages)
+          true (pages > 0))
     r.state.nodes
 
 (* Every deadlock names its nodes: a run cut off by the event budget
@@ -677,7 +713,9 @@ let () =
         [ Alcotest.test_case "atm correctness" `Quick t_atm_network_also_correct;
           Alcotest.test_case "atm slower" `Quick t_atm_slower_than_mc ] );
       ( "cold start",
-        [ Alcotest.test_case "footprint at P=64" `Quick t_create_footprint ] );
+        [ Alcotest.test_case "footprint at P=64" `Quick t_create_footprint;
+          Alcotest.test_case "idle nodes hold no shared page" `Quick
+            t_idle_nodes_shared_pages ] );
       ( "deadlock",
         [ Alcotest.test_case "budget names the nodes" `Quick
             t_deadlock_names_nodes ] );
